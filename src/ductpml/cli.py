@@ -22,10 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .duct import DuctConfig, cutoff_numbers, dispersion_table
+from .duct import DuctConfig, cutoff_numbers, default_n_modes, dispersion_table
 from .errors import ConfigError, DuctpmlError
 from .greens import GreensEvalParams, greens_value
 from .harness import (
+    default_forcing_rect,
     run_equivalence_check,
     run_h_study,
     run_L_study,
@@ -106,9 +107,7 @@ class RunConfig:
 
     def forcing_rect(self):
         cfg = self.duct
-        cx = 0.5 * (cfg.x_minus + cfg.x_plus)
-        wx = 0.25 * (cfg.x_plus - cfg.x_minus)
-        default = (cx - wx, cx + wx, 0.25 * cfg.d, 0.75 * cfg.d)
+        default = default_forcing_rect(cfg)
         keys = ("rect_x1_lo", "rect_x1_hi", "rect_x2_lo", "rect_x2_hi")
         rect = tuple(
             float(self._get("source", k, d)) for k, d in zip(keys, default)
@@ -132,8 +131,7 @@ class RunConfig:
         return float(self._get("grid", "delta", default_delta(self.duct)))
 
     def n_modes(self) -> int:
-        _, n0 = cutoff_numbers(self.duct)
-        return int(self._get("grid", "n_modes", n0 + 30))
+        return int(self._get("grid", "n_modes", default_n_modes(self.duct)))
 
     def n_x2(self) -> int:
         return int(self._get("grid", "n_x2", 33))

@@ -23,6 +23,14 @@ from .errors import ConfigError, CutoffResonanceError, DomainError
 # there, so construction refuses near-resonant configs outright.
 TOL_CUTOFF = 1e-8
 
+# 4-point Gauss-Legendre rule on [-1, 1] (load and cell-integral quadratures)
+GAUSS4_NODES = np.array(
+    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
+)
+GAUSS4_WEIGHTS = np.array(
+    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
+)
+
 PROPAGATING = "propagating"
 EVANESCENT = "evanescent"
 
@@ -113,21 +121,22 @@ class DispersionTable:
             raise ConfigError("dispersion table needs at least one mode")
 
 
-def mode_shape(n: int, x2, d: float):
+def mode_shape(n, x2, d: float):
     """Orthonormal transverse mode phi_n(x2) on (0, d).
 
     phi_0 = 1/sqrt(d) and phi_n = sqrt(2/d) cos(n pi x2 / d) for n >= 1.
-    Accepts scalar or array ``x2``; values outside [0, d] raise DomainError.
+    ``n`` and ``x2`` may be scalars or arrays and broadcast against each
+    other; values of x2 outside [0, d] raise DomainError.
     """
-    if n < 0:
+    na = np.asarray(n)
+    if np.any(na < 0):
         raise DomainError(f"mode index must be >= 0, got {n}")
     x2a = np.asarray(x2, dtype=float)
     if np.any(x2a < 0.0) or np.any(x2a > d):
         raise DomainError(f"transverse coordinate outside [0, {d}]")
-    if n == 0:
-        out = np.full_like(x2a, 1.0 / math.sqrt(d))
-    else:
-        out = math.sqrt(2.0 / d) * np.cos(n * math.pi * x2a / d)
+    out = np.where(
+        na == 0, 1.0 / math.sqrt(d), math.sqrt(2.0 / d) * np.cos(na * math.pi * x2a / d)
+    )
     return out if out.ndim else float(out)
 
 
@@ -135,6 +144,11 @@ def cutoff_numbers(cfg: DuctConfig):
     """Return (K0, N0) with K0 = k d / (pi sqrt(1 - M^2)) and N0 = floor(K0)."""
     k0 = cfg.k * cfg.d / (math.pi * math.sqrt(cfg.one_minus_m2))
     return k0, int(math.floor(k0))
+
+
+def default_n_modes(cfg: DuctConfig) -> int:
+    """Default mode count N0 + 30: every propagating mode plus an evanescent tail."""
+    return cutoff_numbers(cfg)[1] + 30
 
 
 def axial_wavenumbers(n: int, cfg: DuctConfig):

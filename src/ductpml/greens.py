@@ -32,17 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .duct import DuctConfig, axial_wavenumbers64, cutoff_numbers, mode_shape
+from .duct import (
+    GAUSS4_NODES,
+    GAUSS4_WEIGHTS,
+    DuctConfig,
+    axial_wavenumbers64,
+    cutoff_numbers,
+    default_n_modes,
+    mode_shape,
+)
 from .errors import DomainError, RepresentationError, SingularityError
-from .noise import NoiseRealization, modal_source_coefficients
+from .noise import NoiseRealization, modal_source_coefficients, transverse_cell_integrals
 from .specfun import hankel0
-
-_GAUSS4_NODES = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GAUSS4_WEIGHTS = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class GreensEvalParams:
 
     def resolve(self, cfg: DuctConfig):
         _, n0 = cutoff_numbers(cfg)
-        n_modes = self.n_modes if self.n_modes > 0 else n0 + 30
+        n_modes = self.n_modes if self.n_modes > 0 else default_n_modes(cfg)
         if n_modes < n0 + 5:
             raise DomainError(f"n_modes must be at least N0+5 = {n0 + 5}")
         gap = self.min_axial_gap if self.min_axial_gap > 0.0 else 0.25 * cfg.d
@@ -212,9 +213,13 @@ def _betas_block(cfg: DuctConfig, n_lo: int, n_hi: int):
 def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue:
     """Modal-series kernel value; needs axial separation >= min_axial_gap.
 
+    Transverse coordinates outside [0, d] use the even continuation of
+    the modes across both walls (period 2d), as the image series does.
     The indicator is a geometric bound on the truncated tail.
     """
     _, n_modes, gap = params.resolve(cfg)
+    period = 2.0 * cfg.d
+    x2, y2 = (abs(t) % period for t in (x[1], y[1]))
     dx1 = x[0] - y[0]
     if abs(dx1) < gap:
         raise RepresentationError(
@@ -224,8 +229,8 @@ def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue
     beta = bp if dx1 >= 0.0 else bm
     ns = np.arange(n_modes)
     terms = (
-        mode_shape_many(ns, x[1], cfg.d)
-        * mode_shape_many(ns, y[1], cfg.d)
+        mode_shape(ns, min(x2, period - x2), cfg.d)
+        * mode_shape(ns, min(y2, period - y2), cfg.d)
         * c
         * np.exp(1j * beta * dx1)
     )
@@ -233,29 +238,6 @@ def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue
     ratio = mags[-1] / mags[-2] if mags[-2] > 0.0 else 0.0
     tail = mags[-1] * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else mags[-1]
     return SeriesValue(value=complex(np.sum(terms)), indicator=float(tail))
-
-
-def mode_shape_many(ns: np.ndarray, x2: float, d: float) -> np.ndarray:
-    """phi_n(x2) for an array of mode indices at one transverse point."""
-    out = np.sqrt(2.0 / d) * np.cos(ns * math.pi * x2 / d)
-    out = np.where(ns == 0, 1.0 / math.sqrt(d), out)
-    return out
-
-
-def _transverse_block(x2_edges: np.ndarray, n_lo: int, n_hi: int, d: float) -> np.ndarray:
-    """Cell integrals of phi_n for a block of mode indices."""
-    e = np.asarray(x2_edges, dtype=float)
-    out = np.empty((n_hi - n_lo, e.size - 1), dtype=float)
-    row = 0
-    if n_lo == 0:
-        out[0] = np.diff(e) / math.sqrt(d)
-        row = 1
-        n_lo = 1
-    if n_lo < n_hi:
-        n = np.arange(n_lo, n_hi)[:, None]
-        s = np.sin(n * math.pi * e[None, :] / d)
-        out[row:] = math.sqrt(2.0 / d) * (d / (math.pi * n)) * np.diff(s, axis=1)
-    return out
 
 
 def greens_value(x, y, params: GreensEvalParams, cfg: DuctConfig):
@@ -424,8 +406,8 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
         n_stop = n_start + block if n_start else max(block, n_floor)
         bp, bm, c = _betas_block(cfg, n_start, n_stop)
         axial = _axial_strip_integrals(bp, bm, c, x1_edges, x[0])
-        trans = _transverse_block(x2_edges, n_start, n_stop, cfg.d)
-        phis = mode_shape_many(np.arange(n_start, n_stop), x[1], cfg.d)
+        trans = transverse_cell_integrals(x2_edges, n_stop, cfg.d, n_start)
+        phis = mode_shape(np.arange(n_start, n_stop), x[1], cfg.d)
         contrib = np.einsum("n,nj,nk->jk", phis, axial, trans)
         total += contrib
         n_start = n_stop
@@ -461,9 +443,9 @@ def singular_cell_integral(x, cell, params: GreensEvalParams, cfg: DuctConfig) -
         jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
         if jac < 1e-300:
             continue
-        s = 0.5 * (1.0 + _GAUSS4_NODES)
-        t = 0.5 * (1.0 + _GAUSS4_NODES)
-        ws = 0.5 * _GAUSS4_WEIGHTS
+        s = 0.5 * (1.0 + GAUSS4_NODES)
+        t = 0.5 * (1.0 + GAUSS4_NODES)
+        ws = 0.5 * GAUSS4_WEIGHTS
         sg, tg = np.meshgrid(s, t, indexing="ij")
         wg = np.outer(ws, ws)
         dir1 = (1.0 - tg) * e1[0] + tg * e2[0]
@@ -474,8 +456,8 @@ def singular_cell_integral(x, cell, params: GreensEvalParams, cfg: DuctConfig) -
         vals = coeff * np.log(cfg.k * r) * np.exp(-1j * mu * (x[0] - y1))
         log_part += np.sum(wg * vals * sg) * jac
     # Lipschitz remainder: (phi_free - log part) + reflected images
-    s = 0.5 * (1.0 + _GAUSS4_NODES)
-    wg1 = 0.5 * _GAUSS4_WEIGHTS
+    s = 0.5 * (1.0 + GAUSS4_NODES)
+    wg1 = 0.5 * GAUSS4_WEIGHTS
     y1g = a1 + (b1 - a1) * s
     y2g = a2 + (b2 - a2) * s
     rem = 0.0j
@@ -523,8 +505,8 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
         n_stop = n_start + block
         bp, bm, c = _betas_block(cfg, n_start, n_stop)
         ns = np.arange(n_start, n_stop)
-        a = mode_shape_many(ns, y[1], cfg.d) * c
-        b = mode_shape_many(ns, z[1], cfg.d) * c
+        a = mode_shape(ns, y[1], cfg.d) * c
+        b = mode_shape(ns, z[1], cfg.d) * c
         contrib = 0.0
         regions = (
             (cfg.x_minus, y[0], bm, bm),
@@ -597,10 +579,10 @@ def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, orde
     bp, bm, c = _betas_block(cfg, 0, n_modes)
     beta = bp if x[0] >= b1 else bm
     ns = np.arange(n_modes)
-    phi_x = mode_shape_many(ns, x[1], cfg.d)
+    phi_x = mode_shape(ns, x[1], cfg.d)
     # kernel values on the tensor grid: sum_n phi_x phi_n(y2) c_n e^{i beta (x1-y1)}
     phase = np.exp(1j * np.outer(beta, x[0] - y1))  # (n, y1)
-    phi_y = np.stack([mode_shape_many(ns, t, cfg.d) for t in y2], axis=1)  # (n, y2)
+    phi_y = mode_shape(ns[:, None], y2[None, :], cfg.d)  # (n, y2)
     g = np.einsum("n,nj,nk->jk", phi_x * c, phase, phi_y)
     return float(np.sum(np.outer(w1, w2) * np.abs(g) ** 2))
 

@@ -14,6 +14,12 @@ Three error mechanisms are measured at desk scale:
   solution, so the gap closes at the discretization order.
 * ``run_total_error_study``: the combined (h, L) error table.
 
+Every per-mode operator comes from ``solver.mode_matrix``.  The two
+noise-driven studies (h and total) share one set-up, ``_noise_study``:
+level validation, noise mesh, grid, mode count, transverse and load tables,
+and the per-seed noise stacks; their per-mode work then runs one banded
+solve per (matrix, level) with every seed as a right-hand-side column.
+
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
 aggregation runs in a fixed order, so thread counts can never change any
@@ -29,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .duct import DuctConfig, axial_wavenumbers64, cutoff_numbers
+from .duct import DuctConfig, cutoff_numbers, default_n_modes
 from .errors import ConfigError, GridMismatchError, InsufficientDataError, StudyError
 from .noise import (
     ModeBoxSource,
@@ -42,24 +48,24 @@ from .noise import (
 from .pml import (
     PmlProfile,
     dtn_gap_bound,
-    nu_coefficients,
     sigma_tilde_integral,
     theoretical_decay_constant,
 )
 from .solver import (
     DTN,
+    PML_FULL,
+    PML_REDUCED,
     Grid1D,
-    ModalSolution,
-    _assemble_interior,
     _load_vector,
     _solve_tridiag,
     default_delta,
     l2_norm_omega_b,
+    mode_matrix,
     omega_b_grid,
     omega_full_grid,
     piecewise_load_matrix,
-    solve_mode_pml_full,
-    solve_mode_pml_reduced,
+    solve_full,
+    solve_mode,
 )
 
 RATE_PASS_THRESHOLD = 1.8
@@ -155,28 +161,81 @@ def fit_rate(abscissae, values, std_errors=None, transform: str = "loglog"):
 
 
 # ---------------------------------------------------------------------------
-# Batched per-mode solve machinery shared by the studies
+# Monte Carlo set-up shared by the noise-driven studies
 # ---------------------------------------------------------------------------
 
 
-def _robin_matrix(n: int, cfg: DuctConfig, grid: Grid1D, r_plus, r_minus):
-    sub, diag, sup = _assemble_interior(n, cfg, grid)
-    diag = diag.copy()
-    bc = 1j * cfg.one_minus_m2
-    diag[-1] += bc * r_plus
-    diag[0] -= bc * r_minus
-    return sub, diag, sup
+@dataclass
+class _NoiseStudy:
+    """Mesh, grid, levels and per-seed noise stacks of one noise-driven study.
+
+    ``used`` are the mesh levels of the requested diameters (coarsest
+    first) and ``ref_level`` is the reference level; ``stacks[lv]`` holds
+    the scaled cell values xi / sqrt(|K|) of every seed at level lv.
+    """
+
+    mesh: NoiseMesh
+    grid: Grid1D
+    n_modes: int
+    rel: list
+    used: list
+    ref_level: int
+    trans: dict
+    loadmap: dict
+    stacks: dict
+
+    def noise_rhs(self, lv: int, n: int) -> np.ndarray:
+        """Hat loads of mode n at level lv, one column per seed."""
+        seg = self.stacks[lv] @ self.trans[lv][n]  # (n_samples, n1)
+        return (self.loadmap[lv] @ seg.T).astype(complex)  # (n_nodes, n_samples)
 
 
-def _noise_tables(mesh: NoiseMesh, levels: Sequence[int], grid: Grid1D, n_modes: int, d: float):
-    """Per-level transverse integrals and segment-to-load matrices."""
+def _noise_study(
+    cfg: DuctConfig, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine
+) -> _NoiseStudy:
+    """Validate the levels and build everything that does not depend on the mode.
+
+    ``h_levels`` are cell diameters relative to the forcing-rectangle
+    diagonal; they must be dyadically nested with a coarsest of 1/integer.
+    """
+    if n_samples < 2:
+        raise ConfigError("noise studies need n_samples >= 2")
+    rel = sorted(float(h) for h in h_levels)
+    if rel[0] <= 0.0:
+        raise ConfigError("relative diameters must be positive")
+    base = round(1.0 / rel[-1])
+    if abs(base * rel[-1] - 1.0) > 1e-9:
+        raise ConfigError("coarsest relative diameter must be 1/integer")
+    level_of = {}
+    for r in rel:
+        lv = math.log2(rel[-1] / r)
+        if abs(lv - round(lv)) > 1e-9:
+            raise GridMismatchError(f"levels {h_levels} are not dyadically nested")
+        level_of[r] = int(round(lv))
+    used = sorted(level_of.values())
+    total_levels = used[-1] + 1 + ref_refine
+    if rect is None:
+        rect = default_forcing_rect(cfg)
+    mesh = NoiseMesh(rect=tuple(rect), levels=total_levels, base_shape=(base, base))
+    grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
+    if n_modes is None:
+        n_modes = default_n_modes(cfg)
+    ref_level = total_levels - 1
+    all_levels = used + [ref_level]
     trans = {}
     loadmap = {}
-    for lv in levels:
+    for lv in all_levels:
         x1_edges, x2_edges = mesh.edges(lv)
-        trans[lv] = transverse_cell_integrals(x2_edges, n_modes, d)
+        trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d)
         loadmap[lv] = piecewise_load_matrix(grid, x1_edges)
-    return trans, loadmap
+    per_level = {lv: [] for lv in all_levels}
+    for i in range(n_samples):
+        levels = realization_levels(sample(mesh, base_seed + i))
+        for lv in all_levels:
+            amp = 1.0 / math.sqrt(mesh.cell_area(lv))
+            per_level[lv].append(levels[lv].xi * amp)
+    stacks = {lv: np.stack(v) for lv, v in per_level.items()}
+    return _NoiseStudy(mesh, grid, n_modes, rel, used, ref_level, trans, loadmap, stacks)
 
 
 def _map_threads(fn, args, threads: int):
@@ -210,64 +269,26 @@ def run_h_study(
     exact nonreflecting closure.
     """
     del profile
-    if n_samples < 2:
-        raise ConfigError("h study needs n_samples >= 2")
-    rel = sorted(float(h) for h in h_levels)
-    if rel[0] <= 0.0:
-        raise ConfigError("relative diameters must be positive")
-    base = round(1.0 / rel[-1])
-    if abs(base * rel[-1] - 1.0) > 1e-9:
-        raise ConfigError("coarsest relative diameter must be 1/integer")
-    level_of = {}
-    for r in rel:
-        lv = math.log2(rel[-1] / r)
-        if abs(lv - round(lv)) > 1e-9:
-            raise GridMismatchError(f"levels {h_levels} are not dyadically nested")
-        level_of[r] = int(round(lv))
-    n_levels_used = max(level_of.values()) + 1
-    total_levels = n_levels_used + ref_refine
-    if rect is None:
-        rect = default_forcing_rect(cfg)
-    mesh = NoiseMesh(rect=tuple(rect), levels=total_levels, base_shape=(base, base))
-    grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
-    if n_modes is None:
-        _, n0 = cutoff_numbers(cfg)
-        n_modes = n0 + 30
-
-    used = sorted(level_of.values())
-    ref_level = total_levels - 1
-    all_levels = used + [ref_level]
-    trans, loadmap = _noise_tables(mesh, all_levels, grid, n_modes, cfg.d)
-
-    # per-seed, per-level scaled noise matrices
-    noise_by_level = {lv: [] for lv in all_levels}
-    for i in range(n_samples):
-        levels = realization_levels(sample(mesh, base_seed + i))
-        for lv in all_levels:
-            amp = 1.0 / math.sqrt(mesh.cell_area(lv))
-            noise_by_level[lv].append(levels[lv].xi * amp)
-    stacks = {lv: np.stack(noise_by_level[lv]) for lv in all_levels}
+    st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
 
     def mode_err2(n: int) -> np.ndarray:
-        bp, bm = axial_wavenumbers64(n, cfg)
-        sub, diag, sup = _robin_matrix(n, cfg, grid, bp, bm)
-        sols = {}
-        for lv in all_levels:
-            seg = stacks[lv] @ trans[lv][n]  # (n_samples, n1)
-            rhs = (loadmap[lv] @ seg.T).astype(complex)  # (n_nodes, n_samples)
-            sols[lv] = _solve_tridiag(sub, diag, sup, rhs)
-        out = np.empty((n_samples, len(used)))
-        for j, lv in enumerate(used):
-            diff2 = np.abs(sols[lv] - sols[ref_level]) ** 2
-            out[:, j] = np.trapezoid(diff2, dx=grid.delta, axis=0)
+        matrix = mode_matrix(n, cfg, st.grid, DTN)
+        sols = {
+            lv: _solve_tridiag(*matrix, st.noise_rhs(lv, n))
+            for lv in st.used + [st.ref_level]
+        }
+        out = np.empty((n_samples, len(st.used)))
+        for j, lv in enumerate(st.used):
+            diff2 = np.abs(sols[lv] - sols[st.ref_level]) ** 2
+            out[:, j] = np.trapezoid(diff2, dx=st.grid.delta, axis=0)
         return out
 
-    per_mode = _map_threads(mode_err2, range(n_modes), threads)
+    per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
     err2 = np.sum(np.stack(per_mode), axis=0)  # (n_samples, n_levels_used)
 
     mean = err2.mean(axis=0)
     stderr = err2.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    diam = np.array([mesh.cell_diameter(lv) for lv in used])
+    diam = np.array([st.mesh.cell_diameter(lv) for lv in st.used])
     excluded = mean < 3.0 * stderr  # indistinguishable from the MC noise floor
     usable = ~excluded
     if np.sum(usable) >= 3:
@@ -291,7 +312,7 @@ def run_h_study(
         passed=bool(passed),
         n_samples=n_samples,
         base_seed=base_seed,
-        extra={"relative_h": np.asarray(rel)[::-1], "mesh_levels": used},
+        extra={"relative_h": np.asarray(st.rel)[::-1], "mesh_levels": st.used},
     )
 
 
@@ -311,16 +332,6 @@ def default_l_study_source(cfg: DuctConfig) -> ModeBoxSource:
     _, n0 = cutoff_numbers(cfg)
     rect = default_forcing_rect(cfg)
     return ModeBoxSource(mode=n0 + 1, x_lo=rect[0], x_hi=rect[1], amplitude=1.0)
-
-
-def _solve_modes_robin(cfg, grid, n_modes, source, robin_of_n):
-    values = np.empty((n_modes, grid.n_nodes), dtype=complex)
-    for n in range(n_modes):
-        parts = modal_source_coefficients(source, n, cfg)
-        rp, rm = robin_of_n(n)
-        sub, diag, sup = _robin_matrix(n, cfg, grid, rp, rm)
-        values[n] = _solve_tridiag(sub, diag, sup, _load_vector(parts, grid))
-    return values
 
 
 def run_L_study(
@@ -344,15 +355,7 @@ def run_L_study(
     if source is None:
         source = default_l_study_source(cfg)
     grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
-    if n_modes is None:
-        _, n0 = cutoff_numbers(cfg)
-        n_modes = n0 + 30
-
-    def beta_robin(n):
-        return axial_wavenumbers64(n, cfg)
-
-    dtn_vals = _solve_modes_robin(cfg, grid, n_modes, source, beta_robin)
-    dtn_sol = ModalSolution(grid=grid, values=dtn_vals, formulation=DTN)
+    dtn_sol = solve_full(cfg, source, DTN, grid, n_modes)
     dtn_norm = l2_norm_omega_b(dtn_sol, cfg)
 
     errors = []
@@ -367,15 +370,8 @@ def run_L_study(
             x_minus=cfg.x_minus,
             L=float(L),
         )
-
-        def nu_robin(n, profile=profile, cfg_l=cfg_l):
-            return (
-                nu_coefficients(n, "+", profile, cfg_l),
-                nu_coefficients(n, "-", profile, cfg_l),
-            )
-
-        red_vals = _solve_modes_robin(cfg_l, grid, n_modes, source, nu_robin)
-        diff = np.abs(red_vals - dtn_vals) ** 2
+        red_sol = solve_full(cfg_l, source, PML_REDUCED, grid, n_modes, profile)
+        diff = np.abs(red_sol.values - dtn_sol.values) ** 2
         errors.append(
             math.sqrt(float(np.sum(np.trapezoid(diff, dx=grid.delta, axis=1))))
         )
@@ -443,8 +439,8 @@ def run_equivalence_check(
         gf = omega_full_grid(cfg, d)
         worst = 0.0
         for n in range(n_modes):
-            full = solve_mode_pml_full(n, source, cfg, profile, gf)
-            red = solve_mode_pml_reduced(n, source, cfg, profile, gb)
+            full = solve_mode(n, source, cfg, gf, PML_FULL, profile)
+            red = solve_mode(n, source, cfg, gb, PML_REDUCED, profile)
             i0 = round((cfg.x_minus - gf.x_start) / gf.delta)
             i1 = round((cfg.x_plus - gf.x_start) / gf.delta)
             worst = max(worst, float(np.max(np.abs(full[i0 : i1 + 1] - red))))
@@ -497,29 +493,7 @@ def run_total_error_study(
     """
     if source is None:
         source = default_l_study_source(cfg)
-    rel = sorted(float(h) for h in h_levels)
-    base = round(1.0 / rel[-1])
-    level_of = [int(round(math.log2(rel[-1] / r))) for r in rel]
-    total_levels = max(level_of) + 1 + ref_refine
-    if rect is None:
-        rect = default_forcing_rect(cfg)
-    mesh = NoiseMesh(rect=tuple(rect), levels=total_levels, base_shape=(base, base))
-    grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
-    if n_modes is None:
-        _, n0 = cutoff_numbers(cfg)
-        n_modes = n0 + 30
-    used = sorted(level_of)
-    ref_level = total_levels - 1
-    all_levels = used + [ref_level]
-    trans, loadmap = _noise_tables(mesh, all_levels, grid, n_modes, cfg.d)
-    stacks = {lv: [] for lv in all_levels}
-    for i in range(n_samples):
-        levels = realization_levels(sample(mesh, base_seed + i))
-        for lv in all_levels:
-            amp = 1.0 / math.sqrt(mesh.cell_area(lv))
-            stacks[lv].append(levels[lv].xi * amp)
-    stacks = {lv: np.stack(v) for lv, v in stacks.items()}
-
+    st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
     profiles = [
         PmlProfile(
             sigma_plus=sigma_plus,
@@ -533,30 +507,26 @@ def run_total_error_study(
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
 
     def mode_err2(n: int) -> np.ndarray:
-        bp, bm = axial_wavenumbers64(n, cfg)
-        det_load = _load_vector(modal_source_coefficients(source, n, cfg), grid)
-        rhs = {}
-        for lv in all_levels:
-            seg = stacks[lv] @ trans[lv][n]
-            rhs[lv] = (loadmap[lv] @ seg.T).astype(complex) + det_load[:, None]
-        sub, diag, sup = _robin_matrix(n, cfg, grid, bp, bm)
-        ref = _solve_tridiag(sub, diag, sup, rhs[ref_level])
-        out = np.zeros((n_samples, len(used), len(profiles)))
+        det_load = _load_vector(modal_source_coefficients(source, n, cfg), st.grid)
+        rhs = {
+            lv: st.noise_rhs(lv, n) + det_load[:, None]
+            for lv in st.used + [st.ref_level]
+        }
+        ref = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), rhs[st.ref_level])
+        out = np.zeros((n_samples, len(st.used), len(profiles)))
         for j_l, (prof, cfg_l) in enumerate(zip(profiles, cfgs_l)):
-            nu_p = nu_coefficients(n, "+", prof, cfg_l)
-            nu_m = nu_coefficients(n, "-", prof, cfg_l)
-            sub_r, diag_r, sup_r = _robin_matrix(n, cfg_l, grid, nu_p, nu_m)
-            for j_h, lv in enumerate(used):
-                sol = _solve_tridiag(sub_r, diag_r, sup_r, rhs[lv])
+            matrix = mode_matrix(n, cfg_l, st.grid, PML_REDUCED, prof)
+            for j_h, lv in enumerate(st.used):
+                sol = _solve_tridiag(*matrix, rhs[lv])
                 diff2 = np.abs(sol - ref) ** 2
-                out[:, j_h, j_l] = np.trapezoid(diff2, dx=grid.delta, axis=0)
+                out[:, j_h, j_l] = np.trapezoid(diff2, dx=st.grid.delta, axis=0)
         return out
 
-    per_mode = _map_threads(mode_err2, range(n_modes), threads)
+    per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
     err2 = np.sum(np.stack(per_mode), axis=0)
     mean = err2.mean(axis=0)
     stderr = err2.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    diam = np.array([mesh.cell_diameter(lv) for lv in used])
+    diam = np.array([st.mesh.cell_diameter(lv) for lv in st.used])
     abscissae_l = np.array(
         [sigma_tilde_integral(p, "+", p.L, cfg.omega) for p in profiles]
     )

@@ -247,27 +247,21 @@ class SmoothAxial:
     x_hi: float
 
 
-def transverse_cell_integrals(x2_edges: np.ndarray, n_modes: int, d: float) -> np.ndarray:
-    """Integrals of phi_n over every [x2_edges[j], x2_edges[j+1]), all n at once."""
+def transverse_cell_integrals(
+    x2_edges: np.ndarray, n_modes: int, d: float, n_first: int = 0
+) -> np.ndarray:
+    """Integrals of phi_n over every [x2_edges[j], x2_edges[j+1]).
+
+    Rows are the modes n_first .. n_modes - 1, all computed at once.
+    """
     e = np.asarray(x2_edges, dtype=float)
-    out = np.empty((n_modes, e.size - 1), dtype=float)
-    out[0] = np.diff(e) / math.sqrt(d)
-    if n_modes > 1:
-        n = np.arange(1, n_modes)[:, None]
-        s = np.sin(n * math.pi * e[None, :] / d)
-        out[1:] = math.sqrt(2.0 / d) * (d / (math.pi * n)) * np.diff(s, axis=1)
+    rows = np.arange(n_first, n_modes)
+    out = np.empty((rows.size, e.size - 1), dtype=float)
+    out[rows == 0] = np.diff(e) / math.sqrt(d)
+    n = rows[rows > 0][:, None]
+    s = np.sin(n * math.pi * e[None, :] / d)
+    out[rows > 0] = math.sqrt(2.0 / d) * (d / (math.pi * n)) * np.diff(s, axis=1)
     return out
-
-
-def transverse_mode_integral(n: int, a: float, b: float, d: float) -> float:
-    """Integral of phi_n over [a, b] in closed form."""
-    if n == 0:
-        return (b - a) / math.sqrt(d)
-    return (
-        math.sqrt(2.0 / d)
-        * (d / (n * math.pi))
-        * (math.sin(n * math.pi * b / d) - math.sin(n * math.pi * a / d))
-    )
 
 
 def noise_modal_matrix(r: NoiseRealization, n_modes: int, cfg: DuctConfig):
@@ -287,9 +281,13 @@ def modal_source_coefficients(source, n: int, cfg: DuctConfig):
     """Axial coefficient profile f_n(x1) of one transverse mode.
 
     ``source`` may be a NoiseRealization, a ModeBoxSource, a
-    ModalFunctionSource, or a sequence of these; the result is a list of
-    axial profile parts (possibly empty when the mode is not excited).
+    ModalFunctionSource, an axial part (PiecewiseConstantAxial or
+    SmoothAxial, passed through unchanged), or a sequence of these; the
+    result is a list of axial profile parts (possibly empty when the mode is
+    not excited).
     """
+    if isinstance(source, (PiecewiseConstantAxial, SmoothAxial)):
+        return [source]
     if isinstance(source, (list, tuple)):
         parts = []
         for s in source:

@@ -17,23 +17,32 @@ with one of three closures:
 Discretization is piecewise-linear elements on a uniform grid with the
 convection term assembled from the weak form, alpha-weighted terms by
 2-point Gauss per element, and a direct banded (tridiagonal) solve.
+
+``mode_matrix`` is the one place that builds a mode operator for any of
+the three closures; ``solve_mode``, ``solve_full``, ``condition_estimate``
+and the Monte Carlo studies in ``harness`` all go through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from . import pml as pml_mod
-from .duct import DuctConfig, axial_wavenumbers64, cutoff_numbers, mode_shape
+from .duct import (
+    GAUSS4_NODES,
+    GAUSS4_WEIGHTS,
+    DuctConfig,
+    axial_wavenumbers64,
+    default_n_modes,
+    mode_shape,
+)
 from .errors import ConfigError, DomainError, GridMismatchError
 from .noise import (
-    ModalFunctionSource,
-    ModeBoxSource,
     NoiseRealization,
     PiecewiseConstantAxial,
     SmoothAxial,
@@ -44,13 +53,6 @@ from .noise import (
 DTN = "dtn"
 PML_FULL = "pml_full"
 PML_REDUCED = "pml_reduced"
-
-_GAUSS4_NODES = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GAUSS4_WEIGHTS = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ class ModalSolution:
     grid: Grid1D
     values: np.ndarray  # (n_modes, n_nodes) complex
     formulation: str
-    tail_estimate: float = 0.0
 
     @property
     def n_modes(self) -> int:
@@ -140,7 +141,6 @@ class ModalSolution:
             grid=Grid1D(x_lo, x_hi, i_hi - i_lo),
             values=self.values[:, i_lo : i_hi + 1].copy(),
             formulation=self.formulation,
-            tail_estimate=self.tail_estimate,
         )
 
 
@@ -192,8 +192,8 @@ def _load_vector(parts, grid: Grid1D) -> np.ndarray:
             hi_cell = min(int((part.x_hi - grid.x_start) / dx) + 1, grid.n_cells - 1)
             for ei in range(lo_cell, hi_cell + 1):
                 xa, xb = nodes[ei], nodes[ei + 1]
-                xg = 0.5 * (xa + xb) + 0.5 * dx * _GAUSS4_NODES
-                wg = 0.5 * dx * _GAUSS4_WEIGHTS
+                xg = 0.5 * (xa + xb) + 0.5 * dx * GAUSS4_NODES
+                wg = 0.5 * dx * GAUSS4_WEIGHTS
                 fg = np.asarray([part.fn(x) for x in xg], dtype=complex)
                 load[ei] += np.sum(wg * fg * (xb - xg) / dx)
                 load[ei + 1] += np.sum(wg * fg * (xg - xa) / dx)
@@ -298,50 +298,7 @@ def _solve_tridiag(sub, diag, sup, rhs):
         raise DomainError(f"singular mode system: {exc}") from exc  # cutoff guard
 
 
-def _check_omega_b_grid(cfg: DuctConfig, grid: Grid1D):
-    if (
-        abs(grid.x_start - cfg.x_minus) > 1e-9 * max(1.0, abs(cfg.x_minus))
-        or abs(grid.x_end - cfg.x_plus) > 1e-9 * max(1.0, abs(cfg.x_plus))
-    ):
-        raise GridMismatchError(
-            f"grid [{grid.x_start}, {grid.x_end}] must span the computational "
-            f"interval [{cfg.x_minus}, {cfg.x_plus}]"
-        )
-
-
-def _solve_robin(n, parts, cfg, grid, robin_plus, robin_minus):
-    _check_omega_b_grid(cfg, grid)
-    sub, diag, sup = _assemble_interior(n, cfg, grid)
-    bc = 1j * cfg.one_minus_m2
-    diag = diag.copy()
-    diag[-1] += bc * robin_plus
-    diag[0] -= bc * robin_minus
-    return _solve_tridiag(sub, diag, sup, _load_vector(parts, grid))
-
-
-def solve_mode_dtn(n: int, source, cfg: DuctConfig, grid: Grid1D) -> np.ndarray:
-    """Exact-DtN solve: Robin coefficients are the axial wavenumbers."""
-    bp, bm = axial_wavenumbers64(n, cfg)
-    parts = _as_parts(source, n, cfg)
-    return _solve_robin(n, parts, cfg, grid, bp, bm)
-
-
-def solve_mode_pml_reduced(
-    n: int, source, cfg: DuctConfig, profile, grid: Grid1D
-) -> np.ndarray:
-    """Reduced solve on the computational interval with finite-layer nu's."""
-    nu_p = pml_mod.nu_coefficients(n, "+", profile, cfg)
-    nu_m = pml_mod.nu_coefficients(n, "-", profile, cfg)
-    parts = _as_parts(source, n, cfg)
-    return _solve_robin(n, parts, cfg, grid, nu_p, nu_m)
-
-
-def solve_mode_pml_full(
-    n: int, source, cfg: DuctConfig, profile, grid: Grid1D
-) -> np.ndarray:
-    """Full stretched solve on the enlarged interval, Dirichlet outer ends."""
-    lo = cfg.x_minus - cfg.L
-    hi = cfg.x_plus + cfg.L
+def _check_span(grid: Grid1D, lo: float, hi: float):
     if (
         abs(grid.x_start - lo) > 1e-9 * max(1.0, abs(lo))
         or abs(grid.x_end - hi) > 1e-9 * max(1.0, abs(hi))
@@ -349,26 +306,67 @@ def solve_mode_pml_full(
         raise GridMismatchError(
             f"grid [{grid.x_start}, {grid.x_end}] must span [{lo}, {hi}]"
         )
-    sub, diag, sup = _assemble_pml_interior(n, cfg, profile, grid)
-    parts = _as_parts(source, n, cfg)
-    load = _load_vector(parts, grid)
-    out = np.zeros(grid.n_nodes, dtype=complex)
-    out[1:-1] = _solve_tridiag(sub[1:-1], diag[1:-1], sup[1:-1], load[1:-1])
+
+
+def _robin_matrix(n: int, cfg: DuctConfig, grid: Grid1D, r_plus, r_minus):
+    """Interior operator closed by p' = i r^{+-} p at the two ends."""
+    sub, diag, sup = _assemble_interior(n, cfg, grid)
+    diag = diag.copy()
+    bc = 1j * cfg.one_minus_m2
+    diag[-1] += bc * r_plus
+    diag[0] -= bc * r_minus
+    return sub, diag, sup
+
+
+def mode_matrix(n: int, cfg: DuctConfig, grid: Grid1D, formulation: str, profile=None):
+    """Tridiagonal (sub, diag, sup) of mode n under one of the three closures.
+
+    ``dtn`` and ``pml_reduced`` are Robin closures (coefficients beta^{+-}
+    and nu^{+-}) on a grid spanning the computational interval;
+    ``pml_full`` is the stretched operator on a grid spanning the enlarged
+    interval, with its two Dirichlet rows removed.
+    """
+    if formulation not in (DTN, PML_FULL, PML_REDUCED):
+        raise ConfigError(f"unknown formulation {formulation!r}")
+    if formulation != DTN and profile is None:
+        raise ConfigError("PML formulations need a profile")
+    if formulation == PML_FULL:
+        _check_span(grid, cfg.x_minus - cfg.L, cfg.x_plus + cfg.L)
+        sub, diag, sup = _assemble_pml_interior(n, cfg, profile, grid)
+        return sub[1:-1], diag[1:-1], sup[1:-1]
+    _check_span(grid, cfg.x_minus, cfg.x_plus)
+    if formulation == DTN:
+        r_plus, r_minus = axial_wavenumbers64(n, cfg)
+    else:
+        r_plus = pml_mod.nu_coefficients(n, "+", profile, cfg)
+        r_minus = pml_mod.nu_coefficients(n, "-", profile, cfg)
+    return _robin_matrix(n, cfg, grid, r_plus, r_minus)
+
+
+def _solve_system(matrix, rhs, formulation: str) -> np.ndarray:
+    """Nodal solution of ``mode_matrix`` output for load(s) rhs[n_nodes, ...].
+
+    For ``pml_full`` the Dirichlet end values are zero and only the
+    interior rows are solved.
+    """
+    if formulation != PML_FULL:
+        return _solve_tridiag(*matrix, rhs)
+    out = np.zeros(rhs.shape, dtype=complex)
+    out[1:-1] = _solve_tridiag(*matrix, rhs[1:-1])
     return out
 
 
-def _as_parts(source, n, cfg):
-    """Normalize a source (or mixed list of sources and axial parts) to parts."""
-    if isinstance(source, (PiecewiseConstantAxial, SmoothAxial)):
-        return [source]
-    if isinstance(source, (list, tuple)):
-        parts = []
-        for s in source:
-            parts.extend(_as_parts(s, n, cfg))
-        return parts
-    if isinstance(source, (NoiseRealization, ModeBoxSource, ModalFunctionSource)):
-        return modal_source_coefficients(source, n, cfg)
-    raise ConfigError(f"unsupported source {type(source).__name__}")
+def solve_mode(
+    n: int, source, cfg: DuctConfig, grid: Grid1D, formulation: str, profile=None
+) -> np.ndarray:
+    """Nodal values of mode n driven by ``source`` under the given closure.
+
+    ``source`` is anything ``modal_source_coefficients`` accepts, including
+    axial parts and lists of them.
+    """
+    matrix = mode_matrix(n, cfg, grid, formulation, profile)
+    load = _load_vector(modal_source_coefficients(source, n, cfg), grid)
+    return _solve_system(matrix, load, formulation)
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +385,26 @@ def solve_full(
     """Solve every mode 0 .. n_modes-1 for the combined source.
 
     ``source`` may mix deterministic parts and noise realizations (list).
-    A heuristic estimate of the truncated modal tail (last-mode norm times
-    mode count, reflecting the 1/n^2 solution decay for noise-like sources)
-    is reported on the result.
+    Each realization's segment-to-hat load matrix is built once for all
+    modes.
     """
-    if formulation not in (DTN, PML_FULL, PML_REDUCED):
-        raise ConfigError(f"unknown formulation {formulation!r}")
-    if formulation in (PML_FULL, PML_REDUCED) and profile is None:
-        raise ConfigError("PML formulations need a profile")
     if n_modes is None:
-        _, n0 = cutoff_numbers(cfg)
-        n_modes = n0 + 30
+        n_modes = default_n_modes(cfg)
     sources = source if isinstance(source, (list, tuple)) else [source]
-    noise_mats = [
-        noise_modal_matrix(s, n_modes, cfg)
-        for s in sources
-        if isinstance(s, NoiseRealization)
-    ]
+    noise_loads = []
+    for s in sources:
+        if isinstance(s, NoiseRealization):
+            breaks, vals = noise_modal_matrix(s, n_modes, cfg)
+            noise_loads.append((piecewise_load_matrix(grid, breaks), vals))
     det_sources = [s for s in sources if not isinstance(s, NoiseRealization)]
     values = np.empty((n_modes, grid.n_nodes), dtype=complex)
     for n in range(n_modes):
-        parts = modal_source_coefficients(det_sources, n, cfg)
-        parts += [
-            PiecewiseConstantAxial(breaks=breaks, values=vals[n])
-            for breaks, vals in noise_mats
-        ]
-        if formulation == DTN:
-            values[n] = solve_mode_dtn(n, parts, cfg, grid)
-        elif formulation == PML_REDUCED:
-            values[n] = solve_mode_pml_reduced(n, parts, cfg, profile, grid)
-        else:
-            values[n] = solve_mode_pml_full(n, parts, cfg, profile, grid)
-    sol = ModalSolution(grid=grid, values=values, formulation=formulation)
-    last = math.sqrt(
-        float(np.trapezoid(np.abs(values[-1]) ** 2, dx=grid.delta))
-    )
-    sol.tail_estimate = last * n_modes
-    return sol
+        matrix = mode_matrix(n, cfg, grid, formulation, profile)
+        load = _load_vector(modal_source_coefficients(det_sources, n, cfg), grid)
+        for loadmap, vals in noise_loads:
+            load += loadmap @ np.asarray(vals[n], dtype=complex)
+        values[n] = _solve_system(matrix, load, formulation)
+    return ModalSolution(grid=grid, values=values, formulation=formulation)
 
 
 def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:
@@ -438,12 +419,13 @@ def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:
         raise DomainError("axial coordinate outside the solution grid")
     if np.any(x2 < 0.0) or np.any(x2 > cfg.d):
         raise DomainError("transverse coordinate outside the duct")
+    phis = mode_shape(np.arange(sol.n_modes)[:, None], x2, cfg.d)
     out = np.zeros(pts.shape[0], dtype=complex)
     for n in range(sol.n_modes):
         pn = np.interp(x1, nodes, sol.values[n].real) + 1j * np.interp(
             x1, nodes, sol.values[n].imag
         )
-        out += pn * mode_shape(n, x2, cfg.d)
+        out += pn * phis[n]
     return out[0] if single else out
 
 
@@ -489,22 +471,7 @@ def condition_estimate(
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    if formulation == DTN:
-        bp, bm = axial_wavenumbers64(n, cfg)
-        sub, diag, sup = _assemble_interior(n, cfg, grid)
-        diag = diag.copy()
-        diag[-1] += 1j * cfg.one_minus_m2 * bp
-        diag[0] -= 1j * cfg.one_minus_m2 * bm
-    elif formulation == PML_REDUCED:
-        sub, diag, sup = _assemble_interior(n, cfg, grid)
-        diag = diag.copy()
-        diag[-1] += 1j * cfg.one_minus_m2 * pml_mod.nu_coefficients(n, "+", profile, cfg)
-        diag[0] -= 1j * cfg.one_minus_m2 * pml_mod.nu_coefficients(n, "-", profile, cfg)
-    elif formulation == PML_FULL:
-        sub, diag, sup = _assemble_pml_interior(n, cfg, profile, grid)
-        sub, diag, sup = sub[1:-1], diag[1:-1], sup[1:-1]
-    else:
-        raise ConfigError(f"unknown formulation {formulation!r}")
+    sub, diag, sup = mode_matrix(n, cfg, grid, formulation, profile)
     mat = sp.diags([sub, diag, sup], offsets=[-1, 0, 1], format="csc")
     lu = spla.splu(mat)
     inv_op = spla.LinearOperator(

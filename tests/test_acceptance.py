@@ -41,7 +41,7 @@ from ductpml.pml import (
     sigma_tilde_integral,
     theoretical_decay_constant,
 )
-from ductpml.solver import Grid1D, solve_mode_dtn
+from ductpml.solver import Grid1D, solve_mode
 
 
 def report(num, name, passed, detail, elapsed, budget):
@@ -258,7 +258,7 @@ def test_criterion_07_solver_vs_oracle():
     cells = (256, 512, 1024)  # spacings 1/128, 1/256, 1/512
     for nc in cells:
         grid = Grid1D(cfg.x_minus, cfg.x_plus, nc)
-        sol = solve_mode_dtn(n, box, cfg, grid)
+        sol = solve_mode(n, box, cfg, grid, "dtn")
         exact = oracle_box_solution(n, cfg, grid)
         num = np.trapezoid(np.abs(sol - exact) ** 2, dx=grid.delta)
         den = np.trapezoid(np.abs(exact) ** 2, dx=grid.delta)

@@ -230,6 +230,26 @@ class TestDispatch:
         assert body[0] == "h,L,sigma_tilde_integral,error_mean,error_stderr"
         assert len(body) == 5
 
+    @pytest.mark.parametrize(
+        "h_levels, samples, expected",
+        [
+            ("0.125,0.0625,0.041666666666666664", "4", EXIT_NUMERICAL),  # 1/24 not dyadic
+            ("0.125,0.08333333333333333,0.0625", "4", EXIT_NUMERICAL),  # 1/12 not dyadic
+            ("0.125,0.0625,0.03125", "1", EXIT_CONFIG),  # no standard error from 1 sample
+        ],
+    )
+    def test_study_total_validates_like_study_h(
+        self, tmp_path, capsys, h_levels, samples, expected
+    ):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[run]\nh_levels = {h_levels}\nl_values = 1,2\n")
+        for kind in ("h", "total"):
+            out = tmp_path / kind
+            argv = ["study", kind, "--config", str(p), "--out", str(out), "--samples", samples]
+            assert dispatch(argv) == expected
+            assert capsys.readouterr().err.startswith("ductpml: ")
+            assert not any(out.iterdir())
+
     def test_seventeen_significant_digits(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         dispatch(["modes", "--config", str(cfg_file), "--out", str(out)])

@@ -31,7 +31,7 @@ from ductpml.noise import (
     build_mesh,
     sample,
 )
-from ductpml.solver import Grid1D, solve_mode_dtn
+from ductpml.solver import Grid1D, solve_mode
 from ductpml.specfun import hankel0
 
 
@@ -166,7 +166,7 @@ class TestModeGreen1D:
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
         w = 2 * grid.delta
         src = ModeBoxSource(mode=n, x_lo=-w, x_hi=w, amplitude=1.0 / (2 * w))
-        sol = solve_mode_dtn(n, src, cfg, grid)
+        sol = solve_mode(n, src, cfg, grid, "dtn")
         nodes = grid.nodes()
         mask = np.abs(nodes) > 0.1
         exact = np.array([mode_green_1d(n, x, 0.0, cfg) for x in nodes[mask]])
@@ -264,7 +264,7 @@ class TestDeterministicSolution:
         src = ModeBoxSource(mode=1, x_lo=-0.25, x_hi=0.25, amplitude=1.0)
         params = GreensEvalParams()
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
-        sol = solve_mode_dtn(1, src, cfg, grid)
+        sol = solve_mode(1, src, cfg, grid, "dtn")
         x2 = 0.3
         from ductpml.greens import _betas_block, _exp_cell_integrals
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ductpml import DuctConfig
-from ductpml.errors import ConfigError, InsufficientDataError, StudyError
+from ductpml.errors import ConfigError, GridMismatchError, InsufficientDataError, StudyError
 from ductpml.harness import (
     fit_rate,
     mc_estimate,
@@ -219,6 +219,21 @@ class TestTotalStudy:
         assert res.error_mean[1, 1] <= res.error_mean[1, 0] + slack[1, 0] + slack[1, 1]
         # large-L column is h-dominated: doubling resolution shrinks it
         assert res.error_mean[1, 1] < res.error_mean[0, 1]
+
+    @pytest.mark.parametrize(
+        "h_levels, n_samples, error",
+        [
+            ([1 / 8, 1 / 16, 1 / 24], 4, GridMismatchError),
+            ([1 / 8, 1 / 12, 1 / 16], 4, GridMismatchError),
+            ([1 / 8, 1 / 16], 1, ConfigError),
+        ],
+    )
+    def test_rejects_what_the_h_study_rejects(self, h_levels, n_samples, error):
+        cfg = make_cfg(L=2.0)
+        with pytest.raises(error):
+            run_h_study(cfg, None, h_levels, n_samples, 0)
+        with pytest.raises(error):
+            run_total_error_study(cfg, h_levels, [1.0, 2.0], 5.0, n_samples, 0)
 
     def test_large_l_column_reproduces_h_rates(self):
         cfg = make_cfg(L=4.0)

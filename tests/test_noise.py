@@ -243,6 +243,8 @@ class TestModalCoefficients:
                 mask = (x >= edges[j]) & (x <= edges[j + 1])
                 approx = np.trapezoid(vals[mask], x[mask])
                 assert t[n, j] == pytest.approx(approx, abs=1e-7)
+        # a block starting at a later mode holds the same rows
+        assert np.array_equal(transverse_cell_integrals(edges, 6, cfg.d, 2), t[2:])
 
     def test_modal_matrix_consistent_with_per_mode(self):
         cfg = self.cfg()

@@ -20,15 +20,21 @@ from ductpml.solver import (
     omega_b_grid,
     omega_full_grid,
     piecewise_load_matrix,
+    mode_matrix,
     solve_full,
-    solve_mode_dtn,
-    solve_mode_pml_full,
-    solve_mode_pml_reduced,
+    solve_mode,
 )
 
 
 def make_cfg(M=0.3, k=5.0, L=1.0):
     return DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=L)
+
+
+def grid_for(formulation, cfg, delta):
+    """Enlarged-interval grid for the full layer, computational otherwise."""
+    if formulation == "pml_full":
+        return omega_full_grid(cfg, delta)
+    return omega_b_grid(cfg, delta)
 
 
 def oracle_box_solution(n, cfg, grid, x_lo=-0.25, x_hi=0.25, amp=1.0):
@@ -127,15 +133,13 @@ class TestLoads:
 
 
 class TestModeSolves:
-    def test_zero_source_gives_zero(self):
+    @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
+    def test_zero_source_gives_zero(self, formulation):
         cfg = make_cfg()
-        grid = omega_b_grid(cfg, 1 / 64)
-        gridf = omega_full_grid(cfg, 1 / 64)
+        grid = grid_for(formulation, cfg, 1 / 64)
         profile = PmlProfile.quadratic(cfg, 5.0)
         zero = ModeBoxSource(mode=9, x_lo=-0.1, x_hi=0.1, amplitude=0.0)
-        assert np.all(solve_mode_dtn(1, zero, cfg, grid) == 0.0)
-        assert np.all(solve_mode_pml_reduced(1, zero, cfg, profile, grid) == 0.0)
-        assert np.all(solve_mode_pml_full(1, zero, cfg, profile, gridf) == 0.0)
+        assert np.all(solve_mode(1, zero, cfg, grid, formulation, profile) == 0.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     def test_dtn_matches_kernel_oracle(self, n):
@@ -144,7 +148,7 @@ class TestModeSolves:
         errs = []
         for cells in (256, 512, 1024):
             grid = Grid1D(cfg.x_minus, cfg.x_plus, cells)
-            sol = solve_mode_dtn(n, box, cfg, grid)
+            sol = solve_mode(n, box, cfg, grid, "dtn")
             exact = oracle_box_solution(n, cfg, grid)
             num = np.trapezoid(np.abs(sol - exact) ** 2, dx=grid.delta)
             den = np.trapezoid(np.abs(exact) ** 2, dx=grid.delta)
@@ -159,7 +163,7 @@ class TestModeSolves:
         cfg = make_cfg(M=0.0)
         box = ModeBoxSource(mode=0, x_lo=-0.25, x_hi=0.25)
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
-        sol = solve_mode_dtn(0, box, cfg, grid)
+        sol = solve_mode(0, box, cfg, grid, "dtn")
         nodes = grid.nodes()
         window = (nodes >= 0.4) & (nodes <= 0.9)
         x = nodes[window]
@@ -175,7 +179,8 @@ class TestModeSolves:
         cfg = make_cfg()
         profile = PmlProfile.quadratic(cfg, 5.0)
         grid = omega_full_grid(cfg, 1 / 32)
-        sol = solve_mode_pml_full(1, ModeBoxSource(mode=1, x_lo=-0.2, x_hi=0.2), cfg, profile, grid)
+        box = ModeBoxSource(mode=1, x_lo=-0.2, x_hi=0.2)
+        sol = solve_mode(1, box, cfg, grid, "pml_full", profile)
         assert sol[0] == 0.0 and sol[-1] == 0.0
 
     def test_layer_decay_with_absorption_strength(self):
@@ -184,9 +189,8 @@ class TestModeSolves:
         for sp in (1.0, 2.0, 4.0, 8.0):
             profile = PmlProfile.quadratic(cfg, sp)
             grid = omega_full_grid(cfg, 1 / 64)
-            sol = solve_mode_pml_full(
-                0, ModeBoxSource(mode=0, x_lo=-0.2, x_hi=0.2), cfg, profile, grid
-            )
+            box = ModeBoxSource(mode=0, x_lo=-0.2, x_hi=0.2)
+            sol = solve_mode(0, box, cfg, grid, "pml_full", profile)
             nodes = grid.nodes()
             layer = nodes >= cfg.x_plus + 0.5 * cfg.L
             peaks.append(float(np.max(np.abs(sol[layer]))))
@@ -201,8 +205,8 @@ class TestModeSolves:
         box = ModeBoxSource(mode=n, x_lo=-0.2, x_hi=0.2)
         gb = omega_b_grid(cfg, 1 / 128)
         gf = omega_full_grid(cfg, 1 / 128)
-        dtn = solve_mode_dtn(n, box, cfg, gb)
-        full = solve_mode_pml_full(n, box, cfg, profile, gf)
+        dtn = solve_mode(n, box, cfg, gb, "dtn")
+        full = solve_mode(n, box, cfg, gf, "pml_full", profile)
         i0 = round((cfg.x_minus - gf.x_start) / gf.delta)
         i1 = round((cfg.x_plus - gf.x_start) / gf.delta)
         rel = np.max(np.abs(full[i0 : i1 + 1] - dtn)) / np.max(np.abs(dtn))
@@ -213,8 +217,8 @@ class TestModeSolves:
         profile = PmlProfile.quadratic(cfg, 500.0)
         grid = omega_b_grid(cfg, 1 / 64)
         box = ModeBoxSource(mode=1, x_lo=-0.2, x_hi=0.2)
-        a = solve_mode_dtn(1, box, cfg, grid)
-        b = solve_mode_pml_reduced(1, box, cfg, profile, grid)
+        a = solve_mode(1, box, cfg, grid, "dtn")
+        b = solve_mode(1, box, cfg, grid, "pml_reduced", profile)
         assert np.max(np.abs(a - b)) < 1e-10
 
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
@@ -227,15 +231,8 @@ class TestModeSolves:
         errs = []
         cells = (128, 256, 512)
         for nc in cells:
-            if formulation == "pml_full":
-                grid = omega_full_grid(cfg, 2.0 / nc)
-                sol = solve_mode_pml_full(n, src, cfg, profile, grid)
-            elif formulation == "pml_reduced":
-                grid = Grid1D(cfg.x_minus, cfg.x_plus, nc)
-                sol = solve_mode_pml_reduced(n, src, cfg, profile, grid)
-            else:
-                grid = Grid1D(cfg.x_minus, cfg.x_plus, nc)
-                sol = solve_mode_dtn(n, src, cfg, grid)
+            grid = grid_for(formulation, cfg, 2.0 / nc)
+            sol = solve_mode(n, src, cfg, grid, formulation, profile)
             nodes = grid.nodes()
             exact = np.array([bump.value(x) for x in nodes])
             errs.append(
@@ -247,7 +244,7 @@ class TestModeSolves:
     def test_robin_sign_is_the_outgoing_one(self):
         # flipping the Robin coefficients to the incoming branch must ruin
         # the kernel-oracle agreement; guards the boundary-term sign
-        from ductpml.solver import _solve_robin
+        from ductpml.solver import _load_vector, _robin_matrix, _solve_tridiag
         from ductpml.noise import modal_source_coefficients
 
         cfg = make_cfg()
@@ -255,9 +252,9 @@ class TestModeSolves:
         box = ModeBoxSource(mode=0, x_lo=-0.25, x_hi=0.25)
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 512)
         bp, bm = axial_wavenumbers64(n, cfg)
-        parts = modal_source_coefficients(box, n, cfg)
-        good = _solve_robin(n, parts, cfg, grid, bp, bm)
-        flipped = _solve_robin(n, parts, cfg, grid, bm, bp)
+        load = _load_vector(modal_source_coefficients(box, n, cfg), grid)
+        good = _solve_tridiag(*_robin_matrix(n, cfg, grid, bp, bm), load)
+        flipped = _solve_tridiag(*_robin_matrix(n, cfg, grid, bm, bp), load)
         exact = oracle_box_solution(n, cfg, grid)
         err_good = np.max(np.abs(good - exact))
         err_flip = np.max(np.abs(flipped - exact))
@@ -266,6 +263,22 @@ class TestModeSolves:
 
 
 class TestSolveFullAndFields:
+    @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
+    def test_rows_match_single_mode_solves(self, formulation):
+        # solve_full builds each noise load matrix once for all modes; every
+        # row must still be the single-mode solve of the same source
+        cfg = make_cfg()
+        profile = PmlProfile.quadratic(cfg, 5.0)
+        grid = grid_for(formulation, cfg, 1 / 32)
+        mesh = build_mesh((-0.5, 0.5, 0.25, 0.75), 0.2, 2)
+        from ductpml.noise import sample
+
+        src = [ModeBoxSource(mode=2, x_lo=-0.3, x_hi=0.2), sample(mesh, 5)]
+        sol = solve_full(cfg, src, formulation, grid, 6, profile)
+        for n in range(6):
+            row = solve_mode(n, src, cfg, grid, formulation, profile)
+            np.testing.assert_allclose(sol.values[n], row, rtol=1e-12, atol=0.0)
+
     def test_single_mode_source_decouples(self):
         cfg = make_cfg()
         grid = omega_b_grid(cfg, 1 / 32)
@@ -418,17 +431,32 @@ class TestNormsAndErrors:
             sol.restrict(cfg.x_minus + 0.013, cfg.x_plus)
 
 
+class TestModeMatrix:
+    @pytest.mark.parametrize(
+        "formulation, wrong", [("dtn", "full"), ("pml_reduced", "full"), ("pml_full", "b")]
+    )
+    def test_grid_must_span_the_formulation_interval(self, formulation, wrong):
+        cfg = make_cfg()
+        profile = PmlProfile.quadratic(cfg, 5.0)
+        grid = omega_full_grid(cfg, 1 / 16) if wrong == "full" else omega_b_grid(cfg, 1 / 16)
+        with pytest.raises(GridMismatchError):
+            mode_matrix(1, cfg, grid, formulation, profile)
+
+    def test_pml_formulations_need_a_profile(self):
+        cfg = make_cfg()
+        with pytest.raises(ConfigError):
+            mode_matrix(1, cfg, omega_b_grid(cfg, 1 / 16), "pml_reduced")
+        with pytest.raises(ConfigError):
+            mode_matrix(1, cfg, omega_b_grid(cfg, 1 / 16), "robin", 0)
+
+
 class TestConditioning:
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
     def test_condition_estimate_bounded(self, formulation):
         cfg = make_cfg()
         profile = PmlProfile.quadratic(cfg, 5.0)
         _, n0 = cutoff_numbers(cfg)
-        grid = (
-            omega_full_grid(cfg, default_delta(cfg))
-            if formulation == "pml_full"
-            else omega_b_grid(cfg, default_delta(cfg))
-        )
+        grid = grid_for(formulation, cfg, default_delta(cfg))
         for n in (0, n0, n0 + 1, n0 + 10):
             est = condition_estimate(n, cfg, grid, formulation, profile)
             assert est < 1e8
