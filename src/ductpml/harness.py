@@ -16,9 +16,10 @@ Three error mechanisms are measured at desk scale:
 
 Every per-mode operator comes from ``solver.mode_matrix``.  The two
 noise-driven studies (h and total) share one set-up, ``_noise_study``:
-level validation, noise mesh, grid, mode count, transverse and load tables,
-and the per-seed noise stacks; their per-mode work then runs one banded
-solve per (matrix, level) with every seed as a right-hand-side column.
+level validation, noise mesh, grid, mode count, load tables, and each
+seed's noise projected onto all modes at every level; their per-mode work
+then runs one banded solve per matrix, with every (level, seed) pair as a
+right-hand-side column.
 
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
@@ -167,27 +168,41 @@ def fit_rate(abscissae, values, std_errors=None, transform: str = "loglog"):
 
 @dataclass
 class _NoiseStudy:
-    """Mesh, grid, levels and per-seed noise stacks of one noise-driven study.
+    """Mesh, grid, levels and per-seed segment loads of one noise-driven study.
 
     ``used`` are the mesh levels of the requested diameters (coarsest
-    first) and ``ref_level`` is the reference level; ``stacks[lv]`` holds
-    the scaled cell values xi / sqrt(|K|) of every seed at level lv.
+    first) and ``ref_level`` is the reference level; ``seg[lv]`` holds the
+    axial segment values of every seed and mode at level lv, shape
+    (n_samples, n1, n_modes), and ``loadmap[lv]`` maps segments to hat loads.
     """
 
     mesh: NoiseMesh
     grid: Grid1D
     n_modes: int
+    n_samples: int
     rel: list
     used: list
     ref_level: int
-    trans: dict
     loadmap: dict
-    stacks: dict
+    seg: dict
 
-    def noise_rhs(self, lv: int, n: int) -> np.ndarray:
-        """Hat loads of mode n at level lv, one column per seed."""
-        seg = self.stacks[lv] @ self.trans[lv][n]  # (n_samples, n1)
-        return (self.loadmap[lv] @ seg.T).astype(complex)  # (n_nodes, n_samples)
+    @property
+    def all_levels(self) -> list:
+        """The used levels, then the reference level: the column-block order."""
+        return self.used + [self.ref_level]
+
+    def noise_rhs(self, n: int) -> np.ndarray:
+        """Hat loads of mode n, one column per (level, seed), levels side by side.
+
+        Columns ``j * n_samples .. (j + 1) * n_samples - 1`` hold level
+        ``all_levels[j]``; the shape is (n_nodes, n_levels * n_samples).
+        """
+        ns = self.n_samples
+        out = np.empty((self.grid.n_nodes, len(self.all_levels) * ns), dtype=complex)
+        for j, lv in enumerate(self.all_levels):
+            seg_n = np.ascontiguousarray(self.seg[lv][:, :, n])  # BLAS needs it dense
+            out[:, j * ns : (j + 1) * ns] = self.loadmap[lv] @ seg_n.T
+        return out
 
 
 def _noise_study(
@@ -196,7 +211,8 @@ def _noise_study(
     """Validate the levels and build everything that does not depend on the mode.
 
     ``h_levels`` are cell diameters relative to the forcing-rectangle
-    diagonal; they must be dyadically nested with a coarsest of 1/integer.
+    diagonal; they must be distinct, dyadically nested, with a coarsest of
+    1/integer.
     """
     if n_samples < 2:
         raise ConfigError("noise studies need n_samples >= 2")
@@ -206,13 +222,15 @@ def _noise_study(
     base = round(1.0 / rel[-1])
     if abs(base * rel[-1] - 1.0) > 1e-9:
         raise ConfigError("coarsest relative diameter must be 1/integer")
-    level_of = {}
-    for r in rel:
+    used = []
+    for r in reversed(rel):
         lv = math.log2(rel[-1] / r)
         if abs(lv - round(lv)) > 1e-9:
             raise GridMismatchError(f"levels {h_levels} are not dyadically nested")
-        level_of[r] = int(round(lv))
-    used = sorted(level_of.values())
+        lv = int(round(lv))
+        if lv in used:
+            raise ConfigError(f"relative diameter {r} is repeated in {h_levels}")
+        used.append(lv)
     total_levels = used[-1] + 1 + ref_refine
     if rect is None:
         rect = default_forcing_rect(cfg)
@@ -221,21 +239,20 @@ def _noise_study(
     if n_modes is None:
         n_modes = default_n_modes(cfg)
     ref_level = total_levels - 1
-    all_levels = used + [ref_level]
     trans = {}
     loadmap = {}
-    for lv in all_levels:
+    seg = {}
+    for lv in used + [ref_level]:
         x1_edges, x2_edges = mesh.edges(lv)
-        trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d)
+        trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
         loadmap[lv] = piecewise_load_matrix(grid, x1_edges)
-    per_level = {lv: [] for lv in all_levels}
+        seg[lv] = np.empty((n_samples, x1_edges.size - 1, n_modes))
     for i in range(n_samples):
         levels = realization_levels(sample(mesh, base_seed + i))
-        for lv in all_levels:
+        for lv, t in trans.items():
             amp = 1.0 / math.sqrt(mesh.cell_area(lv))
-            per_level[lv].append(levels[lv].xi * amp)
-    stacks = {lv: np.stack(v) for lv, v in per_level.items()}
-    return _NoiseStudy(mesh, grid, n_modes, rel, used, ref_level, trans, loadmap, stacks)
+            np.matmul(levels[lv].xi * amp, t, out=seg[lv][i])
+    return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, loadmap, seg)
 
 
 def _map_threads(fn, args, threads: int):
@@ -272,16 +289,10 @@ def run_h_study(
     st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
 
     def mode_err2(n: int) -> np.ndarray:
-        matrix = mode_matrix(n, cfg, st.grid, DTN)
-        sols = {
-            lv: _solve_tridiag(*matrix, st.noise_rhs(lv, n))
-            for lv in st.used + [st.ref_level]
-        }
-        out = np.empty((n_samples, len(st.used)))
-        for j, lv in enumerate(st.used):
-            diff2 = np.abs(sols[lv] - sols[st.ref_level]) ** 2
-            out[:, j] = np.trapezoid(diff2, dx=st.grid.delta, axis=0)
-        return out
+        sols = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), st.noise_rhs(n))
+        sols = sols.reshape(st.grid.n_nodes, len(st.all_levels), n_samples)
+        diff2 = np.abs(sols[:, :-1] - sols[:, -1:]) ** 2
+        return np.trapezoid(diff2, dx=st.grid.delta, axis=0).T  # (n_samples, n_used)
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
     err2 = np.sum(np.stack(per_mode), axis=0)  # (n_samples, n_levels_used)
@@ -506,20 +517,20 @@ def run_total_error_study(
     ]
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
 
+    n_used = len(st.used)
+    h_cols = n_used * n_samples  # the used levels' columns; the rest is the reference
+
     def mode_err2(n: int) -> np.ndarray:
-        det_load = _load_vector(modal_source_coefficients(source, n, cfg), st.grid)
-        rhs = {
-            lv: st.noise_rhs(lv, n) + det_load[:, None]
-            for lv in st.used + [st.ref_level]
-        }
-        ref = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), rhs[st.ref_level])
-        out = np.zeros((n_samples, len(st.used), len(profiles)))
+        rhs = st.noise_rhs(n)
+        rhs += _load_vector(modal_source_coefficients(source, n, cfg), st.grid)[:, None]
+        ref = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), rhs[:, h_cols:])
+        out = np.empty((n_samples, n_used, len(profiles)))
         for j_l, (prof, cfg_l) in enumerate(zip(profiles, cfgs_l)):
             matrix = mode_matrix(n, cfg_l, st.grid, PML_REDUCED, prof)
-            for j_h, lv in enumerate(st.used):
-                sol = _solve_tridiag(*matrix, rhs[lv])
-                diff2 = np.abs(sol - ref) ** 2
-                out[:, j_h, j_l] = np.trapezoid(diff2, dx=st.grid.delta, axis=0)
+            sol = _solve_tridiag(*matrix, rhs[:, :h_cols])
+            sol = sol.reshape(st.grid.n_nodes, n_used, n_samples)
+            diff2 = np.abs(sol - ref[:, None, :]) ** 2
+            out[:, :, j_l] = np.trapezoid(diff2, dx=st.grid.delta, axis=0).T
         return out
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)

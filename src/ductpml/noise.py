@@ -3,7 +3,7 @@
 The forcing rectangle is split into congruent half-open cells; each cell
 carries an i.i.d. standard normal draw ``xi_i`` and the piecewise-constant
 field is ``Wdot_h(x) = xi_i / sqrt(|K_i|)`` on cell ``K_i``.  The mesh is
-dyadически nested across refinement levels so that coarsening a fine
+dyadically nested across refinement levels so that coarsening a fine
 realization (summing children with weight sqrt(|child|/|parent|) = 1/2)
 yields the coarse-level noise driven by the *same* underlying path; that
 coupling is what makes the refinement studies measure a convergent error.
@@ -26,7 +26,6 @@ import numpy as np
 from .duct import DuctConfig
 from .errors import ConfigError, DomainError
 
-_U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
 
@@ -122,35 +121,53 @@ def build_mesh(rect, finest_h: float, levels: int) -> NoiseMesh:
 
 
 @lru_cache(maxsize=32)
-def _morton_scatter(bits: int):
-    """Fine-cell offsets (di, dj) of Morton codes 0 .. 4^bits - 1."""
-    t = np.arange(1 << (2 * bits), dtype=np.uint64)
-    di = np.zeros_like(t)
-    dj = np.zeros_like(t)
+def _morton_index(bits: int, m1: int, m2: int) -> np.ndarray:
+    """Flat finest-cell index of every draw of an (m1, m2)-tree mesh.
+
+    Row t = a1 * m2 + a2 belongs to coarse cell (a1, a2); column c is the
+    Morton code, whose odd bits give the fine row offset and even bits the
+    fine column offset inside that cell.
+    """
+    code = np.arange(1 << (2 * bits))
+    di = np.zeros_like(code)
+    dj = np.zeros_like(code)
     for b in range(bits):
-        di |= ((t >> _U64(2 * b + 1)) & _U64(1)) << _U64(b)
-        dj |= ((t >> _U64(2 * b)) & _U64(1)) << _U64(b)
-    return di.astype(np.int64), dj.astype(np.int64)
+        di |= ((code >> (2 * b + 1)) & 1) << b
+        dj |= ((code >> (2 * b)) & 1) << b
+    a1, a2 = np.divmod(np.arange(m1 * m2), m2)
+    rows = (a1[:, None] << bits) + di
+    cols = (a2[:, None] << bits) + dj
+    index = rows * (m2 << bits) + cols
+    index.setflags(write=False)
+    return index
 
 
 def sample(mesh: NoiseMesh, seed: int) -> NoiseRealization:
-    """Draw the finest-level realization for the given seed."""
+    """Draw the finest-level realization for the given seed.
+
+    Coarse cell t = a1 * m2 + a2 draws its subtree from a Philox stream keyed
+    (seed mod 2^64, t).  One bit generator serves every cell: it is re-keyed
+    by assigning the state of a fresh generator (counter 0, empty buffer)
+    with that key, which is bit-identical to constructing a new one.
+    """
     bits = mesh.finest_level
     m1, m2 = mesh.base_shape
-    n1, n2 = mesh.shape(mesh.finest_level)
-    di, dj = _morton_scatter(bits)
-    per_tree = 1 << (2 * bits)
-    xi = np.empty((n1, n2), dtype=float)
-    seed_word = _U64(int(seed) & _MASK64)
-    for a1 in range(m1):
-        for a2 in range(m2):
-            key = np.array([seed_word, _U64(a1 * m2 + a2)], dtype=_U64)
-            gen = np.random.Generator(np.random.Philox(key=key))
-            vals = gen.standard_normal(per_tree)
-            block = np.empty((1 << bits, 1 << bits), dtype=float)
-            block[di, dj] = vals
-            xi[a1 << bits : (a1 + 1) << bits, a2 << bits : (a2 + 1) << bits] = block
-    return NoiseRealization(mesh=mesh, level=mesh.finest_level, xi=xi, seed=int(seed))
+    n1, n2 = mesh.shape(bits)
+    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    fresh["state"]["key"] = key  # re-keyed in place below
+    draws = np.empty((m1 * m2, 1 << (2 * bits)))
+    for t in range(m1 * m2):
+        key[1] = t
+        bitgen.state = fresh
+        gen.standard_normal(out=draws[t])
+    xi = np.empty(n1 * n2)
+    xi[_morton_index(bits, m1, m2)] = draws
+    return NoiseRealization(
+        mesh=mesh, level=bits, xi=xi.reshape(n1, n2), seed=int(seed)
+    )
 
 
 def coarsen(r: NoiseRealization) -> NoiseRealization:

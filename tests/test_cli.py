@@ -236,6 +236,7 @@ class TestDispatch:
             ("0.125,0.0625,0.041666666666666664", "4", EXIT_NUMERICAL),  # 1/24 not dyadic
             ("0.125,0.08333333333333333,0.0625", "4", EXIT_NUMERICAL),  # 1/12 not dyadic
             ("0.125,0.0625,0.03125", "1", EXIT_CONFIG),  # no standard error from 1 sample
+            ("0.125,0.125,0.0625", "4", EXIT_CONFIG),  # a repeated diameter
         ],
     )
     def test_study_total_validates_like_study_h(

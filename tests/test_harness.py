@@ -6,6 +6,8 @@ import pytest
 from ductpml import DuctConfig
 from ductpml.errors import ConfigError, GridMismatchError, InsufficientDataError, StudyError
 from ductpml.harness import (
+    default_forcing_rect,
+    default_l_study_source,
     fit_rate,
     mc_estimate,
     run_equivalence_check,
@@ -13,8 +15,24 @@ from ductpml.harness import (
     run_L_study,
     run_total_error_study,
 )
-from ductpml.noise import ModeBoxSource, build_mesh, sample
+from ductpml.noise import (
+    ModeBoxSource,
+    NoiseMesh,
+    build_mesh,
+    modal_source_coefficients,
+    realization_levels,
+    sample,
+)
 from ductpml.pml import PmlProfile, theoretical_decay_constant
+from ductpml.solver import (
+    DTN,
+    PML_REDUCED,
+    _load_vector,
+    _solve_tridiag,
+    default_delta,
+    mode_matrix,
+    omega_b_grid,
+)
 
 
 def make_cfg(L=1.0):
@@ -226,6 +244,7 @@ class TestTotalStudy:
             ([1 / 8, 1 / 16, 1 / 24], 4, GridMismatchError),
             ([1 / 8, 1 / 12, 1 / 16], 4, GridMismatchError),
             ([1 / 8, 1 / 16], 1, ConfigError),
+            ([1 / 4, 1 / 4, 1 / 8], 4, ConfigError),  # a repeated diameter
         ],
     )
     def test_rejects_what_the_h_study_rejects(self, h_levels, n_samples, error):
@@ -277,3 +296,79 @@ class TestTotalStudy:
         ]
         lref = run_L_study(cfg, l_values[:3], sigma_plus=5.0, source=broadband)
         assert slope_total == pytest.approx(2.0 * lref.fitted_rate, rel=0.3)
+
+
+class TestBatchedNoiseSolves:
+    """Both noise studies against one solve per (mode, level), built here."""
+
+    H_LEVELS = [1 / 4, 1 / 8]
+    N_MODES = 6
+    N_SAMPLES = 8
+    SEED = 21
+
+    def per_level_loads(self, cfg, grid):
+        """loads[lv][n]: (n_nodes, n_samples) noise loads of mode n at mesh
+        level lv: 0 and 1 for h = 1/4 and 1/8, 3 for the reference two
+        dyadic steps finer, each seed's realization projected on its own."""
+        mesh = NoiseMesh(rect=default_forcing_rect(cfg), levels=4, base_shape=(4, 4))
+        loads = {lv: [[] for _ in range(self.N_MODES)] for lv in (0, 1, 3)}
+        for i in range(self.N_SAMPLES):
+            levels = realization_levels(sample(mesh, self.SEED + i))
+            for lv in loads:
+                for n in range(self.N_MODES):
+                    parts = modal_source_coefficients(levels[lv], n, cfg)
+                    loads[lv][n].append(_load_vector(parts, grid))
+        return {lv: [np.stack(c, axis=1) for c in per_n] for lv, per_n in loads.items()}
+
+    def assert_study_matches(self, run, err2):
+        """run(threads) matches the per-seed errors err2 and is thread-invariant."""
+        mean = err2.mean(axis=0)
+        stderr = err2.std(axis=0, ddof=1) / math.sqrt(self.N_SAMPLES)
+        one, two = run(1), run(2)
+        np.testing.assert_allclose(one.error_mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(one.error_stderr, stderr, rtol=1e-12, atol=0)
+        assert one.error_mean.tobytes() == two.error_mean.tobytes()
+        assert one.error_stderr.tobytes() == two.error_stderr.tobytes()
+
+    def test_h_study_matches_per_level_solves(self):
+        cfg = make_cfg(L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        loads = self.per_level_loads(cfg, grid)
+        err2 = np.zeros((self.N_SAMPLES, 2))
+        for n in range(self.N_MODES):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            ref = _solve_tridiag(*matrix, loads[3][n])
+            for j, lv in enumerate((0, 1)):
+                diff2 = np.abs(_solve_tridiag(*matrix, loads[lv][n]) - ref) ** 2
+                err2[:, j] += np.trapezoid(diff2, dx=grid.delta, axis=0)
+        self.assert_study_matches(
+            lambda threads: run_h_study(cfg, None, self.H_LEVELS, self.N_SAMPLES,
+                                        self.SEED, n_modes=self.N_MODES, threads=threads),
+            err2,
+        )
+
+    def test_total_study_matches_per_level_solves(self):
+        cfg = make_cfg(L=2.0)
+        l_values = [0.5, 2.0]
+        source = default_l_study_source(cfg)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        loads = self.per_level_loads(cfg, grid)
+        err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
+        for n in range(self.N_MODES):
+            det = _load_vector(modal_source_coefficients(source, n, cfg), grid)[:, None]
+            ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
+            for j_l, L in enumerate(l_values):
+                prof = PmlProfile(sigma_plus=5.0, sigma_minus=5.0,
+                                  x_plus=cfg.x_plus, x_minus=cfg.x_minus, L=L)
+                matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
+                for j_h, lv in enumerate((0, 1)):
+                    sol = _solve_tridiag(*matrix, loads[lv][n] + det)
+                    diff2 = np.abs(sol - ref) ** 2
+                    err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
+        self.assert_study_matches(
+            lambda threads: run_total_error_study(
+                cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED,
+                n_modes=self.N_MODES, threads=threads,
+            ),
+            err2,
+        )

@@ -81,6 +81,42 @@ class TestSample:
         assert 0.9 < r.xi.var() < 1.1
 
 
+class TestStreamContract:
+    """sample() against the documented stream, rebuilt one cell at a time."""
+
+    @staticmethod
+    def expected_field(base_shape, levels, seed):
+        bits = levels - 1
+        side = 1 << bits
+        m1, m2 = base_shape
+        out = np.full((m1 * side, m2 * side), np.nan)
+        for a1 in range(m1):
+            for a2 in range(m2):
+                # an explicit uint64 key: a Python list holding a word >= 2**63
+                # would be converted through float64 and lose its low bits
+                key = np.array([seed & (2**64 - 1), a1 * m2 + a2], dtype=np.uint64)
+                gen = np.random.Generator(np.random.Philox(key=key))
+                for code, value in enumerate(gen.standard_normal(4**bits)):
+                    di = sum(((code >> (2 * b + 1)) & 1) << b for b in range(bits))
+                    dj = sum(((code >> (2 * b)) & 1) << b for b in range(bits))
+                    out[a1 * side + di, a2 * side + dj] = value
+        return out
+
+    @pytest.mark.parametrize(
+        "base_shape, levels, seed",
+        [
+            ((11, 6), 3, 41),  # the CLI's default mesh shape
+            ((11, 6), 3, 2**63 + 12345),
+            ((3, 2), 1, -1),  # masked to 2**64 - 1
+            ((1, 1), 4, 7),
+        ],
+    )
+    def test_matches_per_cell_philox_streams(self, base_shape, levels, seed):
+        mesh = NoiseMesh(rect=RECT, levels=levels, base_shape=base_shape)
+        xi = sample(mesh, seed).xi
+        assert np.array_equal(xi, self.expected_field(base_shape, levels, seed))
+
+
 class TestCoarsen:
     def test_constant_children_aggregate(self):
         mesh = unit_square_mesh(levels=2)
