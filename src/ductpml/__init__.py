@@ -2,7 +2,7 @@
 
 Subpackages:
     duct     geometry, transverse modes, axial dispersion
-    specfun  Bessel/Hankel functions with an explicit accuracy contract
+    specfun  Hankel function H0 (scipy J0/Y0) with an explicit accuracy contract
     greens   semi-analytic kernel representations and solution oracles
     noise    discretized spatial white noise on a nested mesh
     pml      absorption profile, layer modes, Robin coefficients, bounds

@@ -427,10 +427,11 @@ def _cmd_pml(rc: RunConfig, out: Path, args) -> int:
 def _cmd_solve(rc: RunConfig, out: Path, args) -> int:
     cfg = rc.duct
     formulation = rc.formulation()
-    delta = rc.grid_delta()
-    grid = (
-        omega_full_grid(cfg, delta) if formulation == "pml_full" else omega_b_grid(cfg, delta)
-    )
+    if formulation == "pml_full":
+        # without a given delta, the default spacing refined until L is whole cells
+        grid = omega_full_grid(cfg, rc._get("grid", "delta"))
+    else:
+        grid = omega_b_grid(cfg, rc.grid_delta())
     source = rc.build_source()
     sol = solve_full(cfg, source, formulation, grid, rc.n_modes(), rc.profile)
     nodes = sol.grid.nodes()

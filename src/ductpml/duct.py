@@ -151,7 +151,7 @@ def default_n_modes(cfg: DuctConfig) -> int:
     return cutoff_numbers(cfg)[1] + 30
 
 
-def axial_wavenumbers(n: int, cfg: DuctConfig):
+def axial_wavenumbers(n, cfg: DuctConfig):
     """Both roots (beta_plus, beta_minus) of the dispersion quadratic for mode n.
 
     The branch is decided by the sign of the discriminant
@@ -160,66 +160,70 @@ def axial_wavenumbers(n: int, cfg: DuctConfig):
     evanescent pair with Im(beta_plus) > 0.  A discriminant within the
     cutoff tolerance of zero raises CutoffResonanceError.
 
+    ``n`` may be an int or an integer array; an array gives arrays of roots,
+    each element bit-identical to the call for that mode alone.  Errors
+    name the offending mode.
+
     Roots are computed and returned in the platform's extended precision:
-    the residual contract (1e-12 * max(1, k^2), at any mode index) sits
-    below double-precision quantization once n^2 pi^2 / d^2 >> k^2, so the
-    extra mantissa bits are load-bearing, not cosmetic.
+    the residual contract (1e-12 * max(1, k^2)) sits below double-precision
+    quantization once n^2 pi^2 / d^2 >> k^2, so the extra mantissa bits are
+    load-bearing, not cosmetic.  The contract holds until the terms
+    n^2 pi^2 / d^2 themselves round by more than that in extended
+    precision; past there (n near 16000 for d = 1, k = 20) the residual is
+    a few units of that rounding, about 4 eps * n^2 pi^2 / d^2.
     """
-    if n < 0:
-        raise DomainError(f"mode index must be >= 0, got {n}")
+    na = np.asarray(n)
+    if na.min(initial=0) < 0:
+        raise DomainError(f"mode index must be >= 0, got {na.min()}")
     k = np.longdouble(cfg.k)
     m2 = 1.0 - np.longdouble(cfg.M) ** 2
-    disc = k * k - m2 * (n * _pi_ld() / np.longdouble(cfg.d)) ** 2
-    if abs(disc) <= (TOL_CUTOFF * cfg.k) ** 2:
+    disc = k * k - m2 * (na * _PI_LD / np.longdouble(cfg.d)) ** 2
+    at_cutoff = abs(disc) <= (TOL_CUTOFF * cfg.k) ** 2
+    if at_cutoff.any():
+        bad = np.argmax(at_cutoff)
         raise CutoffResonanceError(
-            f"mode n={n} is numerically at cutoff (discriminant {float(disc):.3e})"
+            f"mode n={na.flat[bad]} is numerically at cutoff "
+            f"(discriminant {float(disc.flat[bad]):.3e})"
         )
-    if disc > 0.0:
-        root = np.sqrt(disc)
-        return (
-            np.clongdouble((-k * cfg.M + root) / m2),
-            np.clongdouble((-k * cfg.M - root) / m2),
-        )
-    root = np.sqrt(-disc)
-    return (
-        np.clongdouble(-k * cfg.M / m2) + 1j * np.clongdouble(root / m2),
-        np.clongdouble(-k * cfg.M / m2) - 1j * np.clongdouble(root / m2),
-    )
+    # sqrt|disc| is real for propagating modes and imaginary for evanescent
+    # ones; selecting by multiplying with 1 or 0 keeps every sign of zero
+    root = np.sqrt(abs(disc))
+    re = root * (disc > 0.0)
+    im = root * (disc < 0.0)
+    a = -k * cfg.M
+    return (a + re) / m2 + 1j * (im / m2), (a - re) / m2 + 1j * ((0.0 - im) / m2)
 
 
-def _pi_ld():
-    # pi to long-double precision (float64 pi plus its leading correction)
-    return np.longdouble(math.pi) + np.longdouble(1.2246467991473532e-16)
+# pi to long-double precision (float64 pi plus its leading correction)
+_PI_LD = np.longdouble(math.pi) + np.longdouble(1.2246467991473532e-16)
 
 
-def axial_wavenumbers64(n: int, cfg: DuctConfig):
-    """Plain double-precision view of the axial wavenumber pair."""
+def axial_wavenumbers64(n, cfg: DuctConfig):
+    """Plain double-precision view of the axial wavenumber pair (int or array n)."""
     bp, bm = axial_wavenumbers(n, cfg)
+    if bp.ndim:
+        return bp.astype(complex), bm.astype(complex)
     return complex(bp), complex(bm)
 
 
-def dispersion_residual(beta: complex, n: int, cfg: DuctConfig) -> float:
+def dispersion_residual(beta, n, cfg: DuctConfig):
     """|-(1-M^2) beta^2 - 2 k M beta + k^2 - n^2 pi^2 / d^2|.
 
     Evaluated in extended precision so the reported value reflects the
     root's accuracy rather than cancellation noise of the evaluation.
+    Scalars give a float; arrays broadcast and give an array.
     """
     k = np.longdouble(cfg.k)
     m2 = 1.0 - np.longdouble(cfg.M) ** 2
     b = np.clongdouble(beta)
-    val = -m2 * b * b - 2.0 * k * cfg.M * b + k * k - (n * _pi_ld() / np.longdouble(cfg.d)) ** 2
-    return float(abs(val))
+    val = -m2 * b * b - 2.0 * k * cfg.M * b + k * k - (n * _PI_LD / np.longdouble(cfg.d)) ** 2
+    out = abs(val)
+    return out if np.ndim(out) else float(out)
 
 
 def dispersion_table(cfg: DuctConfig, n_max: int) -> DispersionTable:
     """Tabulate beta_n^{+-} and mode kinds for n = 0 .. n_max - 1."""
     k0, n0 = cutoff_numbers(cfg)
-    bp = np.empty(n_max, dtype=np.clongdouble)
-    bm = np.empty(n_max, dtype=np.clongdouble)
-    kinds = []
-    for n in range(n_max):
-        bp[n], bm[n] = axial_wavenumbers(n, cfg)
-        kinds.append(PROPAGATING if bp[n].imag == 0.0 else EVANESCENT)
-    return DispersionTable(
-        n_max=n_max, beta_plus=bp, beta_minus=bm, kind=tuple(kinds), K0=k0, N0=n0
-    )
+    bp, bm = axial_wavenumbers(np.arange(n_max), cfg)
+    kinds = tuple(PROPAGATING if b.imag == 0.0 else EVANESCENT for b in bp)
+    return DispersionTable(n_max=n_max, beta_plus=bp, beta_minus=bm, kind=kinds, K0=k0, N0=n0)

@@ -190,23 +190,12 @@ def mode_green_1d(n: int, x1: float, y1: float, cfg: DuctConfig) -> complex:
 
 
 def _betas_block(cfg: DuctConfig, n_lo: int, n_hi: int):
-    """Vectorized wavenumbers and kernel constants for modes n_lo .. n_hi-1.
+    """Wavenumbers and kernel constants for modes n_lo .. n_hi-1.
 
     Returns (beta_plus, beta_minus, c) with c = 1/(i (1-M^2)(b+ - b-)).
     """
-    n = np.arange(n_lo, n_hi, dtype=float)
-    k, m2 = cfg.k, cfg.one_minus_m2
-    disc = k * k - m2 * (n * math.pi / cfg.d) ** 2
-    if np.any(np.abs(disc) <= (1e-8 * k) ** 2):
-        raise SingularityError("mode block contains a cutoff-resonant index")
-    root = np.where(
-        disc >= 0.0,
-        np.sqrt(np.maximum(disc, 0.0)) + 0j,
-        1j * np.sqrt(np.maximum(-disc, 0.0)),
-    )
-    bp = (-k * cfg.M + root) / m2
-    bm = (-k * cfg.M - root) / m2
-    c = 1.0 / (1j * m2 * (bp - bm))
+    bp, bm = axial_wavenumbers64(np.arange(n_lo, n_hi), cfg)
+    c = 1.0 / (1j * cfg.one_minus_m2 * (bp - bm))
     return bp, bm, c
 
 

@@ -87,22 +87,32 @@ def omega_b_grid(cfg: DuctConfig, delta: float) -> Grid1D:
     return Grid1D(cfg.x_minus, cfg.x_plus, n)
 
 
-def omega_full_grid(cfg: DuctConfig, delta: float) -> Grid1D:
+def omega_full_grid(cfg: DuctConfig, delta: Optional[float] = None) -> Grid1D:
     """Aligned grid over the enlarged interval [x_minus - L, x_plus + L].
 
     The interface points x^{+-} must land on nodes so that restrictions to
     the computational interval are exact; this requires L to be an integer
-    multiple of the spacing.
+    multiple of the spacing.  An explicit delta must meet that as given.
+    With delta None the default spacing's interior cell count is raised, by
+    at most a factor of two, to the first count that makes L a whole number
+    of cells.
     """
-    n_b = max(8, round((cfg.x_plus - cfg.x_minus) / delta))
-    d_actual = (cfg.x_plus - cfg.x_minus) / n_b
-    n_lay = round(cfg.L / d_actual)
-    if abs(n_lay * d_actual - cfg.L) > 1e-9 * max(1.0, cfg.L):
+    span = cfg.x_plus - cfg.x_minus
+    n_b = max(8, round(span / (default_delta(cfg) if delta is None else delta)))
+    for n in range(n_b, 2 * n_b + 1 if delta is None else n_b + 1):
+        d_actual = span / n
+        n_lay = round(cfg.L / d_actual)
+        if abs(n_lay * d_actual - cfg.L) <= 1e-9 * max(1.0, cfg.L):
+            return Grid1D(cfg.x_minus - cfg.L, cfg.x_plus + cfg.L, n + 2 * n_lay)
+    if delta is None:
         raise ConfigError(
-            f"layer length {cfg.L} is not an integer multiple of the grid "
-            f"spacing {d_actual}; pick a compatible delta"
+            f"layer length {cfg.L} is not a whole number of cells for any interior "
+            f"cell count from {n_b} to {2 * n_b}; set a compatible grid delta"
         )
-    return Grid1D(cfg.x_minus - cfg.L, cfg.x_plus + cfg.L, n_b + 2 * n_lay)
+    raise ConfigError(
+        f"layer length {cfg.L} is not an integer multiple of the grid "
+        f"spacing {span / n_b}; pick a compatible delta"
+    )
 
 
 def default_delta(cfg: DuctConfig) -> float:

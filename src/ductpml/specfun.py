@@ -1,137 +1,24 @@
-"""Real-argument Bessel/Hankel functions of order zero (order one internally).
+"""Hankel function of the first kind and order zero for real arguments.
 
-Own implementation with an explicit accuracy contract: absolute error
-<= 1e-10 for arguments in (0, 1e4].  Small arguments use the ascending
-power series for J and Y; large arguments use the Hankel asymptotic
-expansion summed adaptively to its smallest term.  The crossover sits at
-``SERIES_ASYMPTOTIC_CROSSOVER = 12.0``, where both branches are inside
-their error envelopes (the asymptotic series reaches ~1e-12 there with
-roughly twenty correction terms, far more than the minimum of four).
-
-All entry points accept scalars or numpy arrays.
+``hankel0(z) = J0(z) + i Y0(z)`` from ``scipy.special.j0``/``y0``, with an
+explicit accuracy contract: absolute error <= 1e-10 for arguments in
+(0, 1e4], tested against a 64-digit mpmath oracle.  Arguments z <= 0 (the
+logarithmic singularity and beyond) raise DomainError instead of scipy's
+silent nan/-inf.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.special import j0, y0
 
 from .errors import DomainError
 
-EULER_GAMMA = 0.5772156649015328606
-SERIES_ASYMPTOTIC_CROSSOVER = 12.0
-
-_SERIES_TERMS = 72  # enough for the ascending series at z <= crossover
-_ASYMPTOTIC_MAX_TERMS = 40
-
-
-@dataclass(frozen=True)
-class HankelValue:
-    """J0, Y0, and their combination h0 = j0 + i*y0 at one argument."""
-
-    j0: float
-    y0: float
-    h0: complex
-
-
-def _series_j0_y0(z):
-    """Ascending series for J0 and Y0 (valid for small to moderate z)."""
-    z = np.asarray(z, dtype=float)
-    q = -0.25 * z * z
-    term = np.ones_like(z)
-    j0 = np.ones_like(z)
-    s = np.zeros_like(z)  # sum of (-1)^{m+1} H_m (z/2)^{2m} / (m!)^2
-    h = 0.0
-    for m in range(1, _SERIES_TERMS + 1):
-        term = term * q / (m * m)
-        j0 = j0 + term
-        h += 1.0 / m
-        s = s - term * h  # -(q-term) carries (-1)^m; extra minus gives (-1)^{m+1}
-    y0 = (2.0 / math.pi) * ((np.log(0.5 * z) + EULER_GAMMA) * j0 + s)
-    return j0, y0
-
-
-def _series_j1_y1(z):
-    """Ascending series for J1 and Y1."""
-    z = np.asarray(z, dtype=float)
-    q = -0.25 * z * z
-    term = 0.5 * z  # m = 0 term of J1
-    j1 = term.copy()
-    s = term.copy()  # sum of (-1)^m (H_m + H_{m+1}) (z/2)^{2m+1} / (m! (m+1)!)
-    h = 0.0  # H_m
-    hp = 1.0  # H_{m+1}
-    for m in range(1, _SERIES_TERMS + 1):
-        term = term * q / (m * (m + 1))
-        j1 = j1 + term
-        h += 1.0 / m
-        hp += 1.0 / (m + 1)
-        s = s + term * (h + hp)
-    y1 = (2.0 / math.pi) * (np.log(0.5 * z) + EULER_GAMMA) * j1 - 2.0 / (
-        math.pi * z
-    ) - s / math.pi
-    return j1, y1
-
-
-def _asymptotic_hankel(z, order: int):
-    """Large-argument expansion of H_order^(1), summed to the smallest term."""
-    z = np.asarray(z, dtype=float)
-    mu = 4.0 * order * order
-    acc = np.ones_like(z) + 0j
-    term = np.ones_like(z) + 0j
-    prev = np.full_like(z, np.inf)
-    active = np.ones(z.shape, dtype=bool)
-    for m in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
-        term = term * (1j * (mu - (2 * m - 1) ** 2) / (8.0 * m)) / z
-        mag = np.abs(term)
-        # stop (per element) once terms grow again or are negligible
-        active = active & (mag < prev) & (mag > 1e-18)
-        acc = np.where(active, acc + term, acc)
-        prev = mag
-    phase = z - (0.5 * order + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * z)) * np.exp(1j * phase) * acc
-
-
-def _hankel(z, order: int):
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise DomainError("hankel functions require z > 0 (log singularity at 0)")
-    small = z < SERIES_ASYMPTOTIC_CROSSOVER
-    out = np.empty(z.shape, dtype=complex)
-    if np.any(small):
-        zs = z[small]
-        j, y = _series_j0_y0(zs) if order == 0 else _series_j1_y1(zs)
-        out[small] = j + 1j * y
-    if np.any(~small):
-        out[~small] = _asymptotic_hankel(z[~small], order)
-    return out
-
 
 def hankel0(z):
-    """H_0^(1)(z) for real z > 0; absolute error <= 1e-10 on (0, 1e4]."""
-    z_arr = np.asarray(z, dtype=float)
-    out = _hankel(z_arr, 0)
-    return out if out.ndim else complex(out)
-
-
-def hankel1(z):
-    """H_1^(1)(z); internal support for the Wronskian identity via J0' = -J1."""
-    z_arr = np.asarray(z, dtype=float)
-    out = _hankel(z_arr, 1)
-    return out if out.ndim else complex(out)
-
-
-def hankel0_parts(z: float) -> HankelValue:
-    """J0, Y0, and h0 = J0 + i Y0 at a single argument."""
-    h = hankel0(float(z))
-    return HankelValue(j0=h.real, y0=h.imag, h0=h)
-
-
-def hankel0_asymptotic(z):
-    """Leading-order large-argument form sqrt(2/(pi z)) exp(i(z - pi/4))."""
+    """H_0^(1)(z) for real z > 0; scalars in give a complex scalar out."""
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0.0):
-        raise DomainError("asymptotic form requires z > 0")
-    out = np.sqrt(2.0 / (math.pi * z_arr)) * np.exp(1j * (z_arr - 0.25 * math.pi))
+        raise DomainError("hankel functions require z > 0 (log singularity at 0)")
+    out = j0(z_arr) + 1j * y0(z_arr)
     return out if out.ndim else complex(out)

@@ -115,6 +115,21 @@ class TestDispatch:
         status = dispatch(["solve", "--config", str(p), "--out", str(out)])
         assert status == EXIT_NUMERICAL
 
+    def test_full_layer_default_grid_is_valid(self, tmp_path):
+        # the default spacing leaves L = 1.3 a fractional number of cells;
+        # without a given delta the solve refines the grid instead of failing
+        text = (
+            "[duct]\nd = 1\nM = 0.3\nk = 7\n[pml]\nsigma_plus = 5\nL = 1.3\n"
+            "[grid]\nformulation = pml_full\nn_modes = 4\n"
+        )
+        p = tmp_path / "full.cfg"
+        p.write_text(text)
+        out = tmp_path / "out"
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        assert (out / "field.csv").read_text().startswith("x1,x2,re_p,im_p\n")
+        p.write_text(text + "delta = 0.0089\n")
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+
     def test_modes_csv(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         assert dispatch(["modes", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK

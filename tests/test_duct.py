@@ -11,6 +11,7 @@ from ductpml import (
     DomainError,
     DuctConfig,
     axial_wavenumbers,
+    axial_wavenumbers64,
     cutoff_numbers,
     dispersion_residual,
     dispersion_table,
@@ -129,6 +130,56 @@ class TestWavenumbers:
             bp, bm = axial_wavenumbers(n, cfg)
             assert bp.imag == 0.0 and bm.imag == 0.0
             assert bp.real > bm.real
+
+
+class TestArrayWavenumbers:
+    @pytest.mark.parametrize("M", [0.0, 0.3, 0.9])
+    def test_array_equals_per_mode_calls(self, M):
+        # k just above the n = 3 cutoff: modes 0..3 propagate (3 barely),
+        # 4.. are evanescent
+        k = math.sqrt(1.0 - M * M) * 3.0 * math.pi * (1.0 + 2e-8)
+        cfg = make_cfg(M=M, k=k)
+        n = np.arange(40)
+        bp, bm = axial_wavenumbers(n, cfg)
+        assert bp.dtype == np.clongdouble and bp.shape == (40,)
+        pairs = [axial_wavenumbers(int(i), cfg) for i in n]
+        assert np.array_equal(bp, [p[0] for p in pairs])
+        assert np.array_equal(bm, [p[1] for p in pairs])
+        assert np.all(bp[:4].imag == 0.0) and np.all(bp[4:].imag > 0.0)
+        assert isinstance(pairs[3][0], np.clongdouble)
+        bp64, bm64 = axial_wavenumbers64(n, cfg)
+        assert bp64.dtype == complex
+        assert np.array_equal(bp64, [complex(b) for b in bp])
+        assert np.array_equal(bm64, [complex(b) for b in bm])
+
+    @pytest.mark.parametrize("M", [0.0, 0.3, 0.9])
+    def test_residual_on_a_block_to_16383(self, M):
+        # 1e-12 max(1, k^2) until the terms n^2 pi^2/d^2 round by more than
+        # that in extended precision, then a few units of that rounding
+        cfg = make_cfg(M=M, k=20.0)
+        n = np.arange(16384)
+        bp, bm = axial_wavenumbers(n, cfg)
+        scale = np.finfo(np.longdouble).eps * (n * math.pi / cfg.d) ** 2
+        bound = np.maximum(1e-12 * max(1.0, cfg.k ** 2), 4.0 * scale)
+        assert bound[0] == 4e-10
+        assert np.all(dispersion_residual(bp, n, cfg) < bound)
+        assert np.all(dispersion_residual(bm, n, cfg) < bound)
+        # roots rounded to double miss it by orders of magnitude up there
+        bp64, _ = axial_wavenumbers64(n, cfg)
+        top = slice(-256, None)
+        assert np.max(dispersion_residual(bp64[top], n[top], cfg)) > 100.0 * bound[-1]
+
+    def test_array_errors_name_the_mode(self, monkeypatch):
+        # configs this close to cutoff are refused at construction; lift
+        # that guard to reach the per-mode check (k = pi is mode 1's cutoff)
+        monkeypatch.setattr(DuctConfig, "_check_cutoff_resonance", lambda self: None)
+        cfg = DuctConfig(d=1.0, M=0.0, k=math.pi, x_minus=-1, x_plus=1, L=1)
+        with pytest.raises(CutoffResonanceError, match="n=1 "):
+            axial_wavenumbers(np.arange(5), cfg)
+        with pytest.raises(CutoffResonanceError, match="n=1 "):
+            axial_wavenumbers(1, cfg)
+        with pytest.raises(DomainError, match="-2"):
+            axial_wavenumbers(np.array([0, 3, -2]), make_cfg())
 
 
 class TestCutoffNumbers:

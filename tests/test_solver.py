@@ -117,6 +117,28 @@ class TestGrid:
         with pytest.raises(ConfigError):
             omega_full_grid(cfg, 1 / 16)
 
+    def test_default_full_grid_aligns_the_layer(self):
+        # default spacing 1/112 gives 224 interior cells, 145.6 per layer;
+        # 240 is the first count >= 224 with a whole number (156) per layer
+        cfg = DuctConfig(d=1.0, M=0.3, k=7.0, x_minus=-1.0, x_plus=1.0, L=1.3)
+        with pytest.raises(ConfigError, match="integer multiple"):
+            omega_full_grid(cfg, default_delta(cfg))
+        grid = omega_full_grid(cfg)
+        assert grid.n_cells == 240 + 2 * 156
+        assert (grid.x_start, grid.x_end) == (-2.3, 2.3)
+        nodes = grid.nodes()
+        assert np.isclose(nodes[156], cfg.x_minus, atol=1e-12)
+        assert np.isclose(nodes[156 + 240], cfg.x_plus, atol=1e-12)
+
+    def test_default_full_grid_unchanged_when_already_aligned(self):
+        cfg = make_cfg()
+        assert omega_full_grid(cfg) == omega_full_grid(cfg, default_delta(cfg))
+
+    def test_default_full_grid_search_is_bounded(self):
+        cfg = DuctConfig(d=1.0, M=0.0, k=5.0, x_minus=-1.0, x_plus=1.0, L=math.sqrt(2.0))
+        with pytest.raises(ConfigError, match="any interior cell count from 160 to 320"):
+            omega_full_grid(cfg)
+
 
 class TestLoads:
     def test_piecewise_matrix_total_mass(self):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -6,21 +7,18 @@ import pytest
 import scipy.special
 
 from ductpml.errors import DomainError
-from ductpml.specfun import (
-    SERIES_ASYMPTOTIC_CROSSOVER,
-    _asymptotic_hankel,
-    _series_j0_y0,
-    hankel0,
-    hankel0_asymptotic,
-    hankel0_parts,
-    hankel1,
-)
+from ductpml.specfun import hankel0
 
 mpmath.mp.dps = 64
 
 
 def mp_hankel(order, z):
     return complex(mpmath.hankel1(order, mpmath.mpf(z)))
+
+
+def leading_asymptotic(z):
+    """Leading-order large-argument form sqrt(2/(pi z)) exp(i(z - pi/4))."""
+    return math.sqrt(2.0 / (math.pi * z)) * cmath.exp(1j * (z - 0.25 * math.pi))
 
 
 class TestHankel0:
@@ -40,7 +38,7 @@ class TestHankel0:
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_accuracy_contract_envelope(self):
-        zs = np.logspace(-3, 4, 200)
+        zs = np.logspace(-8, 4, 240)
         worst = max(abs(hankel0(float(z)) - mp_hankel(0, z)) for z in zs)
         assert worst < 1e-10
 
@@ -59,7 +57,7 @@ class TestHankel0:
     def test_agreement_with_leading_asymptotic(self):
         # leading-order truncation error is ~ 1/(8 z) = 1.25e-2 at z = 10
         h = hankel0(10.0)
-        a = hankel0_asymptotic(10.0)
+        a = leading_asymptotic(10.0)
         rel = abs(h - a) / abs(h)
         assert 0.8e-2 < rel < 1.4e-2
 
@@ -72,46 +70,23 @@ class TestHankel0:
     def test_vectorized_matches_scalar(self):
         z = np.array([0.5, 3.0, 12.0, 40.0])
         vec = hankel0(z)
+        assert type(hankel0(0.5)) is complex
         for i, zi in enumerate(z):
             assert vec[i] == hankel0(float(zi))
 
-    def test_crossover_continuity(self):
-        z = SERIES_ASYMPTOTIC_CROSSOVER
-        j, y = _series_j0_y0(np.array([z]))
-        left = complex(j[0] + 1j * y[0])
-        right = complex(_asymptotic_hankel(np.array([z]), 0)[0])
-        assert abs(left - right) < 1e-10
-
-    def test_parts_container(self):
-        hv = hankel0_parts(2.0)
-        assert hv.h0 == pytest.approx(hv.j0 + 1j * hv.y0)
-        assert hv.j0 == pytest.approx(scipy.special.j0(2.0), abs=1e-12)
-
 
 class TestHankel0Asymptotic:
-    def test_phase_cancellation(self):
-        z = math.pi / 4.0
-        got = hankel0_asymptotic(z)
-        assert got.imag == pytest.approx(0.0, abs=1e-15)
-        assert got.real == pytest.approx(math.sqrt(8.0 / math.pi ** 2))
-
-    def test_modulus_at_twenty(self):
-        assert abs(hankel0_asymptotic(20.0)) == pytest.approx(
-            math.sqrt(2.0 / (20.0 * math.pi)), rel=1e-12
-        )
-        assert abs(hankel0_asymptotic(20.0)) == pytest.approx(0.178412, abs=1e-6)
-
     def test_relative_error_at_hundred(self):
         h = hankel0(100.0)
-        assert abs(h - hankel0_asymptotic(100.0)) / abs(h) < 1e-2
+        assert abs(h - leading_asymptotic(100.0)) / abs(h) < 1e-2
         # leading-order error is ~ 1/(8 z)
-        assert abs(h - hankel0_asymptotic(100.0)) / abs(h) > 1e-4
+        assert abs(h - leading_asymptotic(100.0)) / abs(h) > 1e-4
 
     @pytest.mark.parametrize("z", [12.5, 20.0, 50.0, 200.0, 1000.0])
     def test_asymptotic_envelope_beyond_crossover(self, z):
         # |h0 - leading asymptotic| <= 0.2/z * |h0| for z > 12
         h = hankel0(z)
-        assert abs(h - hankel0_asymptotic(z)) <= 0.2 / z * abs(h)
+        assert abs(h - leading_asymptotic(z)) <= 0.2 / z * abs(h)
 
 
 class TestWronskian:
@@ -119,12 +94,7 @@ class TestWronskian:
     def test_wronskian_identity(self, z):
         # J0 Y0' - J0' Y0 = 2/(pi z) with J0' = -J1, Y0' = -Y1
         h0 = hankel0(z)
-        h1 = hankel1(z)
         j0, y0 = h0.real, h0.imag
-        j1, y1 = h1.real, h1.imag
+        j1, y1 = scipy.special.j1(z), scipy.special.y1(z)
         w = j1 * y0 - j0 * y1
         assert w == pytest.approx(2.0 / (math.pi * z), rel=1e-9)
-
-    @pytest.mark.parametrize("z", [0.3, 4.0, 11.0, 13.0, 80.0])
-    def test_hankel1_oracle(self, z):
-        assert abs(hankel1(z) - mp_hankel(1, z)) < 1e-10
