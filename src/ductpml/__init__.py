@@ -6,7 +6,7 @@ Subpackages:
     greens   semi-analytic kernel representations and solution oracles
     noise    discretized spatial white noise on a nested mesh
     pml      absorption profile, layer modes, Robin coefficients, bounds
-    solver   per-mode 1D finite-element solves and field assembly
+    solver   per-mode hat loads, 1D finite-element solves, field assembly
     harness  Monte Carlo convergence studies and rate fitting
     cli      configuration parsing, subcommands, CSV emission
 """
@@ -41,11 +41,10 @@ from .noise import (
     build_mesh,
     coarsen,
     evaluate_wh,
-    modal_source_coefficients,
     sample,
 )
 from .pml import PmlProfile
-from .solver import Grid1D, ModalSolution, solve_full
+from .solver import Grid1D, ModalSolution, modal_loads, solve_full
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -41,8 +41,13 @@ from .duct import (
     default_n_modes,
     mode_shape,
 )
-from .errors import DomainError, RepresentationError, SingularityError
-from .noise import NoiseRealization, modal_source_coefficients, transverse_cell_integrals
+from .errors import ConfigError, DomainError, RepresentationError, SingularityError
+from .noise import (
+    ModalFunctionSource,
+    ModeBoxSource,
+    NoiseRealization,
+    transverse_cell_integrals,
+)
 from .specfun import hankel0
 
 
@@ -250,57 +255,45 @@ def greens_value(x, y, params: GreensEvalParams, cfg: DuctConfig):
 def deterministic_solution(source, x, params: GreensEvalParams, cfg: DuctConfig) -> complex:
     """Convolution of the kernel with a deterministic modal source at point x.
 
-    Adaptive quadrature (absolute target 1e-8) of g_n against each axial
-    part, split at the kernel kink x1 = y1; summed over excited modes.
+    ``source`` is a ModeBoxSource, a ModalFunctionSource or a list of them;
+    sources outside modes 0 .. n_modes-1 are dropped.  Each is integrated against
+    g_n by adaptive quadrature (absolute target 1e-8), split at the kernel
+    kink x1 = y1, independently of the finite-element loads.
     """
     _, n_modes, _ = params.resolve(cfg)
     total = 0.0j
-    for n in range(n_modes):
-        parts = modal_source_coefficients(source, n, cfg)
-        if not parts:
+    for src in source if isinstance(source, (list, tuple)) else [source]:
+        if isinstance(src, ModeBoxSource):
+            fn = lambda y1, a=src.amplitude: a  # noqa: E731
+        elif isinstance(src, ModalFunctionSource):
+            fn = src.fn
+        else:
+            raise ConfigError(f"unsupported deterministic source {type(src).__name__}")
+        n = src.mode
+        if not 0 <= n < n_modes:
             continue
+        lo, hi = src.x_lo, src.x_hi
+        pieces = sorted({lo, hi} | ({x[0]} if lo < x[0] < hi else set()))
         mode_val = 0.0j
-        for part in parts:
-            lo, hi, fn = _part_bounds(part)
-            pieces = sorted({lo, hi} | ({x[0]} if lo < x[0] < hi else set()))
-            for a, b in zip(pieces[:-1], pieces[1:]):
-                val, err = quad(
-                    lambda y1: mode_green_1d(n, x[0], y1, cfg) * fn(y1),
-                    a,
-                    b,
-                    epsabs=1e-8,
-                    epsrel=1e-10,
-                    limit=200,
-                    complex_func=True,
+        for a, b in zip(pieces[:-1], pieces[1:]):
+            val, err = quad(
+                lambda y1: mode_green_1d(n, x[0], y1, cfg) * fn(y1),
+                a,
+                b,
+                epsabs=1e-8,
+                epsrel=1e-10,
+                limit=200,
+                complex_func=True,
+            )
+            if abs(err) > 1e-6:
+                warnings.warn(
+                    f"convolution quadrature for mode {n} reached only "
+                    f"{abs(err):.2e} estimated accuracy",
+                    stacklevel=2,
                 )
-                if abs(err) > 1e-6:
-                    warnings.warn(
-                        f"convolution quadrature for mode {n} reached only "
-                        f"{abs(err):.2e} estimated accuracy",
-                        stacklevel=2,
-                    )
-                mode_val += val
+            mode_val += val
         total += mode_shape(n, x[1], cfg.d) * mode_val
     return total
-
-
-def _part_bounds(part):
-    from .noise import PiecewiseConstantAxial, SmoothAxial
-
-    if isinstance(part, PiecewiseConstantAxial):
-        breaks = np.asarray(part.breaks, dtype=float)
-        vals = np.asarray(part.values)
-
-        def fn(y1, breaks=breaks, vals=vals):
-            j = np.searchsorted(breaks, y1, side="right") - 1
-            if j < 0 or j >= vals.size:
-                return 0.0
-            return vals[j]
-
-        return float(breaks[0]), float(breaks[-1]), fn
-    if isinstance(part, SmoothAxial):
-        return part.x_lo, part.x_hi, part.fn
-    raise DomainError(f"unsupported axial part {type(part).__name__}")
 
 
 def _exp_cell_integrals(beta: np.ndarray, lo, hi, x1: float) -> np.ndarray:

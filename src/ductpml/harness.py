@@ -32,16 +32,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .duct import DuctConfig, cutoff_numbers, default_n_modes
-from .errors import ConfigError, GridMismatchError, InsufficientDataError, StudyError
+from .errors import ConfigError, GridMismatchError, InsufficientDataError
 from .noise import (
     ModeBoxSource,
     NoiseMesh,
-    modal_source_coefficients,
     realization_levels,
     sample,
     transverse_cell_integrals,
@@ -57,10 +56,11 @@ from .solver import (
     PML_FULL,
     PML_REDUCED,
     Grid1D,
-    _load_vector,
     _solve_tridiag,
     default_delta,
+    l2_error,
     l2_norm_omega_b,
+    modal_loads,
     mode_matrix,
     omega_b_grid,
     omega_full_grid,
@@ -104,20 +104,6 @@ class TotalErrorResult:
     error_stderr: np.ndarray
     n_samples: int
     base_seed: int
-
-
-def mc_estimate(estimator: Callable[[int], float], n_samples: int, base_seed: int):
-    """(mean, standard error) of estimator(seed) over consecutive seeds."""
-    if n_samples < 2:
-        raise ConfigError("mc_estimate needs n_samples >= 2")
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        seed = base_seed + i
-        try:
-            vals[i] = float(estimator(seed))
-        except Exception as exc:  # noqa: BLE001 - reported with the failing seed
-            raise StudyError(f"estimator failed at seed {seed}: {exc}") from exc
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n_samples))
 
 
 def fit_rate(abscissae, values, std_errors=None, transform: str = "loglog"):
@@ -374,18 +360,9 @@ def run_L_study(
     bound_flags = []
     for L in l_values:
         cfg_l = replace(cfg, L=float(L))
-        profile = PmlProfile(
-            sigma_plus=sigma_plus,
-            sigma_minus=sigma_minus,
-            x_plus=cfg.x_plus,
-            x_minus=cfg.x_minus,
-            L=float(L),
-        )
+        profile = PmlProfile.quadratic(cfg_l, sigma_plus, sigma_minus)
         red_sol = solve_full(cfg_l, source, PML_REDUCED, grid, n_modes, profile)
-        diff = np.abs(red_sol.values - dtn_sol.values) ** 2
-        errors.append(
-            math.sqrt(float(np.sum(np.trapezoid(diff, dx=grid.delta, axis=1))))
-        )
+        errors.append(l2_error(red_sol, dtn_sol))
         abscissae.append(sigma_tilde_integral(profile, "+", float(L), cfg.omega))
         _, n0 = cutoff_numbers(cfg_l)
         bound_flags.append(dtn_gap_bound(n0 + 1, "+", profile, cfg_l).applicable)
@@ -505,24 +482,16 @@ def run_total_error_study(
     if source is None:
         source = default_l_study_source(cfg)
     st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
-    profiles = [
-        PmlProfile(
-            sigma_plus=sigma_plus,
-            sigma_minus=sigma_plus,
-            x_plus=cfg.x_plus,
-            x_minus=cfg.x_minus,
-            L=float(L),
-        )
-        for L in l_values
-    ]
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
+    profiles = [PmlProfile.quadratic(cfg_l, sigma_plus) for cfg_l in cfgs_l]
+    det = modal_loads(source, cfg, st.grid, st.n_modes)
 
     n_used = len(st.used)
     h_cols = n_used * n_samples  # the used levels' columns; the rest is the reference
 
     def mode_err2(n: int) -> np.ndarray:
         rhs = st.noise_rhs(n)
-        rhs += _load_vector(modal_source_coefficients(source, n, cfg), st.grid)[:, None]
+        rhs += det[n][:, None]
         ref = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), rhs[:, h_cols:])
         out = np.empty((n_samples, n_used, len(profiles)))
         for j_l, (prof, cfg_l) in enumerate(zip(profiles, cfgs_l)):

@@ -12,6 +12,10 @@ Sampling is counter-based: the draws for the subtree below each coarsest
 cell come from an independent Philox stream keyed by (seed, coarse cell
 index), laid out in Morton (bit-interleaved) order.  The result depends
 only on (seed, mesh) - never on evaluation order or thread count.
+
+The deterministic modal sources live here too.  A realization reaches the
+mode problems through ``noise_modal_matrix`` (its segment values for every
+mode at once); ``solver.modal_loads`` turns any source into hat loads.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def evaluate_wh(r: NoiseRealization, x):
 
 
 # ---------------------------------------------------------------------------
-# Sources and their per-mode axial reductions
+# Sources and the transverse projection of the noise
 # ---------------------------------------------------------------------------
 
 
@@ -238,27 +242,6 @@ class ModalFunctionSource:
     """Deterministic source fn(x1) * phi_mode(x2) with fn supported in [x_lo, x_hi]."""
 
     mode: int
-    fn: Callable
-    x_lo: float
-    x_hi: float
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantAxial:
-    """Axial profile constant on [breaks[j], breaks[j+1]); exact hat-function loads."""
-
-    breaks: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.breaks) != len(self.values) + 1:
-            raise ConfigError("piecewise-constant profile needs len(breaks) = len(values)+1")
-
-
-@dataclass(frozen=True)
-class SmoothAxial:
-    """Axial profile given by a callable on its support [x_lo, x_hi]."""
-
     fn: Callable
     x_lo: float
     x_hi: float
@@ -292,38 +275,3 @@ def noise_modal_matrix(r: NoiseRealization, n_modes: int, cfg: DuctConfig):
     amp = 1.0 / math.sqrt(r.mesh.cell_area(r.level))
     values = (r.xi * amp) @ t.T  # (n1, n_modes)
     return x1_edges, values.T.copy()
-
-
-def modal_source_coefficients(source, n: int, cfg: DuctConfig):
-    """Axial coefficient profile f_n(x1) of one transverse mode.
-
-    ``source`` may be a NoiseRealization, a ModeBoxSource, a
-    ModalFunctionSource, an axial part (PiecewiseConstantAxial or
-    SmoothAxial, passed through unchanged), or a sequence of these; the
-    result is a list of axial profile parts (possibly empty when the mode is
-    not excited).
-    """
-    if isinstance(source, (PiecewiseConstantAxial, SmoothAxial)):
-        return [source]
-    if isinstance(source, (list, tuple)):
-        parts = []
-        for s in source:
-            parts.extend(modal_source_coefficients(s, n, cfg))
-        return parts
-    if isinstance(source, NoiseRealization):
-        breaks, values = noise_modal_matrix(source, n + 1, cfg)
-        return [PiecewiseConstantAxial(breaks=breaks, values=values[n])]
-    if isinstance(source, ModeBoxSource):
-        if source.mode != n:
-            return []
-        return [
-            PiecewiseConstantAxial(
-                breaks=np.array([source.x_lo, source.x_hi]),
-                values=np.array([source.amplitude], dtype=complex),
-            )
-        ]
-    if isinstance(source, ModalFunctionSource):
-        if source.mode != n:
-            return []
-        return [SmoothAxial(fn=source.fn, x_lo=source.x_lo, x_hi=source.x_hi)]
-    raise ConfigError(f"unsupported source type {type(source).__name__}")

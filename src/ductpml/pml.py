@@ -245,11 +245,31 @@ def psi_mode_derivative(n: int, x1, side: str, profile: PmlProfile, cfg: DuctCon
     return dp, dm
 
 
-def _q_factor(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> complex:
-    """q = exp(i (beta_plus - beta_minus) * stretch_integral); |q| <= 1."""
+def _layer_mode(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """(beta_plus, beta_minus, stretch integral, q) of mode n on one side.
+
+    q = exp(i (beta_plus - beta_minus) * stretch_integral); |q| <= 1.  The
+    roots are computed once here for every layer quantity of the mode.
+    """
+    _check_side(side)
     bp, bm = axial_wavenumbers64(n, cfg)
     stretch = stretch_integral(profile, side, profile.L, cfg.omega)
-    return cmath.exp(1j * (bp - bm) * stretch)
+    return bp, bm, stretch, cmath.exp(1j * (bp - bm) * stretch)
+
+
+def _q_factor(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """(beta_plus, beta_minus, q, 1 - q) of mode n on one side.
+
+    Raises DegenerateLayerError when the interpolation denominator 1 - q
+    vanishes numerically.
+    """
+    bp, bm, _, q = _layer_mode(n, side, profile, cfg)
+    den = 1.0 - q
+    if abs(den) < 1e-14:
+        raise DegenerateLayerError(
+            f"layer denominator |1-q|={abs(den):.3e} for mode n={n}, side {side!r}"
+        )
+    return bp, bm, q, den
 
 
 def modal_amplitudes(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
@@ -261,13 +281,7 @@ def modal_amplitudes(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
     leftward.  Raises DegenerateLayerError when the interpolation
     denominator vanishes numerically.
     """
-    _check_side(side)
-    q = _q_factor(n, side, profile, cfg)
-    den = 1.0 - q
-    if abs(den) < 1e-14:
-        raise DegenerateLayerError(
-            f"layer denominator |1-q|={abs(den):.3e} for mode n={n}, side {side!r}"
-        )
+    _, _, q, den = _q_factor(n, side, profile, cfg)
     if side == "+":
         return 1.0 / den, -q / den
     return -q / den, 1.0 / den
@@ -282,14 +296,7 @@ def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> 
     which tests verify to 1e-12.  As the absorbed mass grows, q -> 0 and
     nu -> beta exponentially.
     """
-    _check_side(side)
-    bp, bm = axial_wavenumbers64(n, cfg)
-    q = _q_factor(n, side, profile, cfg)
-    den = 1.0 - q
-    if abs(den) < 1e-14:
-        raise DegenerateLayerError(
-            f"layer denominator |1-q|={abs(den):.3e} for mode n={n}, side {side!r}"
-        )
+    bp, bm, q, den = _q_factor(n, side, profile, cfg)
     delta = bp - bm
     if side == "+":
         return bp + delta * q / den
@@ -329,15 +336,12 @@ def dtn_gap_bound(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> Ga
     ones.  The bound applies once E >= ln 2; values below e^{-700} are
     reported as 0 with the underflow flag set.
     """
-    _check_side(side)
-    bp, bm = axial_wavenumbers64(n, cfg)
+    bp, bm, stretch, q = _layer_mode(n, side, profile, cfg)  # |q| = e^{-exponent}
     delta = bp - bm
-    stretch = stretch_integral(profile, side, profile.L, cfg.omega)
     exponent = (delta * stretch).imag
     applicable = exponent >= GAP_BOUND_MIN_EXPONENT
     if exponent > UNDERFLOW_EXPONENT:
         return GapBound(0.0, 0.0, applicable, True, exponent)
-    q = cmath.exp(1j * delta * stretch)  # |q| = e^{-exponent}
     den = abs(1.0 - q)
     if den < 1e-300:
         raise DegenerateLayerError(f"degenerate layer for mode n={n}, side {side!r}")

@@ -19,8 +19,11 @@ convection term assembled from the weak form, alpha-weighted terms by
 2-point Gauss per element, and a direct banded (tridiagonal) solve.
 
 ``mode_matrix`` is the one place that builds a mode operator for any of
-the three closures; ``solve_mode``, ``solve_full``, ``condition_estimate``
-and the Monte Carlo studies in ``harness`` all go through it.
+the three closures, and ``modal_loads`` the one place that turns a source
+(noise realization, modal box or function source, or a list of them) into
+every mode's hat loads; ``solve_mode``, ``solve_full``,
+``condition_estimate`` and the Monte Carlo studies in ``harness`` all go
+through them.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from .duct import (
 )
 from .errors import ConfigError, DomainError, GridMismatchError
 from .noise import (
+    ModalFunctionSource,
+    ModeBoxSource,
     NoiseRealization,
-    PiecewiseConstantAxial,
-    SmoothAxial,
-    modal_source_coefficients,
     noise_modal_matrix,
 )
 
@@ -164,52 +166,74 @@ def piecewise_load_matrix(grid: Grid1D, breaks: np.ndarray) -> np.ndarray:
 
     Column j holds the exact integrals of every hat function against the
     indicator of segment j; multiplying by segment values gives the load
-    vector.  Segments are clipped to the grid.
+    vector.  Segments are clipped to the grid.  Every (segment, cell)
+    overlap is one entry of flat arrays, so there is no Python loop.
     """
+    b = np.asarray(breaks, dtype=float)
     nodes = grid.nodes()
     dx = grid.delta
-    out = np.zeros((grid.n_nodes, len(breaks) - 1))
-    for j in range(len(breaks) - 1):
-        s = max(float(breaks[j]), grid.x_start)
-        e = min(float(breaks[j + 1]), grid.x_end)
-        if e <= s:
-            continue
-        ie_lo = min(max(int((s - grid.x_start) / dx), 0), grid.n_cells - 1)
-        ie_hi = min(max(int(math.ceil((e - grid.x_start) / dx)) - 1, ie_lo), grid.n_cells - 1)
-        for ei in range(ie_lo, ie_hi + 1):
-            lo = max(s, nodes[ei])
-            hi = min(e, nodes[ei + 1])
-            if hi <= lo:
-                continue
-            width = hi - lo
-            out[ei, j] += width * ((nodes[ei + 1] - lo) + (nodes[ei + 1] - hi)) / (2.0 * dx)
-            out[ei + 1, j] += width * ((lo - nodes[ei]) + (hi - nodes[ei])) / (2.0 * dx)
+    last = grid.n_cells - 1
+    s = np.maximum(b[:-1], grid.x_start)
+    e = np.minimum(b[1:], grid.x_end)
+    seg = np.flatnonzero(e > s)
+    ie_lo = np.clip(((s[seg] - grid.x_start) / dx).astype(int), 0, last)
+    ie_hi = np.ceil((e[seg] - grid.x_start) / dx).astype(int) - 1
+    ie_hi = np.minimum(np.maximum(ie_hi, ie_lo), last)
+    counts = ie_hi - ie_lo + 1
+    col = np.repeat(seg, counts)  # one entry per (segment, overlapped cell)
+    cell = np.repeat(ie_lo - np.cumsum(counts) + counts, counts) + np.arange(col.size)
+    lo = np.maximum(s[col], nodes[cell])
+    hi = np.minimum(e[col], nodes[cell + 1])
+    width = np.where(hi > lo, hi - lo, 0.0)
+    out = np.zeros((grid.n_nodes, b.size - 1))
+    out[cell, col] += width * ((nodes[cell + 1] - lo) + (nodes[cell + 1] - hi)) / (2.0 * dx)
+    out[cell + 1, col] += width * ((lo - nodes[cell]) + (hi - nodes[cell])) / (2.0 * dx)
     return out
 
 
-def _load_vector(parts, grid: Grid1D) -> np.ndarray:
-    """Right-hand side integrals of f_n against the hat basis."""
-    load = np.zeros(grid.n_nodes, dtype=complex)
-    nodes = grid.nodes()
+def _function_loads(src: ModalFunctionSource, grid: Grid1D) -> np.ndarray:
+    """Hat loads of fn by 4-point Gauss on the cells around its support."""
     dx = grid.delta
-    for part in parts:
-        if isinstance(part, PiecewiseConstantAxial):
-            load += piecewise_load_matrix(grid, part.breaks) @ np.asarray(
-                part.values, dtype=complex
-            )
-        elif isinstance(part, SmoothAxial):
-            lo_cell = max(int((part.x_lo - grid.x_start) / dx) - 1, 0)
-            hi_cell = min(int((part.x_hi - grid.x_start) / dx) + 1, grid.n_cells - 1)
-            for ei in range(lo_cell, hi_cell + 1):
-                xa, xb = nodes[ei], nodes[ei + 1]
-                xg = 0.5 * (xa + xb) + 0.5 * dx * GAUSS4_NODES
-                wg = 0.5 * dx * GAUSS4_WEIGHTS
-                fg = np.asarray([part.fn(x) for x in xg], dtype=complex)
-                load[ei] += np.sum(wg * fg * (xb - xg) / dx)
-                load[ei + 1] += np.sum(wg * fg * (xg - xa) / dx)
+    nodes = grid.nodes()
+    lo_cell = max(int((src.x_lo - grid.x_start) / dx) - 1, 0)
+    hi_cell = min(int((src.x_hi - grid.x_start) / dx) + 1, grid.n_cells - 1)
+    cells = np.arange(lo_cell, hi_cell + 1)
+    xa, xb = nodes[cells, None], nodes[cells + 1, None]
+    xg = 0.5 * (xa + xb) + 0.5 * dx * GAUSS4_NODES
+    wg = 0.5 * dx * GAUSS4_WEIGHTS
+    fg = np.asarray([src.fn(x) for x in xg.ravel()], dtype=complex).reshape(xg.shape)
+    row = np.zeros(grid.n_nodes, dtype=complex)
+    row[cells] += np.sum(wg * fg * (xb - xg) / dx, axis=1)
+    row[cells + 1] += np.sum(wg * fg * (xg - xa) / dx, axis=1)
+    return row
+
+
+def modal_loads(source, cfg: DuctConfig, grid: Grid1D, n_modes: int) -> np.ndarray:
+    """Hat loads of modes 0 .. n_modes-1 driven by ``source``, (n_modes, n_nodes).
+
+    ``source`` is a NoiseRealization (all modes from one transverse
+    projection and one matmul), a ModeBoxSource or ModalFunctionSource
+    (its one row; a mode outside 0 .. n_modes-1 is ignored), or a list or tuple of
+    these (the sum of its members).
+    """
+    if isinstance(source, (list, tuple)):
+        out = np.zeros((n_modes, grid.n_nodes), dtype=complex)
+        for s in source:
+            out += modal_loads(s, cfg, grid, n_modes)
+        return out
+    if isinstance(source, NoiseRealization):
+        breaks, vals = noise_modal_matrix(source, n_modes, cfg)
+        return (vals @ piecewise_load_matrix(grid, breaks).T).astype(complex)
+    if not isinstance(source, (ModeBoxSource, ModalFunctionSource)):
+        raise ConfigError(f"unsupported source type {type(source).__name__}")
+    out = np.zeros((n_modes, grid.n_nodes), dtype=complex)
+    if 0 <= source.mode < n_modes:
+        if isinstance(source, ModeBoxSource):
+            column = piecewise_load_matrix(grid, np.array([source.x_lo, source.x_hi]))
+            out[source.mode] = source.amplitude * column[:, 0]
         else:
-            raise ConfigError(f"unsupported axial profile {type(part).__name__}")
-    return load
+            out[source.mode] = _function_loads(source, grid)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +395,10 @@ def solve_mode(
 ) -> np.ndarray:
     """Nodal values of mode n driven by ``source`` under the given closure.
 
-    ``source`` is anything ``modal_source_coefficients`` accepts, including
-    axial parts and lists of them.
+    ``source`` is anything ``modal_loads`` accepts.
     """
     matrix = mode_matrix(n, cfg, grid, formulation, profile)
-    load = _load_vector(modal_source_coefficients(source, n, cfg), grid)
-    return _solve_system(matrix, load, formulation)
+    return _solve_system(matrix, modal_loads(source, cfg, grid, n + 1)[n], formulation)
 
 
 # ---------------------------------------------------------------------------
@@ -394,26 +416,16 @@ def solve_full(
 ) -> ModalSolution:
     """Solve every mode 0 .. n_modes-1 for the combined source.
 
-    ``source`` may mix deterministic parts and noise realizations (list).
-    Each realization's segment-to-hat load matrix is built once for all
-    modes.
+    ``source`` is anything ``modal_loads`` accepts; every mode's load
+    comes from its one call.
     """
     if n_modes is None:
         n_modes = default_n_modes(cfg)
-    sources = source if isinstance(source, (list, tuple)) else [source]
-    noise_loads = []
-    for s in sources:
-        if isinstance(s, NoiseRealization):
-            breaks, vals = noise_modal_matrix(s, n_modes, cfg)
-            noise_loads.append((piecewise_load_matrix(grid, breaks), vals))
-    det_sources = [s for s in sources if not isinstance(s, NoiseRealization)]
+    loads = modal_loads(source, cfg, grid, n_modes)
     values = np.empty((n_modes, grid.n_nodes), dtype=complex)
     for n in range(n_modes):
         matrix = mode_matrix(n, cfg, grid, formulation, profile)
-        load = _load_vector(modal_source_coefficients(det_sources, n, cfg), grid)
-        for loadmap, vals in noise_loads:
-            load += loadmap @ np.asarray(vals[n], dtype=complex)
-        values[n] = _solve_system(matrix, load, formulation)
+        values[n] = _solve_system(matrix, loads[n], formulation)
     return ModalSolution(grid=grid, values=values, formulation=formulation)
 
 

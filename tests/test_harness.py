@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from ductpml import DuctConfig
-from ductpml.errors import ConfigError, GridMismatchError, InsufficientDataError, StudyError
+from ductpml.errors import ConfigError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
     default_forcing_rect,
     default_l_study_source,
     fit_rate,
-    mc_estimate,
     run_equivalence_check,
     run_h_study,
     run_L_study,
@@ -18,8 +17,6 @@ from ductpml.harness import (
 from ductpml.noise import (
     ModeBoxSource,
     NoiseMesh,
-    build_mesh,
-    modal_source_coefficients,
     realization_levels,
     sample,
 )
@@ -27,9 +24,9 @@ from ductpml.pml import PmlProfile, theoretical_decay_constant
 from ductpml.solver import (
     DTN,
     PML_REDUCED,
-    _load_vector,
     _solve_tridiag,
     default_delta,
+    modal_loads,
     mode_matrix,
     omega_b_grid,
 )
@@ -37,66 +34,6 @@ from ductpml.solver import (
 
 def make_cfg(L=1.0):
     return DuctConfig(d=1.0, M=0.3, k=5.0, x_minus=-1.0, x_plus=1.0, L=L)
-
-
-class TestMcEstimate:
-    def test_constant_estimator(self):
-        mean, se = mc_estimate(lambda seed: 4.5, 16, 0)
-        assert mean == 4.5
-        assert se == 0.0
-
-    def test_chi_square_moments(self):
-        mesh = build_mesh((0.0, 1.0, 0.0, 1.0), 2.0, levels=1)
-
-        def estimator(seed):
-            return float(sample(mesh, seed).xi[0, 0] ** 2)
-
-        n = 400
-        mean, se = mc_estimate(estimator, n, 100)
-        assert abs(mean - 1.0) < 3.0 * math.sqrt(2.0 / n)
-
-    def test_reproducible(self):
-        mesh = build_mesh((0.0, 1.0, 0.0, 1.0), 2.0, levels=1)
-
-        def estimator(seed):
-            return float(sample(mesh, seed).xi[0, 0])
-
-        a = mc_estimate(estimator, 32, 7)
-        b = mc_estimate(estimator, 32, 7)
-        assert a == b
-
-    def test_failing_seed_reported(self):
-        def estimator(seed):
-            if seed == 13:
-                raise ValueError("boom")
-            return 1.0
-
-        with pytest.raises(StudyError, match="seed 13"):
-            mc_estimate(estimator, 20, 0)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ConfigError):
-            mc_estimate(lambda s: 1.0, 1, 0)
-
-    def test_stderr_scaling(self):
-        mesh = build_mesh((0.0, 1.0, 0.0, 1.0), 2.0, levels=1)
-
-        def estimator(seed):
-            return float(sample(mesh, seed).xi[0, 0])
-
-        _, se1 = mc_estimate(estimator, 400, 0)
-        _, se2 = mc_estimate(estimator, 800, 0)
-        assert se2 / se1 == pytest.approx(1.0 / math.sqrt(2.0), rel=0.15)
-
-    def test_disjoint_seed_ranges_consistent(self):
-        mesh = build_mesh((0.0, 1.0, 0.0, 1.0), 2.0, levels=1)
-
-        def estimator(seed):
-            return float(sample(mesh, seed).xi[0, 0] ** 2)
-
-        m1, s1 = mc_estimate(estimator, 300, 0)
-        m2, s2 = mc_estimate(estimator, 300, 10_000)
-        assert abs(m1 - m2) < 3.0 * math.hypot(s1, s2)
 
 
 class TestFitRate:
@@ -315,9 +252,9 @@ class TestBatchedNoiseSolves:
         for i in range(self.N_SAMPLES):
             levels = realization_levels(sample(mesh, self.SEED + i))
             for lv in loads:
+                rows = modal_loads(levels[lv], cfg, grid, self.N_MODES)
                 for n in range(self.N_MODES):
-                    parts = modal_source_coefficients(levels[lv], n, cfg)
-                    loads[lv][n].append(_load_vector(parts, grid))
+                    loads[lv][n].append(rows[n])
         return {lv: [np.stack(c, axis=1) for c in per_n] for lv, per_n in loads.items()}
 
     def assert_study_matches(self, run, err2):
@@ -354,8 +291,9 @@ class TestBatchedNoiseSolves:
         grid = omega_b_grid(cfg, default_delta(cfg))
         loads = self.per_level_loads(cfg, grid)
         err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
+        det_rows = modal_loads(source, cfg, grid, self.N_MODES)
         for n in range(self.N_MODES):
-            det = _load_vector(modal_source_coefficients(source, n, cfg), grid)[:, None]
+            det = det_rows[n][:, None]
             ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
             for j_l, L in enumerate(l_values):
                 prof = PmlProfile(sigma_plus=5.0, sigma_minus=5.0,

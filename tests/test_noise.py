@@ -10,16 +10,15 @@ from ductpml.noise import (
     ModeBoxSource,
     NoiseMesh,
     NoiseRealization,
-    PiecewiseConstantAxial,
     build_mesh,
     coarsen,
     evaluate_wh,
-    modal_source_coefficients,
     noise_modal_matrix,
     realization_levels,
     sample,
     transverse_cell_integrals,
 )
+from ductpml.solver import Grid1D, modal_loads
 
 RECT = (-0.5, 0.5, 0.25, 0.75)
 
@@ -237,34 +236,37 @@ class TestModalCoefficients:
     def cfg(self):
         return DuctConfig(d=1.0, M=0.3, k=5.0, x_minus=-1.0, x_plus=1.0, L=1.0)
 
+    def grid(self):
+        return Grid1D(-1.0, 1.0, 32)
+
     def test_box_source_excites_single_mode(self):
         cfg = self.cfg()
         src = ModeBoxSource(mode=2, x_lo=-0.2, x_hi=0.2, amplitude=3.0)
-        parts2 = modal_source_coefficients(src, 2, cfg)
-        assert len(parts2) == 1 and parts2[0].values[0] == 3.0
-        assert modal_source_coefficients(src, 0, cfg) == []
-        assert modal_source_coefficients(src, 3, cfg) == []
+        loads = modal_loads(src, cfg, self.grid(), 4)
+        assert np.sum(loads[2]).real == pytest.approx(3.0 * 0.4)
+        assert not np.any(loads[[0, 1, 3]])
 
     def test_noise_full_height_cell_mode0(self):
         cfg = self.cfg()
         mesh = NoiseMesh(rect=(-0.2, 0.2, 0.0, 1.0), levels=1, base_shape=(2, 1))
         xi = np.array([[1.5], [-0.5]])
         r = NoiseRealization(mesh=mesh, level=0, xi=xi, seed=0)
-        [part] = modal_source_coefficients(r, 0, cfg)
+        breaks, values = noise_modal_matrix(r, 1, cfg)
         area = mesh.cell_area(0)
         # transverse integral of phi_0 over [0, d] is sqrt(d) = 1
-        assert part.values[0] == pytest.approx(1.5 / math.sqrt(area))
-        assert part.values[1] == pytest.approx(-0.5 / math.sqrt(area))
+        np.testing.assert_allclose(breaks, [-0.2, 0.0, 0.2])
+        assert values[0, 0] == pytest.approx(1.5 / math.sqrt(area))
+        assert values[0, 1] == pytest.approx(-0.5 / math.sqrt(area))
 
     def test_noise_half_height_cell_mode1(self):
         cfg = self.cfg()
         mesh = NoiseMesh(rect=(-0.2, 0.2, 0.0, 0.5), levels=1, base_shape=(1, 1))
         xi = np.array([[2.0]])
         r = NoiseRealization(mesh=mesh, level=0, xi=xi, seed=0)
-        [part] = modal_source_coefficients(r, 1, cfg)
+        _, values = noise_modal_matrix(r, 2, cfg)
         expect = math.sqrt(2.0) * (1.0 / math.pi) * math.sin(math.pi / 2.0)
         area = mesh.cell_area(0)
-        assert part.values[0] == pytest.approx(2.0 / math.sqrt(area) * expect)
+        assert values[1, 0] == pytest.approx(2.0 / math.sqrt(area) * expect)
 
     def test_transverse_integrals_match_quadrature(self):
         cfg = self.cfg()
@@ -283,28 +285,31 @@ class TestModalCoefficients:
         assert np.array_equal(transverse_cell_integrals(edges, 6, cfg.d, 2), t[2:])
 
     def test_modal_matrix_consistent_with_per_mode(self):
+        # the rows of the all-modes matrix do not depend on how many modes
+        # are requested
         cfg = self.cfg()
         mesh = build_mesh((-0.4, 0.4, 0.2, 0.8), 0.2, levels=2)
         r = sample(mesh, 3)
         breaks, values = noise_modal_matrix(r, 5, cfg)
         for n in range(5):
-            [part] = modal_source_coefficients(r, n, cfg)
-            assert np.array_equal(part.breaks, breaks)
-            np.testing.assert_allclose(part.values, values[n], rtol=1e-13)
+            breaks_n, values_n = noise_modal_matrix(r, n + 1, cfg)
+            assert np.array_equal(breaks_n, breaks)
+            np.testing.assert_allclose(values_n[n], values[n], rtol=1e-13)
 
     def test_function_source_passthrough(self):
         cfg = self.cfg()
-        src = ModalFunctionSource(mode=1, fn=lambda x: x * x, x_lo=-0.5, x_hi=0.5)
-        [part] = modal_source_coefficients(src, 1, cfg)
-        assert part.fn(0.3) == pytest.approx(0.09)
+        src = ModalFunctionSource(
+            mode=1, fn=lambda x: x * x if abs(x) <= 0.5 else 0.0, x_lo=-0.5, x_hi=0.5
+        )
+        loads = modal_loads(src, cfg, self.grid(), 2)
+        # hats partition unity: the row sums to the integral of fn
+        assert np.sum(loads[1]).real == pytest.approx(1.0 / 12.0, rel=1e-12)
+        assert not np.any(loads[0])
 
     def test_mixed_source_list(self):
         cfg = self.cfg()
         mesh = build_mesh((-0.4, 0.4, 0.2, 0.8), 0.3, levels=1)
-        src = [ModeBoxSource(mode=1, x_lo=-0.1, x_hi=0.1), sample(mesh, 0)]
-        parts = modal_source_coefficients(src, 1, cfg)
-        assert len(parts) == 2
-
-    def test_piecewise_validation(self):
-        with pytest.raises(ConfigError):
-            PiecewiseConstantAxial(breaks=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))
+        box, noise = ModeBoxSource(mode=1, x_lo=-0.1, x_hi=0.1), sample(mesh, 0)
+        both = modal_loads([box, noise], cfg, self.grid(), 2)
+        parts = modal_loads(box, cfg, self.grid(), 2) + modal_loads(noise, cfg, self.grid(), 2)
+        np.testing.assert_allclose(both, parts, rtol=1e-15)

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ductpml import DuctConfig
 from ductpml.duct import axial_wavenumbers64, cutoff_numbers, mode_shape
 from ductpml.errors import ConfigError, GridMismatchError
 from ductpml.greens import _betas_block, _exp_cell_integrals
-from ductpml.noise import ModalFunctionSource, ModeBoxSource, build_mesh
+from ductpml.noise import (
+    ModalFunctionSource,
+    ModeBoxSource,
+    build_mesh,
+    noise_modal_matrix,
+    sample,
+)
 from ductpml.pml import PmlProfile
 from ductpml.solver import (
     Grid1D,
@@ -17,6 +25,7 @@ from ductpml.solver import (
     default_delta,
     l2_error,
     l2_norm_omega_b,
+    modal_loads,
     omega_b_grid,
     omega_full_grid,
     piecewise_load_matrix,
@@ -153,6 +162,118 @@ class TestLoads:
         mat = piecewise_load_matrix(grid, np.array([-2.0, 0.0]))
         assert mat.sum(axis=0)[0] == pytest.approx(1.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x_start=st.floats(-2.0, 1.0),
+        length=st.floats(0.25, 4.0),
+        n_cells=st.integers(8, 1280),
+        data=st.data(),
+    )
+    def test_matches_the_double_loop(self, x_start, length, n_cells, data):
+        grid = Grid1D(x_start, x_start + length, n_cells)
+        nodes = grid.nodes()
+        on_node = st.integers(0, n_cells).map(lambda i: nodes[i])
+        sub_cell = st.tuples(st.integers(0, n_cells - 1), st.floats(0.0, 1.0)).map(
+            lambda t: nodes[t[0]] + t[1] * grid.delta
+        )
+        anywhere = st.floats(x_start - length, x_start + 2.0 * length)
+        breaks = np.sort(
+            data.draw(st.lists(st.one_of(on_node, sub_cell, anywhere), min_size=2, max_size=40))
+        )
+        got = piecewise_load_matrix(grid, breaks)
+        want = loop_load_matrix(grid, breaks)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def loop_load_matrix(grid, breaks):
+    """Segment-to-hat matrix by a double loop over segments and cells."""
+    nodes = grid.nodes()
+    dx = grid.delta
+    out = np.zeros((grid.n_nodes, len(breaks) - 1))
+    for j in range(len(breaks) - 1):
+        s = max(float(breaks[j]), grid.x_start)
+        e = min(float(breaks[j + 1]), grid.x_end)
+        if e <= s:
+            continue
+        ie_lo = min(max(int((s - grid.x_start) / dx), 0), grid.n_cells - 1)
+        ie_hi = min(max(int(math.ceil((e - grid.x_start) / dx)) - 1, ie_lo), grid.n_cells - 1)
+        for ei in range(ie_lo, ie_hi + 1):
+            lo = max(s, nodes[ei])
+            hi = min(e, nodes[ei + 1])
+            if hi <= lo:
+                continue
+            width = hi - lo
+            out[ei, j] += width * ((nodes[ei + 1] - lo) + (nodes[ei + 1] - hi)) / (2.0 * dx)
+            out[ei + 1, j] += width * ((lo - nodes[ei]) + (hi - nodes[ei])) / (2.0 * dx)
+    return out
+
+
+class TestModalLoads:
+    def setup_method(self):
+        self.cfg = make_cfg()
+        self.grid = Grid1D(-1.0, 1.0, 64)
+
+    def test_box_source_fills_one_row(self):
+        box = ModeBoxSource(mode=2, x_lo=-0.3, x_hi=0.2, amplitude=3.0)
+        loads = modal_loads(box, self.cfg, self.grid, 5)
+        column = piecewise_load_matrix(self.grid, np.array([-0.3, 0.2]))[:, 0]
+        assert loads.shape == (5, self.grid.n_nodes)
+        assert np.array_equal(loads[2], 3.0 * column)
+        assert not np.any(np.delete(loads, 2, axis=0))
+        # a mode the requested block does not reach is ignored
+        assert not np.any(modal_loads(box, self.cfg, self.grid, 2))
+        assert not np.any(modal_loads(ModeBoxSource(-1, -0.3, 0.2), self.cfg, self.grid, 5))
+
+    def test_noise_rows_are_segment_loads(self):
+        r = sample(build_mesh((-0.5, 0.5, 0.25, 0.75), 0.1, 2), 3)
+        breaks, values = noise_modal_matrix(r, 6, self.cfg)
+        want = piecewise_load_matrix(self.grid, breaks) @ values.T
+        got = modal_loads(r, self.cfg, self.grid, 6)
+        np.testing.assert_allclose(got, want.T, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_cubic_function_matches_exact_hat_moments(self):
+        # 4-point Gauss is exact for a cubic times a hat when the support
+        # ends on nodes; fn must still be called one point at a time
+        poly = np.polynomial.Polynomial([1.0, 1.0, -2.0, 1.0])
+        x_lo, x_hi = -0.375, 0.25
+
+        def fn(x):
+            assert np.ndim(x) == 0
+            return poly(x) if x_lo <= x <= x_hi else 0.0
+
+        src = ModalFunctionSource(mode=1, fn=fn, x_lo=x_lo, x_hi=x_hi)
+        got = modal_loads(src, self.cfg, self.grid, 3)
+        nodes = self.grid.nodes()
+        dx = self.grid.delta
+        want = np.zeros(self.grid.n_nodes)
+        for i in range(self.grid.n_cells):
+            a, b = nodes[i], nodes[i + 1]
+            if a < x_lo - 1e-12 or b > x_hi + 1e-12:
+                continue
+            left = (poly * np.polynomial.Polynomial([b, -1.0]) / dx).integ()
+            right = (poly * np.polynomial.Polynomial([-a, 1.0]) / dx).integ()
+            want[i] += left(b) - left(a)
+            want[i + 1] += right(b) - right(a)
+        np.testing.assert_allclose(got[1], want, rtol=0, atol=1e-14)
+        assert not np.any(got[[0, 2]])
+
+    def test_list_is_the_sum_of_its_members(self):
+        members = [
+            ModeBoxSource(mode=1, x_lo=-0.1, x_hi=0.1),
+            sample(build_mesh((-0.4, 0.4, 0.2, 0.8), 0.3, 1), 0),
+            ModalFunctionSource(mode=1, fn=lambda x: math.cos(x), x_lo=-0.5, x_hi=0.5),
+        ]
+        want = sum(modal_loads(m, self.cfg, self.grid, 4) for m in members)
+        for src in (members, tuple(members)):
+            got = modal_loads(src, self.cfg, self.grid, 4)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("source", [object(), [ModeBoxSource(0, -0.1, 0.1), "box"]])
+    def test_unknown_type_rejected(self, source):
+        with pytest.raises(ConfigError, match="unsupported source"):
+            modal_loads(source, self.cfg, self.grid, 2)
+
 
 class TestModeSolves:
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
@@ -266,15 +387,14 @@ class TestModeSolves:
     def test_robin_sign_is_the_outgoing_one(self):
         # flipping the Robin coefficients to the incoming branch must ruin
         # the kernel-oracle agreement; guards the boundary-term sign
-        from ductpml.solver import _load_vector, _robin_matrix, _solve_tridiag
-        from ductpml.noise import modal_source_coefficients
+        from ductpml.solver import _robin_matrix, _solve_tridiag
 
         cfg = make_cfg()
         n = 0
         box = ModeBoxSource(mode=0, x_lo=-0.25, x_hi=0.25)
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 512)
         bp, bm = axial_wavenumbers64(n, cfg)
-        load = _load_vector(modal_source_coefficients(box, n, cfg), grid)
+        load = modal_loads(box, cfg, grid, 1)[n]
         good = _solve_tridiag(*_robin_matrix(n, cfg, grid, bp, bm), load)
         flipped = _solve_tridiag(*_robin_matrix(n, cfg, grid, bm, bp), load)
         exact = oracle_box_solution(n, cfg, grid)
@@ -293,8 +413,6 @@ class TestSolveFullAndFields:
         profile = PmlProfile.quadratic(cfg, 5.0)
         grid = grid_for(formulation, cfg, 1 / 32)
         mesh = build_mesh((-0.5, 0.5, 0.25, 0.75), 0.2, 2)
-        from ductpml.noise import sample
-
         src = [ModeBoxSource(mode=2, x_lo=-0.3, x_hi=0.2), sample(mesh, 5)]
         sol = solve_full(cfg, src, formulation, grid, 6, profile)
         for n in range(6):
