@@ -526,6 +526,7 @@ def _cmd_study(rc: RunConfig, out: Path, args) -> int:
             n_modes=rc.n_modes(),
             ref_refine=rc.ref_refine(),
             threads=rc.threads(),
+            sigma_minus=rc.profile.sigma_minus,
         )
         rows = []
         for i, h in enumerate(res.h_values):

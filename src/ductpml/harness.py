@@ -17,9 +17,21 @@ Three error mechanisms are measured at desk scale:
 Every per-mode operator comes from ``solver.mode_matrix``.  The two
 noise-driven studies (h and total) share one set-up, ``_noise_study``:
 level validation, noise mesh, grid, mode count, load tables, and each
-seed's noise projected onto all modes at every level; their per-mode work
-then runs one banded solve per matrix, with every (level, seed) pair as a
+seed's noise projected onto all modes at every level.  Every study then
+factors and solves each mode once, with every (level, seed) pair as a
 right-hand-side column.
+
+The layer studies (L and total) solve only the DtN operator.  The
+modified layer needs no interface condition, so the reduced operator of
+layer L differs from the DtN one in its two end rows alone: A_L = A_dtn +
+E D_L E^T with E = [e_0, e_N] and D_L = i (1 - M^2) diag(-(nu^- - beta^-),
+nu^+ - beta^+).  One solve on [loads | e_0 | e_N] gives the DtN solutions
+u and end responses Z, and each L is the rank-2 update u_L = u - Z c_L
+with c_L = (I + D_L Z[ends])^{-1} D_L u[ends].  u_L is never formed: the
+trapezoid-weighted error ||b - Z c_L||^2_W is the Gram form ||b||^2_W -
+2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, O(columns) per L.  A 2x2
+system I + D_L Z[ends] that is numerically singular (so is A_L) raises
+DomainError naming the mode, side(s), L and stage.
 
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
@@ -37,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .duct import DuctConfig, cutoff_numbers, default_n_modes
-from .errors import ConfigError, GridMismatchError, InsufficientDataError
+from .errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from .noise import (
     ModeBoxSource,
     NoiseMesh,
@@ -48,6 +60,7 @@ from .noise import (
 from .pml import (
     PmlProfile,
     dtn_gap_bound,
+    nu_gap,
     sigma_tilde_integral,
     theoretical_decay_constant,
 )
@@ -58,14 +71,11 @@ from .solver import (
     Grid1D,
     _solve_tridiag,
     default_delta,
-    l2_error,
-    l2_norm_omega_b,
     modal_loads,
     mode_matrix,
     omega_b_grid,
     omega_full_grid,
     piecewise_load_matrix,
-    solve_full,
     solve_mode,
 )
 
@@ -73,6 +83,10 @@ RATE_PASS_THRESHOLD = 1.8
 RATE_STDERR_THRESHOLD = 0.15
 DECAY_CONSTANT_RTOL = 0.25
 EQUIV_ORDER_THRESHOLD = 1.9
+# Largest condition of a row-equilibrated 2x2 layer update S_L that the
+# layer studies accept (it costs up to that factor of eps in accuracy);
+# past it the reduced operator is numerically singular.
+UPDATE_COND_LIMIT = 1e8
 
 
 @dataclass
@@ -249,6 +263,65 @@ def _map_threads(fn, args, threads: int):
     return [fn(a) for a in args]
 
 
+# ---------------------------------------------------------------------------
+# One DtN solve per mode; every layer length is a rank-2 update of it
+# ---------------------------------------------------------------------------
+
+
+def _dtn_solve(n: int, cfg: DuctConfig, grid: Grid1D, rhs, stage: str):
+    """A_dtn^{-1} rhs for mode n; a singular system names the mode and the stage."""
+    try:
+        return _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), rhs)
+    except DomainError as exc:
+        raise DomainError(f"{stage}, mode n={n}: {exc}") from exc
+
+
+def _dtn_solve_with_ends(n: int, cfg: DuctConfig, grid: Grid1D, loads, stage: str):
+    """DtN solutions u of mode n for the load columns, and its end responses Z.
+
+    One banded solve on [loads | e_0 | e_N]: Z = A_dtn^{-1} [e_0, e_N] is
+    (n_nodes, 2).
+    """
+    rhs = np.zeros((grid.n_nodes, loads.shape[1] + 2), dtype=complex)
+    rhs[:, :-2] = loads
+    rhs[0, -2] = rhs[-1, -1] = 1.0
+    sols = _dtn_solve(n, cfg, grid, rhs, stage)
+    return sols[:, :-2], sols[:, -2:]
+
+
+def _layer_coefficients(n: int, layers, z_ends, u_ends, stage: str):
+    """c_L = S_L^{-1} D_L u[ends] of mode n for every layer (cfg_L, profile).
+
+    The reduced operator is A_L = A_dtn + E D_L E^T with E = [e_0, e_N] and
+    D_L = i (1 - M^2) diag(-(nu^- - beta^-), nu^+ - beta^+), so its solution
+    is u_L = u - Z c_L with S_L = I + D_L Z[ends].  S_L is singular exactly
+    when A_L is: an S_L whose row-equilibrated condition exceeds
+    UPDATE_COND_LIMIT raises DomainError naming the mode, the side(s), L and
+    the stage.
+    """
+    out = []
+    for cfg_l, profile in layers:
+        gaps = [-nu_gap(n, "-", profile, cfg_l), nu_gap(n, "+", profile, cfg_l)]
+        d = 1j * cfg_l.one_minus_m2 * np.array(gaps)
+        s = np.eye(2) + d[:, None] * z_ends
+        cond = np.linalg.cond(s / np.max(np.abs(s), axis=1, keepdims=True))
+        if not cond <= UPDATE_COND_LIMIT:
+            sides = [side for side, d_i in zip("-+", d) if d_i != 0.0]  # the updated ends
+            raise DomainError(
+                f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={cfg_l.L}: "
+                f"rank-2 layer update has condition {cond:.3e} > {UPDATE_COND_LIMIT:.0e}; "
+                "the reduced mode operator is numerically singular"
+            )
+        out.append(np.linalg.solve(s, d[:, None] * u_ends))
+    return out
+
+
+def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
+    w = np.full(grid.n_nodes, grid.delta)
+    w[0] = w[-1] = 0.5 * grid.delta
+    return w
+
+
 def run_h_study(
     cfg: DuctConfig,
     profile: Optional[PmlProfile],
@@ -275,7 +348,7 @@ def run_h_study(
     st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
 
     def mode_err2(n: int) -> np.ndarray:
-        sols = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), st.noise_rhs(n))
+        sols = _dtn_solve(n, cfg, st.grid, st.noise_rhs(n), "h study")
         sols = sols.reshape(st.grid.n_nodes, len(st.all_levels), n_samples)
         diff2 = np.abs(sols[:, :-1] - sols[:, -1:]) ** 2
         return np.trapezoid(diff2, dx=st.grid.delta, axis=0).T  # (n_samples, n_used)
@@ -343,31 +416,42 @@ def run_L_study(
     """Layer-length study: exact-DtN versus reduced finite-layer solve.
 
     Both solves share the grid and interior discretization, so their
-    distance isolates the layer truncation.  The fit is log(error) against
-    the absorbed-mass abscissa; the reference slope is the negative of the
-    theoretical decay constant.
+    distance isolates the layer truncation.  Each mode is solved once, with
+    the DtN closure, on its load and the two unit end loads; the reduced
+    solve of every L is the rank-2 update u_L = u - Z c_L, so the error of
+    mode n is the Gram form c_L^H (Z^H W Z) c_L (W the trapezoid weights),
+    summed over modes: the discrete |nu - beta| times trace truncation
+    bound.  The fit is log(error) against the absorbed-mass abscissa; the
+    reference slope is the negative of the theoretical decay constant.
     """
-    if sigma_minus is None:
-        sigma_minus = sigma_plus
     if source is None:
         source = default_l_study_source(cfg)
     grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
-    dtn_sol = solve_full(cfg, source, DTN, grid, n_modes)
-    dtn_norm = l2_norm_omega_b(dtn_sol, cfg)
+    if n_modes is None:
+        n_modes = default_n_modes(cfg)
+    cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
+    layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
+    loads = modal_loads(source, cfg, grid, n_modes)
+    w = _trapezoid_weights(grid)
 
-    errors = []
+    err2 = np.zeros(len(layers))
+    norm2 = 0.0
+    for n in range(n_modes):
+        u, z = _dtn_solve_with_ends(n, cfg, grid, loads[n][:, None], "L study")
+        norm2 += float(w @ np.abs(u[:, 0]) ** 2)
+        gram = z.conj().T @ (w[:, None] * z)
+        coeffs = _layer_coefficients(n, layers, z[[0, -1]], u[[0, -1]], "L study")
+        for j, c in enumerate(coeffs):
+            err2[j] += float(np.real(c[:, 0].conj() @ gram @ c[:, 0]))
+    errors = np.sqrt(err2)
+    dtn_norm = math.sqrt(norm2)
+
     abscissae = []
     bound_flags = []
-    for L in l_values:
-        cfg_l = replace(cfg, L=float(L))
-        profile = PmlProfile.quadratic(cfg_l, sigma_plus, sigma_minus)
-        red_sol = solve_full(cfg_l, source, PML_REDUCED, grid, n_modes, profile)
-        errors.append(l2_error(red_sol, dtn_sol))
-        abscissae.append(sigma_tilde_integral(profile, "+", float(L), cfg.omega))
+    for cfg_l, profile in layers:
+        abscissae.append(sigma_tilde_integral(profile, "+", cfg_l.L, cfg.omega))
         _, n0 = cutoff_numbers(cfg_l)
         bound_flags.append(dtn_gap_bound(n0 + 1, "+", profile, cfg_l).applicable)
-
-    errors = np.asarray(errors)
     abscissae = np.asarray(abscissae)
     floor = 1e-12 * max(dtn_norm, 1e-300)
     excluded = errors < floor
@@ -470,6 +554,7 @@ def run_total_error_study(
     n_modes: Optional[int] = None,
     ref_refine: int = 2,
     threads: int = 0,
+    sigma_minus: Optional[float] = None,
 ) -> TotalErrorResult:
     """Combined noise-refinement and layer-length error table.
 
@@ -477,14 +562,22 @@ def run_total_error_study(
     reference-level noise (plus the deterministic source); each table entry
     compares it against the reduced solve with layer L driven by level-h
     noise.  For large L the columns reproduce the refinement study; for the
-    finest h the rows reproduce the layer decay.
+    finest h the rows reproduce the layer decay.  ``sigma_minus`` defaults
+    to ``sigma_plus``.
+
+    Each mode is solved once, with the DtN closure, on every (level, seed)
+    load and the two unit end loads.  The reduced solve of layer L is the
+    rank-2 update u_h - Z c_L, and is never formed: with b = u_h - u_ref,
+    the entry is the Gram form ||b||^2_W - 2 Re(c_L^H Z^H W b) +
+    c_L^H (Z^H W Z) c_L per column, so each L costs O(columns).
     """
     if source is None:
         source = default_l_study_source(cfg)
     st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
-    profiles = [PmlProfile.quadratic(cfg_l, sigma_plus) for cfg_l in cfgs_l]
+    layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
     det = modal_loads(source, cfg, st.grid, st.n_modes)
+    w = _trapezoid_weights(st.grid)
 
     n_used = len(st.used)
     h_cols = n_used * n_samples  # the used levels' columns; the rest is the reference
@@ -492,14 +585,19 @@ def run_total_error_study(
     def mode_err2(n: int) -> np.ndarray:
         rhs = st.noise_rhs(n)
         rhs += det[n][:, None]
-        ref = _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), rhs[:, h_cols:])
-        out = np.empty((n_samples, n_used, len(profiles)))
-        for j_l, (prof, cfg_l) in enumerate(zip(profiles, cfgs_l)):
-            matrix = mode_matrix(n, cfg_l, st.grid, PML_REDUCED, prof)
-            sol = _solve_tridiag(*matrix, rhs[:, :h_cols])
-            sol = sol.reshape(st.grid.n_nodes, n_used, n_samples)
-            diff2 = np.abs(sol - ref[:, None, :]) ** 2
-            out[:, :, j_l] = np.trapezoid(diff2, dx=st.grid.delta, axis=0).T
+        u, z = _dtn_solve_with_ends(n, cfg, st.grid, rhs, "total study")
+        b = u[:, :h_cols].reshape(-1, n_used, n_samples) - u[:, None, h_cols:]
+        b = b.reshape(-1, h_cols)
+        wz = w[:, None] * z
+        b_norm2 = w @ (b.real ** 2 + b.imag ** 2)
+        zwb = wz.conj().T @ b
+        gram = z.conj().T @ wz
+        coeffs = _layer_coefficients(n, layers, z[[0, -1]], u[[0, -1], :h_cols], "total study")
+        out = np.empty((n_samples, n_used, len(layers)))
+        for j, c in enumerate(coeffs):
+            cross = np.sum(c.conj() * zwb, axis=0).real
+            quad = np.sum(c.conj() * (gram @ c), axis=0).real
+            out[:, :, j] = (b_norm2 - 2.0 * cross + quad).reshape(n_used, n_samples).T
         return out
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
@@ -508,7 +606,7 @@ def run_total_error_study(
     stderr = err2.std(axis=0, ddof=1) / math.sqrt(n_samples)
     diam = np.array([st.mesh.cell_diameter(lv) for lv in st.used])
     abscissae_l = np.array(
-        [sigma_tilde_integral(p, "+", p.L, cfg.omega) for p in profiles]
+        [sigma_tilde_integral(p, "+", p.L, cfg.omega) for _, p in layers]
     )
     return TotalErrorResult(
         h_values=diam,

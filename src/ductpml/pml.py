@@ -11,8 +11,9 @@ This module owns the absorption profile sigma, the per-mode layer
 solutions psi_n^{+-}, the two-point amplitudes that enforce value 1 at the
 interface and 0 at the outer Dirichlet wall, the finite-layer
 Robin coefficients nu_n^{+-} (which converge to beta_n^{+-} exponentially
-in the absorbed mass), the resulting modal reflection magnitudes, and the
-a-priori gap bounds |beta - nu| used by the layer-length studies.
+in the absorbed mass) and their gaps nu_n - beta_n free of cancellation,
+the resulting modal reflection magnitudes, and the a-priori gap bounds
+|beta - nu| used by the layer-length studies.
 """
 
 from __future__ import annotations
@@ -296,11 +297,28 @@ def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> 
     which tests verify to 1e-12.  As the absorbed mass grows, q -> 0 and
     nu -> beta exponentially.
     """
+    beta, gap = _beta_and_gap(n, side, profile, cfg)
+    return beta + gap
+
+
+def nu_gap(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> complex:
+    """nu_n - beta_n on the requested side, without cancellation.
+
+    Equals +-(beta_plus - beta_minus) q / (1 - q) ('+' and '-' sides): the
+    only difference between the finite-layer and the exact-DtN closure.
+    Forming it as nu - beta would lose |beta| * eps of absolute accuracy,
+    which is most of it once the layer has absorbed the mode.
+    """
+    return _beta_and_gap(n, side, profile, cfg)[1]
+
+
+def _beta_and_gap(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """(beta_n, nu_n - beta_n) on the requested side."""
     bp, bm, q, den = _q_factor(n, side, profile, cfg)
-    delta = bp - bm
+    gap = (bp - bm) * q / den
     if side == "+":
-        return bp + delta * q / den
-    return bm - delta * q / den
+        return bp, gap
+    return bm, -gap
 
 
 def reflection_coefficient(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> float:

@@ -12,6 +12,7 @@ from ductpml.cli import (
     serialize_config,
 )
 from ductpml.errors import ConfigError
+from ductpml.harness import run_total_error_study
 
 MINIMAL = """\
 [duct]
@@ -244,6 +245,25 @@ class TestDispatch:
         body = (out / "study_total.csv").read_text().splitlines()
         assert body[0] == "h,L,sigma_tilde_integral,error_mean,error_stderr"
         assert len(body) == 5
+
+    def test_study_total_uses_sigma_minus(self, tmp_path):
+        run = "[run]\nsamples = 6\nh_levels = 0.25,0.125\nl_values = 0.5,1\n[grid]\nn_modes = 6\n"
+        tables = {}
+        for sm in ("", "sigma_minus = 5\n", "sigma_minus = 40\n"):
+            p = tmp_path / "run.cfg"
+            p.write_text(MINIMAL.replace("sigma_plus = 5\n", "sigma_plus = 5\n" + sm) + run)
+            out = tmp_path / f"out{len(tables)}"
+            assert dispatch(["study", "total", "--config", str(p), "--out", str(out)]) == EXIT_OK
+            tables[sm] = (out / "study_total.csv").read_text()
+        assert tables[""] == tables["sigma_minus = 5\n"]  # sigma_minus defaults to sigma_plus
+        assert tables[""] != tables["sigma_minus = 40\n"]
+        rc = parse_config(MINIMAL.replace("sigma_plus = 5\n", "sigma_plus = 5\nsigma_minus = 40\n") + run)
+        res = run_total_error_study(
+            rc.duct, rc.h_levels(), rc.l_values(), 5.0, rc.samples(), rc.base_seed(),
+            rect=rc.forcing_rect(), n_modes=rc.n_modes(), sigma_minus=40.0,
+        )
+        rows = [line.split(",") for line in tables["sigma_minus = 40\n"].splitlines()[1:]]
+        assert [float(r[3]) for r in rows] == list(res.error_mean.ravel())
 
     @pytest.mark.parametrize(
         "h_levels, samples, expected",

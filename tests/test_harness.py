@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ductpml import DuctConfig
-from ductpml.errors import ConfigError, GridMismatchError, InsufficientDataError
+from ductpml import DuctConfig, harness
+from ductpml.duct import cutoff_numbers
+from ductpml.errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
+    _dtn_solve_with_ends,
+    _layer_coefficients,
     default_forcing_rect,
     default_l_study_source,
     fit_rate,
@@ -20,15 +26,17 @@ from ductpml.noise import (
     realization_levels,
     sample,
 )
-from ductpml.pml import PmlProfile, theoretical_decay_constant
+from ductpml.pml import PmlProfile, nu_gap, theoretical_decay_constant
 from ductpml.solver import (
     DTN,
     PML_REDUCED,
     _solve_tridiag,
     default_delta,
+    l2_error,
     modal_loads,
     mode_matrix,
     omega_b_grid,
+    solve_full,
 )
 
 
@@ -310,3 +318,246 @@ class TestBatchedNoiseSolves:
             ),
             err2,
         )
+
+    def test_total_study_asymmetric_sigma_matches_per_level_solves(self):
+        # sigma_minus != sigma_plus: the '-' layer must carry its own strength
+        cfg = make_cfg(L=2.0)
+        l_values = [0.3, 1.0]
+        sigma_plus, sigma_minus = 2.0, 40.0
+        source = [ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(self.N_MODES)]
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        loads = self.per_level_loads(cfg, grid)
+        err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
+        det_rows = modal_loads(source, cfg, grid, self.N_MODES)
+        for n in range(self.N_MODES):
+            det = det_rows[n][:, None]
+            ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
+            for j_l, L in enumerate(l_values):
+                prof = PmlProfile(sigma_plus=sigma_plus, sigma_minus=sigma_minus,
+                                  x_plus=cfg.x_plus, x_minus=cfg.x_minus, L=L)
+                matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
+                for j_h, lv in enumerate((0, 1)):
+                    diff2 = np.abs(_solve_tridiag(*matrix, loads[lv][n] + det) - ref) ** 2
+                    err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
+        def run(threads, sm=sigma_minus):
+            return run_total_error_study(
+                cfg, self.H_LEVELS, l_values, sigma_plus, self.N_SAMPLES, self.SEED,
+                source=source, n_modes=self.N_MODES, threads=threads, sigma_minus=sm,
+            )
+
+        self.assert_study_matches(run, err2)
+        symmetric = run(1, sm=None)
+        assert not np.allclose(symmetric.error_mean, run(1).error_mean, rtol=1e-3)
+
+
+def reduced_oracle(n, cfg, grid, profile, rhs):
+    """Direct pml_reduced solve of mode n, refined in extended precision.
+
+    The residual is taken in extended precision with the operator A_dtn +
+    i (1 - M^2) diag(-(nu^- - beta^-), nu^+ - beta^+) on the end rows, and
+    each correction is a direct solve with ``mode_matrix(..., PML_REDUCED)``.
+    Three steps reach the solution of that operator to about 1e-14 even where
+    a single float64 solve is off by eps * cond, near a layer resonance.
+    """
+    matrix = mode_matrix(n, cfg, grid, PML_REDUCED, profile)
+    sub, diag, sup = (np.asarray(a, dtype=np.clongdouble) for a in mode_matrix(n, cfg, grid, DTN))
+    bc = 1j * cfg.one_minus_m2
+    diag[0] -= bc * nu_gap(n, "-", profile, cfg)
+    diag[-1] += bc * nu_gap(n, "+", profile, cfg)
+    x = np.zeros(rhs.shape, dtype=np.clongdouble)
+    for _ in range(3):
+        r = rhs - diag[:, None] * x
+        r[:-1] -= sup[:, None] * x[1:]
+        r[1:] -= sub[:, None] * x[:-1]
+        x += _solve_tridiag(*matrix, r.astype(complex))
+    return x
+
+
+needs_extended_precision = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is not extended precision here"
+)
+
+
+class TestLayerUpdate:
+    """The rank-2 update of one DtN solve against direct reduced solves."""
+
+    @needs_extended_precision
+    @settings(max_examples=150, deadline=None)
+    @given(
+        M=st.floats(0.0, 0.95),
+        k=st.floats(0.5, 30.0),
+        L=st.floats(0.05, 4.0),
+        sigma_plus=st.floats(0.0, 50.0),
+        sigma_minus=st.floats(0.0, 50.0),
+        dn=st.integers(-2, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_reduced_solves(self, M, k, L, sigma_plus, sigma_minus, dn, seed):
+        # the study grid: spacing from the base configuration (L = 2), the
+        # layer length varies; propagating and evanescent modes alike
+        base = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        k0, n0 = cutoff_numbers(base)
+        assume(all(abs(k0 - m) > 1e-6 * k0 for m in range(1, n0 + 3)))  # off cutoff
+        n = max(0, n0 + dn)
+        grid = omega_b_grid(base, default_delta(base))
+        cfg = replace(base, L=L)
+        profile = PmlProfile.quadratic(cfg, sigma_plus, sigma_minus)
+        rng = np.random.default_rng(seed)
+        loads = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
+        u, z = _dtn_solve_with_ends(n, base, grid, loads, "test")
+        (c,) = _layer_coefficients(n, [(cfg, profile)], z[[0, -1]], u[[0, -1]], "test")
+        expected = reduced_oracle(n, cfg, grid, profile, loads)
+        rel = float(np.max(np.abs(u - z @ c - expected)) / np.max(np.abs(expected)))
+        # the update is as accurate as the DtN solve, times the condition
+        # of its 2x2 system S_L (at most a few hundred away from resonances)
+        d = 1j * cfg.one_minus_m2 * np.array([-nu_gap(n, "-", profile, cfg),
+                                              nu_gap(n, "+", profile, cfg)])
+        s = np.eye(2) + d[:, None] * z[[0, -1]]
+        cond = np.linalg.cond(s / np.max(np.abs(s), axis=1, keepdims=True))
+        assert rel <= 1e-11 * max(1.0, cond)
+
+    @staticmethod
+    def resonant_layer():
+        """(cfg, L*) with the reduced mode-0 operator singular at L = L*.
+
+        With M = 0 and no absorption the reduced operator is real (nu^{+-} =
+        +-i k cot(k L)), so det A_L changes sign at a cavity resonance near
+        k (2 + 2L) = 4 pi; bisection pins L* to the last bit.
+        """
+        cfg = DuctConfig(d=1.0, M=0.0, k=5.0, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, 1 / 20)
+
+        def sign(L):
+            c = replace(cfg, L=L)
+            sub, diag, sup = mode_matrix(0, c, grid, PML_REDUCED, PmlProfile.quadratic(c, 0.0))
+            dense = np.diag(diag.real) + np.diag(sub.real, -1) + np.diag(sup.real, 1)
+            return np.linalg.slogdet(dense)[0]
+
+        lo, hi = 0.2, 0.3
+        assert sign(lo) != sign(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return cfg, lo
+            if sign(mid) == sign(lo):
+                lo = mid
+            else:
+                hi = mid
+
+    def test_guard_names_mode_sides_length_and_stage(self):
+        cfg, L = self.resonant_layer()
+        src = ModeBoxSource(mode=0, x_lo=-0.5, x_hi=0.5)
+        with pytest.raises(DomainError) as info:
+            run_L_study(cfg, [1.0, L], 0.0, source=src, delta=1 / 20, n_modes=3)
+        msg = str(info.value)
+        assert msg.startswith("L study, mode n=0, side(s) - and +, ")
+        assert f"L={L}" in msg and "rank-2 layer update" in msg
+        with pytest.raises(DomainError) as info:
+            run_total_error_study(cfg, [1 / 4, 1 / 8], [L], 0.0, 4, 0, delta=1 / 20, n_modes=3)
+        assert str(info.value).startswith("total study, mode n=0, side(s) - and +, ")
+        # a layer a little off the resonance is accepted and matches the direct solves
+        off = L * (1.0 + 1e-3)
+        res = run_L_study(cfg, [off], 0.0, source=src, delta=1 / 20, n_modes=1)
+        grid = omega_b_grid(cfg, 1 / 20)
+        cfg_off = replace(cfg, L=off)
+        direct = l2_error(
+            solve_full(cfg_off, src, PML_REDUCED, grid, 1, PmlProfile.quadratic(cfg_off, 0.0)),
+            solve_full(cfg, src, DTN, grid, 1),
+        )
+        assert res.error_mean[0] == pytest.approx(direct, rel=1e-9)
+
+    def test_singular_dtn_solve_names_the_mode(self, monkeypatch):
+        def singular_at_two(n, *args):
+            sub, diag, sup = mode_matrix(n, *args)
+            return (0 * sub, 0 * diag, 0 * sup) if n == 2 else (sub, diag, sup)
+
+        monkeypatch.setattr(harness, "mode_matrix", singular_at_two)
+        cfg = make_cfg(L=2.0)
+        with pytest.raises(DomainError, match=r"^h study, mode n=2: singular mode system"):
+            run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, n_modes=4)
+        with pytest.raises(DomainError, match=r"^L study, mode n=2: singular mode system"):
+            run_L_study(cfg, [0.5, 1.0], 5.0, n_modes=4)
+        with pytest.raises(DomainError, match=r"^total study, mode n=2: singular mode system"):
+            run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, n_modes=4)
+
+    @pytest.mark.parametrize("sigma", [0.0, 50.0])
+    def test_short_layers_at_high_flow(self, sigma):
+        # M = 0.9, k = 40: |beta^-| = 400; layers down to 1e-6 either match
+        # the direct per-L solves or raise the guard, never non-finite values
+        # (one L per call: without absorption every abscissa is 0, no fit)
+        cfg = DuctConfig(d=1.0, M=0.9, k=40.0, x_minus=-1.0, x_plus=1.0, L=2.0)
+        src = [ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(12)]
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        dtn = solve_full(cfg, src, DTN, grid, 16)
+        for L in (1e-6, 1e-3, 0.05):
+            try:
+                res = run_L_study(cfg, [L], sigma, source=src, n_modes=16)
+            except DomainError as exc:
+                assert "rank-2 layer update" in str(exc)
+                continue
+            assert np.isfinite(res.error_mean[0]) and res.error_mean[0] > 0.0
+            cfg_l = replace(cfg, L=L)
+            prof = PmlProfile.quadratic(cfg_l, sigma)
+            direct = l2_error(solve_full(cfg_l, src, PML_REDUCED, grid, 16, prof), dtn)
+            assert res.error_mean[0] == pytest.approx(direct, rel=1e-10)
+
+
+class TestLStudyOracle:
+    """run_L_study against direct per-L reduced solves."""
+
+    CASES = {
+        "criterion-9": dict(sigma_plus=5.0, sigma_minus=None, source=None),
+        "asymmetric": dict(
+            sigma_plus=2.0,
+            sigma_minus=30.0,
+            source=[ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(6)],
+        ),
+    }
+    L_VALUES = [0.5, 1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_solve_full_and_l2_error(self, case):
+        # direct reduced solve minus direct DtN solve: that difference keeps
+        # the absolute roundoff of two separate solves, about 1e-15 of the
+        # DtN norm, so entries far below the norm carry it as well
+        cfg = make_cfg(L=2.0)
+        kw = self.CASES[case]
+        res = run_L_study(cfg, self.L_VALUES, kw["sigma_plus"], source=kw["source"],
+                          sigma_minus=kw["sigma_minus"])
+        source = kw["source"] or default_l_study_source(cfg)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        dtn = solve_full(cfg, source, DTN, grid)
+        for L, err in zip(self.L_VALUES, res.error_mean):
+            cfg_l = replace(cfg, L=L)
+            prof = PmlProfile.quadratic(cfg_l, kw["sigma_plus"], kw["sigma_minus"])
+            direct = l2_error(solve_full(cfg_l, source, PML_REDUCED, grid, None, prof), dtn)
+            assert abs(err - direct) <= 1e-12 * direct + 1e-14 * res.extra["dtn_norm"]
+
+    @needs_extended_precision
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_direct_layer_error_solves(self, case):
+        # the layer error e_L = u_L - u solves A_L e_L = -E D_L u[ends]
+        # directly, without the cancellation of u_L - u: every entry to 1e-12
+        cfg = make_cfg(L=2.0)
+        kw = self.CASES[case]
+        res = run_L_study(cfg, self.L_VALUES, kw["sigma_plus"], source=kw["source"],
+                          sigma_minus=kw["sigma_minus"])
+        source = kw["source"] or default_l_study_source(cfg)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        w = np.full(grid.n_nodes, grid.delta)
+        w[[0, -1]] *= 0.5
+        n_modes = cutoff_numbers(cfg)[1] + 30
+        loads = modal_loads(source, cfg, grid, n_modes)
+        for L, err in zip(self.L_VALUES, res.error_mean):
+            cfg_l = replace(cfg, L=L)
+            prof = PmlProfile.quadratic(cfg_l, kw["sigma_plus"], kw["sigma_minus"])
+            err2 = 0.0
+            for n in range(n_modes):
+                u = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[n])
+                rhs = np.zeros(grid.n_nodes, dtype=complex)
+                bc = 1j * cfg.one_minus_m2
+                rhs[0] = bc * nu_gap(n, "-", prof, cfg_l) * u[0]
+                rhs[-1] = -bc * nu_gap(n, "+", prof, cfg_l) * u[-1]
+                e = reduced_oracle(n, cfg_l, grid, prof, rhs[:, None])[:, 0].astype(complex)
+                err2 += float(w @ np.abs(e) ** 2)
+            assert err == pytest.approx(math.sqrt(err2), rel=1e-12)

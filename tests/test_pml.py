@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ductpml import DuctConfig
-from ductpml.duct import axial_wavenumbers, cutoff_numbers
+from ductpml.duct import axial_wavenumbers, axial_wavenumbers64, cutoff_numbers
 from ductpml.errors import ConfigError, DegenerateLayerError
 from ductpml.pml import (
     GapBound,
@@ -18,6 +18,7 @@ from ductpml.pml import (
     dtn_gap_bound,
     modal_amplitudes,
     nu_coefficients,
+    nu_gap,
     psi_mode,
     psi_mode_derivative,
     reflection_coefficient,
@@ -247,6 +248,30 @@ class TestNuCoefficients:
         p = PmlProfile(sigma_plus=0.0, sigma_minus=0.0, x_plus=1.0, x_minus=-1.0, L=cfg.L)
         with pytest.raises(DegenerateLayerError):
             nu_coefficients(0, "+", p, cfg)  # (b+ - b-) L = 10 L = 2 pi
+
+
+class TestNuGap:
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_is_nu_minus_beta(self, cfg, side):
+        p = make_profile(cfg, sp=5.0, sm=2.0)
+        for n in range(12):
+            beta = axial_wavenumbers64(n, cfg)[0 if side == "+" else 1]
+            gap = nu_gap(n, side, p, cfg)
+            assert nu_coefficients(n, side, p, cfg) == beta + gap
+            assert abs(gap - (nu_coefficients(n, side, p, cfg) - beta)) <= 4e-16 * abs(beta)
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_relative_accuracy_once_nu_equals_beta(self, side):
+        # a thick layer on an evanescent mode: nu rounds to beta, while the
+        # gap stays |delta| |q|
+        cfg = make_cfg(L=6.0)
+        p = make_profile(cfg, sp=0.0)
+        n = cutoff_numbers(cfg)[1] + 1
+        bp, bm = axial_wavenumbers64(n, cfg)
+        assert nu_coefficients(n, side, p, cfg) - (bp if side == "+" else bm) == 0.0
+        q_abs = reflection_coefficient(n, side, p, cfg)
+        assert 0.0 < q_abs < 1e-18
+        assert abs(nu_gap(n, side, p, cfg)) == pytest.approx(abs(bp - bm) * q_abs, rel=1e-12)
 
 
 class TestReflection:
