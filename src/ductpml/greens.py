@@ -20,12 +20,18 @@ plus sign.  The logarithmic part of the kernel is correspondingly
 ``+ ln(k rho) / (2 pi sqrt(1 - M^2))`` times the phase, with a Lipschitz
 remainder.  A centered finite-difference residual of the operator applied
 to the image representation is exposed for verification.
+
+The modal oracles work on whole arrays: their roots are slices of one table
+per config, and each pass of a mode sum evaluates several blocks of modes
+as one array, then adds and tests the block sums one at a time, exactly as
+a loop over single blocks would.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -129,11 +135,9 @@ def log_kernel(x, y, cfg: DuctConfig) -> complex:
 def _image_y2(y2: float, d: float, n_images: int) -> np.ndarray:
     """Transverse source images grouped by shell: [y2, -y2], then per shell
     j >= 1 the four entries +-y2 +- 2 d j."""
-    shells = [np.array([y2, -y2])]
-    for j in range(1, n_images + 1):
-        off = 2.0 * d * j
-        shells.append(np.array([y2 + off, -y2 + off, y2 - off, -y2 - off]))
-    return np.concatenate(shells)
+    off = 2.0 * d * np.arange(1, n_images + 1)
+    shells = np.stack([y2 + off, -y2 + off, y2 - off, -y2 - off], axis=1)
+    return np.concatenate([[y2, -y2], shells.ravel()])
 
 
 def _images_shell_sums(x, y, n_images: int, cfg: DuctConfig, include_direct=True):
@@ -194,14 +198,40 @@ def mode_green_1d(n: int, x1: float, y1: float, cfg: DuctConfig) -> complex:
     return c * cmath.exp(1j * beta * (x1 - y1))
 
 
+# Root tables (beta_plus, beta_minus, c) of the most recently used configs,
+# grown in whole pieces of modes.
+_ROOT_PIECE = 1024
+_ROOT_TABLE_CONFIGS = 4
+_root_tables: dict = {}
+_root_lock = threading.Lock()
+# Mode blocks that one pass of the cell-integral and kernel-difference sums
+# evaluates as one array; bounds the size of their temporaries.
+_PASS_BLOCKS = 8
+
+
 def _betas_block(cfg: DuctConfig, n_lo: int, n_hi: int):
     """Wavenumbers and kernel constants for modes n_lo .. n_hi-1.
 
-    Returns (beta_plus, beta_minus, c) with c = 1/(i (1-M^2)(b+ - b-)).
+    Returns read-only slices (beta_plus, beta_minus, c), c = 1/(i (1-M^2)
+    (b+ - b-)), of the root table kept per (d, M, k).  A table grows by
+    whole pieces of _ROOT_PIECE modes in one ``axial_wavenumbers64`` call
+    (bit-identical to a call per block); the least recently used table is
+    dropped beyond _ROOT_TABLE_CONFIGS configs.
     """
-    bp, bm = axial_wavenumbers64(np.arange(n_lo, n_hi), cfg)
-    c = 1.0 / (1j * cfg.one_minus_m2 * (bp - bm))
-    return bp, bm, c
+    key = tuple(float(v).hex() for v in (cfg.d, cfg.M, cfg.k))
+    with _root_lock:
+        table = _root_tables.pop(key, (np.empty(0, dtype=complex),) * 3)
+        if table[0].size < n_hi:
+            n_new = -(-n_hi // _ROOT_PIECE) * _ROOT_PIECE
+            bp, bm = axial_wavenumbers64(np.arange(table[0].size, n_new), cfg)
+            c = 1.0 / (1j * cfg.one_minus_m2 * (bp - bm))
+            table = tuple(np.concatenate(pair) for pair in zip(table, (bp, bm, c)))
+            for arr in table:
+                arr.flags.writeable = False
+        _root_tables[key] = table
+        if len(_root_tables) > _ROOT_TABLE_CONFIGS:
+            del _root_tables[next(iter(_root_tables))]
+    return tuple(arr[n_lo:n_hi] for arr in table)
 
 
 def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue:
@@ -318,21 +348,20 @@ def _exp_cell_integrals(beta: np.ndarray, lo, hi, x1: float) -> np.ndarray:
 def _axial_strip_integrals(beta_p, beta_m, c, edges: np.ndarray, x1: float):
     """Integral of g_n over each strip [edges[j], edges[j+1]), all modes.
 
-    Returns an array (n_modes, n_strips); strips containing x1 are split at
+    Returns an array (n_modes, n_strips); all strips left of x1 take one
+    call, all right of it another, and a strip containing x1 is split at
     the kink.
     """
-    n_modes = beta_p.size
-    out = np.zeros((n_modes, edges.size - 1), dtype=complex)
-    for j in range(edges.size - 1):
-        lo, hi = float(edges[j]), float(edges[j + 1])
-        if hi <= x1:
-            out[:, j] = _exp_cell_integrals(beta_p, lo, hi, x1)
-        elif lo >= x1:
-            out[:, j] = _exp_cell_integrals(beta_m, lo, hi, x1)
-        else:
-            out[:, j] = _exp_cell_integrals(beta_p, lo, x1, x1) + _exp_cell_integrals(
-                beta_m, x1, hi, x1
-            )
+    lo, hi = edges[:-1], edges[1:]
+    left = hi <= x1
+    right = ~left & (lo >= x1)
+    out = np.empty((beta_p.size, lo.size), dtype=complex)
+    out[:, left] = _exp_cell_integrals(beta_p[:, None], lo[left], hi[left], x1)
+    out[:, right] = _exp_cell_integrals(beta_m[:, None], lo[right], hi[right], x1)
+    for j in np.flatnonzero(~(left | right)):
+        out[:, j] = _exp_cell_integrals(beta_p, float(lo[j]), x1, x1) + _exp_cell_integrals(
+            beta_m, x1, float(hi[j]), x1
+        )
     return c[:, None] * out
 
 
@@ -377,29 +406,34 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
     the edge arrays; the transverse factor is analytic and the axial factor
     is piecewise exponential.  The mode sum is extended in blocks until the
     increments are negligible (the cell containing x converges like the
-    integrated log singularity, all others geometrically).
+    integrated log singularity, all others geometrically); one pass builds
+    the factors of _PASS_BLOCKS blocks.
     """
     _, n_floor, _ = params.resolve(cfg)
     block = 64
+    bounds = [0, max(block, n_floor)]
+    while bounds[-1] < 16384:
+        bounds.append(bounds[-1] + block)
     total = np.zeros((x1_edges.size - 1, x2_edges.size - 1), dtype=complex)
-    n_start = 0
     calm = 0
-    while n_start < 16384:
-        n_stop = n_start + block if n_start else max(block, n_floor)
-        bp, bm, c = _betas_block(cfg, n_start, n_stop)
+    for p in range(0, len(bounds) - 1, _PASS_BLOCKS):
+        stops = bounds[p : p + _PASS_BLOCKS + 1]
+        n_lo, n_hi = stops[0], stops[-1]
+        bp, bm, c = _betas_block(cfg, n_lo, n_hi)
         axial = _axial_strip_integrals(bp, bm, c, x1_edges, x[0])
-        trans = transverse_cell_integrals(x2_edges, n_stop, cfg.d, n_start)
-        phis = mode_shape(np.arange(n_start, n_stop), x[1], cfg.d)
-        contrib = np.einsum("n,nj,nk->jk", phis, axial, trans)
-        total += contrib
-        n_start = n_stop
-        scale = max(float(np.max(np.abs(total))), 1.0)
-        if float(np.max(np.abs(contrib))) < tol * scale:
-            calm += 1
-            if calm >= 2:
-                break
-        else:
-            calm = 0
+        trans = transverse_cell_integrals(x2_edges, n_hi, cfg.d, n_lo)
+        phis = mode_shape(np.arange(n_lo, n_hi), x[1], cfg.d)
+        for a, b in zip(stops[:-1], stops[1:]):
+            rows = slice(a - n_lo, b - n_lo)
+            contrib = np.einsum("n,nj,nk->jk", phis[rows], axial[rows], trans[rows])
+            total += contrib
+            scale = max(float(np.max(np.abs(total))), 1.0)
+            if float(np.max(np.abs(contrib))) < tol * scale:
+                calm += 1
+                if calm >= 2:
+                    return total
+            else:
+                calm = 0
     return total
 
 
@@ -475,21 +509,21 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
 
     Transverse integration is exact by orthonormality of the modes; axial
     integration uses closed forms of the piecewise-exponential kernels.
-    The mode sum is extended in blocks until its tail is negligible.
+    The mode sum is extended in blocks of 256 modes until its tail is
+    negligible; one pass sums _PASS_BLOCKS blocks as rows of one array.
     """
     if y[0] > z[0]:
         y, z = z, y
     total = 0.0
-    n_start = 0
     block = 256
     calm = 0
-    while n_start < 32768:
-        n_stop = n_start + block
+    for n_start in range(0, 32768, _PASS_BLOCKS * block):
+        n_stop = n_start + _PASS_BLOCKS * block
         bp, bm, c = _betas_block(cfg, n_start, n_stop)
         ns = np.arange(n_start, n_stop)
         a = mode_shape(ns, y[1], cfg.d) * c
         b = mode_shape(ns, z[1], cfg.d) * c
-        contrib = 0.0
+        sums = np.zeros(_PASS_BLOCKS)
         regions = (
             (cfg.x_minus, y[0], bm, bm),
             (y[0], z[0], bp, bm),
@@ -510,15 +544,15 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
             ee = _segment_products(np.abs(e_lo) ** 2, np.abs(e_hi) ** 2, c_e, width)
             ff = _segment_products(np.abs(f_lo) ** 2, np.abs(f_hi) ** 2, c_f, width)
             ef = _segment_products(e_lo * np.conj(f_lo), e_hi * np.conj(f_hi), c_x, width)
-            contrib += float(np.sum(ee.real + ff.real - 2.0 * ef.real))
-        total += contrib
-        n_start = n_stop
-        if abs(contrib) < tol * max(total, 1e-300):
-            calm += 1
-            if calm >= 2:
-                break
-        else:
-            calm = 0
+            sums += np.sum((ee.real + ff.real - 2.0 * ef.real).reshape(-1, block), axis=1)
+        for contrib in sums.tolist():
+            total += contrib
+            if abs(contrib) < tol * max(total, 1e-300):
+                calm += 1
+                if calm >= 2:
+                    return max(total, 0.0)
+            else:
+                calm = 0
     return max(total, 0.0)  # squared quantity; clamp roundoff negatives
 
 

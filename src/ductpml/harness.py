@@ -423,6 +423,8 @@ def run_L_study(
     summed over modes: the discrete |nu - beta| times trace truncation
     bound.  The fit is log(error) against the absorbed-mass abscissa; the
     reference slope is the negative of the theoretical decay constant.
+    Usable abscissae that are all equal (no absorption) give no fit: a NaN
+    slope and passed False.
     """
     if source is None:
         source = default_l_study_source(cfg)
@@ -457,7 +459,8 @@ def run_L_study(
     excluded = errors < floor
     usable = ~excluded
     c2 = theoretical_decay_constant(cfg)
-    if np.sum(usable) >= 3:
+    # a layer without absorption puts every abscissa at 0: no rate to fit
+    if np.sum(usable) >= 3 and np.ptp(abscissae[usable]) > 0.0:
         slope, slope_se = fit_rate(
             abscissae[usable], errors[usable], None, "loglinear"
         )

@@ -235,6 +235,22 @@ class TestDispatch:
         )
         assert summary["pass"] == "1"
 
+    def test_study_l_without_absorption_exits_ok(self, tmp_path):
+        # sigma_plus = 0: every abscissa is 0, so no rate is fitted
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL.replace("sigma_plus = 5", "sigma_plus = 0"))
+        out = tmp_path / "out"
+        assert dispatch(["study", "L", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        summary = dict(
+            line.split("=", 1)
+            for line in (out / "study_L_summary.txt").read_text().splitlines()
+        )
+        assert summary["fitted_rate"] == "nan"
+        assert summary["pass"] == "0"
+        rows = (out / "study_L.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(float(r.split(",")[1]) > 0.0 for r in rows)
+
     def test_study_total_csv(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(

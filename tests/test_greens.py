@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from ductpml import DuctConfig
+from ductpml import greens as greens_module
 from ductpml.duct import axial_wavenumbers64, mode_shape
 from ductpml.errors import DomainError, RepresentationError, SingularityError
 from ductpml.greens import (
     GreensEvalParams,
+    _axial_strip_integrals,
+    _betas_block,
+    _exp_cell_integrals,
+    _image_y2,
+    _segment_products,
     deterministic_solution,
     greens_images,
     greens_modal,
@@ -30,6 +36,7 @@ from ductpml.noise import (
     NoiseRealization,
     build_mesh,
     sample,
+    transverse_cell_integrals,
 )
 from ductpml.solver import Grid1D, solve_mode
 from ductpml.specfun import hankel0
@@ -188,8 +195,6 @@ class TestModalSeries:
 
     def test_evanescent_terms_decay_monotonically(self):
         cfg = make_cfg()
-        from ductpml.greens import _betas_block
-
         bp, _, c = _betas_block(cfg, 0, 30)
         dx = 0.5
         mags = np.abs(c * np.exp(1j * bp * dx))[3:]
@@ -266,8 +271,6 @@ class TestDeterministicSolution:
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
         sol = solve_mode(1, src, cfg, grid, "dtn")
         x2 = 0.3
-        from ductpml.greens import _betas_block, _exp_cell_integrals
-
         bp, bm, c = _betas_block(cfg, 1, 2)
 
         def closed(x1):
@@ -463,3 +466,192 @@ class TestKernelDifferenceProbe:
         cfg = make_cfg()
         with pytest.raises(DomainError):
             lemma2_exponent_probe([((0.1, 0.4), (0.1, 0.4))], GreensEvalParams(), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Array-wise oracle paths against one-block-at-a-time loops
+# ---------------------------------------------------------------------------
+
+
+def _ref_betas_block(cfg, n_lo, n_hi):
+    """One root call per block."""
+    bp, bm = axial_wavenumbers64(np.arange(n_lo, n_hi), cfg)
+    return bp, bm, 1.0 / (1j * cfg.one_minus_m2 * (bp - bm))
+
+
+def _ref_image_y2(y2, d, n_images):
+    shells = [np.array([y2, -y2])]
+    for j in range(1, n_images + 1):
+        off = 2.0 * d * j
+        shells.append(np.array([y2 + off, -y2 + off, y2 - off, -y2 - off]))
+    return np.concatenate(shells)
+
+
+def _ref_axial_strip_integrals(beta_p, beta_m, c, edges, x1):
+    """One _exp_cell_integrals call per strip (two for the kink strip)."""
+    out = np.zeros((beta_p.size, edges.size - 1), dtype=complex)
+    for j in range(edges.size - 1):
+        lo, hi = float(edges[j]), float(edges[j + 1])
+        if hi <= x1:
+            out[:, j] = _exp_cell_integrals(beta_p, lo, hi, x1)
+        elif lo >= x1:
+            out[:, j] = _exp_cell_integrals(beta_m, lo, hi, x1)
+        else:
+            out[:, j] = _exp_cell_integrals(beta_p, lo, x1, x1) + _exp_cell_integrals(
+                beta_m, x1, hi, x1
+            )
+    return c[:, None] * out
+
+
+def _ref_kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10):
+    """Roots, strips and stopping test one 64-mode block at a time."""
+    _, n_floor, _ = params.resolve(cfg)
+    total = np.zeros((x1_edges.size - 1, x2_edges.size - 1), dtype=complex)
+    n_start, calm = 0, 0
+    while n_start < 16384:
+        n_stop = n_start + 64 if n_start else max(64, n_floor)
+        bp, bm, c = _ref_betas_block(cfg, n_start, n_stop)
+        axial = _ref_axial_strip_integrals(bp, bm, c, x1_edges, x[0])
+        trans = transverse_cell_integrals(x2_edges, n_stop, cfg.d, n_start)
+        phis = mode_shape(np.arange(n_start, n_stop), x[1], cfg.d)
+        contrib = np.einsum("n,nj,nk->jk", phis, axial, trans)
+        total += contrib
+        n_start = n_stop
+        scale = max(float(np.max(np.abs(total))), 1.0)
+        if float(np.max(np.abs(contrib))) < tol * scale:
+            calm += 1
+            if calm >= 2:
+                break
+        else:
+            calm = 0
+    return total
+
+
+def _ref_q_l2_difference(y, z, cfg, tol=1e-10):
+    """Roots, sums and stopping test one 256-mode block at a time."""
+    if y[0] > z[0]:
+        y, z = z, y
+    total, n_start, calm = 0.0, 0, 0
+    while n_start < 32768:
+        n_stop = n_start + 256
+        bp, bm, c = _ref_betas_block(cfg, n_start, n_stop)
+        ns = np.arange(n_start, n_stop)
+        a = mode_shape(ns, y[1], cfg.d) * c
+        b = mode_shape(ns, z[1], cfg.d) * c
+        contrib = 0.0
+        regions = (
+            (cfg.x_minus, y[0], bm, bm),
+            (y[0], z[0], bp, bm),
+            (z[0], cfg.x_plus, bp, bp),
+        )
+        for lo, hi, beta_y, beta_z in regions:
+            if hi <= lo:
+                continue
+            e_lo = a * np.exp(1j * beta_y * (lo - y[0]))
+            e_hi = a * np.exp(1j * beta_y * (hi - y[0]))
+            f_lo = b * np.exp(1j * beta_z * (lo - z[0]))
+            f_hi = b * np.exp(1j * beta_z * (hi - z[0]))
+            width = hi - lo
+            c_e = 1j * beta_y - 1j * np.conj(beta_y)
+            c_f = 1j * beta_z - 1j * np.conj(beta_z)
+            c_x = 1j * beta_y - 1j * np.conj(beta_z)
+            ee = _segment_products(np.abs(e_lo) ** 2, np.abs(e_hi) ** 2, c_e, width)
+            ff = _segment_products(np.abs(f_lo) ** 2, np.abs(f_hi) ** 2, c_f, width)
+            ef = _segment_products(e_lo * np.conj(f_lo), e_hi * np.conj(f_hi), c_x, width)
+            contrib += float(np.sum(ee.real + ff.real - 2.0 * ef.real))
+        total += contrib
+        n_start = n_stop
+        if abs(contrib) < tol * max(total, 1e-300):
+            calm += 1
+            if calm >= 2:
+                break
+        else:
+            calm = 0
+    return max(total, 0.0)
+
+
+def _off_cutoff_cfg(M):
+    # k a relative 1e-6 above the n = 2 cutoff sqrt(1 - M^2) 2 pi / d
+    return make_cfg(M=M, k=math.sqrt(1.0 - M * M) * 2.0 * math.pi * (1.0 + 1e-6))
+
+
+OFF_CUTOFF_MACHS = [0.0, 0.3, 0.9]
+
+
+class TestArrayWiseMatchesBlockLoops:
+    """Every array-wise oracle path is bit-identical to its block loop."""
+
+    X1_EDGES = np.linspace(-0.5, 0.5, 12)
+    X2_EDGES = np.linspace(0.2, 0.8, 7)
+
+    @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
+    def test_root_table_slices(self, M):
+        cfg = _off_cutoff_cfg(M)
+        # inside the first piece, straddling the 1024 and 2048 piece edges,
+        # and a later block served from an already grown table
+        for lo, hi in [(0, 35), (0, 64), (1000, 1100), (1023, 1025), (2040, 2100), (64, 128)]:
+            for got, ref in zip(_betas_block(cfg, lo, hi), _ref_betas_block(cfg, lo, hi)):
+                assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n_images", [0, 1, 512])
+    def test_image_offsets(self, n_images):
+        for y2, d in [(0.4, 1.0), (0.0, 1.0), (0.93, 2.5)]:
+            assert np.array_equal(_image_y2(y2, d, n_images), _ref_image_y2(y2, d, n_images))
+
+    @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
+    def test_strip_integrals(self, M):
+        cfg = _off_cutoff_cfg(M)
+        bp, bm, c = _ref_betas_block(cfg, 0, 300)
+        edges = self.X1_EDGES
+        # left of all strips, on an inner edge, inside a strip, on the last
+        # edge and right of all strips
+        for x1 in (-0.9, float(edges[4]), 0.07, float(edges[-1]), 0.9):
+            got = _axial_strip_integrals(bp, bm, c, edges, x1)
+            assert np.array_equal(got, _ref_axial_strip_integrals(bp, bm, c, edges, x1))
+
+    @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
+    @pytest.mark.parametrize("n_modes", [0, 100])
+    def test_kernel_cell_integrals(self, M, n_modes):
+        # n_modes = 100 makes the block edges 100 + 64 j, so some blocks
+        # straddle a piece of the root table
+        cfg = _off_cutoff_cfg(M)
+        params = GreensEvalParams(n_modes=n_modes)
+        for x in [(0.07, 0.52), (float(self.X1_EDGES[4]), 0.4), (0.9, 0.35), (-0.8, 0.1)]:
+            got = kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
+            ref = _ref_kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
+    def test_q_l2_difference(self, M):
+        cfg = _off_cutoff_cfg(M)
+        for y, z in [((0.1, 0.45), (0.13, 0.48)), ((0.3, 0.2), (-0.1, 0.6)), ((0.0, 0.5), (0.0, 0.55))]:
+            got = q_l2_difference(y, z, cfg)
+            assert type(got) is float
+            assert got == _ref_q_l2_difference(y, z, cfg)
+
+    def test_q_l2_difference_on_criterion_10_pairs(self):
+        cfg = make_cfg()
+        y0 = (0.1, 0.45)
+        for g in np.logspace(-3, -1, 7):
+            z = (y0[0] + g / math.sqrt(2.0), y0[1] + g / math.sqrt(2.0))
+            assert q_l2_difference(y0, z, cfg) == _ref_q_l2_difference(y0, z, cfg)
+
+
+class TestRootTable:
+    def test_bounded_after_many_configs(self):
+        for j in range(20):
+            _betas_block(make_cfg(k=5.0 + 0.01 * j), 0, 1500)
+        assert len(greens_module._root_tables) <= greens_module._ROOT_TABLE_CONFIGS
+
+    def test_configs_with_different_k_never_share_roots(self):
+        a, b = make_cfg(k=5.0), make_cfg(k=5.5)
+        for cfg in (a, b, a, b):
+            got = _betas_block(cfg, 0, 1100)
+            for g, r in zip(got, _ref_betas_block(cfg, 0, 1100)):
+                assert np.array_equal(g, r)
+        assert not np.array_equal(_betas_block(a, 0, 64)[0], _betas_block(b, 0, 64)[0])
+
+    def test_slices_are_read_only(self):
+        bp, _, _ = _betas_block(make_cfg(), 0, 64)
+        with pytest.raises(ValueError):
+            bp[0] = 0.0

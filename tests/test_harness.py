@@ -143,6 +143,21 @@ class TestLStudy:
         c2 = theoretical_decay_constant(cfg)
         assert res.fitted_rate < -c2
 
+    def test_without_absorption_reports_errors_without_a_fit(self):
+        # sigma+ = 0 puts every absorbed-mass abscissa at 0: the errors are
+        # reported (one direct solve each) with a NaN slope, never a fit
+        cfg = DuctConfig(d=1.0, M=0.9, k=40.0, x_minus=-1.0, x_plus=1.0, L=2.0)
+        src = [ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(12)]
+        l_values = [1e-6, 1e-3, 0.05]
+        res = run_L_study(cfg, l_values, 0.0, source=src, n_modes=16)
+        assert np.all(res.abscissae == 0.0)
+        assert np.sum(~res.excluded) >= 3
+        assert math.isnan(res.fitted_rate) and math.isnan(res.rate_stderr)
+        assert not res.passed
+        for L, err in zip(l_values, res.error_mean):
+            single = run_L_study(cfg, [L], 0.0, source=src, n_modes=16)
+            assert err == single.error_mean[0]
+
 
 class TestEquivalence:
     def test_order_and_zero_source(self):
