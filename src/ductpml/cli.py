@@ -34,7 +34,7 @@ from .harness import (
 )
 from .noise import ModeBoxSource, NoiseMesh, build_mesh, sample
 from .pml import PmlProfile, dtn_gap_bound, nu_coefficients, reflection_coefficient
-from .solver import default_delta, omega_b_grid, omega_full_grid, solve_full
+from .solver import assemble_field, default_delta, omega_b_grid, omega_full_grid, solve_full
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,6 +91,8 @@ _SCHEMA = {
 
 _SOURCE_TYPES = ("mode_box", "noise", "mode_box+noise", "none")
 _FORMULATIONS = ("dtn", "pml_full", "pml_reduced")
+# sizes that must be finite and positive (integers: at least 1)
+_POSITIVE_KEYS = {"grid": ("n_modes", "n_x2", "delta"), "source": ("finest_h", "noise_levels")}
 
 
 @dataclass
@@ -233,10 +235,6 @@ def _convert(value: str, spec):
         return float(value)
     if spec is int:
         return int(value, 10)
-    if spec is bool:
-        if value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ValueError(f"expected true/false, got {value!r}")
     if spec == "float_list":
         items = [s for s in value.split(",") if s.strip()]
         if not items:
@@ -252,6 +250,11 @@ def _build_run_config(raw: dict) -> RunConfig:
             raise ConfigError(f"[duct] section must set {required!r}")
     if "k" not in duct_raw and "omega" not in duct_raw:
         raise ConfigError("[duct] must set k or omega")
+    for section, keys in _POSITIVE_KEYS.items():
+        for key in keys:
+            val = raw.get(section, {}).get(key)
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ConfigError(f"[{section}] {key} must be positive and finite, got {val!r}")
     pml_raw = raw.get("pml", {})
     duct = DuctConfig(
         d=duct_raw["d"],
@@ -290,12 +293,8 @@ def serialize_config(rc: RunConfig) -> str:
             continue
         lines.append(f"[{section}]")
         for key, val in rc.raw[section].items():
-            if isinstance(val, list):
-                lines.append(f"{key} = {','.join(_fmt(v) for v in val)}")
-            elif isinstance(val, float):
-                lines.append(f"{key} = {_fmt(val)}")
-            else:
-                lines.append(f"{key} = {val}")
+            text = ",".join(map(_fmt, val)) if isinstance(val, list) else _fmt(val)
+            lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)
 
@@ -305,25 +304,44 @@ def serialize_config(rc: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+_CHUNK_ROWS = 8192
+
+
+def _format_code(x) -> str:
+    """% code of one output value: %s str, %d int or bool, %.16e float."""
+    if isinstance(x, str):
+        return "%s"
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%.16e"
+
+
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".16e")
+    return _format_code(x) % x
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """Write equal-length columns (arrays or sequences) under one header; each
+    column's format code comes from its first element, and each chunk of
+    _CHUNK_ROWS rows is one %, so the transient text stays bounded."""
+    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n_rows, width = len(columns[0]), len(columns)
+    line = ",".join(_format_code(c[0]) for c in columns) + "\n" if n_rows else ""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [c[lo : lo + _CHUNK_ROWS] for c in columns]
+            size = len(chunk[0])
+            flat = [None] * (size * width)  # a column of another length fails to fill it
+            for j, c in enumerate(chunk):
+                flat[j::width] = c.tolist() if isinstance(c, np.ndarray) else c
+            fh.write(line * size % tuple(flat))
 
 
 def _write_summary(path: Path, entries: dict):
     with open(path, "w", encoding="utf-8") as fh:
         for key, val in entries.items():
-            fh.write(f"{key}={_fmt(val) if not isinstance(val, str) else val}\n")
+            fh.write(f"{key}={_fmt(val)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +351,17 @@ def _write_summary(path: Path, entries: dict):
 
 def _cmd_modes(rc: RunConfig, out: Path, args) -> int:
     table = dispersion_table(rc.duct, rc.n_modes())
-    rows = [
-        (
-            n,
-            table.beta_plus[n].real,
-            table.beta_plus[n].imag,
-            table.beta_minus[n].real,
-            table.beta_minus[n].imag,
-            table.kind[n],
-        )
-        for n in range(table.n_max)
-    ]
     _write_csv(
         out / "modes.csv",
         ["n", "re_beta_plus", "im_beta_plus", "re_beta_minus", "im_beta_minus", "kind"],
-        rows,
+        [
+            np.arange(table.n_max),
+            table.beta_plus.real,
+            table.beta_plus.imag,
+            table.beta_minus.real,
+            table.beta_minus.imag,
+            table.kind,
+        ],
     )
     return EXIT_OK
 
@@ -368,7 +382,9 @@ def _cmd_greens(rc: RunConfig, out: Path, args) -> int:
                 continue
             val, rep = greens_value((x1, x2), y, params, cfg)
             rows.append((x1, x2, val.real, val.imag, rep))
-    _write_csv(out / "greens.csv", ["x1", "x2", "re_g", "im_g", "representation_used"], rows)
+    _write_csv(
+        out / "greens.csv", ["x1", "x2", "re_g", "im_g", "representation_used"], zip(*rows)
+    )
     return EXIT_OK
 
 
@@ -377,23 +393,17 @@ def _cmd_noise(rc: RunConfig, out: Path, args) -> int:
     r = sample(mesh, rc.base_seed())
     x1e, x2e = mesh.edges(r.level)
     n1, n2 = mesh.shape(r.level)
-    rows = []
-    for i1 in range(n1):
-        for i2 in range(n2):
-            rows.append(
-                (
-                    i1 * n2 + i2,
-                    x1e[i1],
-                    x1e[i1 + 1],
-                    x2e[i2],
-                    x2e[i2 + 1],
-                    r.xi[i1, i2],
-                )
-            )
     _write_csv(
         out / "noise.csv",
         ["cell_index", "x1_lo", "x1_hi", "x2_lo", "x2_hi", "xi"],
-        rows,
+        [
+            np.arange(n1 * n2),
+            np.repeat(x1e[:-1], n2),
+            np.repeat(x1e[1:], n2),
+            np.tile(x2e[:-1], n1),
+            np.tile(x2e[1:], n1),
+            r.xi.ravel(),
+        ],
     )
     return EXIT_OK
 
@@ -419,7 +429,7 @@ def _cmd_pml(rc: RunConfig, out: Path, args) -> int:
             "bound_gap",
             "bound_applicable",
         ],
-        rows,
+        zip(*rows),
     )
     return EXIT_OK
 
@@ -435,35 +445,29 @@ def _cmd_solve(rc: RunConfig, out: Path, args) -> int:
     source = rc.build_source()
     sol = solve_full(cfg, source, formulation, grid, rc.n_modes(), rc.profile)
     nodes = sol.grid.nodes()
-    stride = max(1, (len(nodes) - 1) // 128)
+    x1s = nodes[:: max(1, (len(nodes) - 1) // 128)]
     x2s = np.linspace(0.0, cfg.d, rc.n_x2())
-    from .solver import assemble_field
-
-    rows = []
-    for x1 in nodes[::stride]:
-        pts = [(x1, x2) for x2 in x2s]
-        vals = assemble_field(sol, pts, cfg)
-        rows.extend((x1, x2, v.real, v.imag) for x2, v in zip(x2s, vals))
-    _write_csv(out / "field.csv", ["x1", "x2", "re_p", "im_p"], rows)
-    modal_rows = []
-    for n in range(sol.n_modes):
-        modal_rows.extend(
-            (n, x1, sol.values[n, j].real, sol.values[n, j].imag)
-            for j, x1 in enumerate(nodes)
-        )
-    _write_csv(out / "modal.csv", ["n", "x1", "re_pn", "im_pn"], modal_rows)
+    x1, x2 = (a.ravel() for a in np.meshgrid(x1s, x2s, indexing="ij"))
+    p = assemble_field(sol, np.column_stack((x1, x2)), cfg)
+    _write_csv(out / "field.csv", ["x1", "x2", "re_p", "im_p"], [x1, x2, p.real, p.imag])
+    _write_csv(
+        out / "modal.csv",
+        ["n", "x1", "re_pn", "im_pn"],
+        [
+            np.repeat(np.arange(sol.n_modes), len(nodes)),
+            [_fmt(x) for x in nodes] * sol.n_modes,  # each node formatted once for all modes
+            sol.values.real.ravel(),
+            sol.values.imag.ravel(),
+        ],
+    )
     return EXIT_OK
 
 
 def _study_csv(out: Path, name: str, res) -> None:
-    rows = [
-        (a, m, s, bool(e))
-        for a, m, s, e in zip(res.abscissae, res.error_mean, res.error_stderr, res.excluded)
-    ]
     _write_csv(
         out / f"study_{name}.csv",
         ["abscissa", "error_mean", "error_stderr", "excluded_flag"],
-        rows,
+        [res.abscissae, res.error_mean, res.error_stderr, res.excluded],
     )
     entries = {
         "fitted_rate": res.fitted_rate,
@@ -475,9 +479,7 @@ def _study_csv(out: Path, name: str, res) -> None:
         "n_excluded": int(np.sum(res.excluded)),
     }
     if "bound_applicable" in res.extra:
-        entries["bound_applicable"] = ",".join(
-            "1" if b else "0" for b in res.extra["bound_applicable"]
-        )
+        entries["bound_applicable"] = ",".join(map(_fmt, res.extra["bound_applicable"]))
     _write_summary(out / f"study_{name}_summary.txt", entries)
 
 
@@ -528,22 +530,17 @@ def _cmd_study(rc: RunConfig, out: Path, args) -> int:
             threads=rc.threads(),
             sigma_minus=rc.profile.sigma_minus,
         )
-        rows = []
-        for i, h in enumerate(res.h_values):
-            for j, lval in enumerate(res.l_values):
-                rows.append(
-                    (
-                        h,
-                        lval,
-                        res.abscissae_l[j],
-                        res.error_mean[i, j],
-                        res.error_stderr[i, j],
-                    )
-                )
+        n_h, n_l = len(res.h_values), len(res.l_values)
         _write_csv(
             out / "study_total.csv",
             ["h", "L", "sigma_tilde_integral", "error_mean", "error_stderr"],
-            rows,
+            [
+                np.repeat(res.h_values, n_l),
+                np.tile(res.l_values, n_h),
+                np.tile(res.abscissae_l, n_h),
+                res.error_mean.ravel(),
+                res.error_stderr.ravel(),
+            ],
         )
         _write_summary(
             out / "study_total_summary.txt",

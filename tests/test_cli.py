@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from ductpml.cli import (
+    _CHUNK_ROWS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _fmt,
+    _write_csv,
     dispatch,
     parse_config,
     serialize_config,
@@ -85,6 +89,136 @@ class TestParseConfig:
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="must set"):
             parse_config("[duct]\nd = 1\nM = 0\n")
+
+
+class TestSizeKeys:
+    """Grid and noise sizes are checked when the config is parsed."""
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("grid", "n_modes = 0"),
+            ("grid", "n_modes = -3"),
+            ("grid", "n_x2 = 0"),
+            ("grid", "delta = 0"),
+            ("grid", "delta = -0.1"),
+            ("grid", "delta = nan"),
+            ("grid", "delta = inf"),
+            ("source", "finest_h = -0.1"),
+            ("source", "finest_h = 0"),
+            ("source", "noise_levels = 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["solve"], ["noise"], ["study", "h"]])
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, section, line, command):
+        key = line.split(" = ")[0]
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        assert dispatch(command + ["--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert f"[{section}] {key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_sizes_run(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            MINIMAL + "[source]\ntype = mode_box+noise\nnoise_levels = 1\n"
+            "[grid]\nn_modes = 1\nn_x2 = 1\ndelta = 0.0625\nformulation = dtn\n"
+        )
+        out = tmp_path / "out"
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        field = (out / "field.csv").read_text().splitlines()
+        assert len(field) == 1 + 33  # 33 nodes at x2 = 0
+        assert all(r.split(",")[1] == _fmt(0.0) for r in field[1:])
+        assert len((out / "modal.csv").read_text().splitlines()) == 1 + 33
+
+
+def _old_fmt(x) -> str:
+    # the per-value formatter the column writer replaced
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".16e")
+
+
+def _old_write_csv(path, header, rows):
+    # the row-at-a-time writer the column writer replaced: the byte reference
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_old_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+
+
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+    -1e308, 0.1, -1.0 / 3.0, 1.0, 123456789.0,
+]
+
+
+class TestWriteCsv:
+    """The column writer's bytes equal the row writer's."""
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        _write_csv(new, header, columns)
+        _old_write_csv(old, header, zip(*columns))
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_tables(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 3000))
+        scale = 10.0 ** rng.integers(-300, 300, n)
+        columns = [
+            np.arange(n),
+            rng.standard_normal(n) * scale,
+            rng.standard_normal(n).tolist(),  # a list of Python floats
+            rng.integers(-(2**62), 2**62, n),
+            rng.standard_normal((n, 3))[:, 1],  # a strided view
+            (rng.standard_normal(n) + 1j * rng.standard_normal(n)).imag,
+        ]
+        self._assert_same_bytes(tmp_path, columns)
+
+    def test_special_values(self, tmp_path):
+        n = len(SPECIAL_FLOATS)
+        floats = np.array(SPECIAL_FLOATS)
+        self._assert_same_bytes(
+            tmp_path,
+            [SPECIAL_FLOATS, floats, floats.astype(np.longdouble), floats[::-1], range(n)],
+        )
+        for v in SPECIAL_FLOATS:
+            assert _fmt(v) == _old_fmt(v)
+
+    def test_bool_int_and_str_columns(self, tmp_path):
+        columns = [
+            [True, False, True],
+            np.array([False, True, True]),
+            np.array([7, -3, 0], dtype=np.int64),
+            ["propagating", "evanescent", "singular"],
+            [0.5, -0.25, 1e-7],
+        ]
+        self._assert_same_bytes(tmp_path, columns)
+        for v in (True, False, np.True_, np.int64(-9), 12, 2.5, np.float64(-0.0)):
+            assert _fmt(v) == _old_fmt(v)
+        assert _fmt("modal") == "modal"
+
+    def test_zero_rows(self, tmp_path):
+        self._assert_same_bytes(tmp_path, [np.zeros(0), [], np.zeros(0, dtype=int)])
+        assert (tmp_path / "new.csv").read_text() == "c0,c1,c2\n"
+
+    @pytest.mark.parametrize(
+        "n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1]
+    )
+    def test_chunk_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        self._assert_same_bytes(tmp_path, [np.arange(n), rng.standard_normal(n), ["s"] * n])
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 class TestDispatch:

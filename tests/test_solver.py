@@ -467,6 +467,21 @@ class TestSolveFullAndFields:
         with pytest.raises(Exception):
             assemble_field(sol, (5.0, 0.5), cfg)
 
+    @pytest.mark.parametrize("formulation", ["dtn", "pml_full", "pml_reduced"])
+    def test_field_assembly_in_one_call_equals_per_row_calls(self, formulation):
+        # `ductpml solve` assembles its whole (x1, x2) grid in one call
+        cfg = make_cfg()
+        grid = grid_for(formulation, cfg, 1 / 32)
+        profile = PmlProfile.quadratic(cfg, 5.0)
+        src = [ModeBoxSource(mode=1, x_lo=-0.3, x_hi=0.2), ModeBoxSource(mode=4, x_lo=0.0, x_hi=0.5)]
+        sol = solve_full(cfg, src, formulation, grid, 7, profile)
+        nodes = sol.grid.nodes()
+        x1s = np.concatenate([nodes[::5], 0.5 * (nodes[1::7] + nodes[:-1:7])])
+        x2s = np.linspace(0.0, cfg.d, 9)
+        pts = np.column_stack((np.repeat(x1s, x2s.size), np.tile(x2s, x1s.size)))
+        rows = [assemble_field(sol, [(x1, x2) for x2 in x2s], cfg) for x1 in x1s]
+        assert np.array_equal(assemble_field(sol, pts, cfg), np.concatenate(rows))
+
     def test_parseval_matches_tensor_quadrature(self):
         cfg = make_cfg()
         grid = omega_b_grid(cfg, 1 / 64)
