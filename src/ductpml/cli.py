@@ -180,9 +180,15 @@ class RunConfig:
         if kind in ("mode_box", "mode_box+noise"):
             rect = self.forcing_rect()
             mode = int(self._get("source", "mode", -1))
-            if mode < 0:
+            default = mode < 0
+            if default:
                 _, n0 = cutoff_numbers(self.duct)
                 mode = n0 + 1
+            if mode >= self.n_modes():  # the forced mode would never be solved
+                raise ConfigError(
+                    f"[source] mode {mode}{' (the default N0 + 1)' if default else ''} "
+                    f"must be below [grid] n_modes = {self.n_modes()}"
+                )
             parts.append(
                 ModeBoxSource(
                     mode=mode,
@@ -255,6 +261,9 @@ def _build_run_config(raw: dict) -> RunConfig:
             val = raw.get(section, {}).get(key)
             if val is not None and not (math.isfinite(val) and val > 0):
                 raise ConfigError(f"[{section}] {key} must be positive and finite, got {val!r}")
+    ref_refine = raw.get("run", {}).get("ref_refine")
+    if ref_refine is not None and ref_refine < 1:
+        raise ConfigError(f"[run] ref_refine must be >= 1, got {ref_refine}")
     pml_raw = raw.get("pml", {})
     duct = DuctConfig(
         d=duct_raw["d"],

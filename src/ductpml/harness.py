@@ -17,9 +17,22 @@ Three error mechanisms are measured at desk scale:
 Every per-mode operator comes from ``solver.mode_matrix``.  The two
 noise-driven studies (h and total) share one set-up, ``_noise_study``:
 level validation, noise mesh, grid, mode count, load tables, and each
-seed's noise projected onto all modes at every level.  Every study then
-factors and solves each mode once, with every (level, seed) pair as a
-right-hand-side column.
+seed's noise projected onto all modes at every level.
+
+Every (level, seed) load lives on the grid nodes under the forcing
+rectangle, R.  The h study therefore solves each mode once on the unit
+loads of R: B = A_n^{-1} E_R gives the real |R| x |R| Gram matrix Q_n =
+Re(B^H W B), with W the trapezoid weights, and each seed's error at a
+level is the quadratic form r^T Q_n r of its real load difference r =
+L_lv s_lv - L_ref s_ref on R.  No solution is formed, and the difference
+is taken before the solve, not after.  The same Q_n gives the exact mean:
+level noise is the L2 projection of the reference path, so the
+cross-covariance of level and reference loads is the level covariance
+C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's segment
+values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)).  The total
+study solves each mode once with every (level, seed) pair as a
+right-hand-side column: at its scale (|R| about half the nodes, few
+seeds) the unit-load basis does not pay.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -173,7 +186,10 @@ class _NoiseStudy:
     ``used`` are the mesh levels of the requested diameters (coarsest
     first) and ``ref_level`` is the reference level; ``seg[lv]`` holds the
     axial segment values of every seed and mode at level lv, shape
-    (n_samples, n1, n_modes), and ``loadmap[lv]`` maps segments to hat loads.
+    (n_samples, n1, n_modes), ``loadmap[lv]`` maps segments to hat loads,
+    and ``var[lv][n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's
+    segment values at level lv (T the transverse cell integrals, |K| the
+    cell area).
     """
 
     mesh: NoiseMesh
@@ -185,6 +201,7 @@ class _NoiseStudy:
     ref_level: int
     loadmap: dict
     seg: dict
+    var: dict
 
     @property
     def all_levels(self) -> list:
@@ -212,10 +229,13 @@ def _noise_study(
 
     ``h_levels`` are cell diameters relative to the forcing-rectangle
     diagonal; they must be distinct, dyadically nested, with a coarsest of
-    1/integer.
+    1/integer; ``ref_refine`` >= 1 puts the reference level that many dyadic
+    steps below the finest of them.
     """
     if n_samples < 2:
         raise ConfigError("noise studies need n_samples >= 2")
+    if ref_refine < 1:
+        raise ConfigError(f"ref_refine must be >= 1, got {ref_refine}")
     rel = sorted(float(h) for h in h_levels)
     if rel[0] <= 0.0:
         raise ConfigError("relative diameters must be positive")
@@ -242,17 +262,19 @@ def _noise_study(
     trans = {}
     loadmap = {}
     seg = {}
+    var = {}
     for lv in used + [ref_level]:
         x1_edges, x2_edges = mesh.edges(lv)
         trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
         loadmap[lv] = piecewise_load_matrix(grid, x1_edges)
         seg[lv] = np.empty((n_samples, x1_edges.size - 1, n_modes))
+        var[lv] = np.sum(trans[lv] ** 2, axis=0) / mesh.cell_area(lv)
     for i in range(n_samples):
         levels = realization_levels(sample(mesh, base_seed + i))
         for lv, t in trans.items():
             amp = 1.0 / math.sqrt(mesh.cell_area(lv))
             np.matmul(levels[lv].xi * amp, t, out=seg[lv][i])
-    return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, loadmap, seg)
+    return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, loadmap, seg, var)
 
 
 def _map_threads(fn, args, threads: int):
@@ -340,21 +362,48 @@ def run_h_study(
     diagonal (dyadic, e.g. 1/8, 1/16, 1/32).  One finest-level path per
     seed is coarsened to every requested level; the exact-DtN solve driven
     by each level is compared with the solve at the reference level
-    (``ref_refine`` dyadic steps below the finest requested).  The profile
-    argument is accepted for interface symmetry; the study solves with the
-    exact nonreflecting closure.
+    (``ref_refine`` >= 1 dyadic steps below the finest requested).  The
+    profile argument is accepted for interface symmetry; the study solves
+    with the exact nonreflecting closure.
+
+    Each mode is solved once, on the unit loads of the nodes R under the
+    forcing rectangle, and every (level, seed) error is the quadratic form
+    r^T Q_n r of the load difference r = L_lv s_lv - L_ref s_ref on R, with
+    Q_n = Re(B^H W B) and B = A_n^{-1} E_R.  ``extra["exact_mean"]`` holds
+    the mean-square error of each level without sampling, sum_n
+    tr(Q_n (C_ref,n - C_lv,n)) with C_lv,n = var_lv,n L_lv L_lv^T on R.
     """
     del profile
     st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
+    levels = st.all_levels
+    lmap = np.hstack([st.loadmap[lv] for lv in levels])
+    rows = np.flatnonzero(lmap.any(axis=1))  # R: the nodes some level loads
+    lmap = lmap[rows]
+    starts = np.cumsum([0] + [st.loadmap[lv].shape[1] for lv in levels])
+    unit = np.zeros((st.grid.n_nodes, rows.size))
+    unit[rows, np.arange(rows.size)] = 1.0
+    root_w = np.sqrt(_trapezoid_weights(st.grid))[:, None]
+    var = np.array([st.var[lv] for lv in levels])  # (n_levels, n_modes)
+    h_cols = len(st.used) * n_samples
 
-    def mode_err2(n: int) -> np.ndarray:
-        sols = _dtn_solve(n, cfg, st.grid, st.noise_rhs(n), "h study")
-        sols = sols.reshape(st.grid.n_nodes, len(st.all_levels), n_samples)
-        diff2 = np.abs(sols[:, :-1] - sols[:, -1:]) ** 2
-        return np.trapezoid(diff2, dx=st.grid.delta, axis=0).T  # (n_samples, n_used)
+    def mode_terms(n: int):
+        b = root_w * _dtn_solve(n, cfg, st.grid, unit, "h study")
+        g = np.vstack([b.real, b.imag])
+        q = g.T @ g  # Re(B^H W B)
+        loads = [
+            lmap[:, starts[j] : starts[j + 1]] @ np.ascontiguousarray(st.seg[lv][:, :, n]).T
+            for j, lv in enumerate(levels)
+        ]
+        # every (level, seed) difference, then L_lv for the exact mean's traces
+        r = np.hstack([ld - loads[-1] for ld in loads[:-1]] + [lmap])
+        quad = np.sum(r * (q @ r), axis=0)
+        traces = np.add.reduceat(quad[h_cols:], starts[:-1])  # tr(Q_n L_lv L_lv^T)
+        exact = var[-1, n] * traces[-1] - var[:-1, n] * traces[:-1]
+        return quad[:h_cols].reshape(-1, n_samples).T, exact  # (n_samples, n_used)
 
-    per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
-    err2 = np.sum(np.stack(per_mode), axis=0)  # (n_samples, n_levels_used)
+    per_mode = _map_threads(mode_terms, range(st.n_modes), threads)
+    err2 = np.sum(np.stack([e for e, _ in per_mode]), axis=0)  # (n_samples, n_used)
+    exact_mean = np.sum(np.stack([x for _, x in per_mode]), axis=0)
 
     mean = err2.mean(axis=0)
     stderr = err2.std(axis=0, ddof=1) / math.sqrt(n_samples)
@@ -382,7 +431,8 @@ def run_h_study(
         passed=bool(passed),
         n_samples=n_samples,
         base_seed=base_seed,
-        extra={"relative_h": np.asarray(st.rel)[::-1], "mesh_levels": st.used},
+        extra={"relative_h": np.asarray(st.rel)[::-1], "mesh_levels": st.used,
+               "exact_mean": exact_mean},
     )
 
 

@@ -122,7 +122,7 @@ class TestSizeKeys:
     def test_smallest_sizes_run(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(
-            MINIMAL + "[source]\ntype = mode_box+noise\nnoise_levels = 1\n"
+            MINIMAL + "[source]\ntype = mode_box+noise\nnoise_levels = 1\nmode = 0\n"
             "[grid]\nn_modes = 1\nn_x2 = 1\ndelta = 0.0625\nformulation = dtn\n"
         )
         out = tmp_path / "out"
@@ -131,6 +131,50 @@ class TestSizeKeys:
         assert len(field) == 1 + 33  # 33 nodes at x2 = 0
         assert all(r.split(",")[1] == _fmt(0.0) for r in field[1:])
         assert len((out / "modal.csv").read_text().splitlines()) == 1 + 33
+
+
+class TestDependentKeys:
+    """Keys whose range depends on another key: checked before any output."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("kind", ["h", "total"])
+    def test_ref_refine_below_one_is_config_error(self, tmp_path, capsys, kind, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(
+            MINIMAL + "[run]\nsamples = 4\nh_levels = 0.25,0.125\nl_values = 1,2\n"
+            f"ref_refine = {value}\n"
+        )
+        out = tmp_path / "out"
+        assert dispatch(["study", kind, "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert f"[run] ref_refine must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, n_modes, message",
+        [
+            ("mode = 500\n", 4, "[source] mode 500 must be below [grid] n_modes = 4"),
+            ("mode = 4\n", 4, "[source] mode 4 must be below [grid] n_modes = 4"),
+            ("", 2, "[source] mode 2 (the default N0 + 1) must be below [grid] n_modes = 2"),
+            ("type = mode_box+noise\n", 1, "[source] mode 2 (the default N0 + 1)"),
+        ],
+    )
+    def test_source_mode_not_below_n_modes_is_config_error(
+        self, tmp_path, capsys, source, n_modes, message
+    ):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[source]\n{source}[grid]\nn_modes = {n_modes}\n")
+        out = tmp_path / "out"
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "field.csv").exists()
+
+    def test_last_mode_is_solved(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + "[source]\nmode = 3\n[grid]\nn_modes = 4\n")
+        out = tmp_path / "out"
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        rows = [r.split(",") for r in (out / "field.csv").read_text().splitlines()[1:]]
+        assert max(abs(float(r[2])) + abs(float(r[3])) for r in rows) > 0.0
 
 
 def _old_fmt(x) -> str:
@@ -244,7 +288,7 @@ class TestDispatch:
         p = tmp_path / "res.cfg"
         p.write_text(
             f"[duct]\nd = 1\nM = 0.3\nk = 5\n[pml]\nsigma_plus = 0\nL = {L!r}\n"
-            "[grid]\nformulation = pml_reduced\nn_modes = 2\n"
+            "[source]\nmode = 0\n[grid]\nformulation = pml_reduced\nn_modes = 2\n"
         )
         out = tmp_path / "out"
         status = dispatch(["solve", "--config", str(p), "--out", str(out)])

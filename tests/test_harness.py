@@ -23,6 +23,7 @@ from ductpml.harness import (
 from ductpml.noise import (
     ModeBoxSource,
     NoiseMesh,
+    NoiseRealization,
     realization_levels,
     sample,
 )
@@ -105,6 +106,16 @@ class TestHStudy:
         with pytest.raises(Exception):
             run_h_study(cfg, None, [1 / 4, 1 / 5], 4, 0)
 
+    @pytest.mark.parametrize("ref_refine", [0, -1])
+    def test_reference_below_the_finest_level_required(self, ref_refine):
+        # 0 compares the finest level with itself, -1 names a missing level
+        cfg = make_cfg(L=2.0)
+        message = f"ref_refine must be >= 1, got {ref_refine}"
+        with pytest.raises(ConfigError, match=message):
+            run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, ref_refine=ref_refine)
+        with pytest.raises(ConfigError, match=message):
+            run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, ref_refine=ref_refine)
+
 
 class TestLStudy:
     def test_decay_constant_and_monotonicity(self):
@@ -177,6 +188,44 @@ class TestEquivalence:
         src = ModeBoxSource(mode=4, x_lo=-0.2, x_hi=0.2)
         res = run_equivalence_check(cfg, profile, source=src, deltas=(1 / 64,), n_modes=5)
         assert res.error_mean[0] < 1e-6
+
+
+class TestHStudyExactMean:
+    """extra["exact_mean"]: the mean-square error of each level, unsampled."""
+
+    def test_equals_the_sum_over_unit_draws(self):
+        # err_lv is a quadratic form in the reference draws xi, so its mean
+        # over i.i.d. unit normals is the sum of err_lv(e_c) over the
+        # reference cells c; each e_c is coarsened and solved directly here
+        cfg = make_cfg(L=2.0)
+        n_modes = 4
+        res = run_h_study(cfg, None, [1 / 2, 1 / 4], 2, 0, n_modes=n_modes, ref_refine=1)
+        mesh = NoiseMesh(rect=default_forcing_rect(cfg), levels=3, base_shape=(2, 2))
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        n_cells = 8 * 8
+        loads = np.zeros((3, n_modes, grid.n_nodes, n_cells), dtype=complex)
+        for c in range(n_cells):
+            xi = np.zeros(n_cells)
+            xi[c] = 1.0
+            draw = NoiseRealization(mesh=mesh, level=2, xi=xi.reshape(8, 8), seed=0)
+            for lv, r in enumerate(realization_levels(draw)):
+                loads[lv, :, :, c] = modal_loads(r, cfg, grid, n_modes)
+        total = np.zeros(2)
+        for n in range(n_modes):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            ref = _solve_tridiag(*matrix, loads[2, n])
+            for lv in (0, 1):
+                diff2 = np.abs(_solve_tridiag(*matrix, loads[lv, n]) - ref) ** 2
+                total[lv] += np.sum(np.trapezoid(diff2, dx=grid.delta, axis=0))
+        np.testing.assert_allclose(res.extra["exact_mean"], total, rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.9, 7.3)])
+    def test_monte_carlo_mean_within_three_standard_errors(self, M, k):
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        res = run_h_study(cfg, None, [1 / 8, 1 / 16, 1 / 32], 200, 2026)
+        exact = res.extra["exact_mean"]
+        assert np.all(exact > 0.0) and np.all(np.diff(exact) < 0.0)
+        assert np.all(np.abs(res.error_mean - exact) < 3.0 * res.error_stderr)
 
 
 class TestTotalStudy:
@@ -266,11 +315,12 @@ class TestBatchedNoiseSolves:
     N_SAMPLES = 8
     SEED = 21
 
-    def per_level_loads(self, cfg, grid):
+    def per_level_loads(self, cfg, grid, rect=None):
         """loads[lv][n]: (n_nodes, n_samples) noise loads of mode n at mesh
         level lv: 0 and 1 for h = 1/4 and 1/8, 3 for the reference two
         dyadic steps finer, each seed's realization projected on its own."""
-        mesh = NoiseMesh(rect=default_forcing_rect(cfg), levels=4, base_shape=(4, 4))
+        rect = default_forcing_rect(cfg) if rect is None else rect
+        mesh = NoiseMesh(rect=rect, levels=4, base_shape=(4, 4))
         loads = {lv: [[] for _ in range(self.N_MODES)] for lv in (0, 1, 3)}
         for i in range(self.N_SAMPLES):
             levels = realization_levels(sample(mesh, self.SEED + i))
@@ -306,6 +356,40 @@ class TestBatchedNoiseSolves:
                                         self.SEED, n_modes=self.N_MODES, threads=threads),
             err2,
         )
+
+    @pytest.mark.parametrize(
+        "M, k, rect",
+        [
+            (0.3, 5.0, (-1.0, 1.0, 0.25, 0.75)),  # the whole interval: every node loaded
+            (0.3, 5.0, (0.3025, 0.31, 0.2, 0.6)),  # inside one grid cell: two nodes
+            (0.9, 7.3, None),
+        ],
+        ids=["whole-interval", "one-cell", "M0.9-k7.3"],
+    )
+    def test_h_study_gram_form_matches_per_level_solves(self, M, k, rect):
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        loads = self.per_level_loads(cfg, grid, rect)
+        loaded = np.flatnonzero(np.any([np.any(loads[3][n] != 0.0, axis=1)
+                                        for n in range(self.N_MODES)], axis=0))
+        if rect is not None and rect[:2] == (cfg.x_minus, cfg.x_plus):
+            assert loaded.size == grid.n_nodes
+        elif rect is not None:
+            assert loaded.size == 2 and np.diff(loaded)[0] == 1
+        err2 = np.zeros((self.N_SAMPLES, 2))
+        for n in range(self.N_MODES):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            ref = _solve_tridiag(*matrix, loads[3][n])
+            for j, lv in enumerate((0, 1)):
+                diff2 = np.abs(_solve_tridiag(*matrix, loads[lv][n]) - ref) ** 2
+                err2[:, j] += np.trapezoid(diff2, dx=grid.delta, axis=0)
+
+        def run(threads):
+            return run_h_study(cfg, None, self.H_LEVELS, self.N_SAMPLES, self.SEED, rect=rect,
+                               n_modes=self.N_MODES, threads=threads)
+
+        self.assert_study_matches(run, err2)
+        assert run(1).extra["exact_mean"].tobytes() == run(2).extra["exact_mean"].tobytes()
 
     def test_total_study_matches_per_level_solves(self):
         cfg = make_cfg(L=2.0)
