@@ -179,8 +179,8 @@ class RunConfig:
         parts = []
         if kind in ("mode_box", "mode_box+noise"):
             rect = self.forcing_rect()
-            mode = int(self._get("source", "mode", -1))
-            default = mode < 0
+            mode = self._get("source", "mode")
+            default = mode is None
             if default:
                 _, n0 = cutoff_numbers(self.duct)
                 mode = n0 + 1
@@ -261,9 +261,10 @@ def _build_run_config(raw: dict) -> RunConfig:
             val = raw.get(section, {}).get(key)
             if val is not None and not (math.isfinite(val) and val > 0):
                 raise ConfigError(f"[{section}] {key} must be positive and finite, got {val!r}")
-    ref_refine = raw.get("run", {}).get("ref_refine")
-    if ref_refine is not None and ref_refine < 1:
-        raise ConfigError(f"[run] ref_refine must be >= 1, got {ref_refine}")
+    for (section, key), least in {("run", "ref_refine"): 1, ("source", "mode"): 0}.items():
+        val = raw.get(section, {}).get(key)
+        if val is not None and val < least:
+            raise ConfigError(f"[{section}] {key} must be >= {least}, got {val}")
     pml_raw = raw.get("pml", {})
     duct = DuctConfig(
         d=duct_raw["d"],

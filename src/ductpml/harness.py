@@ -29,22 +29,26 @@ is taken before the solve, not after.  The same Q_n gives the exact mean:
 level noise is the L2 projection of the reference path, so the
 cross-covariance of level and reference loads is the level covariance
 C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's segment
-values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)).  The total
-study solves each mode once with every (level, seed) pair as a
-right-hand-side column: at its scale (|R| about half the nodes, few
-seeds) the unit-load basis does not pay.
+values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)).
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
 layer L differs from the DtN one in its two end rows alone: A_L = A_dtn +
 E D_L E^T with E = [e_0, e_N] and D_L = i (1 - M^2) diag(-(nu^- - beta^-),
-nu^+ - beta^+).  One solve on [loads | e_0 | e_N] gives the DtN solutions
-u and end responses Z, and each L is the rank-2 update u_L = u - Z c_L
-with c_L = (I + D_L Z[ends])^{-1} D_L u[ends].  u_L is never formed: the
-trapezoid-weighted error ||b - Z c_L||^2_W is the Gram form ||b||^2_W -
-2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, O(columns) per L.  A 2x2
-system I + D_L Z[ends] that is numerically singular (so is A_L) raises
-DomainError naming the mode, side(s), L and stage.
+nu^+ - beta^+).  Each L is the rank-2 update u_L = u - Z c_L of the DtN
+solution u, with Z = A_dtn^{-1} E and c_L = (I + D_L Z[ends])^{-1} D_L
+u[ends]; all L of a mode are one stacked 2x2 solve.  u_L is never formed:
+the trapezoid-weighted error ||b - Z c_L||^2_W is the Gram form ||b||^2_W -
+2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, O(columns) per L.  A
+numerically singular I + D_L Z[ends] (so is A_L) raises DomainError
+naming the mode, side(s), L and stage.
+
+The total study solves b = u_lv - u_ref = A_dtn^{-1} r for the level
+differences r alone (the reference and the deterministic source enter only
+u_lv[ends] = Y^T (det + L_lv s_lv), Y = A_dtn^{-T} E), on the node range
+R = [r0, r1] they load: left of R, b = g^- b[r0], with g^- from one solve
+of the load-free block (likewise g^+), and the exterior adds the rank-1
+terms |b[r0]|^2 ||g^-||^2_W to ||b||^2_W and (Z_ext^H W g^-) b[r0] to Z^H W b.
 
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
@@ -60,6 +64,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .duct import DuctConfig, cutoff_numbers, default_n_modes
 from .errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
@@ -189,7 +194,7 @@ class _NoiseStudy:
     (n_samples, n1, n_modes), ``loadmap[lv]`` maps segments to hat loads,
     and ``var[lv][n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's
     segment values at level lv (T the transverse cell integrals, |K| the
-    cell area).
+    cell area).  The studies form the loads L_lv s_lv on the loaded nodes R.
     """
 
     mesh: NoiseMesh
@@ -207,19 +212,6 @@ class _NoiseStudy:
     def all_levels(self) -> list:
         """The used levels, then the reference level: the column-block order."""
         return self.used + [self.ref_level]
-
-    def noise_rhs(self, n: int) -> np.ndarray:
-        """Hat loads of mode n, one column per (level, seed), levels side by side.
-
-        Columns ``j * n_samples .. (j + 1) * n_samples - 1`` hold level
-        ``all_levels[j]``; the shape is (n_nodes, n_levels * n_samples).
-        """
-        ns = self.n_samples
-        out = np.empty((self.grid.n_nodes, len(self.all_levels) * ns), dtype=complex)
-        for j, lv in enumerate(self.all_levels):
-            seg_n = np.ascontiguousarray(self.seg[lv][:, :, n])  # BLAS needs it dense
-            out[:, j * ns : (j + 1) * ns] = self.loadmap[lv] @ seg_n.T
-        return out
 
 
 def _noise_study(
@@ -290,52 +282,93 @@ def _map_threads(fn, args, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _dtn_solve(n: int, cfg: DuctConfig, grid: Grid1D, rhs, stage: str):
-    """A_dtn^{-1} rhs for mode n; a singular system names the mode and the stage."""
+def _solve_named(matrix, rhs, where: str):
+    """_solve_tridiag(*matrix, rhs); a singular system's DomainError starts with where."""
     try:
-        return _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), rhs)
+        return _solve_tridiag(*matrix, rhs)
     except DomainError as exc:
-        raise DomainError(f"{stage}, mode n={n}: {exc}") from exc
+        raise DomainError(f"{where}: {exc}") from exc
 
 
-def _dtn_solve_with_ends(n: int, cfg: DuctConfig, grid: Grid1D, loads, stage: str):
-    """DtN solutions u of mode n for the load columns, and its end responses Z.
+def _layer_gaps(layers, n_modes: int) -> np.ndarray:
+    """D_L = i (1 - M^2) (-(nu^- - beta^-), nu^+ - beta^+) of every mode and layer
+    (cfg_L, profile), shape (n_modes, n_L, 2): one nu_gap call per (L, side)."""
+    n = np.arange(n_modes)
+    return np.stack([1j * c.one_minus_m2 * np.stack([-nu_gap(n, "-", p, c), nu_gap(n, "+", p, c)],
+                                                    axis=1) for c, p in layers], axis=1)
 
-    One banded solve on [loads | e_0 | e_N]: Z = A_dtn^{-1} [e_0, e_N] is
-    (n_nodes, 2).
+
+def _layer_coefficients(n: int, layers, d, z_ends, u_ends, stage: str):
+    """c_L = S_L^{-1} D_L u[ends] of mode n for all layers at once, (n_L, 2, columns).
+
+    u_L = u - Z c_L solves A_L = A_dtn + E D_L E^T, E = [e_0, e_N], D_L =
+    diag(d[j]) from ``_layer_gaps``, S_L = I + D_L Z[ends].  S_L is singular
+    exactly when A_L is: a row-equilibrated condition above UPDATE_COND_LIMIT
+    raises DomainError naming the mode, the side(s), L and the stage.
     """
-    rhs = np.zeros((grid.n_nodes, loads.shape[1] + 2), dtype=complex)
-    rhs[:, :-2] = loads
-    rhs[0, -2] = rhs[-1, -1] = 1.0
-    sols = _dtn_solve(n, cfg, grid, rhs, stage)
-    return sols[:, :-2], sols[:, -2:]
+    s = np.eye(2) + d[:, :, None] * z_ends
+    cond = np.linalg.cond(s / np.max(np.abs(s), axis=2, keepdims=True))
+    for j in np.flatnonzero(~(cond <= UPDATE_COND_LIMIT))[:1]:
+        sides = [side for side, d_i in zip("-+", d[j]) if d_i != 0.0]  # the updated ends
+        raise DomainError(
+            f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={layers[j][0].L}: "
+            f"rank-2 layer update has condition {cond[j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
+            "the reduced mode operator is numerically singular"
+        )
+    return np.linalg.solve(s, d[:, :, None] * u_ends)
 
 
-def _layer_coefficients(n: int, layers, z_ends, u_ends, stage: str):
-    """c_L = S_L^{-1} D_L u[ends] of mode n for every layer (cfg_L, profile).
+def _end_responses(n: int, matrix, stage: str):
+    """Z = A^{-1} E and Y = A^{-T} E of mode n, E = [e_0, e_N]: u[ends] = Y^T f for load f."""
+    sub, diag, sup = matrix
+    ends = np.zeros((diag.size, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    where = f"{stage}, mode n={n}"
+    return _solve_named(matrix, ends, where), _solve_named((sup, diag, sub), ends, where)
 
-    The reduced operator is A_L = A_dtn + E D_L E^T with E = [e_0, e_N] and
-    D_L = i (1 - M^2) diag(-(nu^- - beta^-), nu^+ - beta^+), so its solution
-    is u_L = u - Z c_L with S_L = I + D_L Z[ends].  S_L is singular exactly
-    when A_L is: an S_L whose row-equilibrated condition exceeds
-    UPDATE_COND_LIMIT raises DomainError naming the mode, the side(s), L and
-    the stage.
+
+def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
+    """A^{-1} rhs of mode n on nodes lo..hi, for loads that vanish outside them.
+
+    The solution is g_lo b[lo] on nodes 0..lo-1 and g_hi b[hi] on hi+1..N; each
+    gain is one solve of its load-free exterior block and corrects a corner
+    of lo..hi.  Returns (b on lo..hi, g_lo, g_hi); no exterior, empty gain.
     """
-    out = []
-    for cfg_l, profile in layers:
-        gaps = [-nu_gap(n, "-", profile, cfg_l), nu_gap(n, "+", profile, cfg_l)]
-        d = 1j * cfg_l.one_minus_m2 * np.array(gaps)
-        s = np.eye(2) + d[:, None] * z_ends
-        cond = np.linalg.cond(s / np.max(np.abs(s), axis=1, keepdims=True))
-        if not cond <= UPDATE_COND_LIMIT:
-            sides = [side for side, d_i in zip("-+", d) if d_i != 0.0]  # the updated ends
-            raise DomainError(
-                f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={cfg_l.L}: "
-                f"rank-2 layer update has condition {cond:.3e} > {UPDATE_COND_LIMIT:.0e}; "
-                "the reduced mode operator is numerically singular"
-            )
-        out.append(np.linalg.solve(s, d[:, None] * u_ends))
-    return out
+    sub, diag, sup = matrix
+    d_r = diag[lo : hi + 1].copy()
+    where = f"{stage}, mode n={n}"
+    g_lo = g_hi = np.zeros(0, dtype=complex)
+    if lo > 0:
+        rhs_lo = np.r_[np.zeros(lo - 1), -sup[lo - 1]]
+        g_lo = _solve_named((sub[: lo - 1], diag[:lo], sup[: lo - 1]), rhs_lo,
+                            f"{where}, side -: exterior block")
+        d_r[0] += sub[lo - 1] * g_lo[-1]
+    if hi < diag.size - 1:
+        rhs_hi = np.r_[-sub[hi], np.zeros(diag.size - 2 - hi)]
+        g_hi = _solve_named((sub[hi + 1 :], diag[hi + 1 :], sup[hi + 1 :]), rhs_hi,
+                            f"{where}, side +: exterior block")
+        d_r[-1] += sup[hi] * g_hi[0]
+    return _solve_named((sub[lo:hi], d_r, sup[lo:hi]), rhs, where), g_lo, g_hi
+
+
+def _range_gram(w, z, lo: int, hi: int, b, g_lo, g_hi):
+    """||b||^2_W and Z^H W b of the solution ``_range_solve`` returns in pieces;
+    each exterior adds the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W g) b_edge."""
+    wz = (w[:, None] * z).conj()
+    b_norm2 = w[lo : hi + 1] @ (b.real ** 2 + b.imag ** 2)
+    zwb = wz[lo : hi + 1].T @ b
+    for g, ext, edge in ((g_lo, slice(0, lo), b[0]), (g_hi, slice(hi + 1, None), b[-1])):
+        b_norm2 += (w[ext] @ (g.real ** 2 + g.imag ** 2)) * (edge.real ** 2 + edge.imag ** 2)
+        zwb += np.outer(wz[ext].T @ g, edge)
+    return b_norm2, zwb
+
+
+def _check_source_modes(source, n_modes: int, stage: str):
+    """A modal source outside modes 0 .. n_modes-1 would never be solved: ConfigError."""
+    for s in source if isinstance(source, (list, tuple)) else [source]:
+        if not 0 <= getattr(s, "mode", 0) < n_modes:
+            raise ConfigError(f"{stage}: source mode {s.mode} is not in 0 .. n_modes - 1 "
+                              f"(n_modes = {n_modes}) and would never be solved")
 
 
 def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -387,7 +420,7 @@ def run_h_study(
     h_cols = len(st.used) * n_samples
 
     def mode_terms(n: int):
-        b = root_w * _dtn_solve(n, cfg, st.grid, unit, "h study")
+        b = root_w * _solve_named(mode_matrix(n, cfg, st.grid, DTN), unit, f"h study, mode n={n}")
         g = np.vstack([b.real, b.imag])
         q = g.T @ g  # Re(B^H W B)
         loads = [
@@ -481,20 +514,25 @@ def run_L_study(
     grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
     if n_modes is None:
         n_modes = default_n_modes(cfg)
+    _check_source_modes(source, n_modes, "L study")
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
     layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
+    gaps = _layer_gaps(layers, n_modes)
     loads = modal_loads(source, cfg, grid, n_modes)
     w = _trapezoid_weights(grid)
 
+    ends = np.zeros((grid.n_nodes, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
     err2 = np.zeros(len(layers))
     norm2 = 0.0
     for n in range(n_modes):
-        u, z = _dtn_solve_with_ends(n, cfg, grid, loads[n][:, None], "L study")
+        rhs = np.column_stack([loads[n], ends])  # one solve on [load | e_0 | e_N]
+        sols = _solve_named(mode_matrix(n, cfg, grid, DTN), rhs, f"L study, mode n={n}")
+        u, z = sols[:, :1], sols[:, 1:]
         norm2 += float(w @ np.abs(u[:, 0]) ** 2)
         gram = z.conj().T @ (w[:, None] * z)
-        coeffs = _layer_coefficients(n, layers, z[[0, -1]], u[[0, -1]], "L study")
-        for j, c in enumerate(coeffs):
-            err2[j] += float(np.real(c[:, 0].conj() @ gram @ c[:, 0]))
+        c = _layer_coefficients(n, layers, gaps[n], z[[0, -1]], u[[0, -1]], "L study")
+        err2 += np.sum(c.conj() * (gram @ c), axis=(1, 2)).real
     errors = np.sqrt(err2)
     dtn_norm = math.sqrt(norm2)
 
@@ -618,40 +656,43 @@ def run_total_error_study(
     finest h the rows reproduce the layer decay.  ``sigma_minus`` defaults
     to ``sigma_plus``.
 
-    Each mode is solved once, with the DtN closure, on every (level, seed)
-    load and the two unit end loads.  The reduced solve of layer L is the
-    rank-2 update u_h - Z c_L, and is never formed: with b = u_h - u_ref,
-    the entry is the Gram form ||b||^2_W - 2 Re(c_L^H Z^H W b) +
-    c_L^H (Z^H W Z) c_L per column, so each L costs O(columns).
+    Per mode, b = u_lv - u_ref is solved for the real level differences r =
+    L_lv s_lv - L_ref s_ref alone, on the loaded node range R with its
+    exterior folded into two gains.  Each entry is the Gram form ||b||^2_W -
+    2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, with c_L from the end values
+    u_lv[ends] = Y^T (det + L_lv s_lv); see the module docstring.
     """
     if source is None:
         source = default_l_study_source(cfg)
     st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
+    _check_source_modes(source, st.n_modes, "total study")
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
     layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
+    gaps = _layer_gaps(layers, st.n_modes)
     det = modal_loads(source, cfg, st.grid, st.n_modes)
     w = _trapezoid_weights(st.grid)
-
+    levels = st.all_levels
+    rows = np.flatnonzero(np.any([st.loadmap[lv].any(axis=1) for lv in levels], axis=0))
+    if rows.size == 0:
+        raise ConfigError("total study: the forcing rectangle loads no grid node")
+    lo, hi = rows[0], rows[-1]  # R = lo..hi
+    lmaps = [csr_array(st.loadmap[lv][lo : hi + 1]) for lv in levels]
     n_used = len(st.used)
-    h_cols = n_used * n_samples  # the used levels' columns; the rest is the reference
 
     def mode_err2(n: int) -> np.ndarray:
-        rhs = st.noise_rhs(n)
-        rhs += det[n][:, None]
-        u, z = _dtn_solve_with_ends(n, cfg, st.grid, rhs, "total study")
-        b = u[:, :h_cols].reshape(-1, n_used, n_samples) - u[:, None, h_cols:]
-        b = b.reshape(-1, h_cols)
-        wz = w[:, None] * z
-        b_norm2 = w @ (b.real ** 2 + b.imag ** 2)
-        zwb = wz.conj().T @ b
-        gram = z.conj().T @ wz
-        coeffs = _layer_coefficients(n, layers, z[[0, -1]], u[[0, -1], :h_cols], "total study")
-        out = np.empty((n_samples, n_used, len(layers)))
-        for j, c in enumerate(coeffs):
-            cross = np.sum(c.conj() * zwb, axis=0).real
-            quad = np.sum(c.conj() * (gram @ c), axis=0).real
-            out[:, :, j] = (b_norm2 - 2.0 * cross + quad).reshape(n_used, n_samples).T
-        return out
+        matrix = mode_matrix(n, cfg, st.grid, DTN)
+        z, y = _end_responses(n, matrix, "total study")
+        loads = [m @ np.ascontiguousarray(st.seg[lv][:, :, n].T) for m, lv in zip(lmaps, levels)]
+        f_lv = np.hstack(loads[:-1])  # (|R|, n_used * n_samples), levels side by side
+        b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, f_lv - np.tile(loads[-1], n_used),
+                                     "total study")
+        b_norm2, zwb = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
+        gram = z.conj().T @ (w[:, None] * z)
+        u_ends = (y.T @ det[n])[:, None] + y[lo : hi + 1].T @ f_lv
+        c = _layer_coefficients(n, layers, gaps[n], z[[0, -1]], u_ends, "total study")
+        cross = np.sum(c.conj() * zwb, axis=1).real
+        quad = np.sum(c.conj() * (gram @ c), axis=1).real
+        return (b_norm2 - 2.0 * cross + quad).reshape(len(layers), n_used, n_samples).T
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
     err2 = np.sum(np.stack(per_mode), axis=0)

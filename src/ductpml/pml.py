@@ -18,7 +18,6 @@ the resulting modal reflection magnitudes, and the a-priori gap bounds
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -203,10 +202,6 @@ def stretch_partial(profile: PmlProfile, side: str, s, omega: float):
     return out if out.ndim else complex(out)
 
 
-def _interface(profile: PmlProfile, side: str) -> float:
-    return profile.x_plus if side == "+" else profile.x_minus
-
-
 def _layer_offset(profile: PmlProfile, side: str, x1):
     off = (x1 - profile.x_plus) if side == "+" else (profile.x_minus - x1)
     return off
@@ -247,7 +242,7 @@ def psi_mode_derivative(n: int, x1, side: str, profile: PmlProfile, cfg: DuctCon
 
 
 def _layer_mode(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
-    """(beta_plus, beta_minus, stretch integral, q) of mode n on one side.
+    """(beta_plus, beta_minus, stretch integral, q) of mode n (int or array) on one side.
 
     q = exp(i (beta_plus - beta_minus) * stretch_integral); |q| <= 1.  The
     roots are computed once here for every layer quantity of the mode.
@@ -255,7 +250,8 @@ def _layer_mode(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
     _check_side(side)
     bp, bm = axial_wavenumbers64(n, cfg)
     stretch = stretch_integral(profile, side, profile.L, cfg.omega)
-    return bp, bm, stretch, cmath.exp(1j * (bp - bm) * stretch)
+    q = np.exp(1j * (bp - bm) * stretch)
+    return bp, bm, stretch, q if q.ndim else complex(q)
 
 
 def _q_factor(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
@@ -266,10 +262,10 @@ def _q_factor(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
     """
     bp, bm, _, q = _layer_mode(n, side, profile, cfg)
     den = 1.0 - q
-    if abs(den) < 1e-14:
-        raise DegenerateLayerError(
-            f"layer denominator |1-q|={abs(den):.3e} for mode n={n}, side {side!r}"
-        )
+    if np.any(np.abs(den) < 1e-14):
+        i = np.argmin(np.abs(den))
+        raise DegenerateLayerError(f"layer denominator |1-q|={np.abs(den).flat[i]:.3e} "
+                                   f"for mode n={np.ravel(n)[i]}, side {side!r}")
     return bp, bm, q, den
 
 
@@ -301,8 +297,8 @@ def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> 
     return beta + gap
 
 
-def nu_gap(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> complex:
-    """nu_n - beta_n on the requested side, without cancellation.
+def nu_gap(n, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """nu_n - beta_n on the requested side, without cancellation (int or array n).
 
     Equals +-(beta_plus - beta_minus) q / (1 - q) ('+' and '-' sides): the
     only difference between the finite-layer and the exact-DtN closure.

@@ -327,6 +327,8 @@ def _solve_tridiag(sub, diag, sup, rhs):
     ab[1, :] = diag
     ab[2, :-1] = sub
     try:
+        if diag.size == 1 and diag[0] == 0.0:  # solve_banded divides a 1x1 system
+            raise np.linalg.LinAlgError("zero 1x1 system")
         return solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # ill-posedness; excluded by the
         raise DomainError(f"singular mode system: {exc}") from exc  # cutoff guard

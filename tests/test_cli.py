@@ -168,6 +168,28 @@ class TestDependentKeys:
         assert message in capsys.readouterr().err
         assert not (out / "field.csv").exists()
 
+    @pytest.mark.parametrize("kind, csv", [("L", "study_L.csv"), ("total", "study_total.csv")])
+    def test_layer_study_source_mode_not_below_n_modes_is_config_error(
+        self, tmp_path, capsys, kind, csv
+    ):
+        # k=5, M=0.3: the studies' box source sits in mode N0 + 1 = 2
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + "[grid]\nn_modes = 2\n[run]\nsamples = 4\n"
+                     "h_levels = 0.25,0.125\nl_values = 1,2\n")
+        out = tmp_path / "out"
+        assert dispatch(["study", kind, "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert "source mode 2 is not in 0 .. n_modes - 1 (n_modes = 2)" in capsys.readouterr().err
+        assert not (out / csv).exists()
+
+    @pytest.mark.parametrize("value", [-1, -5])
+    def test_negative_source_mode_is_config_error(self, tmp_path, capsys, value):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[source]\nmode = {value}\n[grid]\nn_modes = 4\n")
+        out = tmp_path / "out"
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert f"[source] mode must be >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_last_mode_is_solved(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(MINIMAL + "[source]\nmode = 3\n[grid]\nn_modes = 4\n")

@@ -7,11 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ductpml import DuctConfig, harness
-from ductpml.duct import cutoff_numbers
+from ductpml.duct import cutoff_numbers, default_n_modes
 from ductpml.errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
-    _dtn_solve_with_ends,
+    _end_responses,
     _layer_coefficients,
+    _layer_gaps,
+    _range_gram,
+    _range_solve,
+    _trapezoid_weights,
     default_forcing_rect,
     default_l_study_source,
     fit_rate,
@@ -32,6 +36,7 @@ from ductpml.solver import (
     DTN,
     PML_REDUCED,
     _solve_tridiag,
+    condition_estimate,
     default_delta,
     l2_error,
     modal_loads,
@@ -263,6 +268,13 @@ class TestTotalStudy:
         with pytest.raises(error):
             run_total_error_study(cfg, h_levels, [1.0, 2.0], 5.0, n_samples, 0)
 
+    def test_rectangle_off_the_grid_is_config_error(self):
+        # the noise would load no node: the table would hold the layer error alone
+        cfg = make_cfg(L=2.0)
+        with pytest.raises(ConfigError, match="forcing rectangle loads no grid node"):
+            run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0,
+                                  rect=(2.0, 3.0, 0.25, 0.75))
+
     def test_large_l_column_reproduces_h_rates(self):
         cfg = make_cfg(L=4.0)
         h_levels = [1 / 4, 1 / 8, 1 / 16]
@@ -448,6 +460,138 @@ class TestBatchedNoiseSolves:
         symmetric = run(1, sm=None)
         assert not np.allclose(symmetric.error_mean, run(1).error_mean, rtol=1e-3)
 
+    def test_total_study_off_centre_rectangle(self):
+        # the rectangle touches x^-: R starts at node 0 and only the right
+        # side has an exterior; per-level solves and thread counts agree
+        cfg = make_cfg(L=2.0)
+        rect = (cfg.x_minus, -0.4, 0.25, 0.75)
+        l_values = [0.5, 2.0]
+        source = default_l_study_source(cfg)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        loads = self.per_level_loads(cfg, grid, rect)
+        loaded = np.flatnonzero(np.any(loads[3][0] != 0.0, axis=1))
+        assert loaded[0] == 0 and loaded[-1] < grid.n_nodes // 2
+        err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
+        det_rows = modal_loads(source, cfg, grid, self.N_MODES)
+        for n in range(self.N_MODES):
+            det = det_rows[n][:, None]
+            ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
+            for j_l, L in enumerate(l_values):
+                prof = PmlProfile.quadratic(make_cfg(L=L), 5.0)
+                matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
+                for j_h, lv in enumerate((0, 1)):
+                    diff2 = np.abs(_solve_tridiag(*matrix, loads[lv][n] + det) - ref) ** 2
+                    err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
+        self.assert_study_matches(
+            lambda threads: run_total_error_study(
+                cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED, rect=rect,
+                n_modes=self.N_MODES, threads=threads,
+            ),
+            err2,
+        )
+
+
+class TestRangeSolve:
+    """The total study's solve on the loaded node range R against full DtN solves."""
+
+    CASES = {
+        "M0.3-k5": (0.3, 5.0),
+        "M0.6-k20": (0.6, 20.0),
+        "M0.9-k7.3": (0.9, 7.3),
+        # 1e-6 relative above the cutoff of mode 2
+        "near-cutoff": (0.3, math.sqrt(1.0 - 0.3 ** 2) * 2.0 * math.pi * (1.0 + 1e-6)),
+    }
+
+    @staticmethod
+    def node_range(shape, last):
+        return {
+            "interior": (last // 4, (3 * last) // 4),
+            "left-end": (0, last // 3),
+            "right-end": (last // 2, last),
+            "whole": (0, last),
+        }[shape]
+
+    @staticmethod
+    def assert_close(got, want, tol):
+        err = np.max(np.abs(got - want), initial=0.0)
+        assert err <= tol * np.max(np.abs(want), initial=0.0)
+
+    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end", "whole"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_dtn_solve(self, case, shape):
+        # the reference is the full DtN solve refined in extended precision;
+        # both it and any float64 solve are within eps * cond of the exact
+        # solution, so the bound is 1e-12 unless the mode is that ill-conditioned
+        # (only mode 2 near its cutoff, cond about 4e6)
+        M, k = self.CASES[case]
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        last = grid.n_nodes - 1
+        lo, hi = self.node_range(shape, last)
+        w = _trapezoid_weights(grid)
+        rng = np.random.default_rng(17)
+        r = rng.standard_normal((hi - lo + 1, 3))
+        loads = np.zeros((grid.n_nodes, 3))
+        loads[lo : hi + 1] = r
+        det = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
+        ends = np.zeros((grid.n_nodes, 2))
+        ends[0, 0] = ends[-1, 1] = 1.0
+        for n in range(default_n_modes(cfg)):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            tol = max(1e-12, np.finfo(float).eps * condition_estimate(n, cfg, grid))
+            b_full = refined_solve(matrix, matrix, loads)
+            z_full = refined_solve(matrix, matrix, ends)
+            u_full = refined_solve(matrix, matrix, loads + det[:, None])
+            b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, r, "test")
+            assert g_lo.shape == (lo,) and g_hi.shape == (last - hi,)
+            self.assert_close(b, b_full[lo : hi + 1], tol)
+            self.assert_close(np.outer(g_lo, b[0]), b_full[:lo], tol)
+            self.assert_close(np.outer(g_hi, b[-1]), b_full[hi + 1 :], tol)
+            z, y = _end_responses(n, matrix, "test")
+            self.assert_close(z, z_full, tol)
+            b_norm2, zwb = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
+            self.assert_close(b_norm2, w @ np.abs(b_full) ** 2, tol)
+            self.assert_close(zwb, z_full.conj().T @ (w[:, None] * b_full), tol)
+            self.assert_close(y.T @ (loads + det[:, None]), u_full[[0, -1]], tol)
+
+    @pytest.mark.parametrize("side", ["-", "+"])
+    def test_singular_exterior_block_names_mode_side_and_stage(self, side):
+        cfg = make_cfg(L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        sub, diag, sup = mode_matrix(3, cfg, grid, DTN)
+        diag = diag.copy()
+        # a one-node exterior whose diagonal vanishes; the range itself is regular
+        lo, hi = (1, grid.n_nodes - 1) if side == "-" else (0, grid.n_nodes - 2)
+        diag[0 if side == "-" else -1] = 0.0
+        message = rf"^total study, mode n=3, side \{side}: exterior block"
+        with pytest.raises(DomainError, match=message):
+            _range_solve(3, (sub, diag, sup), lo, hi, np.ones((hi - lo + 1, 2)), "total study")
+        # two exterior nodes with a zero block
+        lo, hi = (2, grid.n_nodes - 1) if side == "-" else (0, grid.n_nodes - 3)
+        sub, sup = sub.copy(), sup.copy()
+        if side == "-":
+            diag[:2] = sub[0] = sup[0] = 0.0
+        else:
+            diag[-2:] = sub[-1] = sup[-1] = 0.0
+        with pytest.raises(DomainError, match=message):
+            _range_solve(3, (sub, diag, sup), lo, hi, np.ones((hi - lo + 1, 2)), "total study")
+
+
+def refined_solve(exact, matrix, rhs):
+    """Solution of the tridiagonal ``exact`` (sub, diag, sup) for rhs, refined.
+
+    Three steps of refinement: residuals in extended precision with
+    ``exact``, corrections by direct solves with ``matrix``.
+    """
+    sub, diag, sup = (np.asarray(a, dtype=np.clongdouble) for a in exact)
+    x = np.zeros(rhs.shape, dtype=np.clongdouble)
+    for _ in range(3):
+        r = rhs - diag[:, None] * x
+        r[:-1] -= sup[:, None] * x[1:]
+        r[1:] -= sub[:, None] * x[:-1]
+        x += _solve_tridiag(*matrix, r.astype(complex))
+    return x
+
 
 def reduced_oracle(n, cfg, grid, profile, rhs):
     """Direct pml_reduced solve of mode n, refined in extended precision.
@@ -458,18 +602,11 @@ def reduced_oracle(n, cfg, grid, profile, rhs):
     Three steps reach the solution of that operator to about 1e-14 even where
     a single float64 solve is off by eps * cond, near a layer resonance.
     """
-    matrix = mode_matrix(n, cfg, grid, PML_REDUCED, profile)
     sub, diag, sup = (np.asarray(a, dtype=np.clongdouble) for a in mode_matrix(n, cfg, grid, DTN))
     bc = 1j * cfg.one_minus_m2
     diag[0] -= bc * nu_gap(n, "-", profile, cfg)
     diag[-1] += bc * nu_gap(n, "+", profile, cfg)
-    x = np.zeros(rhs.shape, dtype=np.clongdouble)
-    for _ in range(3):
-        r = rhs - diag[:, None] * x
-        r[:-1] -= sup[:, None] * x[1:]
-        r[1:] -= sub[:, None] * x[:-1]
-        x += _solve_tridiag(*matrix, r.astype(complex))
-    return x
+    return refined_solve((sub, diag, sup), mode_matrix(n, cfg, grid, PML_REDUCED, profile), rhs)
 
 
 needs_extended_precision = pytest.mark.skipif(
@@ -486,34 +623,43 @@ class TestLayerUpdate:
         M=st.floats(0.0, 0.95),
         k=st.floats(0.5, 30.0),
         L=st.floats(0.05, 4.0),
+        L2=st.floats(0.05, 4.0),
         sigma_plus=st.floats(0.0, 50.0),
         sigma_minus=st.floats(0.0, 50.0),
         dn=st.integers(-2, 2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_direct_reduced_solves(self, M, k, L, sigma_plus, sigma_minus, dn, seed):
-        # the study grid: spacing from the base configuration (L = 2), the
-        # layer length varies; propagating and evanescent modes alike
+    def test_matches_direct_reduced_solves(
+        self, M, k, L, L2, sigma_plus, sigma_minus, dn, seed
+    ):
+        # the study grid: spacing from the base configuration (L = 2), two
+        # layer lengths in one stacked call; propagating and evanescent modes alike
         base = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         k0, n0 = cutoff_numbers(base)
         assume(all(abs(k0 - m) > 1e-6 * k0 for m in range(1, n0 + 3)))  # off cutoff
         n = max(0, n0 + dn)
         grid = omega_b_grid(base, default_delta(base))
-        cfg = replace(base, L=L)
-        profile = PmlProfile.quadratic(cfg, sigma_plus, sigma_minus)
+        layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus))
+                  for c in (replace(base, L=L), replace(base, L=L2))]
         rng = np.random.default_rng(seed)
         loads = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
-        u, z = _dtn_solve_with_ends(n, base, grid, loads, "test")
-        (c,) = _layer_coefficients(n, [(cfg, profile)], z[[0, -1]], u[[0, -1]], "test")
-        expected = reduced_oracle(n, cfg, grid, profile, loads)
-        rel = float(np.max(np.abs(u - z @ c - expected)) / np.max(np.abs(expected)))
-        # the update is as accurate as the DtN solve, times the condition
-        # of its 2x2 system S_L (at most a few hundred away from resonances)
-        d = 1j * cfg.one_minus_m2 * np.array([-nu_gap(n, "-", profile, cfg),
-                                              nu_gap(n, "+", profile, cfg)])
-        s = np.eye(2) + d[:, None] * z[[0, -1]]
-        cond = np.linalg.cond(s / np.max(np.abs(s), axis=1, keepdims=True))
-        assert rel <= 1e-11 * max(1.0, cond)
+        matrix = mode_matrix(n, base, grid, DTN)
+        u = _solve_tridiag(*matrix, loads)
+        z, _ = _end_responses(n, matrix, "test")
+        gaps = _layer_gaps(layers, n + 1)[n]
+        coeffs = _layer_coefficients(n, layers, gaps, z[[0, -1]], u[[0, -1]], "test")
+        assert coeffs.shape == (2, 2, 3)
+        for j, ((cfg, profile), c) in enumerate(zip(layers, coeffs)):
+            expected = reduced_oracle(n, cfg, grid, profile, loads)
+            rel = float(np.max(np.abs(u - z @ c - expected)) / np.max(np.abs(expected)))
+            # the update is as accurate as the DtN solve, times the condition
+            # of its 2x2 system S_L (at most a few hundred away from resonances)
+            d = 1j * cfg.one_minus_m2 * np.array([-nu_gap(n, "-", profile, cfg),
+                                                  nu_gap(n, "+", profile, cfg)])
+            np.testing.assert_allclose(gaps[j], d, rtol=1e-15)  # the array gap, per mode
+            s = np.eye(2) + d[:, None] * z[[0, -1]]
+            cond = np.linalg.cond(s / np.max(np.abs(s), axis=1, keepdims=True))
+            assert rel <= 1e-11 * max(1.0, cond)
 
     @staticmethod
     def resonant_layer():

@@ -248,9 +248,19 @@ class TestNuCoefficients:
         p = PmlProfile(sigma_plus=0.0, sigma_minus=0.0, x_plus=1.0, x_minus=-1.0, L=cfg.L)
         with pytest.raises(DegenerateLayerError):
             nu_coefficients(0, "+", p, cfg)  # (b+ - b-) L = 10 L = 2 pi
+        with pytest.raises(DegenerateLayerError, match="mode n=0, side '\\+'"):
+            nu_gap(np.arange(3)[::-1], "+", p, cfg)  # an array names the degenerate mode
 
 
 class TestNuGap:
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_array_of_modes_matches_per_mode_calls(self, cfg, side):
+        # one array call for all modes; complex division may round differently
+        p = make_profile(cfg, sp=5.0, sm=2.0)
+        modes = np.arange(40)
+        per_mode = [nu_gap(int(n), side, p, cfg) for n in modes]
+        np.testing.assert_allclose(nu_gap(modes, side, p, cfg), per_mode, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("side", ["+", "-"])
     def test_is_nu_minus_beta(self, cfg, side):
         p = make_profile(cfg, sp=5.0, sm=2.0)
