@@ -194,7 +194,8 @@ class _NoiseStudy:
     (n_samples, n1, n_modes), ``loadmap[lv]`` maps segments to hat loads,
     and ``var[lv][n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's
     segment values at level lv (T the transverse cell integrals, |K| the
-    cell area).  The studies form the loads L_lv s_lv on the loaded nodes R.
+    cell area).  The studies form the loads L_lv s_lv on the loaded nodes
+    R, ``rows`` (never empty).
     """
 
     mesh: NoiseMesh
@@ -207,6 +208,7 @@ class _NoiseStudy:
     loadmap: dict
     seg: dict
     var: dict
+    rows: np.ndarray
 
     @property
     def all_levels(self) -> list:
@@ -215,7 +217,7 @@ class _NoiseStudy:
 
 
 def _noise_study(
-    cfg: DuctConfig, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine
+    cfg: DuctConfig, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, stage
 ) -> _NoiseStudy:
     """Validate the levels and build everything that does not depend on the mode.
 
@@ -261,12 +263,17 @@ def _noise_study(
         loadmap[lv] = piecewise_load_matrix(grid, x1_edges)
         seg[lv] = np.empty((n_samples, x1_edges.size - 1, n_modes))
         var[lv] = np.sum(trans[lv] ** 2, axis=0) / mesh.cell_area(lv)
+    rows = np.flatnonzero(np.any([m.any(axis=1) for m in loadmap.values()], axis=0))
+    if rows.size == 0:
+        raise ConfigError(f"{stage}: the forcing rectangle loads no grid node")
     for i in range(n_samples):
         levels = realization_levels(sample(mesh, base_seed + i))
         for lv, t in trans.items():
             amp = 1.0 / math.sqrt(mesh.cell_area(lv))
             np.matmul(levels[lv].xi * amp, t, out=seg[lv][i])
-    return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, loadmap, seg, var)
+    return _NoiseStudy(
+        mesh, grid, n_modes, n_samples, rel, used, ref_level, loadmap, seg, var, rows
+    )
 
 
 def _map_threads(fn, args, threads: int):
@@ -407,11 +414,12 @@ def run_h_study(
     tr(Q_n (C_ref,n - C_lv,n)) with C_lv,n = var_lv,n L_lv L_lv^T on R.
     """
     del profile
-    st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
+    st = _noise_study(
+        cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "h study"
+    )
     levels = st.all_levels
-    lmap = np.hstack([st.loadmap[lv] for lv in levels])
-    rows = np.flatnonzero(lmap.any(axis=1))  # R: the nodes some level loads
-    lmap = lmap[rows]
+    rows = st.rows
+    lmap = np.hstack([st.loadmap[lv] for lv in levels])[rows]
     starts = np.cumsum([0] + [st.loadmap[lv].shape[1] for lv in levels])
     unit = np.zeros((st.grid.n_nodes, rows.size))
     unit[rows, np.arange(rows.size)] = 1.0
@@ -664,7 +672,9 @@ def run_total_error_study(
     """
     if source is None:
         source = default_l_study_source(cfg)
-    st = _noise_study(cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine)
+    st = _noise_study(
+        cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "total study"
+    )
     _check_source_modes(source, st.n_modes, "total study")
     cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
     layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
@@ -672,10 +682,7 @@ def run_total_error_study(
     det = modal_loads(source, cfg, st.grid, st.n_modes)
     w = _trapezoid_weights(st.grid)
     levels = st.all_levels
-    rows = np.flatnonzero(np.any([st.loadmap[lv].any(axis=1) for lv in levels], axis=0))
-    if rows.size == 0:
-        raise ConfigError("total study: the forcing rectangle loads no grid node")
-    lo, hi = rows[0], rows[-1]  # R = lo..hi
+    lo, hi = st.rows[0], st.rows[-1]  # R = lo..hi
     lmaps = [csr_array(st.loadmap[lv][lo : hi + 1]) for lv in levels]
     n_used = len(st.used)
 

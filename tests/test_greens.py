@@ -6,15 +6,14 @@ import pytest
 
 from ductpml import DuctConfig
 from ductpml import greens as greens_module
-from ductpml.duct import axial_wavenumbers64, mode_shape
+from ductpml.duct import _PI_LD, axial_wavenumbers64, mode_shape
 from ductpml.errors import DomainError, RepresentationError, SingularityError
 from ductpml.greens import (
     GreensEvalParams,
-    _axial_strip_integrals,
     _betas_block,
-    _exp_cell_integrals,
     _image_y2,
-    _segment_products,
+    _mode_block,
+    _strip_integrals,
     deterministic_solution,
     greens_images,
     greens_modal,
@@ -276,13 +275,13 @@ class TestDeterministicSolution:
         def closed(x1):
             lo, hi = -0.25, 0.25
             if x1 <= lo:
-                v = _exp_cell_integrals(bm, lo, hi, x1)[0]
+                v = _ref_exp_cell_integrals(bm, lo, hi, x1)[0]
             elif x1 >= hi:
-                v = _exp_cell_integrals(bp, lo, hi, x1)[0]
+                v = _ref_exp_cell_integrals(bp, lo, hi, x1)[0]
             else:
                 v = (
-                    _exp_cell_integrals(bp, lo, x1, x1)[0]
-                    + _exp_cell_integrals(bm, x1, hi, x1)[0]
+                    _ref_exp_cell_integrals(bp, lo, x1, x1)[0]
+                    + _ref_exp_cell_integrals(bm, x1, hi, x1)[0]
                 )
             return c[0] * v * mode_shape(1, x2, cfg.d)
 
@@ -469,7 +468,8 @@ class TestKernelDifferenceProbe:
 
 
 # ---------------------------------------------------------------------------
-# Array-wise oracle paths against one-block-at-a-time loops
+# Array-wise oracle paths against one-block-at-a-time loops in complex
+# arithmetic on the roots beta_+-
 # ---------------------------------------------------------------------------
 
 
@@ -487,17 +487,30 @@ def _ref_image_y2(y2, d, n_images):
     return np.concatenate(shells)
 
 
+def _ref_exp_cell_integrals(beta, lo, hi, x1):
+    """Integral over [lo, hi] of exp(i beta (x1 - y)) dy; beta_plus for a
+    strip left of x1, beta_minus right of it; sinc series for tiny |beta w|."""
+    width = hi - lo
+    t = 0.5 * beta * width
+    small = np.abs(t) < 0.01
+    tt = np.where(small, 1.0, beta)
+    exact = (np.exp(1j * beta * (x1 - lo)) - np.exp(1j * beta * (x1 - hi))) / (1j * tt)
+    mid = 0.5 * (lo + hi)
+    series = np.exp(1j * beta * (x1 - mid)) * width * (1.0 - t * t / 6.0 + t ** 4 / 120.0)
+    return np.where(small, series, exact)
+
+
 def _ref_axial_strip_integrals(beta_p, beta_m, c, edges, x1):
-    """One _exp_cell_integrals call per strip (two for the kink strip)."""
+    """Integral of g_n over each strip: one call per strip (two for the kink)."""
     out = np.zeros((beta_p.size, edges.size - 1), dtype=complex)
     for j in range(edges.size - 1):
         lo, hi = float(edges[j]), float(edges[j + 1])
         if hi <= x1:
-            out[:, j] = _exp_cell_integrals(beta_p, lo, hi, x1)
+            out[:, j] = _ref_exp_cell_integrals(beta_p, lo, hi, x1)
         elif lo >= x1:
-            out[:, j] = _exp_cell_integrals(beta_m, lo, hi, x1)
+            out[:, j] = _ref_exp_cell_integrals(beta_m, lo, hi, x1)
         else:
-            out[:, j] = _exp_cell_integrals(beta_p, lo, x1, x1) + _exp_cell_integrals(
+            out[:, j] = _ref_exp_cell_integrals(beta_p, lo, x1, x1) + _ref_exp_cell_integrals(
                 beta_m, x1, hi, x1
             )
     return c[:, None] * out
@@ -527,38 +540,57 @@ def _ref_kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10):
     return total
 
 
-def _ref_q_l2_difference(y, z, cfg, tol=1e-10):
-    """Roots, sums and stopping test one 256-mode block at a time."""
+def _ref_segment_products(p_lo, p_hi, c, width):
+    """(p_hi - p_lo) / c for p' = c p, trapezoid value for tiny |c width|."""
+    small = np.abs(c * width) < 1e-8
+    cc = np.where(small, 1.0, c)
+    return np.where(small, 0.5 * width * (p_lo + p_hi), (p_hi - p_lo) / cc)
+
+
+def _ref_q_l2_difference(y, z, cfg, tol=1e-10, cap=32768, extended=False):
+    """Roots, sums and stopping test one 256-mode block at a time, up to cap
+    modes; the three axial regions in complex exponentials of beta_+-.
+
+    The mode terms cancel by about 1/gap^2 relative to Q (near a cutoff by
+    |c_n|^2 / Q), so in double precision the loop is about 1e-12 off at a gap
+    of 1e-3.  extended=True evaluates the same double roots, constants and
+    coordinates in long double: mode shapes, exponentials and sums."""
     if y[0] > z[0]:
         y, z = z, y
-    total, n_start, calm = 0.0, 0, 0
-    while n_start < 32768:
+    real = np.longdouble if extended else float
+    cplx = np.clongdouble if extended else complex
+    y1, y2, z1, z2, d = (real(v) for v in (y[0], y[1], z[0], z[1], cfg.d))
+    pi = _PI_LD if extended else math.pi
+    total, n_start, calm = real(0.0), 0, 0
+    while n_start < cap:
         n_stop = n_start + 256
-        bp, bm, c = _ref_betas_block(cfg, n_start, n_stop)
+        bp, bm, c = (v.astype(cplx) for v in _ref_betas_block(cfg, n_start, n_stop))
         ns = np.arange(n_start, n_stop)
-        a = mode_shape(ns, y[1], cfg.d) * c
-        b = mode_shape(ns, z[1], cfg.d) * c
-        contrib = 0.0
+        a, b = (
+            np.where(ns == 0, 1.0 / np.sqrt(d), np.sqrt(2.0 / d) * np.cos(ns * pi * x2 / d)) * c
+            for x2 in (y2, z2)
+        )
+        contrib = real(0.0)
         regions = (
-            (cfg.x_minus, y[0], bm, bm),
-            (y[0], z[0], bp, bm),
-            (z[0], cfg.x_plus, bp, bp),
+            (real(cfg.x_minus), y1, bm, bm),
+            (y1, z1, bp, bm),
+            (z1, real(cfg.x_plus), bp, bp),
         )
         for lo, hi, beta_y, beta_z in regions:
             if hi <= lo:
                 continue
-            e_lo = a * np.exp(1j * beta_y * (lo - y[0]))
-            e_hi = a * np.exp(1j * beta_y * (hi - y[0]))
-            f_lo = b * np.exp(1j * beta_z * (lo - z[0]))
-            f_hi = b * np.exp(1j * beta_z * (hi - z[0]))
+            e_lo = a * np.exp(1j * beta_y * (lo - y1))
+            e_hi = a * np.exp(1j * beta_y * (hi - y1))
+            f_lo = b * np.exp(1j * beta_z * (lo - z1))
+            f_hi = b * np.exp(1j * beta_z * (hi - z1))
             width = hi - lo
             c_e = 1j * beta_y - 1j * np.conj(beta_y)
             c_f = 1j * beta_z - 1j * np.conj(beta_z)
             c_x = 1j * beta_y - 1j * np.conj(beta_z)
-            ee = _segment_products(np.abs(e_lo) ** 2, np.abs(e_hi) ** 2, c_e, width)
-            ff = _segment_products(np.abs(f_lo) ** 2, np.abs(f_hi) ** 2, c_f, width)
-            ef = _segment_products(e_lo * np.conj(f_lo), e_hi * np.conj(f_hi), c_x, width)
-            contrib += float(np.sum(ee.real + ff.real - 2.0 * ef.real))
+            ee = _ref_segment_products(np.abs(e_lo) ** 2, np.abs(e_hi) ** 2, c_e, width)
+            ff = _ref_segment_products(np.abs(f_lo) ** 2, np.abs(f_hi) ** 2, c_f, width)
+            ef = _ref_segment_products(e_lo * np.conj(f_lo), e_hi * np.conj(f_hi), c_x, width)
+            contrib += np.sum(ee.real + ff.real - 2.0 * ef.real)
         total += contrib
         n_start = n_stop
         if abs(contrib) < tol * max(total, 1e-300):
@@ -567,7 +599,7 @@ def _ref_q_l2_difference(y, z, cfg, tol=1e-10):
                 break
         else:
             calm = 0
-    return max(total, 0.0)
+    return float(max(total, 0.0))
 
 
 def _off_cutoff_cfg(M):
@@ -576,13 +608,39 @@ def _off_cutoff_cfg(M):
 
 
 OFF_CUTOFF_MACHS = [0.0, 0.3, 0.9]
+MACHS = [0.0, 0.3, 0.6, 0.9, 0.95]
+# Q of two sources: a pair inside the strip range, a wide one, a purely
+# transverse one (delta x1 = 0) and a purely axial one
+Q_PAIRS = [
+    ((0.1, 0.45), (0.13, 0.48)),
+    ((0.3, 0.2), (-0.1, 0.6)),
+    ((0.0, 0.5), (0.0, 0.55)),
+    ((-0.4, 0.3), (0.5, 0.3)),
+]
+# against the long-double reference loop; measured at most 4.1e-15 on every
+# case below, near a cutoff and at a gap of 1e-3 included.  Without the
+# series branch of _kink_excess the near-cutoff axial pair is 5.6e-13 off.
+Q_RTOL = 1e-13
+
+
+def _assert_q_close(y, z, cfg):
+    got = q_l2_difference(y, z, cfg)
+    assert type(got) is float
+    ref = _ref_q_l2_difference(y, z, cfg, extended=True)
+    assert abs(got - ref) <= Q_RTOL * ref
 
 
 class TestArrayWiseMatchesBlockLoops:
-    """Every array-wise oracle path is bit-identical to its block loop."""
+    """Every array-wise oracle path against its complex-arithmetic block loop:
+    the root table and image offsets bit for bit; the factored-root cell
+    integrals within 1e-14 max|K| and Q within Q_RTOL."""
 
     X1_EDGES = np.linspace(-0.5, 0.5, 12)
     X2_EDGES = np.linspace(0.2, 0.8, 7)
+    # left of all strips, on an inner edge, inside the kink strip, on the
+    # last edge and right of all strips
+    X1S = (-0.9, float(X1_EDGES[4]), 0.07, float(X1_EDGES[-1]), 0.9)
+    POINTS = [(0.07, 0.52), (float(X1_EDGES[4]), 0.4), (0.9, 0.35), (-0.8, 0.1)]
 
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
     def test_root_table_slices(self, M):
@@ -598,43 +656,70 @@ class TestArrayWiseMatchesBlockLoops:
         for y2, d in [(0.4, 1.0), (0.0, 1.0), (0.93, 2.5)]:
             assert np.array_equal(_image_y2(y2, d, n_images), _ref_image_y2(y2, d, n_images))
 
+    def _check_strips(self, cfg):
+        # a block holding the propagating modes and an evanescent one
+        for lo, hi in [(0, 300), (64, 364)]:
+            modes = _mode_block(cfg, lo, hi)
+            bp, bm, c = _ref_betas_block(cfg, lo, hi)
+            for x1 in self.X1S:
+                got = modes[0][:, None] * _strip_integrals(modes, self.X1_EDGES, x1)
+                ref = _ref_axial_strip_integrals(bp, bm, c, self.X1_EDGES, x1)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
     def test_strip_integrals(self, M):
-        cfg = _off_cutoff_cfg(M)
-        bp, bm, c = _ref_betas_block(cfg, 0, 300)
-        edges = self.X1_EDGES
-        # left of all strips, on an inner edge, inside a strip, on the last
-        # edge and right of all strips
-        for x1 in (-0.9, float(edges[4]), 0.07, float(edges[-1]), 0.9):
-            got = _axial_strip_integrals(bp, bm, c, edges, x1)
-            assert np.array_equal(got, _ref_axial_strip_integrals(bp, bm, c, edges, x1))
+        self._check_strips(_off_cutoff_cfg(M))
+
+    @pytest.mark.parametrize("M", MACHS)
+    def test_strip_integrals_across_mach(self, M):
+        self._check_strips(make_cfg(M=M))
+
+    def _check_cells(self, cfg, params):
+        for x in self.POINTS:
+            got = kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
+            ref = _ref_kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
     @pytest.mark.parametrize("n_modes", [0, 100])
     def test_kernel_cell_integrals(self, M, n_modes):
         # n_modes = 100 makes the block edges 100 + 64 j, so some blocks
         # straddle a piece of the root table
-        cfg = _off_cutoff_cfg(M)
-        params = GreensEvalParams(n_modes=n_modes)
-        for x in [(0.07, 0.52), (float(self.X1_EDGES[4]), 0.4), (0.9, 0.35), (-0.8, 0.1)]:
-            got = kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
-            ref = _ref_kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
-            assert np.array_equal(got, ref)
+        self._check_cells(_off_cutoff_cfg(M), GreensEvalParams(n_modes=n_modes))
+
+    @pytest.mark.parametrize("M", MACHS)
+    def test_kernel_cell_integrals_across_mach(self, M):
+        self._check_cells(make_cfg(M=M), GreensEvalParams())
 
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
     def test_q_l2_difference(self, M):
-        cfg = _off_cutoff_cfg(M)
-        for y, z in [((0.1, 0.45), (0.13, 0.48)), ((0.3, 0.2), (-0.1, 0.6)), ((0.0, 0.5), (0.0, 0.55))]:
-            got = q_l2_difference(y, z, cfg)
-            assert type(got) is float
-            assert got == _ref_q_l2_difference(y, z, cfg)
+        for y, z in Q_PAIRS:
+            _assert_q_close(y, z, _off_cutoff_cfg(M))
+
+    @pytest.mark.parametrize("M", MACHS)
+    def test_q_l2_difference_across_mach(self, M):
+        for y, z in Q_PAIRS:
+            _assert_q_close(y, z, make_cfg(M=M))
 
     def test_q_l2_difference_on_criterion_10_pairs(self):
+        # at gap 1e-3 the double-precision reference loop is 1.2e-12 off a
+        # 40-digit evaluation of the same 32768-mode sum, the long-double one
+        # and q_l2_difference within 1e-15 of it
         cfg = make_cfg()
         y0 = (0.1, 0.45)
         for g in np.logspace(-3, -1, 7):
             z = (y0[0] + g / math.sqrt(2.0), y0[1] + g / math.sqrt(2.0))
-            assert q_l2_difference(y0, z, cfg) == _ref_q_l2_difference(y0, z, cfg)
+            _assert_q_close(y0, z, cfg)
+
+    def test_q_l2_difference_cap_on_smallest_criterion_10_pair(self):
+        # gap 1e-3 never meets the tail test, so the sum stops at its 32768-
+        # mode cap: within 1e-5 relative (6e-6 measured) of 262144 modes at
+        # tol 1e-14
+        cfg = make_cfg()
+        y0 = (0.1, 0.45)
+        z = (y0[0] + 1e-3 / math.sqrt(2.0), y0[1] + 1e-3 / math.sqrt(2.0))
+        long_sum = _ref_q_l2_difference(y0, z, cfg, tol=1e-14, cap=262144)
+        assert abs(q_l2_difference(y0, z, cfg) - long_sum) <= 1e-5 * long_sum
 
 
 class TestRootTable:

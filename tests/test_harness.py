@@ -121,6 +121,12 @@ class TestHStudy:
         with pytest.raises(ConfigError, match=message):
             run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, ref_refine=ref_refine)
 
+    def test_rectangle_off_the_grid_is_config_error(self):
+        # right of x^+ = 1 the noise loads no node: every error would be 0
+        cfg = make_cfg()
+        with pytest.raises(ConfigError, match="h study: the forcing rectangle loads no grid node"):
+            run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, rect=(2.0, 3.0, 0.25, 0.75))
+
 
 class TestLStudy:
     def test_decay_constant_and_monotonicity(self):
@@ -271,7 +277,7 @@ class TestTotalStudy:
     def test_rectangle_off_the_grid_is_config_error(self):
         # the noise would load no node: the table would hold the layer error alone
         cfg = make_cfg(L=2.0)
-        with pytest.raises(ConfigError, match="forcing rectangle loads no grid node"):
+        with pytest.raises(ConfigError, match="total study: the forcing rectangle loads no"):
             run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0,
                                   rect=(2.0, 3.0, 0.25, 0.75))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ductpml import DuctConfig
 from ductpml.duct import axial_wavenumbers64, cutoff_numbers, mode_shape
 from ductpml.errors import ConfigError, GridMismatchError
-from ductpml.greens import _betas_block, _exp_cell_integrals
+from ductpml.greens import _mode_block, _strip_integrals
 from ductpml.noise import (
     ModalFunctionSource,
     ModeBoxSource,
@@ -48,21 +48,11 @@ def grid_for(formulation, cfg, delta):
 
 def oracle_box_solution(n, cfg, grid, x_lo=-0.25, x_hi=0.25, amp=1.0):
     """Exact single-mode response to a box source via the outgoing kernel."""
-    bp, bm, c = _betas_block(cfg, n, n + 1)
-    nodes = grid.nodes()
-    out = np.empty(nodes.size, dtype=complex)
-    for i, x1 in enumerate(nodes):
-        if x1 <= x_lo:
-            v = _exp_cell_integrals(bm, x_lo, x_hi, x1)[0]
-        elif x1 >= x_hi:
-            v = _exp_cell_integrals(bp, x_lo, x_hi, x1)[0]
-        else:
-            v = (
-                _exp_cell_integrals(bp, x_lo, x1, x1)[0]
-                + _exp_cell_integrals(bm, x1, x_hi, x1)[0]
-            )
-        out[i] = amp * c[0] * v
-    return out
+    modes = _mode_block(cfg, n, n + 1)
+    edges = np.array([x_lo, x_hi])
+    return np.array(
+        [amp * modes[0][0] * _strip_integrals(modes, edges, x1)[0, 0] for x1 in grid.nodes()]
+    )
 
 
 class Bump:
