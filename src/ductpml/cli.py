@@ -169,6 +169,8 @@ class RunConfig:
         rect = self.forcing_rect()
         y1 = float(self._get("source", "y1", 0.5 * (rect[0] + rect[1])))
         y2 = float(self._get("source", "y2", 0.5 * (rect[2] + rect[3])))
+        if not 0.0 <= y2 <= self.duct.d:
+            raise ConfigError(f"[source] y2 = {y2} lies outside the duct [0, {self.duct.d}]")
         return (y1, y2)
 
     def build_source(self, seed: Optional[int] = None):
@@ -380,6 +382,10 @@ def _cmd_greens(rc: RunConfig, out: Path, args) -> int:
     cfg = rc.duct
     y = rc.source_point()
     params = GreensEvalParams(n_modes=rc.n_modes())
+    try:
+        params.resolve(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
     delta = rc.grid_delta()
     n1 = min(int(round((cfg.x_plus - cfg.x_minus) / delta)) + 1, 65)
     x1s = np.linspace(cfg.x_minus, cfg.x_plus, n1)

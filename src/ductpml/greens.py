@@ -1,36 +1,41 @@
 """Semi-analytic Green's function of the duct problem and derived oracles.
 
-Two independent representations of the kernel G(x, y) normalized so that
-applying the convected operator in x yields +delta(x - y):
+The kernel G(x, y) is normalized so that applying the convected operator in
+x yields +delta(x - y).  Its modal series sums over transverse modes the 1D
+outgoing kernels g_n(x1, y1), which factor through the roots beta_n^{+-} =
+-mu +- i gamma_n, mu = k M / (1 - M^2):
 
-* image series: reflections of the free-space convected kernel across the
-  rigid walls, sources at transverse positions ``+-y2 + 2 d n``.  The terms
-  decay only like n^{-1/2} with oscillation, so partial sums are tail-
-  averaged (Cesaro over the last quarter of shells).
-* modal series: sum over transverse modes of the 1D outgoing kernels
-  ``g_n(x1, y1)``; geometric convergence once the axial separation is
-  bounded away from zero.
+    g_n(x1, y1) = c_n exp(-i mu (x1 - y1)) exp(-gamma_n |x1 - y1|),
+    c_n = -1 / (2 (1 - M^2) gamma_n).
+
+* Far field (axial gap at least ``min_axial_gap``): the plain modal series,
+  which converges geometrically (``greens_modal``).
+* Near field: the Kummer-accelerated modal series (``greens_kummer``).  Each
+  term less its large-n asymptote decays like n^{-3} at every separation;
+  the subtracted asymptotes sum in closed form to logarithms that carry the
+  singularity at the source and at its wall images exactly.  Its difference
+  with the free-space logarithm (``log_kernel``) is the Lipschitz remainder
+  of the cell that holds x.
+
+The image series (reflections of the free-space kernel ``phi_free`` across
+the rigid walls) is kept outside the package as an independent test oracle.
 
 Sign and phase of the free-space kernel: the convected phase factor is
-``exp(-i k M (x1 - y1) / (1 - M^2))`` (the factor k and the minus sign are
-forced by annihilating the first-order term of the operator), and the
-prefactor is ``-i / (4 sqrt(1 - M^2))`` so that both representations agree
-and the solution representations below solve the forced equation with a
-plus sign.  The logarithmic part of the kernel is correspondingly
-``+ ln(k rho) / (2 pi sqrt(1 - M^2))`` times the phase, with a Lipschitz
-remainder.  A centered finite-difference residual of the operator applied
-to the image representation is exposed for verification.
+``exp(-i mu (x1 - y1))`` (the factor k and the minus sign in mu x1 are forced
+by annihilating the first-order term of the operator) and the prefactor is
+``-i / (4 sqrt(1 - M^2))``, so that every representation agrees and the
+solution representations below solve the forced equation with a plus sign.
+Its logarithmic part is ``+ ln(k rho) / (2 pi sqrt(1 - M^2))`` times the
+phase.
 
-The modal oracles (cell integrals, kernel-difference probe) factor the roots
-as beta_n^{+-} = -mu +- i gamma_n, mu = k M / (1 - M^2): g_n(x1, y1) = c_n
-exp(-i mu (x1 - y1)) exp(-gamma_n |x1 - y1|), c_n = -1 / (2 (1 - M^2)
-gamma_n).  The cell integrals take one exponential of the rates gamma_n +- i
-mu per (mode, edge), and every segment integral is one helper's (1 -
-exp(-kappa w)) / kappa.  The probe writes each mode's term in gamma_n and the
-phase exp(-i mu delta) shared by all modes, as squares that do not cancel at
-small separations; a pass without propagating modes runs it on real arrays.
-Roots are slices of one table per config; a pass evaluates several blocks of
-modes as one array, then adds and tests the block sums one at a time.
+The cell integrals take one exponential of the rates gamma_n +- i mu per
+(mode, edge), and every segment integral is one helper's (1 - exp(-kappa w))
+/ kappa.  The kernel-difference probe writes each mode's term in gamma_n and
+the phase exp(-i mu delta) shared by all modes, as squares that do not
+cancel at small separations; a pass without propagating modes runs it on
+real arrays.  Roots are slices of one table per config; a pass evaluates
+several blocks of modes as one array, then adds and tests the block sums
+one at a time.
 """
 
 from __future__ import annotations
@@ -65,30 +70,24 @@ from .specfun import hankel0
 
 @dataclass(frozen=True)
 class GreensEvalParams:
-    """Truncation controls for the two kernel representations.
+    """Truncation controls of the modal series: n_modes and min_axial_gap
+    default to N0 + 30 and 0.25 d when left at 0."""
 
-    n_images counts the reflected shells (shell 0 is the source and its
-    first wall reflection); n_modes and min_axial_gap default to
-    N0 + 30 and 0.25 d when left at 0.
-    """
-
-    n_images: int = 512
     n_modes: int = 0
     min_axial_gap: float = 0.0
 
     def __post_init__(self):
-        if self.n_images < 0:
-            raise DomainError("n_images must be >= 0")
         if self.min_axial_gap < 0.0:
             raise DomainError("min_axial_gap must be >= 0")
 
     def resolve(self, cfg: DuctConfig):
+        """(n_modes, min_axial_gap) with the defaults filled in."""
         _, n0 = cutoff_numbers(cfg)
         n_modes = self.n_modes if self.n_modes > 0 else default_n_modes(cfg)
         if n_modes < n0 + 5:
-            raise DomainError(f"n_modes must be at least N0+5 = {n0 + 5}")
+            raise ConfigError(f"n_modes = {n_modes} must be at least N0+5 = {n0 + 5}")
         gap = self.min_axial_gap if self.min_axial_gap > 0.0 else 0.25 * cfg.d
-        return self.n_images, n_modes, gap
+        return n_modes, gap
 
 
 @dataclass(frozen=True)
@@ -146,61 +145,6 @@ def log_kernel(x, y, cfg: DuctConfig):
     if np.any(cfg.k * r < 1e-300):
         raise SingularityError("log kernel at coincident points")
     return _scalar_or_array(np.log(cfg.k * r) * phase / (2.0 * math.pi * _root1m2(cfg)))
-
-
-def _image_y2(y2, d: float, n_images: int) -> np.ndarray:
-    """Transverse source images grouped by shell: [y2, -y2], then per shell
-    j >= 1 the four entries +-y2 +- 2 d j; one row per entry of an array y2."""
-    off = 2.0 * d * np.arange(1, n_images + 1)
-    y2 = np.asarray(y2, dtype=float)[..., None]
-    shells = np.stack([y2 + off, -y2 + off, y2 - off, -y2 - off], axis=-1)
-    return np.concatenate([y2, -y2, shells.reshape(*y2.shape[:-1], -1)], axis=-1)
-
-
-def _images_shell_sums(x, y, n_images: int, cfg: DuctConfig, include_direct=True):
-    """Per-shell sums of the image series, shape (..., n_images + 1) for
-    source coordinates y of shape (...)."""
-    y2_img = _image_y2(y[1], cfg.d, n_images)
-    if not include_direct:
-        y2_img = y2_img[..., 1:]
-    terms = phi_free(x, (np.asarray(y[0], dtype=float)[..., None], y2_img), cfg)
-    n_head = 2 if include_direct else 1
-    shell0 = np.sum(terms[..., :n_head], axis=-1, keepdims=True)
-    rest = terms[..., n_head:].reshape(*terms.shape[:-1], n_images, 4).sum(axis=-1)
-    return np.concatenate([shell0, rest], axis=-1)
-
-
-def _averaged_tail_value(shell_sums: np.ndarray):
-    """Cesaro mean of the partial sums over the last quarter of shells, per
-    row of shell sums."""
-    partial = np.cumsum(shell_sums, axis=-1)
-    n = partial.shape[-1] - 1
-    if n < 8:
-        return _scalar_or_array(partial[..., -1])
-    start = int(math.ceil(0.75 * n))
-    return _scalar_or_array(np.mean(partial[..., start:], axis=-1))
-
-
-def greens_images(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue:
-    """Image-series kernel value with tail averaging.
-
-    The indicator is the magnitude of the last shell (the series converges
-    conditionally like n^{-1/2}, so the averaged value is far more accurate
-    than the raw partial sum).
-    """
-    n_images, _, _ = params.resolve(cfg)
-    shells = _images_shell_sums(x, y, n_images, cfg)
-    return SeriesValue(
-        value=_averaged_tail_value(shells), indicator=float(abs(shells[-1]))
-    )
-
-
-def _images_reflected_value(x, y, params: GreensEvalParams, cfg: DuctConfig):
-    """Image series without the direct source term (smooth near x = y);
-    ``y`` may hold arrays of source coordinates."""
-    n_images, _, _ = params.resolve(cfg)
-    shells = _images_shell_sums(x, y, n_images, cfg, include_direct=False)
-    return _averaged_tail_value(shells)
 
 
 def mode_green_1d(n: int, x1: float, y1: float, cfg: DuctConfig) -> complex:
@@ -284,16 +228,16 @@ def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue
     """Modal-series kernel value; needs axial separation >= min_axial_gap.
 
     Transverse coordinates outside [0, d] use the even continuation of
-    the modes across both walls (period 2d), as the image series does.
+    the modes across both walls (period 2d), as the Kummer series does.
     The indicator is a geometric bound on the truncated tail.
     """
-    _, n_modes, gap = params.resolve(cfg)
+    n_modes, gap = params.resolve(cfg)
     period = 2.0 * cfg.d
     x2, y2 = (abs(t) % period for t in (x[1], y[1]))
     dx1 = x[0] - y[0]
     if abs(dx1) < gap:
         raise RepresentationError(
-            f"axial gap {abs(dx1):.3g} below {gap:.3g}; use the image series"
+            f"axial gap {abs(dx1):.3g} below {gap:.3g}; use the Kummer series"
         )
     bp, bm, c = _betas_block(cfg, 0, n_modes)
     beta = bp if dx1 >= 0.0 else bm
@@ -310,17 +254,76 @@ def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue
     return SeriesValue(value=complex(np.sum(terms)), indicator=float(tail))
 
 
+def greens_kummer(x, y, params: GreensEvalParams, cfg: DuctConfig, tol: float = 1e-7):
+    """Kummer-accelerated modal-series kernel value at any axial separation
+    (Linton, J. Eng. Math. 33 (1998) 377-402); arrays of source coordinates
+    give an array.
+
+    With dx1 = x1 - y1, alpha = pi / (d sqrt(1 - M^2)) and theta_-+ = pi (x2
+    -+ y2) / d, each term c_n exp(-gamma_n |dx1|) phi_n(x2) phi_n(y2) less
+    its asymptote c_n^inf exp(-alpha n |dx1|) phi_n(x2) phi_n(y2), c_n^inf =
+    -d / (2 n pi sqrt(1 - M^2)) (0 for n = 0), decays like n^{-3} even at
+    dx1 = 0, and the asymptotes sum in closed form:
+
+        G = exp(-i mu dx1) [sum_n remainder_n + (ln|1 - exp(-alpha |dx1| +
+            i theta_-)| + ln|1 - exp(-alpha |dx1| + i theta_+)|) / (2 pi
+            sqrt(1 - M^2))],
+
+    the logarithms holding the singularity at the source and its wall
+    images.  The remainder is summed in blocks of 64 modes (the first one
+    reaching n_modes; blocks without a propagating mode on real arrays)
+    until two block sums in a row fall below tol times the largest value, up
+    to 16384 modes.  x2 and y2 outside [0, d] continue evenly across both
+    walls.
+    """
+    n_floor, _ = params.resolve(cfg)
+    y1, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in y))
+    dx1 = x[0] - y1.ravel()
+    adx = np.abs(dx1)
+    theta = (math.pi / cfg.d) * np.stack([x[1] - y2.ravel(), x[1] + y2.ravel()])
+    root = _root1m2(cfg)
+    alpha = math.pi / (cfg.d * root)
+    # |1 - exp(-alpha |dx1| + i theta)|^2, without cancellation near an image
+    dist2 = np.expm1(-alpha * adx) ** 2 + 4.0 * np.exp(-alpha * adx) * np.sin(0.5 * theta) ** 2
+    # phi_free's guard: to leading order, the convected distance to the
+    # nearest image is sqrt(dist2) d / (pi sqrt(1 - M^2))
+    if np.any(cfg.k * cfg.d * np.sqrt(dist2) < 1e-12 * math.pi * root):
+        raise SingularityError("kernel evaluated at (an image of) the source")
+    total = np.log(dist2[0] * dist2[1]) / (4.0 * math.pi * root) + 0j
+    n_lo, n_hi, calm = 0, max(64, n_floor), 0
+    while n_lo < 16384:
+        c, k_down, k_up = _mode_block(cfg, n_lo, n_hi)
+        gamma = 0.5 * (k_down + k_up)
+        if not gamma.imag.any():
+            gamma, c = gamma.real, c.real
+        ns = np.arange(n_lo, n_hi)
+        c_inf = -cfg.d / (2.0 * math.pi * root * np.maximum(ns, 1)) * (ns > 0)
+        # phi_n(x2) phi_n(y2) = (cos n theta_- + cos n theta_+) / d for n >= 1
+        shapes = np.cos(ns[:, None, None] * theta).sum(axis=1) / cfg.d
+        if n_lo == 0:
+            shapes[0] *= 0.5
+        terms = c[:, None] * np.exp(-np.multiply.outer(gamma, adx))
+        terms -= c_inf[:, None] * np.exp(-np.multiply.outer(alpha * ns, adx))
+        contrib = np.sum(shapes * terms, axis=0)
+        total += contrib
+        calm = calm + 1 if np.max(np.abs(contrib)) < tol * np.max(np.abs(total)) else 0
+        if calm >= 2:
+            break
+        n_lo, n_hi = n_hi, n_hi + 64
+    return _scalar_or_array((total * np.exp(-1j * _mu(cfg) * dx1)).reshape(y1.shape))
+
+
 def greens_value(x, y, params: GreensEvalParams, cfg: DuctConfig):
     """Kernel value by the representation suited to the separation.
 
-    Returns (value, representation) with representation in
-    {"modal", "images"}; the modal series is primary whenever the axial gap
-    admits it.
+    Returns (value, representation): the plain modal series ("modal")
+    whenever the axial gap admits it, the Kummer-accelerated one ("kummer")
+    nearer the source.
     """
-    _, _, gap = params.resolve(cfg)
+    _, gap = params.resolve(cfg)
     if abs(x[0] - y[0]) >= gap:
         return greens_modal(x, y, params, cfg).value, "modal"
-    return greens_images(x, y, params, cfg).value, "images"
+    return greens_kummer(x, y, params, cfg), "kummer"
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def deterministic_solution(source, x, params: GreensEvalParams, cfg: DuctConfig)
     g_n by adaptive quadrature (absolute target 1e-8), split at the kernel
     kink x1 = y1, independently of the finite-element loads.
     """
-    _, n_modes, _ = params.resolve(cfg)
+    n_modes, _ = params.resolve(cfg)
     total = 0.0j
     for src in source if isinstance(source, (list, tuple)) else [source]:
         if isinstance(src, ModeBoxSource):
@@ -439,7 +442,7 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
     _PASS_BLOCKS blocks, and each block's sum is one product of its
     (phi_n(x2) c_n axial) rows with its transverse rows.
     """
-    _, n_floor, _ = params.resolve(cfg)
+    n_floor, _ = params.resolve(cfg)
     block = 64
     bounds = [0, max(block, n_floor)]
     while bounds[-1] < 16384:
@@ -492,14 +495,13 @@ def singular_cell_integral(x, cell, params: GreensEvalParams, cfg: DuctConfig) -
             y1 = x[0] + sg * ((1.0 - tg) * e1[0] + tg * e2[0])
             y2 = x[1] + sg * ((1.0 - tg) * e1[1] + tg * e2[1])
             log_part += np.sum(np.outer(w, w) * log_kernel(x, (y1, y2), cfg) * sg) * jac
-    # Lipschitz remainder: (phi_free - log part) + reflected images, at all
-    # 16 Gauss points of the cell as one array
+    # Lipschitz remainder, kernel minus log part, at all 16 Gauss points of
+    # the cell as one array
     y1, y2 = np.meshgrid(a1 + (b1 - a1) * s, a2 + (b2 - a2) * s, indexing="ij")
     y = (y1.ravel(), y2.ravel())
-    smooth = phi_free(x, y, cfg) - log_kernel(x, y, cfg)
-    refl = _images_reflected_value(x, y, params, cfg)
+    smooth = greens_kummer(x, y, params, cfg) - log_kernel(x, y, cfg)
     wts = np.outer((b1 - a1) * w, (b2 - a2) * w).ravel()
-    return log_part + complex(np.sum(wts * (smooth + refl)))
+    return log_part + complex(np.sum(wts * smooth))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +561,6 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
     w = complex(math.cos(mu_delta), -math.sin(mu_delta))
     w_m1 = complex(-2.0 * math.sin(0.5 * mu_delta) ** 2, -math.sin(mu_delta))  # w - 1
     widths = np.array([p, q, delta])
-    sin_coeff = -2.0 * math.sqrt(2.0 / cfg.d)  # phi_n(y2) - phi_n(z2) = sin_coeff sin sin
     total = 0.0
     block = 256
     calm = 0
@@ -570,9 +571,14 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
         if not gamma.imag.any():
             gamma, c = gamma.real, c.real
         ns = np.arange(n_start, n_stop)
-        a, b = (mode_shape(ns[:, None], (y[1], z[1]), cfg.d) * c[:, None]).T
+        # phi_n(y2), phi_n(z2) = norm_n (cc -+ ss) and their difference
+        # -2 norm_n ss, from the half sum and half difference of the angles
         theta = ns * (0.5 * math.pi / cfg.d)
-        a_b = sin_coeff * np.sin(theta * (y[1] + z[1])) * np.sin(theta * (y[1] - z[1])) * c
+        half_sum, half_dif = theta * (y[1] + z[1]), theta * (y[1] - z[1])
+        cc = np.cos(half_sum) * np.cos(half_dif)
+        ss = np.sin(half_sum) * np.sin(half_dif)
+        norm = c * np.where(ns == 0, 1.0 / math.sqrt(cfg.d), math.sqrt(2.0 / cfg.d))
+        a, b, a_b = norm * (cc - ss), norm * (cc + ss), -2.0 * norm * ss
         d_m1 = np.expm1(-gamma * delta)  # D - 1
         up = a_b - b * (d_m1 * w.conjugate() + w_m1.conjugate())
         down = a_b + a * (d_m1 * w + w_m1)
@@ -624,7 +630,7 @@ def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, orde
     Used as the Ito-isometry oracle for the noise-driven response variance;
     x must be modally separated from the rectangle.
     """
-    _, n_modes, gap = params.resolve(cfg)
+    n_modes, gap = params.resolve(cfg)
     a1, b1, a2, b2 = rect
     if not (x[0] <= a1 - gap or x[0] >= b1 + gap):
         raise RepresentationError("isometry quadrature point must be separated")
@@ -642,27 +648,3 @@ def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, orde
     phi_y = mode_shape(ns[:, None], y2[None, :], cfg.d)  # (n, y2)
     g = np.einsum("n,nj,nk->jk", phi_x * c, phase, phi_y)
     return float(np.sum(np.outer(w1, w2) * np.abs(g) ** 2))
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference residual of the governing operator on the kernel
-# ---------------------------------------------------------------------------
-
-
-def pde_residual_images(x, y, params: GreensEvalParams, cfg: DuctConfig, delta: float) -> complex:
-    """Centered 5-point residual of the convected operator applied to the
-    image-series kernel at x (away from the source)."""
-
-    def g(p):
-        return greens_images(p, y, params, cfg).value
-
-    c0 = g(x)
-    e1p = g((x[0] + delta, x[1]))
-    e1m = g((x[0] - delta, x[1]))
-    e2p = g((x[0], x[1] + delta))
-    e2m = g((x[0], x[1] - delta))
-    m2 = cfg.one_minus_m2
-    lap1 = (e1p - 2.0 * c0 + e1m) / delta ** 2
-    lap2 = (e2p - 2.0 * c0 + e2m) / delta ** 2
-    conv = (e1p - e1m) / (2.0 * delta)
-    return m2 * lap1 + lap2 + 2j * cfg.k * cfg.M * conv + cfg.k ** 2 * c0

@@ -13,13 +13,7 @@ import pytest
 from ductpml import DuctConfig
 from ductpml.cli import dispatch
 from ductpml.duct import axial_wavenumbers, cutoff_numbers, dispersion_residual
-from ductpml.greens import (
-    GreensEvalParams,
-    greens_images,
-    greens_modal,
-    lemma2_exponent_probe,
-    pde_residual_images,
-)
+from ductpml.greens import GreensEvalParams, greens_modal, lemma2_exponent_probe
 from ductpml.harness import (
     run_equivalence_check,
     run_h_study,
@@ -42,6 +36,7 @@ from ductpml.pml import (
     theoretical_decay_constant,
 )
 from ductpml.solver import Grid1D, solve_mode
+from oracles import greens_images, pde_residual_images
 
 
 def report(num, name, passed, detail, elapsed, budget):
@@ -76,18 +71,16 @@ def test_criterion_01_dispersion_sweep():
 def test_criterion_02_greens_cross_validation():
     t0 = time.time()
     cfg = std_cfg()
-    params_img = GreensEvalParams(n_images=10_000)
     params_mod = GreensEvalParams()
     y = (0.0, 0.4)
     worst = 0.0
     for x1 in np.linspace(0.55, 0.95, 5):
         for x2 in np.linspace(0.05, 0.95, 5):
-            gi = greens_images((x1, x2), y, params_img, cfg).value
+            gi = greens_images((x1, x2), y, 10_000, cfg).value
             gm = greens_modal((x1, x2), y, params_mod, cfg).value
             worst = max(worst, abs(gi - gm) / abs(gm))
-    params_fd = GreensEvalParams(n_images=1500)
     deltas = (1 / 64, 1 / 128, 1 / 256)
-    resid = [abs(pde_residual_images((0.65, 0.62), y, params_fd, cfg, d)) for d in deltas]
+    resid = [abs(pde_residual_images((0.65, 0.62), y, 1500, cfg, d)) for d in deltas]
     order = float(np.polyfit(np.log(deltas), np.log(resid), 1)[0])
     passed = worst < 1e-4 and order >= 1.8
     report(

@@ -190,6 +190,31 @@ class TestDependentKeys:
         assert f"[source] mode must be >= 0, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ("[grid]\nn_modes = 3\n", "[grid] n_modes = 3 must be at least N0+5 = 6"),
+            ("[source]\ny2 = 1.5\n", "[source] y2 = 1.5 lies outside the duct [0, 1.0]"),
+            ("[source]\ny2 = 1.3\n", "[source] y2 = 1.3 lies outside the duct [0, 1.0]"),
+            ("[source]\ny2 = -0.2\n", "[source] y2 = -0.2 lies outside the duct [0, 1.0]"),
+        ],
+    )
+    def test_greens_settings_are_config_errors(self, tmp_path, capsys, keys, message):
+        # k=5, M=0.3: N0 = 1
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + keys)
+        out = tmp_path / "out"
+        assert dispatch(["greens", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "greens.csv").exists()
+
+    @pytest.mark.parametrize("y2", ["0", "1"])
+    def test_greens_source_on_a_wall(self, tmp_path, y2):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[source]\ny2 = {y2}\n[grid]\nn_x2 = 5\ndelta = 0.25\n")
+        out = tmp_path / "out"
+        assert dispatch(["greens", "--config", str(p), "--out", str(out)]) == EXIT_OK
+
     def test_last_mode_is_solved(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(MINIMAL + "[source]\nmode = 3\n[grid]\nn_modes = 4\n")
@@ -369,7 +394,7 @@ class TestDispatch:
         lines = (out / "greens.csv").read_text().splitlines()
         assert lines[0] == "x1,x2,re_g,im_g,representation_used"
         reps = {line.rsplit(",", 1)[-1] for line in lines[1:]}
-        assert "modal" in reps and "images" in reps
+        assert "modal" in reps and "kummer" in reps
 
     def test_solve_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "out"

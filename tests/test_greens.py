@@ -11,11 +11,10 @@ from ductpml.errors import DomainError, RepresentationError, SingularityError
 from ductpml.greens import (
     GreensEvalParams,
     _betas_block,
-    _image_y2,
     _mode_block,
     _strip_integrals,
     deterministic_solution,
-    greens_images,
+    greens_kummer,
     greens_modal,
     greens_value,
     kernel_cell_integrals,
@@ -23,7 +22,6 @@ from ductpml.greens import (
     lemma2_exponent_probe,
     log_kernel,
     mode_green_1d,
-    pde_residual_images,
     phi_free,
     q_l2_difference,
     rho,
@@ -39,6 +37,7 @@ from ductpml.noise import (
 )
 from ductpml.solver import Grid1D, solve_mode
 from ductpml.specfun import hankel0
+from oracles import _image_y2, _images_reflected_value, greens_images, pde_residual_images
 
 
 def make_cfg(M=0.3, k=5.0):
@@ -105,7 +104,7 @@ class TestImages:
     def test_shell_zero_is_source_plus_reflection(self):
         cfg = make_cfg()
         x, y = (0.3, 0.7), (0.0, 0.4)
-        head = greens_images(x, y, GreensEvalParams(n_images=0), cfg).value
+        head = greens_images(x, y, 0, cfg).value
         expect = phi_free(x, y, cfg) + phi_free(x, (y[0], -y[1]), cfg)
         assert head == pytest.approx(expect, rel=1e-14)
 
@@ -113,13 +112,12 @@ class TestImages:
         # the image set is symmetric across x2 = 0, so the central difference
         # across the wall vanishes identically
         cfg = make_cfg()
-        params = GreensEvalParams(n_images=200)
         y = (0.0, 0.4)
         delta = 1e-4
         for x1 in (0.35, 0.8):
-            gp = greens_images((x1, delta), y, params, cfg).value
-            gm = greens_images((x1, -delta), y, params, cfg).value
-            g0 = greens_images((x1, 0.0), y, params, cfg).value
+            gp = greens_images((x1, delta), y, 200, cfg).value
+            gm = greens_images((x1, -delta), y, 200, cfg).value
+            g0 = greens_images((x1, 0.0), y, 200, cfg).value
             assert abs(gp - gm) / (2 * delta) < 1e-6 * abs(g0)
 
     def test_wall_neumann_both_walls_modal(self):
@@ -138,7 +136,7 @@ class TestImages:
     def test_singularity_guard(self):
         cfg = make_cfg()
         with pytest.raises(SingularityError):
-            greens_images((0.0, 0.4), (0.0, 0.4), GreensEvalParams(n_images=4), cfg)
+            greens_images((0.0, 0.4), (0.0, 0.4), 4, cfg)
 
 
 class TestModeGreen1D:
@@ -216,32 +214,30 @@ class TestModalSeries:
 
     def test_dispatch(self):
         cfg = make_cfg()
-        params = GreensEvalParams(n_images=64)
+        params = GreensEvalParams()
         _, rep = greens_value((0.6, 0.3), (0.0, 0.6), params, cfg)
         assert rep == "modal"
         _, rep = greens_value((0.1, 0.3), (0.0, 0.6), params, cfg)
-        assert rep == "images"
+        assert rep == "kummer"
 
 
 class TestRepresentationAgreement:
     def test_images_agree_with_modal(self):
         cfg = make_cfg()
-        params_img = GreensEvalParams(n_images=10_000)
         params_mod = GreensEvalParams()
         y = (0.0, 0.4)
         for x in [(0.55, 0.1), (0.7, 0.5), (0.9, 0.9), (-0.6, 0.35), (0.62, 0.75)]:
-            gi = greens_images(x, y, params_img, cfg).value
+            gi = greens_images(x, y, 10_000, cfg).value
             gm = greens_modal(x, y, params_mod, cfg).value
             assert abs(gi - gm) / abs(gm) < 1e-4
 
     @pytest.mark.parametrize("M", [0.0, 0.3])
     def test_pde_residual_second_order(self, M):
         cfg = make_cfg(M=M)
-        params = GreensEvalParams(n_images=1500)
         y = (0.0, 0.4)
         x = (0.65, 0.62)  # |x - y| > 0.3
         deltas = [1 / 64, 1 / 128, 1 / 256]
-        resid = [abs(pde_residual_images(x, y, params, cfg, d)) for d in deltas]
+        resid = [abs(pde_residual_images(x, y, 1500, cfg, d)) for d in deltas]
         order = np.polyfit(np.log(deltas), np.log(resid), 1)[0]
         assert order >= 1.8
 
@@ -297,7 +293,7 @@ class TestStochasticSolution:
     def setup_method(self):
         self.cfg = make_cfg()
         self.mesh = build_mesh((-0.5, 0.5, 0.25, 0.75), 0.15, levels=2)
-        self.params = GreensEvalParams(n_images=512)
+        self.params = GreensEvalParams()
 
     def test_zero_noise(self):
         r0 = NoiseRealization(
@@ -355,7 +351,7 @@ class TestStochasticSolution:
     def test_point_inside_cell_uses_split(self):
         # the split value must agree with the directly summed modal series
         cfg, mesh = self.cfg, self.mesh
-        params = GreensEvalParams(n_images=2000)
+        params = GreensEvalParams()
         x = (0.07, 0.52)
         x1e, x2e = mesh.edges(mesh.finest_level)
         w1, w2 = mesh.cell_size(mesh.finest_level)
@@ -423,7 +419,6 @@ class TestKernelDifferenceProbe:
         cfg = make_cfg()
         y = (0.05, 0.45)
         z = (0.05 + 0.05 / math.sqrt(2), 0.45 + 0.05 / math.sqrt(2))
-        params = GreensEvalParams(n_images=600)
         exact = q_l2_difference(y, z, cfg)
         from numpy.polynomial.legendre import leggauss
 
@@ -436,8 +431,8 @@ class TestKernelDifferenceProbe:
             w2 = 0.5 * cfg.d * wts
             for xx1, ww1 in zip(x1, w1):
                 for xx2, ww2 in zip(x2, w2):
-                    gy = greens_images((xx1, xx2), y, params, cfg).value
-                    gz = greens_images((xx1, xx2), z, params, cfg).value
+                    gy = greens_images((xx1, xx2), y, 600, cfg).value
+                    gz = greens_images((xx1, xx2), z, 600, cfg).value
                     acc += ww1 * ww2 * abs(gy - gz) ** 2
         assert acc == pytest.approx(exact, rel=2e-2)
 
@@ -518,7 +513,7 @@ def _ref_axial_strip_integrals(beta_p, beta_m, c, edges, x1):
 
 def _ref_kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10):
     """Roots, strips and stopping test one 64-mode block at a time."""
-    _, n_floor, _ = params.resolve(cfg)
+    n_floor, _ = params.resolve(cfg)
     total = np.zeros((x1_edges.size - 1, x2_edges.size - 1), dtype=complex)
     n_start, calm = 0, 0
     while n_start < 16384:
@@ -720,6 +715,95 @@ class TestArrayWiseMatchesBlockLoops:
         z = (y0[0] + 1e-3 / math.sqrt(2.0), y0[1] + 1e-3 / math.sqrt(2.0))
         long_sum = _ref_q_l2_difference(y0, z, cfg, tol=1e-14, cap=262144)
         assert abs(q_l2_difference(y0, z, cfg) - long_sum) <= 1e-5 * long_sum
+
+
+def _ref_averaged_modal(x, y, cfg, n_modes=16384):
+    """Plain modal series, Cesaro mean of its partial sums over the last
+    quarter of modes: geometric convergence off the source, the oscillating
+    1/n tail averaged out at dx1 = 0 (x2 -+ y2 away from 0 mod 2d)."""
+    bp, bm, c = _ref_betas_block(cfg, 0, n_modes)
+    dx1 = x[0] - y[0]
+    ns = np.arange(n_modes)
+    terms = mode_shape(ns, x[1], cfg.d) * mode_shape(ns, y[1], cfg.d) * c
+    terms = terms * np.exp(1j * (bp if dx1 >= 0.0 else bm) * dx1)
+    return complex(np.mean(np.cumsum(terms)[3 * n_modes // 4 :]))
+
+
+class TestKummer:
+    """The Kummer-accelerated modal kernel against the image series, which
+    shares only the free-space kernel with it, at the source's axial position
+    and near it, with both points near either wall or mid-duct."""
+
+    DX1S = (0.0, 1e-3, 0.02, 0.1)
+    X2S = (0.02, 0.5, 0.98)
+    # k = 5 sits 0.5% below the n = 2 cutoff at M = 0.6, where the image
+    # series converges slowly: 16384 shells are 1.2e-4 off the plain modal
+    # series at dx1 = 0.1, 65536 shells 4.9e-6
+    SHELLS = {0.0: 16384, 0.3: 16384, 0.6: 65536, 0.9: 16384}
+
+    def _pairs(self):
+        for dx1 in self.DX1S:
+            for x2 in self.X2S:
+                for y2 in self.X2S:
+                    if dx1 > 0.0 or x2 != y2:
+                        yield (0.1 + dx1, x2), (0.1, y2)
+
+    @pytest.mark.parametrize("M", sorted(SHELLS))
+    def test_against_image_series(self, M):
+        cfg = make_cfg(M=M)
+        for x, y in self._pairs():
+            got = greens_kummer(x, y, GreensEvalParams(), cfg)
+            ref = greens_images(x, y, self.SHELLS[M], cfg).value
+            assert abs(got - ref) <= 1e-5 * abs(ref), (x, y)
+
+    @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
+    def test_off_cutoff_against_averaged_modal_series(self, M):
+        # a relative 1e-6 above a cutoff the image terms add in phase shell
+        # after shell, and 65536 shells are still 0.5 off; the plain modal
+        # series is the oracle there
+        cfg = _off_cutoff_cfg(M)
+        for x, y in self._pairs():
+            got = greens_kummer(x, y, GreensEvalParams(), cfg)
+            ref = _ref_averaged_modal(x, y, cfg)
+            assert abs(got - ref) <= 1e-5 * abs(ref), (x, y)
+
+    def test_array_sources_match_scalar_calls(self):
+        cfg = make_cfg()
+        x = (0.07, 0.52)
+        y1, y2 = np.meshgrid([0.0, 0.05, 0.12], [0.45, 0.5, 0.6, 0.7], indexing="ij")
+        # tol = 0 sums every block, so the stopping test, which looks at all
+        # points of a call at once, cannot make the calls differ
+        got = greens_kummer(x, (y1, y2), GreensEvalParams(), cfg, tol=0.0)
+        assert got.shape == y1.shape
+        for idx in np.ndindex(y1.shape):
+            ref = greens_kummer(x, (y1[idx], y2[idx]), GreensEvalParams(), cfg, tol=0.0)
+            assert abs(got[idx] - ref) <= 1e-14 * abs(ref)
+
+    def test_singular_cell_remainder_is_reflected_images(self):
+        # the Lipschitz remainder of the cell holding x: the Kummer kernel
+        # less its log part is the free-space remainder plus the reflections
+        cfg = make_cfg()
+        x = (0.1, 0.45)
+        y = (np.array([0.02, 0.1, 0.16, 0.1]), np.array([0.41, 0.49, 0.45, 0.03]))
+        log_part = log_kernel(x, y, cfg)
+        got = greens_kummer(x, y, GreensEvalParams(), cfg) - log_part
+        ref = phi_free(x, y, cfg) - log_part + _images_reflected_value(x, y, 16384, cfg)
+        assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ((0.1, 0.4), (0.1, 0.4)),  # coincident points
+            ((0.1, 0.0), (0.1, 0.0)),  # a source on the wall is its own image
+            ((0.1, -0.3), (0.1, 0.3)),  # x at the image across x2 = 0
+            ((0.1, 1.7), (0.1, 0.3)),  # x at the image across x2 = d
+        ],
+    )
+    def test_singularity_guard(self, x, y):
+        with pytest.raises(SingularityError):
+            greens_kummer(x, y, GreensEvalParams(), make_cfg())
+        with pytest.raises(SingularityError):
+            greens_images(x, y, 4, make_cfg())
 
 
 class TestRootTable:
