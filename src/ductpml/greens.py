@@ -40,14 +40,11 @@ one at a time.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .duct import (
     GAUSS4_NODES,
@@ -59,12 +56,7 @@ from .duct import (
     mode_shape,
 )
 from .errors import ConfigError, DomainError, RepresentationError, SingularityError
-from .noise import (
-    ModalFunctionSource,
-    ModeBoxSource,
-    NoiseRealization,
-    transverse_cell_integrals,
-)
+from .noise import NoiseRealization, transverse_cell_integrals
 from .specfun import hankel0
 
 
@@ -145,15 +137,6 @@ def log_kernel(x, y, cfg: DuctConfig):
     if np.any(cfg.k * r < 1e-300):
         raise SingularityError("log kernel at coincident points")
     return _scalar_or_array(np.log(cfg.k * r) * phase / (2.0 * math.pi * _root1m2(cfg)))
-
-
-def mode_green_1d(n: int, x1: float, y1: float, cfg: DuctConfig) -> complex:
-    """Outgoing 1D kernel of the mode operator, derivative jump
-    (1 - M^2) [g'] = 1 at y1."""
-    bp, bm = axial_wavenumbers64(n, cfg)
-    c = 1.0 / (1j * cfg.one_minus_m2 * (bp - bm))
-    beta = bp if x1 >= y1 else bm
-    return c * cmath.exp(1j * beta * (x1 - y1))
 
 
 # Root tables (beta_plus, beta_minus, c) of the most recently used configs,
@@ -329,50 +312,6 @@ def greens_value(x, y, params: GreensEvalParams, cfg: DuctConfig):
 # ---------------------------------------------------------------------------
 # Solution representations
 # ---------------------------------------------------------------------------
-
-
-def deterministic_solution(source, x, params: GreensEvalParams, cfg: DuctConfig) -> complex:
-    """Convolution of the kernel with a deterministic modal source at point x.
-
-    ``source`` is a ModeBoxSource, a ModalFunctionSource or a list of them;
-    sources outside modes 0 .. n_modes-1 are dropped.  Each is integrated against
-    g_n by adaptive quadrature (absolute target 1e-8), split at the kernel
-    kink x1 = y1, independently of the finite-element loads.
-    """
-    n_modes, _ = params.resolve(cfg)
-    total = 0.0j
-    for src in source if isinstance(source, (list, tuple)) else [source]:
-        if isinstance(src, ModeBoxSource):
-            fn = lambda y1, a=src.amplitude: a  # noqa: E731
-        elif isinstance(src, ModalFunctionSource):
-            fn = src.fn
-        else:
-            raise ConfigError(f"unsupported deterministic source {type(src).__name__}")
-        n = src.mode
-        if not 0 <= n < n_modes:
-            continue
-        lo, hi = src.x_lo, src.x_hi
-        pieces = sorted({lo, hi} | ({x[0]} if lo < x[0] < hi else set()))
-        mode_val = 0.0j
-        for a, b in zip(pieces[:-1], pieces[1:]):
-            val, err = quad(
-                lambda y1: mode_green_1d(n, x[0], y1, cfg) * fn(y1),
-                a,
-                b,
-                epsabs=1e-8,
-                epsrel=1e-10,
-                limit=200,
-                complex_func=True,
-            )
-            if abs(err) > 1e-6:
-                warnings.warn(
-                    f"convolution quadrature for mode {n} reached only "
-                    f"{abs(err):.2e} estimated accuracy",
-                    stacklevel=2,
-                )
-            mode_val += val
-        total += mode_shape(n, x[1], cfg.d) * mode_val
-    return total
 
 
 def _strip_integrals(modes, edges: np.ndarray, x1: float):
@@ -622,29 +561,3 @@ def lemma2_exponent_probe(pairs, params: GreensEvalParams, cfg: DuctConfig):
         raise DomainError("probe needs at least two distinct-separation pairs")
     slope = float(np.polyfit(np.log(seps), np.log(qs), 1)[0])
     return slope, np.asarray(seps), np.asarray(qs)
-
-
-def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, order=32) -> float:
-    """Integral over the rectangle of |G(x, y)|^2 dy by tensor Gauss.
-
-    Used as the Ito-isometry oracle for the noise-driven response variance;
-    x must be modally separated from the rectangle.
-    """
-    n_modes, gap = params.resolve(cfg)
-    a1, b1, a2, b2 = rect
-    if not (x[0] <= a1 - gap or x[0] >= b1 + gap):
-        raise RepresentationError("isometry quadrature point must be separated")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    y1 = 0.5 * (a1 + b1) + 0.5 * (b1 - a1) * nodes
-    w1 = 0.5 * (b1 - a1) * weights
-    y2 = 0.5 * (a2 + b2) + 0.5 * (b2 - a2) * nodes
-    w2 = 0.5 * (b2 - a2) * weights
-    bp, bm, c = _betas_block(cfg, 0, n_modes)
-    beta = bp if x[0] >= b1 else bm
-    ns = np.arange(n_modes)
-    phi_x = mode_shape(ns, x[1], cfg.d)
-    # kernel values on the tensor grid: sum_n phi_x phi_n(y2) c_n e^{i beta (x1-y1)}
-    phase = np.exp(1j * np.outer(beta, x[0] - y1))  # (n, y1)
-    phi_y = mode_shape(ns[:, None], y2[None, :], cfg.d)  # (n, y2)
-    g = np.einsum("n,nj,nk->jk", phi_x * c, phase, phi_y)
-    return float(np.sum(np.outer(w1, w2) * np.abs(g) ** 2))

@@ -13,15 +13,12 @@ from ductpml.greens import (
     _betas_block,
     _mode_block,
     _strip_integrals,
-    deterministic_solution,
     greens_kummer,
     greens_modal,
     greens_value,
     kernel_cell_integrals,
-    kernel_l2_over_rect,
     lemma2_exponent_probe,
     log_kernel,
-    mode_green_1d,
     phi_free,
     q_l2_difference,
     rho,
@@ -37,7 +34,15 @@ from ductpml.noise import (
 )
 from ductpml.solver import Grid1D, solve_mode
 from ductpml.specfun import hankel0
-from oracles import _image_y2, _images_reflected_value, greens_images, pde_residual_images
+from oracles import (
+    _image_y2,
+    _images_reflected_value,
+    deterministic_solution,
+    greens_images,
+    kernel_l2_over_rect,
+    mode_green_1d,
+    pde_residual_images,
+)
 
 
 def make_cfg(M=0.3, k=5.0):
