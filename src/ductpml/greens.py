@@ -33,22 +33,26 @@ The cell integrals take one exponential of the rates gamma_n +- i mu per
 / kappa.  The kernel-difference probe writes each mode's term in gamma_n and
 the phase exp(-i mu delta) shared by all modes, as squares that do not
 cancel at small separations; a pass without propagating modes runs it on
-real arrays.  Roots are slices of one table per config; a pass evaluates
-several blocks of modes as one array, then adds and tests the block sums
-one at a time.
+real arrays.  It sums the terms less their two-term large-n asymptotes and
+adds the asymptotes back in closed form, as polylogarithms.  Roots are
+slices of one table per config; a pass evaluates several blocks of modes as
+one array, then adds and tests the block sums one at a time.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import zeta
 
 from .duct import (
     GAUSS4_NODES,
     GAUSS4_WEIGHTS,
+    _PI_LD,
     DuctConfig,
     axial_wavenumbers64,
     cutoff_numbers,
@@ -362,7 +366,7 @@ def stochastic_solution(
         v = v.copy()
         v_cell = v[i1, i2]
         v[i1, i2] = 0.0
-    total = _modal_cell_sum(v, x1_edges, x2_edges, x, params, cfg)
+    total = complex(np.sum(v * kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg)))
     if inside:
         cell = (x1_edges[i1], x1_edges[i1 + 1], x2_edges[i2], x2_edges[i2 + 1])
         total += v_cell * singular_cell_integral(x, cell, params, cfg)
@@ -407,11 +411,6 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
             else:
                 calm = 0
     return total
-
-
-def _modal_cell_sum(v, x1_edges, x2_edges, x, params, cfg, tol=1e-10) -> complex:
-    """Sum over cells of v[i] * (closed-form modal cell integral of G)."""
-    return complex(np.sum(v * kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol)))
 
 
 def singular_cell_integral(x, cell, params: GreensEvalParams, cfg: DuctConfig) -> complex:
@@ -470,6 +469,54 @@ def _kink_excess(gamma, delta: float, i_delta):
     return out
 
 
+# 1 - exp(-x) (1 + x) = x^2 P(x): P's coefficients (-1)^j (j - 1) / j!,
+# highest first, enough for double precision where x < 1
+_EXP1_M1 = [(-1) ** j * (j - 1) / math.factorial(j) for j in reversed(range(2, 22))]
+# Li_s(exp(mu)), s = 2 .. 5: series length and the log series' coefficients
+# zeta(s - j) / j! (0 for zeta(1), whose place the log term takes)
+_LI_TERMS = 72
+_LI_ORDERS = np.arange(2, 6)
+_LI_COEFFS = np.nan_to_num(zeta(_LI_ORDERS[:, None] - np.arange(_LI_TERMS)), posinf=0.0).astype(
+    np.longdouble
+) / np.cumprod(np.maximum(np.arange(_LI_TERMS), 1), dtype=np.longdouble)
+
+
+def _polylogs(mu):
+    """Li_s(exp(mu)) for s = 2 .. 5 (rows) at complex mu with Re mu <= 0, in
+    long double: the power series sum_k exp(k mu) / k^s where |exp(mu)| <=
+    1/2, elsewhere, with Im mu reduced to (-pi, pi], the log series sum_j
+    zeta(s - j) mu^j / j! whose j = s - 1 term is mu^(s-1) (H_(s-1) -
+    ln(-mu)) / (s-1)! (0 at mu = 0, where Li_s(1) = zeta(s))."""
+    mu = np.asarray(mu, dtype=np.clongdouble)
+    mu = mu.real + 1j * (_PI_LD - np.remainder(_PI_LD - mu.imag, 2 * _PI_LD))
+    k = np.arange(1, _LI_TERMS, dtype=np.longdouble)
+    powers = np.cumprod(np.broadcast_to(np.exp(mu), (k.size, mu.size)), axis=0)
+    power = (powers / k[:, None] ** _LI_ORDERS[:, None, None]).sum(axis=1)
+    mu_j = np.cumprod(np.concatenate([np.ones((1, mu.size)), [mu] * k.size]), axis=0)
+    log_term = mu_j[_LI_ORDERS - 1] / np.cumprod(k[:4])[:, None]  # (s-1)!, then H_(s-1)
+    log_term *= np.cumsum(1.0 / k[:4])[:, None] - np.log(np.where(mu == 0, 1.0, -mu))
+    return np.where(mu.real <= -math.log(2.0), power, _LI_COEFFS @ mu_j + log_term)
+
+
+def _asymptote_sums(y2, z2, ad, mu_delta, d):
+    """Sums over n >= 1 of F_n / n^3, F_n / n^5 and 2 cy cz exp(-x) / n^3
+    (q_l2_difference): with theta_+- = theta_y +- theta_z, the sum of F_n /
+    n^s is Re of Li_s(1) + (Li_s(e^{2i theta_y}) + Li_s(e^{2i theta_z})) / 2
+    - cos(mu delta) sum_+- (Li_s(e^{i theta_+-} - ad) + ad Li_{s-1}(...)).
+    In long double: the first two cancel from O(1) to O(Q / K)."""
+    th_y, th_z = (np.longdouble(v) * _PI_LD / np.longdouble(d) for v in (y2, z2))
+    ad = np.longdouble(ad)
+    mus = [0.0, 2j * th_y, 2j * th_z, 1j * (th_y - th_z) - ad, 1j * (th_y + th_z) - ad]
+    li = _polylogs(mus).real
+    one_m_cos = 2.0 * np.sin(np.longdouble(0.5 * mu_delta)) ** 2
+
+    def f_sum(s):
+        cross = li[s - 2, 3:].sum() + ad * li[s - 3, 3:].sum()
+        return li[s - 2, 0] + 0.5 * (li[s - 2, 1] + li[s - 2, 2]) - (1 - one_m_cos) * cross
+
+    return float(f_sum(3)), float(f_sum(5)), float(li[1, 3:].sum())
+
+
 def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
     """Integral over the computational domain of |G(x, y) - G(x, z)|^2 dx.
 
@@ -478,18 +525,35 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
     phi_n(y2) c_n, phi_n(z2) c_n, D = exp(-gamma_n delta) and w = exp(-i mu
     delta), mode n contributes in closed form
 
-        |a - b D conj(w)|^2 I(p) + |a D w - b|^2 I(q)
-        + |a - b conj(w)|^2 I(delta) + 2 Re(a conj(b) w) X,
+        t_n = |a - b D conj(w)|^2 I(p) + |a D w - b|^2 I(q)
+              + |a - b conj(w)|^2 I(delta) + 2 Re(a conj(b) w) X,
 
     I(t) the integral of |exp(-gamma_n s)|^2 over [0, t] and X that of the
     kink region beyond its first term (_kink_excess).  The differences are
     formed without cancellation (a - b as a product of sines, D - 1 by
     expm1, w - 1 by a half-angle sine), so the terms stay accurate relative
-    to Q as delta -> 0.  The sum is extended in blocks of 256
-    modes until its tail is negligible, up to 32768 modes.  Below
-    separations of about 0.02 the tail test is never met and the sum stops
-    at that cap: at 1e-3 it is 6e-6 relative short of the 262144-mode sum.
-    One pass sums _PASS_BLOCKS blocks as rows of one array.
+    to Q as delta -> 0.
+
+    The terms decay like n^{-3}, so the sum is Kummer-split: Q = t_0 +
+    sum_{n >= 1} (t_n - s_n) + sum_{n >= 1} s_n.  On the whole line t_n =
+    F(gamma_n) / (2 d (1 - M^2)^2 gamma_n^3), F(g) = cy^2 + cz^2 - 2 cy cz
+    cos(mu delta) exp(-g delta) (1 + g delta) with cy, cz = cos(n pi y2 / d),
+    cos(n pi z2 / d); s_n is its expansion to second order in gamma_n -
+    alpha n = -kappa^2 / (2 alpha n) + ..., alpha = pi / (d sqrt(1 - M^2)),
+    kappa = k / (1 - M^2):
+
+        s_n = K [F_n (1 + 3 c / n^2) - 2 c cy cz cos(mu delta) (alpha
+              delta)^2 exp(-x)] / n^3,
+
+    K = 1 / (2 d (1 - M^2)^2 alpha^3), c = kappa^2 / (2 alpha^2), x = alpha n
+    delta, F_n = F(alpha n) formed as (cy - cz)^2 + 2 cy cz (2 sin^2(mu delta
+    / 2) + cos(mu delta) (1 - exp(-x) (1 + x))).  t_n - s_n decays like
+    n^{-7} (the finite domain adds terms in exp(-2 gamma_n min(p, q))); the
+    s_n sum in closed form by polylogarithms (_asymptote_sums).  The
+    remainder is summed in passes of _PASS_BLOCKS blocks of 256 modes, each
+    pass one array, until two blocks in a row fall below tol times Q; the
+    pass that meets the test is kept whole.  If none does within 32768 modes
+    a RuntimeWarning names the separation and the last block's share of Q.
     """
     if y[0] > z[0]:
         y, z = z, y
@@ -500,10 +564,15 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
     w = complex(math.cos(mu_delta), -math.sin(mu_delta))
     w_m1 = complex(-2.0 * math.sin(0.5 * mu_delta) ** 2, -math.sin(mu_delta))  # w - 1
     widths = np.array([p, q, delta])
-    total = 0.0
-    block = 256
-    calm = 0
-    for n_start in range(0, 32768, _PASS_BLOCKS * block):
+    alpha = math.pi / (cfg.d * _root1m2(cfg))
+    ad = alpha * delta
+    scale = 1.0 / (2.0 * cfg.d * cfg.one_minus_m2 ** 2 * alpha ** 3)  # K
+    c2 = 0.5 * (cfg.k / (cfg.one_minus_m2 * alpha)) ** 2
+    f3, f5, cross3 = _asymptote_sums(y[1], z[1], ad, mu_delta, cfg.d)
+    tail = float(scale * (f3 + c2 * (3.0 * f5 - w.real * ad * ad * cross3)))
+    total, block, cap = 0.0, 256, 32768
+    calm, settled = 0, False
+    for n_start in range(0, cap, _PASS_BLOCKS * block):
         n_stop = n_start + _PASS_BLOCKS * block
         c, k_down, k_up = _mode_block(cfg, n_start, n_stop)
         gamma = 0.5 * (k_down + k_up)
@@ -531,15 +600,30 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
             + (mid.real ** 2 + mid.imag ** 2) * i_d
             + 2.0 * (a * np.conj(b) * w).real * _kink_excess(gamma, delta, i_d)
         )
+        # less the asymptotes s_n (none for n = 0)
+        x = ad * ns
+        decay = np.exp(-x)
+        e1 = -np.expm1(-x) - x * decay  # 1 - exp(-x) (1 + x), by its series where x < 1
+        e1[x < 1.0] = x[x < 1.0] ** 2 * np.polyval(_EXP1_M1, x[x < 1.0])
+        cyz = (cc - ss) * (cc + ss)
+        f_n = 4.0 * ss * ss + 2.0 * cyz * (w.real * e1 - w_m1.real)
+        inv_n2 = (ns > 0) / np.maximum(ns, 1) ** 2
+        terms -= scale * inv_n2 / np.maximum(ns, 1) * (
+            f_n * (1.0 + 3.0 * c2 * inv_n2) - 2.0 * c2 * w.real * ad * ad * cyz * decay
+        )
         for contrib in terms.reshape(-1, block).sum(axis=1).tolist():
             total += contrib
-            if abs(contrib) < tol * max(total, 1e-300):
-                calm += 1
-                if calm >= 2:
-                    return max(total, 0.0)
-            else:
-                calm = 0
-    return max(total, 0.0)  # squared quantity; clamp roundoff negatives
+            calm = calm + 1 if abs(contrib) < tol * max(total + tail, 1e-300) else 0
+            settled = settled or calm >= 2
+        if settled:
+            return max(total + tail, 0.0)
+    warnings.warn(
+        f"q_l2_difference: separation {math.hypot(delta, z[1] - y[1]):.3g} reached the {cap}-mode"
+        f" cap unconverged (last block {abs(contrib) / max(total + tail, 1e-300):.2g} of Q)",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return max(total + tail, 0.0)  # squared quantity; clamp roundoff negatives
 
 
 def lemma2_exponent_probe(pairs, params: GreensEvalParams, cfg: DuctConfig):

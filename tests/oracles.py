@@ -46,10 +46,12 @@ def _image_y2(y2, d: float, n_images: int) -> np.ndarray:
 
 def _images_shell_sums(x, y, n_images: int, cfg: DuctConfig, include_direct=True):
     """Per-shell sums of the image series, shape (..., n_images + 1) for
-    source coordinates y of shape (...)."""
+    source coordinates y or target coordinates x of shape (...), the other
+    one point."""
     y2_img = _image_y2(y[1], cfg.d, n_images)
     if not include_direct:
         y2_img = y2_img[..., 1:]
+    x = tuple(np.asarray(v, dtype=float)[..., None] for v in x)
     terms = phi_free(x, (np.asarray(y[0], dtype=float)[..., None], y2_img), cfg)
     n_head = 2 if include_direct else 1
     shell0 = np.sum(terms[..., :n_head], axis=-1, keepdims=True)
@@ -70,15 +72,17 @@ def _averaged_tail_value(shell_sums: np.ndarray):
 
 def greens_images(x, y, n_images: int, cfg: DuctConfig) -> SeriesValue:
     """Image-series kernel value with tail averaging over n_images shells
-    (shell 0 is the source and its first wall reflection).
+    (shell 0 is the source and its first wall reflection); arrays of target
+    coordinates x give arrays.
 
     The indicator is the magnitude of the last shell (the series converges
     conditionally like n^{-1/2}, so the averaged value is far more accurate
     than the raw partial sum).
     """
     shells = _images_shell_sums(x, y, n_images, cfg)
+    last = np.abs(shells[..., -1])
     return SeriesValue(
-        value=_averaged_tail_value(shells), indicator=float(abs(shells[-1]))
+        value=_averaged_tail_value(shells), indicator=float(last) if last.ndim == 0 else last
     )
 
 

@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -428,17 +430,18 @@ class TestKernelDifferenceProbe:
         from numpy.polynomial.legendre import leggauss
 
         nodes, wts = leggauss(40)
+        pieces = ((-1.0, 0.0), (0.0, 0.05), (0.05, 0.11), (0.11, 1.0))
+        x1 = np.concatenate([0.5 * (ax + bx) + 0.5 * (bx - ax) * nodes for ax, bx in pieces])
+        w1 = np.concatenate([0.5 * (bx - ax) * wts for ax, bx in pieces])
+        x2 = 0.5 * cfg.d + 0.5 * cfg.d * nodes
+        w2 = 0.5 * cfg.d * wts
         acc = 0.0
-        for ax, bx in ((-1.0, 0.0), (0.0, 0.05), (0.05, 0.11), (0.11, 1.0)):
-            x1 = 0.5 * (ax + bx) + 0.5 * (bx - ax) * nodes
-            w1 = 0.5 * (bx - ax) * wts
-            x2 = 0.5 * cfg.d + 0.5 * cfg.d * nodes
-            w2 = 0.5 * cfg.d * wts
-            for xx1, ww1 in zip(x1, w1):
-                for xx2, ww2 in zip(x2, w2):
-                    gy = greens_images((xx1, xx2), y, 600, cfg).value
-                    gz = greens_images((xx1, xx2), z, 600, cfg).value
-                    acc += ww1 * ww2 * abs(gy - gz) ** 2
+        # the 160 x 40 grid in row chunks bounds the (points, images) arrays
+        for rows in np.array_split(np.arange(x1.size), 8):
+            pts = np.meshgrid(x1[rows], x2, indexing="ij")
+            gy = greens_images(pts, y, 600, cfg).value
+            gz = greens_images(pts, z, 600, cfg).value
+            acc += np.sum(np.outer(w1[rows], w2) * np.abs(gy - gz) ** 2)
         assert acc == pytest.approx(exact, rel=2e-2)
 
     def test_probe_slope_short_range(self):
@@ -465,6 +468,62 @@ class TestKernelDifferenceProbe:
         cfg = make_cfg()
         with pytest.raises(DomainError):
             lemma2_exponent_probe([((0.1, 0.4), (0.1, 0.4))], GreensEvalParams(), cfg)
+
+    def test_criterion_10_pairs_converge_within_4096_modes(self, monkeypatch):
+        # the Kummer split stops every pair in its first 2048-mode pass; a
+        # pair reaching the 32768-mode cap would warn, which fails here
+        counted = []
+
+        def counting(cfg, n_lo, n_hi):
+            counted.append(n_hi - n_lo)
+            return _mode_block(cfg, n_lo, n_hi)
+
+        monkeypatch.setattr(greens_module, "_mode_block", counting)
+        cfg = make_cfg()
+        y0 = (0.1, 0.45)
+        for g in np.logspace(-3, -1, 7):
+            counted.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                q_l2_difference(y0, (y0[0] + g / math.sqrt(2.0), y0[1] + g / math.sqrt(2.0)), cfg)
+            assert 0 < sum(counted) <= 4096
+
+    def test_unconverged_sum_warns_at_the_cap(self):
+        with pytest.warns(RuntimeWarning, match="separation 0.0424 reached the 32768-mode cap"):
+            q = q_l2_difference((0.1, 0.45), (0.13, 0.48), make_cfg(), tol=0.0)
+        assert q > 0.0
+
+
+class TestPolylogs:
+    # z = 1 and next to it, the unit circle at Im mu = +-pi and beyond the
+    # reduced range, and inside on both sides of the |z| = 1/2 switch
+    MUS = [
+        0.0,
+        1e-14j,
+        -1e-12 + 1e-12j,
+        -1e-7,
+        math.pi * 1j,
+        -math.pi * 1j,
+        -1e-3 + math.pi * 1j,
+        0.9j * math.pi,
+        5.7j,
+        -12.0j,
+        -0.3 + 2.0j,
+        -math.log(2.0) + 1e-15 + 3.0j,
+        -math.log(2.0) - 1e-15 - 3.0j,
+        -0.7 + 0.1j,
+        -2.0 + 1.0j,
+        -6.0 - 2.5j,
+    ]
+
+    def test_against_mpmath(self):
+        got = greens_module._polylogs(self.MUS)
+        with mpmath.workdps(30):
+            for j, mu in enumerate(self.MUS):
+                z = mpmath.exp(mpmath.mpc(mu))
+                for i, s in enumerate(range(2, 6)):
+                    ref = complex(mpmath.polylog(s, z))
+                    assert abs(complex(got[i, j]) - ref) <= 1e-15 * abs(ref), (s, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +606,53 @@ def _ref_segment_products(p_lo, p_hi, c, width):
     return np.where(small, 0.5 * width * (p_lo + p_hi), (p_hi - p_lo) / cc)
 
 
+def _ref_asymptote_partial(y2, z2, delta, cfg, n_stop):
+    """Long-double sum over 1 <= n < n_stop of the leading whole-line
+    asymptote s_n = K [cos^2 n theta_y + cos^2 n theta_z - 2 cos n theta_y
+    cos n theta_z cos(mu delta) exp(-x) (1 + x)] / n^3 of the probe's mode
+    terms, x = alpha n delta, written out as it stands."""
+    ld = np.longdouble
+    m2 = 1 - ld(cfg.M) ** 2
+    alpha = _PI_LD / (ld(cfg.d) * np.sqrt(m2))
+    scale = 1 / (2 * ld(cfg.d) * m2 ** 2 * alpha ** 3)
+    cos_md = np.cos(ld(cfg.k) * ld(cfg.M) / m2 * ld(delta))
+    total = ld(0.0)
+    for lo in range(1, n_stop, 65536):
+        n = np.arange(lo, min(lo + 65536, n_stop), dtype=ld)
+        cy, cz = (np.cos(n * _PI_LD * ld(v) / ld(cfg.d)) for v in (y2, z2))
+        x = alpha * n * ld(delta)
+        bracket = cy * cy + cz * cz - 2 * cy * cz * cos_md * np.exp(-x) * (1 + x)
+        total += np.sum(bracket / n ** 3)
+    return scale * total
+
+
+def _mp_asymptote_sum(y2, z2, delta, cfg):
+    """sum_{n >= 1} s_n (_ref_asymptote_partial) in closed form by mpmath
+    polylogs at 30 digits."""
+    with mpmath.workdps(30):
+        d, m2 = mpmath.mpf(cfg.d), 1 - mpmath.mpf(cfg.M) ** 2
+        alpha = mpmath.pi / (d * mpmath.sqrt(m2))
+        ad = alpha * mpmath.mpf(delta)
+        th_y, th_z = (mpmath.pi * mpmath.mpf(v) / d for v in (y2, z2))
+
+        def re_li(s, w):
+            return mpmath.re(mpmath.polylog(s, mpmath.exp(w)))
+
+        cross = sum(
+            re_li(3, -ad + 1j * t) + ad * re_li(2, -ad + 1j * t) for t in (th_y - th_z, th_y + th_z)
+        )
+        diag = mpmath.zeta(3) + (re_li(3, 2j * th_y) + re_li(3, 2j * th_z)) / 2
+        mu = mpmath.mpf(cfg.k) * mpmath.mpf(cfg.M) / m2
+        return (diag - mpmath.cos(mu * mpmath.mpf(delta)) * cross) / (2 * d * m2 ** 2 * alpha ** 3)
+
+
 def _ref_q_l2_difference(y, z, cfg, tol=1e-10, cap=32768, extended=False):
     """Roots, sums and stopping test one 256-mode block at a time, up to cap
-    modes; the three axial regions in complex exponentials of beta_+-.
+    modes; the three axial regions in complex exponentials of beta_+-.  The
+    modes from where the loop stops on are the asymptotes s_n (leading order
+    only): their 30-digit closed-form sum less their long-double partial
+    sum, so the tail does not depend on the stop (the terms less s_n decay
+    like n^{-5}, n^{-4} relative to Q beyond the 32768-mode cap).
 
     The mode terms cancel by about 1/gap^2 relative to Q (near a cutoff by
     |c_n|^2 / Q), so in double precision the loop is about 1e-12 off at a gap
@@ -599,7 +702,10 @@ def _ref_q_l2_difference(y, z, cfg, tol=1e-10, cap=32768, extended=False):
                 break
         else:
             calm = 0
-    return float(max(total, 0.0))
+    delta = z[0] - y[0]
+    partial = _ref_asymptote_partial(y[1], z[1], delta, cfg, n_start)
+    closed = np.longdouble(mpmath.nstr(_mp_asymptote_sum(y[1], z[1], delta, cfg), 25))
+    return float(max(total + real(closed - partial), 0.0))
 
 
 def _off_cutoff_cfg(M):
@@ -617,9 +723,11 @@ Q_PAIRS = [
     ((0.0, 0.5), (0.0, 0.55)),
     ((-0.4, 0.3), (0.5, 0.3)),
 ]
-# against the long-double reference loop; measured at most 4.1e-15 on every
-# case below, near a cutoff and at a gap of 1e-3 included.  Without the
-# series branch of _kink_excess the near-cutoff axial pair is 5.6e-13 off.
+# against the long-double reference loop with its closed-form tail; measured
+# at most 3.7e-15 on every case below, near a cutoff and at a gap of 1e-3
+# included.  Without the second-order asymptote the gap-1e-3 pair is 5e-11
+# off, and without the series branch of _kink_excess the near-cutoff axial
+# pair is 5.6e-13 off.
 Q_RTOL = 1e-13
 
 
@@ -702,9 +810,8 @@ class TestArrayWiseMatchesBlockLoops:
             _assert_q_close(y, z, make_cfg(M=M))
 
     def test_q_l2_difference_on_criterion_10_pairs(self):
-        # at gap 1e-3 the double-precision reference loop is 1.2e-12 off a
-        # 40-digit evaluation of the same 32768-mode sum, the long-double one
-        # and q_l2_difference within 1e-15 of it
+        # q_l2_difference sums 2048 modes here, the reference loop reaches
+        # its 32768-mode cap at the five smallest gaps
         cfg = make_cfg()
         y0 = (0.1, 0.45)
         for g in np.logspace(-3, -1, 7):
@@ -712,14 +819,14 @@ class TestArrayWiseMatchesBlockLoops:
             _assert_q_close(y0, z, cfg)
 
     def test_q_l2_difference_cap_on_smallest_criterion_10_pair(self):
-        # gap 1e-3 never meets the tail test, so the sum stops at its 32768-
-        # mode cap: within 1e-5 relative (6e-6 measured) of 262144 modes at
-        # tol 1e-14
+        # the reference's tail does not depend on its cap: the double loop
+        # over 262144 modes plus its tail (the plain 262144-mode sum is 9e-8
+        # short) agrees with Q to the loop's own roundoff (measured 1.2e-12)
         cfg = make_cfg()
         y0 = (0.1, 0.45)
         z = (y0[0] + 1e-3 / math.sqrt(2.0), y0[1] + 1e-3 / math.sqrt(2.0))
         long_sum = _ref_q_l2_difference(y0, z, cfg, tol=1e-14, cap=262144)
-        assert abs(q_l2_difference(y0, z, cfg) - long_sum) <= 1e-5 * long_sum
+        assert abs(q_l2_difference(y0, z, cfg) - long_sum) <= 1e-11 * long_sum
 
 
 def _ref_averaged_modal(x, y, cfg, n_modes=16384):
