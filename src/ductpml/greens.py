@@ -508,11 +508,11 @@ def _asymptote_sums(y2, z2, ad, mu_delta, d):
     ad = np.longdouble(ad)
     mus = [0.0, 2j * th_y, 2j * th_z, 1j * (th_y - th_z) - ad, 1j * (th_y + th_z) - ad]
     li = _polylogs(mus).real
-    one_m_cos = 2.0 * np.sin(np.longdouble(0.5 * mu_delta)) ** 2
+    cos_md = np.cos(np.longdouble(mu_delta))
 
     def f_sum(s):
         cross = li[s - 2, 3:].sum() + ad * li[s - 3, 3:].sum()
-        return li[s - 2, 0] + 0.5 * (li[s - 2, 1] + li[s - 2, 2]) - (1 - one_m_cos) * cross
+        return li[s - 2, 0] + 0.5 * (li[s - 2, 1] + li[s - 2, 2]) - cos_md * cross
 
     return float(f_sum(3)), float(f_sum(5)), float(li[1, 3:].sum())
 
