@@ -31,7 +31,6 @@ from .errors import (
     InsufficientDataError,
     RepresentationError,
     SingularityError,
-    StudyError,
 )
 from .noise import (
     ModalFunctionSource,

@@ -280,35 +280,14 @@ def _build_run_config(raw: dict) -> RunConfig:
     )
     shape = pml_raw.get("shape", "quadratic")
     if shape != "quadratic":
-        raise ConfigError("only the quadratic profile shape is configurable from file")
-    sigma_plus = pml_raw.get("sigma_plus", 5.0)
-    profile = PmlProfile(
-        sigma_plus=sigma_plus,
-        sigma_minus=pml_raw.get("sigma_minus", sigma_plus),
-        x_plus=duct.x_plus,
-        x_minus=duct.x_minus,
-        L=duct.L,
-    )
+        raise ConfigError(f"[pml] shape {shape!r} is not supported; use 'quadratic'")
+    profile = PmlProfile.quadratic(duct, pml_raw.get("sigma_plus", 5.0), pml_raw.get("sigma_minus"))
     rc = RunConfig(duct=duct, profile=profile, raw=raw)
     rc.forcing_rect()
     rc.formulation()
     if str(rc._get("source", "type", "mode_box")) not in _SOURCE_TYPES:
         raise ConfigError(f"source type must be one of {_SOURCE_TYPES}")
     return rc
-
-
-def serialize_config(rc: RunConfig) -> str:
-    """Round-trip serialization of the raw key=value content."""
-    lines = []
-    for section in _SCHEMA:
-        if section not in rc.raw:
-            continue
-        lines.append(f"[{section}]")
-        for key, val in rc.raw[section].items():
-            text = ",".join(map(_fmt, val)) if isinstance(val, list) else _fmt(val)
-            lines.append(f"{key} = {text}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,3 @@ class GridMismatchError(DuctpmlError):
 
 class InsufficientDataError(DuctpmlError):
     """Too few usable data points for a requested fit."""
-
-
-class StudyError(DuctpmlError):
-    """A Monte Carlo study aborted; the message names the failing seed."""

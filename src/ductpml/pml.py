@@ -7,8 +7,8 @@ sigma == 0, the layer attaches to the computational domain without any
 jump condition, and it damps every outgoing mode (including inverse
 upstream ones) instead of amplifying them.
 
-This module owns the absorption profile sigma, the per-mode layer
-solutions psi_n^{+-}, the two-point amplitudes that enforce value 1 at the
+This module owns the quadratic absorption profile sigma, the two-point
+amplitudes of the per-mode layer solutions that enforce value 1 at the
 interface and 0 at the outer Dirichlet wall, the finite-layer
 Robin coefficients nu_n^{+-} (which converge to beta_n^{+-} exponentially
 in the absorbed mass) and their gaps nu_n - beta_n free of cancellation,
@@ -20,15 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .duct import DuctConfig, axial_wavenumbers64, cutoff_numbers
 from .errors import ConfigError, DegenerateLayerError, DomainError
-
-QUADRATIC = "quadratic"
-TABULATED = "tabulated"
 
 # |1 - e^{iz}| >= e^{-Im z}/2 needs e^{-Im z} >= 2; below that absorbed mass
 # the a-priori gap bound is reported as not applicable.
@@ -42,12 +38,10 @@ UNDERFLOW_EXPONENT = 700.0
 class PmlProfile:
     """Absorption strength sigma(x1) outside (x_minus, x_plus).
 
-    The default shape is one-sided quadratic,
+    The profile is one-sided quadratic,
     ``sigma = sigma_plus (x1 - x_plus)^2`` for ``x1 > x_plus`` and mirrored
     with ``sigma_minus`` on the left, which vanishes together with its
-    derivative at the interfaces.  A tabulated shape carries sampled values
-    of sigma over layer offsets [0, L]; its stretch integrals fall back to
-    trapezoid sums.
+    derivative at the interfaces.
     """
 
     sigma_plus: float
@@ -55,31 +49,12 @@ class PmlProfile:
     x_plus: float
     x_minus: float
     L: float
-    shape: str = QUADRATIC
-    table_s: Optional[np.ndarray] = None
-    table_sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.L <= 0.0:
             raise ConfigError(f"layer length must be positive, got {self.L}")
-        if self.shape == QUADRATIC:
-            if self.sigma_plus < 0.0 or self.sigma_minus < 0.0:
-                raise ConfigError("quadratic strengths must be >= 0")
-        elif self.shape == TABULATED:
-            s = np.asarray(self.table_s, dtype=float)
-            v = np.asarray(self.table_sigma, dtype=float)
-            if s.ndim != 1 or s.shape != v.shape or s.size < 2:
-                raise ConfigError("tabulated profile needs matching 1-d tables")
-            if abs(s[0]) > 1e-14 or abs(s[-1] - self.L) > 1e-12 * max(1.0, self.L):
-                raise ConfigError("table offsets must span [0, L]")
-            if np.any(np.diff(s) <= 0.0):
-                raise ConfigError("table offsets must increase strictly")
-            if np.any(v < 0.0) or abs(v[0]) > 0.0:
-                raise ConfigError("tabulated sigma must be >= 0 and vanish at offset 0")
-            object.__setattr__(self, "table_s", s)
-            object.__setattr__(self, "table_sigma", v)
-        else:
-            raise ConfigError(f"unknown profile shape {self.shape!r}")
+        if self.sigma_plus < 0.0 or self.sigma_minus < 0.0:
+            raise ConfigError("quadratic strengths must be >= 0")
 
     @classmethod
     def quadratic(cls, cfg: DuctConfig, sigma_plus: float, sigma_minus=None):
@@ -93,43 +68,17 @@ class PmlProfile:
             L=cfg.L,
         )
 
-    @classmethod
-    def tabulated(cls, cfg: DuctConfig, offsets, values):
-        return cls(
-            sigma_plus=0.0,
-            sigma_minus=0.0,
-            x_plus=cfg.x_plus,
-            x_minus=cfg.x_minus,
-            L=cfg.L,
-            shape=TABULATED,
-            table_s=np.asarray(offsets, dtype=float),
-            table_sigma=np.asarray(values, dtype=float),
-        )
-
     def _offset_sigma(self, s, side: str):
         """sigma at layer offset s >= 0 measured from the interface."""
         s = np.asarray(s, dtype=float)
-        if self.shape == QUADRATIC:
-            coeff = self.sigma_plus if side == "+" else self.sigma_minus
-            return coeff * s * s
-        return np.interp(s, self.table_s, self.table_sigma)
+        coeff = self.sigma_plus if side == "+" else self.sigma_minus
+        return coeff * s * s
 
     def _offset_sigma_mass(self, s, side: str):
         """Integral of sigma over layer offsets [0, s]."""
         s = np.asarray(s, dtype=float)
-        if self.shape == QUADRATIC:
-            coeff = self.sigma_plus if side == "+" else self.sigma_minus
-            return coeff * s ** 3 / 3.0
-        cum = np.concatenate(
-            [[0.0], np.cumsum(np.diff(self.table_s) * 0.5
-                              * (self.table_sigma[1:] + self.table_sigma[:-1]))]
-        )
-        return np.interp(s, self.table_s, cum)
-
-    def sigma_max(self) -> float:
-        if self.shape == QUADRATIC:
-            return max(self.sigma_plus, self.sigma_minus) * self.L ** 2
-        return float(np.max(self.table_sigma))
+        coeff = self.sigma_plus if side == "+" else self.sigma_minus
+        return coeff * s ** 3 / 3.0
 
 
 def _check_side(side: str):
@@ -161,20 +110,15 @@ def alpha(profile: PmlProfile, x1, omega: float):
 
 
 def alpha_prime(profile: PmlProfile, x1, omega: float):
-    """d alpha / d x1, using sigma' of the quadratic (or tabulated slope)."""
+    """d alpha / d x1, using sigma' of the quadratic."""
     scalar = np.ndim(x1) == 0
     x1a = np.atleast_1d(np.asarray(x1, dtype=float))
     s = np.asarray(sigma(profile, x1a), dtype=float)
     sp = np.zeros_like(x1a)
     right = x1a > profile.x_plus
     left = x1a < profile.x_minus
-    if profile.shape == QUADRATIC:
-        sp[right] = 2.0 * profile.sigma_plus * (x1a[right] - profile.x_plus)
-        sp[left] = -2.0 * profile.sigma_minus * (profile.x_minus - x1a[left])
-    else:
-        sp_tab = np.gradient(profile.table_sigma, profile.table_s)
-        sp[right] = np.interp(x1a[right] - profile.x_plus, profile.table_s, sp_tab)
-        sp[left] = -np.interp(profile.x_minus - x1a[left], profile.table_s, sp_tab)
+    sp[right] = 2.0 * profile.sigma_plus * (x1a[right] - profile.x_plus)
+    sp[left] = -2.0 * profile.sigma_minus * (profile.x_minus - x1a[left])
     out = 1j * omega * sp / (-1j * omega + s) ** 2
     return complex(out[0]) if scalar else out
 
@@ -182,8 +126,8 @@ def alpha_prime(profile: PmlProfile, x1, omega: float):
 def stretch_integral(profile: PmlProfile, side: str, L: float, omega: float) -> complex:
     """Full-layer integral of 1/alpha over offsets [0, L].
 
-    1/alpha = 1 + i sigma/omega, so the value is L + i * (absorbed mass)/omega;
-    for the quadratic shape the imaginary part is sigma_{+-} L^3 / (3 omega).
+    1/alpha = 1 + i sigma/omega, so the value is L + i * (absorbed mass)/omega,
+    whose imaginary part is sigma_{+-} L^3 / (3 omega).
     """
     _check_side(side)
     if L <= 0.0:
@@ -192,53 +136,6 @@ def stretch_integral(profile: PmlProfile, side: str, L: float, omega: float) -> 
         raise DomainError(f"omega must be positive, got {omega}")
     mass = float(profile._offset_sigma_mass(L, side))
     return complex(L, mass / omega)
-
-
-def stretch_partial(profile: PmlProfile, side: str, s, omega: float):
-    """Integral of 1/alpha over layer offsets [0, s] (vectorized in s)."""
-    _check_side(side)
-    s = np.asarray(s, dtype=float)
-    out = s + 1j * profile._offset_sigma_mass(s, side) / omega
-    return out if out.ndim else complex(out)
-
-
-def _layer_offset(profile: PmlProfile, side: str, x1):
-    off = (x1 - profile.x_plus) if side == "+" else (profile.x_minus - x1)
-    return off
-
-
-def psi_mode(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
-    """Per-mode layer solutions (psi_plus, psi_minus) at axial position x1.
-
-    Both equal 1 at the interface; with sigma == 0 they reduce to the plain
-    duct modes exp(i beta^{+-} (x1 - interface)).
-    """
-    _check_side(side)
-    bp, bm = axial_wavenumbers64(n, cfg)
-    mu = cfg.M * cfg.k / cfg.one_minus_m2
-    off = _layer_offset(profile, side, np.asarray(x1, dtype=float))
-    if np.any(off < -1e-12) or np.any(off > profile.L + 1e-12):
-        raise DomainError("x1 outside the layer on the requested side")
-    sgn = 1.0 if side == "+" else -1.0
-    stretch = sgn * stretch_partial(profile, side, np.maximum(off, 0.0), cfg.omega)
-    dx = sgn * off
-    psi_p = np.exp(-1j * mu * dx + 1j * (bp + mu) * stretch)
-    psi_m = np.exp(-1j * mu * dx + 1j * (bm + mu) * stretch)
-    if np.ndim(x1) == 0:
-        return complex(psi_p), complex(psi_m)
-    return psi_p, psi_m
-
-
-def psi_mode_derivative(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
-    """Closed-form d/dx1 of (psi_plus, psi_minus); used by eigenrelation checks."""
-    _check_side(side)
-    bp, bm = axial_wavenumbers64(n, cfg)
-    mu = cfg.M * cfg.k / cfg.one_minus_m2
-    a = alpha(profile, x1, cfg.omega)
-    psi_p, psi_m = psi_mode(n, x1, side, profile, cfg)
-    dp = psi_p * (-1j * mu + 1j * (bp + mu) / a)
-    dm = psi_m * (-1j * mu + 1j * (bm + mu) / a)
-    return dp, dm
 
 
 def _layer_mode(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
@@ -364,31 +261,20 @@ def dtn_gap_bound(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> Ga
     return GapBound(measured, bound, applicable, False, exponent)
 
 
-def coercivity_constant(profile: PmlProfile, cfg: DuctConfig) -> float:
-    """Diagnostic lower bound (1 - M^2) omega^2 / (sigma_max^2 + omega^2)."""
-    smax = profile.sigma_max()
-    w2 = cfg.omega * cfg.omega
-    return cfg.one_minus_m2 * w2 / (smax * smax + w2)
-
-
 def sigma_tilde_integral(profile: PmlProfile, side: str, L: float, omega: float) -> float:
     """Integral over [0, L] of min(1, sigma/omega); the decay abscissa.
 
-    For the quadratic shape the saturation point is s* = sqrt(omega/coeff)
-    and the integral is closed-form; tabulated shapes use a fine trapezoid.
+    The saturation point is s* = sqrt(omega/coeff), and the integral is
+    closed-form on both sides of it.
     """
     _check_side(side)
-    if profile.shape == QUADRATIC:
-        coeff = profile.sigma_plus if side == "+" else profile.sigma_minus
-        if coeff <= 0.0:
-            return 0.0
-        s_star = math.sqrt(omega / coeff)
-        if L <= s_star:
-            return coeff * L ** 3 / (3.0 * omega)
-        return coeff * s_star ** 3 / (3.0 * omega) + (L - s_star)
-    grid = np.linspace(0.0, L, 4097)
-    vals = np.minimum(1.0, profile._offset_sigma(grid, side) / omega)
-    return float(np.trapezoid(vals, grid))
+    coeff = profile.sigma_plus if side == "+" else profile.sigma_minus
+    if coeff <= 0.0:
+        return 0.0
+    s_star = math.sqrt(omega / coeff)
+    if L <= s_star:
+        return coeff * L ** 3 / (3.0 * omega)
+    return coeff * s_star ** 3 / (3.0 * omega) + (L - s_star)
 
 
 def theoretical_decay_constant(cfg: DuctConfig) -> float:

@@ -21,9 +21,8 @@ convection term assembled from the weak form, alpha-weighted terms by
 ``mode_matrix`` is the one place that builds a mode operator for any of
 the three closures, and ``modal_loads`` the one place that turns a source
 (noise realization, modal box or function source, or a list of them) into
-every mode's hat loads; ``solve_mode``, ``solve_full``,
-``condition_estimate`` and the Monte Carlo studies in ``harness`` all go
-through them.
+every mode's hat loads; ``solve_mode``, ``solve_full`` and the Monte
+Carlo studies in ``harness`` all go through them.
 """
 
 from __future__ import annotations
@@ -133,27 +132,6 @@ class ModalSolution:
     @property
     def n_modes(self) -> int:
         return self.values.shape[0]
-
-    def restrict(self, x_lo: float, x_hi: float) -> "ModalSolution":
-        """Restriction to aligned subinterval nodes (exact, no interpolation)."""
-        nodes = self.grid.nodes()
-        dx = self.grid.delta
-        i_lo = int(round((x_lo - self.grid.x_start) / dx))
-        i_hi = int(round((x_hi - self.grid.x_start) / dx))
-        ok = (
-            0 <= i_lo < i_hi <= self.grid.n_cells
-            and abs(nodes[i_lo] - x_lo) < 1e-9 * max(1.0, abs(x_lo))
-            and abs(nodes[i_hi] - x_hi) < 1e-9 * max(1.0, abs(x_hi))
-        )
-        if not ok:
-            raise GridMismatchError(
-                f"[{x_lo}, {x_hi}] does not align with the grid nodes"
-            )
-        return ModalSolution(
-            grid=Grid1D(x_lo, x_hi, i_hi - i_lo),
-            values=self.values[:, i_lo : i_hi + 1].copy(),
-            formulation=self.formulation,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -451,59 +429,3 @@ def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:
         )
         out += pn * phis[n]
     return out[0] if single else out
-
-
-def _restrict_to_omega_b(sol: ModalSolution, cfg: DuctConfig) -> ModalSolution:
-    if (
-        abs(sol.grid.x_start - cfg.x_minus) < 1e-12
-        and abs(sol.grid.x_end - cfg.x_plus) < 1e-12
-    ):
-        return sol
-    return sol.restrict(cfg.x_minus, cfg.x_plus)
-
-
-def l2_norm_omega_b(sol: ModalSolution, cfg: DuctConfig) -> float:
-    """L2 norm over the computational domain: Parseval across modes,
-    trapezoid along the axis."""
-    s = _restrict_to_omega_b(sol, cfg)
-    total = float(
-        np.sum(np.trapezoid(np.abs(s.values) ** 2, dx=s.grid.delta, axis=1))
-    )
-    return math.sqrt(total)
-
-
-def l2_error(a: ModalSolution, b: ModalSolution) -> float:
-    """Parseval/trapezoid norm of (a - b); operands must share grid and modes."""
-    if a.grid != b.grid:
-        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
-    if a.values.shape != b.values.shape:
-        raise GridMismatchError(
-            f"mode counts differ: {a.values.shape} vs {b.values.shape}"
-        )
-    diff = np.abs(a.values - b.values) ** 2
-    return math.sqrt(float(np.sum(np.trapezoid(diff, dx=a.grid.delta, axis=1))))
-
-
-def condition_estimate(
-    n: int,
-    cfg: DuctConfig,
-    grid: Grid1D,
-    formulation: str = DTN,
-    profile=None,
-) -> float:
-    """1-norm condition estimate of the assembled mode matrix."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    sub, diag, sup = mode_matrix(n, cfg, grid, formulation, profile)
-    mat = sp.diags([sub, diag, sup], offsets=[-1, 0, 1], format="csc")
-    lu = spla.splu(mat)
-    inv_op = spla.LinearOperator(
-        mat.shape,
-        matvec=lambda v: lu.solve(v.astype(complex)),
-        rmatvec=lambda v: lu.solve(v.astype(complex), trans="T"),
-        dtype=complex,
-    )
-    norm_a = spla.norm(mat, 1)
-    norm_inv = spla.onenormest(inv_op)
-    return float(norm_a * norm_inv)

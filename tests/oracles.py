@@ -1,4 +1,5 @@
-"""Independent oracles for the kernel representations in ``ductpml.greens``.
+"""Independent oracles for the kernels in ``ductpml.greens``, the layer in
+``ductpml.pml`` and the solves in ``ductpml.solver``.
 
 Image series: reflections of the free-space convected kernel ``phi_free``
 across the rigid walls, sources at transverse positions ``+-y2 + 2 d n``.
@@ -12,6 +13,15 @@ Solution quadratures: the 1D outgoing mode kernel in complex exponentials,
 its adaptive-quadrature convolution with a deterministic modal source, and
 the tensor-Gauss L2 norm of the kernel over a rectangle (the Ito-isometry
 oracle of the noise response).
+
+Layer solutions: the per-mode solutions psi_n^{+-} of the stretched
+operator in one layer, in closed form through the partial stretch
+integral, and their derivatives; they check the two-point amplitudes and
+the eigenrelation alpha (d/dx1 + i mu) psi = i (beta + mu) psi.
+
+Solver norms: the Parseval/trapezoid L2 distance of two modal solutions
+on one grid, and a 1-norm condition estimate of an assembled mode matrix
+(sparse LU and ``onenormest``).
 """
 
 from __future__ import annotations
@@ -21,10 +31,12 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
 from ductpml.duct import DuctConfig, axial_wavenumbers64, mode_shape
-from ductpml.errors import ConfigError, RepresentationError
+from ductpml.errors import ConfigError, DomainError, GridMismatchError, RepresentationError
 from ductpml.greens import (
     GreensEvalParams,
     SeriesValue,
@@ -33,6 +45,8 @@ from ductpml.greens import (
     phi_free,
 )
 from ductpml.noise import ModalFunctionSource, ModeBoxSource
+from ductpml.pml import PmlProfile, _check_side, alpha
+from ductpml.solver import DTN, Grid1D, ModalSolution, mode_matrix
 
 
 def _image_y2(y2, d: float, n_images: int) -> np.ndarray:
@@ -189,3 +203,84 @@ def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, orde
     phi_y = mode_shape(ns[:, None], y2[None, :], cfg.d)  # (n, y2)
     g = np.einsum("n,nj,nk->jk", phi_x * c, phase, phi_y)
     return float(np.sum(np.outer(w1, w2) * np.abs(g) ** 2))
+
+
+def stretch_partial(profile: PmlProfile, side: str, s, omega: float):
+    """Integral of 1/alpha over layer offsets [0, s] (vectorized in s)."""
+    _check_side(side)
+    s = np.asarray(s, dtype=float)
+    out = s + 1j * profile._offset_sigma_mass(s, side) / omega
+    return out if out.ndim else complex(out)
+
+
+def _layer_offset(profile: PmlProfile, side: str, x1):
+    off = (x1 - profile.x_plus) if side == "+" else (profile.x_minus - x1)
+    return off
+
+
+def psi_mode(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """Per-mode layer solutions (psi_plus, psi_minus) at axial position x1.
+
+    Both equal 1 at the interface; with sigma == 0 they reduce to the plain
+    duct modes exp(i beta^{+-} (x1 - interface)).
+    """
+    _check_side(side)
+    bp, bm = axial_wavenumbers64(n, cfg)
+    mu = cfg.M * cfg.k / cfg.one_minus_m2
+    off = _layer_offset(profile, side, np.asarray(x1, dtype=float))
+    if np.any(off < -1e-12) or np.any(off > profile.L + 1e-12):
+        raise DomainError("x1 outside the layer on the requested side")
+    sgn = 1.0 if side == "+" else -1.0
+    stretch = sgn * stretch_partial(profile, side, np.maximum(off, 0.0), cfg.omega)
+    dx = sgn * off
+    psi_p = np.exp(-1j * mu * dx + 1j * (bp + mu) * stretch)
+    psi_m = np.exp(-1j * mu * dx + 1j * (bm + mu) * stretch)
+    if np.ndim(x1) == 0:
+        return complex(psi_p), complex(psi_m)
+    return psi_p, psi_m
+
+
+def psi_mode_derivative(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """Closed-form d/dx1 of (psi_plus, psi_minus); used by eigenrelation checks."""
+    _check_side(side)
+    bp, bm = axial_wavenumbers64(n, cfg)
+    mu = cfg.M * cfg.k / cfg.one_minus_m2
+    a = alpha(profile, x1, cfg.omega)
+    psi_p, psi_m = psi_mode(n, x1, side, profile, cfg)
+    dp = psi_p * (-1j * mu + 1j * (bp + mu) / a)
+    dm = psi_m * (-1j * mu + 1j * (bm + mu) / a)
+    return dp, dm
+
+
+def l2_error(a: ModalSolution, b: ModalSolution) -> float:
+    """Parseval/trapezoid norm of (a - b); operands must share grid and modes."""
+    if a.grid != b.grid:
+        raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
+    if a.values.shape != b.values.shape:
+        raise GridMismatchError(
+            f"mode counts differ: {a.values.shape} vs {b.values.shape}"
+        )
+    diff = np.abs(a.values - b.values) ** 2
+    return math.sqrt(float(np.sum(np.trapezoid(diff, dx=a.grid.delta, axis=1))))
+
+
+def condition_estimate(
+    n: int,
+    cfg: DuctConfig,
+    grid: Grid1D,
+    formulation: str = DTN,
+    profile=None,
+) -> float:
+    """1-norm condition estimate of the assembled mode matrix."""
+    sub, diag, sup = mode_matrix(n, cfg, grid, formulation, profile)
+    mat = sp.diags([sub, diag, sup], offsets=[-1, 0, 1], format="csc")
+    lu = spla.splu(mat)
+    inv_op = spla.LinearOperator(
+        mat.shape,
+        matvec=lambda v: lu.solve(v.astype(complex)),
+        rmatvec=lambda v: lu.solve(v.astype(complex), trans="T"),
+        dtype=complex,
+    )
+    norm_a = spla.norm(mat, 1)
+    norm_inv = spla.onenormest(inv_op)
+    return float(norm_a * norm_inv)

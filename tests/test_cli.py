@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ductpml
 from ductpml.cli import (
     _CHUNK_ROWS,
+    _SCHEMA,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -13,7 +19,6 @@ from ductpml.cli import (
     _write_csv,
     dispatch,
     parse_config,
-    serialize_config,
 )
 from ductpml.errors import ConfigError
 from ductpml.harness import run_total_error_study
@@ -27,6 +32,20 @@ k = 5
 sigma_plus = 5
 L = 2
 """
+
+
+def serialize_config(rc) -> str:
+    """The raw key=value content of a parsed config, as config text."""
+    lines = []
+    for section in _SCHEMA:
+        if section not in rc.raw:
+            continue
+        lines.append(f"[{section}]")
+        for key, val in rc.raw[section].items():
+            text = ",".join(map(_fmt, val)) if isinstance(val, list) else _fmt(val)
+            lines.append(f"{key} = {text}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 class TestParseConfig:
@@ -355,6 +374,35 @@ class TestDispatch:
         assert (out / "field.csv").read_text().startswith("x1,x2,re_p,im_p\n")
         p.write_text(text + "delta = 0.0089\n")
         assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("shape, status", [("quadratic", EXIT_OK), ("tabulated", EXIT_CONFIG)])
+    def test_profile_shape(self, tmp_path, capsys, shape, status):
+        # the layer has one absorption profile; any other shape is refused
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"shape = {shape}\n[grid]\nn_modes = 4\n")
+        out = tmp_path / "out"
+        assert dispatch(["solve", "--config", str(p), "--out", str(out)]) == status
+        if status == EXIT_CONFIG:
+            assert "shape 'tabulated'" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_import_leaves_out_scipy_integrate(self):
+        # only the test oracles integrate adaptively; importing
+        # scipy.integrate would add to every run's start-up time and memory
+        src = str(Path(ductpml.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, ductpml.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.strip() == "[]"
 
     def test_modes_csv(self, cfg_file, tmp_path):
         out = tmp_path / "out"

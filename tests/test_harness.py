@@ -36,14 +36,13 @@ from ductpml.solver import (
     DTN,
     PML_REDUCED,
     _solve_tridiag,
-    condition_estimate,
     default_delta,
-    l2_error,
     modal_loads,
     mode_matrix,
     omega_b_grid,
     solve_full,
 )
+from oracles import condition_estimate, l2_error
 
 
 def make_cfg(L=1.0):

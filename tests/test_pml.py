@@ -14,20 +14,17 @@ from ductpml.pml import (
     PmlProfile,
     alpha,
     alpha_prime,
-    coercivity_constant,
     dtn_gap_bound,
     modal_amplitudes,
     nu_coefficients,
     nu_gap,
-    psi_mode,
-    psi_mode_derivative,
     reflection_coefficient,
     sigma,
     sigma_tilde_integral,
     stretch_integral,
-    stretch_partial,
     theoretical_decay_constant,
 )
+from oracles import psi_mode, psi_mode_derivative, stretch_partial
 
 
 def make_cfg(M=0.3, k=5.0, d=1.0, L=1.0):
@@ -126,16 +123,6 @@ class TestStretchIntegral:
         ]
         assert vals[1] == pytest.approx(2 * vals[0])
         assert vals[2] == pytest.approx(4 * vals[0])
-
-    def test_tabulated_matches_quadratic(self):
-        cfg = make_cfg()
-        s = np.linspace(0.0, cfg.L, 4001)
-        tab = PmlProfile.tabulated(cfg, s, 5.0 * s * s)
-        quad = make_profile(cfg, sp=5.0)
-        for side in "+-":
-            a = stretch_integral(tab, side, cfg.L, cfg.omega)
-            b = stretch_integral(quad, side, cfg.L, cfg.omega)
-            assert a == pytest.approx(b, rel=1e-7)
 
     def test_partial_vectorized(self):
         cfg = make_cfg()
@@ -398,21 +385,6 @@ class TestGapBounds:
         assert abs(slope + c2) <= 0.25 * c2
 
 
-class TestCoercivity:
-    def test_no_layer(self, cfg):
-        p = make_profile(cfg, sp=0.0, sm=0.0)
-        assert coercivity_constant(p, cfg) == pytest.approx(cfg.one_minus_m2)
-
-    def test_sigma_max_equal_omega(self):
-        cfg = DuctConfig(d=1.0, M=0.0, k=1.0, x_minus=-1.0, x_plus=1.0, L=1.0)
-        p = PmlProfile(sigma_plus=1.0, sigma_minus=1.0, x_plus=1.0, x_minus=-1.0, L=1.0)
-        assert coercivity_constant(p, cfg) == pytest.approx(0.5)
-
-    def test_monotone_in_strength(self, cfg):
-        vals = [coercivity_constant(make_profile(cfg, sp=s), cfg) for s in (1, 4, 16)]
-        assert vals[0] > vals[1] > vals[2]
-
-
 class TestSigmaTilde:
     def test_saturation(self):
         cfg = make_cfg(L=3.0)
@@ -427,25 +399,8 @@ class TestSigmaTilde:
         t = sigma_tilde_integral(prof, "+", 0.5, cfg.omega)
         assert t == pytest.approx(1.0 * 0.5 ** 3 / (3.0 * cfg.omega), rel=1e-12)
 
-    def test_tabulated_agrees(self):
-        cfg = make_cfg(L=2.0)
-        s = np.linspace(0.0, 2.0, 8193)
-        tab = PmlProfile.tabulated(cfg, s, 5.0 * s * s)
-        quadp = make_profile(cfg, sp=5.0)
-        a = sigma_tilde_integral(tab, "+", 2.0, cfg.omega)
-        b = sigma_tilde_integral(quadp, "+", 2.0, cfg.omega)
-        assert a == pytest.approx(b, rel=1e-5)
-
 
 class TestProfileValidation:
     def test_negative_strength_rejected(self, cfg):
         with pytest.raises(ConfigError):
             PmlProfile(sigma_plus=-1.0, sigma_minus=1.0, x_plus=1.0, x_minus=-1.0, L=1.0)
-
-    def test_table_must_vanish_at_interface(self, cfg):
-        with pytest.raises(ConfigError):
-            PmlProfile.tabulated(cfg, [0.0, 1.0, 2.0], [0.5, 1.0, 2.0])
-
-    def test_table_span(self, cfg):
-        with pytest.raises(ConfigError):
-            PmlProfile.tabulated(cfg, [0.0, 0.5], [0.0, 1.0])

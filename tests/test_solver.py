@@ -21,10 +21,7 @@ from ductpml.solver import (
     Grid1D,
     ModalSolution,
     assemble_field,
-    condition_estimate,
     default_delta,
-    l2_error,
-    l2_norm_omega_b,
     modal_loads,
     omega_b_grid,
     omega_full_grid,
@@ -33,6 +30,7 @@ from ductpml.solver import (
     solve_full,
     solve_mode,
 )
+from oracles import condition_estimate, l2_error
 
 
 def make_cfg(M=0.3, k=5.0, L=1.0):
@@ -481,7 +479,8 @@ class TestSolveFullAndFields:
             ModeBoxSource(mode=3, x_lo=-0.2, x_hi=0.2, amplitude=0.4),
         ]
         sol = solve_full(cfg, src, "dtn", grid, 6)
-        norm = l2_norm_omega_b(sol, cfg)
+        # Parseval across modes, trapezoid along the axis
+        norm = math.sqrt(np.sum(np.trapezoid(np.abs(sol.values) ** 2, dx=grid.delta, axis=1)))
         x1 = np.linspace(cfg.x_minus, cfg.x_plus, 257)
         x2 = np.linspace(0.0, cfg.d, 129)
         xx1, xx2 = np.meshgrid(x1, x2, indexing="ij")
@@ -531,20 +530,6 @@ class TestSolveFullAndFields:
 
 
 class TestNormsAndErrors:
-    def test_zero_norm(self):
-        cfg = make_cfg()
-        grid = omega_b_grid(cfg, 1 / 16)
-        sol = ModalSolution(grid=grid, values=np.zeros((2, grid.n_nodes), complex), formulation="dtn")
-        assert l2_norm_omega_b(sol, cfg) == 0.0
-
-    def test_constant_mode_norm(self):
-        cfg = make_cfg()
-        grid = omega_b_grid(cfg, 1 / 16)
-        vals = np.zeros((3, grid.n_nodes), complex)
-        vals[1] = 1.0
-        sol = ModalSolution(grid=grid, values=vals, formulation="dtn")
-        assert l2_norm_omega_b(sol, cfg) ** 2 == pytest.approx(2.0)  # axial length
-
     def test_triangle_inequality(self):
         cfg = make_cfg()
         grid = omega_b_grid(cfg, 1 / 16)
@@ -565,15 +550,6 @@ class TestNormsAndErrors:
         b = ModalSolution(grid=g2, values=np.zeros((2, g2.n_nodes), complex), formulation="dtn")
         with pytest.raises(GridMismatchError):
             l2_error(a, b)
-
-    def test_restriction_alignment(self):
-        cfg = make_cfg()
-        gf = omega_full_grid(cfg, 1 / 16)
-        sol = ModalSolution(grid=gf, values=np.ones((1, gf.n_nodes), complex), formulation="pml_full")
-        r = sol.restrict(cfg.x_minus, cfg.x_plus)
-        assert r.grid.x_start == cfg.x_minus and r.grid.x_end == cfg.x_plus
-        with pytest.raises(GridMismatchError):
-            sol.restrict(cfg.x_minus + 0.013, cfg.x_plus)
 
 
 class TestModeMatrix:
