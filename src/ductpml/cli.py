@@ -2,10 +2,13 @@
 
 Configuration is a strict sectioned key=value text file (sections [duct],
 [pml], [source], [grid], [run]); unknown sections or keys are rejected
-with the offending line number, and all physical invariants are
-re-validated while building the typed objects.  Numeric CSV output uses
-scientific notation with 17 significant digits so downstream analysis is
-bit-faithful.
+with the offending line number.  ``_SCHEMA`` gives each key's type and
+default (a function of the parsed config where it depends on other
+values), and ``RunConfig.get`` returns the configured value or else that
+default.  Numbers must be finite and enumerated keys one of their
+``_CHOICES`` at parse time; the physical invariants are re-validated while
+building the typed objects.  Numeric CSV output uses scientific notation
+with 17 significant digits so downstream analysis is bit-faithful.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O
 error.
@@ -41,79 +44,107 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+
+def _rect(i):
+    """Default of forcing-rectangle edge i (x1_lo, x1_hi, x2_lo, x2_hi)."""
+    return lambda rc: default_forcing_rect(rc.duct)[i]
+
+
+def _mid(lo, hi):
+    """Default midpoint of two [source] edges."""
+    return lambda rc: 0.5 * (rc.get("source", lo) + rc.get("source", hi))
+
+
+def _finest_h(rc):
+    """Default finest noise-cell diameter: the rectangle's diagonal / 32."""
+    x1_lo, x1_hi, x2_lo, x2_hi = rc.forcing_rect()
+    return math.hypot(x1_hi - x1_lo, x2_hi - x2_lo) / 32.0
+
+
+# section -> key -> (type, default); a callable default is evaluated on the
+# parsed RunConfig, and None marks a key with no default
 _SCHEMA = {
     "duct": {
-        "d": float,
-        "M": float,
-        "k": float,
-        "omega": float,
-        "c0": float,
-        "x_minus": float,
-        "x_plus": float,
+        "d": (float, None),
+        "M": (float, None),
+        "k": (float, 0.0),
+        "omega": (float, 0.0),
+        "c0": (float, 1.0),
+        "x_minus": (float, -1.0),
+        "x_plus": (float, 1.0),
     },
     "pml": {
-        "L": float,
-        "sigma_plus": float,
-        "sigma_minus": float,
-        "shape": str,
+        "L": (float, 2.0),
+        "sigma_plus": (float, 5.0),
+        "sigma_minus": (float, lambda rc: rc.get("pml", "sigma_plus")),
+        "shape": (str, "quadratic"),
     },
     "source": {
-        "type": str,
-        "mode": int,
-        "amplitude": float,
-        "x_lo": float,
-        "x_hi": float,
-        "y1": float,
-        "y2": float,
-        "rect_x1_lo": float,
-        "rect_x1_hi": float,
-        "rect_x2_lo": float,
-        "rect_x2_hi": float,
-        "finest_h": float,
-        "noise_levels": int,
+        "type": (str, "mode_box"),
+        "mode": (int, lambda rc: cutoff_numbers(rc.duct)[1] + 1),
+        "amplitude": (float, 1.0),
+        "x_lo": (float, lambda rc: rc.get("source", "rect_x1_lo")),
+        "x_hi": (float, lambda rc: rc.get("source", "rect_x1_hi")),
+        "y1": (float, _mid("rect_x1_lo", "rect_x1_hi")),
+        "y2": (float, _mid("rect_x2_lo", "rect_x2_hi")),
+        "rect_x1_lo": (float, _rect(0)),
+        "rect_x1_hi": (float, _rect(1)),
+        "rect_x2_lo": (float, _rect(2)),
+        "rect_x2_hi": (float, _rect(3)),
+        "finest_h": (float, _finest_h),
+        "noise_levels": (int, 3),
     },
     "grid": {
-        "delta": float,
-        "n_modes": int,
-        "n_x2": int,
-        "formulation": str,
+        "delta": (float, lambda rc: default_delta(rc.duct)),
+        "n_modes": (int, lambda rc: default_n_modes(rc.duct)),
+        "n_x2": (int, 33),
+        "formulation": (str, "pml_reduced"),
     },
     "run": {
-        "base_seed": int,
-        "samples": int,
-        "threads": int,
-        "h_levels": "float_list",
-        "l_values": "float_list",
-        "equiv_deltas": "float_list",
-        "ref_refine": int,
+        "base_seed": (int, 0),
+        "samples": (int, 100),
+        "threads": (int, 0),
+        "h_levels": ("float_list", (1 / 8, 1 / 16, 1 / 32)),
+        "l_values": ("float_list", (0.5, 1.0, 1.5, 2.0)),
+        "equiv_deltas": ("float_list", (1 / 128, 1 / 256, 1 / 512)),
+        "ref_refine": (int, 2),
     },
 }
-
-_SOURCE_TYPES = ("mode_box", "noise", "mode_box+noise", "none")
-_FORMULATIONS = ("dtn", "pml_full", "pml_reduced")
-# sizes that must be finite and positive (integers: at least 1)
-_POSITIVE_KEYS = {"grid": ("n_modes", "n_x2", "delta"), "source": ("finest_h", "noise_levels")}
+# the values an enumerated key admits
+_CHOICES = {
+    ("source", "type"): ("mode_box", "noise", "mode_box+noise", "none"),
+    ("grid", "formulation"): ("dtn", "pml_full", "pml_reduced"),
+    ("pml", "shape"): ("quadratic",),
+}
+# keys that must be positive, each entry of a list (integers: at least 1);
+# every number must be finite
+_POSITIVE_KEYS = {
+    "grid": ("n_modes", "n_x2", "delta"),
+    "source": ("finest_h", "noise_levels"),
+    "run": ("h_levels", "l_values", "equiv_deltas"),
+}
 
 
 @dataclass
 class RunConfig:
     """Parsed and validated run configuration."""
 
-    duct: DuctConfig
-    profile: PmlProfile
     raw: dict = field(default_factory=dict)
+    duct: Optional[DuctConfig] = None
+    profile: Optional[PmlProfile] = None
 
-    # ---- derived accessors -------------------------------------------------
-    def _get(self, section, key, default=None):
-        return self.raw.get(section, {}).get(key, default)
+    def get(self, section: str, key: str):
+        """The configured value of [section] key, else its _SCHEMA default."""
+        val = self.raw.get(section, {}).get(key)
+        if val is None:
+            val = _SCHEMA[section][key][1]
+            if callable(val):
+                val = val(self)
+        return val
 
     def forcing_rect(self):
         cfg = self.duct
-        default = default_forcing_rect(cfg)
-        keys = ("rect_x1_lo", "rect_x1_hi", "rect_x2_lo", "rect_x2_hi")
-        rect = tuple(
-            float(self._get("source", k, d)) for k, d in zip(keys, default)
-        )
+        rect = tuple(self.get("source", f"rect_x{i}") for i in ("1_lo", "1_hi", "2_lo", "2_hi"))
         if not (rect[0] < rect[1] and rect[2] < rect[3]):
             raise ConfigError(f"degenerate forcing rectangle {rect}")
         if rect[2] < 0.0 or rect[3] > cfg.d:
@@ -123,85 +154,27 @@ class RunConfig:
         return rect
 
     def noise_mesh(self) -> NoiseMesh:
-        rect = self.forcing_rect()
-        diag = math.hypot(rect[1] - rect[0], rect[3] - rect[2])
-        finest = float(self._get("source", "finest_h", diag / 32.0))
-        levels = int(self._get("source", "noise_levels", 3))
-        return build_mesh(rect, finest, levels)
-
-    def grid_delta(self) -> float:
-        return float(self._get("grid", "delta", default_delta(self.duct)))
-
-    def n_modes(self) -> int:
-        return int(self._get("grid", "n_modes", default_n_modes(self.duct)))
-
-    def n_x2(self) -> int:
-        return int(self._get("grid", "n_x2", 33))
-
-    def formulation(self) -> str:
-        val = str(self._get("grid", "formulation", "pml_reduced"))
-        if val not in _FORMULATIONS:
-            raise ConfigError(f"formulation must be one of {_FORMULATIONS}, got {val!r}")
-        return val
-
-    def base_seed(self) -> int:
-        return int(self._get("run", "base_seed", 0))
-
-    def samples(self) -> int:
-        return int(self._get("run", "samples", 100))
-
-    def threads(self) -> int:
-        return int(self._get("run", "threads", 0))
-
-    def h_levels(self):
-        return list(self._get("run", "h_levels", [1 / 8, 1 / 16, 1 / 32]))
-
-    def l_values(self):
-        return list(self._get("run", "l_values", [0.5, 1.0, 1.5, 2.0]))
-
-    def equiv_deltas(self):
-        return list(self._get("run", "equiv_deltas", [1 / 128, 1 / 256, 1 / 512]))
-
-    def ref_refine(self) -> int:
-        return int(self._get("run", "ref_refine", 2))
-
-    def source_point(self):
-        rect = self.forcing_rect()
-        y1 = float(self._get("source", "y1", 0.5 * (rect[0] + rect[1])))
-        y2 = float(self._get("source", "y2", 0.5 * (rect[2] + rect[3])))
-        if not 0.0 <= y2 <= self.duct.d:
-            raise ConfigError(f"[source] y2 = {y2} lies outside the duct [0, {self.duct.d}]")
-        return (y1, y2)
+        return build_mesh(
+            self.forcing_rect(), self.get("source", "finest_h"), self.get("source", "noise_levels")
+        )
 
     def build_source(self, seed: Optional[int] = None):
         """Source list per [source] type; noise uses the given (or run) seed."""
-        kind = str(self._get("source", "type", "mode_box"))
-        if kind not in _SOURCE_TYPES:
-            raise ConfigError(f"source type must be one of {_SOURCE_TYPES}, got {kind!r}")
+        kind = self.get("source", "type")
         parts = []
         if kind in ("mode_box", "mode_box+noise"):
-            rect = self.forcing_rect()
-            mode = self._get("source", "mode")
-            default = mode is None
-            if default:
-                _, n0 = cutoff_numbers(self.duct)
-                mode = n0 + 1
-            if mode >= self.n_modes():  # the forced mode would never be solved
+            mode, n_modes = self.get("source", "mode"), self.get("grid", "n_modes")
+            if mode >= n_modes:  # the forced mode would never be solved
+                default = "mode" not in self.raw.get("source", {})
                 raise ConfigError(
                     f"[source] mode {mode}{' (the default N0 + 1)' if default else ''} "
-                    f"must be below [grid] n_modes = {self.n_modes()}"
+                    f"must be below [grid] n_modes = {n_modes}"
                 )
-            parts.append(
-                ModeBoxSource(
-                    mode=mode,
-                    x_lo=float(self._get("source", "x_lo", rect[0])),
-                    x_hi=float(self._get("source", "x_hi", rect[1])),
-                    amplitude=float(self._get("source", "amplitude", 1.0)),
-                )
-            )
+            box = {k: self.get("source", k) for k in ("x_lo", "x_hi", "amplitude")}
+            parts.append(ModeBoxSource(mode=mode, **box))
         if kind in ("noise", "mode_box+noise"):
-            mesh = self.noise_mesh()
-            parts.append(sample(mesh, self.base_seed() if seed is None else seed))
+            seed = self.get("run", "base_seed") if seed is None else seed
+            parts.append(sample(self.noise_mesh(), seed))
         return parts
 
 
@@ -232,17 +205,15 @@ def parse_config(text: str) -> RunConfig:
         if key in raw[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            raw[section][key] = _convert(value, spec)
+            raw[section][key] = _convert(value, spec[0])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return _build_run_config(raw)
 
 
 def _convert(value: str, spec):
-    if spec is float:
-        return float(value)
-    if spec is int:
-        return int(value, 10)
+    if spec in (float, int):
+        return spec(value)
     if spec == "float_list":
         items = [s for s in value.split(",") if s.strip()]
         if not items:
@@ -258,35 +229,28 @@ def _build_run_config(raw: dict) -> RunConfig:
             raise ConfigError(f"[duct] section must set {required!r}")
     if "k" not in duct_raw and "omega" not in duct_raw:
         raise ConfigError("[duct] must set k or omega")
-    for section, keys in _POSITIVE_KEYS.items():
-        for key in keys:
-            val = raw.get(section, {}).get(key)
-            if val is not None and not (math.isfinite(val) and val > 0):
-                raise ConfigError(f"[{section}] {key} must be positive and finite, got {val!r}")
+    for section, values in raw.items():  # every string is an enumerated key
+        for key, val in values.items():
+            if isinstance(val, str):
+                choices = _CHOICES[section, key]
+                if val not in choices:
+                    raise ConfigError(f"[{section}] {key} {val!r} is not one of {choices}")
+                continue
+            positive = key in _POSITIVE_KEYS.get(section, ())
+            lo = 0.0 if positive else -math.inf  # NaN fails both comparisons
+            if not all(lo < v < math.inf for v in (val if isinstance(val, list) else [val])):
+                must = "positive and finite" if positive else "finite"
+                raise ConfigError(f"[{section}] {key} must be {must}, got {val!r}")
     for (section, key), least in {("run", "ref_refine"): 1, ("source", "mode"): 0}.items():
         val = raw.get(section, {}).get(key)
         if val is not None and val < least:
             raise ConfigError(f"[{section}] {key} must be >= {least}, got {val}")
-    pml_raw = raw.get("pml", {})
-    duct = DuctConfig(
-        d=duct_raw["d"],
-        M=duct_raw["M"],
-        k=duct_raw.get("k", 0.0),
-        omega=duct_raw.get("omega", 0.0),
-        c0=duct_raw.get("c0", 1.0),
-        x_minus=duct_raw.get("x_minus", -1.0),
-        x_plus=duct_raw.get("x_plus", 1.0),
-        L=pml_raw.get("L", 2.0),
+    rc = RunConfig(raw=raw)
+    rc.duct = DuctConfig(**{k: rc.get("duct", k) for k in _SCHEMA["duct"]}, L=rc.get("pml", "L"))
+    rc.profile = PmlProfile.quadratic(
+        rc.duct, rc.get("pml", "sigma_plus"), rc.get("pml", "sigma_minus")
     )
-    shape = pml_raw.get("shape", "quadratic")
-    if shape != "quadratic":
-        raise ConfigError(f"[pml] shape {shape!r} is not supported; use 'quadratic'")
-    profile = PmlProfile.quadratic(duct, pml_raw.get("sigma_plus", 5.0), pml_raw.get("sigma_minus"))
-    rc = RunConfig(duct=duct, profile=profile, raw=raw)
     rc.forcing_rect()
-    rc.formulation()
-    if str(rc._get("source", "type", "mode_box")) not in _SOURCE_TYPES:
-        raise ConfigError(f"source type must be one of {_SOURCE_TYPES}")
     return rc
 
 
@@ -341,7 +305,7 @@ def _write_summary(path: Path, entries: dict):
 
 
 def _cmd_modes(rc: RunConfig, out: Path, args) -> int:
-    table = dispersion_table(rc.duct, rc.n_modes())
+    table = dispersion_table(rc.duct, rc.get("grid", "n_modes"))
     _write_csv(
         out / "modes.csv",
         ["n", "re_beta_plus", "im_beta_plus", "re_beta_minus", "im_beta_minus", "kind"],
@@ -359,16 +323,17 @@ def _cmd_modes(rc: RunConfig, out: Path, args) -> int:
 
 def _cmd_greens(rc: RunConfig, out: Path, args) -> int:
     cfg = rc.duct
-    y = rc.source_point()
-    params = GreensEvalParams(n_modes=rc.n_modes())
+    y = (rc.get("source", "y1"), rc.get("source", "y2"))
+    if not 0.0 <= y[1] <= cfg.d:
+        raise ConfigError(f"[source] y2 = {y[1]} lies outside the duct [0, {cfg.d}]")
+    params = GreensEvalParams(n_modes=rc.get("grid", "n_modes"))
     try:
         params.resolve(cfg)
     except ConfigError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
-    delta = rc.grid_delta()
-    n1 = min(int(round((cfg.x_plus - cfg.x_minus) / delta)) + 1, 65)
+    n1 = min(int(round((cfg.x_plus - cfg.x_minus) / rc.get("grid", "delta"))) + 1, 65)
     x1s = np.linspace(cfg.x_minus, cfg.x_plus, n1)
-    x2s = np.linspace(0.0, cfg.d, rc.n_x2())
+    x2s = np.linspace(0.0, cfg.d, rc.get("grid", "n_x2"))
     rows = []
     for x1 in x1s:
         for x2 in x2s:
@@ -385,7 +350,7 @@ def _cmd_greens(rc: RunConfig, out: Path, args) -> int:
 
 def _cmd_noise(rc: RunConfig, out: Path, args) -> int:
     mesh = rc.noise_mesh()
-    r = sample(mesh, rc.base_seed())
+    r = sample(mesh, rc.get("run", "base_seed"))
     x1e, x2e = mesh.edges(r.level)
     n1, n2 = mesh.shape(r.level)
     _write_csv(
@@ -406,7 +371,7 @@ def _cmd_noise(rc: RunConfig, out: Path, args) -> int:
 def _cmd_pml(rc: RunConfig, out: Path, args) -> int:
     cfg, profile = rc.duct, rc.profile
     rows = []
-    for n in range(rc.n_modes()):
+    for n in range(rc.get("grid", "n_modes")):
         nu = nu_coefficients(n, "+", profile, cfg)
         refl = reflection_coefficient(n, "+", profile, cfg)
         gap = dtn_gap_bound(n, "+", profile, cfg)
@@ -430,18 +395,17 @@ def _cmd_pml(rc: RunConfig, out: Path, args) -> int:
 
 
 def _cmd_solve(rc: RunConfig, out: Path, args) -> int:
-    cfg = rc.duct
-    formulation = rc.formulation()
+    cfg, formulation = rc.duct, rc.get("grid", "formulation")
     if formulation == "pml_full":
         # without a given delta, the default spacing refined until L is whole cells
-        grid = omega_full_grid(cfg, rc._get("grid", "delta"))
+        grid = omega_full_grid(cfg, rc.raw.get("grid", {}).get("delta"))
     else:
-        grid = omega_b_grid(cfg, rc.grid_delta())
+        grid = omega_b_grid(cfg, rc.get("grid", "delta"))
     source = rc.build_source()
-    sol = solve_full(cfg, source, formulation, grid, rc.n_modes(), rc.profile)
+    sol = solve_full(cfg, source, formulation, grid, rc.get("grid", "n_modes"), rc.profile)
     nodes = sol.grid.nodes()
     x1s = nodes[:: max(1, (len(nodes) - 1) // 128)]
-    x2s = np.linspace(0.0, cfg.d, rc.n_x2())
+    x2s = np.linspace(0.0, cfg.d, rc.get("grid", "n_x2"))
     x1, x2 = (a.ravel() for a in np.meshgrid(x1s, x2s, indexing="ij"))
     p = assemble_field(sol, np.column_stack((x1, x2)), cfg)
     _write_csv(out / "field.csv", ["x1", "x2", "re_p", "im_p"], [x1, x2, p.real, p.imag])
@@ -479,51 +443,30 @@ def _study_csv(out: Path, name: str, res) -> None:
 
 
 def _cmd_study(rc: RunConfig, out: Path, args) -> int:
-    cfg = rc.duct
-    kind = args.kind
+    cfg, profile, kind = rc.duct, rc.profile, args.kind
+    run = {k: rc.get("run", k) for k in _SCHEMA["run"]}
+    grid = {"delta": rc.get("grid", "delta"), "n_modes": rc.get("grid", "n_modes")}
+    # the two noise studies' shared settings
+    noise = dict(grid, rect=rc.forcing_rect(), ref_refine=run["ref_refine"], threads=run["threads"])
     if kind == "h":
         res = run_h_study(
-            cfg,
-            rc.profile,
-            rc.h_levels(),
-            rc.samples(),
-            rc.base_seed(),
-            rect=rc.forcing_rect(),
-            delta=rc.grid_delta(),
-            n_modes=rc.n_modes(),
-            ref_refine=rc.ref_refine(),
-            threads=rc.threads(),
+            cfg, profile, run["h_levels"], run["samples"], run["base_seed"], **noise
         )
         _study_csv(out, "h", res)
     elif kind == "L":
         res = run_L_study(
-            cfg,
-            rc.l_values(),
-            rc.profile.sigma_plus,
-            sigma_minus=rc.profile.sigma_minus,
-            delta=rc.grid_delta(),
-            n_modes=rc.n_modes(),
+            cfg, run["l_values"], profile.sigma_plus, sigma_minus=profile.sigma_minus, **grid
         )
         _study_csv(out, "L", res)
     elif kind == "equiv":
         res = run_equivalence_check(
-            cfg, rc.profile, deltas=rc.equiv_deltas(), n_modes=min(rc.n_modes(), 8)
+            cfg, profile, deltas=run["equiv_deltas"], n_modes=min(grid["n_modes"], 8)
         )
         _study_csv(out, "equiv", res)
     elif kind == "total":
         res = run_total_error_study(
-            cfg,
-            rc.h_levels(),
-            rc.l_values(),
-            rc.profile.sigma_plus,
-            rc.samples(),
-            rc.base_seed(),
-            rect=rc.forcing_rect(),
-            delta=rc.grid_delta(),
-            n_modes=rc.n_modes(),
-            ref_refine=rc.ref_refine(),
-            threads=rc.threads(),
-            sigma_minus=rc.profile.sigma_minus,
+            cfg, run["h_levels"], run["l_values"], profile.sigma_plus, run["samples"],
+            run["base_seed"], sigma_minus=profile.sigma_minus, **noise
         )
         n_h, n_l = len(res.h_values), len(res.l_values)
         _write_csv(
@@ -557,26 +500,22 @@ def _cmd_study(rc: RunConfig, out: Path, args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # the flags of every subcommand
+    common.add_argument("--config", required=True, help="path to the sectioned config file")
+    common.add_argument("--out", default="./out", help="output directory (default ./out)")
+    common.add_argument("--seed", type=int, default=None, help="override base seed")
+    common.add_argument("--samples", type=int, default=None, help="override sample count")
+    common.add_argument("--threads", type=int, default=None, help="worker threads (0 = auto)")
     p = argparse.ArgumentParser(
         prog="ductpml",
         description="Convected duct acoustics with a modified absorbing layer",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("modes", "greens", "noise", "pml", "solve"):
-        sp = sub.add_parser(name)
-        _common_flags(sp)
-    sp = sub.add_parser("study")
+        sub.add_parser(name, parents=[common])
+    sp = sub.add_parser("study", parents=[common])
     sp.add_argument("kind", choices=["h", "L", "total", "equiv"])
-    _common_flags(sp)
     return p
-
-
-def _common_flags(sp):
-    sp.add_argument("--config", required=True, help="path to the sectioned config file")
-    sp.add_argument("--out", default="./out", help="output directory (default ./out)")
-    sp.add_argument("--seed", type=int, default=None, help="override base seed")
-    sp.add_argument("--samples", type=int, default=None, help="override sample count")
-    sp.add_argument("--threads", type=int, default=None, help="worker threads (0 = auto)")
 
 
 _COMMANDS = {
@@ -618,13 +557,8 @@ def dispatch(argv) -> int:
 
 
 def _apply_overrides(rc: RunConfig, args) -> None:
-    run = rc.raw.setdefault("run", {})
-    if args.seed is not None:
-        run["base_seed"] = int(args.seed)
-    if args.samples is not None:
-        run["samples"] = int(args.samples)
-    if args.threads is not None:
-        run["threads"] = int(args.threads)
+    flags = {"base_seed": args.seed, "samples": args.samples, "threads": args.threads}
+    rc.raw.setdefault("run", {}).update((k, v) for k, v in flags.items() if v is not None)
 
 
 def main() -> None:

@@ -88,7 +88,6 @@ from .solver import (
     PML_REDUCED,
     Grid1D,
     _solve_tridiag,
-    default_delta,
     modal_loads,
     mode_matrix,
     omega_b_grid,
@@ -249,7 +248,7 @@ def _noise_study(
     if rect is None:
         rect = default_forcing_rect(cfg)
     mesh = NoiseMesh(rect=tuple(rect), levels=total_levels, base_shape=(base, base))
-    grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
+    grid = omega_b_grid(cfg, delta)
     if n_modes is None:
         n_modes = default_n_modes(cfg)
     ref_level = total_levels - 1
@@ -519,7 +518,7 @@ def run_L_study(
     """
     if source is None:
         source = default_l_study_source(cfg)
-    grid = omega_b_grid(cfg, delta if delta is not None else default_delta(cfg))
+    grid = omega_b_grid(cfg, delta)
     if n_modes is None:
         n_modes = default_n_modes(cfg)
     _check_source_modes(source, n_modes, "L study")

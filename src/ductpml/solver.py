@@ -82,9 +82,10 @@ class Grid1D:
         return np.linspace(self.x_start, self.x_end, self.n_nodes)
 
 
-def omega_b_grid(cfg: DuctConfig, delta: float) -> Grid1D:
-    """Grid over the computational interval with spacing as close to delta as possible."""
-    n = max(8, round((cfg.x_plus - cfg.x_minus) / delta))
+def omega_b_grid(cfg: DuctConfig, delta: Optional[float] = None) -> Grid1D:
+    """Grid over the computational interval with spacing as close to delta
+    (None: the default spacing) as possible."""
+    n = max(8, round((cfg.x_plus - cfg.x_minus) / (default_delta(cfg) if delta is None else delta)))
     return Grid1D(cfg.x_minus, cfg.x_plus, n)
 
 
@@ -127,7 +128,6 @@ class ModalSolution:
 
     grid: Grid1D
     values: np.ndarray  # (n_modes, n_nodes) complex
-    formulation: str
 
     @property
     def n_modes(self) -> int:
@@ -406,7 +406,7 @@ def solve_full(
     for n in range(n_modes):
         matrix = mode_matrix(n, cfg, grid, formulation, profile)
         values[n] = _solve_system(matrix, loads[n], formulation)
-    return ModalSolution(grid=grid, values=values, formulation=formulation)
+    return ModalSolution(grid=grid, values=values)
 
 
 def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:

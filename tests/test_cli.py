@@ -59,8 +59,19 @@ class TestParseConfig:
         assert rc.profile.sigma_plus == 5.0
         assert rc.profile.sigma_minus == 5.0
         assert rc.duct.L == 2.0
-        assert rc.samples() == 100
-        assert rc.n_modes() == 31  # N0 + 30
+        assert rc.get("run", "samples") == 100
+        assert rc.get("grid", "n_modes") == 31  # N0 + 30
+        # every key resolves to a value of its declared type
+        for section, keys in _SCHEMA.items():
+            for key, (kind, _) in keys.items():
+                val = rc.get(section, key)
+                assert isinstance(val, tuple if kind == "float_list" else kind), (section, key)
+        assert rc.get("grid", "n_x2") == 33
+        assert rc.get("grid", "formulation") == "pml_reduced"
+        assert rc.get("run", "ref_refine") == 2
+        assert rc.get("source", "noise_levels") == 3
+        assert rc.get("source", "mode") == 2  # N0 + 1
+        assert rc.get("grid", "delta") == min(1 / (16 * 5.0), 2.0 / 64)
 
     def test_unknown_key_with_line_number(self):
         bad = MINIMAL + "turbo = 9\n"
@@ -136,6 +147,37 @@ class TestSizeKeys:
         out = tmp_path / "out"
         assert dispatch(command + ["--config", str(p), "--out", str(out)]) == EXIT_CONFIG
         assert f"[{section}] {key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, line, command",
+        [
+            ("duct", "d = nan", "modes"),
+            ("duct", "k = nan", "solve"),
+            ("duct", "k = inf", "solve"),
+            ("duct", "c0 = nan", "solve"),
+            ("pml", "sigma_plus = inf", "solve"),
+            ("pml", "L = nan", "solve"),
+            ("source", "amplitude = nan", "solve"),
+            ("source", "y1 = nan", "greens"),
+            ("run", "h_levels = nan,0.5,0.25", "study h"),
+            ("run", "h_levels = 0.25,-0.125", "study total"),
+            ("run", "equiv_deltas = 0,0.005,0.0025", "study equiv"),
+            ("run", "equiv_deltas = -0.01,-0.005,-0.0025", "study equiv"),
+            ("run", "l_values = inf,1,2", "study L"),
+        ],
+    )
+    def test_non_finite_is_config_error(self, tmp_path, capsys, section, line, command):
+        # a NaN or infinite number, or a non-positive study abscissa, is
+        # refused when the config is parsed, before any output
+        key = line.split(" = ")[0]
+        kept = [row for row in MINIMAL.splitlines(True) if not row.startswith(f"{key} =")]
+        p = tmp_path / "run.cfg"
+        p.write_text("".join(kept) + f"[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        argv = command.split() + ["--config", str(p), "--out", str(out)]
+        assert dispatch(argv) == EXIT_CONFIG
+        assert f"[{section}] {key} must be " in capsys.readouterr().err
         assert not out.exists()
 
     def test_smallest_sizes_run(self, tmp_path):
@@ -386,6 +428,19 @@ class TestDispatch:
             assert "shape 'tabulated'" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [("grid", "formulation = fem"), ("source", "type = box"), ("pml", "shape = cubic")],
+    )
+    def test_enumerated_key_refused(self, tmp_path, capsys, section, line):
+        key, value = line.split(" = ")
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        assert dispatch(["modes", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert f"[{section}] {key} {value!r} is not one of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_import_leaves_out_scipy_integrate(self):
         # only the test oracles integrate adaptively; importing
         # scipy.integrate would add to every run's start-up time and memory
@@ -548,8 +603,9 @@ class TestDispatch:
         assert tables[""] != tables["sigma_minus = 40\n"]
         rc = parse_config(MINIMAL.replace("sigma_plus = 5\n", "sigma_plus = 5\nsigma_minus = 40\n") + run)
         res = run_total_error_study(
-            rc.duct, rc.h_levels(), rc.l_values(), 5.0, rc.samples(), rc.base_seed(),
-            rect=rc.forcing_rect(), n_modes=rc.n_modes(), sigma_minus=40.0,
+            rc.duct, rc.get("run", "h_levels"), rc.get("run", "l_values"), 5.0,
+            rc.get("run", "samples"), rc.get("run", "base_seed"),
+            rect=rc.forcing_rect(), n_modes=rc.get("grid", "n_modes"), sigma_minus=40.0,
         )
         rows = [line.split(",") for line in tables["sigma_minus = 40\n"].splitlines()[1:]]
         assert [float(r[3]) for r in rows] == list(res.error_mean.ravel())

@@ -537,7 +537,7 @@ class TestNormsAndErrors:
 
         def rand_sol():
             v = rng.normal(size=(3, grid.n_nodes)) + 1j * rng.normal(size=(3, grid.n_nodes))
-            return ModalSolution(grid=grid, values=v, formulation="dtn")
+            return ModalSolution(grid=grid, values=v)
 
         a, b, c = rand_sol(), rand_sol(), rand_sol()
         assert l2_error(a, c) <= l2_error(a, b) + l2_error(b, c) + 1e-12
@@ -546,8 +546,8 @@ class TestNormsAndErrors:
         cfg = make_cfg()
         g1 = omega_b_grid(cfg, 1 / 16)
         g2 = omega_b_grid(cfg, 1 / 32)
-        a = ModalSolution(grid=g1, values=np.zeros((2, g1.n_nodes), complex), formulation="dtn")
-        b = ModalSolution(grid=g2, values=np.zeros((2, g2.n_nodes), complex), formulation="dtn")
+        a = ModalSolution(grid=g1, values=np.zeros((2, g1.n_nodes), complex))
+        b = ModalSolution(grid=g2, values=np.zeros((2, g2.n_nodes), complex))
         with pytest.raises(GridMismatchError):
             l2_error(a, b)
 
