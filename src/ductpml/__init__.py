@@ -2,8 +2,8 @@
 
 Subpackages:
     duct     geometry, transverse modes, axial dispersion
-    specfun  Hankel function H0 (scipy J0/Y0) with an explicit accuracy contract
-    greens   semi-analytic kernel representations and solution oracles
+    specfun  Hankel function H0 (scipy J0/Y0); only the image-series test oracle calls it
+    greens   Kummer-series kernel, cell integrals and the kernel-difference probe
     noise    discretized spatial white noise on a nested mesh
     pml      absorption profile, layer modes, Robin coefficients, bounds
     solver   per-mode hat loads, 1D finite-element solves, field assembly
@@ -17,7 +17,6 @@ from .duct import (
     axial_wavenumbers,
     axial_wavenumbers64,
     cutoff_numbers,
-    dispersion_residual,
     dispersion_table,
     mode_shape,
 )
@@ -29,7 +28,6 @@ from .errors import (
     DuctpmlError,
     GridMismatchError,
     InsufficientDataError,
-    RepresentationError,
     SingularityError,
 )
 from .noise import (
@@ -39,7 +37,6 @@ from .noise import (
     NoiseRealization,
     build_mesh,
     coarsen,
-    evaluate_wh,
     sample,
 )
 from .pml import PmlProfile

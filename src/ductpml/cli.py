@@ -27,7 +27,7 @@ import numpy as np
 
 from .duct import DuctConfig, cutoff_numbers, default_n_modes, dispersion_table
 from .errors import ConfigError, DuctpmlError
-from .greens import GreensEvalParams, greens_value
+from .greens import GreensEvalParams, greens_kummer
 from .harness import (
     default_forcing_rect,
     run_equivalence_check,
@@ -123,6 +123,8 @@ _POSITIVE_KEYS = {
     "source": ("finest_h", "noise_levels"),
     "run": ("h_levels", "l_values", "equiv_deltas"),
 }
+# integer keys with a lower bound other than 1
+_LEAST = {("run", "ref_refine"): 1, ("source", "mode"): 0, ("run", "threads"): 0}
 
 
 @dataclass
@@ -241,10 +243,7 @@ def _build_run_config(raw: dict) -> RunConfig:
             if not all(lo < v < math.inf for v in (val if isinstance(val, list) else [val])):
                 must = "positive and finite" if positive else "finite"
                 raise ConfigError(f"[{section}] {key} must be {must}, got {val!r}")
-    for (section, key), least in {("run", "ref_refine"): 1, ("source", "mode"): 0}.items():
-        val = raw.get(section, {}).get(key)
-        if val is not None and val < least:
-            raise ConfigError(f"[{section}] {key} must be >= {least}, got {val}")
+    _check_least(raw)
     rc = RunConfig(raw=raw)
     rc.duct = DuctConfig(**{k: rc.get("duct", k) for k in _SCHEMA["duct"]}, L=rc.get("pml", "L"))
     rc.profile = PmlProfile.quadratic(
@@ -252,6 +251,14 @@ def _build_run_config(raw: dict) -> RunConfig:
     )
     rc.forcing_rect()
     return rc
+
+
+def _check_least(raw: dict) -> None:
+    """ConfigError for the first key of _LEAST set below its bound."""
+    for (section, key), least in _LEAST.items():
+        val = raw.get(section, {}).get(key)
+        if val is not None and val < least:
+            raise ConfigError(f"[{section}] {key} must be >= {least}, got {val}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +347,8 @@ def _cmd_greens(rc: RunConfig, out: Path, args) -> int:
             if math.hypot(x1 - y[0], x2 - y[1]) < 1e-9:
                 rows.append((x1, x2, float("nan"), float("nan"), "singular"))
                 continue
-            val, rep = greens_value((x1, x2), y, params, cfg)
-            rows.append((x1, x2, val.real, val.imag, rep))
+            val = greens_kummer((x1, x2), y, params, cfg)
+            rows.append((x1, x2, val.real, val.imag, "kummer"))
     _write_csv(
         out / "greens.csv", ["x1", "x2", "re_g", "im_g", "representation_used"], zip(*rows)
     )
@@ -505,7 +512,7 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="./out", help="output directory (default ./out)")
     common.add_argument("--seed", type=int, default=None, help="override base seed")
     common.add_argument("--samples", type=int, default=None, help="override sample count")
-    common.add_argument("--threads", type=int, default=None, help="worker threads (0 = auto)")
+    common.add_argument("--threads", type=int, default=None, help="worker threads (0 or 1: serial)")
     p = argparse.ArgumentParser(
         prog="ductpml",
         description="Convected duct acoustics with a modified absorbing layer",
@@ -559,6 +566,7 @@ def dispatch(argv) -> int:
 def _apply_overrides(rc: RunConfig, args) -> None:
     flags = {"base_seed": args.seed, "samples": args.samples, "threads": args.threads}
     rc.raw.setdefault("run", {}).update((k, v) for k, v in flags.items() if v is not None)
+    _check_least(rc.raw)
 
 
 def main() -> None:

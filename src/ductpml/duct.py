@@ -206,21 +206,6 @@ def axial_wavenumbers64(n, cfg: DuctConfig):
     return complex(bp), complex(bm)
 
 
-def dispersion_residual(beta, n, cfg: DuctConfig):
-    """|-(1-M^2) beta^2 - 2 k M beta + k^2 - n^2 pi^2 / d^2|.
-
-    Evaluated in extended precision so the reported value reflects the
-    root's accuracy rather than cancellation noise of the evaluation.
-    Scalars give a float; arrays broadcast and give an array.
-    """
-    k = np.longdouble(cfg.k)
-    m2 = 1.0 - np.longdouble(cfg.M) ** 2
-    b = np.clongdouble(beta)
-    val = -m2 * b * b - 2.0 * k * cfg.M * b + k * k - (n * _PI_LD / np.longdouble(cfg.d)) ** 2
-    out = abs(val)
-    return out if np.ndim(out) else float(out)
-
-
 def dispersion_table(cfg: DuctConfig, n_max: int) -> DispersionTable:
     """Tabulate beta_n^{+-} and mode kinds for n = 0 .. n_max - 1."""
     k0, n0 = cutoff_numbers(cfg)

@@ -29,10 +29,6 @@ class SingularityError(DuctpmlError):
     """Kernel evaluated at (or too close to) a singular point."""
 
 
-class RepresentationError(DuctpmlError):
-    """Requested series representation does not converge for the arguments."""
-
-
 class GridMismatchError(DuctpmlError):
     """Operands live on incompatible grids or mode counts."""
 

@@ -8,17 +8,16 @@ outgoing kernels g_n(x1, y1), which factor through the roots beta_n^{+-} =
     g_n(x1, y1) = c_n exp(-i mu (x1 - y1)) exp(-gamma_n |x1 - y1|),
     c_n = -1 / (2 (1 - M^2) gamma_n).
 
-* Far field (axial gap at least ``min_axial_gap``): the plain modal series,
-  which converges geometrically (``greens_modal``).
-* Near field: the Kummer-accelerated modal series (``greens_kummer``).  Each
-  term less its large-n asymptote decays like n^{-3} at every separation;
-  the subtracted asymptotes sum in closed form to logarithms that carry the
-  singularity at the source and at its wall images exactly.  Its difference
-  with the free-space logarithm (``log_kernel``) is the Lipschitz remainder
-  of the cell that holds x.
+Every kernel value comes from the Kummer-accelerated modal series
+(``greens_kummer``), which holds at every separation.  Each term less its
+large-n asymptote decays like n^{-3}; the subtracted asymptotes sum in
+closed form to logarithms that carry the singularity at the source and at
+its wall images exactly.  Its difference with the free-space logarithm
+(``log_kernel``) is the Lipschitz remainder of the cell that holds x.
 
-The image series (reflections of the free-space kernel ``phi_free`` across
-the rigid walls) is kept outside the package as an independent test oracle.
+The plain modal series and the image series (reflections of the free-space
+kernel across the rigid walls) are kept outside the package as independent
+test oracles.
 
 Sign and phase of the free-space kernel: the convected phase factor is
 ``exp(-i mu (x1 - y1))`` (the factor k and the minus sign in mu x1 are forced
@@ -59,39 +58,24 @@ from .duct import (
     default_n_modes,
     mode_shape,
 )
-from .errors import ConfigError, DomainError, RepresentationError, SingularityError
+from .errors import ConfigError, DomainError, SingularityError
 from .noise import NoiseRealization, transverse_cell_integrals
-from .specfun import hankel0
 
 
 @dataclass(frozen=True)
 class GreensEvalParams:
-    """Truncation controls of the modal series: n_modes and min_axial_gap
-    default to N0 + 30 and 0.25 d when left at 0."""
+    """Truncation control of the modal series: the least mode count summed,
+    N0 + 30 when left at 0."""
 
     n_modes: int = 0
-    min_axial_gap: float = 0.0
 
-    def __post_init__(self):
-        if self.min_axial_gap < 0.0:
-            raise DomainError("min_axial_gap must be >= 0")
-
-    def resolve(self, cfg: DuctConfig):
-        """(n_modes, min_axial_gap) with the defaults filled in."""
+    def resolve(self, cfg: DuctConfig) -> int:
+        """The mode count with its default filled in; at least N0 + 5."""
         _, n0 = cutoff_numbers(cfg)
         n_modes = self.n_modes if self.n_modes > 0 else default_n_modes(cfg)
         if n_modes < n0 + 5:
             raise ConfigError(f"n_modes = {n_modes} must be at least N0+5 = {n0 + 5}")
-        gap = self.min_axial_gap if self.min_axial_gap > 0.0 else 0.25 * cfg.d
-        return n_modes, gap
-
-
-@dataclass(frozen=True)
-class SeriesValue:
-    """Series evaluation plus its convergence indicator."""
-
-    value: complex
-    indicator: float
+        return n_modes
 
 
 def _root1m2(cfg: DuctConfig) -> float:
@@ -124,19 +108,10 @@ def _free_offset(x, y, cfg: DuctConfig):
     return rho((dx1, x[1] - np.asarray(y[1], dtype=float)), cfg), np.exp(-1j * _mu(cfg) * dx1)
 
 
-def phi_free(x, y, cfg: DuctConfig):
-    """Free-space convected kernel (operator applied in x gives +delta);
-    arrays of source coordinates give an array."""
-    r, phase = _free_offset(x, y, cfg)
-    if np.any(cfg.k * r < 1e-12):
-        raise SingularityError("free-space kernel evaluated at (an image of) the source")
-    return _scalar_or_array(-0.25j / _root1m2(cfg) * hankel0(cfg.k * r) * phase)
-
-
 def log_kernel(x, y, cfg: DuctConfig):
     """Logarithmic part of the free-space kernel: ln(k rho)/(2 pi sqrt(1-M^2))
-    times the convected phase.  The remainder phi_free - log_kernel is
-    Lipschitz near coincidence."""
+    times the convected phase.  The kernel less it is Lipschitz near
+    coincidence."""
     r, phase = _free_offset(x, y, cfg)
     if np.any(cfg.k * r < 1e-300):
         raise SingularityError("log kernel at coincident points")
@@ -187,6 +162,16 @@ def _mode_block(cfg: DuctConfig, n_lo: int, n_hi: int):
     return c, -1j * bp, 1j * bm
 
 
+def _warn_at_cap(where: str, cap: int, share: float, of: str) -> None:
+    """RuntimeWarning that a mode sum stopped at its cap unconverged, with
+    the last block's share of the summed quantity."""
+    warnings.warn(
+        f"{where} reached the {cap}-mode cap unconverged (last block {share:.2g} of {of})",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
 def _decay(modes, t):
     """exp(-k |t|), shape (modes, distances), for t = x1 - y1: k_down where
     t >= 0, k_up elsewhere."""
@@ -211,36 +196,6 @@ def _decay_integral(near, far, kappa, width):
     return out
 
 
-def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig) -> SeriesValue:
-    """Modal-series kernel value; needs axial separation >= min_axial_gap.
-
-    Transverse coordinates outside [0, d] use the even continuation of
-    the modes across both walls (period 2d), as the Kummer series does.
-    The indicator is a geometric bound on the truncated tail.
-    """
-    n_modes, gap = params.resolve(cfg)
-    period = 2.0 * cfg.d
-    x2, y2 = (abs(t) % period for t in (x[1], y[1]))
-    dx1 = x[0] - y[0]
-    if abs(dx1) < gap:
-        raise RepresentationError(
-            f"axial gap {abs(dx1):.3g} below {gap:.3g}; use the Kummer series"
-        )
-    bp, bm, c = _betas_block(cfg, 0, n_modes)
-    beta = bp if dx1 >= 0.0 else bm
-    ns = np.arange(n_modes)
-    terms = (
-        mode_shape(ns, min(x2, period - x2), cfg.d)
-        * mode_shape(ns, min(y2, period - y2), cfg.d)
-        * c
-        * np.exp(1j * beta * dx1)
-    )
-    mags = np.abs(terms)
-    ratio = mags[-1] / mags[-2] if mags[-2] > 0.0 else 0.0
-    tail = mags[-1] * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else mags[-1]
-    return SeriesValue(value=complex(np.sum(terms)), indicator=float(tail))
-
-
 def greens_kummer(x, y, params: GreensEvalParams, cfg: DuctConfig, tol: float = 1e-7):
     """Kummer-accelerated modal-series kernel value at any axial separation
     (Linton, J. Eng. Math. 33 (1998) 377-402); arrays of source coordinates
@@ -259,11 +214,11 @@ def greens_kummer(x, y, params: GreensEvalParams, cfg: DuctConfig, tol: float = 
     the logarithms holding the singularity at the source and its wall
     images.  The remainder is summed in blocks of 64 modes (the first one
     reaching n_modes; blocks without a propagating mode on real arrays)
-    until two block sums in a row fall below tol times the largest value, up
-    to 16384 modes.  x2 and y2 outside [0, d] continue evenly across both
-    walls.
+    until two block sums in a row fall below tol times the largest value; if
+    they do not within 16384 modes a RuntimeWarning gives the last block's
+    share.  x2 and y2 outside [0, d] continue evenly across both walls.
     """
-    n_floor, _ = params.resolve(cfg)
+    n_floor = params.resolve(cfg)
     y1, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in y))
     dx1 = x[0] - y1.ravel()
     adx = np.abs(dx1)
@@ -272,13 +227,13 @@ def greens_kummer(x, y, params: GreensEvalParams, cfg: DuctConfig, tol: float = 
     alpha = math.pi / (cfg.d * root)
     # |1 - exp(-alpha |dx1| + i theta)|^2, without cancellation near an image
     dist2 = np.expm1(-alpha * adx) ** 2 + 4.0 * np.exp(-alpha * adx) * np.sin(0.5 * theta) ** 2
-    # phi_free's guard: to leading order, the convected distance to the
-    # nearest image is sqrt(dist2) d / (pi sqrt(1 - M^2))
+    # the free-space kernel's guard: to leading order, the convected
+    # distance to the nearest image is sqrt(dist2) d / (pi sqrt(1 - M^2))
     if np.any(cfg.k * cfg.d * np.sqrt(dist2) < 1e-12 * math.pi * root):
         raise SingularityError("kernel evaluated at (an image of) the source")
     total = np.log(dist2[0] * dist2[1]) / (4.0 * math.pi * root) + 0j
-    n_lo, n_hi, calm = 0, max(64, n_floor), 0
-    while n_lo < 16384:
+    n_lo, n_hi, calm, cap = 0, max(64, n_floor), 0, 16384
+    while n_lo < cap:
         c, k_down, k_up = _mode_block(cfg, n_lo, n_hi)
         gamma = 0.5 * (k_down + k_up)
         if not gamma.imag.any():
@@ -297,20 +252,10 @@ def greens_kummer(x, y, params: GreensEvalParams, cfg: DuctConfig, tol: float = 
         if calm >= 2:
             break
         n_lo, n_hi = n_hi, n_hi + 64
+    else:
+        share = np.max(np.abs(contrib)) / max(np.max(np.abs(total)), 1e-300)
+        _warn_at_cap("greens_kummer", cap, share, "the value")
     return _scalar_or_array((total * np.exp(-1j * _mu(cfg) * dx1)).reshape(y1.shape))
-
-
-def greens_value(x, y, params: GreensEvalParams, cfg: DuctConfig):
-    """Kernel value by the representation suited to the separation.
-
-    Returns (value, representation): the plain modal series ("modal")
-    whenever the axial gap admits it, the Kummer-accelerated one ("kummer")
-    nearer the source.
-    """
-    _, gap = params.resolve(cfg)
-    if abs(x[0] - y[0]) >= gap:
-        return greens_modal(x, y, params, cfg).value, "modal"
-    return greens_kummer(x, y, params, cfg), "kummer"
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +324,17 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
     Returns a complex (n1, n2) matrix over the rectangular cells spanned by
     the edge arrays; the transverse factor is analytic and the axial factor
     is piecewise exponential, one exponential per (mode, edge).  The mode
-    sum is extended in blocks of 64 modes until the increments are
-    negligible (the cell containing x converges like the integrated log
-    singularity, all others geometrically); one pass builds the factors of
-    _PASS_BLOCKS blocks, and each block's sum is one product of its
-    (phi_n(x2) c_n axial) rows with its transverse rows.
+    sum is extended in blocks of 64 modes until two block sums in a row fall
+    below tol times max(max|K|, 1) (the cell containing x converges like the
+    integrated log singularity, all others geometrically); if they do not
+    within 16384 modes a RuntimeWarning gives the last block's share.  One
+    pass builds the factors of _PASS_BLOCKS blocks, and each block's sum is
+    one product of its (phi_n(x2) c_n axial) rows with its transverse rows.
     """
-    n_floor, _ = params.resolve(cfg)
-    block = 64
+    n_floor = params.resolve(cfg)
+    block, cap = 64, 16384
     bounds = [0, max(block, n_floor)]
-    while bounds[-1] < 16384:
+    while bounds[-1] < cap:
         bounds.append(bounds[-1] + block)
     total = np.zeros((x1_edges.size - 1, x2_edges.size - 1), dtype=complex)
     calm = 0
@@ -410,6 +356,7 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
                     return total
             else:
                 calm = 0
+    _warn_at_cap("kernel_cell_integrals", cap, float(np.max(np.abs(contrib))) / scale, "max|K|")
     return total
 
 
@@ -617,11 +564,11 @@ def q_l2_difference(y, z, cfg: DuctConfig, tol: float = 1e-10) -> float:
             settled = settled or calm >= 2
         if settled:
             return max(total + tail, 0.0)
-    warnings.warn(
-        f"q_l2_difference: separation {math.hypot(delta, z[1] - y[1]):.3g} reached the {cap}-mode"
-        f" cap unconverged (last block {abs(contrib) / max(total + tail, 1e-300):.2g} of Q)",
-        RuntimeWarning,
-        stacklevel=2,
+    _warn_at_cap(
+        f"q_l2_difference: separation {math.hypot(delta, z[1] - y[1]):.3g}",
+        cap,
+        abs(contrib) / max(total + tail, 1e-300),
+        "Q",
     )
     return max(total + tail, 0.0)  # squared quantity; clamp roundoff negatives
 

@@ -195,29 +195,6 @@ def realization_levels(r: NoiseRealization):
     return list(reversed(out))
 
 
-def evaluate_wh(r: NoiseRealization, x):
-    """Piecewise-constant noise field xi_i / sqrt(|K_i|) at point(s) x.
-
-    Cells are half-open ([lo, hi) in both axes), so points on the upper or
-    right mesh boundary evaluate to 0 like any outside point.
-    """
-    x1, x2 = x
-    scalar = np.ndim(x1) == 0 and np.ndim(x2) == 0
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    x1_lo, x1_hi, x2_lo, x2_hi = r.mesh.rect
-    w1, w2 = r.mesh.cell_size(r.level)
-    i1 = np.floor((x1 - x1_lo) / w1).astype(int)
-    i2 = np.floor((x2 - x2_lo) / w2).astype(int)
-    n1, n2 = r.mesh.shape(r.level)
-    inside = (i1 >= 0) & (i1 < n1) & (i2 >= 0) & (i2 < n2)
-    inside &= (x1 >= x1_lo) & (x1 < x1_hi) & (x2 >= x2_lo) & (x2 < x2_hi)
-    out = np.zeros_like(x1)
-    amp = 1.0 / math.sqrt(r.mesh.cell_area(r.level))
-    out[inside] = r.xi[i1[inside], i2[inside]] * amp
-    return float(out[0]) if scalar else out
-
-
 # ---------------------------------------------------------------------------
 # Sources and the transverse projection of the noise
 # ---------------------------------------------------------------------------

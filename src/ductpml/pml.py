@@ -7,10 +7,10 @@ sigma == 0, the layer attaches to the computational domain without any
 jump condition, and it damps every outgoing mode (including inverse
 upstream ones) instead of amplifying them.
 
-This module owns the quadratic absorption profile sigma, the two-point
-amplitudes of the per-mode layer solutions that enforce value 1 at the
-interface and 0 at the outer Dirichlet wall, the finite-layer
-Robin coefficients nu_n^{+-} (which converge to beta_n^{+-} exponentially
+This module owns the quadratic absorption profile sigma, the layer factor
+q of each mode (through which the per-mode layer solution with value 1 at
+the interface and 0 at the outer Dirichlet wall is written), the
+finite-layer Robin coefficients nu_n^{+-} (which converge to beta_n^{+-} exponentially
 in the absorbed mass) and their gaps nu_n - beta_n free of cancellation,
 the resulting modal reflection magnitudes, and the a-priori gap bounds
 |beta - nu| used by the layer-length studies.
@@ -166,28 +166,14 @@ def _q_factor(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
     return bp, bm, q, den
 
 
-def modal_amplitudes(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
-    """Coefficients (on psi_plus, psi_minus) of the unit-trace layer solution.
-
-    The pair solves the two-point conditions: value 1 at the interface and 0
-    at the outer Dirichlet wall.  On the '+' side the weight sits on the
-    branch decaying rightward; on the '-' side on the branch decaying
-    leftward.  Raises DegenerateLayerError when the interpolation
-    denominator vanishes numerically.
-    """
-    _, _, q, den = _q_factor(n, side, profile, cfg)
-    if side == "+":
-        return 1.0 / den, -q / den
-    return -q / den, 1.0 / den
-
-
 def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> complex:
     """Finite-layer Robin coefficient nu_n for the requested side.
 
     Closed form: nu_plus = beta_plus - (beta_plus - beta_minus) / (1 - 1/q)
     and mirrored for the minus side; algebraically this equals the
-    amplitude-weighted combination coef_plus*beta_plus + coef_minus*beta_minus,
-    which tests verify to 1e-12.  As the absorbed mass grows, q -> 0 and
+    combination coef_plus*beta_plus + coef_minus*beta_minus with the layer
+    solution's amplitudes (1/(1-q), -q/(1-q) on the '+' side, swapped on
+    the '-' side), which tests verify to 1e-12.  As the absorbed mass grows, q -> 0 and
     nu -> beta exponentially.
     """
     beta, gap = _beta_and_gap(n, side, profile, cfg)
@@ -220,11 +206,10 @@ def reflection_coefficient(n: int, side: str, profile: PmlProfile, cfg: DuctConf
     Equals |q| = exp(-Im((beta_plus - beta_minus) * stretch_integral)):
     absorption-driven for propagating modes, pure exp(-2 k L sqrt(n^2/K0^2 - 1)
     / (1 - M^2)) for evanescent ones.  Underflows to 0.0 for extreme decay.
+    Raises DegenerateLayerError where 1 - q vanishes numerically, as the
+    layer coefficients do.
     """
-    coef_plus, coef_minus = modal_amplitudes(n, side, profile, cfg)
-    if side == "+":
-        return abs(coef_minus / coef_plus)
-    return abs(coef_plus / coef_minus)
+    return abs(_q_factor(n, side, profile, cfg)[2])
 
 
 @dataclass(frozen=True)

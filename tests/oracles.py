@@ -1,13 +1,26 @@
-"""Independent oracles for the kernels in ``ductpml.greens``, the layer in
+"""Independent oracles for the roots in ``ductpml.duct``, the kernels in
+``ductpml.greens``, the noise in ``ductpml.noise``, the layer in
 ``ductpml.pml`` and the solves in ``ductpml.solver``.
 
+Dispersion residual: the axial dispersion relation evaluated at a root in
+extended precision.
+
+Plain modal series: the kernel as the sum of the modes' outgoing 1D
+kernels, which converges geometrically away from the source's axial
+position.  It shares only the roots with the Kummer series in
+``ductpml.greens``.
+
 Image series: reflections of the free-space convected kernel ``phi_free``
+(the Hankel function H0 of the convected distance, ``ductpml.specfun``)
 across the rigid walls, sources at transverse positions ``+-y2 + 2 d n``.
 The terms decay only like n^{-1/2} with oscillation, so partial sums are
 tail-averaged (Cesaro over the last quarter of shells).  The series shares
 nothing with the modal sums in ``ductpml.greens`` but the free-space kernel,
 so it cross-checks them; a centered finite-difference residual of the
 operator applied to it checks the kernel's normalization.
+
+Noise field: the piecewise-constant white-noise field of a realization at
+given points.
 
 Solution quadratures: the 1D outgoing mode kernel in complex exponentials,
 its adaptive-quadrature convolution with a deterministic modal source, and
@@ -16,8 +29,9 @@ oracle of the noise response).
 
 Layer solutions: the per-mode solutions psi_n^{+-} of the stretched
 operator in one layer, in closed form through the partial stretch
-integral, and their derivatives; they check the two-point amplitudes and
-the eigenrelation alpha (d/dx1 + i mu) psi = i (beta + mu) psi.
+integral, and their derivatives; with the two-point amplitudes of the
+unit-trace layer solution they check the Robin coefficients nu_n and the
+eigenrelation alpha (d/dx1 + i mu) psi = i (beta + mu) psi.
 
 Solver norms: the Parseval/trapezoid L2 distance of two modal solutions
 on one grid, and a 1-norm condition estimate of an assembled mode matrix
@@ -29,24 +43,88 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 
-from ductpml.duct import DuctConfig, axial_wavenumbers64, mode_shape
-from ductpml.errors import ConfigError, DomainError, GridMismatchError, RepresentationError
+from ductpml.duct import _PI_LD, DuctConfig, axial_wavenumbers64, mode_shape
+from ductpml.errors import ConfigError, DomainError, GridMismatchError, SingularityError
 from ductpml.greens import (
     GreensEvalParams,
-    SeriesValue,
     _betas_block,
+    _free_offset,
+    _root1m2,
     _scalar_or_array,
-    phi_free,
 )
-from ductpml.noise import ModalFunctionSource, ModeBoxSource
-from ductpml.pml import PmlProfile, _check_side, alpha
+from ductpml.noise import ModalFunctionSource, ModeBoxSource, NoiseRealization
+from ductpml.pml import PmlProfile, _check_side, _q_factor, alpha
 from ductpml.solver import DTN, Grid1D, ModalSolution, mode_matrix
+from ductpml.specfun import hankel0
+
+
+def dispersion_residual(beta, n, cfg: DuctConfig):
+    """|-(1-M^2) beta^2 - 2 k M beta + k^2 - n^2 pi^2 / d^2|.
+
+    Evaluated in extended precision so the reported value reflects the
+    root's accuracy rather than cancellation noise of the evaluation.
+    Scalars give a float; arrays broadcast and give an array.
+    """
+    k = np.longdouble(cfg.k)
+    m2 = 1.0 - np.longdouble(cfg.M) ** 2
+    b = np.clongdouble(beta)
+    val = -m2 * b * b - 2.0 * k * cfg.M * b + k * k - (n * _PI_LD / np.longdouble(cfg.d)) ** 2
+    out = abs(val)
+    return out if np.ndim(out) else float(out)
+
+
+@dataclass(frozen=True)
+class SeriesValue:
+    """Series evaluation plus its convergence indicator."""
+
+    value: complex
+    indicator: float
+
+
+def greens_modal(x, y, params: GreensEvalParams, cfg: DuctConfig, gap=None) -> SeriesValue:
+    """Plain modal-series kernel value; needs an axial separation of at
+    least gap (default a quarter of the duct width), else DomainError.
+
+    Transverse coordinates outside [0, d] use the even continuation of
+    the modes across both walls (period 2d), as the Kummer series does.
+    The indicator is a geometric bound on the truncated tail.
+    """
+    n_modes = params.resolve(cfg)
+    gap = 0.25 * cfg.d if gap is None else gap
+    period = 2.0 * cfg.d
+    x2, y2 = (abs(t) % period for t in (x[1], y[1]))
+    dx1 = x[0] - y[0]
+    if abs(dx1) < gap:
+        raise DomainError(f"axial gap {abs(dx1):.3g} below {gap:.3g}; use the Kummer series")
+    bp, bm, c = _betas_block(cfg, 0, n_modes)
+    beta = bp if dx1 >= 0.0 else bm
+    ns = np.arange(n_modes)
+    terms = (
+        mode_shape(ns, min(x2, period - x2), cfg.d)
+        * mode_shape(ns, min(y2, period - y2), cfg.d)
+        * c
+        * np.exp(1j * beta * dx1)
+    )
+    mags = np.abs(terms)
+    ratio = mags[-1] / mags[-2] if mags[-2] > 0.0 else 0.0
+    tail = mags[-1] * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else mags[-1]
+    return SeriesValue(value=complex(np.sum(terms)), indicator=float(tail))
+
+
+def phi_free(x, y, cfg: DuctConfig):
+    """Free-space convected kernel (operator applied in x gives +delta);
+    arrays of source coordinates give an array."""
+    r, phase = _free_offset(x, y, cfg)
+    if np.any(cfg.k * r < 1e-12):
+        raise SingularityError("free-space kernel evaluated at (an image of) the source")
+    return _scalar_or_array(-0.25j / _root1m2(cfg) * hankel0(cfg.k * r) * phase)
 
 
 def _image_y2(y2, d: float, n_images: int) -> np.ndarray:
@@ -143,7 +221,7 @@ def deterministic_solution(source, x, params: GreensEvalParams, cfg: DuctConfig)
     g_n by adaptive quadrature (absolute target 1e-8), split at the kernel
     kink x1 = y1, independently of the finite-element loads.
     """
-    n_modes, _ = params.resolve(cfg)
+    n_modes = params.resolve(cfg)
     total = 0.0j
     for src in source if isinstance(source, (list, tuple)) else [source]:
         if isinstance(src, ModeBoxSource):
@@ -183,12 +261,13 @@ def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, orde
     """Integral over the rectangle of |G(x, y)|^2 dy by tensor Gauss.
 
     Used as the Ito-isometry oracle for the noise-driven response variance;
-    x must be modally separated from the rectangle.
+    x must lie a quarter of the duct width or more axially from the
+    rectangle, where the plain modal series converges.
     """
-    n_modes, gap = params.resolve(cfg)
+    n_modes, gap = params.resolve(cfg), 0.25 * cfg.d
     a1, b1, a2, b2 = rect
     if not (x[0] <= a1 - gap or x[0] >= b1 + gap):
-        raise RepresentationError("isometry quadrature point must be separated")
+        raise DomainError("isometry quadrature point must be separated")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     y1 = 0.5 * (a1 + b1) + 0.5 * (b1 - a1) * nodes
     w1 = 0.5 * (b1 - a1) * weights
@@ -203,6 +282,44 @@ def kernel_l2_over_rect(x, rect, params: GreensEvalParams, cfg: DuctConfig, orde
     phi_y = mode_shape(ns[:, None], y2[None, :], cfg.d)  # (n, y2)
     g = np.einsum("n,nj,nk->jk", phi_x * c, phase, phi_y)
     return float(np.sum(np.outer(w1, w2) * np.abs(g) ** 2))
+
+
+def evaluate_wh(r: NoiseRealization, x):
+    """Piecewise-constant noise field xi_i / sqrt(|K_i|) at point(s) x.
+
+    Cells are half-open ([lo, hi) in both axes), so points on the upper or
+    right mesh boundary evaluate to 0 like any outside point.
+    """
+    x1, x2 = x
+    scalar = np.ndim(x1) == 0 and np.ndim(x2) == 0
+    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
+    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
+    x1_lo, x1_hi, x2_lo, x2_hi = r.mesh.rect
+    w1, w2 = r.mesh.cell_size(r.level)
+    i1 = np.floor((x1 - x1_lo) / w1).astype(int)
+    i2 = np.floor((x2 - x2_lo) / w2).astype(int)
+    n1, n2 = r.mesh.shape(r.level)
+    inside = (i1 >= 0) & (i1 < n1) & (i2 >= 0) & (i2 < n2)
+    inside &= (x1 >= x1_lo) & (x1 < x1_hi) & (x2 >= x2_lo) & (x2 < x2_hi)
+    out = np.zeros_like(x1)
+    amp = 1.0 / math.sqrt(r.mesh.cell_area(r.level))
+    out[inside] = r.xi[i1[inside], i2[inside]] * amp
+    return float(out[0]) if scalar else out
+
+
+def modal_amplitudes(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """Coefficients (on psi_plus, psi_minus) of the unit-trace layer solution.
+
+    The pair solves the two-point conditions: value 1 at the interface and 0
+    at the outer Dirichlet wall.  On the '+' side the weight sits on the
+    branch decaying rightward; on the '-' side on the branch decaying
+    leftward.  Raises DegenerateLayerError when the interpolation
+    denominator vanishes numerically.
+    """
+    _, _, q, den = _q_factor(n, side, profile, cfg)
+    if side == "+":
+        return 1.0 / den, -q / den
+    return -q / den, 1.0 / den
 
 
 def stretch_partial(profile: PmlProfile, side: str, s, omega: float):

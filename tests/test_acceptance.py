@@ -12,8 +12,8 @@ import pytest
 
 from ductpml import DuctConfig
 from ductpml.cli import dispatch
-from ductpml.duct import axial_wavenumbers, cutoff_numbers, dispersion_residual
-from ductpml.greens import GreensEvalParams, greens_modal, lemma2_exponent_probe
+from ductpml.duct import axial_wavenumbers, cutoff_numbers
+from ductpml.greens import GreensEvalParams, lemma2_exponent_probe
 from ductpml.harness import (
     run_equivalence_check,
     run_h_study,
@@ -23,20 +23,25 @@ from ductpml.noise import (
     NoiseMesh,
     build_mesh,
     coarsen,
-    evaluate_wh,
     sample,
 )
 from ductpml.pml import (
     PmlProfile,
     dtn_gap_bound,
-    modal_amplitudes,
     nu_coefficients,
     reflection_coefficient,
     sigma_tilde_integral,
     theoretical_decay_constant,
 )
 from ductpml.solver import Grid1D, solve_mode
-from oracles import greens_images, pde_residual_images
+from oracles import (
+    dispersion_residual,
+    evaluate_wh,
+    greens_images,
+    greens_modal,
+    modal_amplitudes,
+    pde_residual_images,
+)
 
 
 def report(num, name, passed, detail, elapsed, budget):

@@ -211,6 +211,35 @@ class TestDependentKeys:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "run, flags",
+        [
+            ("threads = -1\n", []),
+            ("threads = -3\n", ["--threads", "2"]),  # the file itself is invalid
+            ("", ["--threads", "-2"]),
+            ("threads = 2\n", ["--threads", "-1"]),
+        ],
+    )
+    def test_negative_threads_is_config_error(self, tmp_path, capsys, run, flags):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[run]\nsamples = 4\nh_levels = 0.25,0.125\n{run}")
+        out = tmp_path / "out"
+        argv = ["study", "h", "--config", str(p), "--out", str(out)] + flags
+        assert dispatch(argv) == EXIT_CONFIG
+        assert "[run] threads must be >= 0, got -" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_threads_runs_serially(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + "[run]\nsamples = 4\nh_levels = 0.25,0.125\nbase_seed = 5\n")
+        outs = []
+        for threads in ("0", "1"):
+            out = tmp_path / f"out{threads}"
+            argv = ["study", "h", "--config", str(p), "--out", str(out), "--threads", threads]
+            assert dispatch(argv) == EXIT_OK
+            outs.append((out / "study_h.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
         "source, n_modes, message",
         [
             ("mode = 500\n", 4, "[source] mode 500 must be below [grid] n_modes = 4"),
@@ -496,8 +525,9 @@ class TestDispatch:
         assert dispatch(["greens", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
         lines = (out / "greens.csv").read_text().splitlines()
         assert lines[0] == "x1,x2,re_g,im_g,representation_used"
-        reps = {line.rsplit(",", 1)[-1] for line in lines[1:]}
-        assert "modal" in reps and "kummer" in reps
+        reps = [line.rsplit(",", 1)[-1] for line in lines[1:]]
+        # the default source sits on a grid point
+        assert sorted(set(reps)) == ["kummer", "singular"] and reps.count("singular") == 1
 
     def test_solve_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "out"

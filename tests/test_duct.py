@@ -13,10 +13,10 @@ from ductpml import (
     axial_wavenumbers,
     axial_wavenumbers64,
     cutoff_numbers,
-    dispersion_residual,
     dispersion_table,
     mode_shape,
 )
+from oracles import dispersion_residual
 
 
 def make_cfg(d=1.0, M=0.3, k=5.0):

@@ -12,13 +12,13 @@ from ductpml.noise import (
     NoiseRealization,
     build_mesh,
     coarsen,
-    evaluate_wh,
     noise_modal_matrix,
     realization_levels,
     sample,
     transverse_cell_integrals,
 )
 from ductpml.solver import Grid1D, modal_loads
+from oracles import evaluate_wh
 
 RECT = (-0.5, 0.5, 0.25, 0.75)
 

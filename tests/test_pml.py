@@ -15,7 +15,6 @@ from ductpml.pml import (
     alpha,
     alpha_prime,
     dtn_gap_bound,
-    modal_amplitudes,
     nu_coefficients,
     nu_gap,
     reflection_coefficient,
@@ -24,7 +23,7 @@ from ductpml.pml import (
     stretch_integral,
     theoretical_decay_constant,
 )
-from oracles import psi_mode, psi_mode_derivative, stretch_partial
+from oracles import modal_amplitudes, psi_mode, psi_mode_derivative, stretch_partial
 
 
 def make_cfg(M=0.3, k=5.0, d=1.0, L=1.0):
