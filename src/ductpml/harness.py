@@ -288,14 +288,6 @@ def _map_threads(fn, args, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _solve_named(matrix, rhs, where: str):
-    """_solve_tridiag(*matrix, rhs); a singular system's DomainError starts with where."""
-    try:
-        return _solve_tridiag(*matrix, rhs)
-    except DomainError as exc:
-        raise DomainError(f"{where}: {exc}") from exc
-
-
 def _layer_gaps(layers, n_modes: int) -> np.ndarray:
     """D_L = i (1 - M^2) (-(nu^- - beta^-), nu^+ - beta^+) of every mode and layer
     (cfg_L, profile), shape (n_modes, n_L, 2): one nu_gap call per (L, side)."""
@@ -330,7 +322,8 @@ def _end_responses(n: int, matrix, stage: str):
     ends = np.zeros((diag.size, 2))
     ends[0, 0] = ends[-1, 1] = 1.0
     where = f"{stage}, mode n={n}"
-    return _solve_named(matrix, ends, where), _solve_named((sup, diag, sub), ends, where)
+    return (_solve_tridiag(sub, diag, sup, ends, where=where),
+            _solve_tridiag(sup, diag, sub, ends, where=where))
 
 
 def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
@@ -346,15 +339,15 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
     g_lo = g_hi = np.zeros(0, dtype=complex)
     if lo > 0:
         rhs_lo = np.r_[np.zeros(lo - 1), -sup[lo - 1]]
-        g_lo = _solve_named((sub[: lo - 1], diag[:lo], sup[: lo - 1]), rhs_lo,
-                            f"{where}, side -: exterior block")
+        g_lo = _solve_tridiag(sub[: lo - 1], diag[:lo], sup[: lo - 1], rhs_lo,
+                              where=f"{where}, side -: exterior block")
         d_r[0] += sub[lo - 1] * g_lo[-1]
     if hi < diag.size - 1:
         rhs_hi = np.r_[-sub[hi], np.zeros(diag.size - 2 - hi)]
-        g_hi = _solve_named((sub[hi + 1 :], diag[hi + 1 :], sup[hi + 1 :]), rhs_hi,
-                            f"{where}, side +: exterior block")
+        g_hi = _solve_tridiag(sub[hi + 1 :], diag[hi + 1 :], sup[hi + 1 :], rhs_hi,
+                              where=f"{where}, side +: exterior block")
         d_r[-1] += sup[hi] * g_hi[0]
-    return _solve_named((sub[lo:hi], d_r, sup[lo:hi]), rhs, where), g_lo, g_hi
+    return _solve_tridiag(sub[lo:hi], d_r, sup[lo:hi], rhs, where=where), g_lo, g_hi
 
 
 def _range_gram(w, z, lo: int, hi: int, b, g_lo, g_hi):
@@ -427,7 +420,8 @@ def run_h_study(
     h_cols = len(st.used) * n_samples
 
     def mode_terms(n: int):
-        b = root_w * _solve_named(mode_matrix(n, cfg, st.grid, DTN), unit, f"h study, mode n={n}")
+        b = root_w * _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), unit,
+                                    where=f"h study, mode n={n}")
         g = np.vstack([b.real, b.imag])
         q = g.T @ g  # Re(B^H W B)
         loads = [
@@ -534,7 +528,7 @@ def run_L_study(
     norm2 = 0.0
     for n in range(n_modes):
         rhs = np.column_stack([loads[n], ends])  # one solve on [load | e_0 | e_N]
-        sols = _solve_named(mode_matrix(n, cfg, grid, DTN), rhs, f"L study, mode n={n}")
+        sols = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), rhs, where=f"L study, mode n={n}")
         u, z = sols[:, :1], sols[:, 1:]
         norm2 += float(w @ np.abs(u[:, 0]) ** 2)
         gram = z.conj().T @ (w[:, None] * z)

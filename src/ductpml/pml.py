@@ -101,11 +101,12 @@ def sigma(profile: PmlProfile, x1):
 
 
 def alpha(profile: PmlProfile, x1, omega: float):
-    """Complex stretch alpha = -i omega / (-i omega + sigma(x1))."""
+    """Complex stretch alpha = -i omega / (-i omega + sigma(x1)), taken as
+    1 / (1 + i sigma/omega) so that it is exactly 1 where sigma = 0."""
     if omega <= 0.0:
         raise DomainError(f"omega must be positive, got {omega}")
     s = np.asarray(sigma(profile, x1), dtype=float)
-    out = -1j * omega / (-1j * omega + s)
+    out = 1.0 / (1.0 + 1j * s / omega)
     return out if out.ndim else complex(out)
 
 

@@ -14,9 +14,9 @@ with one of three closures:
   * ``pml_reduced``: Robin conditions with the finite-layer coefficients
     nu_n^{+-} in place of beta_n^{+-}.
 
-Discretization is piecewise-linear elements on a uniform grid with the
-convection term assembled from the weak form, alpha-weighted terms by
-2-point Gauss per element, and a direct banded (tridiagonal) solve.
+Discretization is piecewise-linear elements on a uniform grid, one weak form
+for every closure (the stretched operator by 2-point Gauss per element, with
+alpha = 1 off the layers) and a direct banded (tridiagonal) solve.
 
 ``mode_matrix`` is the one place that builds a mode operator for any of
 the three closures, and ``modal_loads`` the one place that turns a source
@@ -219,87 +219,50 @@ def modal_loads(source, cfg: DuctConfig, grid: Grid1D, n_modes: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D):
-    """Weak form of the constant-coefficient mode operator, no boundary terms.
+# Row g of each table is Gauss point g of an element, with N1 = (xb - x)/dx
+# and N2 = (x - xa)/dx.  _N holds (N1, N2); the element tables hold the
+# entries (1,1), (2,2), (1,2), (2,1) (test N_i, trial N_j) for a unit
+# coefficient at that point.
+_G = 0.5 / math.sqrt(3.0)
+_N = np.array([[0.5 + _G, 0.5 - _G], [0.5 - _G, 0.5 + _G]])
+_STIFF = np.tile([-1.0, -1.0, 1.0, 1.0], (2, 1))  # -N_i' N_j' dx^2
+_CONV = _N[:, [0, 1, 0, 1]] * [-1.0, 1.0, 1.0, -1.0]  # N_i N_j' dx
+_MASS = _N[:, [0, 1, 0, 1]] * _N[:, [0, 1, 1, 0]]  # N_i N_j
 
-    Rows are -(1-M^2) * stiffness + 2ikM * convection + gamma * mass with
-    gamma = k^2 - n^2 pi^2 / d^2; the convection matrix is the exact
-    integral of w_trial' against w_test (skew plus boundary diagonal).
+
+def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D, profile=None):
+    """Stretched weak form of mode n, no boundary terms; alpha = 1 without a profile.
+
+    Rows are -(1-M^2) alpha * stiffness + 2ikM alpha * convection +
+    (ikM alpha' + z) * mass with z = k^2/((1-M^2) alpha) - alpha (Mk)^2/(1-M^2)
+    - (n pi/d)^2/alpha, by 2-point Gauss (weight dx/2) per element.  With
+    alpha = 1 that is exact (products of linear functions) and z = k^2 -
+    n^2 pi^2/d^2, the constant-coefficient operator.
     """
     m2 = cfg.one_minus_m2
+    dx = grid.delta
+    if profile is None:
+        a, ap = np.ones((1, 2)), 0.0
+    else:
+        nodes = grid.nodes()
+        xg = 0.5 * (nodes[:-1, None] + nodes[1:, None]) + dx * np.array([-_G, _G])
+        a = pml_mod.alpha(profile, xg, cfg.omega)
+        ap = pml_mod.alpha_prime(profile, xg, cfg.omega)
+    ikm = 1j * cfg.k * cfg.M
     gamma = cfg.k ** 2 - (n * math.pi / cfg.d) ** 2
-    conv = 2j * cfg.k * cfg.M
-    dx = grid.delta
-    nn = grid.n_nodes
-    diag = np.empty(nn, dtype=complex)
-    diag[:] = -m2 * 2.0 / dx + gamma * 2.0 * dx / 3.0
-    diag[0] = -m2 / dx + gamma * dx / 3.0 + conv * (-0.5)
-    diag[-1] = -m2 / dx + gamma * dx / 3.0 + conv * 0.5
-    sup = np.full(nn - 1, -m2 * (-1.0 / dx) + conv * 0.5 + gamma * dx / 6.0, dtype=complex)
-    sub = np.full(nn - 1, -m2 * (-1.0 / dx) + conv * (-0.5) + gamma * dx / 6.0, dtype=complex)
-    return sub, diag, sup
+    # z = (gamma - (alpha^2 - 1) (Mk)^2/(1-M^2)) / alpha: exactly gamma at alpha = 1
+    z = (gamma - (a * a - 1.0) * ((cfg.M * cfg.k) ** 2 / m2)) / a
+    el = a @ (m2 / (2.0 * dx) * _STIFF + ikm * _CONV) + (ikm * ap + z) @ (0.5 * dx * _MASS)
+    diag = np.zeros(grid.n_nodes, dtype=complex)
+    diag[:-1] += el[:, 0]
+    diag[1:] += el[:, 1]
+    sub = np.zeros(grid.n_cells, dtype=complex)
+    return sub + el[:, 3], diag, sub + el[:, 2]
 
 
-def _assemble_pml_interior(n: int, cfg: DuctConfig, profile, grid: Grid1D):
-    """Stretched weak form with alpha-dependent coefficients by 2-pt Gauss."""
-    m2 = cfg.one_minus_m2
-    k = cfg.k
-    dx = grid.delta
-    nodes = grid.nodes()
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    off = 0.5 * dx / math.sqrt(3.0)
-    xg = np.stack([mid - off, mid + off], axis=1)  # (n_cells, 2)
-    ag = pml_mod.alpha(profile, xg.ravel(), cfg.omega).reshape(xg.shape)
-    apg = pml_mod.alpha_prime(profile, xg.ravel(), cfg.omega).reshape(xg.shape)
-    zg = (
-        k * k / (m2 * ag)
-        - ag * (cfg.M * k) ** 2 / m2
-        - (n * math.pi / cfg.d) ** 2 / ag
-    )
-    wg = 0.5 * dx
-    # shape functions at the two Gauss points: N1 = (xb-x)/dx, N2 = (x-xa)/dx
-    n1 = np.array([0.5 + 0.5 / math.sqrt(3.0), 0.5 - 0.5 / math.sqrt(3.0)])
-    n2 = 1.0 - n1
-    s_el = wg * np.sum(ag, axis=1) / (dx * dx)  # common factor of the 2x2 block
-    conv = 2j * k * cfg.M
-    ikm = 1j * k * cfg.M
-
-    def quad(a_weights, fa, fb):
-        # sum over Gauss points of weight * coeff * f_test * f_trial
-        return wg * np.sum(a_weights * fa[None, :] * fb[None, :], axis=1)
-
-    nn = grid.n_nodes
-    diag = np.zeros(nn, dtype=complex)
-    sub = np.zeros(nn - 1, dtype=complex)
-    sup = np.zeros(nn - 1, dtype=complex)
-
-    # stiffness: integral alpha * w_trial' * w_test'
-    diag[:-1] += -m2 * s_el
-    diag[1:] += -m2 * s_el
-    sup += m2 * s_el
-    sub += m2 * s_el
-    # convection: 2ikM * integral alpha * w_trial' * w_test
-    c11 = quad(ag, n1, np.full(2, -1.0 / dx))
-    c12 = quad(ag, n1, np.full(2, 1.0 / dx))
-    c21 = quad(ag, n2, np.full(2, -1.0 / dx))
-    c22 = quad(ag, n2, np.full(2, 1.0 / dx))
-    diag[:-1] += conv * c11
-    diag[1:] += conv * c22
-    sup += conv * c12
-    sub += conv * c21
-    # ikM * integral alpha' * w_trial * w_test  and  mass with coefficient z
-    for coeff, gvals in ((ikm, apg), (1.0, zg)):
-        m11 = quad(gvals, n1, n1)
-        m12 = quad(gvals, n1, n2)
-        m22 = quad(gvals, n2, n2)
-        diag[:-1] += coeff * m11
-        diag[1:] += coeff * m22
-        sup += coeff * m12
-        sub += coeff * m12
-    return sub, diag, sup
-
-
-def _solve_tridiag(sub, diag, sup, rhs):
+def _solve_tridiag(sub, diag, sup, rhs, where: str = ""):
+    """Solve the tridiagonal system for rhs[n, ...]; a singular one raises
+    DomainError, its message prefixed by ``where`` (say, stage and mode)."""
     ab = np.zeros((3, diag.size), dtype=complex)
     ab[0, 1:] = sup
     ab[1, :] = diag
@@ -308,8 +271,9 @@ def _solve_tridiag(sub, diag, sup, rhs):
         if diag.size == 1 and diag[0] == 0.0:  # solve_banded divides a 1x1 system
             raise np.linalg.LinAlgError("zero 1x1 system")
         return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # ill-posedness; excluded by the
-        raise DomainError(f"singular mode system: {exc}") from exc  # cutoff guard
+    except np.linalg.LinAlgError as exc:  # ill-posedness; excluded by the cutoff guard
+        prefix = f"{where}: " if where else ""
+        raise DomainError(f"{prefix}singular mode system: {exc}") from exc
 
 
 def _check_span(grid: Grid1D, lo: float, hi: float):
@@ -325,7 +289,6 @@ def _check_span(grid: Grid1D, lo: float, hi: float):
 def _robin_matrix(n: int, cfg: DuctConfig, grid: Grid1D, r_plus, r_minus):
     """Interior operator closed by p' = i r^{+-} p at the two ends."""
     sub, diag, sup = _assemble_interior(n, cfg, grid)
-    diag = diag.copy()
     bc = 1j * cfg.one_minus_m2
     diag[-1] += bc * r_plus
     diag[0] -= bc * r_minus
@@ -346,7 +309,7 @@ def mode_matrix(n: int, cfg: DuctConfig, grid: Grid1D, formulation: str, profile
         raise ConfigError("PML formulations need a profile")
     if formulation == PML_FULL:
         _check_span(grid, cfg.x_minus - cfg.L, cfg.x_plus + cfg.L)
-        sub, diag, sup = _assemble_pml_interior(n, cfg, profile, grid)
+        sub, diag, sup = _assemble_interior(n, cfg, grid, profile)
         return sub[1:-1], diag[1:-1], sup[1:-1]
     _check_span(grid, cfg.x_minus, cfg.x_plus)
     if formulation == DTN:

@@ -74,6 +74,15 @@ class TestAlpha:
         p = make_profile(cfg)
         assert alpha(p, 0.0, cfg.omega) == 1.0
 
+    def test_exactly_one_between_layers(self):
+        # the stretched weak form is the physical one off the layers only if
+        # alpha carries no roundoff there; -i w / (-i w) misses 1 for some w
+        cfg = make_cfg()
+        p = make_profile(cfg, sp=5.0)
+        x = np.linspace(cfg.x_minus, cfg.x_plus, 9)
+        for omega in np.linspace(0.5, 50.0, 400):
+            assert np.all(alpha(p, x, omega) == 1.0)
+
     def test_sigma_equal_omega(self):
         cfg = make_cfg(k=1.0)
         p = PmlProfile(sigma_plus=1.0, sigma_minus=1.0, x_plus=1.0, x_minus=-1.0, L=2.0)

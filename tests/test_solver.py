@@ -570,6 +570,36 @@ class TestModeMatrix:
         with pytest.raises(ConfigError):
             mode_matrix(1, cfg, omega_b_grid(cfg, 1 / 16), "robin", 0)
 
+    @pytest.mark.parametrize("M", [0.0, 0.3, 0.9])
+    def test_constant_coefficient_bands(self, M):
+        # the dtn bands less the Robin terms are the closed-form P1 entries;
+        # between the layers alpha = 1 and the stretched operator gives the
+        # same rows, up to the summation order of the element sums
+        cfg = make_cfg(M=M, k=7.3)
+        profile = PmlProfile.quadratic(cfg, 5.0)
+        grid = omega_b_grid(cfg, 1 / 16)
+        full = omega_full_grid(cfg, 1 / 16)
+        dx, m2, ikm = grid.delta, 1.0 - M * M, 1j * cfg.k * M
+        lo = round((cfg.x_minus - full.x_start) / full.delta)  # interface node x^-
+        n0 = cutoff_numbers(cfg)[1]
+        for n in (0, n0, n0 + 1, n0 + 6):  # propagating, then evanescent
+            gamma = cfg.k ** 2 - (n * math.pi / cfg.d) ** 2
+            sub, diag, sup = mode_matrix(n, cfg, grid, "dtn")
+            bp, bm = axial_wavenumbers64(n, cfg)
+            ends = diag[[0, -1]] - 1j * m2 * np.array([-bm, bp])
+            inner = -2 * m2 / dx + 2 * gamma * dx / 3
+            end = -m2 / dx + gamma * dx / 3
+            np.testing.assert_allclose(diag[1:-1], inner, rtol=1e-15)
+            np.testing.assert_allclose(ends, [end - ikm, end + ikm], rtol=1e-15)
+            np.testing.assert_allclose(sup, m2 / dx + ikm + gamma * dx / 6, rtol=1e-15)
+            np.testing.assert_allclose(sub, m2 / dx - ikm + gamma * dx / 6, rtol=1e-15)
+            # pml_full drops the outer Dirichlet rows: full node j is row j - 1
+            f_sub, f_diag, f_sup = mode_matrix(n, cfg, full, "pml_full", profile)
+            cells = slice(lo - 1, lo - 1 + grid.n_cells)
+            np.testing.assert_allclose(f_diag[lo : lo + diag.size - 2], diag[1:-1], rtol=1e-15)
+            np.testing.assert_allclose(f_sup[cells], sup, rtol=1e-15)
+            np.testing.assert_allclose(f_sub[cells], sub, rtol=1e-15)
+
 
 class TestConditioning:
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
