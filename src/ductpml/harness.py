@@ -14,10 +14,11 @@ Three error mechanisms are measured at desk scale:
   solution, so the gap closes at the discretization order.
 * ``run_total_error_study``: the combined (h, L) error table.
 
-Every per-mode operator comes from ``solver.mode_matrix``.  The two
-noise-driven studies (h and total) share one set-up, ``_noise_study``:
-level validation, noise mesh, grid, mode count, load tables, and each
-seed's noise projected onto all modes at every level.
+Every per-mode operator comes from ``solver.mode_matrix`` and is solved by
+LAPACK's zgtsv (``solver._solve_tridiag``).  The two noise-driven studies
+(h and total) share one set-up, ``_noise_study``: level validation, noise
+mesh, grid, mode count, load tables, and each seed's noise projected onto
+all modes at every level.
 
 Every (level, seed) load lives on the grid nodes under the forcing
 rectangle, R.  The h study therefore solves each mode once on the unit
@@ -351,15 +352,15 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
 
 
 def _range_gram(w, z, lo: int, hi: int, b, g_lo, g_hi):
-    """||b||^2_W and Z^H W b of the solution ``_range_solve`` returns in pieces;
+    """||b||^2_W, Z^H W b and Z^H W Z of the solution ``_range_solve`` returns in pieces;
     each exterior adds the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W g) b_edge."""
-    wz = (w[:, None] * z).conj()
+    wz = (w[:, None] * z).conj()  # formed once for Z^H W b and Z^H W Z
     b_norm2 = w[lo : hi + 1] @ (b.real ** 2 + b.imag ** 2)
     zwb = wz[lo : hi + 1].T @ b
     for g, ext, edge in ((g_lo, slice(0, lo), b[0]), (g_hi, slice(hi + 1, None), b[-1])):
         b_norm2 += (w[ext] @ (g.real ** 2 + g.imag ** 2)) * (edge.real ** 2 + edge.imag ** 2)
         zwb += np.outer(wz[ext].T @ g, edge)
-    return b_norm2, zwb
+    return b_norm2, zwb, wz.T @ z
 
 
 def _check_source_modes(source, n_modes: int, stage: str):
@@ -686,8 +687,7 @@ def run_total_error_study(
         f_lv = np.hstack(loads[:-1])  # (|R|, n_used * n_samples), levels side by side
         b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, f_lv - np.tile(loads[-1], n_used),
                                      "total study")
-        b_norm2, zwb = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
-        gram = z.conj().T @ (w[:, None] * z)
+        b_norm2, zwb, gram = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
         u_ends = (y.T @ det[n])[:, None] + y[lo : hi + 1].T @ f_lv
         c = _layer_coefficients(n, layers, gaps[n], z[[0, -1]], u_ends, "total study")
         cross = np.sum(c.conj() * zwb, axis=1).real

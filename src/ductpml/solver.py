@@ -16,7 +16,7 @@ with one of three closures:
 
 Discretization is piecewise-linear elements on a uniform grid, one weak form
 for every closure (the stretched operator by 2-point Gauss per element, with
-alpha = 1 off the layers) and a direct banded (tridiagonal) solve.
+alpha = 1 off the layers) and a direct tridiagonal solve by LAPACK's zgtsv.
 
 ``mode_matrix`` is the one place that builds a mode operator for any of
 the three closures, and ``modal_loads`` the one place that turns a source
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgtsv
 
 from . import pml as pml_mod
 from .duct import (
@@ -261,19 +261,21 @@ def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D, profile=None):
 
 
 def _solve_tridiag(sub, diag, sup, rhs, where: str = ""):
-    """Solve the tridiagonal system for rhs[n, ...]; a singular one raises
-    DomainError, its message prefixed by ``where`` (say, stage and mode)."""
-    ab = np.zeros((3, diag.size), dtype=complex)
-    ab[0, 1:] = sup
-    ab[1, :] = diag
-    ab[2, :-1] = sub
-    try:
-        if diag.size == 1 and diag[0] == 0.0:  # solve_banded divides a 1x1 system
-            raise np.linalg.LinAlgError("zero 1x1 system")
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # ill-posedness; excluded by the cutoff guard
-        prefix = f"{where}: " if where else ""
-        raise DomainError(f"{prefix}singular mode system: {exc}") from exc
+    """Solve the tridiagonal system for rhs[n, ...] by LAPACK's zgtsv; a singular or
+    non-finite one raises DomainError, its message prefixed by ``where`` (say,
+    stage and mode)."""
+    prefix = f"{where}: " if where else ""
+    if not all(np.isfinite(a).all() for a in (sub, diag, sup, rhs)):
+        raise DomainError(f"{prefix}non-finite band or right-hand side in mode system")
+    if diag.size > 1:  # the zgtsv wrapper takes n >= 2
+        x, info = zgtsv(sub, diag, sup, rhs)[3:]
+        singular = info > 0 and "singular matrix"
+    else:
+        singular = diag[0] == 0.0 and "zero 1x1 system"
+        x = None if singular else rhs / diag[0]
+    if singular:  # ill-posedness; excluded by the cutoff guard
+        raise DomainError(f"{prefix}singular mode system: {singular}")
+    return x
 
 
 def _check_span(grid: Grid1D, lo: float, hi: float):

@@ -36,6 +36,10 @@ eigenrelation alpha (d/dx1 + i mu) psi = i (beta + mu) psi.
 Solver norms: the Parseval/trapezoid L2 distance of two modal solutions
 on one grid, and a 1-norm condition estimate of an assembled mode matrix
 (sparse LU and ``onenormest``).
+
+Tridiagonal reference: scipy's ``solve_banded`` on the (3, n) banded
+packing of (sub, diag, sup), the solve the package made before it called
+LAPACK's zgtsv directly.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 
 from ductpml.duct import _PI_LD, DuctConfig, axial_wavenumbers64, mode_shape
 from ductpml.errors import ConfigError, DomainError, GridMismatchError, SingularityError
@@ -401,3 +406,13 @@ def condition_estimate(
     norm_a = spla.norm(mat, 1)
     norm_inv = spla.onenormest(inv_op)
     return float(norm_a * norm_inv)
+
+
+def banded_solve(sub, diag, sup, rhs) -> np.ndarray:
+    """A^{-1} rhs by ``solve_banded`` for the tridiagonal A = (sub, diag, sup); rhs
+    is taken complex, as LAPACK's zgtsv takes it (the 1x1 case divides in place)."""
+    ab = np.zeros((3, diag.size), dtype=complex)
+    ab[0, 1:] = sup
+    ab[1, :] = diag
+    ab[2, :-1] = sub
+    return solve_banded((1, 1), ab, np.asarray(rhs, dtype=complex))

@@ -554,9 +554,10 @@ class TestRangeSolve:
             self.assert_close(np.outer(g_hi, b[-1]), b_full[hi + 1 :], tol)
             z, y = _end_responses(n, matrix, "test")
             self.assert_close(z, z_full, tol)
-            b_norm2, zwb = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
+            b_norm2, zwb, gram = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
             self.assert_close(b_norm2, w @ np.abs(b_full) ** 2, tol)
             self.assert_close(zwb, z_full.conj().T @ (w[:, None] * b_full), tol)
+            self.assert_close(gram, z_full.conj().T @ (w[:, None] * z_full), tol)
             self.assert_close(y.T @ (loads + det[:, None]), u_full[[0, -1]], tol)
 
     @pytest.mark.parametrize("side", ["-", "+"])

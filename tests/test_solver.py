@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ductpml import DuctConfig
 from ductpml.duct import axial_wavenumbers64, cutoff_numbers, mode_shape
-from ductpml.errors import ConfigError, GridMismatchError
+from ductpml.errors import ConfigError, DomainError, GridMismatchError
 from ductpml.greens import _mode_block, _strip_integrals
 from ductpml.noise import (
     ModalFunctionSource,
@@ -20,6 +20,7 @@ from ductpml.pml import PmlProfile
 from ductpml.solver import (
     Grid1D,
     ModalSolution,
+    _solve_tridiag,
     assemble_field,
     default_delta,
     modal_loads,
@@ -30,7 +31,7 @@ from ductpml.solver import (
     solve_full,
     solve_mode,
 )
-from oracles import condition_estimate, l2_error
+from oracles import banded_solve, condition_estimate, l2_error
 
 
 def make_cfg(M=0.3, k=5.0, L=1.0):
@@ -611,3 +612,60 @@ class TestConditioning:
         for n in (0, n0, n0 + 1, n0 + 10):
             est = condition_estimate(n, cfg, grid, formulation, profile)
             assert est < 1e8
+
+
+class TestTridiagonalSolves:
+    """The zgtsv solve against scipy's ``solve_banded``, bit for bit."""
+
+    @staticmethod
+    def system(n, seed=11):
+        # no diagonal dominance, so partial pivoting swaps rows
+        rng = np.random.default_rng(seed)
+        sub, diag, sup = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                          for m in (n - 1, n, n - 1))
+        return sub, diag, sup
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 641])
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_matches_solve_banded_exactly(self, n, kind, columns):
+        sub, diag, sup = self.system(n)
+        rng = np.random.default_rng(n)
+        shape = (n,) if columns is None else (n, columns)
+        rhs = rng.standard_normal(shape)
+        if kind is complex:
+            rhs = rhs + 1j * rng.standard_normal(shape)
+        x = _solve_tridiag(sub, diag, sup, rhs)
+        assert x.shape == shape
+        assert np.array_equal(x, banded_solve(sub, diag, sup, rhs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("entry", ["sub", "diag", "sup", "rhs"])
+    def test_non_finite_system_names_where(self, bad, entry):
+        system = dict(zip(("sub", "diag", "sup"), self.system(9)))
+        system["rhs"] = np.ones((9, 2), dtype=complex)
+        system[entry][4] = bad
+        message = r"^total study, mode n=3: non-finite band or right-hand side in mode system$"
+        with pytest.raises(DomainError, match=message):
+            _solve_tridiag(**system, where="total study, mode n=3")
+        with pytest.raises(DomainError, match=r"^non-finite band"):
+            _solve_tridiag(**system)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_1x1_system_names_where(self, bad):
+        empty = np.zeros(0, dtype=complex)
+        for diag, rhs in (([bad], [1.0]), ([2.0], [bad]), ([0.0], [bad])):
+            with pytest.raises(DomainError, match=r"^h study, mode n=0: non-finite"):
+                _solve_tridiag(empty, np.array(diag, complex), empty, np.array(rhs), "h study, mode n=0")
+
+    def test_zero_pivot_names_where(self):
+        sub, diag, sup = self.system(9)
+        sub[3] = diag[4] = sup[4] = 0.0  # row 4 vanishes
+        where = "total study, mode n=3"
+        with pytest.raises(DomainError) as info:
+            _solve_tridiag(sub, diag, sup, np.ones((9, 2)), where=where)
+        assert str(info.value) == f"{where}: singular mode system: singular matrix"
+        empty = np.zeros(0, dtype=complex)
+        with pytest.raises(DomainError) as info:
+            _solve_tridiag(empty, np.zeros(1, dtype=complex), empty, np.ones(1, dtype=complex), where)
+        assert str(info.value) == f"{where}: singular mode system: zero 1x1 system"
