@@ -28,8 +28,9 @@ Its logarithmic part is ``+ ln(k rho) / (2 pi sqrt(1 - M^2))`` times the
 phase.
 
 The cell integrals take one exponential of the rates gamma_n +- i mu per
-(mode, edge), and every segment integral is one helper's (1 - exp(-kappa w))
-/ kappa.  The kernel-difference probe writes each mode's term in gamma_n and
+(mode, edge), every segment integral is one helper's (1 - exp(-kappa w)) /
+kappa, and the strip that holds x sums its non-decaying part in closed
+form.  The kernel-difference probe writes each mode's term in gamma_n and
 the phase exp(-i mu delta) shared by all modes, as squares that do not
 cancel at small separations; a pass without propagating modes runs it on
 real arrays.  It sums the terms less their two-term large-n asymptotes and
@@ -124,9 +125,10 @@ _ROOT_PIECE = 1024
 _ROOT_TABLE_CONFIGS = 4
 _root_tables: dict = {}
 _root_lock = threading.Lock()
-# Mode blocks that one pass of the cell-integral and kernel-difference sums
-# evaluates as one array; bounds the size of their temporaries.
+# Mode blocks per array pass of the kernel-difference (_PASS_BLOCKS) and the
+# cell-integral sums; bounds the size of their temporaries.
 _PASS_BLOCKS = 8
+_CELL_PASS_BLOCKS = 4
 
 
 def _betas_block(cfg: DuctConfig, n_lo: int, n_hi: int):
@@ -290,12 +292,14 @@ def stochastic_solution(
     """Response at x to one realization of the discretized white noise.
 
     Each cell contributes xi_i / sqrt(|K_i|) times the cell integral of the
-    kernel.  Off-source cells use the per-mode closed forms (transverse
-    integral of phi_n and piecewise-exponential axial integral of g_n).
-    For the cell containing x the kernel is split into its logarithmic part
-    (integrated over apex triangles by a Duffy-style radial substitution,
-    4x4 Gauss per triangle) and a Lipschitz remainder (4x4 Gauss over the
-    cell), so the integrable singularity never meets the quadrature.
+    kernel.  Off-source cells come from kernel_cell_integrals: per-mode
+    closed forms (transverse integral of phi_n, piecewise-exponential axial
+    integral of g_n) and the closed-form sum of the non-decaying part of x's
+    strip.  The cell containing x stays on singular_cell_integral: the
+    kernel is split into its logarithmic part (integrated over apex
+    triangles by a Duffy-style radial substitution, 4x4 Gauss per triangle)
+    and a Lipschitz remainder (4x4 Gauss over the cell), so the integrable
+    singularity never meets the quadrature.
     """
     x1_edges, x2_edges = noise.mesh.edges(noise.level)
     amp = 1.0 / math.sqrt(noise.mesh.cell_area(noise.level))
@@ -318,18 +322,36 @@ def stochastic_solution(
     return total
 
 
+def _neumann_cell_integrals(x2: float, x2_edges, d: float) -> np.ndarray:
+    """sum_n phi_n(x2) T_n / (q^2 + (n pi / d)^2), q = pi / d, over each x2
+    cell: the integral over it of the Neumann kernel of -d^2/dy^2 + q^2,
+    cosh(q y_<) cosh(q (d - y_>)) / (q sinh(q d)), split at x2."""
+    q = math.pi / d
+    below = math.cosh(q * (d - x2)) * np.diff(np.sinh(q * np.minimum(x2_edges, x2)))
+    above = math.cosh(q * x2) * np.diff(np.sinh(q * (d - np.maximum(x2_edges, x2))))
+    return (below - above) / (q * q * math.sinh(math.pi))
+
+
 def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.ndarray:
     """Closed-form integrals of G(x, .) over every mesh cell.
 
     Returns a complex (n1, n2) matrix over the rectangular cells spanned by
-    the edge arrays; the transverse factor is analytic and the axial factor
-    is piecewise exponential, one exponential per (mode, edge).  The mode
-    sum is extended in blocks of 64 modes until two block sums in a row fall
-    below tol times max(max|K|, 1) (the cell containing x converges like the
-    integrated log singularity, all others geometrically); if they do not
-    within 16384 modes a RuntimeWarning gives the last block's share.  One
-    pass builds the factors of _PASS_BLOCKS blocks, and each block's sum is
-    one product of its (phi_n(x2) c_n axial) rows with its transverse rows.
+    the edge arrays (x2 edges in [0, d]); the transverse factor is analytic
+    and the axial factor is piecewise exponential, one exponential per
+    (mode, edge).  In the strip a1 < x1 < b1 mode n's axial term tends to
+    c_n (1/k_up + 1/k_down) = 1/(k^2 - (n pi/d)^2), so its cells' terms
+    decay only like n^{-3}; they are summed less s_n phi_n(x2) T_n, s_n =
+    -1/(q^2 + (n pi/d)^2) with q = pi/d (k would put poles at the transverse
+    resonances), and the s_n terms are added back in closed form
+    (_neumann_cell_integrals).  Every cell's remainder then decays like
+    exp(-alpha n dist(x1, x1 edges)), plus n^{-5} in x's strip; x1 on an
+    edge keeps the n^{-3} terms of its two strips.  Blocks of 64 modes are
+    added until two in a row fall below tol times max(max|K|, 1), absolute
+    while max|K| < 1 (tol 1e-10 is about 3e-8 of max|K| ~ 3e-3 on the 11 x
+    6 default noise mesh at M = 0.3, k = 5); if they do not within 16384
+    modes a RuntimeWarning gives the last block's share.  One pass builds
+    the factors of _CELL_PASS_BLOCKS blocks, and each block's sum is one
+    product of its (phi_n(x2) c_n axial) rows with its transverse rows.
     """
     n_floor = params.resolve(cfg)
     block, cap = 64, 16384
@@ -337,13 +359,20 @@ def kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10) -> np.n
     while bounds[-1] < cap:
         bounds.append(bounds[-1] + block)
     total = np.zeros((x1_edges.size - 1, x2_edges.size - 1), dtype=complex)
+    j = int(np.searchsorted(x1_edges, x[0])) - 1  # x1_edges[j] < x1 <= x1_edges[j + 1]
+    kink = 0 <= j < total.shape[0] and x[0] < x1_edges[j + 1]
+    if kink:
+        total[j] = -_neumann_cell_integrals(x[1], x2_edges, cfg.d)
     calm = 0
-    for p in range(0, len(bounds) - 1, _PASS_BLOCKS):
-        stops = bounds[p : p + _PASS_BLOCKS + 1]
+    for p in range(0, len(bounds) - 1, _CELL_PASS_BLOCKS):
+        stops = bounds[p : p + _CELL_PASS_BLOCKS + 1]
         n_lo, n_hi = stops[0], stops[-1]
         modes = _mode_block(cfg, n_lo, n_hi)
-        weights = mode_shape(np.arange(n_lo, n_hi), x[1], cfg.d) * modes[0]  # phi_n(x2) c_n
-        axial = _strip_integrals(modes, x1_edges, x[0]) * weights[:, None]
+        ns = np.arange(n_lo, n_hi)
+        phis = mode_shape(ns, x[1], cfg.d)
+        axial = _strip_integrals(modes, x1_edges, x[0]) * (phis * modes[0])[:, None]
+        if kink:
+            axial[:, j] += phis / ((math.pi / cfg.d) ** 2 * (1.0 + ns * ns))  # less s_n phi_n
         trans = transverse_cell_integrals(x2_edges, n_hi, cfg.d, n_lo)
         for a, b in zip(stops[:-1], stops[1:]):
             rows = slice(a - n_lo, b - n_lo)

@@ -29,17 +29,18 @@ from ductpml.noise import (
     NoiseRealization,
     build_mesh,
     sample,
-    transverse_cell_integrals,
 )
 from ductpml.solver import Grid1D, solve_mode
 from ductpml.specfun import hankel0
 from oracles import (
     _image_y2,
     _images_reflected_value,
+    axial_strip_integrals,
     deterministic_solution,
     greens_images,
     greens_modal,
     kernel_l2_over_rect,
+    modal_cell_integrals,
     mode_green_1d,
     pde_residual_images,
     phi_free,
@@ -270,17 +271,8 @@ class TestDeterministicSolution:
         bp, bm, c = _betas_block(cfg, 1, 2)
 
         def closed(x1):
-            lo, hi = -0.25, 0.25
-            if x1 <= lo:
-                v = _ref_exp_cell_integrals(bm, lo, hi, x1)[0]
-            elif x1 >= hi:
-                v = _ref_exp_cell_integrals(bp, lo, hi, x1)[0]
-            else:
-                v = (
-                    _ref_exp_cell_integrals(bp, lo, x1, x1)[0]
-                    + _ref_exp_cell_integrals(bm, x1, hi, x1)[0]
-                )
-            return c[0] * v * mode_shape(1, x2, cfg.d)
+            edges = np.array([-0.25, 0.25])
+            return axial_strip_integrals(bp, bm, c, edges, x1)[0, 0] * mode_shape(1, x2, cfg.d)
 
         for x1 in np.linspace(-0.9, 0.9, 13):
             exact = deterministic_solution(src, (x1, x2), params, cfg)
@@ -359,6 +351,27 @@ class TestStochasticSolution:
         ref = kernel_cell_integrals(x, x1e, x2e, self.params, self.cfg)
         assert np.max(np.abs(capped - ref)) <= 1e-7 * np.max(np.abs(ref))
 
+    def test_cell_integrals_mode_count(self, monkeypatch):
+        # off the x1 edges every cell's remainder decays geometrically: on
+        # the 11 x 6 noise mesh of the default forcing rectangle each point
+        # sums at most 512 modes (about 2,300 with the strip's n^-3 terms)
+        cfg = DuctConfig(d=1.0, M=0.3, k=5.0, x_minus=-1.0, x_plus=1.0, L=2.0)
+        mesh = build_mesh((-0.5, 0.5, 0.25, 0.75), math.hypot(1.0, 0.5) / 32, 3)
+        assert tuple(mesh.shape(0)) == (11, 6)
+        x1e, x2e = mesh.edges(0)
+        counted = []
+        mode_block = greens_module._mode_block
+
+        def spy(cfg, n_lo, n_hi):
+            counted.append(n_hi - n_lo)
+            return mode_block(cfg, n_lo, n_hi)
+
+        monkeypatch.setattr(greens_module, "_mode_block", spy)
+        for x in [(-0.375, 0.3125), (-0.125, 0.4375), (0.125, 0.5625), (0.375, 0.6875)]:
+            counted.clear()
+            kernel_cell_integrals(x, x1e, x2e, GreensEvalParams(), cfg)
+            assert 0 < sum(counted) <= 512
+
     def test_point_inside_cell_uses_split(self):
         # the split value must agree with the directly summed modal series
         cfg, mesh = self.cfg, self.mesh
@@ -370,8 +383,9 @@ class TestStochasticSolution:
         i2 = int((x[1] - mesh.rect[2]) / w2)
         cell = (x1e[i1], x1e[i1 + 1], x2e[i2], x2e[i2 + 1])
         split = singular_cell_integral(x, cell, params, cfg)
-        # tol 2e-13 is the tightest that stops before the 16384-mode cap
-        # (1e-13 reaches it, 9e-11 of max|K| away)
+        # x's strip sums its non-decaying part in closed form, so tol 2e-13
+        # stops after 512 modes, 1.5e-11 of max|K| from the plain
+        # 131,072-mode sum
         modal = kernel_cell_integrals(x, x1e, x2e, params, cfg, tol=2e-13)[i1, i2]
         assert abs(split - modal) / abs(modal) < 5e-3
         # and the full response through the split path tracks the pure-modal route
@@ -552,59 +566,6 @@ def _ref_image_y2(y2, d, n_images):
     return np.concatenate(shells)
 
 
-def _ref_exp_cell_integrals(beta, lo, hi, x1):
-    """Integral over [lo, hi] of exp(i beta (x1 - y)) dy; beta_plus for a
-    strip left of x1, beta_minus right of it; sinc series for tiny |beta w|."""
-    width = hi - lo
-    t = 0.5 * beta * width
-    small = np.abs(t) < 0.01
-    tt = np.where(small, 1.0, beta)
-    exact = (np.exp(1j * beta * (x1 - lo)) - np.exp(1j * beta * (x1 - hi))) / (1j * tt)
-    mid = 0.5 * (lo + hi)
-    series = np.exp(1j * beta * (x1 - mid)) * width * (1.0 - t * t / 6.0 + t ** 4 / 120.0)
-    return np.where(small, series, exact)
-
-
-def _ref_axial_strip_integrals(beta_p, beta_m, c, edges, x1):
-    """Integral of g_n over each strip: one call per strip (two for the kink)."""
-    out = np.zeros((beta_p.size, edges.size - 1), dtype=complex)
-    for j in range(edges.size - 1):
-        lo, hi = float(edges[j]), float(edges[j + 1])
-        if hi <= x1:
-            out[:, j] = _ref_exp_cell_integrals(beta_p, lo, hi, x1)
-        elif lo >= x1:
-            out[:, j] = _ref_exp_cell_integrals(beta_m, lo, hi, x1)
-        else:
-            out[:, j] = _ref_exp_cell_integrals(beta_p, lo, x1, x1) + _ref_exp_cell_integrals(
-                beta_m, x1, hi, x1
-            )
-    return c[:, None] * out
-
-
-def _ref_kernel_cell_integrals(x, x1_edges, x2_edges, params, cfg, tol=1e-10):
-    """Roots, strips and stopping test one 64-mode block at a time."""
-    n_floor = params.resolve(cfg)
-    total = np.zeros((x1_edges.size - 1, x2_edges.size - 1), dtype=complex)
-    n_start, calm = 0, 0
-    while n_start < 16384:
-        n_stop = n_start + 64 if n_start else max(64, n_floor)
-        bp, bm, c = _ref_betas_block(cfg, n_start, n_stop)
-        axial = _ref_axial_strip_integrals(bp, bm, c, x1_edges, x[0])
-        trans = transverse_cell_integrals(x2_edges, n_stop, cfg.d, n_start)
-        phis = mode_shape(np.arange(n_start, n_stop), x[1], cfg.d)
-        contrib = np.einsum("n,nj,nk->jk", phis, axial, trans)
-        total += contrib
-        n_start = n_stop
-        scale = max(float(np.max(np.abs(total))), 1.0)
-        if float(np.max(np.abs(contrib))) < tol * scale:
-            calm += 1
-            if calm >= 2:
-                break
-        else:
-            calm = 0
-    return total
-
-
 def _ref_segment_products(p_lo, p_hi, c, width):
     """(p_hi - p_lo) / c for p' = c p, trapezoid value for tiny |c width|."""
     small = np.abs(c * width) < 1e-8
@@ -745,9 +706,10 @@ def _assert_q_close(y, z, cfg):
 
 
 class TestArrayWiseMatchesBlockLoops:
-    """Every array-wise oracle path against its complex-arithmetic block loop:
-    the root table and image offsets bit for bit; the factored-root cell
-    integrals within 1e-14 max|K| and Q within Q_RTOL."""
+    """Every array-wise oracle path against its complex-arithmetic reference:
+    the root table and image offsets bit for bit; the factored-root strip
+    integrals within 1e-14, the cell integrals against the plain modal sum
+    (CELL_RTOL, of max|K|) and Q within Q_RTOL."""
 
     X1_EDGES = np.linspace(-0.5, 0.5, 12)
     X2_EDGES = np.linspace(0.2, 0.8, 7)
@@ -777,7 +739,7 @@ class TestArrayWiseMatchesBlockLoops:
             bp, bm, c = _ref_betas_block(cfg, lo, hi)
             for x1 in self.X1S:
                 got = modes[0][:, None] * _strip_integrals(modes, self.X1_EDGES, x1)
-                ref = _ref_axial_strip_integrals(bp, bm, c, self.X1_EDGES, x1)
+                ref = axial_strip_integrals(bp, bm, c, self.X1_EDGES, x1)
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
@@ -788,22 +750,45 @@ class TestArrayWiseMatchesBlockLoops:
     def test_strip_integrals_across_mach(self, M):
         self._check_strips(make_cfg(M=M))
 
-    def _check_cells(self, cfg, params):
-        for x in self.POINTS:
-            got = kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
-            ref = _ref_kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # x1 at least 0.01 from every x1 edge, the first four inside the
+    # strips (the last of them with x2 beyond the cells' transverse range)
+    # and two outside the mesh, where no strip holds x1
+    OFF_EDGE = [(0.07, 0.52), (-0.3, 0.3), (0.2, 0.65), (-0.45, 0.9), POINTS[2], POINTS[3]]
+    # worst measured: 7.3e-10 off the edges; on an edge the two strips next
+    # to x1 keep their n^-3 terms and the sum stops 3.8e-8 (M = 0.3) to
+    # 4.2e-8 (M = 0, k = 5) short
+    CELL_RTOL = 2e-9
+    ON_EDGE_RTOL = 5e-8
+
+    def _check_cells(self, cfg, n_modes=(0, 100)):
+        # the suite turns a RuntimeWarning into an error, so no sum may stop
+        # at its cap; n_modes = 100 makes the block edges 100 + 64 j, so some
+        # blocks straddle a piece of the root table
+        for x, rtol in [(x, self.CELL_RTOL) for x in self.OFF_EDGE] + [
+            (self.POINTS[1], self.ON_EDGE_RTOL)
+        ]:
+            ref = modal_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, cfg)
+            for n in n_modes:
+                params = GreensEvalParams(n_modes=n)
+                got = kernel_cell_integrals(x, self.X1_EDGES, self.X2_EDGES, params, cfg)
+                assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
     @pytest.mark.parametrize("n_modes", [0, 100])
     def test_kernel_cell_integrals(self, M, n_modes):
-        # n_modes = 100 makes the block edges 100 + 64 j, so some blocks
-        # straddle a piece of the root table
-        self._check_cells(_off_cutoff_cfg(M), GreensEvalParams(n_modes=n_modes))
+        self._check_cells(_off_cutoff_cfg(M), (n_modes,))
 
     @pytest.mark.parametrize("M", MACHS)
     def test_kernel_cell_integrals_across_mach(self, M):
-        self._check_cells(make_cfg(M=M), GreensEvalParams())
+        self._check_cells(make_cfg(M=M))
+
+    @pytest.mark.parametrize(
+        "M, k", [(0.3, math.pi * (1 + 1e-6)), (0.6, 2 * math.pi * (1 - 1e-6))], ids=["pi", "2pi"]
+    )
+    def test_kernel_cell_integrals_near_transverse_resonance(self, M, k):
+        # k near m pi / d, where the strip's exact non-decaying sum
+        # cos(k y_<) cos(k (d - y_>)) / (k sin kd) has a pole
+        self._check_cells(make_cfg(M=M, k=k))
 
     @pytest.mark.parametrize("M", OFF_CUTOFF_MACHS)
     def test_q_l2_difference(self, M):
