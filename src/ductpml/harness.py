@@ -1,6 +1,6 @@
 """Monte Carlo convergence studies and rate-fitting utilities.
 
-Three error mechanisms are measured at desk scale:
+Four error mechanisms are measured at desk scale:
 
 * ``run_h_study``: mean-square distance between solutions driven by one
   white-noise path discretized at nested mesh levels; the coupling through
@@ -17,20 +17,27 @@ Three error mechanisms are measured at desk scale:
 Every per-mode operator comes from ``solver.mode_matrix`` and is solved by
 LAPACK's zgtsv (``solver._solve_tridiag``).  The two noise-driven studies
 (h and total) share one set-up, ``_noise_study``: level validation, noise
-mesh, grid, mode count, load tables, and each seed's noise projected onto
+mesh, grid, mode count, load maps, and each seed's noise projected onto
 all modes at every level.
 
 Every (level, seed) load lives on the grid nodes under the forcing
-rectangle, R.  The h study therefore solves each mode once on the unit
-loads of R: B = A_n^{-1} E_R gives the real |R| x |R| Gram matrix Q_n =
-Re(B^H W B), with W the trapezoid weights, and each seed's error at a
-level is the quadratic form r^T Q_n r of its real load difference r =
-L_lv s_lv - L_ref s_ref on R.  No solution is formed, and the difference
-is taken before the solve, not after.  The same Q_n gives the exact mean:
-level noise is the L2 projection of the reference path, so the
+rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W and
+Z^H W b of b = A_n^{-1} r for the real load differences r = L_lv s_lv -
+L_ref s_ref on R, with W the trapezoid weights; the difference is taken
+before the solve, not after.  One kernel, ``_mode_norms``, computes them
+by one of two routes, switched at UNIT_BASIS_COLUMNS columns of r per node
+of R (a measured crossover).  Past it, the unit route solves the unit
+loads of R once, B = A_n^{-1} E_R, and contracts the |R| x |R| Gram matrix
+Q_n = Re(B^H W B) and Z^H W B with r: ||b||^2_W = r^T Q_n r.  Below it,
+the direct route solves r on R alone: left of R, b = g^- b[lo], with g^-
+from one solve of the load-free exterior block (likewise g^+), and each
+exterior adds the rank-1 terms |b[lo]|^2 ||g^-||^2_W to ||b||^2_W and
+(Z_ext^H W g^-) b[lo] to Z^H W b.  The same norms give the h study's exact
+mean: level noise is the L2 projection of the reference path, so the
 cross-covariance of level and reference loads is the level covariance
 C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's segment
-values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)).
+values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)), each trace the
+sum of ||A_n^{-1} L_lv e_j||^2_W over the segment columns j.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -42,14 +49,9 @@ u[ends]; all L of a mode are one stacked 2x2 solve.  u_L is never formed:
 the trapezoid-weighted error ||b - Z c_L||^2_W is the Gram form ||b||^2_W -
 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, O(columns) per L.  A
 numerically singular I + D_L Z[ends] (so is A_L) raises DomainError
-naming the mode, side(s), L and stage.
-
-The total study solves b = u_lv - u_ref = A_dtn^{-1} r for the level
-differences r alone (the reference and the deterministic source enter only
-u_lv[ends] = Y^T (det + L_lv s_lv), Y = A_dtn^{-T} E), on the node range
-R = [r0, r1] they load: left of R, b = g^- b[r0], with g^- from one solve
-of the load-free block (likewise g^+), and the exterior adds the rank-1
-terms |b[r0]|^2 ||g^-||^2_W to ||b||^2_W and (Z_ext^H W g^-) b[r0] to Z^H W b.
+naming the mode, side(s), L and stage.  The total study's b = u_lv - u_ref
+comes from the kernel; the reference and the deterministic source enter
+only u_lv[ends] = Y^T (det + L_lv s_lv), Y = A_dtn^{-T} E.
 
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
@@ -105,6 +107,10 @@ EQUIV_ORDER_THRESHOLD = 1.9
 # layer studies accept (it costs up to that factor of eps in accuracy);
 # past it the reduced operator is numerically singular.
 UPDATE_COND_LIMIT = 1e8
+# ``_mode_norms`` takes the unit route past this many load columns per node
+# of R and the direct route up to it.  Timed per mode, the two routes tie
+# between 3.5 and 5 columns per node at |R| = 81 and at about 6.5 at |R| = 321.
+UNIT_BASIS_COLUMNS = 3.5
 
 
 @dataclass
@@ -179,6 +185,15 @@ def fit_rate(abscissae, values, std_errors=None, transform: str = "loglog"):
     return slope, slope_stderr
 
 
+def _fit_usable(x, values, std_errors, usable, transform: str):
+    """``fit_rate`` over the usable points; a NaN slope and stderr when fewer than
+    3 remain or their abscissae are all equal (a layer without absorption)."""
+    if np.sum(usable) < 3 or np.ptp(x[usable]) == 0.0:
+        return float("nan"), float("nan")
+    se = None if std_errors is None else std_errors[usable]
+    return fit_rate(x[usable], values[usable], se, transform)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo set-up shared by the noise-driven studies
 # ---------------------------------------------------------------------------
@@ -191,11 +206,10 @@ class _NoiseStudy:
     ``used`` are the mesh levels of the requested diameters (coarsest
     first) and ``ref_level`` is the reference level; ``seg[lv]`` holds the
     axial segment values of every seed and mode at level lv, shape
-    (n_samples, n1, n_modes), ``loadmap[lv]`` maps segments to hat loads,
-    and ``var[lv][n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's
-    segment values at level lv (T the transverse cell integrals, |K| the
-    cell area).  The studies form the loads L_lv s_lv on the loaded nodes
-    R, ``rows`` (never empty).
+    (n_samples, n1, n_modes), ``maps[lv]`` (CSR) maps them to hat loads on
+    the loaded nodes R = lo..hi (never empty), and ``var[j, n]`` = sum_j2
+    T[n, j2]^2 / |K| is the variance of mode n's segment values at level
+    ``all_levels[j]`` (T the transverse cell integrals, |K| the cell area).
     """
 
     mesh: NoiseMesh
@@ -205,15 +219,28 @@ class _NoiseStudy:
     rel: list
     used: list
     ref_level: int
-    loadmap: dict
     seg: dict
-    var: dict
-    rows: np.ndarray
+    var: np.ndarray
+    lo: int
+    hi: int
+    maps: dict
 
     @property
     def all_levels(self) -> list:
         """The used levels, then the reference level: the column-block order."""
         return self.used + [self.ref_level]
+
+    def loads(self, n: int) -> list:
+        """L_lv s_lv on R of mode n for every seed, (|R|, n_samples) per level, in
+        ``all_levels`` order."""
+        return [self.maps[lv] @ np.ascontiguousarray(self.seg[lv][:, :, n].T)
+                for lv in self.all_levels]
+
+    def moments(self, err2):
+        """Mean and standard error over the seeds (axis 0) of err2, and the cell
+        diameters of the used levels."""
+        diam = np.array([self.mesh.cell_diameter(lv) for lv in self.used])
+        return err2.mean(axis=0), err2.std(axis=0, ddof=1) / math.sqrt(self.n_samples), diam
 
 
 def _noise_study(
@@ -230,7 +257,7 @@ def _noise_study(
         raise ConfigError("noise studies need n_samples >= 2")
     if ref_refine < 1:
         raise ConfigError(f"ref_refine must be >= 1, got {ref_refine}")
-    rel = sorted(float(h) for h in h_levels)
+    rel = sorted(float(h) for h in _nonempty(h_levels, "h_levels", stage))
     if rel[0] <= 0.0:
         raise ConfigError("relative diameters must be positive")
     base = round(1.0 / rel[-1])
@@ -254,26 +281,33 @@ def _noise_study(
         n_modes = default_n_modes(cfg)
     ref_level = total_levels - 1
     trans = {}
-    loadmap = {}
+    maps = {}
     seg = {}
-    var = {}
     for lv in used + [ref_level]:
         x1_edges, x2_edges = mesh.edges(lv)
         trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
-        loadmap[lv] = piecewise_load_matrix(grid, x1_edges)
+        maps[lv] = piecewise_load_matrix(grid, x1_edges)
         seg[lv] = np.empty((n_samples, x1_edges.size - 1, n_modes))
-        var[lv] = np.sum(trans[lv] ** 2, axis=0) / mesh.cell_area(lv)
-    rows = np.flatnonzero(np.any([m.any(axis=1) for m in loadmap.values()], axis=0))
+    rows = np.flatnonzero(np.any([m.any(axis=1) for m in maps.values()], axis=0))
     if rows.size == 0:
         raise ConfigError(f"{stage}: the forcing rectangle loads no grid node")
+    lo, hi = int(rows[0]), int(rows[-1])
     for i in range(n_samples):
         levels = realization_levels(sample(mesh, base_seed + i))
         for lv, t in trans.items():
             amp = 1.0 / math.sqrt(mesh.cell_area(lv))
             np.matmul(levels[lv].xi * amp, t, out=seg[lv][i])
-    return _NoiseStudy(
-        mesh, grid, n_modes, n_samples, rel, used, ref_level, loadmap, seg, var, rows
-    )
+    maps = {lv: csr_array(m[lo : hi + 1]) for lv, m in maps.items()}
+    var = np.array([np.sum(t ** 2, axis=0) / mesh.cell_area(lv) for lv, t in trans.items()])
+    return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, seg, var, lo, hi, maps)
+
+
+def _nonempty(values, name: str, stage: str) -> list:
+    """values as a list; an empty one is a ConfigError naming the argument."""
+    values = list(values)
+    if not values:
+        raise ConfigError(f"{stage}: {name} is empty")
+    return values
 
 
 def _map_threads(fn, args, threads: int):
@@ -289,6 +323,12 @@ def _map_threads(fn, args, threads: int):
 # ---------------------------------------------------------------------------
 
 
+def _layers(cfg: DuctConfig, l_values, sigma_plus, sigma_minus, stage: str) -> list:
+    """(cfg_L, quadratic profile) of every layer length L; none is a ConfigError."""
+    return [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus))
+            for c in (replace(cfg, L=float(L)) for L in _nonempty(l_values, "l_values", stage))]
+
+
 def _layer_gaps(layers, n_modes: int) -> np.ndarray:
     """D_L = i (1 - M^2) (-(nu^- - beta^-), nu^+ - beta^+) of every mode and layer
     (cfg_L, profile), shape (n_modes, n_L, 2): one nu_gap call per (L, side)."""
@@ -297,15 +337,16 @@ def _layer_gaps(layers, n_modes: int) -> np.ndarray:
                                                     axis=1) for c, p in layers], axis=1)
 
 
-def _layer_coefficients(n: int, layers, d, z_ends, u_ends, stage: str):
-    """c_L = S_L^{-1} D_L u[ends] of mode n for all layers at once, (n_L, 2, columns).
+def _layer_coefficients(n: int, layers, d, z, w, u_ends, stage: str):
+    """c_L = S_L^{-1} D_L u[ends] of mode n for all layers at once, (n_L, 2, columns),
+    and the Gram term ||Z c_L||^2_W = c_L^H (Z^H W Z) c_L, (n_L, columns).
 
     u_L = u - Z c_L solves A_L = A_dtn + E D_L E^T, E = [e_0, e_N], D_L =
     diag(d[j]) from ``_layer_gaps``, S_L = I + D_L Z[ends].  S_L is singular
     exactly when A_L is: a row-equilibrated condition above UPDATE_COND_LIMIT
     raises DomainError naming the mode, the side(s), L and the stage.
     """
-    s = np.eye(2) + d[:, :, None] * z_ends
+    s = np.eye(2) + d[:, :, None] * z[[0, -1]]
     cond = np.linalg.cond(s / np.max(np.abs(s), axis=2, keepdims=True))
     for j in np.flatnonzero(~(cond <= UPDATE_COND_LIMIT))[:1]:
         sides = [side for side, d_i in zip("-+", d[j]) if d_i != 0.0]  # the updated ends
@@ -314,7 +355,9 @@ def _layer_coefficients(n: int, layers, d, z_ends, u_ends, stage: str):
             f"rank-2 layer update has condition {cond[j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
             "the reduced mode operator is numerically singular"
         )
-    return np.linalg.solve(s, d[:, :, None] * u_ends)
+    c = np.linalg.solve(s, d[:, :, None] * u_ends)
+    gram = z.conj().T @ (w[:, None] * z)
+    return c, np.sum(c.conj() * (gram @ c), axis=1).real
 
 
 def _end_responses(n: int, matrix, stage: str):
@@ -351,16 +394,30 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
     return _solve_tridiag(sub[lo:hi], d_r, sup[lo:hi], rhs, where=where), g_lo, g_hi
 
 
-def _range_gram(w, z, lo: int, hi: int, b, g_lo, g_hi):
-    """||b||^2_W, Z^H W b and Z^H W Z of the solution ``_range_solve`` returns in pieces;
-    each exterior adds the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W g) b_edge."""
-    wz = (w[:, None] * z).conj()  # formed once for Z^H W b and Z^H W Z
+def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
+    """||b||^2_W and Z^H W b of every column of b = A^{-1} r, mode n, W = diag(w),
+    for real loads r on nodes lo..hi (zero elsewhere).
+
+    Past UNIT_BASIS_COLUMNS columns per node it solves the unit loads E_R of
+    lo..hi once, B = A^{-1} E_R, and contracts Re(B^H W B) and Z^H W B with r;
+    otherwise it solves r on lo..hi (``_range_solve``) and each exterior adds
+    the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W g) b_edge.
+    """
+    wz = (w[:, None] * z).conj()
+    if r.shape[1] > UNIT_BASIS_COLUMNS * len(r):
+        unit = np.eye(w.size, len(r), -lo)  # E_R: column j is e_{lo + j}
+        basis = _solve_tridiag(*matrix, unit, where=f"{stage}, mode n={n}")
+        g = np.sqrt(w)[:, None] * basis
+        g = np.vstack([g.real, g.imag])
+        zb = wz.T @ basis  # Z^H W B, applied to the real r by parts: r is not cast
+        return np.sum(r * ((g.T @ g) @ r), axis=0), zb.real @ r + 1j * (zb.imag @ r)
+    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, r, stage)
     b_norm2 = w[lo : hi + 1] @ (b.real ** 2 + b.imag ** 2)
     zwb = wz[lo : hi + 1].T @ b
     for g, ext, edge in ((g_lo, slice(0, lo), b[0]), (g_hi, slice(hi + 1, None), b[-1])):
         b_norm2 += (w[ext] @ (g.real ** 2 + g.imag ** 2)) * (edge.real ** 2 + edge.imag ** 2)
         zwb += np.outer(wz[ext].T @ g, edge)
-    return b_norm2, zwb, wz.T @ z
+    return b_norm2, zwb
 
 
 def _check_source_modes(source, n_modes: int, stage: str):
@@ -399,56 +456,42 @@ def run_h_study(
     profile argument is accepted for interface symmetry; the study solves
     with the exact nonreflecting closure.
 
-    Each mode is solved once, on the unit loads of the nodes R under the
-    forcing rectangle, and every (level, seed) error is the quadratic form
-    r^T Q_n r of the load difference r = L_lv s_lv - L_ref s_ref on R, with
-    Q_n = Re(B^H W B) and B = A_n^{-1} E_R.  ``extra["exact_mean"]`` holds
-    the mean-square error of each level without sampling, sum_n
-    tr(Q_n (C_ref,n - C_lv,n)) with C_lv,n = var_lv,n L_lv L_lv^T on R.
+    Every (level, seed) error is ||A_n^{-1} r||^2_W of the load difference r
+    = L_lv s_lv - L_ref s_ref on the nodes R under the forcing rectangle,
+    summed over modes, from ``_mode_norms``: at the pinned scale (784 columns
+    on 81 nodes) its unit route, r^T Q_n r with Q_n = Re(B^H W B) and B =
+    A_n^{-1} E_R.  ``extra["exact_mean"]`` holds the mean-square error of
+    each level without sampling, sum_n tr(Q_n (C_ref,n - C_lv,n)) with
+    C_lv,n = var_lv,n L_lv L_lv^T on R; the same kernel call gives its traces
+    as the norms of the segment columns of L_lv.
     """
     del profile
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "h study"
     )
     levels = st.all_levels
-    rows = st.rows
-    lmap = np.hstack([st.loadmap[lv] for lv in levels])[rows]
-    starts = np.cumsum([0] + [st.loadmap[lv].shape[1] for lv in levels])
-    unit = np.zeros((st.grid.n_nodes, rows.size))
-    unit[rows, np.arange(rows.size)] = 1.0
-    root_w = np.sqrt(_trapezoid_weights(st.grid))[:, None]
-    var = np.array([st.var[lv] for lv in levels])  # (n_levels, n_modes)
+    lmap = np.hstack([st.maps[lv].toarray() for lv in levels])  # every L_lv on R
+    starts = np.cumsum([0] + [st.maps[lv].shape[1] for lv in levels])
     h_cols = len(st.used) * n_samples
+    w = _trapezoid_weights(st.grid)
+    no_ends = np.zeros((w.size, 0))  # the h study needs no Z^H W b
 
     def mode_terms(n: int):
-        b = root_w * _solve_tridiag(*mode_matrix(n, cfg, st.grid, DTN), unit,
-                                    where=f"h study, mode n={n}")
-        g = np.vstack([b.real, b.imag])
-        q = g.T @ g  # Re(B^H W B)
-        loads = [
-            lmap[:, starts[j] : starts[j + 1]] @ np.ascontiguousarray(st.seg[lv][:, :, n]).T
-            for j, lv in enumerate(levels)
-        ]
+        loads = st.loads(n)
         # every (level, seed) difference, then L_lv for the exact mean's traces
         r = np.hstack([ld - loads[-1] for ld in loads[:-1]] + [lmap])
-        quad = np.sum(r * (q @ r), axis=0)
+        quad, _ = _mode_norms(n, mode_matrix(n, cfg, st.grid, DTN), st.lo, st.hi, w, r,
+                              no_ends, "h study")
         traces = np.add.reduceat(quad[h_cols:], starts[:-1])  # tr(Q_n L_lv L_lv^T)
-        exact = var[-1, n] * traces[-1] - var[:-1, n] * traces[:-1]
+        exact = st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
         return quad[:h_cols].reshape(-1, n_samples).T, exact  # (n_samples, n_used)
 
     per_mode = _map_threads(mode_terms, range(st.n_modes), threads)
-    err2 = np.sum(np.stack([e for e, _ in per_mode]), axis=0)  # (n_samples, n_used)
-    exact_mean = np.sum(np.stack([x for _, x in per_mode]), axis=0)
-
-    mean = err2.mean(axis=0)
-    stderr = err2.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    diam = np.array([st.mesh.cell_diameter(lv) for lv in st.used])
+    # (n_samples, n_used) and (n_used,), each summed over the modes
+    err2, exact_mean = (np.sum(np.stack(terms), axis=0) for terms in zip(*per_mode))
+    mean, stderr, diam = st.moments(err2)
     excluded = mean < 3.0 * stderr  # indistinguishable from the MC noise floor
-    usable = ~excluded
-    if np.sum(usable) >= 3:
-        slope, slope_se = fit_rate(diam[usable], mean[usable], stderr[usable], "loglog")
-    else:
-        slope, slope_se = float("nan"), float("nan")
+    slope, slope_se = _fit_usable(diam, mean, stderr, ~excluded, "loglog")
     passed = (
         np.isfinite(slope)
         and slope >= RATE_PASS_THRESHOLD
@@ -511,14 +554,13 @@ def run_L_study(
     Usable abscissae that are all equal (no absorption) give no fit: a NaN
     slope and passed False.
     """
+    layers = _layers(cfg, l_values, sigma_plus, sigma_minus, "L study")
     if source is None:
         source = default_l_study_source(cfg)
     grid = omega_b_grid(cfg, delta)
     if n_modes is None:
         n_modes = default_n_modes(cfg)
     _check_source_modes(source, n_modes, "L study")
-    cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
-    layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
     gaps = _layer_gaps(layers, n_modes)
     loads = modal_loads(source, cfg, grid, n_modes)
     w = _trapezoid_weights(grid)
@@ -532,9 +574,8 @@ def run_L_study(
         sols = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), rhs, where=f"L study, mode n={n}")
         u, z = sols[:, :1], sols[:, 1:]
         norm2 += float(w @ np.abs(u[:, 0]) ** 2)
-        gram = z.conj().T @ (w[:, None] * z)
-        c = _layer_coefficients(n, layers, gaps[n], z[[0, -1]], u[[0, -1]], "L study")
-        err2 += np.sum(c.conj() * (gram @ c), axis=(1, 2)).real
+        _, quad = _layer_coefficients(n, layers, gaps[n], z, w, u[[0, -1]], "L study")
+        err2 += quad[:, 0]
     errors = np.sqrt(err2)
     dtn_norm = math.sqrt(norm2)
 
@@ -549,13 +590,7 @@ def run_L_study(
     excluded = errors < floor
     usable = ~excluded
     c2 = theoretical_decay_constant(cfg)
-    # a layer without absorption puts every abscissa at 0: no rate to fit
-    if np.sum(usable) >= 3 and np.ptp(abscissae[usable]) > 0.0:
-        slope, slope_se = fit_rate(
-            abscissae[usable], errors[usable], None, "loglinear"
-        )
-    else:
-        slope, slope_se = float("nan"), float("nan")
+    slope, slope_se = _fit_usable(abscissae, errors, None, usable, "loglinear")
     monotone = bool(np.all(np.diff(errors[usable]) < 0.0))
     passed = (
         np.isfinite(slope)
@@ -574,7 +609,7 @@ def run_L_study(
         passed=bool(passed),
         n_samples=1,
         base_seed=0,
-        extra={"l_values": np.asarray(list(l_values), dtype=float),
+        extra={"l_values": np.array([c.L for c, _ in layers]),
                "dtn_norm": dtn_norm, "monotone": monotone,
                "bound_applicable": bound_flags},
     )
@@ -593,6 +628,7 @@ def run_equivalence_check(
     convergence order (both discretizations approximate the same continuous
     solution to second order, so the difference closes at that order).
     """
+    deltas = _nonempty(deltas, "deltas", "equivalence check")
     if source is None:
         source = default_l_study_source(cfg)
     if n_modes is None:
@@ -611,7 +647,7 @@ def run_equivalence_check(
             worst = max(worst, float(np.max(np.abs(full[i0 : i1 + 1] - red))))
         diffs.append(worst)
     diffs = np.asarray(diffs)
-    deltas = np.asarray(list(deltas), dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
     if diffs.size >= 3 and np.all(diffs > 0.0):
         slope, slope_se = fit_rate(deltas, diffs, None, "loglog")
         passed = slope >= EQUIV_ORDER_THRESHOLD
@@ -658,53 +694,47 @@ def run_total_error_study(
     finest h the rows reproduce the layer decay.  ``sigma_minus`` defaults
     to ``sigma_plus``.
 
-    Per mode, b = u_lv - u_ref is solved for the real level differences r =
-    L_lv s_lv - L_ref s_ref alone, on the loaded node range R with its
-    exterior folded into two gains.  Each entry is the Gram form ||b||^2_W -
-    2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, with c_L from the end values
-    u_lv[ends] = Y^T (det + L_lv s_lv); see the module docstring.
+    Per mode, ``_mode_norms`` gives ||b||^2_W and Z^H W b of b = u_lv - u_ref
+    = A_dtn^{-1} r for the real level differences r = L_lv s_lv - L_ref s_ref
+    alone, on the loaded node range R: at the pinned scale (150 columns on
+    321 nodes) by its direct route, solving r on R with the exterior folded
+    into two gains; at 1000 samples (3000 columns) by its unit route.  Each
+    entry is the Gram form ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z)
+    c_L, with c_L from the end values u_lv[ends] = Y^T (det + L_lv s_lv);
+    see the module docstring.
     """
+    layers = _layers(cfg, l_values, sigma_plus, sigma_minus, "total study")
     if source is None:
         source = default_l_study_source(cfg)
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "total study"
     )
     _check_source_modes(source, st.n_modes, "total study")
-    cfgs_l = [replace(cfg, L=float(L)) for L in l_values]
-    layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus)) for c in cfgs_l]
     gaps = _layer_gaps(layers, st.n_modes)
     det = modal_loads(source, cfg, st.grid, st.n_modes)
     w = _trapezoid_weights(st.grid)
-    levels = st.all_levels
-    lo, hi = st.rows[0], st.rows[-1]  # R = lo..hi
-    lmaps = [csr_array(st.loadmap[lv][lo : hi + 1]) for lv in levels]
     n_used = len(st.used)
 
     def mode_err2(n: int) -> np.ndarray:
         matrix = mode_matrix(n, cfg, st.grid, DTN)
         z, y = _end_responses(n, matrix, "total study")
-        loads = [m @ np.ascontiguousarray(st.seg[lv][:, :, n].T) for m, lv in zip(lmaps, levels)]
+        loads = st.loads(n)
         f_lv = np.hstack(loads[:-1])  # (|R|, n_used * n_samples), levels side by side
-        b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, f_lv - np.tile(loads[-1], n_used),
-                                     "total study")
-        b_norm2, zwb, gram = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
-        u_ends = (y.T @ det[n])[:, None] + y[lo : hi + 1].T @ f_lv
-        c = _layer_coefficients(n, layers, gaps[n], z[[0, -1]], u_ends, "total study")
+        b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, w,
+                                   f_lv - np.tile(loads[-1], n_used), z, "total study")
+        u_ends = (y.T @ det[n])[:, None] + y[st.lo : st.hi + 1].T @ f_lv
+        c, quad = _layer_coefficients(n, layers, gaps[n], z, w, u_ends, "total study")
         cross = np.sum(c.conj() * zwb, axis=1).real
-        quad = np.sum(c.conj() * (gram @ c), axis=1).real
         return (b_norm2 - 2.0 * cross + quad).reshape(len(layers), n_used, n_samples).T
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
-    err2 = np.sum(np.stack(per_mode), axis=0)
-    mean = err2.mean(axis=0)
-    stderr = err2.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    diam = np.array([st.mesh.cell_diameter(lv) for lv in st.used])
+    mean, stderr, diam = st.moments(np.sum(np.stack(per_mode), axis=0))
     abscissae_l = np.array(
         [sigma_tilde_integral(p, "+", p.L, cfg.omega) for _, p in layers]
     )
     return TotalErrorResult(
         h_values=diam,
-        l_values=np.asarray(list(l_values), dtype=float),
+        l_values=np.array([c.L for c, _ in layers]),
         abscissae_l=abscissae_l,
         error_mean=mean,
         error_stderr=stderr,

@@ -13,7 +13,7 @@ from ductpml.harness import (
     _end_responses,
     _layer_coefficients,
     _layer_gaps,
-    _range_gram,
+    _mode_norms,
     _range_solve,
     _trapezoid_weights,
     default_forcing_rect,
@@ -324,6 +324,26 @@ class TestTotalStudy:
         assert slope_total == pytest.approx(2.0 * lref.fitted_rate, rel=0.3)
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda cfg: run_h_study(cfg, None, [], 4, 0), "h study: h_levels"),
+        (lambda cfg: run_total_error_study(cfg, [], [1.0], 5.0, 4, 0), "total study: h_levels"),
+        (lambda cfg: run_L_study(cfg, [], 5.0), "L study: l_values"),
+        (lambda cfg: run_total_error_study(cfg, [1 / 4, 1 / 8], [], 5.0, 4, 0),
+         "total study: l_values"),
+        (lambda cfg: run_equivalence_check(cfg, PmlProfile.quadratic(cfg, 5.0), deltas=[]),
+         "equivalence check: deltas"),
+    ],
+    ids=["h-h_levels", "total-h_levels", "L-l_values", "total-l_values", "equiv-deltas"],
+)
+def test_empty_input_is_config_error_naming_it(run, message):
+    # an empty list used to escape as IndexError or numpy's ValueError, or (the
+    # equivalence check) to pass with no data
+    with pytest.raises(ConfigError, match=rf"^{message} is empty$"):
+        run(make_cfg(L=2.0))
+
+
 class TestBatchedNoiseSolves:
     """Both noise studies against one solve per (mode, level), built here."""
 
@@ -408,32 +428,43 @@ class TestBatchedNoiseSolves:
         self.assert_study_matches(run, err2)
         assert run(1).extra["exact_mean"].tobytes() == run(2).extra["exact_mean"].tobytes()
 
-    def test_total_study_matches_per_level_solves(self):
+    def test_total_study_matches_per_level_solves(self, monkeypatch):
+        # the default rectangle (16 load columns on 81 nodes) takes the norm
+        # kernel's direct route; one grid cell (16 columns on 2 nodes) its unit
+        # route, which never calls the range solve
         cfg = make_cfg(L=2.0)
         l_values = [0.5, 2.0]
         source = default_l_study_source(cfg)
         grid = omega_b_grid(cfg, default_delta(cfg))
-        loads = self.per_level_loads(cfg, grid)
-        err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
-        det_rows = modal_loads(source, cfg, grid, self.N_MODES)
-        for n in range(self.N_MODES):
-            det = det_rows[n][:, None]
-            ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
-            for j_l, L in enumerate(l_values):
-                prof = PmlProfile(sigma_plus=5.0, sigma_minus=5.0,
-                                  x_plus=cfg.x_plus, x_minus=cfg.x_minus, L=L)
-                matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
-                for j_h, lv in enumerate((0, 1)):
-                    sol = _solve_tridiag(*matrix, loads[lv][n] + det)
-                    diff2 = np.abs(sol - ref) ** 2
-                    err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
-        self.assert_study_matches(
-            lambda threads: run_total_error_study(
-                cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED,
-                n_modes=self.N_MODES, threads=threads,
-            ),
-            err2,
-        )
+        range_solves = []
+        monkeypatch.setattr(harness, "_range_solve",
+                            lambda *args: range_solves.append(args) or _range_solve(*args))
+        for rect, direct in ((None, True), ((0.3025, 0.31, 0.2, 0.6), False)):
+            loads = self.per_level_loads(cfg, grid, rect)
+            loaded = np.flatnonzero(np.any(loads[3][0] != 0.0, axis=1))
+            assert loaded.size == (81 if direct else 2)
+            err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
+            det_rows = modal_loads(source, cfg, grid, self.N_MODES)
+            for n in range(self.N_MODES):
+                det = det_rows[n][:, None]
+                ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
+                for j_l, L in enumerate(l_values):
+                    prof = PmlProfile(sigma_plus=5.0, sigma_minus=5.0,
+                                      x_plus=cfg.x_plus, x_minus=cfg.x_minus, L=L)
+                    matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
+                    for j_h, lv in enumerate((0, 1)):
+                        sol = _solve_tridiag(*matrix, loads[lv][n] + det)
+                        diff2 = np.abs(sol - ref) ** 2
+                        err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
+            range_solves.clear()
+            self.assert_study_matches(
+                lambda threads: run_total_error_study(
+                    cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED, rect=rect,
+                    n_modes=self.N_MODES, threads=threads,
+                ),
+                err2,
+            )
+            assert bool(range_solves) == direct
 
     def test_total_study_asymmetric_sigma_matches_per_level_solves(self):
         # sigma_minus != sigma_plus: the '-' layer must carry its own strength
@@ -497,7 +528,7 @@ class TestBatchedNoiseSolves:
 
 
 class TestRangeSolve:
-    """The total study's solve on the loaded node range R against full DtN solves."""
+    """The per-mode norm kernel and its range solve against full DtN solves."""
 
     CASES = {
         "M0.3-k5": (0.3, 5.0),
@@ -523,11 +554,12 @@ class TestRangeSolve:
 
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end", "whole"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_full_dtn_solve(self, case, shape):
+    def test_matches_full_dtn_solve(self, case, shape, monkeypatch):
         # the reference is the full DtN solve refined in extended precision;
         # both it and any float64 solve are within eps * cond of the exact
         # solution, so the bound is 1e-12 unless the mode is that ill-conditioned
-        # (only mode 2 near its cutoff, cond about 4e6)
+        # (only mode 2 near its cutoff, cond about 4e6); each route of
+        # _mode_norms is forced through UNIT_BASIS_COLUMNS (3 columns)
         M, k = self.CASES[case]
         cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         grid = omega_b_grid(cfg, default_delta(cfg))
@@ -554,10 +586,16 @@ class TestRangeSolve:
             self.assert_close(np.outer(g_hi, b[-1]), b_full[hi + 1 :], tol)
             z, y = _end_responses(n, matrix, "test")
             self.assert_close(z, z_full, tol)
-            b_norm2, zwb, gram = _range_gram(w, z, lo, hi, b, g_lo, g_hi)
-            self.assert_close(b_norm2, w @ np.abs(b_full) ** 2, tol)
-            self.assert_close(zwb, z_full.conj().T @ (w[:, None] * b_full), tol)
-            self.assert_close(gram, z_full.conj().T @ (w[:, None] * z_full), tol)
+            routes = []
+            for columns in (0, math.inf):  # the unit route, then the direct route
+                monkeypatch.setattr(harness, "UNIT_BASIS_COLUMNS", columns)
+                b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, "test")
+                self.assert_close(b_norm2, w @ np.abs(b_full) ** 2, tol)
+                self.assert_close(zwb, z_full.conj().T @ (w[:, None] * b_full), tol)
+                routes.append((b_norm2, zwb))
+            (unit_norm2, unit_zwb), (direct_norm2, direct_zwb) = routes
+            self.assert_close(unit_norm2, direct_norm2, tol)
+            self.assert_close(unit_zwb, direct_zwb, tol)
             self.assert_close(y.T @ (loads + det[:, None]), u_full[[0, -1]], tol)
 
     @pytest.mark.parametrize("side", ["-", "+"])
@@ -652,10 +690,15 @@ class TestLayerUpdate:
         matrix = mode_matrix(n, base, grid, DTN)
         u = _solve_tridiag(*matrix, loads)
         z, _ = _end_responses(n, matrix, "test")
+        w = _trapezoid_weights(grid)
         gaps = _layer_gaps(layers, n + 1)[n]
-        coeffs = _layer_coefficients(n, layers, gaps, z[[0, -1]], u[[0, -1]], "test")
-        assert coeffs.shape == (2, 2, 3)
+        coeffs, quad = _layer_coefficients(n, layers, gaps, z, w, u[[0, -1]], "test")
+        assert coeffs.shape == (2, 2, 3) and quad.shape == (2, 3)
         for j, ((cfg, profile), c) in enumerate(zip(layers, coeffs)):
+            # the Gram form c_L^H (Z^H W Z) c_L against the W-norm of the formed Z c_L,
+            # to roundoff of the norms of its two terms
+            scale = (np.abs(c.T) @ np.sqrt(w @ np.abs(z) ** 2)) ** 2
+            assert np.all(np.abs(quad[j] - w @ np.abs(z @ c) ** 2) <= 1e-13 * scale)
             expected = reduced_oracle(n, cfg, grid, profile, loads)
             rel = float(np.max(np.abs(u - z @ c - expected)) / np.max(np.abs(expected)))
             # the update is as accurate as the DtN solve, times the condition
@@ -724,7 +767,9 @@ class TestLayerUpdate:
 
         monkeypatch.setattr(harness, "mode_matrix", singular_at_two)
         cfg = make_cfg(L=2.0)
-        with pytest.raises(DomainError, match=r"^h study, mode n=2: singular mode system"):
+        # 52 load columns on 81 nodes: the direct route meets the exterior block first
+        with pytest.raises(DomainError, match=r"^h study, mode n=2, side -: exterior block: "
+                                              r"singular mode system"):
             run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, n_modes=4)
         with pytest.raises(DomainError, match=r"^L study, mode n=2: singular mode system"):
             run_L_study(cfg, [0.5, 1.0], 5.0, n_modes=4)
