@@ -29,6 +29,7 @@ from .duct import DuctConfig, cutoff_numbers, default_n_modes, dispersion_table
 from .errors import ConfigError, DuctpmlError
 from .greens import GreensEvalParams, greens_kummer
 from .harness import (
+    check_forcing_rect,
     default_forcing_rect,
     run_equivalence_check,
     run_h_study,
@@ -145,15 +146,9 @@ class RunConfig:
         return val
 
     def forcing_rect(self):
-        cfg = self.duct
-        rect = tuple(self.get("source", f"rect_x{i}") for i in ("1_lo", "1_hi", "2_lo", "2_hi"))
-        if not (rect[0] < rect[1] and rect[2] < rect[3]):
-            raise ConfigError(f"degenerate forcing rectangle {rect}")
-        if rect[2] < 0.0 or rect[3] > cfg.d:
-            raise ConfigError("forcing rectangle leaves the duct")
-        if rect[0] < cfg.x_minus or rect[1] > cfg.x_plus:
-            raise ConfigError("forcing rectangle leaves the computational domain")
-        return rect
+        return check_forcing_rect(
+            self.duct, [self.get("source", f"rect_x{i}") for i in ("1_lo", "1_hi", "2_lo", "2_hi")]
+        )
 
     def noise_mesh(self) -> NoiseMesh:
         return build_mesh(

@@ -45,13 +45,13 @@ layer L differs from the DtN one in its two end rows alone: A_L = A_dtn +
 E D_L E^T with E = [e_0, e_N] and D_L = i (1 - M^2) diag(-(nu^- - beta^-),
 nu^+ - beta^+).  Each L is the rank-2 update u_L = u - Z c_L of the DtN
 solution u, with Z = A_dtn^{-1} E and c_L = (I + D_L Z[ends])^{-1} D_L
-u[ends]; all L of a mode are one stacked 2x2 solve.  u_L is never formed:
-the trapezoid-weighted error ||b - Z c_L||^2_W is the Gram form ||b||^2_W -
-2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L, O(columns) per L.  A
-numerically singular I + D_L Z[ends] (so is A_L) raises DomainError
-naming the mode, side(s), L and stage.  The total study's b = u_lv - u_ref
-comes from the kernel; the reference and the deterministic source enter
-only u_lv[ends] = Y^T (det + L_lv s_lv), Y = A_dtn^{-T} E.
+u[ends], u[ends] = Y^T f for load f, Y = A_dtn^{-T} E; a numerically
+singular I + D_L Z[ends] (so is A_L) raises DomainError naming the mode,
+side(s), L and stage.  ``_layer_terms`` gives the three terms of the Gram
+form ||b - Z c_L||^2_W = ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z)
+c_L for every column and L.  The total study sums them for b = u_lv - u_ref;
+the L study takes b = u, so ||b||^2_W is its DtN norm and the last term its
+error.  Both build their layers, source and abscissae in ``_layer_set``.
 
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
@@ -62,6 +62,7 @@ output bit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -273,9 +274,8 @@ def _noise_study(
             raise ConfigError(f"relative diameter {r} is repeated in {h_levels}")
         used.append(lv)
     total_levels = used[-1] + 1 + ref_refine
-    if rect is None:
-        rect = default_forcing_rect(cfg)
-    mesh = NoiseMesh(rect=tuple(rect), levels=total_levels, base_shape=(base, base))
+    rect = default_forcing_rect(cfg) if rect is None else check_forcing_rect(cfg, rect)
+    mesh = NoiseMesh(rect=rect, levels=total_levels, base_shape=(base, base))
     grid = omega_b_grid(cfg, delta)
     if n_modes is None:
         n_modes = default_n_modes(cfg)
@@ -289,8 +289,6 @@ def _noise_study(
         maps[lv] = piecewise_load_matrix(grid, x1_edges)
         seg[lv] = np.empty((n_samples, x1_edges.size - 1, n_modes))
     rows = np.flatnonzero(np.any([m.any(axis=1) for m in maps.values()], axis=0))
-    if rows.size == 0:
-        raise ConfigError(f"{stage}: the forcing rectangle loads no grid node")
     lo, hi = int(rows[0]), int(rows[-1])
     for i in range(n_samples):
         levels = realization_levels(sample(mesh, base_seed + i))
@@ -323,10 +321,26 @@ def _map_threads(fn, args, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _layers(cfg: DuctConfig, l_values, sigma_plus, sigma_minus, stage: str) -> list:
-    """(cfg_L, quadratic profile) of every layer length L; none is a ConfigError."""
-    return [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus))
-            for c in (replace(cfg, L=float(L)) for L in _nonempty(l_values, "l_values", stage))]
+# A layer study's (cfg_L, quadratic profile) per layer length, their ``_layer_gaps``,
+# the source's modal loads and each layer's absorbed mass
+_LayerSet = namedtuple("_LayerSet", "layers gaps det abscissae")
+
+
+def _layer_set(cfg: DuctConfig, grid: Grid1D, n_modes: int, l_values, sigma_plus, sigma_minus,
+               source, stage: str) -> _LayerSet:
+    """The layers of l_values and source (default ``default_l_study_source``); empty
+    l_values, or a modal source outside modes 0 .. n_modes-1, is a ConfigError."""
+    layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus))
+              for c in (replace(cfg, L=float(L)) for L in _nonempty(l_values, "l_values", stage))]
+    if source is None:
+        source = default_l_study_source(cfg)
+    for s in source if isinstance(source, (list, tuple)) else [source]:
+        if not 0 <= getattr(s, "mode", 0) < n_modes:
+            raise ConfigError(f"{stage}: source mode {s.mode} is not in 0 .. n_modes - 1 "
+                              f"(n_modes = {n_modes}) and would never be solved")
+    abscissae = np.array([sigma_tilde_integral(p, "+", c.L, cfg.omega) for c, p in layers])
+    return _LayerSet(layers, _layer_gaps(layers, n_modes), modal_loads(source, cfg, grid, n_modes),
+                     abscissae)
 
 
 def _layer_gaps(layers, n_modes: int) -> np.ndarray:
@@ -396,12 +410,13 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
 
 def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
     """||b||^2_W and Z^H W b of every column of b = A^{-1} r, mode n, W = diag(w),
-    for real loads r on nodes lo..hi (zero elsewhere).
+    for loads r on nodes lo..hi (zero elsewhere).
 
     Past UNIT_BASIS_COLUMNS columns per node it solves the unit loads E_R of
-    lo..hi once, B = A^{-1} E_R, and contracts Re(B^H W B) and Z^H W B with r;
-    otherwise it solves r on lo..hi (``_range_solve``) and each exterior adds
-    the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W g) b_edge.
+    lo..hi once, B = A^{-1} E_R, and contracts Re(B^H W B) and Z^H W B with r,
+    which holds for real r only; otherwise it solves r on lo..hi
+    (``_range_solve``) and each exterior adds the rank-1 terms |b_edge|^2
+    ||g||^2_W and (Z_ext^H W g) b_edge: only this direct route admits complex r.
     """
     wz = (w[:, None] * z).conj()
     if r.shape[1] > UNIT_BASIS_COLUMNS * len(r):
@@ -420,12 +435,17 @@ def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
     return b_norm2, zwb
 
 
-def _check_source_modes(source, n_modes: int, stage: str):
-    """A modal source outside modes 0 .. n_modes-1 would never be solved: ConfigError."""
-    for s in source if isinstance(source, (list, tuple)) else [source]:
-        if not 0 <= getattr(s, "mode", 0) < n_modes:
-            raise ConfigError(f"{stage}: source mode {s.mode} is not in 0 .. n_modes - 1 "
-                              f"(n_modes = {n_modes}) and would never be solved")
+def _layer_terms(n: int, cfg: DuctConfig, grid: Grid1D, w, lay: _LayerSet, lo: int, hi: int,
+                 r, f, stage: str):
+    """||b||^2_W (columns,), Re(c_L^H Z^H W b) and ||Z c_L||^2_W (n_L, columns) of mode
+    n for every layer of ``lay`` and column of b = A_dtn^{-1} r, with c_L from the end
+    values u[ends] = Y^T (det + f): r and f are loads on nodes lo..hi, det lay.det[n]."""
+    matrix = mode_matrix(n, cfg, grid, DTN)
+    z, y = _end_responses(n, matrix, stage)
+    b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, stage)
+    u_ends = (y.T @ lay.det[n])[:, None] + y[lo : hi + 1].T @ f
+    c, quad = _layer_coefficients(n, lay.layers, lay.gaps[n], z, w, u_ends, stage)
+    return b_norm2, np.sum(c.conj() * zwb, axis=1).real, quad
 
 
 def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -521,6 +541,19 @@ def default_forcing_rect(cfg: DuctConfig):
     return (cx - wx, cx + wx, 0.25 * cfg.d, 0.75 * cfg.d)
 
 
+def check_forcing_rect(cfg: DuctConfig, rect) -> tuple:
+    """rect (x1_lo, x1_hi, x2_lo, x2_hi) as a tuple; ConfigError unless it has a positive
+    area inside [x_minus, x_plus] x [0, d], where noise loads the grid and the modes."""
+    rect = tuple(rect)
+    if not (rect[0] < rect[1] and rect[2] < rect[3]):
+        raise ConfigError(f"degenerate forcing rectangle {rect}")
+    if rect[2] < 0.0 or rect[3] > cfg.d:
+        raise ConfigError("forcing rectangle leaves the duct")
+    if rect[0] < cfg.x_minus or rect[1] > cfg.x_plus:
+        raise ConfigError("forcing rectangle leaves the computational domain")
+    return rect
+
+
 def default_l_study_source(cfg: DuctConfig) -> ModeBoxSource:
     """Box source in the first evanescent mode N0 + 1.
 
@@ -544,53 +577,31 @@ def run_L_study(
     """Layer-length study: exact-DtN versus reduced finite-layer solve.
 
     Both solves share the grid and interior discretization, so their
-    distance isolates the layer truncation.  Each mode is solved once, with
-    the DtN closure, on its load and the two unit end loads; the reduced
-    solve of every L is the rank-2 update u_L = u - Z c_L, so the error of
-    mode n is the Gram form c_L^H (Z^H W Z) c_L (W the trapezoid weights),
-    summed over modes: the discrete |nu - beta| times trace truncation
-    bound.  The fit is log(error) against the absorbed-mass abscissa; the
-    reference slope is the negative of the theoretical decay constant.
-    Usable abscissae that are all equal (no absorption) give no fit: a NaN
-    slope and passed False.
+    distance isolates the layer truncation.  ``_layer_terms`` with b = u, the
+    DtN solution, gives each mode's error ||Z c_L||^2_W (u_L = u - Z c_L) and
+    ||u||^2_W, each summed over modes: the error is the discrete |nu - beta|
+    times trace truncation bound, the norm ``extra["dtn_norm"]``.  The fit is
+    log(error) against the absorbed-mass abscissa; the reference slope is the
+    negative of the theoretical decay constant.  Usable abscissae that are
+    all equal (no absorption) give no fit: a NaN slope and passed False.
     """
-    layers = _layers(cfg, l_values, sigma_plus, sigma_minus, "L study")
-    if source is None:
-        source = default_l_study_source(cfg)
     grid = omega_b_grid(cfg, delta)
     if n_modes is None:
         n_modes = default_n_modes(cfg)
-    _check_source_modes(source, n_modes, "L study")
-    gaps = _layer_gaps(layers, n_modes)
-    loads = modal_loads(source, cfg, grid, n_modes)
+    lay = _layer_set(cfg, grid, n_modes, l_values, sigma_plus, sigma_minus, source, "L study")
     w = _trapezoid_weights(grid)
-
-    ends = np.zeros((grid.n_nodes, 2))
-    ends[0, 0] = ends[-1, 1] = 1.0
-    err2 = np.zeros(len(layers))
-    norm2 = 0.0
-    for n in range(n_modes):
-        rhs = np.column_stack([loads[n], ends])  # one solve on [load | e_0 | e_N]
-        sols = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), rhs, where=f"L study, mode n={n}")
-        u, z = sols[:, :1], sols[:, 1:]
-        norm2 += float(w @ np.abs(u[:, 0]) ** 2)
-        _, quad = _layer_coefficients(n, layers, gaps[n], z, w, u[[0, -1]], "L study")
-        err2 += quad[:, 0]
-    errors = np.sqrt(err2)
-    dtn_norm = math.sqrt(norm2)
-
-    abscissae = []
-    bound_flags = []
-    for cfg_l, profile in layers:
-        abscissae.append(sigma_tilde_integral(profile, "+", cfg_l.L, cfg.omega))
-        _, n0 = cutoff_numbers(cfg_l)
-        bound_flags.append(dtn_gap_bound(n0 + 1, "+", profile, cfg_l).applicable)
-    abscissae = np.asarray(abscissae)
+    # b = u: its load is the source's on every node, and no noise enters u[ends]
+    terms = [_layer_terms(n, cfg, grid, w, lay, 0, grid.n_nodes - 1, lay.det[n][:, None],
+                          np.zeros((grid.n_nodes, 1)), "L study") for n in range(n_modes)]
+    dtn_norm = math.sqrt(sum(float(b_norm2[0]) for b_norm2, _, _ in terms))
+    errors = np.sqrt(sum(quad[:, 0] for _, _, quad in terms))
+    bound_flags = [dtn_gap_bound(cutoff_numbers(c)[1] + 1, "+", p, c).applicable
+                   for c, p in lay.layers]
     floor = 1e-12 * max(dtn_norm, 1e-300)
     excluded = errors < floor
     usable = ~excluded
     c2 = theoretical_decay_constant(cfg)
-    slope, slope_se = _fit_usable(abscissae, errors, None, usable, "loglinear")
+    slope, slope_se = _fit_usable(lay.abscissae, errors, None, usable, "loglinear")
     monotone = bool(np.all(np.diff(errors[usable]) < 0.0))
     passed = (
         np.isfinite(slope)
@@ -599,7 +610,7 @@ def run_L_study(
     )
     return StudyResult(
         kind="L",
-        abscissae=abscissae,
+        abscissae=lay.abscissae,
         error_mean=errors,
         error_stderr=np.zeros_like(errors),
         excluded=excluded,
@@ -609,7 +620,7 @@ def run_L_study(
         passed=bool(passed),
         n_samples=1,
         base_seed=0,
-        extra={"l_values": np.array([c.L for c, _ in layers]),
+        extra={"l_values": np.array([c.L for c, _ in lay.layers]),
                "dtn_norm": dtn_norm, "monotone": monotone,
                "bound_applicable": bound_flags},
     )
@@ -694,48 +705,35 @@ def run_total_error_study(
     finest h the rows reproduce the layer decay.  ``sigma_minus`` defaults
     to ``sigma_plus``.
 
-    Per mode, ``_mode_norms`` gives ||b||^2_W and Z^H W b of b = u_lv - u_ref
-    = A_dtn^{-1} r for the real level differences r = L_lv s_lv - L_ref s_ref
-    alone, on the loaded node range R: at the pinned scale (150 columns on
-    321 nodes) by its direct route, solving r on R with the exterior folded
-    into two gains; at 1000 samples (3000 columns) by its unit route.  Each
-    entry is the Gram form ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z)
-    c_L, with c_L from the end values u_lv[ends] = Y^T (det + L_lv s_lv);
-    see the module docstring.
+    Each entry sums, over modes, the three Gram terms of ``_layer_terms``
+    (see the module docstring) for b = u_lv - u_ref = A_dtn^{-1} r, with the
+    real level differences r = L_lv s_lv - L_ref s_ref on the loaded nodes R,
+    and u_lv[ends] = Y^T (det + L_lv s_lv).  Its ``_mode_norms`` call takes
+    the direct route at the pinned scale (150 columns on 321 nodes) and the
+    unit route at 1000 samples (3000 columns).
     """
-    layers = _layers(cfg, l_values, sigma_plus, sigma_minus, "total study")
-    if source is None:
-        source = default_l_study_source(cfg)
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "total study"
     )
-    _check_source_modes(source, st.n_modes, "total study")
-    gaps = _layer_gaps(layers, st.n_modes)
-    det = modal_loads(source, cfg, st.grid, st.n_modes)
+    lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
+                     "total study")
     w = _trapezoid_weights(st.grid)
     n_used = len(st.used)
 
     def mode_err2(n: int) -> np.ndarray:
-        matrix = mode_matrix(n, cfg, st.grid, DTN)
-        z, y = _end_responses(n, matrix, "total study")
         loads = st.loads(n)
         f_lv = np.hstack(loads[:-1])  # (|R|, n_used * n_samples), levels side by side
-        b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, w,
-                                   f_lv - np.tile(loads[-1], n_used), z, "total study")
-        u_ends = (y.T @ det[n])[:, None] + y[st.lo : st.hi + 1].T @ f_lv
-        c, quad = _layer_coefficients(n, layers, gaps[n], z, w, u_ends, "total study")
-        cross = np.sum(c.conj() * zwb, axis=1).real
-        return (b_norm2 - 2.0 * cross + quad).reshape(len(layers), n_used, n_samples).T
+        b_norm2, cross, quad = _layer_terms(n, cfg, st.grid, w, lay, st.lo, st.hi,
+                                            f_lv - np.tile(loads[-1], n_used), f_lv,
+                                            "total study")
+        return (b_norm2 - 2.0 * cross + quad).reshape(len(lay.layers), n_used, n_samples).T
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
     mean, stderr, diam = st.moments(np.sum(np.stack(per_mode), axis=0))
-    abscissae_l = np.array(
-        [sigma_tilde_integral(p, "+", p.L, cfg.omega) for _, p in layers]
-    )
     return TotalErrorResult(
         h_values=diam,
-        l_values=np.array([c.L for c, _ in layers]),
-        abscissae_l=abscissae_l,
+        l_values=np.array([c.L for c, _ in lay.layers]),
+        abscissae_l=lay.abscissae,
         error_mean=mean,
         error_stderr=stderr,
         n_samples=n_samples,

@@ -197,6 +197,29 @@ class TestSizeKeys:
 class TestDependentKeys:
     """Keys whose range depends on another key: checked before any output."""
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ("rect_x1_lo = 0.5\nrect_x1_hi = 0.5\n",
+             "degenerate forcing rectangle (0.5, 0.5, 0.25, 0.75)"),
+            ("rect_x2_lo = 0.5\nrect_x2_hi = 1.5\n", "forcing rectangle leaves the duct"),
+            ("rect_x1_lo = 0.5\nrect_x1_hi = 1.5\n",
+             "forcing rectangle leaves the computational domain"),
+        ],
+        ids=["degenerate", "across-d", "across-x-plus"],
+    )
+    @pytest.mark.parametrize("kind", ["h", "total"])
+    def test_forcing_rectangle_outside_the_domain_is_config_error(
+        self, tmp_path, capsys, kind, keys, message
+    ):
+        # d = 1, x^+ = 1: the default rectangle is [-0.5, 0.5] x [0.25, 0.75]
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + "[run]\nsamples = 4\nh_levels = 0.25,0.125\n[source]\n" + keys)
+        out = tmp_path / "out"
+        assert dispatch(["study", kind, "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("kind", ["h", "total"])
     def test_ref_refine_below_one_is_config_error(self, tmp_path, capsys, kind, value):

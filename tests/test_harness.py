@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ductpml import DuctConfig, harness
@@ -25,6 +25,7 @@ from ductpml.harness import (
     run_total_error_study,
 )
 from ductpml.noise import (
+    ModalFunctionSource,
     ModeBoxSource,
     NoiseMesh,
     NoiseRealization,
@@ -47,6 +48,18 @@ from oracles import condition_estimate, l2_error
 
 def make_cfg(L=1.0):
     return DuctConfig(d=1.0, M=0.3, k=5.0, x_minus=-1.0, x_plus=1.0, L=L)
+
+
+# forcing rectangles outside [x_minus, x_plus] x [0, d] of make_cfg, each with its error
+OFF_GRID_RECTS = pytest.mark.parametrize(
+    "rect, message",
+    [
+        ((2.0, 3.0, 0.25, 0.75), "forcing rectangle leaves the computational domain"),
+        ((0.5, 1.5, 0.25, 0.75), "forcing rectangle leaves the computational domain"),
+        ((-0.5, 0.5, 0.5, 1.5), "forcing rectangle leaves the duct"),
+    ],
+    ids=["past-x-plus", "across-x-plus", "across-d"],
+)
 
 
 class TestFitRate:
@@ -120,11 +133,13 @@ class TestHStudy:
         with pytest.raises(ConfigError, match=message):
             run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, ref_refine=ref_refine)
 
-    def test_rectangle_off_the_grid_is_config_error(self):
-        # right of x^+ = 1 the noise loads no node: every error would be 0
-        cfg = make_cfg()
-        with pytest.raises(ConfigError, match="h study: the forcing rectangle loads no grid node"):
-            run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, rect=(2.0, 3.0, 0.25, 0.75))
+    @OFF_GRID_RECTS
+    def test_rectangle_off_the_grid_is_config_error(self, rect, message):
+        # right of x^+ = 1 the noise loads no node (every error would be 0 or
+        # lose the part past x^+); past d the mode shapes are integrated
+        # beyond the duct
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_h_study(make_cfg(), None, [1 / 4, 1 / 8], 4, 0, rect=rect)
 
 
 class TestLStudy:
@@ -273,12 +288,12 @@ class TestTotalStudy:
         with pytest.raises(error):
             run_total_error_study(cfg, h_levels, [1.0, 2.0], 5.0, n_samples, 0)
 
-    def test_rectangle_off_the_grid_is_config_error(self):
-        # the noise would load no node: the table would hold the layer error alone
-        cfg = make_cfg(L=2.0)
-        with pytest.raises(ConfigError, match="total study: the forcing rectangle loads no"):
-            run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0,
-                                  rect=(2.0, 3.0, 0.25, 0.75))
+    @OFF_GRID_RECTS
+    def test_rectangle_off_the_grid_is_config_error(self, rect, message):
+        # past x^+ the noise would load no node (the table would hold the
+        # layer error alone) or lose its part there
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_total_error_study(make_cfg(L=2.0), [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, rect=rect)
 
     def test_large_l_column_reproduces_h_rates(self):
         cfg = make_cfg(L=4.0)
@@ -673,6 +688,8 @@ class TestLayerUpdate:
         dn=st.integers(-2, 2),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a deeply evanescent mode: c_L near 1e-153, its Gram term 8.3e-311 (subnormal)
+    @example(M=0.945, k=20.0, L=4.0, L2=4.0, sigma_plus=1.0, sigma_minus=1.0, dn=1, seed=0)
     def test_matches_direct_reduced_solves(
         self, M, k, L, L2, sigma_plus, sigma_minus, dn, seed
     ):
@@ -812,6 +829,15 @@ class TestLStudyOracle:
             sigma_minus=30.0,
             source=[ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(6)],
         ),
+        # a complex load: its norm needs the direct route of _mode_norms
+        "complex-load": dict(
+            sigma_plus=5.0,
+            sigma_minus=None,
+            source=ModalFunctionSource(
+                mode=2, x_lo=-0.5, x_hi=0.5,
+                fn=lambda x: np.exp(2j * x) * np.cos(np.pi * x) ** 2 if abs(x) <= 0.5 else 0.0,
+            ),
+        ),
     }
     L_VALUES = [0.5, 1.0, 1.5, 2.0]
 
@@ -827,6 +853,8 @@ class TestLStudyOracle:
         source = kw["source"] or default_l_study_source(cfg)
         grid = omega_b_grid(cfg, default_delta(cfg))
         dtn = solve_full(cfg, source, DTN, grid)
+        zero = replace(dtn, values=np.zeros_like(dtn.values))
+        assert res.extra["dtn_norm"] == pytest.approx(l2_error(dtn, zero), rel=1e-13)
         for L, err in zip(self.L_VALUES, res.error_mean):
             cfg_l = replace(cfg, L=L)
             prof = PmlProfile.quadratic(cfg_l, kw["sigma_plus"], kw["sigma_minus"])
