@@ -17,8 +17,9 @@ Four error mechanisms are measured at desk scale:
 Every per-mode operator comes from ``solver.mode_matrix`` and is solved by
 LAPACK's zgtsv (``solver._solve_tridiag``).  The two noise-driven studies
 (h and total) share one set-up, ``_noise_study``: level validation, noise
-mesh, grid, mode count, load maps, and each seed's noise projected onto
-all modes at every level.
+mesh, grid, mode count, load maps, and every seed's noise projected onto
+all modes at every level, sampled in blocks of seeds (``noise.sample_levels``)
+with one batched product per level and block.
 
 Every (level, seed) load lives on the grid nodes under the forcing
 rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W and
@@ -75,8 +76,8 @@ from .errors import ConfigError, DomainError, GridMismatchError, InsufficientDat
 from .noise import (
     ModeBoxSource,
     NoiseMesh,
-    realization_levels,
-    sample,
+    block_size,
+    sample_levels,
     transverse_cell_integrals,
 )
 from .pml import (
@@ -206,8 +207,9 @@ class _NoiseStudy:
 
     ``used`` are the mesh levels of the requested diameters (coarsest
     first) and ``ref_level`` is the reference level; ``seg[lv]`` holds the
-    axial segment values of every seed and mode at level lv, shape
-    (n_samples, n1, n_modes), ``maps[lv]`` (CSR) maps them to hat loads on
+    axial segment values of every mode and seed at level lv, mode-major,
+    shape (n_modes, n1, n_samples), so that ``seg[lv][n]`` is mode n's
+    contiguous (segment, seed) block; ``maps[lv]`` (CSR) maps them to hat loads on
     the loaded nodes R = lo..hi (never empty), and ``var[j, n]`` = sum_j2
     T[n, j2]^2 / |K| is the variance of mode n's segment values at level
     ``all_levels[j]`` (T the transverse cell integrals, |K| the cell area).
@@ -234,8 +236,7 @@ class _NoiseStudy:
     def loads(self, n: int) -> list:
         """L_lv s_lv on R of mode n for every seed, (|R|, n_samples) per level, in
         ``all_levels`` order."""
-        return [self.maps[lv] @ np.ascontiguousarray(self.seg[lv][:, :, n].T)
-                for lv in self.all_levels]
+        return [self.maps[lv] @ self.seg[lv][n] for lv in self.all_levels]
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
@@ -280,22 +281,25 @@ def _noise_study(
     if n_modes is None:
         n_modes = default_n_modes(cfg)
     ref_level = total_levels - 1
+    levels = used + [ref_level]
     trans = {}
     maps = {}
-    seg = {}
-    for lv in used + [ref_level]:
+    for lv in levels:
         x1_edges, x2_edges = mesh.edges(lv)
         trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
         maps[lv] = piecewise_load_matrix(grid, x1_edges)
-        seg[lv] = np.empty((n_samples, x1_edges.size - 1, n_modes))
     rows = np.flatnonzero(np.any([m.any(axis=1) for m in maps.values()], axis=0))
     lo, hi = int(rows[0]), int(rows[-1])
-    for i in range(n_samples):
-        levels = realization_levels(sample(mesh, base_seed + i))
-        for lv, t in trans.items():
-            amp = 1.0 / math.sqrt(mesh.cell_area(lv))
-            np.matmul(levels[lv].xi * amp, t, out=seg[lv][i])
     maps = {lv: csr_array(m[lo : hi + 1]) for lv, m in maps.items()}
+    seg = {lv: np.empty((n_modes, maps[lv].shape[1], n_samples)) for lv in levels}
+    step = block_size(mesh)
+    for s0 in range(0, n_samples, step):
+        seeds = range(base_seed + s0, base_seed + min(s0 + step, n_samples))
+        for lv, xi in zip(levels, sample_levels(mesh, seeds, levels)):
+            xi *= 1.0 / math.sqrt(mesh.cell_area(lv))
+            # one (n1, n2) @ (n2, n_modes) product per seed, stored mode-major
+            seg[lv][:, :, s0 : s0 + len(seeds)] = np.matmul(xi, trans[lv]).T
+        del xi  # the block's finest level, before the next block is drawn
     var = np.array([np.sum(t ** 2, axis=0) / mesh.cell_area(lv) for lv, t in trans.items()])
     return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, seg, var, lo, hi, maps)
 

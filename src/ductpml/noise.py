@@ -12,6 +12,12 @@ Sampling is counter-based: the draws for the subtree below each coarsest
 cell come from an independent Philox stream keyed by (seed, coarse cell
 index), laid out in Morton (bit-interleaved) order.  The result depends
 only on (seed, mesh) - never on evaluation order or thread count.
+``sample_levels`` draws a block of seeds with one re-keyed bit generator
+and keeps the Morton order through the coarsening, where a cell's four
+children are adjacent, so each level is one reshape and sum; only the
+levels asked for are put in row-major order.  The Monte Carlo studies call
+it in blocks of ``block_size`` seeds (BLOCK_BYTES of finest-level draws);
+``sample`` is its one-seed, finest-level case.
 
 The deterministic modal sources live here too.  A realization reaches the
 mode problems through ``noise_modal_matrix`` (its segment values for every
@@ -124,13 +130,25 @@ def build_mesh(rect, finest_h: float, levels: int) -> NoiseMesh:
     return NoiseMesh(rect=tuple(map(float, rect)), levels=levels, base_shape=tuple(base))
 
 
-@lru_cache(maxsize=32)
-def _morton_index(bits: int, m1: int, m2: int) -> np.ndarray:
-    """Flat finest-cell index of every draw of an (m1, m2)-tree mesh.
+# Finest-level draws, in bytes, that one ``sample_levels`` block holds: the
+# seeds per block (``block_size``) trade Python overhead per seed for memory.
+BLOCK_BYTES = 512 * 1024
 
-    Row t = a1 * m2 + a2 belongs to coarse cell (a1, a2); column c is the
-    Morton code, whose odd bits give the fine row offset and even bits the
-    fine column offset inside that cell.
+
+def block_size(mesh: NoiseMesh) -> int:
+    """Seeds per ``sample_levels`` block: BLOCK_BYTES of finest-level draws, at least 1."""
+    n1, n2 = mesh.shape(mesh.finest_level)
+    return max(1, BLOCK_BYTES // (8 * n1 * n2))
+
+
+@lru_cache(maxsize=32)
+def _morton_order(bits: int, m1: int, m2: int) -> np.ndarray:
+    """Flat position, among one seed's Morton-ordered values, of every cell (in
+    row-major order) of the level ``bits`` steps below an (m1, m2) coarsest grid.
+
+    The values of coarse cell t = a1 * m2 + a2 fill the t-th run of 4^bits;
+    within it, position c is the Morton code, whose odd bits give the fine row
+    offset and even bits the fine column offset inside that cell.
     """
     code = np.arange(1 << (2 * bits))
     di = np.zeros_like(code)
@@ -141,49 +159,78 @@ def _morton_index(bits: int, m1: int, m2: int) -> np.ndarray:
     a1, a2 = np.divmod(np.arange(m1 * m2), m2)
     rows = (a1[:, None] << bits) + di
     cols = (a2[:, None] << bits) + dj
-    index = rows * (m2 << bits) + cols
-    index.setflags(write=False)
-    return index
+    order = np.empty(m1 * m2 << (2 * bits), dtype=np.intp)
+    order[(rows * (m2 << bits) + cols).ravel()] = np.arange(order.size)
+    order.setflags(write=False)
+    return order
 
 
-def sample(mesh: NoiseMesh, seed: int) -> NoiseRealization:
-    """Draw the finest-level realization for the given seed.
+def _parent(c00, c01, c10, c11):
+    """Parent xi of four children (indexed by row, column offset): their sum,
+    in one fixed order, times the weight sqrt(|child| / |parent|) = 1/2.
+
+    The weight makes the coarse xi the exact cell integrals of the same
+    white-noise path, unit variance preserved.  The sum is 0.5 * (((c00 + c10)
+    + c01) + c11), formed in place.
+    """
+    total = c00 + c10
+    total += c01
+    total += c11
+    total *= 0.5
+    return total
+
+
+def sample_levels(mesh: NoiseMesh, seeds, levels) -> list:
+    """xi of every seed at each requested level, (len(seeds), *mesh.shape(lv))
+    per level, in ``levels`` order.
 
     Coarse cell t = a1 * m2 + a2 draws its subtree from a Philox stream keyed
-    (seed mod 2^64, t).  One bit generator serves every cell: it is re-keyed
-    by assigning the state of a fresh generator (counter 0, empty buffer)
-    with that key, which is bit-identical to constructing a new one.
+    (seed mod 2^64, t).  One bit generator serves every seed and cell: it is
+    re-keyed by assigning the state of a fresh generator (counter 0, empty
+    buffer) with that key, which is bit-identical to constructing a new one.
+    The draws are coarsened in Morton order, where the four children of a
+    cell are adjacent, and put in row-major order only at the levels asked for.
     """
     bits = mesh.finest_level
     m1, m2 = mesh.base_shape
-    n1, n2 = mesh.shape(bits)
-    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    shapes = {lv: mesh.shape(lv) for lv in levels}  # every level checked before drawing
+    key = [0, 0]  # re-keyed in place below
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
+    # the state setter reads every word; Python ints read faster than numpy scalars
     fresh = bitgen.state
-    fresh["state"]["key"] = key  # re-keyed in place below
-    draws = np.empty((m1 * m2, 1 << (2 * bits)))
-    for t in range(m1 * m2):
-        key[1] = t
-        bitgen.state = fresh
-        gen.standard_normal(out=draws[t])
-    xi = np.empty(n1 * n2)
-    xi[_morton_index(bits, m1, m2)] = draws
-    return NoiseRealization(
-        mesh=mesh, level=bits, xi=xi.reshape(n1, n2), seed=int(seed)
-    )
+    fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": key}
+    fresh["buffer"] = fresh["buffer"].tolist()
+    xi = np.empty((len(seeds), m1 * m2, 1 << (2 * bits)))
+    for seed, subtrees in zip(seeds, xi):
+        key[0] = int(seed) & _MASK64
+        for t, row in enumerate(subtrees):
+            key[1] = t
+            bitgen.state = fresh
+            gen.standard_normal(out=row)
+    xi = xi.reshape(len(seeds), -1)
+    out = {}
+    for lv in range(bits, min(levels) - 1, -1):
+        if lv < bits:  # child k of a cell has row offset k // 2 and column offset k % 2
+            xi = _parent(*xi.reshape(-1, 4).T).reshape(len(seeds), -1)
+        if lv in levels:
+            order = _morton_order(lv, m1, m2)
+            out[lv] = np.take(xi, order, axis=1).reshape((len(seeds),) + shapes[lv])
+    return [out[lv] for lv in levels]
+
+
+def sample(mesh: NoiseMesh, seed: int) -> NoiseRealization:
+    """Draw the finest-level realization for the given seed (``sample_levels``)."""
+    (xi,) = sample_levels(mesh, [seed], [mesh.finest_level])
+    return NoiseRealization(mesh=mesh, level=mesh.finest_level, xi=xi[0], seed=int(seed))
 
 
 def coarsen(r: NoiseRealization) -> NoiseRealization:
-    """Aggregate one level up: parent xi = (sum of 4 children) / 2.
-
-    The weight sqrt(|child| / |parent|) = 1/2 makes the coarse xi the exact
-    cell integrals of the same white-noise path, unit variance preserved.
-    """
+    """Aggregate one level up: parent xi = (sum of 4 children) / 2 (``_parent``)."""
     if r.level == 0:
         raise DomainError("already at the coarsest level")
     xi = r.xi
-    coarse = 0.5 * (xi[0::2, 0::2] + xi[1::2, 0::2] + xi[0::2, 1::2] + xi[1::2, 1::2])
+    coarse = _parent(xi[0::2, 0::2], xi[0::2, 1::2], xi[1::2, 0::2], xi[1::2, 1::2])
     return NoiseRealization(mesh=r.mesh, level=r.level - 1, xi=coarse, seed=r.seed)
 
 

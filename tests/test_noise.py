@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ductpml import DuctConfig
+from ductpml import DuctConfig, cli, noise
 from ductpml.errors import ConfigError, DomainError
 from ductpml.noise import (
     ModalFunctionSource,
     ModeBoxSource,
     NoiseMesh,
     NoiseRealization,
+    block_size,
     build_mesh,
     coarsen,
     noise_modal_matrix,
     realization_levels,
     sample,
+    sample_levels,
     transverse_cell_integrals,
 )
 from ductpml.solver import Grid1D, modal_loads
@@ -114,6 +116,73 @@ class TestStreamContract:
         mesh = NoiseMesh(rect=RECT, levels=levels, base_shape=base_shape)
         xi = sample(mesh, seed).xi
         assert np.array_equal(xi, self.expected_field(base_shape, levels, seed))
+
+    @pytest.mark.parametrize(
+        "base_shape, levels, seeds",
+        [
+            ((3, 2), 3, [3, 4, 5, 6, 7]),  # a non-square coarsest grid
+            ((11, 6), 3, [2**64 + 5, 5, -1, 2**64 - 1, 2**63 + 12345]),  # wrapped mod 2^64
+            ((1, 1), 4, [7, 8, 9]),
+        ],
+        ids=["base-3x2", "wrapping-seeds", "one-coarse-cell"],
+    )
+    def test_blocks_match_coarsened_samples(self, base_shape, levels, seeds, monkeypatch):
+        # blocks of two seeds, the last one partial: every level of every seed
+        # is bit for bit the repeated coarsening of its own sample
+        mesh = NoiseMesh(rect=RECT, levels=levels, base_shape=base_shape)
+        n1, n2 = mesh.shape(mesh.finest_level)
+        monkeypatch.setattr(noise, "BLOCK_BYTES", 2 * 8 * n1 * n2 + 8)
+        step = block_size(mesh)
+        assert step == 2 and len(seeds) % step == 1
+        every = list(range(levels))
+        blocks = [sample_levels(mesh, seeds[i : i + step], every)
+                  for i in range(0, len(seeds), step)]
+        for lv in every:
+            xi = np.concatenate([block[lv] for block in blocks])
+            assert xi.shape == (len(seeds),) + mesh.shape(lv)
+            for s, seed in enumerate(seeds):
+                assert np.array_equal(xi[s], realization_levels(sample(mesh, seed))[lv].xi)
+        if base_shape == (11, 6):  # 2^64 + 5 is seed 5 and -1 is 2^64 - 1
+            finest = np.concatenate([block[-1] for block in blocks])
+            assert np.array_equal(finest[0], finest[1])
+            assert np.array_equal(finest[2], finest[3])
+
+    def test_only_the_requested_levels_in_their_order(self):
+        mesh = NoiseMesh(rect=RECT, levels=4, base_shape=(2, 3))
+        levels = realization_levels(sample(mesh, 11))
+        got = sample_levels(mesh, [11], [3, 0, 1])
+        assert len(got) == 3
+        for xi, lv in zip(got, [3, 0, 1]):
+            assert np.array_equal(xi[0], levels[lv].xi)
+        with pytest.raises(DomainError):
+            sample_levels(mesh, [11], [4])
+
+    def test_block_size_is_a_byte_budget_of_finest_draws(self, monkeypatch):
+        mesh = NoiseMesh(rect=RECT, levels=5, base_shape=(8, 8))  # 16,384 finest cells
+        assert block_size(mesh) == 4
+        monkeypatch.setattr(noise, "BLOCK_BYTES", 1)
+        assert block_size(mesh) == 1  # a seed larger than the budget is a block of its own
+
+    @pytest.mark.parametrize("command", ["noise", "solve"])
+    def test_cli_outputs_follow_the_streams(self, command, tmp_path, monkeypatch):
+        # the CLI's outputs with sample() and with the streams rebuilt per cell
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[duct]\nd = 1\nM = 0.3\nk = 5\n[pml]\nsigma_plus = 5\nL = 2\n"
+            "[source]\ntype = mode_box+noise\nmode = 0\n[run]\nbase_seed = 41\n"
+        )
+
+        def stream_sample(mesh, seed):
+            xi = self.expected_field(mesh.base_shape, mesh.levels, seed)
+            return NoiseRealization(mesh=mesh, level=mesh.finest_level, xi=xi, seed=seed)
+
+        outputs = []
+        for name, fn in (("sample", sample), ("streams", stream_sample)):
+            monkeypatch.setattr(cli, "sample", fn)
+            out = tmp_path / name
+            assert cli.dispatch([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"})
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestCoarsen:
