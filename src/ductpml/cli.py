@@ -410,7 +410,12 @@ def _cmd_solve(rc: RunConfig, out: Path, args) -> int:
     x2s = np.linspace(0.0, cfg.d, rc.get("grid", "n_x2"))
     x1, x2 = (a.ravel() for a in np.meshgrid(x1s, x2s, indexing="ij"))
     p = assemble_field(sol, np.column_stack((x1, x2)), cfg)
-    _write_csv(out / "field.csv", ["x1", "x2", "re_p", "im_p"], [x1, x2, p.real, p.imag])
+    x1_text, x2_text = [_fmt(x) for x in x1s], [_fmt(x) for x in x2s]  # each value formatted once
+    _write_csv(
+        out / "field.csv",
+        ["x1", "x2", "re_p", "im_p"],
+        [[t for t in x1_text for _ in x2s], x2_text * len(x1s), p.real, p.imag],
+    )
     _write_csv(
         out / "modal.csv",
         ["n", "x1", "re_pn", "im_pn"],

@@ -18,8 +18,8 @@ Every per-mode operator comes from ``solver.mode_matrix`` and is solved by
 LAPACK's zgtsv (``solver._solve_tridiag``).  The two noise-driven studies
 (h and total) share one set-up, ``_noise_study``: level validation, noise
 mesh, grid, mode count, load maps, and every seed's noise projected onto
-all modes at every level, sampled in blocks of seeds (``noise.sample_levels``)
-with one batched product per level and block.
+all modes at every level, sampled in blocks of seeds by one
+``noise.BlockSampler`` with one product per level and block.
 
 Every (level, seed) load lives on the grid nodes under the forcing
 rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W and
@@ -74,10 +74,10 @@ from scipy.sparse import csr_array
 from .duct import DuctConfig, cutoff_numbers, default_n_modes
 from .errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from .noise import (
+    BlockSampler,
     ModeBoxSource,
     NoiseMesh,
     block_size,
-    sample_levels,
     transverse_cell_integrals,
 )
 from .pml import (
@@ -207,10 +207,11 @@ class _NoiseStudy:
 
     ``used`` are the mesh levels of the requested diameters (coarsest
     first) and ``ref_level`` is the reference level; ``seg[lv]`` holds the
-    axial segment values of every mode and seed at level lv, mode-major,
-    shape (n_modes, n1, n_samples), so that ``seg[lv][n]`` is mode n's
-    contiguous (segment, seed) block; ``maps[lv]`` (CSR) maps them to hat loads on
-    the loaded nodes R = lo..hi (never empty), and ``var[j, n]`` = sum_j2
+    axial segment values of every mode and seed at level lv, shape (n_modes,
+    n_samples, n1), so that a block of seeds is one contiguous run per mode
+    and ``seg[lv][n]`` is mode n's contiguous (seed, segment) block;
+    ``maps[lv]`` (CSR) maps its transpose to hat loads on the loaded nodes
+    R = lo..hi (never empty), and ``var[j, n]`` = sum_j2
     T[n, j2]^2 / |K| is the variance of mode n's segment values at level
     ``all_levels[j]`` (T the transverse cell integrals, |K| the cell area).
     """
@@ -236,7 +237,7 @@ class _NoiseStudy:
     def loads(self, n: int) -> list:
         """L_lv s_lv on R of mode n for every seed, (|R|, n_samples) per level, in
         ``all_levels`` order."""
-        return [self.maps[lv] @ self.seg[lv][n] for lv in self.all_levels]
+        return [self.maps[lv] @ self.seg[lv][n].T for lv in self.all_levels]
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
@@ -288,19 +289,21 @@ def _noise_study(
         x1_edges, x2_edges = mesh.edges(lv)
         trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
         maps[lv] = piecewise_load_matrix(grid, x1_edges)
+    var = np.array([np.sum(t ** 2, axis=0) / mesh.cell_area(lv) for lv, t in trans.items()])
     rows = np.flatnonzero(np.any([m.any(axis=1) for m in maps.values()], axis=0))
     lo, hi = int(rows[0]), int(rows[-1])
     maps = {lv: csr_array(m[lo : hi + 1]) for lv, m in maps.items()}
-    seg = {lv: np.empty((n_modes, maps[lv].shape[1], n_samples)) for lv in levels}
-    step = block_size(mesh)
+    seg = {lv: np.empty((n_modes, n_samples, maps[lv].shape[1])) for lv in levels}
+    for lv, t in trans.items():
+        t *= 1.0 / math.sqrt(mesh.cell_area(lv))  # xi / sqrt|K| is the cell's noise value
+    step = min(block_size(mesh), n_samples)
+    sampler = BlockSampler(mesh, levels, step)
     for s0 in range(0, n_samples, step):
         seeds = range(base_seed + s0, base_seed + min(s0 + step, n_samples))
-        for lv, xi in zip(levels, sample_levels(mesh, seeds, levels)):
-            xi *= 1.0 / math.sqrt(mesh.cell_area(lv))
-            # one (n1, n2) @ (n2, n_modes) product per seed, stored mode-major
-            seg[lv][:, :, s0 : s0 + len(seeds)] = np.matmul(xi, trans[lv]).T
-        del xi  # the block's finest level, before the next block is drawn
-    var = np.array([np.sum(t ** 2, axis=0) / mesh.cell_area(lv) for lv, t in trans.items()])
+        for lv, xi in zip(levels, sampler.draw(seeds)):
+            # one product per level and block, written as one (seed, segment) run per mode
+            np.matmul(trans[lv].T, xi.reshape(-1, xi.shape[2]).T,
+                      out=seg[lv][:, s0 : s0 + len(seeds)].reshape(n_modes, -1))
     return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, seg, var, lo, hi, maps)
 
 
@@ -400,12 +403,14 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
     where = f"{stage}, mode n={n}"
     g_lo = g_hi = np.zeros(0, dtype=complex)
     if lo > 0:
-        rhs_lo = np.r_[np.zeros(lo - 1), -sup[lo - 1]]
+        rhs_lo = np.zeros(lo, dtype=complex)
+        rhs_lo[-1] = -sup[lo - 1]
         g_lo = _solve_tridiag(sub[: lo - 1], diag[:lo], sup[: lo - 1], rhs_lo,
                               where=f"{where}, side -: exterior block")
         d_r[0] += sub[lo - 1] * g_lo[-1]
     if hi < diag.size - 1:
-        rhs_hi = np.r_[-sub[hi], np.zeros(diag.size - 2 - hi)]
+        rhs_hi = np.zeros(diag.size - 1 - hi, dtype=complex)
+        rhs_hi[0] = -sub[hi]
         g_hi = _solve_tridiag(sub[hi + 1 :], diag[hi + 1 :], sup[hi + 1 :], rhs_hi,
                               where=f"{where}, side +: exterior block")
         d_r[-1] += sup[hi] * g_hi[0]
@@ -727,9 +732,9 @@ def run_total_error_study(
     def mode_err2(n: int) -> np.ndarray:
         loads = st.loads(n)
         f_lv = np.hstack(loads[:-1])  # (|R|, n_used * n_samples), levels side by side
+        r = f_lv.reshape(len(f_lv), n_used, n_samples) - loads[-1][:, None]
         b_norm2, cross, quad = _layer_terms(n, cfg, st.grid, w, lay, st.lo, st.hi,
-                                            f_lv - np.tile(loads[-1], n_used), f_lv,
-                                            "total study")
+                                            r.reshape(f_lv.shape), f_lv, "total study")
         return (b_norm2 - 2.0 * cross + quad).reshape(len(lay.layers), n_used, n_samples).T
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)

@@ -12,12 +12,14 @@ Sampling is counter-based: the draws for the subtree below each coarsest
 cell come from an independent Philox stream keyed by (seed, coarse cell
 index), laid out in Morton (bit-interleaved) order.  The result depends
 only on (seed, mesh) - never on evaluation order or thread count.
-``sample_levels`` draws a block of seeds with one re-keyed bit generator
-and keeps the Morton order through the coarsening, where a cell's four
-children are adjacent, so each level is one reshape and sum; only the
-levels asked for are put in row-major order.  The Monte Carlo studies call
-it in blocks of ``block_size`` seeds (BLOCK_BYTES of finest-level draws);
-``sample`` is its one-seed, finest-level case.
+A ``BlockSampler`` owns one re-keyed bit generator and the arrays of one
+block of seeds, and draws block after block into them.  It keeps the
+Morton order through the coarsening, where a cell's four children are
+adjacent, so each level is one reshape and sum; only the levels asked for
+are put in row-major order.  A Monte Carlo study builds one sampler of
+``block_size`` seeds (BLOCK_BYTES of finest-level draws) and draws all its
+seeds through it; ``sample_levels`` is one block of a sampler of its own,
+and ``sample`` its one-seed, finest-level case.
 
 The deterministic modal sources live here too.  A realization reaches the
 mode problems through ``noise_modal_matrix`` (its segment values for every
@@ -130,13 +132,13 @@ def build_mesh(rect, finest_h: float, levels: int) -> NoiseMesh:
     return NoiseMesh(rect=tuple(map(float, rect)), levels=levels, base_shape=tuple(base))
 
 
-# Finest-level draws, in bytes, that one ``sample_levels`` block holds: the
+# Finest-level draws, in bytes, that one ``BlockSampler`` block holds: the
 # seeds per block (``block_size``) trade Python overhead per seed for memory.
 BLOCK_BYTES = 512 * 1024
 
 
 def block_size(mesh: NoiseMesh) -> int:
-    """Seeds per ``sample_levels`` block: BLOCK_BYTES of finest-level draws, at least 1."""
+    """Seeds per ``BlockSampler`` block: BLOCK_BYTES of finest-level draws, at least 1."""
     n1, n2 = mesh.shape(mesh.finest_level)
     return max(1, BLOCK_BYTES // (8 * n1 * n2))
 
@@ -165,58 +167,84 @@ def _morton_order(bits: int, m1: int, m2: int) -> np.ndarray:
     return order
 
 
-def _parent(c00, c01, c10, c11):
+def _parent(c00, c01, c10, c11, out=None):
     """Parent xi of four children (indexed by row, column offset): their sum,
     in one fixed order, times the weight sqrt(|child| / |parent|) = 1/2.
 
     The weight makes the coarse xi the exact cell integrals of the same
     white-noise path, unit variance preserved.  The sum is 0.5 * (((c00 + c10)
-    + c01) + c11), formed in place.
+    + c01) + c11), formed in place, in ``out`` when given.
     """
-    total = c00 + c10
+    total = np.add(c00, c10, out=out)
     total += c01
     total += c11
     total *= 0.5
     return total
 
 
-def sample_levels(mesh: NoiseMesh, seeds, levels) -> list:
-    """xi of every seed at each requested level, (len(seeds), *mesh.shape(lv))
-    per level, in ``levels`` order.
+class BlockSampler:
+    """Draws blocks of up to ``size`` seeds at the given mesh levels into buffers
+    it owns: one re-keyed Philox stream and every block array are built once.
+
+    ``draw(seeds)`` returns xi of every seed at each level, (len(seeds),
+    *mesh.shape(lv)) per level in ``levels`` order.  The arrays are views of
+    the sampler's buffers: the next ``draw`` overwrites them, so copy what
+    must outlive it.
 
     Coarse cell t = a1 * m2 + a2 draws its subtree from a Philox stream keyed
-    (seed mod 2^64, t).  One bit generator serves every seed and cell: it is
-    re-keyed by assigning the state of a fresh generator (counter 0, empty
-    buffer) with that key, which is bit-identical to constructing a new one.
-    The draws are coarsened in Morton order, where the four children of a
-    cell are adjacent, and put in row-major order only at the levels asked for.
+    (seed mod 2^64, t).  The one bit generator is re-keyed by assigning the
+    state of a fresh generator (counter 0, empty buffer) with that key, which
+    is bit-identical to constructing a new one.  The draws are coarsened in
+    Morton order, where the four children of a cell are adjacent, and put in
+    row-major order only at the levels asked for.
     """
-    bits = mesh.finest_level
-    m1, m2 = mesh.base_shape
-    shapes = {lv: mesh.shape(lv) for lv in levels}  # every level checked before drawing
-    key = [0, 0]  # re-keyed in place below
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    # the state setter reads every word; Python ints read faster than numpy scalars
-    fresh = bitgen.state
-    fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": key}
-    fresh["buffer"] = fresh["buffer"].tolist()
-    xi = np.empty((len(seeds), m1 * m2, 1 << (2 * bits)))
-    for seed, subtrees in zip(seeds, xi):
-        key[0] = int(seed) & _MASK64
-        for t, row in enumerate(subtrees):
-            key[1] = t
-            bitgen.state = fresh
-            gen.standard_normal(out=row)
-    xi = xi.reshape(len(seeds), -1)
-    out = {}
-    for lv in range(bits, min(levels) - 1, -1):
-        if lv < bits:  # child k of a cell has row offset k // 2 and column offset k % 2
-            xi = _parent(*xi.reshape(-1, 4).T).reshape(len(seeds), -1)
-        if lv in levels:
-            order = _morton_order(lv, m1, m2)
-            out[lv] = np.take(xi, order, axis=1).reshape((len(seeds),) + shapes[lv])
-    return [out[lv] for lv in levels]
+
+    def __init__(self, mesh: NoiseMesh, levels, size: int):
+        self.levels = list(levels)
+        shapes = [mesh.shape(lv) for lv in self.levels]  # every level checked before drawing
+        self._bits = bits = mesh.finest_level
+        self._base = m1, m2 = mesh.base_shape
+        self._key = [0, 0]  # re-keyed in place by ``draw``
+        self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self._gen = np.random.Generator(self._bitgen)
+        # the state setter reads every word; Python ints read faster than numpy scalars
+        fresh = self._bitgen.state
+        fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": self._key}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self._fresh = fresh
+        # Morton-ordered values per level, finest (the draws) to the coarsest asked for
+        self._morton = {lv: np.empty((size, m1 * m2 << (2 * lv)))
+                        for lv in range(bits, min(self.levels) - 1, -1)}
+        self._rows = [np.empty((size,) + shape) for shape in shapes]
+
+    def draw(self, seeds) -> list:
+        """xi of each of the (at most ``size``) seeds at every level; see the class."""
+        n = len(seeds)
+        m1, m2 = self._base
+        xi = self._morton[self._bits][:n]
+        # the full shape, so that more seeds than the buffers hold fail here
+        for seed, subtrees in zip(seeds, xi.reshape(n, m1 * m2, 1 << (2 * self._bits))):
+            self._key[0] = int(seed) & _MASK64
+            for t, row in enumerate(subtrees):
+                self._key[1] = t
+                self._bitgen.state = self._fresh
+                self._gen.standard_normal(out=row)
+        for lv, values in self._morton.items():
+            if lv < self._bits:  # child k of a cell has row offset k // 2 and column offset k % 2
+                xi = _parent(*xi.reshape(-1, 4).T, out=values[:n].reshape(-1))
+        out = []
+        for lv, rows in zip(self.levels, self._rows):
+            order = _morton_order(lv, m1, m2)  # every index valid: "clip" spares take a buffer
+            np.take(self._morton[lv][:n], order, axis=1, out=rows[:n].reshape(n, -1), mode="clip")
+            out.append(rows[:n])
+        return out
+
+
+def sample_levels(mesh: NoiseMesh, seeds, levels) -> list:
+    """xi of every seed at each requested level, (len(seeds), *mesh.shape(lv))
+    per level, in ``levels`` order: the one block of a ``BlockSampler`` built
+    for these seeds, so no later draw overwrites the returned arrays."""
+    return BlockSampler(mesh, levels, len(seeds)).draw(seeds)
 
 
 def sample(mesh: NoiseMesh, seed: int) -> NoiseRealization:

@@ -370,15 +370,17 @@ class TestBatchedNoiseSolves:
     @pytest.fixture(autouse=True)
     def three_blocks(self, monkeypatch):
         """The studies sample their 8 seeds in blocks of 3 (32 x 32 finest cells
-        a seed), the last one partial; ``self.blocks`` records the block sizes."""
+        a seed), the last one partial; ``self.blocks`` records the block sizes
+        that the sampler draws."""
         monkeypatch.setattr(noise, "BLOCK_BYTES", 3 * 8 * 32 * 32)
         self.blocks = []
+        draw = noise.BlockSampler.draw
 
-        def recorded(mesh, seeds, levels):
+        def recorded(sampler, seeds):
             self.blocks.append(len(seeds))
-            return noise.sample_levels(mesh, seeds, levels)
+            return draw(sampler, seeds)
 
-        monkeypatch.setattr(harness, "sample_levels", recorded)
+        monkeypatch.setattr(noise.BlockSampler, "draw", recorded)
 
     def per_level_loads(self, cfg, grid, rect=None):
         """loads[lv][n]: (n_nodes, n_samples) noise loads of mode n at mesh
@@ -406,6 +408,18 @@ class TestBatchedNoiseSolves:
         np.testing.assert_allclose(one.error_stderr, stderr, rtol=1e-12, atol=0)
         assert one.error_mean.tobytes() == two.error_mean.tobytes()
         assert one.error_stderr.tobytes() == two.error_stderr.tobytes()
+
+    def test_one_bit_generator_per_study(self, monkeypatch):
+        # 8 seeds in 3 blocks: each study re-keys one Philox for all of them
+        cfg = make_cfg(L=2.0)
+        made = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: made.append(1) or philox(*a, **kw))
+        run_h_study(cfg, None, self.H_LEVELS, self.N_SAMPLES, self.SEED, n_modes=self.N_MODES)
+        assert len(made) == 1 and self.blocks == [3, 3, 2]
+        run_total_error_study(cfg, self.H_LEVELS, [0.5, 2.0], 5.0, self.N_SAMPLES, self.SEED,
+                              n_modes=self.N_MODES)
+        assert len(made) == 2 and self.blocks == [3, 3, 2] * 2
 
     def test_h_study_matches_per_level_solves(self):
         cfg = make_cfg(L=2.0)

@@ -147,6 +147,21 @@ class TestStreamContract:
             assert np.array_equal(finest[0], finest[1])
             assert np.array_equal(finest[2], finest[3])
 
+    def test_sampler_reuses_its_buffers_across_blocks(self):
+        # full blocks, then a short one in the same buffers: no row of an earlier
+        # block may leak into a later one, at any level
+        mesh = NoiseMesh(rect=RECT, levels=3, base_shape=(11, 6))
+        seeds = [2**64 + 5, 5, -1, 2**64 - 1, 2**63 + 12345]
+        every = list(range(mesh.levels))
+        sampler = noise.BlockSampler(mesh, every, 2)
+        for i in range(0, len(seeds), 2):
+            block = seeds[i : i + 2]
+            got = sampler.draw(block)
+            for lv, xi in zip(every, got):
+                assert xi.shape == (len(block),) + mesh.shape(lv)
+                for s, seed in enumerate(block):
+                    assert np.array_equal(xi[s], realization_levels(sample(mesh, seed))[lv].xi)
+
     def test_only_the_requested_levels_in_their_order(self):
         mesh = NoiseMesh(rect=RECT, levels=4, base_shape=(2, 3))
         levels = realization_levels(sample(mesh, 11))
