@@ -467,7 +467,7 @@ def _cmd_study(rc: RunConfig, out: Path, args) -> int:
         _study_csv(out, "L", res)
     elif kind == "equiv":
         res = run_equivalence_check(
-            cfg, profile, deltas=run["equiv_deltas"], n_modes=min(grid["n_modes"], 8)
+            cfg, profile, deltas=run["equiv_deltas"], n_modes=grid["n_modes"]
         )
         _study_csv(out, "equiv", res)
     elif kind == "total":

@@ -98,7 +98,7 @@ from .solver import (
     omega_b_grid,
     omega_full_grid,
     piecewise_load_matrix,
-    solve_mode,
+    solve_full,
 )
 
 RATE_PASS_THRESHOLD = 1.8
@@ -341,13 +341,18 @@ def _layer_set(cfg: DuctConfig, grid: Grid1D, n_modes: int, l_values, sigma_plus
               for c in (replace(cfg, L=float(L)) for L in _nonempty(l_values, "l_values", stage))]
     if source is None:
         source = default_l_study_source(cfg)
+    _check_source_modes(source, n_modes, stage)
+    abscissae = np.array([sigma_tilde_integral(p, "+", c.L, cfg.omega) for c, p in layers])
+    return _LayerSet(layers, _layer_gaps(layers, n_modes), modal_loads(source, cfg, grid, n_modes),
+                     abscissae)
+
+
+def _check_source_modes(source, n_modes: int, stage: str):
+    """A modal source (or list member) outside modes 0 .. n_modes-1 is a ConfigError."""
     for s in source if isinstance(source, (list, tuple)) else [source]:
         if not 0 <= getattr(s, "mode", 0) < n_modes:
             raise ConfigError(f"{stage}: source mode {s.mode} is not in 0 .. n_modes - 1 "
                               f"(n_modes = {n_modes}) and would never be solved")
-    abscissae = np.array([sigma_tilde_integral(p, "+", c.L, cfg.omega) for c, p in layers])
-    return _LayerSet(layers, _layer_gaps(layers, n_modes), modal_loads(source, cfg, grid, n_modes),
-                     abscissae)
 
 
 def _layer_gaps(layers, n_modes: int) -> np.ndarray:
@@ -647,6 +652,7 @@ def run_equivalence_check(
     Returns the max nodal difference per spacing and the observed
     convergence order (both discretizations approximate the same continuous
     solution to second order, so the difference closes at that order).
+    A modal source outside modes 0 .. n_modes-1 is a ConfigError.
     """
     deltas = _nonempty(deltas, "deltas", "equivalence check")
     if source is None:
@@ -654,18 +660,15 @@ def run_equivalence_check(
     if n_modes is None:
         _, n0 = cutoff_numbers(cfg)
         n_modes = n0 + 5
+    _check_source_modes(source, n_modes, "equivalence check")
     diffs = []
     for d in deltas:
-        gb = omega_b_grid(cfg, d)
         gf = omega_full_grid(cfg, d)
-        worst = 0.0
-        for n in range(n_modes):
-            full = solve_mode(n, source, cfg, gf, PML_FULL, profile)
-            red = solve_mode(n, source, cfg, gb, PML_REDUCED, profile)
-            i0 = round((cfg.x_minus - gf.x_start) / gf.delta)
-            i1 = round((cfg.x_plus - gf.x_start) / gf.delta)
-            worst = max(worst, float(np.max(np.abs(full[i0 : i1 + 1] - red))))
-        diffs.append(worst)
+        full = solve_full(cfg, source, PML_FULL, gf, n_modes, profile).values
+        red = solve_full(cfg, source, PML_REDUCED, omega_b_grid(cfg, d), n_modes, profile).values
+        i0 = round((cfg.x_minus - gf.x_start) / gf.delta)
+        i1 = round((cfg.x_plus - gf.x_start) / gf.delta)
+        diffs.append(float(np.max(np.abs(full[:, i0 : i1 + 1] - red), initial=0.0)))
     diffs = np.asarray(diffs)
     deltas = np.asarray(deltas, dtype=float)
     if diffs.size >= 3 and np.all(diffs > 0.0):

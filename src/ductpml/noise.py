@@ -13,13 +13,12 @@ cell come from an independent Philox stream keyed by (seed, coarse cell
 index), laid out in Morton (bit-interleaved) order.  The result depends
 only on (seed, mesh) - never on evaluation order or thread count.
 A ``BlockSampler`` owns one re-keyed bit generator and the arrays of one
-block of seeds, and draws block after block into them.  It keeps the
-Morton order through the coarsening, where a cell's four children are
-adjacent, so each level is one reshape and sum; only the levels asked for
-are put in row-major order.  A Monte Carlo study builds one sampler of
-``block_size`` seeds (BLOCK_BYTES of finest-level draws) and draws all its
-seeds through it; ``sample_levels`` is one block of a sampler of its own,
-and ``sample`` its one-seed, finest-level case.
+block of seeds, and draws block after block into them.  Morton order only
+decodes the stream: each block is put in row-major order once, at the
+finest level, and coarsened in row-major order by the sum that ``coarsen``
+uses.  A Monte Carlo study builds one sampler of ``block_size`` seeds
+(BLOCK_BYTES of finest-level draws) and draws all its seeds through it;
+``sample`` is the one-seed, finest-level block of a sampler of its own.
 
 The deterministic modal sources live here too.  A realization reaches the
 mode problems through ``noise_modal_matrix`` (its segment values for every
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -143,7 +141,6 @@ def block_size(mesh: NoiseMesh) -> int:
     return max(1, BLOCK_BYTES // (8 * n1 * n2))
 
 
-@lru_cache(maxsize=32)
 def _morton_order(bits: int, m1: int, m2: int) -> np.ndarray:
     """Flat position, among one seed's Morton-ordered values, of every cell (in
     row-major order) of the level ``bits`` steps below an (m1, m2) coarsest grid.
@@ -163,21 +160,22 @@ def _morton_order(bits: int, m1: int, m2: int) -> np.ndarray:
     cols = (a2[:, None] << bits) + dj
     order = np.empty(m1 * m2 << (2 * bits), dtype=np.intp)
     order[(rows * (m2 << bits) + cols).ravel()] = np.arange(order.size)
-    order.setflags(write=False)
     return order
 
 
-def _parent(c00, c01, c10, c11, out=None):
-    """Parent xi of four children (indexed by row, column offset): their sum,
-    in one fixed order, times the weight sqrt(|child| / |parent|) = 1/2.
+def _coarsen_rows(xi, out=None):
+    """Parent xi of every 2 x 2 block of children in the last two axes of xi
+    (..., n1, n2): their sum, in one fixed order, times the weight
+    sqrt(|child| / |parent|) = 1/2.
 
     The weight makes the coarse xi the exact cell integrals of the same
-    white-noise path, unit variance preserved.  The sum is 0.5 * (((c00 + c10)
-    + c01) + c11), formed in place, in ``out`` when given.
+    white-noise path, unit variance preserved.  With c_ij the child at row
+    offset i and column offset j, the sum is 0.5 * (((c00 + c10) + c01) + c11),
+    formed in place, in ``out`` when given.
     """
-    total = np.add(c00, c10, out=out)
-    total += c01
-    total += c11
+    total = np.add(xi[..., 0::2, 0::2], xi[..., 1::2, 0::2], out=out)
+    total += xi[..., 0::2, 1::2]
+    total += xi[..., 1::2, 1::2]
     total *= 0.5
     return total
 
@@ -194,14 +192,15 @@ class BlockSampler:
     Coarse cell t = a1 * m2 + a2 draws its subtree from a Philox stream keyed
     (seed mod 2^64, t).  The one bit generator is re-keyed by assigning the
     state of a fresh generator (counter 0, empty buffer) with that key, which
-    is bit-identical to constructing a new one.  The draws are coarsened in
-    Morton order, where the four children of a cell are adjacent, and put in
-    row-major order only at the levels asked for.
+    is bit-identical to constructing a new one.  The Morton-ordered draws are
+    put in row-major order once, at the finest level, and coarsened from there
+    (``coarsen``'s sum) down to the coarsest level asked for.
     """
 
     def __init__(self, mesh: NoiseMesh, levels, size: int):
         self.levels = list(levels)
-        shapes = [mesh.shape(lv) for lv in self.levels]  # every level checked before drawing
+        for lv in self.levels:  # every level checked before drawing
+            mesh.shape(lv)
         self._bits = bits = mesh.finest_level
         self._base = m1, m2 = mesh.base_shape
         self._key = [0, 0]  # re-keyed in place by ``draw``
@@ -212,54 +211,44 @@ class BlockSampler:
         fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": self._key}
         fresh["buffer"] = fresh["buffer"].tolist()
         self._fresh = fresh
-        # Morton-ordered values per level, finest (the draws) to the coarsest asked for
-        self._morton = {lv: np.empty((size, m1 * m2 << (2 * lv)))
-                        for lv in range(bits, min(self.levels) - 1, -1)}
-        self._rows = [np.empty((size,) + shape) for shape in shapes]
+        self._draws = np.empty((size, m1 * m2 << (2 * bits)))  # Morton order
+        self._order = _morton_order(bits, m1, m2)
+        # row-major values per level, finest to the coarsest asked for
+        self._rows = {lv: np.empty((size,) + mesh.shape(lv))
+                      for lv in range(bits, min(self.levels) - 1, -1)}
 
     def draw(self, seeds) -> list:
         """xi of each of the (at most ``size``) seeds at every level; see the class."""
         n = len(seeds)
         m1, m2 = self._base
-        xi = self._morton[self._bits][:n]
+        draws = self._draws[:n]
         # the full shape, so that more seeds than the buffers hold fail here
-        for seed, subtrees in zip(seeds, xi.reshape(n, m1 * m2, 1 << (2 * self._bits))):
+        for seed, subtrees in zip(seeds, draws.reshape(n, m1 * m2, 1 << (2 * self._bits))):
             self._key[0] = int(seed) & _MASK64
             for t, row in enumerate(subtrees):
                 self._key[1] = t
                 self._bitgen.state = self._fresh
                 self._gen.standard_normal(out=row)
-        for lv, values in self._morton.items():
-            if lv < self._bits:  # child k of a cell has row offset k // 2 and column offset k % 2
-                xi = _parent(*xi.reshape(-1, 4).T, out=values[:n].reshape(-1))
-        out = []
-        for lv, rows in zip(self.levels, self._rows):
-            order = _morton_order(lv, m1, m2)  # every index valid: "clip" spares take a buffer
-            np.take(self._morton[lv][:n], order, axis=1, out=rows[:n].reshape(n, -1), mode="clip")
-            out.append(rows[:n])
-        return out
-
-
-def sample_levels(mesh: NoiseMesh, seeds, levels) -> list:
-    """xi of every seed at each requested level, (len(seeds), *mesh.shape(lv))
-    per level, in ``levels`` order: the one block of a ``BlockSampler`` built
-    for these seeds, so no later draw overwrites the returned arrays."""
-    return BlockSampler(mesh, levels, len(seeds)).draw(seeds)
+        fine, *coarse = self._rows.values()
+        xi = fine[:n]
+        # every index valid: "clip" spares take a buffer
+        np.take(draws, self._order, axis=1, out=xi.reshape(n, -1), mode="clip")
+        for rows in coarse:
+            xi = _coarsen_rows(xi, out=rows[:n])
+        return [self._rows[lv][:n] for lv in self.levels]
 
 
 def sample(mesh: NoiseMesh, seed: int) -> NoiseRealization:
-    """Draw the finest-level realization for the given seed (``sample_levels``)."""
-    (xi,) = sample_levels(mesh, [seed], [mesh.finest_level])
+    """Draw the finest-level realization for the given seed (one ``BlockSampler`` block)."""
+    (xi,) = BlockSampler(mesh, [mesh.finest_level], 1).draw([seed])
     return NoiseRealization(mesh=mesh, level=mesh.finest_level, xi=xi[0], seed=int(seed))
 
 
 def coarsen(r: NoiseRealization) -> NoiseRealization:
-    """Aggregate one level up: parent xi = (sum of 4 children) / 2 (``_parent``)."""
+    """Aggregate one level up: parent xi = (sum of 4 children) / 2 (``_coarsen_rows``)."""
     if r.level == 0:
         raise DomainError("already at the coarsest level")
-    xi = r.xi
-    coarse = _parent(xi[0::2, 0::2], xi[0::2, 1::2], xi[1::2, 0::2], xi[1::2, 1::2])
-    return NoiseRealization(mesh=r.mesh, level=r.level - 1, xi=coarse, seed=r.seed)
+    return NoiseRealization(mesh=r.mesh, level=r.level - 1, xi=_coarsen_rows(r.xi), seed=r.seed)
 
 
 def realization_levels(r: NoiseRealization):

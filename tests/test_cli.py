@@ -281,7 +281,10 @@ class TestDependentKeys:
         assert message in capsys.readouterr().err
         assert not (out / "field.csv").exists()
 
-    @pytest.mark.parametrize("kind, csv", [("L", "study_L.csv"), ("total", "study_total.csv")])
+    @pytest.mark.parametrize(
+        "kind, csv",
+        [("L", "study_L.csv"), ("total", "study_total.csv"), ("equiv", "study_equiv.csv")],
+    )
     def test_layer_study_source_mode_not_below_n_modes_is_config_error(
         self, tmp_path, capsys, kind, csv
     ):
@@ -561,12 +564,18 @@ class TestDispatch:
         assert modal[0] == "n,x1,re_pn,im_pn"
         assert len(field) > 100 and len(modal) > 100
 
-    def test_study_equiv_and_summary(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL + "[run]\nequiv_deltas = 0.03125,0.015625,0.0078125\n[grid]\nn_modes = 4\n",
+            # N0 = 7: the default source, mode 8, lies past the first 8 modes
+            "[duct]\nd = 1\nM = 0.6\nk = 20\n[pml]\nsigma_plus = 20\nL = 1\n",
+        ],
+        ids=["k5", "k20"],
+    )
+    def test_study_equiv_and_summary(self, tmp_path, text):
         p = tmp_path / "run.cfg"
-        p.write_text(
-            MINIMAL
-            + "[run]\nequiv_deltas = 0.03125,0.015625,0.0078125\n[grid]\nn_modes = 4\n"
-        )
+        p.write_text(text)
         out = tmp_path / "out"
         assert dispatch(["study", "equiv", "--config", str(p), "--out", str(out)]) == EXIT_OK
         summary = dict(
@@ -578,6 +587,7 @@ class TestDispatch:
         body = (out / "study_equiv.csv").read_text().splitlines()
         assert body[0] == "abscissa,error_mean,error_stderr,excluded_flag"
         assert len(body) == 4
+        assert all(float(line.split(",")[1]) > 0.0 for line in body[1:])
 
     def test_study_h_thread_invariance(self, tmp_path):
         p = tmp_path / "run.cfg"

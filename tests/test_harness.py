@@ -214,6 +214,15 @@ class TestEquivalence:
         res = run_equivalence_check(cfg, profile, source=src, deltas=(1 / 64,), n_modes=5)
         assert res.error_mean[0] < 1e-6
 
+    def test_source_mode_not_below_n_modes_is_config_error(self):
+        # d=1, M=0.6, k=20: N0 = 7, so the default box source is mode 8
+        cfg = DuctConfig(d=1.0, M=0.6, k=20.0, x_minus=-1.0, x_plus=1.0, L=1.0)
+        assert cutoff_numbers(cfg)[1] == 7
+        profile = PmlProfile.quadratic(cfg, 20.0)
+        with pytest.raises(ConfigError, match=r"^equivalence check: source mode 8 is not in "
+                                              r"0 \.\. n_modes - 1 \(n_modes = 8\)"):
+            run_equivalence_check(cfg, profile, n_modes=8)
+
 
 class TestHStudyExactMean:
     """extra["exact_mean"]: the mean-square error of each level, unsampled."""

@@ -16,7 +16,6 @@ from ductpml.noise import (
     noise_modal_matrix,
     realization_levels,
     sample,
-    sample_levels,
     transverse_cell_integrals,
 )
 from ductpml.solver import Grid1D, modal_loads
@@ -135,7 +134,8 @@ class TestStreamContract:
         step = block_size(mesh)
         assert step == 2 and len(seeds) % step == 1
         every = list(range(levels))
-        blocks = [sample_levels(mesh, seeds[i : i + step], every)
+        # a sampler per block, so that no later draw overwrites an earlier one
+        blocks = [noise.BlockSampler(mesh, every, step).draw(seeds[i : i + step])
                   for i in range(0, len(seeds), step)]
         for lv in every:
             xi = np.concatenate([block[lv] for block in blocks])
@@ -165,12 +165,25 @@ class TestStreamContract:
     def test_only_the_requested_levels_in_their_order(self):
         mesh = NoiseMesh(rect=RECT, levels=4, base_shape=(2, 3))
         levels = realization_levels(sample(mesh, 11))
-        got = sample_levels(mesh, [11], [3, 0, 1])
+        got = noise.BlockSampler(mesh, [3, 0, 1], 1).draw([11])
         assert len(got) == 3
         for xi, lv in zip(got, [3, 0, 1]):
             assert np.array_equal(xi[0], levels[lv].xi)
         with pytest.raises(DomainError):
-            sample_levels(mesh, [11], [4])
+            noise.BlockSampler(mesh, [4], 1).draw([11])
+
+    def test_only_coarse_levels_in_two_blocks(self):
+        # the finest level is coarsened from but never returned
+        mesh = NoiseMesh(rect=RECT, levels=4, base_shape=(2, 3))
+        seeds = [11, 12, 2**64 - 3]
+        sampler = noise.BlockSampler(mesh, [1, 0], 2)
+        for block in (seeds[:2], seeds[2:]):
+            got = sampler.draw(block)
+            assert [xi.shape for xi in got] == [(len(block),) + mesh.shape(lv) for lv in (1, 0)]
+            for s, seed in enumerate(block):
+                levels = realization_levels(sample(mesh, seed))
+                for xi, lv in zip(got, (1, 0)):
+                    assert np.array_equal(xi[s], levels[lv].xi)
 
     def test_block_size_is_a_byte_budget_of_finest_draws(self, monkeypatch):
         mesh = NoiseMesh(rect=RECT, levels=5, base_shape=(8, 8))  # 16,384 finest cells
