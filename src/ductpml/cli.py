@@ -77,7 +77,7 @@ _SCHEMA = {
     "pml": {
         "L": (float, 2.0),
         "sigma_plus": (float, 5.0),
-        "sigma_minus": (float, lambda rc: rc.get("pml", "sigma_plus")),
+        "sigma_minus": (float, lambda rc: rc.profile.sigma_minus),  # PmlProfile's default
         "shape": (str, "quadratic"),
     },
     "source": {
@@ -241,9 +241,7 @@ def _build_run_config(raw: dict) -> RunConfig:
     _check_least(raw)
     rc = RunConfig(raw=raw)
     rc.duct = DuctConfig(**{k: rc.get("duct", k) for k in _SCHEMA["duct"]}, L=rc.get("pml", "L"))
-    rc.profile = PmlProfile.quadratic(
-        rc.duct, rc.get("pml", "sigma_plus"), rc.get("pml", "sigma_minus")
-    )
+    rc.profile = PmlProfile(rc.get("pml", "sigma_plus"), raw.get("pml", {}).get("sigma_minus"))
     rc.forcing_rect()
     return rc
 

@@ -52,7 +52,9 @@ side(s), L and stage.  ``_layer_terms`` gives the three terms of the Gram
 form ||b - Z c_L||^2_W = ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z)
 c_L for every column and L.  The total study sums them for b = u_lv - u_ref;
 the L study takes b = u, so ||b||^2_W is its DtN norm and the last term its
-error.  Both build their layers, source and abscissae in ``_layer_set``.
+error.  Both build their layers, source and abscissae in ``_layer_set``: one
+config per layer length, which carries x^{+-}, L and omega, and one
+``PmlProfile`` of the two absorption strengths for every layer.
 
 Every study is a pure function of (configuration, base_seed): seeds are
 ``base_seed + sample_index``, per-seed work is independent, and
@@ -328,23 +330,23 @@ def _map_threads(fn, args, threads: int):
 # ---------------------------------------------------------------------------
 
 
-# A layer study's (cfg_L, quadratic profile) per layer length, their ``_layer_gaps``,
-# the source's modal loads and each layer's absorbed mass
-_LayerSet = namedtuple("_LayerSet", "layers gaps det abscissae")
+# A layer study's config cfg_L per layer length, the one profile of every layer, their
+# ``_layer_gaps``, the source's modal loads and each layer's absorbed mass
+_LayerSet = namedtuple("_LayerSet", "cfgs profile gaps det abscissae")
 
 
 def _layer_set(cfg: DuctConfig, grid: Grid1D, n_modes: int, l_values, sigma_plus, sigma_minus,
                source, stage: str) -> _LayerSet:
     """The layers of l_values and source (default ``default_l_study_source``); empty
     l_values, or a modal source outside modes 0 .. n_modes-1, is a ConfigError."""
-    layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus))
-              for c in (replace(cfg, L=float(L)) for L in _nonempty(l_values, "l_values", stage))]
+    cfgs = [replace(cfg, L=float(L)) for L in _nonempty(l_values, "l_values", stage)]
+    profile = PmlProfile(sigma_plus, sigma_minus)
     if source is None:
         source = default_l_study_source(cfg)
     _check_source_modes(source, n_modes, stage)
-    abscissae = np.array([sigma_tilde_integral(p, "+", c.L, cfg.omega) for c, p in layers])
-    return _LayerSet(layers, _layer_gaps(layers, n_modes), modal_loads(source, cfg, grid, n_modes),
-                     abscissae)
+    abscissae = np.array([sigma_tilde_integral(profile, "+", c) for c in cfgs])
+    return _LayerSet(cfgs, profile, _layer_gaps(cfgs, profile, n_modes),
+                     modal_loads(source, cfg, grid, n_modes), abscissae)
 
 
 def _check_source_modes(source, n_modes: int, stage: str):
@@ -355,15 +357,16 @@ def _check_source_modes(source, n_modes: int, stage: str):
                               f"(n_modes = {n_modes}) and would never be solved")
 
 
-def _layer_gaps(layers, n_modes: int) -> np.ndarray:
+def _layer_gaps(cfgs, profile: PmlProfile, n_modes: int) -> np.ndarray:
     """D_L = i (1 - M^2) (-(nu^- - beta^-), nu^+ - beta^+) of every mode and layer
-    (cfg_L, profile), shape (n_modes, n_L, 2): one nu_gap call per (L, side)."""
+    cfg_L, shape (n_modes, n_L, 2): one nu_gap call per (L, side)."""
     n = np.arange(n_modes)
-    return np.stack([1j * c.one_minus_m2 * np.stack([-nu_gap(n, "-", p, c), nu_gap(n, "+", p, c)],
-                                                    axis=1) for c, p in layers], axis=1)
+    return np.stack([1j * c.one_minus_m2 * np.stack([-nu_gap(n, "-", profile, c),
+                                                     nu_gap(n, "+", profile, c)], axis=1)
+                     for c in cfgs], axis=1)
 
 
-def _layer_coefficients(n: int, layers, d, z, w, u_ends, stage: str):
+def _layer_coefficients(n: int, cfgs, d, z, w, u_ends, stage: str):
     """c_L = S_L^{-1} D_L u[ends] of mode n for all layers at once, (n_L, 2, columns),
     and the Gram term ||Z c_L||^2_W = c_L^H (Z^H W Z) c_L, (n_L, columns).
 
@@ -377,7 +380,7 @@ def _layer_coefficients(n: int, layers, d, z, w, u_ends, stage: str):
     for j in np.flatnonzero(~(cond <= UPDATE_COND_LIMIT))[:1]:
         sides = [side for side, d_i in zip("-+", d[j]) if d_i != 0.0]  # the updated ends
         raise DomainError(
-            f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={layers[j][0].L}: "
+            f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={cfgs[j].L}: "
             f"rank-2 layer update has condition {cond[j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
             "the reduced mode operator is numerically singular"
         )
@@ -458,7 +461,7 @@ def _layer_terms(n: int, cfg: DuctConfig, grid: Grid1D, w, lay: _LayerSet, lo: i
     z, y = _end_responses(n, matrix, stage)
     b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, stage)
     u_ends = (y.T @ lay.det[n])[:, None] + y[lo : hi + 1].T @ f
-    c, quad = _layer_coefficients(n, lay.layers, lay.gaps[n], z, w, u_ends, stage)
+    c, quad = _layer_coefficients(n, lay.cfgs, lay.gaps[n], z, w, u_ends, stage)
     return b_norm2, np.sum(c.conj() * zwb, axis=1).real, quad
 
 
@@ -609,8 +612,8 @@ def run_L_study(
                           np.zeros((grid.n_nodes, 1)), "L study") for n in range(n_modes)]
     dtn_norm = math.sqrt(sum(float(b_norm2[0]) for b_norm2, _, _ in terms))
     errors = np.sqrt(sum(quad[:, 0] for _, _, quad in terms))
-    bound_flags = [dtn_gap_bound(cutoff_numbers(c)[1] + 1, "+", p, c).applicable
-                   for c, p in lay.layers]
+    bound_flags = [dtn_gap_bound(cutoff_numbers(c)[1] + 1, "+", lay.profile, c).applicable
+                   for c in lay.cfgs]
     floor = 1e-12 * max(dtn_norm, 1e-300)
     excluded = errors < floor
     usable = ~excluded
@@ -634,7 +637,7 @@ def run_L_study(
         passed=bool(passed),
         n_samples=1,
         base_seed=0,
-        extra={"l_values": np.array([c.L for c, _ in lay.layers]),
+        extra={"l_values": np.array([c.L for c in lay.cfgs]),
                "dtn_norm": dtn_norm, "monotone": monotone,
                "bound_applicable": bound_flags},
     )
@@ -652,14 +655,14 @@ def run_equivalence_check(
     Returns the max nodal difference per spacing and the observed
     convergence order (both discretizations approximate the same continuous
     solution to second order, so the difference closes at that order).
-    A modal source outside modes 0 .. n_modes-1 is a ConfigError.
+    ``n_modes`` defaults to ``default_n_modes`` (N0 + 30); a modal source
+    outside modes 0 .. n_modes-1 is a ConfigError.
     """
     deltas = _nonempty(deltas, "deltas", "equivalence check")
     if source is None:
         source = default_l_study_source(cfg)
     if n_modes is None:
-        _, n0 = cutoff_numbers(cfg)
-        n_modes = n0 + 5
+        n_modes = default_n_modes(cfg)
     _check_source_modes(source, n_modes, "equivalence check")
     diffs = []
     for d in deltas:
@@ -738,13 +741,13 @@ def run_total_error_study(
         r = f_lv.reshape(len(f_lv), n_used, n_samples) - loads[-1][:, None]
         b_norm2, cross, quad = _layer_terms(n, cfg, st.grid, w, lay, st.lo, st.hi,
                                             r.reshape(f_lv.shape), f_lv, "total study")
-        return (b_norm2 - 2.0 * cross + quad).reshape(len(lay.layers), n_used, n_samples).T
+        return (b_norm2 - 2.0 * cross + quad).reshape(len(lay.cfgs), n_used, n_samples).T
 
     per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
     mean, stderr, diam = st.moments(np.sum(np.stack(per_mode), axis=0))
     return TotalErrorResult(
         h_values=diam,
-        l_values=np.array([c.L for c, _ in lay.layers]),
+        l_values=np.array([c.L for c in lay.cfgs]),
         abscissae_l=lay.abscissae,
         error_mean=mean,
         error_stderr=stderr,

@@ -7,19 +7,23 @@ sigma == 0, the layer attaches to the computational domain without any
 jump condition, and it damps every outgoing mode (including inverse
 upstream ones) instead of amplifying them.
 
-This module owns the quadratic absorption profile sigma, the layer factor
-q of each mode (through which the per-mode layer solution with value 1 at
-the interface and 0 at the outer Dirichlet wall is written), the
-finite-layer Robin coefficients nu_n^{+-} (which converge to beta_n^{+-} exponentially
-in the absorbed mass) and their gaps nu_n - beta_n free of cancellation,
-the resulting modal reflection magnitudes, and the a-priori gap bounds
-|beta - nu| used by the layer-length studies.
+The layer is fixed by the interfaces x^{+-}, the length L and the frequency
+omega, all read from the DuctConfig, and by the two absorption strengths of
+``PmlProfile``.  This module owns the quadratic profile sigma and
+``_layer_mode``, the one routine that computes each mode's layer factor q
+(the per-mode layer solution, 1 at the interface and 0 at the outer
+Dirichlet wall, is written through it) and rejects a vanishing 1 - q.  From
+q come the finite-layer Robin coefficients nu_n^{+-} (which converge to
+beta_n^{+-} exponentially in the absorbed mass), their gaps nu_n - beta_n
+free of cancellation, the modal reflection magnitudes and the a-priori gap
+bounds |beta - nu| used by the layer-length studies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,49 +40,22 @@ UNDERFLOW_EXPONENT = 700.0
 
 @dataclass(frozen=True)
 class PmlProfile:
-    """Absorption strength sigma(x1) outside (x_minus, x_plus).
+    """Absorption strengths of the two layers; the geometry is the DuctConfig's.
 
     The profile is one-sided quadratic,
     ``sigma = sigma_plus (x1 - x_plus)^2`` for ``x1 > x_plus`` and mirrored
-    with ``sigma_minus`` on the left, which vanishes together with its
-    derivative at the interfaces.
+    with ``sigma_minus`` (default ``sigma_plus``) on the left, which vanishes
+    together with its derivative at the interfaces.
     """
 
     sigma_plus: float
-    sigma_minus: float
-    x_plus: float
-    x_minus: float
-    L: float
+    sigma_minus: Optional[float] = None
 
     def __post_init__(self):
-        if self.L <= 0.0:
-            raise ConfigError(f"layer length must be positive, got {self.L}")
+        if self.sigma_minus is None:
+            object.__setattr__(self, "sigma_minus", self.sigma_plus)
         if self.sigma_plus < 0.0 or self.sigma_minus < 0.0:
             raise ConfigError("quadratic strengths must be >= 0")
-
-    @classmethod
-    def quadratic(cls, cfg: DuctConfig, sigma_plus: float, sigma_minus=None):
-        if sigma_minus is None:
-            sigma_minus = sigma_plus
-        return cls(
-            sigma_plus=sigma_plus,
-            sigma_minus=sigma_minus,
-            x_plus=cfg.x_plus,
-            x_minus=cfg.x_minus,
-            L=cfg.L,
-        )
-
-    def _offset_sigma(self, s, side: str):
-        """sigma at layer offset s >= 0 measured from the interface."""
-        s = np.asarray(s, dtype=float)
-        coeff = self.sigma_plus if side == "+" else self.sigma_minus
-        return coeff * s * s
-
-    def _offset_sigma_mass(self, s, side: str):
-        """Integral of sigma over layer offsets [0, s]."""
-        s = np.asarray(s, dtype=float)
-        coeff = self.sigma_plus if side == "+" else self.sigma_minus
-        return coeff * s ** 3 / 3.0
 
 
 def _check_side(side: str):
@@ -86,85 +63,71 @@ def _check_side(side: str):
         raise DomainError(f"side must be '+' or '-', got {side!r}")
 
 
-def sigma(profile: PmlProfile, x1):
+def sigma(profile: PmlProfile, x1, cfg: DuctConfig):
     """Piecewise absorption strength; zero on (x_minus, x_plus)."""
     scalar = np.ndim(x1) == 0
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     out = np.zeros_like(x1)
-    right = x1 > profile.x_plus
-    left = x1 < profile.x_minus
-    if np.any(right):
-        out[right] = profile._offset_sigma(x1[right] - profile.x_plus, "+")
-    if np.any(left):
-        out[left] = profile._offset_sigma(profile.x_minus - x1[left], "-")
+    right = x1 > cfg.x_plus
+    left = x1 < cfg.x_minus
+    s = x1[right] - cfg.x_plus
+    out[right] = profile.sigma_plus * s * s
+    s = cfg.x_minus - x1[left]
+    out[left] = profile.sigma_minus * s * s
     return float(out[0]) if scalar else out
 
 
-def alpha(profile: PmlProfile, x1, omega: float):
+def alpha(profile: PmlProfile, x1, cfg: DuctConfig):
     """Complex stretch alpha = -i omega / (-i omega + sigma(x1)), taken as
     1 / (1 + i sigma/omega) so that it is exactly 1 where sigma = 0."""
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    s = np.asarray(sigma(profile, x1), dtype=float)
-    out = 1.0 / (1.0 + 1j * s / omega)
+    s = np.asarray(sigma(profile, x1, cfg), dtype=float)
+    out = 1.0 / (1.0 + 1j * s / cfg.omega)
     return out if out.ndim else complex(out)
 
 
-def alpha_prime(profile: PmlProfile, x1, omega: float):
+def alpha_prime(profile: PmlProfile, x1, cfg: DuctConfig):
     """d alpha / d x1, using sigma' of the quadratic."""
     scalar = np.ndim(x1) == 0
     x1a = np.atleast_1d(np.asarray(x1, dtype=float))
-    s = np.asarray(sigma(profile, x1a), dtype=float)
+    s = np.asarray(sigma(profile, x1a, cfg), dtype=float)
     sp = np.zeros_like(x1a)
-    right = x1a > profile.x_plus
-    left = x1a < profile.x_minus
-    sp[right] = 2.0 * profile.sigma_plus * (x1a[right] - profile.x_plus)
-    sp[left] = -2.0 * profile.sigma_minus * (profile.x_minus - x1a[left])
-    out = 1j * omega * sp / (-1j * omega + s) ** 2
+    right = x1a > cfg.x_plus
+    left = x1a < cfg.x_minus
+    sp[right] = 2.0 * profile.sigma_plus * (x1a[right] - cfg.x_plus)
+    sp[left] = -2.0 * profile.sigma_minus * (cfg.x_minus - x1a[left])
+    out = 1j * cfg.omega * sp / (-1j * cfg.omega + s) ** 2
     return complex(out[0]) if scalar else out
 
 
-def stretch_integral(profile: PmlProfile, side: str, L: float, omega: float) -> complex:
+def stretch_integral(profile: PmlProfile, side: str, cfg: DuctConfig) -> complex:
     """Full-layer integral of 1/alpha over offsets [0, L].
 
     1/alpha = 1 + i sigma/omega, so the value is L + i * (absorbed mass)/omega,
     whose imaginary part is sigma_{+-} L^3 / (3 omega).
     """
     _check_side(side)
-    if L <= 0.0:
-        raise DomainError(f"layer length must be positive, got {L}")
-    if omega <= 0.0:
-        raise DomainError(f"omega must be positive, got {omega}")
-    mass = float(profile._offset_sigma_mass(L, side))
-    return complex(L, mass / omega)
+    coeff = profile.sigma_plus if side == "+" else profile.sigma_minus
+    # numpy's cube of a 0-d array, which rounds differently from float ** 3 for some L
+    mass = float(coeff * np.asarray(cfg.L, dtype=float) ** 3 / 3.0)
+    return complex(cfg.L, mass / cfg.omega)
 
 
-def _layer_mode(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
+def _layer_mode(n, side: str, profile: PmlProfile, cfg: DuctConfig):
     """(beta_plus, beta_minus, stretch integral, q) of mode n (int or array) on one side.
 
     q = exp(i (beta_plus - beta_minus) * stretch_integral); |q| <= 1.  The
-    roots are computed once here for every layer quantity of the mode.
+    roots are computed once here for every layer quantity of the mode, and a
+    numerically vanishing denominator 1 - q raises DegenerateLayerError.
     """
-    _check_side(side)
     bp, bm = axial_wavenumbers64(n, cfg)
-    stretch = stretch_integral(profile, side, profile.L, cfg.omega)
+    stretch = stretch_integral(profile, side, cfg)
     q = np.exp(1j * (bp - bm) * stretch)
-    return bp, bm, stretch, q if q.ndim else complex(q)
-
-
-def _q_factor(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
-    """(beta_plus, beta_minus, q, 1 - q) of mode n on one side.
-
-    Raises DegenerateLayerError when the interpolation denominator 1 - q
-    vanishes numerically.
-    """
-    bp, bm, _, q = _layer_mode(n, side, profile, cfg)
-    den = 1.0 - q
-    if np.any(np.abs(den) < 1e-14):
-        i = np.argmin(np.abs(den))
-        raise DegenerateLayerError(f"layer denominator |1-q|={np.abs(den).flat[i]:.3e} "
+    den = np.abs(1.0 - q)
+    if np.any(den < 1e-14):
+        i = np.argmin(den)
+        raise DegenerateLayerError(f"layer denominator |1-q|={den.flat[i]:.3e} "
                                    f"for mode n={np.ravel(n)[i]}, side {side!r}")
-    return bp, bm, q, den
+    return bp, bm, stretch, q if q.ndim else complex(q)
 
 
 def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> complex:
@@ -177,8 +140,9 @@ def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> 
     the '-' side), which tests verify to 1e-12.  As the absorbed mass grows, q -> 0 and
     nu -> beta exponentially.
     """
-    beta, gap = _beta_and_gap(n, side, profile, cfg)
-    return beta + gap
+    bp, bm, _, q = _layer_mode(n, side, profile, cfg)
+    gap = (bp - bm) * q / (1.0 - q)
+    return bp + gap if side == "+" else bm - gap
 
 
 def nu_gap(n, side: str, profile: PmlProfile, cfg: DuctConfig):
@@ -189,16 +153,9 @@ def nu_gap(n, side: str, profile: PmlProfile, cfg: DuctConfig):
     Forming it as nu - beta would lose |beta| * eps of absolute accuracy,
     which is most of it once the layer has absorbed the mode.
     """
-    return _beta_and_gap(n, side, profile, cfg)[1]
-
-
-def _beta_and_gap(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
-    """(beta_n, nu_n - beta_n) on the requested side."""
-    bp, bm, q, den = _q_factor(n, side, profile, cfg)
-    gap = (bp - bm) * q / den
-    if side == "+":
-        return bp, gap
-    return bm, -gap
+    bp, bm, _, q = _layer_mode(n, side, profile, cfg)
+    gap = (bp - bm) * q / (1.0 - q)
+    return gap if side == "+" else -gap
 
 
 def reflection_coefficient(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> float:
@@ -210,7 +167,7 @@ def reflection_coefficient(n: int, side: str, profile: PmlProfile, cfg: DuctConf
     Raises DegenerateLayerError where 1 - q vanishes numerically, as the
     layer coefficients do.
     """
-    return abs(_q_factor(n, side, profile, cfg)[2])
+    return abs(_layer_mode(n, side, profile, cfg)[3])
 
 
 @dataclass(frozen=True)
@@ -239,21 +196,19 @@ def dtn_gap_bound(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> Ga
     applicable = exponent >= GAP_BOUND_MIN_EXPONENT
     if exponent > UNDERFLOW_EXPONENT:
         return GapBound(0.0, 0.0, applicable, True, exponent)
-    den = abs(1.0 - q)
-    if den < 1e-300:
-        raise DegenerateLayerError(f"degenerate layer for mode n={n}, side {side!r}")
-    measured = abs(delta) * abs(q) / den
+    measured = abs(delta) * abs(q) / abs(1.0 - q)
     bound = 2.0 * abs(delta) * abs(q)
     return GapBound(measured, bound, applicable, False, exponent)
 
 
-def sigma_tilde_integral(profile: PmlProfile, side: str, L: float, omega: float) -> float:
+def sigma_tilde_integral(profile: PmlProfile, side: str, cfg: DuctConfig) -> float:
     """Integral over [0, L] of min(1, sigma/omega); the decay abscissa.
 
     The saturation point is s* = sqrt(omega/coeff), and the integral is
     closed-form on both sides of it.
     """
     _check_side(side)
+    L, omega = cfg.L, cfg.omega
     coeff = profile.sigma_plus if side == "+" else profile.sigma_minus
     if coeff <= 0.0:
         return 0.0

@@ -21,8 +21,8 @@ alpha = 1 off the layers) and a direct tridiagonal solve by LAPACK's zgtsv.
 ``mode_matrix`` is the one place that builds a mode operator for any of
 the three closures, and ``modal_loads`` the one place that turns a source
 (noise realization, modal box or function source, or a list of them) into
-every mode's hat loads; ``solve_mode``, ``solve_full`` and the Monte
-Carlo studies in ``harness`` all go through them.
+every mode's hat loads; ``solve_full`` and the Monte Carlo studies in
+``harness`` all go through them.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D, profile=None):
     else:
         nodes = grid.nodes()
         xg = 0.5 * (nodes[:-1, None] + nodes[1:, None]) + dx * np.array([-_G, _G])
-        a = pml_mod.alpha(profile, xg, cfg.omega)
-        ap = pml_mod.alpha_prime(profile, xg, cfg.omega)
+        a = pml_mod.alpha(profile, xg, cfg)
+        ap = pml_mod.alpha_prime(profile, xg, cfg)
     ikm = 1j * cfg.k * cfg.M
     gamma = cfg.k ** 2 - (n * math.pi / cfg.d) ** 2
     # z = (gamma - (alpha^2 - 1) (Mk)^2/(1-M^2)) / alpha: exactly gamma at alpha = 1
@@ -322,30 +322,6 @@ def mode_matrix(n: int, cfg: DuctConfig, grid: Grid1D, formulation: str, profile
     return _robin_matrix(n, cfg, grid, r_plus, r_minus)
 
 
-def _solve_system(matrix, rhs, formulation: str) -> np.ndarray:
-    """Nodal solution of ``mode_matrix`` output for load(s) rhs[n_nodes, ...].
-
-    For ``pml_full`` the Dirichlet end values are zero and only the
-    interior rows are solved.
-    """
-    if formulation != PML_FULL:
-        return _solve_tridiag(*matrix, rhs)
-    out = np.zeros(rhs.shape, dtype=complex)
-    out[1:-1] = _solve_tridiag(*matrix, rhs[1:-1])
-    return out
-
-
-def solve_mode(
-    n: int, source, cfg: DuctConfig, grid: Grid1D, formulation: str, profile=None
-) -> np.ndarray:
-    """Nodal values of mode n driven by ``source`` under the given closure.
-
-    ``source`` is anything ``modal_loads`` accepts.
-    """
-    matrix = mode_matrix(n, cfg, grid, formulation, profile)
-    return _solve_system(matrix, modal_loads(source, cfg, grid, n + 1)[n], formulation)
-
-
 # ---------------------------------------------------------------------------
 # Multi-mode driver, field assembly, norms
 # ---------------------------------------------------------------------------
@@ -362,15 +338,17 @@ def solve_full(
     """Solve every mode 0 .. n_modes-1 for the combined source.
 
     ``source`` is anything ``modal_loads`` accepts; every mode's load
-    comes from its one call.
+    comes from its one call.  For ``pml_full`` the Dirichlet end values are
+    zero and only the interior rows are solved.
     """
     if n_modes is None:
         n_modes = default_n_modes(cfg)
     loads = modal_loads(source, cfg, grid, n_modes)
-    values = np.empty((n_modes, grid.n_nodes), dtype=complex)
+    values = np.zeros((n_modes, grid.n_nodes), dtype=complex)
+    rows = slice(1, -1) if formulation == PML_FULL else slice(None)
     for n in range(n_modes):
         matrix = mode_matrix(n, cfg, grid, formulation, profile)
-        values[n] = _solve_system(matrix, loads[n], formulation)
+        values[n, rows] = _solve_tridiag(*matrix, loads[n, rows])
     return ModalSolution(grid=grid, values=values)
 
 

@@ -34,7 +34,9 @@ oracle of the noise response).
 
 Layer solutions: the per-mode solutions psi_n^{+-} of the stretched
 operator in one layer, in closed form through the partial stretch
-integral, and their derivatives; with the two-point amplitudes of the
+integral s + i sigma_{+-} s^3 / (3 omega) (geometry and omega from the
+DuctConfig, the layer factor q written out here, not taken from
+``ductpml.pml``), and their derivatives; with the two-point amplitudes of the
 unit-trace layer solution they check the Robin coefficients nu_n and the
 eigenrelation alpha (d/dx1 + i mu) psi = i (beta + mu) psi.
 
@@ -61,7 +63,13 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from ductpml.duct import _PI_LD, DuctConfig, axial_wavenumbers64, mode_shape
-from ductpml.errors import ConfigError, DomainError, GridMismatchError, SingularityError
+from ductpml.errors import (
+    ConfigError,
+    DegenerateLayerError,
+    DomainError,
+    GridMismatchError,
+    SingularityError,
+)
 from ductpml.greens import (
     GreensEvalParams,
     _betas_block,
@@ -75,7 +83,7 @@ from ductpml.noise import (
     NoiseRealization,
     transverse_cell_integrals,
 )
-from ductpml.pml import PmlProfile, _check_side, _q_factor, alpha
+from ductpml.pml import PmlProfile, alpha
 from ductpml.solver import DTN, Grid1D, ModalSolution, mode_matrix
 from ductpml.specfun import hankel0
 
@@ -373,28 +381,31 @@ def modal_amplitudes(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):
     """Coefficients (on psi_plus, psi_minus) of the unit-trace layer solution.
 
     The pair solves the two-point conditions: value 1 at the interface and 0
-    at the outer Dirichlet wall.  On the '+' side the weight sits on the
-    branch decaying rightward; on the '-' side on the branch decaying
-    leftward.  Raises DegenerateLayerError when the interpolation
-    denominator vanishes numerically.
+    at the outer Dirichlet wall.  With q = exp(i (beta_plus - beta_minus) (L +
+    i sigma L^3 / (3 omega))) it is (1, -q) / (1 - q) on the '+' side, the
+    weight on the branch decaying rightward, and (-q, 1) / (1 - q) on the '-'
+    side.  Raises DegenerateLayerError when the interpolation denominator
+    1 - q vanishes numerically.
     """
-    _, _, q, den = _q_factor(n, side, profile, cfg)
+    bp, bm = axial_wavenumbers64(n, cfg)
+    q = cmath.exp(1j * (bp - bm) * stretch_partial(profile, side, cfg.L, cfg))
+    den = 1.0 - q
+    if abs(den) < 1e-14:
+        raise DegenerateLayerError(f"|1-q|={abs(den):.3e} for mode n={n}, side {side!r}")
     if side == "+":
         return 1.0 / den, -q / den
     return -q / den, 1.0 / den
 
 
-def stretch_partial(profile: PmlProfile, side: str, s, omega: float):
-    """Integral of 1/alpha over layer offsets [0, s] (vectorized in s)."""
-    _check_side(side)
+def stretch_partial(profile: PmlProfile, side: str, s, cfg: DuctConfig):
+    """Integral of 1/alpha = 1 + i sigma/omega over layer offsets [0, s]
+    (vectorized in s): s + i sigma_{+-} s^3 / (3 omega)."""
+    if side not in ("+", "-"):
+        raise DomainError(f"side must be '+' or '-', got {side!r}")
+    strength = profile.sigma_plus if side == "+" else profile.sigma_minus
     s = np.asarray(s, dtype=float)
-    out = s + 1j * profile._offset_sigma_mass(s, side) / omega
+    out = s + 1j * strength * s ** 3 / (3.0 * cfg.omega)
     return out if out.ndim else complex(out)
-
-
-def _layer_offset(profile: PmlProfile, side: str, x1):
-    off = (x1 - profile.x_plus) if side == "+" else (profile.x_minus - x1)
-    return off
 
 
 def psi_mode(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
@@ -403,14 +414,14 @@ def psi_mode(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
     Both equal 1 at the interface; with sigma == 0 they reduce to the plain
     duct modes exp(i beta^{+-} (x1 - interface)).
     """
-    _check_side(side)
     bp, bm = axial_wavenumbers64(n, cfg)
     mu = cfg.M * cfg.k / cfg.one_minus_m2
-    off = _layer_offset(profile, side, np.asarray(x1, dtype=float))
-    if np.any(off < -1e-12) or np.any(off > profile.L + 1e-12):
+    x1a = np.asarray(x1, dtype=float)
+    off = (x1a - cfg.x_plus) if side == "+" else (cfg.x_minus - x1a)
+    if np.any(off < -1e-12) or np.any(off > cfg.L + 1e-12):
         raise DomainError("x1 outside the layer on the requested side")
     sgn = 1.0 if side == "+" else -1.0
-    stretch = sgn * stretch_partial(profile, side, np.maximum(off, 0.0), cfg.omega)
+    stretch = sgn * stretch_partial(profile, side, np.maximum(off, 0.0), cfg)
     dx = sgn * off
     psi_p = np.exp(-1j * mu * dx + 1j * (bp + mu) * stretch)
     psi_m = np.exp(-1j * mu * dx + 1j * (bm + mu) * stretch)
@@ -421,10 +432,9 @@ def psi_mode(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
 
 def psi_mode_derivative(n: int, x1, side: str, profile: PmlProfile, cfg: DuctConfig):
     """Closed-form d/dx1 of (psi_plus, psi_minus); used by eigenrelation checks."""
-    _check_side(side)
     bp, bm = axial_wavenumbers64(n, cfg)
     mu = cfg.M * cfg.k / cfg.one_minus_m2
-    a = alpha(profile, x1, cfg.omega)
+    a = alpha(profile, x1, cfg)
     psi_p, psi_m = psi_mode(n, x1, side, profile, cfg)
     dp = psi_p * (-1j * mu + 1j * (bp + mu) / a)
     dm = psi_m * (-1j * mu + 1j * (bm + mu) / a)

@@ -30,7 +30,7 @@ from ductpml.noise import (
     build_mesh,
     sample,
 )
-from ductpml.solver import Grid1D, solve_mode
+from ductpml.solver import Grid1D, solve_full
 from ductpml.specfun import hankel0
 from oracles import (
     _image_y2,
@@ -177,7 +177,7 @@ class TestModeGreen1D:
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
         w = 2 * grid.delta
         src = ModeBoxSource(mode=n, x_lo=-w, x_hi=w, amplitude=1.0 / (2 * w))
-        sol = solve_mode(n, src, cfg, grid, "dtn")
+        sol = solve_full(cfg, src, "dtn", grid, n + 1).values[n]
         nodes = grid.nodes()
         mask = np.abs(nodes) > 0.1
         exact = np.array([mode_green_1d(n, x, 0.0, cfg) for x in nodes[mask]])
@@ -266,7 +266,7 @@ class TestDeterministicSolution:
         src = ModeBoxSource(mode=1, x_lo=-0.25, x_hi=0.25, amplitude=1.0)
         params = GreensEvalParams()
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
-        sol = solve_mode(1, src, cfg, grid, "dtn")
+        sol = solve_full(cfg, src, "dtn", grid, 2).values[1]
         x2 = 0.3
         bp, bm, c = _betas_block(cfg, 1, 2)
 

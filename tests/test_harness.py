@@ -198,7 +198,7 @@ class TestLStudy:
 class TestEquivalence:
     def test_order_and_zero_source(self):
         cfg = make_cfg()
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         res = run_equivalence_check(cfg, profile, deltas=(1 / 32, 1 / 64, 1 / 128), n_modes=4)
         assert res.fitted_rate >= 1.9
         zero = ModeBoxSource(mode=0, x_lo=-0.2, x_hi=0.2, amplitude=0.0)
@@ -209,7 +209,7 @@ class TestEquivalence:
         # with fierce absorption both solves sit on the exact solution, so
         # their gap is pure discretization noise
         cfg = make_cfg(L=1.0)
-        profile = PmlProfile.quadratic(cfg, 200.0)
+        profile = PmlProfile(200.0)
         src = ModeBoxSource(mode=4, x_lo=-0.2, x_hi=0.2)
         res = run_equivalence_check(cfg, profile, source=src, deltas=(1 / 64,), n_modes=5)
         assert res.error_mean[0] < 1e-6
@@ -218,10 +218,22 @@ class TestEquivalence:
         # d=1, M=0.6, k=20: N0 = 7, so the default box source is mode 8
         cfg = DuctConfig(d=1.0, M=0.6, k=20.0, x_minus=-1.0, x_plus=1.0, L=1.0)
         assert cutoff_numbers(cfg)[1] == 7
-        profile = PmlProfile.quadratic(cfg, 20.0)
+        profile = PmlProfile(20.0)
         with pytest.raises(ConfigError, match=r"^equivalence check: source mode 8 is not in "
                                               r"0 \.\. n_modes - 1 \(n_modes = 8\)"):
             run_equivalence_check(cfg, profile, n_modes=8)
+
+    def test_default_mode_count_is_default_n_modes(self):
+        # the one mode-count default, N0 + 30: a source in mode N0 + 10 is solved
+        cfg = make_cfg(L=1.0)
+        n0 = cutoff_numbers(cfg)[1]
+        src = [default_l_study_source(cfg), ModeBoxSource(mode=n0 + 10, x_lo=-0.3, x_hi=0.1)]
+        deltas = (1 / 32, 1 / 64, 1 / 128)
+        res = run_equivalence_check(cfg, PmlProfile(5.0), source=src, deltas=deltas)
+        ref = run_equivalence_check(cfg, PmlProfile(5.0), source=src, deltas=deltas,
+                                    n_modes=default_n_modes(cfg))
+        np.testing.assert_array_equal(res.error_mean, ref.error_mean)
+        assert res.fitted_rate == ref.fitted_rate and res.passed
 
 
 class TestHStudyExactMean:
@@ -356,7 +368,7 @@ class TestTotalStudy:
         (lambda cfg: run_L_study(cfg, [], 5.0), "L study: l_values"),
         (lambda cfg: run_total_error_study(cfg, [1 / 4, 1 / 8], [], 5.0, 4, 0),
          "total study: l_values"),
-        (lambda cfg: run_equivalence_check(cfg, PmlProfile.quadratic(cfg, 5.0), deltas=[]),
+        (lambda cfg: run_equivalence_check(cfg, PmlProfile(5.0), deltas=[]),
          "equivalence check: deltas"),
     ],
     ids=["h-h_levels", "total-h_levels", "L-l_values", "total-l_values", "equiv-deltas"],
@@ -502,8 +514,7 @@ class TestBatchedNoiseSolves:
                 det = det_rows[n][:, None]
                 ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
                 for j_l, L in enumerate(l_values):
-                    prof = PmlProfile(sigma_plus=5.0, sigma_minus=5.0,
-                                      x_plus=cfg.x_plus, x_minus=cfg.x_minus, L=L)
+                    prof = PmlProfile(sigma_plus=5.0, sigma_minus=5.0)
                     matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
                     for j_h, lv in enumerate((0, 1)):
                         sol = _solve_tridiag(*matrix, loads[lv][n] + det)
@@ -533,8 +544,7 @@ class TestBatchedNoiseSolves:
             det = det_rows[n][:, None]
             ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
             for j_l, L in enumerate(l_values):
-                prof = PmlProfile(sigma_plus=sigma_plus, sigma_minus=sigma_minus,
-                                  x_plus=cfg.x_plus, x_minus=cfg.x_minus, L=L)
+                prof = PmlProfile(sigma_plus=sigma_plus, sigma_minus=sigma_minus)
                 matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
                 for j_h, lv in enumerate((0, 1)):
                     diff2 = np.abs(_solve_tridiag(*matrix, loads[lv][n] + det) - ref) ** 2
@@ -566,7 +576,7 @@ class TestBatchedNoiseSolves:
             det = det_rows[n][:, None]
             ref = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[3][n] + det)
             for j_l, L in enumerate(l_values):
-                prof = PmlProfile.quadratic(make_cfg(L=L), 5.0)
+                prof = PmlProfile(5.0)
                 matrix = mode_matrix(n, make_cfg(L=L), grid, PML_REDUCED, prof)
                 for j_h, lv in enumerate((0, 1)):
                     diff2 = np.abs(_solve_tridiag(*matrix, loads[lv][n] + det) - ref) ** 2
@@ -738,18 +748,18 @@ class TestLayerUpdate:
         assume(all(abs(k0 - m) > 1e-6 * k0 for m in range(1, n0 + 3)))  # off cutoff
         n = max(0, n0 + dn)
         grid = omega_b_grid(base, default_delta(base))
-        layers = [(c, PmlProfile.quadratic(c, sigma_plus, sigma_minus))
-                  for c in (replace(base, L=L), replace(base, L=L2))]
+        cfgs = [replace(base, L=L), replace(base, L=L2)]
         rng = np.random.default_rng(seed)
         loads = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
         matrix = mode_matrix(n, base, grid, DTN)
         u = _solve_tridiag(*matrix, loads)
         z, _ = _end_responses(n, matrix, "test")
         w = _trapezoid_weights(grid)
-        gaps = _layer_gaps(layers, n + 1)[n]
-        coeffs, quad = _layer_coefficients(n, layers, gaps, z, w, u[[0, -1]], "test")
+        profile = PmlProfile(sigma_plus, sigma_minus)
+        gaps = _layer_gaps(cfgs, profile, n + 1)[n]
+        coeffs, quad = _layer_coefficients(n, cfgs, gaps, z, w, u[[0, -1]], "test")
         assert coeffs.shape == (2, 2, 3) and quad.shape == (2, 3)
-        for j, ((cfg, profile), c) in enumerate(zip(layers, coeffs)):
+        for j, (cfg, c) in enumerate(zip(cfgs, coeffs)):
             # the Gram form c_L^H (Z^H W Z) c_L against the W-norm of the formed Z c_L,
             # to roundoff of the norms of its two terms; a deeply evanescent mode
             # can leave c_L near 1e-158, whose squares are subnormal, where each
@@ -782,7 +792,7 @@ class TestLayerUpdate:
 
         def sign(L):
             c = replace(cfg, L=L)
-            sub, diag, sup = mode_matrix(0, c, grid, PML_REDUCED, PmlProfile.quadratic(c, 0.0))
+            sub, diag, sup = mode_matrix(0, c, grid, PML_REDUCED, PmlProfile(0.0))
             dense = np.diag(diag.real) + np.diag(sub.real, -1) + np.diag(sup.real, 1)
             return np.linalg.slogdet(dense)[0]
 
@@ -814,7 +824,7 @@ class TestLayerUpdate:
         grid = omega_b_grid(cfg, 1 / 20)
         cfg_off = replace(cfg, L=off)
         direct = l2_error(
-            solve_full(cfg_off, src, PML_REDUCED, grid, 1, PmlProfile.quadratic(cfg_off, 0.0)),
+            solve_full(cfg_off, src, PML_REDUCED, grid, 1, PmlProfile(0.0)),
             solve_full(cfg, src, DTN, grid, 1),
         )
         assert res.error_mean[0] == pytest.approx(direct, rel=1e-9)
@@ -852,7 +862,7 @@ class TestLayerUpdate:
                 continue
             assert np.isfinite(res.error_mean[0]) and res.error_mean[0] > 0.0
             cfg_l = replace(cfg, L=L)
-            prof = PmlProfile.quadratic(cfg_l, sigma)
+            prof = PmlProfile(sigma)
             direct = l2_error(solve_full(cfg_l, src, PML_REDUCED, grid, 16, prof), dtn)
             assert res.error_mean[0] == pytest.approx(direct, rel=1e-10)
 
@@ -906,7 +916,7 @@ class TestLStudyOracle:
         cond_dtn = max(condition_estimate(n, cfg, grid) for n in modes)
         for L, err in zip(self.L_VALUES, res.error_mean):
             cfg_l = replace(cfg, L=L)
-            prof = PmlProfile.quadratic(cfg_l, kw["sigma_plus"], kw["sigma_minus"])
+            prof = PmlProfile(kw["sigma_plus"], kw["sigma_minus"])
             direct = l2_error(solve_full(cfg_l, source, PML_REDUCED, grid, None, prof), dtn)
             cond = max([cond_dtn] + [condition_estimate(n, cfg_l, grid, PML_REDUCED, prof)
                                      for n in modes])
@@ -930,7 +940,7 @@ class TestLStudyOracle:
         loads = modal_loads(source, cfg, grid, n_modes)
         for L, err in zip(self.L_VALUES, res.error_mean):
             cfg_l = replace(cfg, L=L)
-            prof = PmlProfile.quadratic(cfg_l, kw["sigma_plus"], kw["sigma_minus"])
+            prof = PmlProfile(kw["sigma_plus"], kw["sigma_minus"])
             err2 = 0.0
             for n in range(n_modes):
                 u = _solve_tridiag(*mode_matrix(n, cfg, grid, DTN), loads[n])

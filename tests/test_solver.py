@@ -29,7 +29,6 @@ from ductpml.solver import (
     piecewise_load_matrix,
     mode_matrix,
     solve_full,
-    solve_mode,
 )
 from oracles import banded_solve, condition_estimate, l2_error
 
@@ -269,9 +268,9 @@ class TestModeSolves:
     def test_zero_source_gives_zero(self, formulation):
         cfg = make_cfg()
         grid = grid_for(formulation, cfg, 1 / 64)
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         zero = ModeBoxSource(mode=9, x_lo=-0.1, x_hi=0.1, amplitude=0.0)
-        assert np.all(solve_mode(1, zero, cfg, grid, formulation, profile) == 0.0)
+        assert np.all(solve_full(cfg, zero, formulation, grid, 2, profile).values[1] == 0.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 4])
     def test_dtn_matches_kernel_oracle(self, n):
@@ -280,7 +279,7 @@ class TestModeSolves:
         errs = []
         for cells in (256, 512, 1024):
             grid = Grid1D(cfg.x_minus, cfg.x_plus, cells)
-            sol = solve_mode(n, box, cfg, grid, "dtn")
+            sol = solve_full(cfg, box, "dtn", grid, n + 1).values[n]
             exact = oracle_box_solution(n, cfg, grid)
             num = np.trapezoid(np.abs(sol - exact) ** 2, dx=grid.delta)
             den = np.trapezoid(np.abs(exact) ** 2, dx=grid.delta)
@@ -295,7 +294,7 @@ class TestModeSolves:
         cfg = make_cfg(M=0.0)
         box = ModeBoxSource(mode=0, x_lo=-0.25, x_hi=0.25)
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 1024)
-        sol = solve_mode(0, box, cfg, grid, "dtn")
+        sol = solve_full(cfg, box, "dtn", grid, 1).values[0]
         nodes = grid.nodes()
         window = (nodes >= 0.4) & (nodes <= 0.9)
         x = nodes[window]
@@ -309,20 +308,20 @@ class TestModeSolves:
 
     def test_full_layer_dirichlet_ends(self):
         cfg = make_cfg()
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         grid = omega_full_grid(cfg, 1 / 32)
         box = ModeBoxSource(mode=1, x_lo=-0.2, x_hi=0.2)
-        sol = solve_mode(1, box, cfg, grid, "pml_full", profile)
+        sol = solve_full(cfg, box, "pml_full", grid, 2, profile).values[1]
         assert sol[0] == 0.0 and sol[-1] == 0.0
 
     def test_layer_decay_with_absorption_strength(self):
         cfg = make_cfg()
         peaks = []
         for sp in (1.0, 2.0, 4.0, 8.0):
-            profile = PmlProfile.quadratic(cfg, sp)
+            profile = PmlProfile(sp)
             grid = omega_full_grid(cfg, 1 / 64)
             box = ModeBoxSource(mode=0, x_lo=-0.2, x_hi=0.2)
-            sol = solve_mode(0, box, cfg, grid, "pml_full", profile)
+            sol = solve_full(cfg, box, "pml_full", grid, 1, profile).values[0]
             nodes = grid.nodes()
             layer = nodes >= cfg.x_plus + 0.5 * cfg.L
             peaks.append(float(np.max(np.abs(sol[layer]))))
@@ -332,13 +331,13 @@ class TestModeSolves:
         # strongly evanescent mode dies before the outer wall, so even a
         # zero-absorption Dirichlet extension reproduces the exact solve
         cfg = make_cfg(L=1.0)
-        profile = PmlProfile.quadratic(cfg, 0.0, 0.0)
+        profile = PmlProfile(0.0, 0.0)
         n = 5
         box = ModeBoxSource(mode=n, x_lo=-0.2, x_hi=0.2)
         gb = omega_b_grid(cfg, 1 / 128)
         gf = omega_full_grid(cfg, 1 / 128)
-        dtn = solve_mode(n, box, cfg, gb, "dtn")
-        full = solve_mode(n, box, cfg, gf, "pml_full", profile)
+        dtn = solve_full(cfg, box, "dtn", gb, n + 1).values[n]
+        full = solve_full(cfg, box, "pml_full", gf, n + 1, profile).values[n]
         i0 = round((cfg.x_minus - gf.x_start) / gf.delta)
         i1 = round((cfg.x_plus - gf.x_start) / gf.delta)
         rel = np.max(np.abs(full[i0 : i1 + 1] - dtn)) / np.max(np.abs(dtn))
@@ -346,17 +345,17 @@ class TestModeSolves:
 
     def test_reduced_approaches_dtn_for_thick_layer(self):
         cfg = make_cfg(L=8.0)
-        profile = PmlProfile.quadratic(cfg, 500.0)
+        profile = PmlProfile(500.0)
         grid = omega_b_grid(cfg, 1 / 64)
         box = ModeBoxSource(mode=1, x_lo=-0.2, x_hi=0.2)
-        a = solve_mode(1, box, cfg, grid, "dtn")
-        b = solve_mode(1, box, cfg, grid, "pml_reduced", profile)
+        a = solve_full(cfg, box, "dtn", grid, 2).values[1]
+        b = solve_full(cfg, box, "pml_reduced", grid, 2, profile).values[1]
         assert np.max(np.abs(a - b)) < 1e-10
 
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
     def test_manufactured_solution_order(self, formulation):
         cfg = make_cfg()
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         bump = Bump()
         n = 1
         src = manufactured_source(n, cfg, bump)
@@ -364,7 +363,7 @@ class TestModeSolves:
         cells = (128, 256, 512)
         for nc in cells:
             grid = grid_for(formulation, cfg, 2.0 / nc)
-            sol = solve_mode(n, src, cfg, grid, formulation, profile)
+            sol = solve_full(cfg, src, formulation, grid, n + 1, profile).values[n]
             nodes = grid.nodes()
             exact = np.array([bump.value(x) for x in nodes])
             errs.append(
@@ -397,15 +396,15 @@ class TestSolveFullAndFields:
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
     def test_rows_match_single_mode_solves(self, formulation):
         # solve_full builds each noise load matrix once for all modes; every
-        # row must still be the single-mode solve of the same source
+        # row must still be the solve of the same source with that mode last
         cfg = make_cfg()
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         grid = grid_for(formulation, cfg, 1 / 32)
         mesh = build_mesh((-0.5, 0.5, 0.25, 0.75), 0.2, 2)
         src = [ModeBoxSource(mode=2, x_lo=-0.3, x_hi=0.2), sample(mesh, 5)]
         sol = solve_full(cfg, src, formulation, grid, 6, profile)
         for n in range(6):
-            row = solve_mode(n, src, cfg, grid, formulation, profile)
+            row = solve_full(cfg, src, formulation, grid, n + 1, profile).values[n]
             np.testing.assert_allclose(sol.values[n], row, rtol=1e-12, atol=0.0)
 
     def test_single_mode_source_decouples(self):
@@ -461,7 +460,7 @@ class TestSolveFullAndFields:
         # `ductpml solve` assembles its whole (x1, x2) grid in one call
         cfg = make_cfg()
         grid = grid_for(formulation, cfg, 1 / 32)
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         src = [ModeBoxSource(mode=1, x_lo=-0.3, x_hi=0.2), ModeBoxSource(mode=4, x_lo=0.0, x_hi=0.5)]
         sol = solve_full(cfg, src, formulation, grid, 7, profile)
         nodes = sol.grid.nodes()
@@ -559,7 +558,7 @@ class TestModeMatrix:
     )
     def test_grid_must_span_the_formulation_interval(self, formulation, wrong):
         cfg = make_cfg()
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         grid = omega_full_grid(cfg, 1 / 16) if wrong == "full" else omega_b_grid(cfg, 1 / 16)
         with pytest.raises(GridMismatchError):
             mode_matrix(1, cfg, grid, formulation, profile)
@@ -577,7 +576,7 @@ class TestModeMatrix:
         # between the layers alpha = 1 and the stretched operator gives the
         # same rows, up to the summation order of the element sums
         cfg = make_cfg(M=M, k=7.3)
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         grid = omega_b_grid(cfg, 1 / 16)
         full = omega_full_grid(cfg, 1 / 16)
         dx, m2, ikm = grid.delta, 1.0 - M * M, 1j * cfg.k * M
@@ -606,7 +605,7 @@ class TestConditioning:
     @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
     def test_condition_estimate_bounded(self, formulation):
         cfg = make_cfg()
-        profile = PmlProfile.quadratic(cfg, 5.0)
+        profile = PmlProfile(5.0)
         _, n0 = cutoff_numbers(cfg)
         grid = grid_for(formulation, cfg, default_delta(cfg))
         for n in (0, n0, n0 + 1, n0 + 10):
