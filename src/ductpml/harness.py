@@ -47,19 +47,29 @@ E D_L E^T with E = [e_0, e_N] and D_L = i (1 - M^2) diag(-(nu^- - beta^-),
 nu^+ - beta^+).  Each L is the rank-2 update u_L = u - Z c_L of the DtN
 solution u, with Z = A_dtn^{-1} E and c_L = (I + D_L Z[ends])^{-1} D_L
 u[ends], u[ends] = Y^T f for load f, Y = A_dtn^{-T} E; a numerically
-singular I + D_L Z[ends] (so is A_L) raises DomainError naming the mode,
-side(s), L and stage.  ``_layer_terms`` gives the three terms of the Gram
-form ||b - Z c_L||^2_W = ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z)
-c_L for every column and L.  The total study sums them for b = u_lv - u_ref;
-the L study takes b = u, so ||b||^2_W is its DtN norm and the last term its
-error.  Both build their layers, source and abscissae in ``_layer_set``: one
-config per layer length, which carries x^{+-}, L and omega, and one
-``PmlProfile`` of the two absorption strengths for every layer.
+singular I + D_L Z[ends] (so is A_L) raises DomainError naming the lowest
+such mode, its side(s), its first such L and the stage.  The three terms of
+the Gram form ||b - Z c_L||^2_W = ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H
+(Z^H W Z) c_L come in two steps that both layer studies share: per mode,
+``_layer_terms`` gives ||b||^2_W, Z^H W b, u[ends], Z[ends] and Z^H W Z;
+then ``_layer_coefficients`` runs once over all modes, one layer length at a
+time, for the guard, c_L and the other two terms.  The total study sums them
+for b = u_lv - u_ref; the L study takes b = u, so ||b||^2_W is its DtN norm
+and the last term its error.  Both build their layers, source and abscissae
+in ``_layer_set``: one config per layer length, which carries x^{+-}, L and
+omega, and one ``PmlProfile`` of the two absorption strengths for every layer.
 
-Every study is a pure function of (configuration, base_seed): seeds are
-``base_seed + sample_index``, per-seed work is independent, and
-aggregation runs in a fixed order, so thread counts can never change any
-output bit.
+The noise studies map their per-mode work over a thread pool
+(``_map_threads``): the loads, the DtN solves, ``_mode_norms`` and, in the
+total study, u[ends] and Z^H W Z.  Its zgtsv solves release the GIL
+(``solver._solve_tridiag``), so the modes run in parallel; the 2x2 layer
+update, many small numpy calls that would only take turns at the GIL, runs
+after the pool, once over all modes.  Every study is a pure function of
+(configuration, base_seed): seeds are ``base_seed + sample_index``,
+per-seed work is independent, and aggregation runs in a fixed order, so
+thread counts can never change any output bit.  Errors keep mode order:
+the lowest failing mode raises, and a failure in the per-mode stage of any
+mode comes before the layer update's guard.
 """
 
 from __future__ import annotations
@@ -366,27 +376,30 @@ def _layer_gaps(cfgs, profile: PmlProfile, n_modes: int) -> np.ndarray:
                      for c in cfgs], axis=1)
 
 
-def _layer_coefficients(n: int, cfgs, d, z, w, u_ends, stage: str):
-    """c_L = S_L^{-1} D_L u[ends] of mode n for all layers at once, (n_L, 2, columns),
-    and the Gram term ||Z c_L||^2_W = c_L^H (Z^H W Z) c_L, (n_L, columns).
+def _layer_coefficients(cfgs, gaps, terms, stage: str):
+    """Every mode at once, one layer of cfgs at a time, from each mode's ``_layer_terms``
+    (terms, in mode order): yields c_L = S_L^{-1} D_L u[ends] (n_modes, 2, columns),
+    Re(c_L^H Z^H W b) and ||Z c_L||^2_W = c_L^H (Z^H W Z) c_L (n_modes, columns).
 
     u_L = u - Z c_L solves A_L = A_dtn + E D_L E^T, E = [e_0, e_N], D_L =
-    diag(d[j]) from ``_layer_gaps``, S_L = I + D_L Z[ends].  S_L is singular
+    diag(gaps[n, j]) from ``_layer_gaps``, S_L = I + D_L Z[ends].  S_L is singular
     exactly when A_L is: a row-equilibrated condition above UPDATE_COND_LIMIT
-    raises DomainError naming the mode, the side(s), L and the stage.
+    raises DomainError naming the lowest such mode, its side(s), its first such
+    L and the stage, before the first layer is yielded.
     """
-    s = np.eye(2) + d[:, :, None] * z[[0, -1]]
-    cond = np.linalg.cond(s / np.max(np.abs(s), axis=2, keepdims=True))
-    for j in np.flatnonzero(~(cond <= UPDATE_COND_LIMIT))[:1]:
-        sides = [side for side, d_i in zip("-+", d[j]) if d_i != 0.0]  # the updated ends
+    zwb, u_ends, z_ends, gram = (np.stack(t) for t in list(zip(*terms))[1:])
+    s = np.eye(2) + gaps[..., None] * z_ends[:, None]  # (n_modes, n_L, 2, 2)
+    cond = np.linalg.cond(s / np.max(np.abs(s), axis=-1, keepdims=True))
+    for n, j in np.argwhere(~(cond <= UPDATE_COND_LIMIT))[:1]:  # mode-major order
+        sides = [side for side, d_i in zip("-+", gaps[n, j]) if d_i != 0.0]  # the updated ends
         raise DomainError(
             f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={cfgs[j].L}: "
-            f"rank-2 layer update has condition {cond[j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
+            f"rank-2 layer update has condition {cond[n, j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
             "the reduced mode operator is numerically singular"
         )
-    c = np.linalg.solve(s, d[:, :, None] * u_ends)
-    gram = z.conj().T @ (w[:, None] * z)
-    return c, np.sum(c.conj() * (gram @ c), axis=1).real
+    for j in range(len(cfgs)):  # one layer at a time: c_L of every L at once costs memory
+        c = np.linalg.solve(s[:, j], gaps[:, j, :, None] * u_ends)
+        yield c, np.sum(c.conj() * zwb, axis=1).real, np.sum(c.conj() * (gram @ c), axis=1).real
 
 
 def _end_responses(n: int, matrix, stage: str):
@@ -452,17 +465,16 @@ def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
     return b_norm2, zwb
 
 
-def _layer_terms(n: int, cfg: DuctConfig, grid: Grid1D, w, lay: _LayerSet, lo: int, hi: int,
-                 r, f, stage: str):
-    """||b||^2_W (columns,), Re(c_L^H Z^H W b) and ||Z c_L||^2_W (n_L, columns) of mode
-    n for every layer of ``lay`` and column of b = A_dtn^{-1} r, with c_L from the end
-    values u[ends] = Y^T (det + f): r and f are loads on nodes lo..hi, det lay.det[n]."""
+def _layer_terms(n: int, cfg: DuctConfig, grid: Grid1D, w, det, lo: int, hi: int, r, f,
+                 stage: str):
+    """Mode n's inputs to ``_layer_coefficients`` for every column of b = A_dtn^{-1} r:
+    ||b||^2_W (columns,), Z^H W b and u[ends] = Y^T (det + f) (2, columns), Z[ends] and
+    Z^H W Z (2, 2); r and f are loads on nodes lo..hi, det the source's load."""
     matrix = mode_matrix(n, cfg, grid, DTN)
     z, y = _end_responses(n, matrix, stage)
     b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, stage)
-    u_ends = (y.T @ lay.det[n])[:, None] + y[lo : hi + 1].T @ f
-    c, quad = _layer_coefficients(n, lay.cfgs, lay.gaps[n], z, w, u_ends, stage)
-    return b_norm2, np.sum(c.conj() * zwb, axis=1).real, quad
+    u_ends = (y.T @ det)[:, None] + y[lo : hi + 1].T @ f
+    return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (w[:, None] * z)
 
 
 def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -594,13 +606,14 @@ def run_L_study(
     """Layer-length study: exact-DtN versus reduced finite-layer solve.
 
     Both solves share the grid and interior discretization, so their
-    distance isolates the layer truncation.  ``_layer_terms`` with b = u, the
-    DtN solution, gives each mode's error ||Z c_L||^2_W (u_L = u - Z c_L) and
-    ||u||^2_W, each summed over modes: the error is the discrete |nu - beta|
-    times trace truncation bound, the norm ``extra["dtn_norm"]``.  The fit is
-    log(error) against the absorbed-mass abscissa; the reference slope is the
-    negative of the theoretical decay constant.  Usable abscissae that are
-    all equal (no absorption) give no fit: a NaN slope and passed False.
+    distance isolates the layer truncation.  ``_layer_terms`` and
+    ``_layer_coefficients`` with b = u, the DtN solution, give each mode's
+    error ||Z c_L||^2_W (u_L = u - Z c_L) and ||u||^2_W, each summed over
+    modes: the error is the discrete |nu - beta| times trace truncation
+    bound, the norm ``extra["dtn_norm"]``.  The fit is log(error) against the
+    absorbed-mass abscissa; the reference slope is the negative of the
+    theoretical decay constant.  Usable abscissae that are all equal (no
+    absorption) give no fit: a NaN slope and passed False.
     """
     grid = omega_b_grid(cfg, delta)
     if n_modes is None:
@@ -608,10 +621,13 @@ def run_L_study(
     lay = _layer_set(cfg, grid, n_modes, l_values, sigma_plus, sigma_minus, source, "L study")
     w = _trapezoid_weights(grid)
     # b = u: its load is the source's on every node, and no noise enters u[ends]
-    terms = [_layer_terms(n, cfg, grid, w, lay, 0, grid.n_nodes - 1, lay.det[n][:, None],
-                          np.zeros((grid.n_nodes, 1)), "L study") for n in range(n_modes)]
-    dtn_norm = math.sqrt(sum(float(b_norm2[0]) for b_norm2, _, _ in terms))
-    errors = np.sqrt(sum(quad[:, 0] for _, _, quad in terms))
+    terms = [_layer_terms(n, cfg, grid, w, lay.det[n], 0, grid.n_nodes - 1,
+                          lay.det[n][:, None], np.zeros((grid.n_nodes, 1)), "L study")
+             for n in range(n_modes)]
+    dtn_norm = math.sqrt(sum(float(b_norm2[0]) for b_norm2, *_ in terms))
+    quad = np.stack([q[:, 0] for *_, q in _layer_coefficients(lay.cfgs, lay.gaps, terms,
+                                                               "L study")], axis=1)
+    errors = np.sqrt(sum(quad))  # (n_modes, n_L), summed over modes
     bound_flags = [dtn_gap_bound(cutoff_numbers(c)[1] + 1, "+", lay.profile, c).applicable
                    for c in lay.cfgs]
     floor = 1e-12 * max(dtn_norm, 1e-300)
@@ -720,12 +736,12 @@ def run_total_error_study(
     finest h the rows reproduce the layer decay.  ``sigma_minus`` defaults
     to ``sigma_plus``.
 
-    Each entry sums, over modes, the three Gram terms of ``_layer_terms``
-    (see the module docstring) for b = u_lv - u_ref = A_dtn^{-1} r, with the
-    real level differences r = L_lv s_lv - L_ref s_ref on the loaded nodes R,
-    and u_lv[ends] = Y^T (det + L_lv s_lv).  Its ``_mode_norms`` call takes
-    the direct route at the pinned scale (150 columns on 321 nodes) and the
-    unit route at 1000 samples (3000 columns).
+    Each entry sums, over modes, the three Gram terms of ``_layer_terms`` and
+    ``_layer_coefficients`` (see the module docstring) for b = u_lv - u_ref =
+    A_dtn^{-1} r, with the real level differences r = L_lv s_lv - L_ref s_ref
+    on the loaded nodes R, and u_lv[ends] = Y^T (det + L_lv s_lv).  Its
+    ``_mode_norms`` call takes the direct route at the pinned scale (150
+    columns on 321 nodes) and the unit route at 1000 samples (3000 columns).
     """
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "total study"
@@ -735,15 +751,20 @@ def run_total_error_study(
     w = _trapezoid_weights(st.grid)
     n_used = len(st.used)
 
-    def mode_err2(n: int) -> np.ndarray:
-        loads = st.loads(n)
-        f_lv = np.hstack(loads[:-1])  # (|R|, n_used * n_samples), levels side by side
-        r = f_lv.reshape(len(f_lv), n_used, n_samples) - loads[-1][:, None]
-        b_norm2, cross, quad = _layer_terms(n, cfg, st.grid, w, lay, st.lo, st.hi,
-                                            r.reshape(f_lv.shape), f_lv, "total study")
-        return (b_norm2 - 2.0 * cross + quad).reshape(len(lay.cfgs), n_used, n_samples).T
+    def mode_terms(n: int):
+        *f_lv, f_ref = st.loads(n)
+        f_lv = np.hstack(f_lv)  # (|R|, n_used * n_samples), levels side by side; frees each
+        r = f_lv.reshape(len(f_lv), n_used, n_samples) - f_ref[:, None]
+        return _layer_terms(n, cfg, st.grid, w, lay.det[n], st.lo, st.hi,
+                            r.reshape(f_lv.shape), f_lv, "total study")
 
-    per_mode = _map_threads(mode_err2, range(st.n_modes), threads)
+    terms = _map_threads(mode_terms, range(st.n_modes), threads)
+    b_norm2 = np.stack([t[0] for t in terms])
+    err2 = np.empty((st.n_modes, len(lay.cfgs), b_norm2.shape[1]))
+    for j, (_, cross, quad) in enumerate(_layer_coefficients(lay.cfgs, lay.gaps, terms,
+                                                             "total study")):
+        err2[:, j] = b_norm2 - 2.0 * cross + quad
+    per_mode = [e.reshape(len(lay.cfgs), n_used, n_samples).T for e in err2]
     mean, stderr, diam = st.moments(np.sum(np.stack(per_mode), axis=0))
     return TotalErrorResult(
         h_values=diam,

@@ -16,7 +16,10 @@ with one of three closures:
 
 Discretization is piecewise-linear elements on a uniform grid, one weak form
 for every closure (the stretched operator by 2-point Gauss per element, with
-alpha = 1 off the layers) and a direct tridiagonal solve by LAPACK's zgtsv.
+alpha = 1 off the layers) and a direct tridiagonal solve by LAPACK's zgtsv,
+called through the function pointer that ``scipy.linalg.cython_lapack``
+exports, as a ctypes foreign call that releases the GIL while it runs, so
+that the studies' thread pool solves modes in parallel.
 
 ``mode_matrix`` is the one place that builds a mode operator for any of
 the three closures, and ``modal_loads`` the one place that turns a source
@@ -27,12 +30,13 @@ every mode's hat loads; ``solve_full`` and the Monte Carlo studies in
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg import cython_lapack
 
 from . import pml as pml_mod
 from .duct import (
@@ -260,16 +264,43 @@ def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D, profile=None):
     return sub + el[:, 3], diag, sub + el[:, 2]
 
 
+def _capsule_function(capsule, *argtypes):
+    """The C function a capsule points to, as a ctypes foreign function without a
+    result; a ctypes foreign call releases the GIL while it runs."""
+    # local prototypes: the shared ctypes.pythonapi functions are left as they are
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+# zgtsv(n, nrhs, dl, d, du, b, ldb, info), every argument by address
+_zgtsv = _capsule_function(cython_lapack.__pyx_capi__["zgtsv"], *[ctypes.c_void_p] * 8)
+
+
 def _solve_tridiag(sub, diag, sup, rhs, where: str = ""):
-    """Solve the tridiagonal system for rhs[n, ...] by LAPACK's zgtsv; a singular or
-    non-finite one raises DomainError, its message prefixed by ``where`` (say,
-    stage and mode)."""
+    """Solve the tridiagonal system for rhs[n, ...] by LAPACK's zgtsv on copies of the
+    bands and rhs, with the GIL released; a singular or non-finite one raises
+    DomainError, its message prefixed by ``where`` (say, stage and mode).  A 1x1
+    system is one division (LAPACK's differs from it in the last bits)."""
     prefix = f"{where}: " if where else ""
-    if not all(np.isfinite(a).all() for a in (sub, diag, sup, rhs)):
+    n, rhs = diag.size, np.asarray(rhs)
+    if len(sub) != n - 1 or len(sup) != n - 1 or len(rhs) != n:
+        raise ValueError(f"bands of {len(sub)}, {n}, {len(sup)} and {len(rhs)} rows")
+    # zgtsv overwrites its arrays: dl, d, du, then b (column-major) in one copy
+    buf = np.empty(3 * n - 2 + rhs.size, dtype=complex)
+    buf[: n - 1], buf[n - 1 : 2 * n - 1], buf[2 * n - 1 : 3 * n - 2] = sub, diag, sup
+    x = buf[3 * n - 2 :].reshape(rhs.shape, order="F")
+    x[...] = rhs
+    if not np.isfinite(buf.view(float)).all():  # both parts; complex isfinite is slower
         raise DomainError(f"{prefix}non-finite band or right-hand side in mode system")
-    if diag.size > 1:  # the zgtsv wrapper takes n >= 2
-        x, info = zgtsv(sub, diag, sup, rhs)[3:]
-        singular = info > 0 and "singular matrix"
+    if n > 1:
+        ints = (ctypes.c_int * 3)(n, rhs.size // n, 0)  # n (also ldb), nrhs, info
+        p = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        _zgtsv(ints, ctypes.byref(ints, 4), p, p + 16 * (n - 1), p + 16 * (2 * n - 1),
+               p + 16 * (3 * n - 2), ints, ctypes.byref(ints, 8))
+        singular = ints[2] > 0 and "singular matrix"
     else:
         singular = diag[0] == 0.0 and "zero 1x1 system"
         x = None if singular else rhs / diag[0]

@@ -13,6 +13,7 @@ from ductpml.harness import (
     _end_responses,
     _layer_coefficients,
     _layer_gaps,
+    _layer_terms,
     _mode_norms,
     _range_solve,
     _trapezoid_weights,
@@ -738,46 +739,60 @@ class TestLayerUpdate:
     )
     # a deeply evanescent mode: c_L near 1e-153, its Gram term 8.3e-311 (subnormal)
     @example(M=0.945, k=20.0, L=4.0, L2=4.0, sigma_plus=1.0, sigma_minus=1.0, dn=1, seed=0)
+    # the first subnormal case drawn (k = 1, mode n0): c_L near 1e-158
+    @example(M=0.945, k=1.0, L=1.0, L2=1.0, sigma_plus=1.0, sigma_minus=1.0, dn=0, seed=0)
     def test_matches_direct_reduced_solves(
         self, M, k, L, L2, sigma_plus, sigma_minus, dn, seed
     ):
         # the study grid: spacing from the base configuration (L = 2), two
-        # layer lengths in one stacked call; propagating and evanescent modes alike
+        # layer lengths and a batch of two modes in one call; propagating and
+        # evanescent modes alike
         base = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         k0, n0 = cutoff_numbers(base)
-        assume(all(abs(k0 - m) > 1e-6 * k0 for m in range(1, n0 + 3)))  # off cutoff
-        n = max(0, n0 + dn)
+        assume(all(abs(k0 - m) > 1e-6 * k0 for m in range(1, n0 + 4)))  # off cutoff
+        modes = [max(0, n0 + dn), max(0, n0 + dn) + 1]
         grid = omega_b_grid(base, default_delta(base))
         cfgs = [replace(base, L=L), replace(base, L=L2)]
         rng = np.random.default_rng(seed)
         loads = rng.standard_normal((grid.n_nodes, 3)) + 1j * rng.standard_normal((grid.n_nodes, 3))
-        matrix = mode_matrix(n, base, grid, DTN)
-        u = _solve_tridiag(*matrix, loads)
-        z, _ = _end_responses(n, matrix, "test")
         w = _trapezoid_weights(grid)
         profile = PmlProfile(sigma_plus, sigma_minus)
-        gaps = _layer_gaps(cfgs, profile, n + 1)[n]
-        coeffs, quad = _layer_coefficients(n, cfgs, gaps, z, w, u[[0, -1]], "test")
-        assert coeffs.shape == (2, 2, 3) and quad.shape == (2, 3)
-        for j, (cfg, c) in enumerate(zip(cfgs, coeffs)):
-            # the Gram form c_L^H (Z^H W Z) c_L against the W-norm of the formed Z c_L,
-            # to roundoff of the norms of its two terms; a deeply evanescent mode
-            # can leave c_L near 1e-158, whose squares are subnormal, where each
-            # of the O(n_nodes) products also errs by up to half the smallest
-            # subnormal in absolute terms (and 1e-13 * scale underflows to 0)
-            scale = (np.abs(c.T) @ np.sqrt(w @ np.abs(z) ** 2)) ** 2
-            underflow = 4 * grid.n_nodes * np.finfo(float).smallest_subnormal
-            assert np.all(np.abs(quad[j] - w @ np.abs(z @ c) ** 2) <= 1e-13 * scale + underflow)
-            expected = reduced_oracle(n, cfg, grid, profile, loads)
-            rel = float(np.max(np.abs(u - z @ c - expected)) / np.max(np.abs(expected)))
-            # the update is as accurate as the DtN solve, times the condition
-            # of its 2x2 system S_L (at most a few hundred away from resonances)
-            d = 1j * cfg.one_minus_m2 * np.array([-nu_gap(n, "-", profile, cfg),
-                                                  nu_gap(n, "+", profile, cfg)])
-            np.testing.assert_allclose(gaps[j], d, rtol=1e-15)  # the array gap, per mode
-            s = np.eye(2) + d[:, None] * z[[0, -1]]
-            cond = np.linalg.cond(s / np.max(np.abs(s), axis=1, keepdims=True))
-            assert rel <= 1e-11 * max(1.0, cond)
+        gaps = _layer_gaps(cfgs, profile, modes[-1] + 1)[modes]
+        # b = u = A_dtn^{-1} loads on every node, u[ends] = Y^T loads
+        terms = [_layer_terms(n, base, grid, w, np.zeros(grid.n_nodes), 0, grid.n_nodes - 1,
+                              loads, loads, "test") for n in modes]
+        layers = list(_layer_coefficients(cfgs, gaps, terms, "test"))
+        assert len(layers) == 2
+        for j, (cfg, (coeffs, cross, quad)) in enumerate(zip(cfgs, layers)):
+            assert coeffs.shape == (2, 2, 3) and cross.shape == quad.shape == (2, 3)
+            for i, n in enumerate(modes):
+                matrix = mode_matrix(n, base, grid, DTN)
+                u = _solve_tridiag(*matrix, loads)
+                z, _ = _end_responses(n, matrix, "test")
+                c = coeffs[i]
+                # the Gram forms c_L^H (Z^H W Z) c_L and Re(c_L^H Z^H W u) against the
+                # W-products of the formed Z c_L, to roundoff of the norms of their
+                # terms; a deeply evanescent mode can leave c_L near 1e-158, whose
+                # squares are subnormal, where each of the O(n_nodes) products also
+                # errs by up to half the smallest subnormal in absolute terms (and
+                # 1e-13 * scale underflows to 0)
+                zc_norm = np.abs(c.T) @ np.sqrt(w @ np.abs(z) ** 2)
+                underflow = 4 * grid.n_nodes * np.finfo(float).smallest_subnormal
+                assert np.all(np.abs(quad[i] - w @ np.abs(z @ c) ** 2)
+                              <= 1e-13 * zc_norm ** 2 + underflow)
+                direct = np.real(w @ ((z @ c).conj() * u))
+                scale = zc_norm * np.sqrt(w @ np.abs(u) ** 2)
+                assert np.all(np.abs(cross[i] - direct) <= 1e-13 * scale + underflow)
+                expected = reduced_oracle(n, cfg, grid, profile, loads)
+                rel = float(np.max(np.abs(u - z @ c - expected)) / np.max(np.abs(expected)))
+                # the update is as accurate as the DtN solve, times the condition
+                # of its 2x2 system S_L (at most a few hundred away from resonances)
+                d = 1j * cfg.one_minus_m2 * np.array([-nu_gap(n, "-", profile, cfg),
+                                                      nu_gap(n, "+", profile, cfg)])
+                np.testing.assert_allclose(gaps[i, j], d, rtol=1e-15)  # the array gap
+                s_l = np.eye(2) + d[:, None] * z[[0, -1]]
+                cond = np.linalg.cond(s_l / np.max(np.abs(s_l), axis=1, keepdims=True))
+                assert rel <= 1e-11 * max(1.0, cond)
 
     @staticmethod
     def resonant_layer():
@@ -844,6 +859,45 @@ class TestLayerUpdate:
             run_L_study(cfg, [0.5, 1.0], 5.0, n_modes=4)
         with pytest.raises(DomainError, match=r"^total study, mode n=2: singular mode system"):
             run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, n_modes=4)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_guard_names_the_lowest_mode_and_its_first_length(self, threads, monkeypatch):
+        """Modes 1 and 3 fail the guard, each at two layer lengths, mode 3 first; the
+        error names mode 1 and its first failing L in both layer studies.  The layer
+        update runs once over all modes after the per-mode stage (end responses and
+        norms), so a mode whose DtN solve is singular fails first, even above them."""
+        cfg = make_cfg(L=2.0)
+        l_values = [0.5, 0.75, 1.0, 1.25]
+        grid = omega_b_grid(cfg, 1 / 20)
+        failing = {3: (0, 2), 1: (1, 3)}  # mode: its failing layer indices
+        layer_gaps = harness._layer_gaps
+
+        def singular_gaps(cfgs, profile, n_modes):
+            # D_L = diag(-1/Z[0, 0], 0): det S_L = 1 + D_L[0, 0] Z[0, 0] vanishes
+            gaps = layer_gaps(cfgs, profile, n_modes)
+            for n, js in failing.items():
+                z, _ = _end_responses(n, mode_matrix(n, cfg, grid, DTN), "test")
+                gaps[n, js] = (-1.0 / z[0, 0], 0.0)
+            return gaps
+
+        monkeypatch.setattr(harness, "_layer_gaps", singular_gaps)
+        message = r"mode n=1, side\(s\) -, L=0\.75: rank-2 layer update has condition "
+        with pytest.raises(DomainError, match=r"^L study, " + message):
+            run_L_study(cfg, l_values, 5.0, delta=1 / 20, n_modes=5)
+        with pytest.raises(DomainError, match=r"^total study, " + message):
+            run_total_error_study(cfg, [1 / 4, 1 / 8], l_values, 5.0, 4, 0, delta=1 / 20,
+                                  n_modes=5, threads=threads)
+
+        def singular_at_four(n, *args):
+            sub, diag, sup = mode_matrix(n, *args)
+            return (0 * sub, 0 * diag, 0 * sup) if n == 4 else (sub, diag, sup)
+
+        monkeypatch.setattr(harness, "mode_matrix", singular_at_four)
+        with pytest.raises(DomainError, match=r"^L study, mode n=4: singular mode system"):
+            run_L_study(cfg, l_values, 5.0, delta=1 / 20, n_modes=5)
+        with pytest.raises(DomainError, match=r"^total study, mode n=4: singular mode system"):
+            run_total_error_study(cfg, [1 / 4, 1 / 8], l_values, 5.0, 4, 0, delta=1 / 20,
+                                  n_modes=5, threads=threads)
 
     @pytest.mark.parametrize("sigma", [0.0, 50.0])
     def test_short_layers_at_high_flow(self, sigma):

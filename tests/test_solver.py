@@ -1,9 +1,12 @@
+import ctypes
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgtsv as scipy_zgtsv
 
 from ductpml import DuctConfig
 from ductpml.duct import axial_wavenumbers64, cutoff_numbers, mode_shape
@@ -614,7 +617,8 @@ class TestConditioning:
 
 
 class TestTridiagonalSolves:
-    """The zgtsv solve against scipy's ``solve_banded``, bit for bit."""
+    """The zgtsv solve against scipy's ``solve_banded`` and against scipy's own zgtsv
+    wrapper (a test-only reference), bit for bit."""
 
     @staticmethod
     def system(n, seed=11):
@@ -637,6 +641,50 @@ class TestTridiagonalSolves:
         x = _solve_tridiag(sub, diag, sup, rhs)
         assert x.shape == shape
         assert np.array_equal(x, banded_solve(sub, diag, sup, rhs))
+
+    @pytest.mark.parametrize("n", [2, 3, 641])
+    @pytest.mark.parametrize("kind", [float, complex])
+    @pytest.mark.parametrize("shape", [(), (3,), (1,)], ids=["1d", "3-columns", "1-column"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_scipy_zgtsv_exactly(self, n, kind, shape, order):
+        # the same LAPACK routine through scipy's f2py wrapper: equal bits, shape and
+        # memory layout (column-major, as the wrapper returns it)
+        sub, diag, sup = self.system(n)
+        rng = np.random.default_rng(n + len(shape))
+        rhs = rng.standard_normal((n,) + shape)
+        if kind is complex:
+            rhs = rhs + 1j * rng.standard_normal(rhs.shape)
+        rhs = np.asarray(rhs, order=order)
+        x = _solve_tridiag(sub, diag, sup, rhs)
+        expected, info = scipy_zgtsv(sub, diag, sup, rhs)[3:]
+        assert info == 0
+        assert x.dtype == expected.dtype and x.strides == expected.strides
+        assert np.array_equal(x, expected)
+
+    def test_leaves_the_caller_arrays_unmodified(self):
+        # zgtsv overwrites its bands and right-hand side; the solve works on copies
+        sub, diag, sup = self.system(641)
+        rhs = np.random.default_rng(5).standard_normal((641, 2)) + 0j
+        copies = [a.copy() for a in (sub, diag, sup, rhs)]
+        _solve_tridiag(sub, diag, sup, rhs)
+        for before, after in zip(copies, (sub, diag, sup, rhs)):
+            assert np.array_equal(before, after)
+
+    def test_binding_leaves_the_shared_capsule_prototypes_alone(self):
+        # the solver builds its own PyCapsule prototypes: ctypes.pythonapi's keep their
+        # defaults for every other user in the process
+        for name in ("PyCapsule_GetName", "PyCapsule_GetPointer"):
+            function = getattr(ctypes.pythonapi, name)
+            assert function.restype is ctypes.c_int and function.argtypes is None
+
+    def test_pool_threads_give_the_serial_bits(self):
+        # two solves at once on a 2-thread pool (the GIL is released during each)
+        systems = [self.system(641, seed) for seed in (1, 2)]
+        rhs = [np.random.default_rng(seed).standard_normal((641, 40)) for seed in (3, 4)]
+        serial = [_solve_tridiag(*m, r) for m, r in zip(systems, rhs)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(lambda mr: _solve_tridiag(*mr[0], mr[1]), zip(systems, rhs)))
+        assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     @pytest.mark.parametrize("entry", ["sub", "diag", "sup", "rhs"])
