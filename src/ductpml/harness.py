@@ -224,8 +224,8 @@ class _NoiseStudy:
     and ``seg[lv][n]`` is mode n's contiguous (seed, segment) block;
     ``maps[lv]`` (CSR) maps its transpose to hat loads on the loaded nodes
     R = lo..hi (never empty), and ``var[j, n]`` = sum_j2
-    T[n, j2]^2 / |K| is the variance of mode n's segment values at level
-    ``all_levels[j]`` (T the transverse cell integrals, |K| the cell area).
+    T[n, j2]^2 / |K| is the variance of mode n's segment values at level j of
+    ``used + [ref_level]`` (T the transverse cell integrals, |K| the cell area).
     """
 
     mesh: NoiseMesh
@@ -241,15 +241,16 @@ class _NoiseStudy:
     hi: int
     maps: dict
 
-    @property
-    def all_levels(self) -> list:
-        """The used levels, then the reference level: the column-block order."""
-        return self.used + [self.ref_level]
-
-    def loads(self, n: int) -> list:
-        """L_lv s_lv on R of mode n for every seed, (|R|, n_samples) per level, in
-        ``all_levels`` order."""
-        return [self.maps[lv] @ self.seg[lv][n].T for lv in self.all_levels]
+    def differences(self, n: int, tail=np.zeros((1, 0))):
+        """Mode n's loads F = L_lv s_lv on R of the used levels, side by side (|R|, n_used
+        * n_samples), and r = F - L_ref s_ref of every (level, seed) column, then tail's."""
+        f_ref = self.maps[self.ref_level] @ self.seg[self.ref_level][n].T
+        f = np.hstack([self.maps[lv] @ self.seg[lv][n].T for lv in self.used])  # frees each
+        r = np.empty((len(f), f.shape[1] + tail.shape[1]))
+        by_level = (len(f), len(self.used), self.n_samples)  # of r's first columns, a view
+        np.subtract(f.reshape(by_level), f_ref[:, None], out=r[:, : f.shape[1]].reshape(by_level))
+        r[:, f.shape[1] :] = tail
+        return f, r
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
@@ -518,7 +519,7 @@ def run_h_study(
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "h study"
     )
-    levels = st.all_levels
+    levels = st.used + [st.ref_level]
     lmap = np.hstack([st.maps[lv].toarray() for lv in levels])  # every L_lv on R
     starts = np.cumsum([0] + [st.maps[lv].shape[1] for lv in levels])
     h_cols = len(st.used) * n_samples
@@ -526,9 +527,8 @@ def run_h_study(
     no_ends = np.zeros((w.size, 0))  # the h study needs no Z^H W b
 
     def mode_terms(n: int):
-        loads = st.loads(n)
         # every (level, seed) difference, then L_lv for the exact mean's traces
-        r = np.hstack([ld - loads[-1] for ld in loads[:-1]] + [lmap])
+        _, r = st.differences(n, lmap)
         quad, _ = _mode_norms(n, mode_matrix(n, cfg, st.grid, DTN), st.lo, st.hi, w, r,
                               no_ends, "h study")
         traces = np.add.reduceat(quad[h_cols:], starts[:-1])  # tr(Q_n L_lv L_lv^T)
@@ -613,7 +613,8 @@ def run_L_study(
     bound, the norm ``extra["dtn_norm"]``.  The fit is log(error) against the
     absorbed-mass abscissa; the reference slope is the negative of the
     theoretical decay constant.  Usable abscissae that are all equal (no
-    absorption) give no fit: a NaN slope and passed False.
+    absorption) give no fit: a NaN slope and passed False.  ``passed`` also
+    needs the usable errors to fall as L grows, whatever the order of l_values.
     """
     grid = omega_b_grid(cfg, delta)
     if n_modes is None:
@@ -635,7 +636,9 @@ def run_L_study(
     usable = ~excluded
     c2 = theoretical_decay_constant(cfg)
     slope, slope_se = _fit_usable(lay.abscissae, errors, None, usable, "loglinear")
-    monotone = bool(np.all(np.diff(errors[usable]) < 0.0))
+    l_values = np.array([c.L for c in lay.cfgs])
+    by_length = np.argsort(l_values, kind="stable")
+    monotone = bool(np.all(np.diff(errors[by_length][usable[by_length]]) < 0.0))
     passed = (
         np.isfinite(slope)
         and abs(slope + c2) <= DECAY_CONSTANT_RTOL * c2
@@ -653,7 +656,7 @@ def run_L_study(
         passed=bool(passed),
         n_samples=1,
         base_seed=0,
-        extra={"l_values": np.array([c.L for c in lay.cfgs]),
+        extra={"l_values": l_values,
                "dtn_norm": dtn_norm, "monotone": monotone,
                "bound_applicable": bound_flags},
     )
@@ -672,7 +675,7 @@ def run_equivalence_check(
     convergence order (both discretizations approximate the same continuous
     solution to second order, so the difference closes at that order).
     ``n_modes`` defaults to ``default_n_modes`` (N0 + 30); a modal source
-    outside modes 0 .. n_modes-1 is a ConfigError.
+    outside modes 0 .. n_modes-1 is a ConfigError; only loaded modes are solved.
     """
     deltas = _nonempty(deltas, "deltas", "equivalence check")
     if source is None:
@@ -685,9 +688,8 @@ def run_equivalence_check(
         gf = omega_full_grid(cfg, d)
         full = solve_full(cfg, source, PML_FULL, gf, n_modes, profile).values
         red = solve_full(cfg, source, PML_REDUCED, omega_b_grid(cfg, d), n_modes, profile).values
-        i0 = round((cfg.x_minus - gf.x_start) / gf.delta)
-        i1 = round((cfg.x_plus - gf.x_start) / gf.delta)
-        diffs.append(float(np.max(np.abs(full[:, i0 : i1 + 1] - red), initial=0.0)))
+        i0 = round((cfg.x_minus - gf.x_start) / gf.delta)  # the node at x^-
+        diffs.append(float(np.max(np.abs(full[:, i0 : i0 + red.shape[1]] - red), initial=0.0)))
     diffs = np.asarray(diffs)
     deltas = np.asarray(deltas, dtype=float)
     if diffs.size >= 3 and np.all(diffs > 0.0):
@@ -749,14 +751,10 @@ def run_total_error_study(
     lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
                      "total study")
     w = _trapezoid_weights(st.grid)
-    n_used = len(st.used)
 
     def mode_terms(n: int):
-        *f_lv, f_ref = st.loads(n)
-        f_lv = np.hstack(f_lv)  # (|R|, n_used * n_samples), levels side by side; frees each
-        r = f_lv.reshape(len(f_lv), n_used, n_samples) - f_ref[:, None]
-        return _layer_terms(n, cfg, st.grid, w, lay.det[n], st.lo, st.hi,
-                            r.reshape(f_lv.shape), f_lv, "total study")
+        f_lv, r = st.differences(n)
+        return _layer_terms(n, cfg, st.grid, w, lay.det[n], st.lo, st.hi, r, f_lv, "total study")
 
     terms = _map_threads(mode_terms, range(st.n_modes), threads)
     b_norm2 = np.stack([t[0] for t in terms])
@@ -764,7 +762,7 @@ def run_total_error_study(
     for j, (_, cross, quad) in enumerate(_layer_coefficients(lay.cfgs, lay.gaps, terms,
                                                              "total study")):
         err2[:, j] = b_norm2 - 2.0 * cross + quad
-    per_mode = [e.reshape(len(lay.cfgs), n_used, n_samples).T for e in err2]
+    per_mode = [e.reshape(len(lay.cfgs), len(st.used), n_samples).T for e in err2]
     mean, stderr, diam = st.moments(np.sum(np.stack(per_mode), axis=0))
     return TotalErrorResult(
         h_values=diam,

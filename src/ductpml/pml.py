@@ -63,18 +63,21 @@ def _check_side(side: str):
         raise DomainError(f"side must be '+' or '-', got {side!r}")
 
 
+def _quadratic(profile: PmlProfile, x1: np.ndarray, cfg: DuctConfig):
+    """(sigma, sigma') of the quadratic profile on an array x1; zero on [x_minus, x_plus]."""
+    out, slope = np.zeros_like(x1), np.zeros_like(x1)
+    right, left = x1 > cfg.x_plus, x1 < cfg.x_minus
+    s = x1[right] - cfg.x_plus
+    out[right], slope[right] = profile.sigma_plus * s * s, 2.0 * profile.sigma_plus * s
+    s = cfg.x_minus - x1[left]
+    out[left], slope[left] = profile.sigma_minus * s * s, -2.0 * profile.sigma_minus * s
+    return out, slope
+
+
 def sigma(profile: PmlProfile, x1, cfg: DuctConfig):
     """Piecewise absorption strength; zero on (x_minus, x_plus)."""
-    scalar = np.ndim(x1) == 0
-    x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-    out = np.zeros_like(x1)
-    right = x1 > cfg.x_plus
-    left = x1 < cfg.x_minus
-    s = x1[right] - cfg.x_plus
-    out[right] = profile.sigma_plus * s * s
-    s = cfg.x_minus - x1[left]
-    out[left] = profile.sigma_minus * s * s
-    return float(out[0]) if scalar else out
+    out = _quadratic(profile, np.atleast_1d(np.asarray(x1, dtype=float)), cfg)[0]
+    return float(out[0]) if np.ndim(x1) == 0 else out
 
 
 def alpha(profile: PmlProfile, x1, cfg: DuctConfig):
@@ -87,16 +90,9 @@ def alpha(profile: PmlProfile, x1, cfg: DuctConfig):
 
 def alpha_prime(profile: PmlProfile, x1, cfg: DuctConfig):
     """d alpha / d x1, using sigma' of the quadratic."""
-    scalar = np.ndim(x1) == 0
-    x1a = np.atleast_1d(np.asarray(x1, dtype=float))
-    s = np.asarray(sigma(profile, x1a, cfg), dtype=float)
-    sp = np.zeros_like(x1a)
-    right = x1a > cfg.x_plus
-    left = x1a < cfg.x_minus
-    sp[right] = 2.0 * profile.sigma_plus * (x1a[right] - cfg.x_plus)
-    sp[left] = -2.0 * profile.sigma_minus * (cfg.x_minus - x1a[left])
-    out = 1j * cfg.omega * sp / (-1j * cfg.omega + s) ** 2
-    return complex(out[0]) if scalar else out
+    s, slope = _quadratic(profile, np.atleast_1d(np.asarray(x1, dtype=float)), cfg)
+    out = 1j * cfg.omega * slope / (-1j * cfg.omega + s) ** 2
+    return complex(out[0]) if np.ndim(x1) == 0 else out
 
 
 def stretch_integral(profile: PmlProfile, side: str, cfg: DuctConfig) -> complex:
@@ -130,8 +126,8 @@ def _layer_mode(n, side: str, profile: PmlProfile, cfg: DuctConfig):
     return bp, bm, stretch, q if q.ndim else complex(q)
 
 
-def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> complex:
-    """Finite-layer Robin coefficient nu_n for the requested side.
+def nu_coefficients(n, side: str, profile: PmlProfile, cfg: DuctConfig):
+    """Finite-layer Robin coefficient nu_n for the requested side (int or array n).
 
     Closed form: nu_plus = beta_plus - (beta_plus - beta_minus) / (1 - 1/q)
     and mirrored for the minus side; algebraically this equals the
@@ -140,9 +136,8 @@ def nu_coefficients(n: int, side: str, profile: PmlProfile, cfg: DuctConfig) -> 
     the '-' side), which tests verify to 1e-12.  As the absorbed mass grows, q -> 0 and
     nu -> beta exponentially.
     """
-    bp, bm, _, q = _layer_mode(n, side, profile, cfg)
-    gap = (bp - bm) * q / (1.0 - q)
-    return bp + gap if side == "+" else bm - gap
+    beta = axial_wavenumbers64(n, cfg)[0 if side == "+" else 1]
+    return beta + nu_gap(n, side, profile, cfg)
 
 
 def nu_gap(n, side: str, profile: PmlProfile, cfg: DuctConfig):

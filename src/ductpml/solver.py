@@ -21,11 +21,11 @@ called through the function pointer that ``scipy.linalg.cython_lapack``
 exports, as a ctypes foreign call that releases the GIL while it runs, so
 that the studies' thread pool solves modes in parallel.
 
-``mode_matrix`` is the one place that builds a mode operator for any of
-the three closures, and ``modal_loads`` the one place that turns a source
-(noise realization, modal box or function source, or a list of them) into
-every mode's hat loads; ``solve_full`` and the Monte Carlo studies in
-``harness`` all go through them.
+``mode_matrix`` is the one place that builds mode operators, of one mode
+or an array of modes, for any of the three closures, and ``modal_loads`` the
+one place that turns a source (noise realization, modal box or function
+source, or a list of them) into every mode's hat loads.  ``solve_full``
+builds every mode's operator in one call and solves the loaded modes only.
 """
 
 from __future__ import annotations
@@ -234,14 +234,16 @@ _CONV = _N[:, [0, 1, 0, 1]] * [-1.0, 1.0, 1.0, -1.0]  # N_i N_j' dx
 _MASS = _N[:, [0, 1, 0, 1]] * _N[:, [0, 1, 1, 0]]  # N_i N_j
 
 
-def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D, profile=None):
-    """Stretched weak form of mode n, no boundary terms; alpha = 1 without a profile.
+def _assemble_interior(modes: np.ndarray, cfg: DuctConfig, grid: Grid1D, profile=None):
+    """Stretched weak form of an array of modes, no boundary terms; alpha = 1 without a
+    profile.  Bands (sub, diag, sup) of shape (len(modes), .).
 
     Rows are -(1-M^2) alpha * stiffness + 2ikM alpha * convection +
     (ikM alpha' + z) * mass with z = k^2/((1-M^2) alpha) - alpha (Mk)^2/(1-M^2)
     - (n pi/d)^2/alpha, by 2-point Gauss (weight dx/2) per element.  With
     alpha = 1 that is exact (products of linear functions) and z = k^2 -
-    n^2 pi^2/d^2, the constant-coefficient operator.
+    n^2 pi^2/d^2, the constant-coefficient operator.  Only z depends on the
+    mode; the rest is evaluated once for all modes.
     """
     m2 = cfg.one_minus_m2
     dx = grid.delta
@@ -253,15 +255,18 @@ def _assemble_interior(n: int, cfg: DuctConfig, grid: Grid1D, profile=None):
         a = pml_mod.alpha(profile, xg, cfg)
         ap = pml_mod.alpha_prime(profile, xg, cfg)
     ikm = 1j * cfg.k * cfg.M
-    gamma = cfg.k ** 2 - (n * math.pi / cfg.d) ** 2
-    # z = (gamma - (alpha^2 - 1) (Mk)^2/(1-M^2)) / alpha: exactly gamma at alpha = 1
-    z = (gamma - (a * a - 1.0) * ((cfg.M * cfg.k) ** 2 / m2)) / a
-    el = a @ (m2 / (2.0 * dx) * _STIFF + ikm * _CONV) + (ikm * ap + z) @ (0.5 * dx * _MASS)
-    diag = np.zeros(grid.n_nodes, dtype=complex)
-    diag[:-1] += el[:, 0]
-    diag[1:] += el[:, 1]
-    sub = np.zeros(grid.n_cells, dtype=complex)
-    return sub + el[:, 3], diag, sub + el[:, 2]
+    t = (a * a - 1.0) * ((cfg.M * cfg.k) ** 2 / m2)
+    free = a @ (m2 / (2.0 * dx) * _STIFF + ikm * _CONV)
+    ikm_ap, mass = ikm * ap, 0.5 * dx * _MASS
+    bands = np.zeros((3, modes.size, grid.n_nodes), dtype=complex)  # sub, sup: n_cells long
+    for i, gamma in enumerate(cfg.k ** 2 - (modes * math.pi / cfg.d) ** 2):
+        # z = (gamma - (alpha^2 - 1) (Mk)^2/(1-M^2)) / alpha: exactly gamma at alpha = 1
+        el = free + (ikm_ap + (gamma - t) / a) @ mass
+        bands[1, i, :-1] += el[:, 0]
+        bands[1, i, 1:] += el[:, 1]
+        bands[0, i, :-1] += el[:, 3]
+        bands[2, i, :-1] += el[:, 2]
+    return bands[0, :, :-1], bands[1], bands[2, :, :-1]
 
 
 def _capsule_function(capsule, *argtypes):
@@ -319,38 +324,35 @@ def _check_span(grid: Grid1D, lo: float, hi: float):
         )
 
 
-def _robin_matrix(n: int, cfg: DuctConfig, grid: Grid1D, r_plus, r_minus):
-    """Interior operator closed by p' = i r^{+-} p at the two ends."""
-    sub, diag, sup = _assemble_interior(n, cfg, grid)
-    bc = 1j * cfg.one_minus_m2
-    diag[-1] += bc * r_plus
-    diag[0] -= bc * r_minus
-    return sub, diag, sup
-
-
-def mode_matrix(n: int, cfg: DuctConfig, grid: Grid1D, formulation: str, profile=None):
+def mode_matrix(n, cfg: DuctConfig, grid: Grid1D, formulation: str, profile=None):
     """Tridiagonal (sub, diag, sup) of mode n under one of the three closures.
 
-    ``dtn`` and ``pml_reduced`` are Robin closures (coefficients beta^{+-}
-    and nu^{+-}) on a grid spanning the computational interval;
-    ``pml_full`` is the stretched operator on a grid spanning the enlarged
-    interval, with its two Dirichlet rows removed.
+    ``n`` is an int or an integer array; an array gives bands of shape
+    (len(n), .), row i those of mode n[i], and an int is the one-row case.
+    ``dtn`` and ``pml_reduced`` are Robin closures p' = i r^{+-} p at the two
+    ends (coefficients beta^{+-} and nu^{+-}) on a grid spanning the
+    computational interval; ``pml_full`` is the stretched operator on a grid
+    spanning the enlarged interval, with its two Dirichlet rows removed.
     """
     if formulation not in (DTN, PML_FULL, PML_REDUCED):
         raise ConfigError(f"unknown formulation {formulation!r}")
     if formulation != DTN and profile is None:
         raise ConfigError("PML formulations need a profile")
+    modes = np.atleast_1d(n)
     if formulation == PML_FULL:
         _check_span(grid, cfg.x_minus - cfg.L, cfg.x_plus + cfg.L)
-        sub, diag, sup = _assemble_interior(n, cfg, grid, profile)
-        return sub[1:-1], diag[1:-1], sup[1:-1]
-    _check_span(grid, cfg.x_minus, cfg.x_plus)
-    if formulation == DTN:
-        r_plus, r_minus = axial_wavenumbers64(n, cfg)
+        bands = [b[:, 1:-1] for b in _assemble_interior(modes, cfg, grid, profile)]
     else:
-        r_plus = pml_mod.nu_coefficients(n, "+", profile, cfg)
-        r_minus = pml_mod.nu_coefficients(n, "-", profile, cfg)
-    return _robin_matrix(n, cfg, grid, r_plus, r_minus)
+        _check_span(grid, cfg.x_minus, cfg.x_plus)
+        if formulation == DTN:  # bit for bit the roots of each mode alone, int or array
+            r_plus, r_minus = axial_wavenumbers64(n, cfg)
+        else:
+            r_plus, r_minus = (pml_mod.nu_coefficients(modes, s, profile, cfg) for s in "+-")
+        bands = _assemble_interior(modes, cfg, grid)
+        bc = 1j * cfg.one_minus_m2
+        bands[1][:, -1] += bc * r_plus
+        bands[1][:, 0] -= bc * r_minus
+    return tuple(bands) if np.ndim(n) else tuple(b[0] for b in bands)
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +368,12 @@ def solve_full(
     n_modes: Optional[int] = None,
     profile=None,
 ) -> ModalSolution:
-    """Solve every mode 0 .. n_modes-1 for the combined source.
+    """Solve modes 0 .. n_modes-1 for the combined source.
 
     ``source`` is anything ``modal_loads`` accepts; every mode's load
-    comes from its one call.  For ``pml_full`` the Dirichlet end values are
+    comes from its one call.  One ``mode_matrix`` call builds (and checks)
+    every mode's operator; a mode whose load is zero on the solved rows is
+    left at 0.0 unsolved.  For ``pml_full`` the Dirichlet end values are
     zero and only the interior rows are solved.
     """
     if n_modes is None:
@@ -377,9 +381,9 @@ def solve_full(
     loads = modal_loads(source, cfg, grid, n_modes)
     values = np.zeros((n_modes, grid.n_nodes), dtype=complex)
     rows = slice(1, -1) if formulation == PML_FULL else slice(None)
-    for n in range(n_modes):
-        matrix = mode_matrix(n, cfg, grid, formulation, profile)
-        values[n, rows] = _solve_tridiag(*matrix, loads[n, rows])
+    bands = mode_matrix(np.arange(n_modes), cfg, grid, formulation, profile)
+    for n in np.flatnonzero(loads[:, rows].any(axis=1)):
+        values[n, rows] = _solve_tridiag(*(b[n] for b in bands), loads[n, rows])
     return ModalSolution(grid=grid, values=values)
 
 

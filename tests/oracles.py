@@ -40,6 +40,12 @@ DuctConfig, the layer factor q written out here, not taken from
 unit-trace layer solution they check the Robin coefficients nu_n and the
 eigenrelation alpha (d/dx1 + i mu) psi = i (beta + mu) psi.
 
+Stretched weak form: the full-layer bands of one mode assembled element by
+element by 2-point Gauss, with sigma, sigma', alpha = 1 / (1 + i sigma/omega)
+and alpha' = -i (sigma'/omega) alpha^2 written out here (not taken from
+``ductpml.pml``) and z in the form k^2/((1-M^2) alpha) - alpha (Mk)^2/(1-M^2)
+- (n pi/d)^2/alpha.
+
 Solver norms: the Parseval/trapezoid L2 distance of two modal solutions
 on one grid, and a 1-norm condition estimate of an assembled mode matrix
 (sparse LU and ``onenormest``).
@@ -439,6 +445,54 @@ def psi_mode_derivative(n: int, x1, side: str, profile: PmlProfile, cfg: DuctCon
     dp = psi_p * (-1j * mu + 1j * (bp + mu) / a)
     dm = psi_m * (-1j * mu + 1j * (bm + mu) / a)
     return dp, dm
+
+
+def stretched_element_bands(n: int, cfg: DuctConfig, grid: Grid1D, profile: PmlProfile):
+    """(sub, diag, sup) of mode n's full-layer operator, its Dirichlet rows removed,
+    and the same bands assembled from the magnitudes of their terms: the scale
+    against which the rounding of each entry is measured.
+
+    Each element [xa, xb] adds, at its two Gauss points x (weight dx/2), the
+    entries -(1-M^2) alpha N_i' N_j' + 2ikM alpha N_i N_j' + (ikM alpha' + z)
+    N_i N_j for test function N_i and trial function N_j.
+    """
+    m2, omega, mk = cfg.one_minus_m2, cfg.omega, cfg.M * cfg.k
+    dx = grid.delta
+    nodes = grid.nodes()
+    # bands[0] sub, [1] diag, [2] sup; entry (i, j) of element e lands on band 1 + j - i,
+    # at index e + i for the diagonal and e otherwise
+    bands = np.zeros((3, grid.n_nodes), dtype=complex)
+    scales = np.zeros((3, grid.n_nodes))
+    for e in range(grid.n_cells):
+        xa, xb = nodes[e], nodes[e + 1]
+        for g in (-1.0, 1.0):
+            x = 0.5 * (xa + xb) + g * dx / (2.0 * math.sqrt(3.0))
+            if x > cfg.x_plus:
+                sig = profile.sigma_plus * (x - cfg.x_plus) ** 2
+                dsig = 2.0 * profile.sigma_plus * (x - cfg.x_plus)
+            elif x < cfg.x_minus:
+                sig = profile.sigma_minus * (cfg.x_minus - x) ** 2
+                dsig = -2.0 * profile.sigma_minus * (cfg.x_minus - x)
+            else:
+                sig = dsig = 0.0
+            a = 1.0 / (1.0 + 1j * sig / omega)
+            da = -1j * dsig / omega * a * a
+            z_terms = (cfg.k ** 2 / (m2 * a), -a * mk * mk / m2, -(n * math.pi / cfg.d) ** 2 / a)
+            shape = ((xb - x) / dx, (x - xa) / dx)
+            slope = (-1.0 / dx, 1.0 / dx)
+            for i in (0, 1):
+                for j in (0, 1):
+                    terms = (-m2 * a * slope[i] * slope[j], 2j * mk * a * shape[i] * slope[j],
+                             1j * mk * da * shape[i] * shape[j],
+                             sum(z_terms) * shape[i] * shape[j])
+                    size = (sum(abs(t) for t in terms[:3])
+                            + sum(abs(t) for t in z_terms) * shape[i] * shape[j])
+                    at = (1 + j - i, e + i if i == j else e)
+                    bands[at] += 0.5 * dx * sum(terms)
+                    scales[at] += 0.5 * dx * size
+    rows = (slice(1, grid.n_cells - 1), slice(1, grid.n_nodes - 1), slice(1, grid.n_cells - 1))
+    return (tuple(b[r] for b, r in zip(bands, rows)),
+            tuple(c[r] for c, r in zip(scales, rows)))
 
 
 def l2_error(a: ModalSolution, b: ModalSolution) -> float:

@@ -626,6 +626,17 @@ class TestDispatch:
         )
         assert summary["pass"] == "1"
 
+    def test_study_l_descending_lengths_pass(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + "[run]\nl_values = 3,2.5,2,1.5,1\n")
+        out = tmp_path / "out"
+        assert dispatch(["study", "L", "--config", str(p), "--out", str(out)]) == EXIT_OK
+        summary = dict(
+            line.split("=", 1)
+            for line in (out / "study_L_summary.txt").read_text().splitlines()
+        )
+        assert summary["pass"] == "1"
+
     def test_study_l_without_absorption_exits_ok(self, tmp_path):
         # sigma_plus = 0: every abscissa is 0, so no rate is fitted
         p = tmp_path / "run.cfg"

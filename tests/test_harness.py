@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ductpml import DuctConfig, harness, noise
+from ductpml import DuctConfig, harness, noise, solver
 from ductpml.duct import cutoff_numbers, default_n_modes
 from ductpml.errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
@@ -153,6 +153,20 @@ class TestLStudy:
         assert res.extra["monotone"]
         assert res.passed
 
+    def test_monotone_judged_by_layer_length(self):
+        # the same lengths in descending order: the same fit and verdict, every
+        # output in the order given
+        cfg = make_cfg()
+        up = run_L_study(cfg, [1.0, 1.5, 2.0, 2.5, 3.0], sigma_plus=5.0)
+        down = run_L_study(cfg, [3.0, 2.5, 2.0, 1.5, 1.0], sigma_plus=5.0)
+        assert up.extra["monotone"] and up.passed
+        assert down.extra["monotone"] and down.passed
+        assert down.fitted_rate == pytest.approx(up.fitted_rate, rel=1e-12)
+        np.testing.assert_array_equal(down.error_mean, up.error_mean[::-1])
+        np.testing.assert_array_equal(down.extra["l_values"], [3.0, 2.5, 2.0, 1.5, 1.0])
+        mixed = run_L_study(cfg, [2.0, 1.0, 3.0, 1.5, 2.5], sigma_plus=5.0)
+        assert mixed.extra["monotone"] and mixed.passed
+
     def test_floor_exclusion_and_applicability_flags(self):
         # huge layers drive the difference to roundoff: those points are
         # flagged and never enter the fit; tiny layers carry a
@@ -223,6 +237,18 @@ class TestEquivalence:
         with pytest.raises(ConfigError, match=r"^equivalence check: source mode 8 is not in "
                                               r"0 \.\. n_modes - 1 \(n_modes = 8\)"):
             run_equivalence_check(cfg, profile, n_modes=8)
+
+    def test_solves_only_the_loaded_mode(self, monkeypatch):
+        # d=1, M=0.6, k=20: 37 modes, the box source loads mode 8 alone; one
+        # full-layer and one reduced solve per spacing
+        cfg = DuctConfig(d=1.0, M=0.6, k=20.0, x_minus=-1.0, x_plus=1.0, L=1.0)
+        solves = []
+        tridiag = solver._solve_tridiag
+        monkeypatch.setattr(solver, "_solve_tridiag",
+                            lambda *args, **kw: solves.append(1) or tridiag(*args, **kw))
+        res = run_equivalence_check(cfg, PmlProfile(20.0))
+        assert len(solves) == 6
+        assert res.passed and np.all(res.error_mean > 0.0)
 
     def test_default_mode_count_is_default_n_modes(self):
         # the one mode-count default, N0 + 30: a source in mode N0 + 10 is solved

@@ -4,11 +4,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import zgtsv as scipy_zgtsv
 
-from ductpml import DuctConfig
+from ductpml import DuctConfig, solver
 from ductpml.duct import axial_wavenumbers64, cutoff_numbers, mode_shape
 from ductpml.errors import ConfigError, DomainError, GridMismatchError
 from ductpml.greens import _mode_block, _strip_integrals
@@ -33,7 +33,7 @@ from ductpml.solver import (
     mode_matrix,
     solve_full,
 )
-from oracles import banded_solve, condition_estimate, l2_error
+from oracles import banded_solve, condition_estimate, l2_error, stretched_element_bands
 
 
 def make_cfg(M=0.3, k=5.0, L=1.0):
@@ -375,19 +375,19 @@ class TestModeSolves:
         order = np.polyfit(np.log(cells), np.log(errs), 1)[0]
         assert -order >= 1.9
 
-    def test_robin_sign_is_the_outgoing_one(self):
+    def test_robin_sign_is_the_outgoing_one(self, monkeypatch):
         # flipping the Robin coefficients to the incoming branch must ruin
         # the kernel-oracle agreement; guards the boundary-term sign
-        from ductpml.solver import _robin_matrix, _solve_tridiag
-
         cfg = make_cfg()
         n = 0
         box = ModeBoxSource(mode=0, x_lo=-0.25, x_hi=0.25)
         grid = Grid1D(cfg.x_minus, cfg.x_plus, 512)
-        bp, bm = axial_wavenumbers64(n, cfg)
         load = modal_loads(box, cfg, grid, 1)[n]
-        good = _solve_tridiag(*_robin_matrix(n, cfg, grid, bp, bm), load)
-        flipped = _solve_tridiag(*_robin_matrix(n, cfg, grid, bm, bp), load)
+        good = _solve_tridiag(*mode_matrix(n, cfg, grid, "dtn"), load)
+        # the dtn closure with beta^+ and beta^- swapped at the two ends
+        monkeypatch.setattr(solver, "axial_wavenumbers64",
+                            lambda n, cfg: axial_wavenumbers64(n, cfg)[::-1])
+        flipped = _solve_tridiag(*mode_matrix(n, cfg, grid, "dtn"), load)
         exact = oracle_box_solution(n, cfg, grid)
         err_good = np.max(np.abs(good - exact))
         err_flip = np.max(np.abs(flipped - exact))
@@ -418,6 +418,21 @@ class TestSolveFullAndFields:
         assert energies[1] > 0.0
         others = np.delete(energies, 1)
         assert np.max(others) <= 1e-13 * energies[1]
+
+    @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced", "pml_full"])
+    def test_solves_only_loaded_modes(self, formulation, monkeypatch):
+        # k = 20: 37 modes, one box source; every other row is +0.0, never solved
+        cfg = make_cfg(M=0.6, k=20.0)
+        grid = grid_for(formulation, cfg, None)
+        solves = []
+        monkeypatch.setattr(solver, "_solve_tridiag",
+                            lambda *args, **kw: solves.append(1) or _solve_tridiag(*args, **kw))
+        sol = solve_full(cfg, ModeBoxSource(mode=8, x_lo=-0.2, x_hi=0.3), formulation, grid,
+                         profile=PmlProfile(20.0))
+        assert len(solves) == 1 and sol.n_modes == 37
+        assert np.all(sol.values[8, 1:-1] != 0.0)
+        rest = np.delete(sol.values, 8, axis=0).view(float)
+        assert np.all(rest == 0.0) and not np.any(np.signbit(rest))
 
     def test_linearity(self):
         cfg = make_cfg()
@@ -602,6 +617,54 @@ class TestModeMatrix:
             np.testing.assert_allclose(f_diag[lo : lo + diag.size - 2], diag[1:-1], rtol=1e-15)
             np.testing.assert_allclose(f_sup[cells], sup, rtol=1e-15)
             np.testing.assert_allclose(f_sub[cells], sub, rtol=1e-15)
+
+
+# the stretched weak form's inputs: sigma^- != sigma^+, L a whole number of 1/16 cells
+LAYER_CASES = dict(
+    M=st.floats(0.0, 0.95),
+    k=st.floats(0.5, 30.0),
+    L=st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+    sigma_plus=st.floats(0.0, 50.0),
+    sigma_minus=st.floats(0.0, 50.0),
+)
+
+
+class TestModeMatrixArrays:
+    """mode_matrix over an array of modes: the element oracle and the int call."""
+
+    @staticmethod
+    def case(M, k, L, sigma_plus, sigma_minus):
+        assume(sigma_minus != sigma_plus)
+        root = math.sqrt(1.0 - M * M)
+        assume(all(abs(k - root * m * math.pi) > 1e-6 * k for m in range(1, 40)))  # off cutoff
+        cfg = make_cfg(M=M, k=k, L=L)
+        return cfg, PmlProfile(sigma_plus, sigma_minus), np.arange(cutoff_numbers(cfg)[1] + 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**LAYER_CASES)
+    # strong flow at a low frequency: z's two flow terms nearly cancel
+    @example(M=0.945, k=1.0, L=1.0, sigma_plus=5.0, sigma_minus=1.0)
+    def test_full_layer_matches_the_element_oracle(self, M, k, L, sigma_plus, sigma_minus):
+        cfg, profile, modes = self.case(M, k, L, sigma_plus, sigma_minus)
+        grid = omega_full_grid(cfg, 1 / 16)
+        bands = mode_matrix(modes, cfg, grid, "pml_full", profile)
+        assert all(b.shape == (modes.size, grid.n_nodes - 2 - (i != 1)) for i, b in enumerate(bands))
+        for n in modes:
+            # entries cancel to 1/20 of their terms at M = 0.95, k = 1: rtol on the terms
+            for got, want, scale in zip(bands, *stretched_element_bands(n, cfg, grid, profile)):
+                assert np.all(np.abs(got[n] - want) <= 1e-13 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**LAYER_CASES)
+    @example(M=0.945, k=1.0, L=1.0, sigma_plus=5.0, sigma_minus=1.0)
+    def test_rows_are_the_int_call_bit_for_bit(self, M, k, L, sigma_plus, sigma_minus):
+        cfg, profile, modes = self.case(M, k, L, sigma_plus, sigma_minus)
+        for formulation in ("dtn", "pml_reduced", "pml_full"):
+            grid = grid_for(formulation, cfg, 1 / 16)
+            bands = mode_matrix(modes, cfg, grid, formulation, profile)
+            for n in modes:
+                for got, want in zip(bands, mode_matrix(int(n), cfg, grid, formulation, profile)):
+                    assert got[n].tobytes() == want.tobytes()
 
 
 class TestConditioning:
