@@ -46,18 +46,20 @@ layer L differs from the DtN one in its two end rows alone: A_L = A_dtn +
 E D_L E^T with E = [e_0, e_N] and D_L = i (1 - M^2) diag(-(nu^- - beta^-),
 nu^+ - beta^+).  Each L is the rank-2 update u_L = u - Z c_L of the DtN
 solution u, with Z = A_dtn^{-1} E and c_L = (I + D_L Z[ends])^{-1} D_L
-u[ends], u[ends] = Y^T f for load f, Y = A_dtn^{-T} E; a numerically
-singular I + D_L Z[ends] (so is A_L) raises DomainError naming the lowest
-such mode, its side(s), its first such L and the stage.  The three terms of
-the Gram form ||b - Z c_L||^2_W = ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H
-(Z^H W Z) c_L come in two steps that both layer studies share: per mode,
-``_layer_terms`` gives ||b||^2_W, Z^H W b, u[ends], Z[ends] and Z^H W Z;
-then ``_layer_coefficients`` runs once over all modes, one layer length at a
-time, for the guard, c_L and the other two terms.  The total study sums them
-for b = u_lv - u_ref; the L study takes b = u, so ||b||^2_W is its DtN norm
-and the last term its error.  Both build their layers, source and abscissae
-in ``_layer_set``: one config per layer length, which carries x^{+-}, L and
-omega, and one ``PmlProfile`` of the two absorption strengths for every layer.
+u[ends]; a numerically singular I + D_L Z[ends] (so is A_L) raises
+DomainError naming the lowest such mode, its side(s), its first such L and
+the stage.  Per mode, ``_dtn_responses`` solves A_dtn once for [det | e_0 |
+e_N], giving u and Z.  The Gram form ||b - Z c_L||^2_W = ||b||^2_W - 2
+Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L takes ||b||^2_W, Z^H W b, u[ends],
+Z[ends] and Z^H W Z of each mode; ``_layer_coefficients`` then runs once
+over the modes, one layer length at a time, for the guard, c_L and the other
+two terms.  The L study takes b = u, all five terms straight from u and Z,
+in the modes the source loads (the others add exact zeros).  The total study
+takes b = u_lv - u_ref in every mode, ||b||^2_W and Z^H W b from
+``_mode_norms`` and u_lv[ends] = u[ends] + Y_R^T f for level noise f, Y =
+A_dtn^{-T} E.  Both build their layers, source and abscissae in
+``_layer_set``: one config per layer length, which carries x^{+-}, L and
+omega, one ``PmlProfile`` for every layer and the gaps of every mode.
 
 The noise studies map their per-mode work over a thread pool
 (``_map_threads``): the loads, the DtN solves, ``_mode_norms`` and, in the
@@ -377,25 +379,26 @@ def _layer_gaps(cfgs, profile: PmlProfile, n_modes: int) -> np.ndarray:
                      for c in cfgs], axis=1)
 
 
-def _layer_coefficients(cfgs, gaps, terms, stage: str):
-    """Every mode at once, one layer of cfgs at a time, from each mode's ``_layer_terms``
-    (terms, in mode order): yields c_L = S_L^{-1} D_L u[ends] (n_modes, 2, columns),
-    Re(c_L^H Z^H W b) and ||Z c_L||^2_W = c_L^H (Z^H W Z) c_L (n_modes, columns).
+def _layer_coefficients(cfgs, gaps, modes, terms, stage: str):
+    """The update of modes (ascending) at once, one layer of cfgs at a time, from gaps, the
+    rows of modes in ``_layer_gaps``, and each mode's terms (||b||^2_W, Z^H W b, u[ends],
+    Z[ends], Z^H W Z): yields c_L = S_L^{-1} D_L u[ends] (len(modes), 2, columns),
+    Re(c_L^H Z^H W b) and ||Z c_L||^2_W = c_L^H (Z^H W Z) c_L (len(modes), columns).
 
     u_L = u - Z c_L solves A_L = A_dtn + E D_L E^T, E = [e_0, e_N], D_L =
-    diag(gaps[n, j]) from ``_layer_gaps``, S_L = I + D_L Z[ends].  S_L is singular
+    diag(gaps[i, j]) of the i-th of modes, S_L = I + D_L Z[ends].  S_L is singular
     exactly when A_L is: a row-equilibrated condition above UPDATE_COND_LIMIT
     raises DomainError naming the lowest such mode, its side(s), its first such
     L and the stage, before the first layer is yielded.
     """
     zwb, u_ends, z_ends, gram = (np.stack(t) for t in list(zip(*terms))[1:])
-    s = np.eye(2) + gaps[..., None] * z_ends[:, None]  # (n_modes, n_L, 2, 2)
+    s = np.eye(2) + gaps[..., None] * z_ends[:, None]  # (modes, n_L, 2, 2)
     cond = np.linalg.cond(s / np.max(np.abs(s), axis=-1, keepdims=True))
-    for n, j in np.argwhere(~(cond <= UPDATE_COND_LIMIT))[:1]:  # mode-major order
-        sides = [side for side, d_i in zip("-+", gaps[n, j]) if d_i != 0.0]  # the updated ends
+    for i, j in np.argwhere(~(cond <= UPDATE_COND_LIMIT))[:1]:  # mode-major order
+        sides = [side for side, d_i in zip("-+", gaps[i, j]) if d_i != 0.0]  # the updated ends
         raise DomainError(
-            f"{stage}, mode n={n}, side(s) {' and '.join(sides)}, L={cfgs[j].L}: "
-            f"rank-2 layer update has condition {cond[n, j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
+            f"{stage}, mode n={modes[i]}, side(s) {' and '.join(sides)}, L={cfgs[j].L}: "
+            f"rank-2 layer update has condition {cond[i, j]:.3e} > {UPDATE_COND_LIMIT:.0e}; "
             "the reduced mode operator is numerically singular"
         )
     for j in range(len(cfgs)):  # one layer at a time: c_L of every L at once costs memory
@@ -403,14 +406,15 @@ def _layer_coefficients(cfgs, gaps, terms, stage: str):
         yield c, np.sum(c.conj() * zwb, axis=1).real, np.sum(c.conj() * (gram @ c), axis=1).real
 
 
-def _end_responses(n: int, matrix, stage: str):
-    """Z = A^{-1} E and Y = A^{-T} E of mode n, E = [e_0, e_N]: u[ends] = Y^T f for load f."""
-    sub, diag, sup = matrix
-    ends = np.zeros((diag.size, 2))
-    ends[0, 0] = ends[-1, 1] = 1.0
-    where = f"{stage}, mode n={n}"
-    return (_solve_tridiag(sub, diag, sup, ends, where=where),
-            _solve_tridiag(sup, diag, sub, ends, where=where))
+def _dtn_responses(n: int, cfg: DuctConfig, grid: Grid1D, det, stage: str):
+    """Mode n's DtN matrix A and one solve of A [u | Z] = [det | e_0 | e_N]: the
+    deterministic solution u and the end responses Z = A^{-1} E, E = [e_0, e_N]."""
+    matrix = mode_matrix(n, cfg, grid, DTN)
+    rhs = np.zeros((grid.n_nodes, 3), dtype=complex)
+    rhs[:, 0] = det
+    rhs[0, 1] = rhs[-1, 2] = 1.0
+    x = _solve_tridiag(*matrix, rhs, where=f"{stage}, mode n={n}")
+    return matrix, x[:, 0], x[:, 1:]
 
 
 def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
@@ -444,10 +448,10 @@ def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
     for loads r on nodes lo..hi (zero elsewhere).
 
     Past UNIT_BASIS_COLUMNS columns per node it solves the unit loads E_R of
-    lo..hi once, B = A^{-1} E_R, and contracts Re(B^H W B) and Z^H W B with r,
-    which holds for real r only; otherwise it solves r on lo..hi
-    (``_range_solve``) and each exterior adds the rank-1 terms |b_edge|^2
-    ||g||^2_W and (Z_ext^H W g) b_edge: only this direct route admits complex r.
+    lo..hi once, B = A^{-1} E_R, and contracts Re(B^H W B) and Z^H W B with the
+    real r (every caller's); otherwise it solves r on lo..hi (``_range_solve``)
+    and each exterior adds the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W
+    g) b_edge.
     """
     wz = (w[:, None] * z).conj()
     if r.shape[1] > UNIT_BASIS_COLUMNS * len(r):
@@ -464,18 +468,6 @@ def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
         b_norm2 += (w[ext] @ (g.real ** 2 + g.imag ** 2)) * (edge.real ** 2 + edge.imag ** 2)
         zwb += np.outer(wz[ext].T @ g, edge)
     return b_norm2, zwb
-
-
-def _layer_terms(n: int, cfg: DuctConfig, grid: Grid1D, w, det, lo: int, hi: int, r, f,
-                 stage: str):
-    """Mode n's inputs to ``_layer_coefficients`` for every column of b = A_dtn^{-1} r:
-    ||b||^2_W (columns,), Z^H W b and u[ends] = Y^T (det + f) (2, columns), Z[ends] and
-    Z^H W Z (2, 2); r and f are loads on nodes lo..hi, det the source's load."""
-    matrix = mode_matrix(n, cfg, grid, DTN)
-    z, y = _end_responses(n, matrix, stage)
-    b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, stage)
-    u_ends = (y.T @ det)[:, None] + y[lo : hi + 1].T @ f
-    return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (w[:, None] * z)
 
 
 def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -606,44 +598,45 @@ def run_L_study(
     """Layer-length study: exact-DtN versus reduced finite-layer solve.
 
     Both solves share the grid and interior discretization, so their
-    distance isolates the layer truncation.  ``_layer_terms`` and
-    ``_layer_coefficients`` with b = u, the DtN solution, give each mode's
-    error ||Z c_L||^2_W (u_L = u - Z c_L) and ||u||^2_W, each summed over
-    modes: the error is the discrete |nu - beta| times trace truncation
-    bound, the norm ``extra["dtn_norm"]``.  The fit is log(error) against the
+    distance isolates the layer truncation.  In each mode the source loads (no
+    other is solved or guarded), ``_dtn_responses`` and ``_layer_coefficients``
+    with b = u, the DtN solution, give the error ||Z c_L||^2_W (u_L = u - Z c_L)
+    and ||u||^2_W, each summed over those modes (none: errors 0): the error is the
+    discrete |nu - beta| times trace truncation bound, the norm
+    ``extra["dtn_norm"]``.  The fit is log(error) against the
     absorbed-mass abscissa; the reference slope is the negative of the
     theoretical decay constant.  Usable abscissae that are all equal (no
     absorption) give no fit: a NaN slope and passed False.  ``passed`` also
     needs the usable errors to fall as L grows, whatever the order of l_values.
     """
     grid = omega_b_grid(cfg, delta)
-    if n_modes is None:
-        n_modes = default_n_modes(cfg)
+    n_modes = default_n_modes(cfg) if n_modes is None else n_modes
     lay = _layer_set(cfg, grid, n_modes, l_values, sigma_plus, sigma_minus, source, "L study")
     w = _trapezoid_weights(grid)
-    # b = u: its load is the source's on every node, and no noise enters u[ends]
-    terms = [_layer_terms(n, cfg, grid, w, lay.det[n], 0, grid.n_nodes - 1,
-                          lay.det[n][:, None], np.zeros((grid.n_nodes, 1)), "L study")
-             for n in range(n_modes)]
+    loaded = np.flatnonzero(lay.det.any(axis=1))  # the other modes add exact zeros
+
+    def mode_terms(n: int):
+        # b = u, so u[ends] is b[ends]: one solve, no transposed one
+        _, u, z = _dtn_responses(n, cfg, grid, lay.det[n], "L study")
+        b, wz = u[:, None], w[:, None] * z
+        return (w @ (b.real ** 2 + b.imag ** 2), wz.conj().T @ b, b[[0, -1]], z[[0, -1]],
+                z.conj().T @ wz)
+
+    terms = [mode_terms(n) for n in loaded]
     dtn_norm = math.sqrt(sum(float(b_norm2[0]) for b_norm2, *_ in terms))
-    quad = np.stack([q[:, 0] for *_, q in _layer_coefficients(lay.cfgs, lay.gaps, terms,
-                                                               "L study")], axis=1)
-    errors = np.sqrt(sum(quad))  # (n_modes, n_L), summed over modes
+    # summed over the loaded modes in mode order; with none, every error is 0
+    layers = terms and _layer_coefficients(lay.cfgs, lay.gaps[loaded], loaded, terms, "L study")
+    errors = np.sqrt([sum(q[:, 0]) for *_, q in layers] or np.zeros(len(lay.cfgs)))
     bound_flags = [dtn_gap_bound(cutoff_numbers(c)[1] + 1, "+", lay.profile, c).applicable
                    for c in lay.cfgs]
-    floor = 1e-12 * max(dtn_norm, 1e-300)
-    excluded = errors < floor
+    excluded = errors < 1e-12 * max(dtn_norm, 1e-300)  # the roundoff floor
     usable = ~excluded
     c2 = theoretical_decay_constant(cfg)
     slope, slope_se = _fit_usable(lay.abscissae, errors, None, usable, "loglinear")
     l_values = np.array([c.L for c in lay.cfgs])
     by_length = np.argsort(l_values, kind="stable")
     monotone = bool(np.all(np.diff(errors[by_length][usable[by_length]]) < 0.0))
-    passed = (
-        np.isfinite(slope)
-        and abs(slope + c2) <= DECAY_CONSTANT_RTOL * c2
-        and monotone
-    )
+    passed = np.isfinite(slope) and abs(slope + c2) <= DECAY_CONSTANT_RTOL * c2 and monotone
     return StudyResult(
         kind="L",
         abscissae=lay.abscissae,
@@ -738,10 +731,10 @@ def run_total_error_study(
     finest h the rows reproduce the layer decay.  ``sigma_minus`` defaults
     to ``sigma_plus``.
 
-    Each entry sums, over modes, the three Gram terms of ``_layer_terms`` and
-    ``_layer_coefficients`` (see the module docstring) for b = u_lv - u_ref =
-    A_dtn^{-1} r, with the real level differences r = L_lv s_lv - L_ref s_ref
-    on the loaded nodes R, and u_lv[ends] = Y^T (det + L_lv s_lv).  Its
+    Each entry sums, over modes, the three Gram terms of ``_layer_coefficients``
+    (see the module docstring) for b = u_lv - u_ref = A_dtn^{-1} r, with the
+    real level differences r = L_lv s_lv - L_ref s_ref on the loaded nodes R,
+    and u_lv[ends] = u[ends] + Y_R^T L_lv s_lv, Y = A_dtn^{-T} E.  Its
     ``_mode_norms`` call takes the direct route at the pinned scale (150
     columns on 321 nodes) and the unit route at 1000 samples (3000 columns).
     """
@@ -751,16 +744,22 @@ def run_total_error_study(
     lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
                      "total study")
     w = _trapezoid_weights(st.grid)
+    ends = np.zeros((st.grid.n_nodes, 2))  # E = [e_0, e_N]
+    ends[0, 0] = ends[-1, 1] = 1.0
 
     def mode_terms(n: int):
         f_lv, r = st.differences(n)
-        return _layer_terms(n, cfg, st.grid, w, lay.det[n], st.lo, st.hi, r, f_lv, "total study")
+        (sub, diag, sup), u, z = _dtn_responses(n, cfg, st.grid, lay.det[n], "total study")
+        y = _solve_tridiag(sup, diag, sub, ends, where=f"total study, mode n={n}")  # A^{-T} E
+        b_norm2, zwb = _mode_norms(n, (sub, diag, sup), st.lo, st.hi, w, r, z, "total study")
+        u_ends = u[[0, -1], None] + y[st.lo : st.hi + 1].T @ f_lv  # u_lv[ends] = u[ends] + Y^T f
+        return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (w[:, None] * z)
 
     terms = _map_threads(mode_terms, range(st.n_modes), threads)
     b_norm2 = np.stack([t[0] for t in terms])
     err2 = np.empty((st.n_modes, len(lay.cfgs), b_norm2.shape[1]))
-    for j, (_, cross, quad) in enumerate(_layer_coefficients(lay.cfgs, lay.gaps, terms,
-                                                             "total study")):
+    layers = _layer_coefficients(lay.cfgs, lay.gaps, range(st.n_modes), terms, "total study")
+    for j, (_, cross, quad) in enumerate(layers):
         err2[:, j] = b_norm2 - 2.0 * cross + quad
     per_mode = [e.reshape(len(lay.cfgs), len(st.used), n_samples).T for e in err2]
     mean, stderr, diam = st.moments(np.sum(np.stack(per_mode), axis=0))

@@ -399,11 +399,9 @@ def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:
         raise DomainError("axial coordinate outside the solution grid")
     if np.any(x2 < 0.0) or np.any(x2 > cfg.d):
         raise DomainError("transverse coordinate outside the duct")
-    phis = mode_shape(np.arange(sol.n_modes)[:, None], x2, cfg.d)
+    rows = np.flatnonzero(sol.values.any(axis=1))  # a zero row adds nothing
+    phis = mode_shape(rows[:, None], x2, cfg.d)
     out = np.zeros(pts.shape[0], dtype=complex)
-    for n in range(sol.n_modes):
-        pn = np.interp(x1, nodes, sol.values[n].real) + 1j * np.interp(
-            x1, nodes, sol.values[n].imag
-        )
-        out += pn * phis[n]
+    for row, phi in zip(sol.values[rows], phis):
+        out += (np.interp(x1, nodes, row.real) + 1j * np.interp(x1, nodes, row.imag)) * phi
     return out[0] if single else out

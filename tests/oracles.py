@@ -50,6 +50,11 @@ Solver norms: the Parseval/trapezoid L2 distance of two modal solutions
 on one grid, and a 1-norm condition estimate of an assembled mode matrix
 (sparse LU and ``onenormest``).
 
+Closed-form DtN inverse: the columns of a DtN mode matrix's inverse as
+combinations of its discrete waves lambda^i (constant interior rows, two
+Robin corners), with four coefficients per column by Cramer's rule; it
+shares no LAPACK code with the zgtsv solve.
+
 Tridiagonal reference: scipy's ``solve_banded`` on the (3, n) banded
 packing of (sub, diag, sup), the solve the package made before it called
 LAPACK's zgtsv directly.
@@ -537,3 +542,62 @@ def banded_solve(sub, diag, sup, rhs) -> np.ndarray:
     ab[1, :] = diag
     ab[2, :-1] = sub
     return solve_banded((1, 1), ab, np.asarray(rhs, dtype=complex))
+
+
+def _det(rows):
+    """Determinant of a square matrix given as a list of rows of broadcastable
+    entries (arrays stack one matrix per element), by Laplace expansion along
+    the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** k * rows[0][k] * _det([r[:k] + r[k + 1 :] for r in rows[1:]])
+               for k in range(len(rows)))
+
+
+def dtn_inverse(sub, diag, sup, cols=None) -> np.ndarray:
+    """Columns ``cols`` (default all) of A^{-1} for a DtN mode matrix A = (sub, diag,
+    sup), in closed form, without LAPACK.
+
+    A's interior rows are constant (a, b, c) and only its two corner diagonals
+    d_0, d_N differ, so column j is a combination of the discrete waves lambda^i,
+    the roots of c lambda^2 + b lambda + a = 0 with |lambda_1| <= |lambda_2|.  In
+    the scaled basis x_i = A lambda_1^i + B lambda_2^(i-j) on 0..j and x_i = C
+    lambda_1^(i-j) + D lambda_2^(i-N) on j..N no power grows past 1.  The four
+    coefficients solve, by Cramer's rule, the continuity of the two at j, row j
+    of A x = e_j and rows 0 and N (B = 0 when j = 0, C = 0 when j = N, where
+    those rows are row j).
+    """
+    sub, diag, sup = (np.asarray(band, dtype=complex) for band in (sub, diag, sup))
+    if np.ptp(sub) != 0 or np.ptp(sup) != 0 or np.ptp(diag[1:-1]) != 0:
+        raise ValueError("interior rows are not constant")
+    a, b, c, d_0, d_n = sub[0], diag[1], sup[0], diag[0], diag[-1]
+    last = diag.size - 1
+    j = np.arange(diag.size) if cols is None else np.asarray(cols)
+    root = np.sqrt(b * b - 4.0 * a * c)
+    q = -0.5 * (b + root if abs(b + root) >= abs(b - root) else b - root)
+    lam1, lam2 = sorted([q / c, a / q], key=abs)
+
+    def power(lam, e):  # lam^e for integer e of any sign
+        return lam ** np.asarray(e, dtype=float)
+
+    zero, one = np.zeros(j.shape, dtype=complex), np.ones(j.shape, dtype=complex)
+    left, right = j >= 1, j <= last - 1  # row 0, row N is another row than j
+    d_j = np.where(j == 0, d_0, np.where(j == last, d_n, b))
+    rows = [  # unknowns (A, B, C, D); right-hand side (0, 1, 0, 0)
+        [power(lam1, j), one, -one, -power(lam2, j - last)],  # continuity at j
+        [left * a * power(lam1, j - 1) + d_j * power(lam1, j), left * a / lam2 + d_j,
+         right * c * lam1, right * c * power(lam2, j + 1 - last)],  # row j
+        [np.where(left, d_0 + c * lam1, 0),
+         np.where(left, d_0 * power(lam2, -j) + c * power(lam2, 1 - j), 1), zero, zero],  # row 0
+        [zero, zero,
+         np.where(right, a * power(lam1, last - 1 - j) + d_n * power(lam1, last - j), 1),
+         np.where(right, a / lam2 + d_n, 0)],  # row N
+    ]
+    det = _det(rows)
+    coef = [_det([r[:k] + [e] + r[k + 1 :] for r, e in zip(rows, [zero, one, zero, zero])]) / det
+            for k in range(4)]
+    i = np.arange(diag.size)[:, None]
+    # each basis is used on its own side of j, its exponents clipped to 0 on the other
+    on_left = coef[0] * power(lam1, i) + coef[1] * power(lam2, np.minimum(i - j, 0))
+    on_right = coef[2] * power(lam1, np.maximum(i - j, 0)) + coef[3] * power(lam2, i - last)
+    return np.where(i <= j, on_left, on_right)

@@ -10,10 +10,9 @@ from ductpml import DuctConfig, harness, noise, solver
 from ductpml.duct import cutoff_numbers, default_n_modes
 from ductpml.errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
-    _end_responses,
+    _dtn_responses,
     _layer_coefficients,
     _layer_gaps,
-    _layer_terms,
     _mode_norms,
     _range_solve,
     _trapezoid_weights,
@@ -44,7 +43,7 @@ from ductpml.solver import (
     omega_b_grid,
     solve_full,
 )
-from oracles import condition_estimate, l2_error
+from oracles import condition_estimate, dtn_inverse, l2_error
 
 
 def make_cfg(L=1.0):
@@ -61,6 +60,15 @@ OFF_GRID_RECTS = pytest.mark.parametrize(
     ],
     ids=["past-x-plus", "across-x-plus", "across-d"],
 )
+
+
+def count_solves(monkeypatch):
+    """A list that grows by one at every ``_solve_tridiag`` call of the harness."""
+    solves = []
+    tridiag = harness._solve_tridiag
+    monkeypatch.setattr(harness, "_solve_tridiag",
+                        lambda *args, **kw: solves.append(1) or tridiag(*args, **kw))
+    return solves
 
 
 class TestFitRate:
@@ -193,6 +201,18 @@ class TestLStudy:
         res = run_L_study(cfg, [0.75, 1.0, 1.25], sigma_plus=5.0, source=src)
         c2 = theoretical_decay_constant(cfg)
         assert res.fitted_rate < -c2
+
+    def test_source_that_loads_no_mode(self, monkeypatch):
+        # amplitude 0 loads no mode: nothing is solved, every error is +0.0 and
+        # excluded, the norm is 0 and there is no fit
+        solves = count_solves(monkeypatch)
+        src = ModeBoxSource(mode=2, x_lo=-0.5, x_hi=0.5, amplitude=0.0)
+        res = run_L_study(make_cfg(L=2.0), [0.5, 1.0, 1.5, 2.0], 5.0, source=src)
+        assert solves == []
+        assert np.all(res.error_mean == 0.0) and not np.any(np.signbit(res.error_mean))
+        assert res.error_mean.shape == (4,) and np.all(res.excluded)
+        assert res.extra["dtn_norm"] == 0.0 and res.extra["monotone"]
+        assert math.isnan(res.fitted_rate) and math.isnan(res.rate_stderr) and not res.passed
 
     def test_without_absorption_reports_errors_without_a_fit(self):
         # sigma+ = 0 puts every absorbed-mass abscissa at 0: the errors are
@@ -617,6 +637,26 @@ class TestBatchedNoiseSolves:
         )
 
 
+class TestDtnResponses:
+    """The one three-column DtN solve against the closed-form inverse."""
+
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_u_and_z_match_the_closed_form_inverse(self, M, k):
+        # a complex load on every node; both sides within 8 eps cond of the exact
+        # inverse, u in the norm of |A^{-1}| |det|
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        rng = np.random.default_rng(23)
+        det = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
+        for n in range(0, default_n_modes(cfg), 3):
+            matrix, u, z = _dtn_responses(n, cfg, grid, det, "test")
+            assert all(np.array_equal(a, b) for a, b in zip(matrix, mode_matrix(n, cfg, grid, DTN)))
+            inverse = dtn_inverse(*matrix)
+            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+            assert np.max(np.abs(z - inverse[:, [0, -1]])) <= tol * np.max(np.abs(z))
+            assert np.max(np.abs(u - inverse @ det)) <= tol * np.max(np.abs(inverse) @ np.abs(det))
+
+
 class TestRangeSolve:
     """The per-mode norm kernel and its range solve against full DtN solves."""
 
@@ -668,14 +708,15 @@ class TestRangeSolve:
             tol = max(1e-12, np.finfo(float).eps * condition_estimate(n, cfg, grid))
             b_full = refined_solve(matrix, matrix, loads)
             z_full = refined_solve(matrix, matrix, ends)
-            u_full = refined_solve(matrix, matrix, loads + det[:, None])
+            u_full = refined_solve(matrix, matrix, det[:, None])[:, 0]
             b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, r, "test")
             assert g_lo.shape == (lo,) and g_hi.shape == (last - hi,)
             self.assert_close(b, b_full[lo : hi + 1], tol)
             self.assert_close(np.outer(g_lo, b[0]), b_full[:lo], tol)
             self.assert_close(np.outer(g_hi, b[-1]), b_full[hi + 1 :], tol)
-            z, y = _end_responses(n, matrix, "test")
+            _, u, z = _dtn_responses(n, cfg, grid, det, "test")
             self.assert_close(z, z_full, tol)
+            self.assert_close(u, u_full, tol)
             routes = []
             for columns in (0, math.inf):  # the unit route, then the direct route
                 monkeypatch.setattr(harness, "UNIT_BASIS_COLUMNS", columns)
@@ -686,7 +727,6 @@ class TestRangeSolve:
             (unit_norm2, unit_zwb), (direct_norm2, direct_zwb) = routes
             self.assert_close(unit_norm2, direct_norm2, tol)
             self.assert_close(unit_zwb, direct_zwb, tol)
-            self.assert_close(y.T @ (loads + det[:, None]), u_full[[0, -1]], tol)
 
     @pytest.mark.parametrize("side", ["-", "+"])
     def test_singular_exterior_block_names_mode_side_and_stage(self, side):
@@ -784,17 +824,20 @@ class TestLayerUpdate:
         w = _trapezoid_weights(grid)
         profile = PmlProfile(sigma_plus, sigma_minus)
         gaps = _layer_gaps(cfgs, profile, modes[-1] + 1)[modes]
-        # b = u = A_dtn^{-1} loads on every node, u[ends] = Y^T loads
-        terms = [_layer_terms(n, base, grid, w, np.zeros(grid.n_nodes), 0, grid.n_nodes - 1,
-                              loads, loads, "test") for n in modes]
-        layers = list(_layer_coefficients(cfgs, gaps, terms, "test"))
+        # b = u = A_dtn^{-1} loads, three columns, and the terms of each mode from it
+        terms = []
+        for n in modes:
+            matrix, _, z = _dtn_responses(n, base, grid, np.zeros(grid.n_nodes), "test")
+            u, wz = _solve_tridiag(*matrix, loads), w[:, None] * z
+            terms.append((w @ np.abs(u) ** 2, wz.conj().T @ u, u[[0, -1]], z[[0, -1]],
+                          z.conj().T @ wz))
+        layers = list(_layer_coefficients(cfgs, gaps, modes, terms, "test"))
         assert len(layers) == 2
         for j, (cfg, (coeffs, cross, quad)) in enumerate(zip(cfgs, layers)):
             assert coeffs.shape == (2, 2, 3) and cross.shape == quad.shape == (2, 3)
             for i, n in enumerate(modes):
-                matrix = mode_matrix(n, base, grid, DTN)
+                matrix, _, z = _dtn_responses(n, base, grid, np.zeros(grid.n_nodes), "test")
                 u = _solve_tridiag(*matrix, loads)
-                z, _ = _end_responses(n, matrix, "test")
                 c = coeffs[i]
                 # the Gram forms c_L^H (Z^H W Z) c_L and Re(c_L^H Z^H W u) against the
                 # W-products of the formed Z c_L, to roundoff of the norms of their
@@ -886,30 +929,47 @@ class TestLayerUpdate:
         with pytest.raises(DomainError, match=r"^total study, mode n=2: singular mode system"):
             run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, n_modes=4)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_guard_names_the_lowest_mode_and_its_first_length(self, threads, monkeypatch):
-        """Modes 1 and 3 fail the guard, each at two layer lengths, mode 3 first; the
-        error names mode 1 and its first failing L in both layer studies.  The layer
-        update runs once over all modes after the per-mode stage (end responses and
-        norms), so a mode whose DtN solve is singular fails first, even above them."""
-        cfg = make_cfg(L=2.0)
-        l_values = [0.5, 0.75, 1.0, 1.25]
+    @staticmethod
+    def make_singular(monkeypatch, cfg, failing):
+        """Patch ``_layer_gaps`` so that S_L is exactly singular for each mode of
+        failing at its layer indices (on the 1/20 grid): D_L = diag(-1/Z[0, 0], 0),
+        so det S_L = 1 + D_L[0, 0] Z[0, 0] vanishes."""
         grid = omega_b_grid(cfg, 1 / 20)
-        failing = {3: (0, 2), 1: (1, 3)}  # mode: its failing layer indices
         layer_gaps = harness._layer_gaps
 
         def singular_gaps(cfgs, profile, n_modes):
-            # D_L = diag(-1/Z[0, 0], 0): det S_L = 1 + D_L[0, 0] Z[0, 0] vanishes
             gaps = layer_gaps(cfgs, profile, n_modes)
             for n, js in failing.items():
-                z, _ = _end_responses(n, mode_matrix(n, cfg, grid, DTN), "test")
+                _, _, z = _dtn_responses(n, cfg, grid, np.zeros(grid.n_nodes), "test")
                 gaps[n, js] = (-1.0 / z[0, 0], 0.0)
             return gaps
 
         monkeypatch.setattr(harness, "_layer_gaps", singular_gaps)
+
+    def test_guard_names_the_mode_not_its_row(self, monkeypatch):
+        # the source loads modes 1 and 3 alone; mode 3 fails the guard at L = 0.75, and
+        # mode 0, never solved, would fail it at L = 0.5: the error names mode 3
+        cfg = make_cfg(L=2.0)
+        src = [ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in (1, 3)]
+        self.make_singular(monkeypatch, cfg, {0: (0,), 3: (1,)})
+        with pytest.raises(DomainError, match=r"^L study, mode n=3, side\(s\) -, L=0\.75: "
+                                              r"rank-2 layer update has condition "):
+            run_L_study(cfg, [0.5, 0.75, 1.0], 5.0, source=src, delta=1 / 20, n_modes=5)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_guard_names_the_lowest_mode_and_its_first_length(self, threads, monkeypatch):
+        """Modes 1 and 3 fail the guard, each at two layer lengths, mode 3 first; the
+        error names mode 1 and its first failing L in both layer studies.  The layer
+        update runs once over the solved modes after the per-mode stage (DtN solves
+        and norms), so a mode whose DtN solve is singular fails first, even above
+        them.  The L study solves only the modes its source loads: here 0 to 4."""
+        cfg = make_cfg(L=2.0)
+        l_values = [0.5, 0.75, 1.0, 1.25]
+        src = [ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(5)]
+        self.make_singular(monkeypatch, cfg, {3: (0, 2), 1: (1, 3)})
         message = r"mode n=1, side\(s\) -, L=0\.75: rank-2 layer update has condition "
         with pytest.raises(DomainError, match=r"^L study, " + message):
-            run_L_study(cfg, l_values, 5.0, delta=1 / 20, n_modes=5)
+            run_L_study(cfg, l_values, 5.0, source=src, delta=1 / 20, n_modes=5)
         with pytest.raises(DomainError, match=r"^total study, " + message):
             run_total_error_study(cfg, [1 / 4, 1 / 8], l_values, 5.0, 4, 0, delta=1 / 20,
                                   n_modes=5, threads=threads)
@@ -920,7 +980,7 @@ class TestLayerUpdate:
 
         monkeypatch.setattr(harness, "mode_matrix", singular_at_four)
         with pytest.raises(DomainError, match=r"^L study, mode n=4: singular mode system"):
-            run_L_study(cfg, l_values, 5.0, delta=1 / 20, n_modes=5)
+            run_L_study(cfg, l_values, 5.0, source=src, delta=1 / 20, n_modes=5)
         with pytest.raises(DomainError, match=r"^total study, mode n=4: singular mode system"):
             run_total_error_study(cfg, [1 / 4, 1 / 8], l_values, 5.0, 4, 0, delta=1 / 20,
                                   n_modes=5, threads=threads)
@@ -962,7 +1022,7 @@ class TestLStudyOracle:
             sigma_minus=30.0,
             source=[ModeBoxSource(mode=m, x_lo=-0.5, x_hi=0.5) for m in range(6)],
         ),
-        # a complex load: its norm needs the direct route of _mode_norms
+        # a complex load, so a complex DtN solution u
         "complex-load": dict(
             sigma_plus=5.0,
             sigma_minus=None,
@@ -1002,6 +1062,16 @@ class TestLStudyOracle:
                                      for n in modes])
             roundoff = np.finfo(float).eps * cond * res.extra["dtn_norm"]
             assert abs(err - direct) <= 1e-12 * direct + roundoff
+
+    @pytest.mark.parametrize("case, solves", [("criterion-9", 1), ("asymmetric", 6)])
+    def test_one_solve_per_loaded_mode(self, case, solves, monkeypatch):
+        # criterion 9's box loads mode 2 of 31, the asymmetric source modes 0 to 5:
+        # one three-column DtN solve each, none for the modes left unloaded
+        count = count_solves(monkeypatch)
+        kw = self.CASES[case]
+        run_L_study(make_cfg(L=2.0), self.L_VALUES, kw["sigma_plus"], source=kw["source"],
+                    sigma_minus=kw["sigma_minus"])
+        assert len(count) == solves
 
     @needs_extended_precision
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import zgtsv as scipy_zgtsv
 
 from ductpml import DuctConfig, solver
-from ductpml.duct import axial_wavenumbers64, cutoff_numbers, mode_shape
+from ductpml.duct import axial_wavenumbers64, cutoff_numbers, default_n_modes, mode_shape
 from ductpml.errors import ConfigError, DomainError, GridMismatchError
 from ductpml.greens import _mode_block, _strip_integrals
 from ductpml.noise import (
@@ -33,7 +33,13 @@ from ductpml.solver import (
     mode_matrix,
     solve_full,
 )
-from oracles import banded_solve, condition_estimate, l2_error, stretched_element_bands
+from oracles import (
+    banded_solve,
+    condition_estimate,
+    dtn_inverse,
+    l2_error,
+    stretched_element_bands,
+)
 
 
 def make_cfg(M=0.3, k=5.0, L=1.0):
@@ -488,6 +494,25 @@ class TestSolveFullAndFields:
         rows = [assemble_field(sol, [(x1, x2) for x2 in x2s], cfg) for x1 in x1s]
         assert np.array_equal(assemble_field(sol, pts, cfg), np.concatenate(rows))
 
+    def test_field_assembly_sums_only_nonzero_rows(self, monkeypatch):
+        # modes 1 and 4 loaded of 7: only their shapes are evaluated, and the field is
+        # the sum over every row, zero rows included
+        cfg = make_cfg()
+        grid = omega_b_grid(cfg, 1 / 32)
+        src = [ModeBoxSource(mode=1, x_lo=-0.3, x_hi=0.2), ModeBoxSource(mode=4, x_lo=0.0, x_hi=0.5)]
+        sol = solve_full(cfg, src, "dtn", grid, 7)
+        x1s = np.concatenate([grid.nodes()[::3], grid.nodes()[:-1] + 0.3 * grid.delta])
+        pts = np.column_stack((np.repeat(x1s, 5), np.tile(np.linspace(0.0, cfg.d, 5), x1s.size)))
+        every_row = sum(
+            (np.interp(pts[:, 0], grid.nodes(), row.real)
+             + 1j * np.interp(pts[:, 0], grid.nodes(), row.imag)) * mode_shape(n, pts[:, 1], cfg.d)
+            for n, row in enumerate(sol.values))
+        shapes = []
+        monkeypatch.setattr(solver, "mode_shape",
+                            lambda n, *args: shapes.extend(np.ravel(n)) or mode_shape(n, *args))
+        np.testing.assert_array_equal(assemble_field(sol, pts, cfg), every_row)
+        assert shapes == [1, 4]
+
     def test_parseval_matches_tensor_quadrature(self):
         cfg = make_cfg()
         grid = omega_b_grid(cfg, 1 / 64)
@@ -677,6 +702,34 @@ class TestConditioning:
         for n in (0, n0, n0 + 1, n0 + 10):
             est = condition_estimate(n, cfg, grid, formulation, profile)
             assert est < 1e8
+
+
+class TestClosedFormInverse:
+    """The zgtsv solve of DtN mode matrices against their closed-form inverse, which
+    shares no LAPACK code with it."""
+
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_unit_columns_match_within_eps_cond(self, M, k):
+        # every mode, unit loads at both ends, next to them and inside; a backward-
+        # stable solve errs by up to eps * cond of max|x|, the closed form by less
+        cfg = make_cfg(M=M, k=k, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        last = grid.n_nodes - 1
+        cols = [0, 1, last // 3, last - 1, last]
+        unit = np.zeros((grid.n_nodes, len(cols)))
+        unit[cols, range(len(cols))] = 1.0
+        for n in range(default_n_modes(cfg)):
+            matrix = mode_matrix(n, cfg, grid, "dtn")
+            x = _solve_tridiag(*matrix, unit)
+            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+            assert np.max(np.abs(x - dtn_inverse(*matrix, cols))) <= tol * np.max(np.abs(x))
+
+    def test_rejects_a_non_constant_interior(self):
+        sub, diag, sup = mode_matrix(2, make_cfg(), omega_b_grid(make_cfg(), 1 / 16), "dtn")
+        diag = diag.copy()
+        diag[5] *= 1.0 + 1e-15
+        with pytest.raises(ValueError, match="interior rows are not constant"):
+            dtn_inverse(sub, diag, sup)
 
 
 class TestTridiagonalSolves:
