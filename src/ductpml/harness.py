@@ -14,11 +14,11 @@ Four error mechanisms are measured at desk scale:
   solution, so the gap closes at the discretization order.
 * ``run_total_error_study``: the combined (h, L) error table.
 
-Every per-mode operator comes from ``solver.mode_matrix`` and is solved by
-LAPACK's zgtsv (``solver._solve_tridiag``).  The two noise-driven studies
-(h and total) share one set-up, ``_noise_study``: level validation, noise
-mesh, grid, mode count, load maps, and every seed's noise projected onto
-all modes at every level, sampled in blocks of seeds by one
+Every study builds its per-mode operators in one ``solver.mode_matrix`` call
+and solves them by LAPACK's zgtsv (``solver._solve_tridiag``).  The two
+noise-driven studies (h and total) share one set-up, ``_noise_study``: level
+validation, noise mesh, grid, mode count, load maps, and every seed's noise
+projected onto all modes at every level, sampled in blocks of seeds by one
 ``noise.BlockSampler`` with one product per level and block.
 
 Every (level, seed) load lives on the grid nodes under the forcing
@@ -26,19 +26,17 @@ rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W and
 Z^H W b of b = A_n^{-1} r for the real load differences r = L_lv s_lv -
 L_ref s_ref on R, with W the trapezoid weights; the difference is taken
 before the solve, not after.  One kernel, ``_mode_norms``, computes them
-by one of two routes, switched at UNIT_BASIS_COLUMNS columns of r per node
-of R (a measured crossover).  Past it, the unit route solves the unit
-loads of R once, B = A_n^{-1} E_R, and contracts the |R| x |R| Gram matrix
-Q_n = Re(B^H W B) and Z^H W B with r: ||b||^2_W = r^T Q_n r.  Below it,
-the direct route solves r on R alone: left of R, b = g^- b[lo], with g^-
-from one solve of the load-free exterior block (likewise g^+), and each
-exterior adds the rank-1 terms |b[lo]|^2 ||g^-||^2_W to ||b||^2_W and
-(Z_ext^H W g^-) b[lo] to Z^H W b.  The same norms give the h study's exact
-mean: level noise is the L2 projection of the reference path, so the
+on R alone: left of R, b = g^- b[lo], g^- from one solve of the load-free
+exterior block (likewise g^+), so each exterior adds rank-1 terms.  Past
+UNIT_BASIS_COLUMNS columns of r per node of R (a measured crossover), its
+unit route solves the unit loads of R, B = A_n^{-1} E_R, and contracts Q_n
+= Re(B^H W B) and Z^H W B with r: ||b||^2_W = r^T Q_n r; below it, the
+direct route solves r.  The same norms give the h study's exact mean:
+level noise is the L2 projection of the reference path, so the
 cross-covariance of level and reference loads is the level covariance
 C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's segment
-values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)), each trace the
-sum of ||A_n^{-1} L_lv e_j||^2_W over the segment columns j.
+values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)): sum(Q_n o L_lv
+L_lv^T) on the unit route, the norms of A_n^{-1} L_lv's columns otherwise.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -124,9 +122,9 @@ EQUIV_ORDER_THRESHOLD = 1.9
 # past it the reduced operator is numerically singular.
 UPDATE_COND_LIMIT = 1e8
 # ``_mode_norms`` takes the unit route past this many load columns per node
-# of R and the direct route up to it.  Timed per mode, the two routes tie
-# between 3.5 and 5 columns per node at |R| = 81 and at about 6.5 at |R| = 321.
-UNIT_BASIS_COLUMNS = 3.5
+# of R and the direct route up to it.  Timed per mode, both routes solving on
+# R, they tie at about 2.5 columns per node at |R| = 81 and 2.75 to 3 at 321.
+UNIT_BASIS_COLUMNS = 2.75
 
 
 @dataclass
@@ -406,15 +404,13 @@ def _layer_coefficients(cfgs, gaps, modes, terms, stage: str):
         yield c, np.sum(c.conj() * zwb, axis=1).real, np.sum(c.conj() * (gram @ c), axis=1).real
 
 
-def _dtn_responses(n: int, cfg: DuctConfig, grid: Grid1D, det, stage: str):
-    """Mode n's DtN matrix A and one solve of A [u | Z] = [det | e_0 | e_N]: the
+def _dtn_responses(n: int, matrix, det, stage: str):
+    """One solve of mode n's DtN matrix A, A [u | Z] = [det | e_0 | e_N]: the
     deterministic solution u and the end responses Z = A^{-1} E, E = [e_0, e_N]."""
-    matrix = mode_matrix(n, cfg, grid, DTN)
-    rhs = np.zeros((grid.n_nodes, 3), dtype=complex)
-    rhs[:, 0] = det
-    rhs[0, 1] = rhs[-1, 2] = 1.0
+    rhs = np.zeros((det.size, 3), dtype=complex)
+    rhs[:, 0], rhs[0, 1], rhs[-1, 2] = det, 1.0, 1.0
     x = _solve_tridiag(*matrix, rhs, where=f"{stage}, mode n={n}")
-    return matrix, x[:, 0], x[:, 1:]
+    return x[:, 0], x[:, 1:]
 
 
 def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
@@ -443,30 +439,37 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
     return _solve_tridiag(sub[lo:hi], d_r, sup[lo:hi], rhs, where=where), g_lo, g_hi
 
 
-def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
-    """||b||^2_W and Z^H W b of every column of b = A^{-1} r, mode n, W = diag(w),
-    for loads r on nodes lo..hi (zero elsewhere).
-
-    Past UNIT_BASIS_COLUMNS columns per node it solves the unit loads E_R of
-    lo..hi once, B = A^{-1} E_R, and contracts Re(B^H W B) and Z^H W B with the
-    real r (every caller's); otherwise it solves r on lo..hi (``_range_solve``)
-    and each exterior adds the rank-1 terms |b_edge|^2 ||g||^2_W and (Z_ext^H W
-    g) b_edge.
-    """
+def _range_terms(n: int, matrix, lo: int, hi: int, w, rhs, z, stage: str):
+    """b = A^{-1} rhs of mode n on lo..hi, Z^H W b and each exterior's (||g||^2_W, b_edge)."""
+    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, rhs, stage)
     wz = (w[:, None] * z).conj()
-    if r.shape[1] > UNIT_BASIS_COLUMNS * len(r):
-        unit = np.eye(w.size, len(r), -lo)  # E_R: column j is e_{lo + j}
-        basis = _solve_tridiag(*matrix, unit, where=f"{stage}, mode n={n}")
-        g = np.sqrt(w)[:, None] * basis
-        g = np.vstack([g.real, g.imag])
-        zb = wz.T @ basis  # Z^H W B, applied to the real r by parts: r is not cast
-        return np.sum(r * ((g.T @ g) @ r), axis=0), zb.real @ r + 1j * (zb.imag @ r)
-    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, r, stage)
-    b_norm2 = w[lo : hi + 1] @ (b.real ** 2 + b.imag ** 2)
-    zwb = wz[lo : hi + 1].T @ b
+    zwb, exteriors = wz[lo : hi + 1].T @ b, []
     for g, ext, edge in ((g_lo, slice(0, lo), b[0]), (g_hi, slice(hi + 1, None), b[-1])):
-        b_norm2 += (w[ext] @ (g.real ** 2 + g.imag ** 2)) * (edge.real ** 2 + edge.imag ** 2)
+        exteriors.append((w[ext] @ (g.real ** 2 + g.imag ** 2), edge))
         zwb += np.outer(wz[ext].T @ g, edge)
+    return b, zwb, exteriors
+
+
+def _unit_gram(n: int, matrix, lo: int, hi: int, w, z, stage: str):
+    """Q = Re(B^H W B) and Z^H W B of mode n's B = A^{-1} E_R, E_R the unit loads of lo..hi."""
+    b, zb, exteriors = _range_terms(n, matrix, lo, hi, w, np.eye(hi - lo + 1), z, stage)
+    g = np.vstack([np.sqrt(w[lo : hi + 1])[:, None] * b]
+                  + [math.sqrt(c) * edge[None] for c, edge in exteriors])
+    g = np.vstack([g.real, g.imag])
+    return g.T @ g, zb
+
+
+def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
+    """||b||^2_W and Z^H W b of each column of b = A^{-1} r, mode n, W = diag(w), for real
+    loads r on lo..hi (zero elsewhere): past UNIT_BASIS_COLUMNS columns per node from
+    ``_unit_gram``, ||b||^2_W = r^T Q r, else from r solved, plus ||g||^2_W |b_edge|^2."""
+    if r.shape[1] > UNIT_BASIS_COLUMNS * len(r):
+        q, zb = _unit_gram(n, matrix, lo, hi, w, z, stage)
+        return np.sum(r * (q @ r), axis=0), zb.real @ r + 1j * (zb.imag @ r)  # r not cast
+    b, zwb, exteriors = _range_terms(n, matrix, lo, hi, w, r, z, stage)
+    b_norm2 = w[lo : hi + 1] @ (b.real ** 2 + b.imag ** 2)
+    for c, edge in exteriors:
+        b_norm2 += c * (edge.real ** 2 + edge.imag ** 2)
     return b_norm2, zwb
 
 
@@ -500,12 +503,12 @@ def run_h_study(
 
     Every (level, seed) error is ||A_n^{-1} r||^2_W of the load difference r
     = L_lv s_lv - L_ref s_ref on the nodes R under the forcing rectangle,
-    summed over modes, from ``_mode_norms``: at the pinned scale (784 columns
-    on 81 nodes) its unit route, r^T Q_n r with Q_n = Re(B^H W B) and B =
-    A_n^{-1} E_R.  ``extra["exact_mean"]`` holds the mean-square error of
+    summed over modes.  ``extra["exact_mean"]`` holds the mean-square error of
     each level without sampling, sum_n tr(Q_n (C_ref,n - C_lv,n)) with
-    C_lv,n = var_lv,n L_lv L_lv^T on R; the same kernel call gives its traces
-    as the norms of the segment columns of L_lv.
+    C_lv,n = var_lv,n L_lv L_lv^T on R.  ``_mode_norms``' route for r and the
+    segment columns of L_lv side by side is taken: at the pinned scale (600 +
+    184 columns on 81 nodes) the unit route, whose Q_n gives r^T Q_n r and the
+    traces sum(Q_n o L_lv L_lv^T); else the segment columns are solved with r.
     """
     del profile
     st = _noise_study(
@@ -517,15 +520,22 @@ def run_h_study(
     h_cols = len(st.used) * n_samples
     w = _trapezoid_weights(st.grid)
     no_ends = np.zeros((w.size, 0))  # the h study needs no Z^H W b
+    bands = mode_matrix(np.arange(st.n_modes), cfg, st.grid, DTN)
+    unit = h_cols + lmap.shape[1] > UNIT_BASIS_COLUMNS * len(lmap)  # the route of [r | lmap]
+    llt = unit and np.stack([(m @ m.T).toarray().ravel() for m in map(st.maps.get, levels)])
 
     def mode_terms(n: int):
-        # every (level, seed) difference, then L_lv for the exact mean's traces
-        _, r = st.differences(n, lmap)
-        quad, _ = _mode_norms(n, mode_matrix(n, cfg, st.grid, DTN), st.lo, st.hi, w, r,
-                              no_ends, "h study")
-        traces = np.add.reduceat(quad[h_cols:], starts[:-1])  # tr(Q_n L_lv L_lv^T)
+        matrix = tuple(b[n] for b in bands)
+        if unit:  # tr(Q_n L_lv L_lv^T) = sum(Q_n o L_lv L_lv^T)
+            q, _ = _unit_gram(n, matrix, st.lo, st.hi, w, no_ends, "h study")
+            _, r = st.differences(n)
+            quad, traces = np.sum(r * (q @ r), axis=0), llt @ q.ravel()
+        else:  # the traces are the norms of L_lv's columns, solved with the differences
+            _, r = st.differences(n, lmap)
+            quad, _ = _mode_norms(n, matrix, st.lo, st.hi, w, r, no_ends, "h study")
+            quad, traces = quad[:h_cols], np.add.reduceat(quad[h_cols:], starts[:-1])
         exact = st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
-        return quad[:h_cols].reshape(-1, n_samples).T, exact  # (n_samples, n_used)
+        return quad.reshape(-1, n_samples).T, exact  # (n_samples, n_used)
 
     per_mode = _map_threads(mode_terms, range(st.n_modes), threads)
     # (n_samples, n_used) and (n_used,), each summed over the modes
@@ -615,14 +625,15 @@ def run_L_study(
     w = _trapezoid_weights(grid)
     loaded = np.flatnonzero(lay.det.any(axis=1))  # the other modes add exact zeros
 
-    def mode_terms(n: int):
+    def mode_terms(n: int, matrix):
         # b = u, so u[ends] is b[ends]: one solve, no transposed one
-        _, u, z = _dtn_responses(n, cfg, grid, lay.det[n], "L study")
+        u, z = _dtn_responses(n, matrix, lay.det[n], "L study")
         b, wz = u[:, None], w[:, None] * z
         return (w @ (b.real ** 2 + b.imag ** 2), wz.conj().T @ b, b[[0, -1]], z[[0, -1]],
                 z.conj().T @ wz)
 
-    terms = [mode_terms(n) for n in loaded]
+    # each loaded mode with its bands, from one call
+    terms = [mode_terms(*a) for a in zip(loaded, zip(*mode_matrix(loaded, cfg, grid, DTN)))]
     dtn_norm = math.sqrt(sum(float(b_norm2[0]) for b_norm2, *_ in terms))
     # summed over the loaded modes in mode order; with none, every error is 0
     layers = terms and _layer_coefficients(lay.cfgs, lay.gaps[loaded], loaded, terms, "L study")
@@ -746,13 +757,16 @@ def run_total_error_study(
     w = _trapezoid_weights(st.grid)
     ends = np.zeros((st.grid.n_nodes, 2))  # E = [e_0, e_N]
     ends[0, 0] = ends[-1, 1] = 1.0
+    bands = mode_matrix(np.arange(st.n_modes), cfg, st.grid, DTN)
 
     def mode_terms(n: int):
         f_lv, r = st.differences(n)
-        (sub, diag, sup), u, z = _dtn_responses(n, cfg, st.grid, lay.det[n], "total study")
+        sub, diag, sup = matrix = tuple(b[n] for b in bands)
+        u, z = _dtn_responses(n, matrix, lay.det[n], "total study")
         y = _solve_tridiag(sup, diag, sub, ends, where=f"total study, mode n={n}")  # A^{-T} E
-        b_norm2, zwb = _mode_norms(n, (sub, diag, sup), st.lo, st.hi, w, r, z, "total study")
-        u_ends = u[[0, -1], None] + y[st.lo : st.hi + 1].T @ f_lv  # u_lv[ends] = u[ends] + Y^T f
+        b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, w, r, z, "total study")
+        y_r = y[st.lo : st.hi + 1].T  # u_lv[ends] = u[ends] + Y_R^T f, by parts: f is not cast
+        u_ends = u[[0, -1], None] + (y_r.real @ f_lv + 1j * (y_r.imag @ f_lv))
         return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (w[:, None] * z)
 
     terms = _map_threads(mode_terms, range(st.n_modes), threads)

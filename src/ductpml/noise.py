@@ -182,12 +182,13 @@ def _coarsen_rows(xi, out=None):
 
 class BlockSampler:
     """Draws blocks of up to ``size`` seeds at the given mesh levels into buffers
-    it owns: one re-keyed Philox stream and every block array are built once.
+    it owns: one re-keyed Philox stream, every block array and its row views, made once.
 
     ``draw(seeds)`` returns xi of every seed at each level, (len(seeds),
-    *mesh.shape(lv)) per level in ``levels`` order.  The arrays are views of
-    the sampler's buffers: the next ``draw`` overwrites them, so copy what
-    must outlive it.
+    *mesh.shape(lv)) per level in ``levels`` order; more than ``size`` seeds
+    raise ValueError before anything is drawn.  The arrays are views of the
+    sampler's buffers: the next ``draw`` overwrites them, so copy what must
+    outlive it.
 
     Coarse cell t = a1 * m2 + a2 draws its subtree from a Philox stream keyed
     (seed mod 2^64, t).  The one bit generator is re-keyed by assigning the
@@ -201,8 +202,7 @@ class BlockSampler:
         self.levels = list(levels)
         for lv in self.levels:  # every level checked before drawing
             mesh.shape(lv)
-        self._bits = bits = mesh.finest_level
-        self._base = m1, m2 = mesh.base_shape
+        bits, (m1, m2) = mesh.finest_level, mesh.base_shape
         self._key = [0, 0]  # re-keyed in place by ``draw``
         self._bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bitgen)
@@ -212,6 +212,7 @@ class BlockSampler:
         fresh["buffer"] = fresh["buffer"].tolist()
         self._fresh = fresh
         self._draws = np.empty((size, m1 * m2 << (2 * bits)))  # Morton order
+        self._subtrees = [list(rows) for rows in self._draws.reshape(size, m1 * m2, -1)]  # views
         self._order = _morton_order(bits, m1, m2)
         # row-major values per level, finest to the coarsest asked for
         self._rows = {lv: np.empty((size,) + mesh.shape(lv))
@@ -220,19 +221,19 @@ class BlockSampler:
     def draw(self, seeds) -> list:
         """xi of each of the (at most ``size``) seeds at every level; see the class."""
         n = len(seeds)
-        m1, m2 = self._base
-        draws = self._draws[:n]
-        # the full shape, so that more seeds than the buffers hold fail here
-        for seed, subtrees in zip(seeds, draws.reshape(n, m1 * m2, 1 << (2 * self._bits))):
-            self._key[0] = int(seed) & _MASK64
+        if n > len(self._subtrees):  # before anything is drawn
+            raise ValueError(f"{n} seeds, but the sampler's buffers hold {len(self._subtrees)}")
+        key, fresh, bitgen, fill = self._key, self._fresh, self._bitgen, self._gen.standard_normal
+        for seed, subtrees in zip(seeds, self._subtrees):
+            key[0] = int(seed) & _MASK64
             for t, row in enumerate(subtrees):
-                self._key[1] = t
-                self._bitgen.state = self._fresh
-                self._gen.standard_normal(out=row)
+                key[1] = t
+                bitgen.state = fresh
+                fill(out=row)
         fine, *coarse = self._rows.values()
         xi = fine[:n]
         # every index valid: "clip" spares take a buffer
-        np.take(draws, self._order, axis=1, out=xi.reshape(n, -1), mode="clip")
+        np.take(self._draws[:n], self._order, axis=1, out=xi.reshape(n, -1), mode="clip")
         for rows in coarse:
             xi = _coarsen_rows(xi, out=rows[:n])
         return [self._rows[lv][:n] for lv in self.levels]

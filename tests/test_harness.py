@@ -16,6 +16,7 @@ from ductpml.harness import (
     _mode_norms,
     _range_solve,
     _trapezoid_weights,
+    _unit_gram,
     default_forcing_rect,
     default_l_study_source,
     fit_rate,
@@ -69,6 +70,17 @@ def count_solves(monkeypatch):
     monkeypatch.setattr(harness, "_solve_tridiag",
                         lambda *args, **kw: solves.append(1) or tridiag(*args, **kw))
     return solves
+
+
+def singular_mode(monkeypatch, mode):
+    """Patch the harness's ``mode_matrix`` so that the bands of ``mode`` are all zero,
+    whether it is built alone or in an array of modes."""
+
+    def singular(n, *args):
+        hit = np.reshape(np.equal(n, mode), np.shape(n) + (1,))  # one row per mode
+        return tuple(np.where(hit, 0.0, band) for band in mode_matrix(n, *args))
+
+    monkeypatch.setattr(harness, "mode_matrix", singular)
 
 
 class TestFitRate:
@@ -543,14 +555,14 @@ class TestBatchedNoiseSolves:
     def test_total_study_matches_per_level_solves(self, monkeypatch):
         # the default rectangle (16 load columns on 81 nodes) takes the norm
         # kernel's direct route; one grid cell (16 columns on 2 nodes) its unit
-        # route, which never calls the range solve
+        # route; both solve on the range, the unit route its identity loads
         cfg = make_cfg(L=2.0)
         l_values = [0.5, 2.0]
         source = default_l_study_source(cfg)
         grid = omega_b_grid(cfg, default_delta(cfg))
-        range_solves = []
-        monkeypatch.setattr(harness, "_range_solve",
-                            lambda *args: range_solves.append(args) or _range_solve(*args))
+        unit_loads = []  # per range solve: is its right-hand side the identity?
+        monkeypatch.setattr(harness, "_range_solve", lambda *args: unit_loads.append(
+            np.array_equal(args[4], np.eye(len(args[4])))) or _range_solve(*args))
         for rect, direct in ((None, True), ((0.3025, 0.31, 0.2, 0.6), False)):
             loads = self.per_level_loads(cfg, grid, rect)
             loaded = np.flatnonzero(np.any(loads[3][0] != 0.0, axis=1))
@@ -567,7 +579,7 @@ class TestBatchedNoiseSolves:
                         sol = _solve_tridiag(*matrix, loads[lv][n] + det)
                         diff2 = np.abs(sol - ref) ** 2
                         err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
-            range_solves.clear()
+            unit_loads.clear()
             self.assert_study_matches(
                 lambda threads: run_total_error_study(
                     cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED, rect=rect,
@@ -575,7 +587,7 @@ class TestBatchedNoiseSolves:
                 ),
                 err2,
             )
-            assert bool(range_solves) == direct
+            assert unit_loads and set(unit_loads) == {not direct}
 
     def test_total_study_asymmetric_sigma_matches_per_level_solves(self):
         # sigma_minus != sigma_plus: the '-' layer must carry its own strength
@@ -649,8 +661,8 @@ class TestDtnResponses:
         rng = np.random.default_rng(23)
         det = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
         for n in range(0, default_n_modes(cfg), 3):
-            matrix, u, z = _dtn_responses(n, cfg, grid, det, "test")
-            assert all(np.array_equal(a, b) for a, b in zip(matrix, mode_matrix(n, cfg, grid, DTN)))
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            u, z = _dtn_responses(n, matrix, det, "test")
             inverse = dtn_inverse(*matrix)
             tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
             assert np.max(np.abs(z - inverse[:, [0, -1]])) <= tol * np.max(np.abs(z))
@@ -714,7 +726,7 @@ class TestRangeSolve:
             self.assert_close(b, b_full[lo : hi + 1], tol)
             self.assert_close(np.outer(g_lo, b[0]), b_full[:lo], tol)
             self.assert_close(np.outer(g_hi, b[-1]), b_full[hi + 1 :], tol)
-            _, u, z = _dtn_responses(n, cfg, grid, det, "test")
+            u, z = _dtn_responses(n, matrix, det, "test")
             self.assert_close(z, z_full, tol)
             self.assert_close(u, u_full, tol)
             routes = []
@@ -749,6 +761,32 @@ class TestRangeSolve:
             diag[-2:] = sub[-1] = sup[-1] = 0.0
         with pytest.raises(DomainError, match=message):
             _range_solve(3, (sub, diag, sup), lo, hi, np.ones((hi - lo + 1, 2)), "total study")
+
+
+class TestUnitGram:
+    """The unit route's Q and Z^H W B, solved on R alone, against the closed-form inverse."""
+
+    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_matches_the_closed_form_inverse(self, M, k, shape):
+        # B = A^{-1} E_R is R's columns of the exact inverse; each entry of B solved in
+        # float64 is within tol = 8 eps cond max|B| of them, so Q = Re(B^H W B) is
+        # within 2 tol max_j ||b_j||_{W,1} and Z^H W B (Z exact) within tol max ||z||_{W,1}
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        last = grid.n_nodes - 1
+        lo, hi = TestRangeSolve.node_range(shape, last)
+        w = _trapezoid_weights(grid)
+        for n in range(0, default_n_modes(cfg), 3):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
+            z, b = inverse[:, [0, -1]], inverse[:, 1:-1]
+            q, zwb = _unit_gram(n, matrix, lo, hi, w, z, "test")
+            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid) * np.max(np.abs(b))
+            exact_q = (b.conj().T @ (w[:, None] * b)).real
+            assert np.max(np.abs(q - exact_q)) <= 2 * tol * np.max(w @ np.abs(b))
+            exact_zwb = z.conj().T @ (w[:, None] * b)
+            assert np.max(np.abs(zwb - exact_zwb)) <= tol * np.max(w @ np.abs(z))
 
 
 def refined_solve(exact, matrix, rhs):
@@ -827,7 +865,8 @@ class TestLayerUpdate:
         # b = u = A_dtn^{-1} loads, three columns, and the terms of each mode from it
         terms = []
         for n in modes:
-            matrix, _, z = _dtn_responses(n, base, grid, np.zeros(grid.n_nodes), "test")
+            matrix = mode_matrix(n, base, grid, DTN)
+            _, z = _dtn_responses(n, matrix, np.zeros(grid.n_nodes), "test")
             u, wz = _solve_tridiag(*matrix, loads), w[:, None] * z
             terms.append((w @ np.abs(u) ** 2, wz.conj().T @ u, u[[0, -1]], z[[0, -1]],
                           z.conj().T @ wz))
@@ -836,7 +875,8 @@ class TestLayerUpdate:
         for j, (cfg, (coeffs, cross, quad)) in enumerate(zip(cfgs, layers)):
             assert coeffs.shape == (2, 2, 3) and cross.shape == quad.shape == (2, 3)
             for i, n in enumerate(modes):
-                matrix, _, z = _dtn_responses(n, base, grid, np.zeros(grid.n_nodes), "test")
+                matrix = mode_matrix(n, base, grid, DTN)
+                _, z = _dtn_responses(n, matrix, np.zeros(grid.n_nodes), "test")
                 u = _solve_tridiag(*matrix, loads)
                 c = coeffs[i]
                 # the Gram forms c_L^H (Z^H W Z) c_L and Re(c_L^H Z^H W u) against the
@@ -914,13 +954,9 @@ class TestLayerUpdate:
         assert res.error_mean[0] == pytest.approx(direct, rel=1e-9)
 
     def test_singular_dtn_solve_names_the_mode(self, monkeypatch):
-        def singular_at_two(n, *args):
-            sub, diag, sup = mode_matrix(n, *args)
-            return (0 * sub, 0 * diag, 0 * sup) if n == 2 else (sub, diag, sup)
-
-        monkeypatch.setattr(harness, "mode_matrix", singular_at_two)
+        singular_mode(monkeypatch, 2)
         cfg = make_cfg(L=2.0)
-        # 52 load columns on 81 nodes: the direct route meets the exterior block first
+        # both routes of the norm kernel solve on R and meet the exterior block first
         with pytest.raises(DomainError, match=r"^h study, mode n=2, side -: exterior block: "
                                               r"singular mode system"):
             run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, n_modes=4)
@@ -940,7 +976,8 @@ class TestLayerUpdate:
         def singular_gaps(cfgs, profile, n_modes):
             gaps = layer_gaps(cfgs, profile, n_modes)
             for n, js in failing.items():
-                _, _, z = _dtn_responses(n, cfg, grid, np.zeros(grid.n_nodes), "test")
+                matrix = mode_matrix(n, cfg, grid, DTN)
+                _, z = _dtn_responses(n, matrix, np.zeros(grid.n_nodes), "test")
                 gaps[n, js] = (-1.0 / z[0, 0], 0.0)
             return gaps
 
@@ -973,12 +1010,7 @@ class TestLayerUpdate:
         with pytest.raises(DomainError, match=r"^total study, " + message):
             run_total_error_study(cfg, [1 / 4, 1 / 8], l_values, 5.0, 4, 0, delta=1 / 20,
                                   n_modes=5, threads=threads)
-
-        def singular_at_four(n, *args):
-            sub, diag, sup = mode_matrix(n, *args)
-            return (0 * sub, 0 * diag, 0 * sup) if n == 4 else (sub, diag, sup)
-
-        monkeypatch.setattr(harness, "mode_matrix", singular_at_four)
+        singular_mode(monkeypatch, 4)
         with pytest.raises(DomainError, match=r"^L study, mode n=4: singular mode system"):
             run_L_study(cfg, l_values, 5.0, source=src, delta=1 / 20, n_modes=5)
         with pytest.raises(DomainError, match=r"^total study, mode n=4: singular mode system"):

@@ -162,6 +162,20 @@ class TestStreamContract:
                 for s, seed in enumerate(block):
                     assert np.array_equal(xi[s], realization_levels(sample(mesh, seed))[lv].xi)
 
+    def test_more_seeds_than_the_buffers_hold_raise_before_drawing(self):
+        mesh = NoiseMesh(rect=RECT, levels=3, base_shape=(3, 2))
+        every = list(range(mesh.levels))
+        with pytest.raises(ValueError):
+            noise.BlockSampler(mesh, every, 2).draw(range(3))
+        # after a full block, the refused draw leaves every buffer as it was
+        sampler = noise.BlockSampler(mesh, every, 2)
+        got = sampler.draw([5, 6])
+        before = [xi.copy() for xi in got] + [sampler._draws.copy()]
+        with pytest.raises(ValueError):
+            sampler.draw(range(3))
+        for old, new in zip(before, got + [sampler._draws]):
+            assert np.array_equal(old, new)
+
     def test_only_the_requested_levels_in_their_order(self):
         mesh = NoiseMesh(rect=RECT, levels=4, base_shape=(2, 3))
         levels = realization_levels(sample(mesh, 11))
