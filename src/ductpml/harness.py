@@ -22,21 +22,19 @@ projected onto all modes at every level, sampled in blocks of seeds by one
 ``noise.BlockSampler`` with one product per level and block.
 
 Every (level, seed) load lives on the grid nodes under the forcing
-rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W and
-Z^H W b of b = A_n^{-1} r for the real load differences r = L_lv s_lv -
-L_ref s_ref on R, with W the trapezoid weights; the difference is taken
-before the solve, not after.  One kernel, ``_mode_norms``, computes them
-on R alone: left of R, b = g^- b[lo], g^- from one solve of the load-free
-exterior block (likewise g^+), so each exterior adds rank-1 terms.  Past
-UNIT_BASIS_COLUMNS columns of r per node of R (a measured crossover), its
-unit route solves the unit loads of R, B = A_n^{-1} E_R, and contracts Q_n
-= Re(B^H W B) and Z^H W B with r: ||b||^2_W = r^T Q_n r; below it, the
-direct route solves r.  The same norms give the h study's exact mean:
-level noise is the L2 projection of the reference path, so the
-cross-covariance of level and reference loads is the level covariance
-C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's segment
-values), and E[err_lv] = sum_n tr(Q_n (C_ref,n - C_lv,n)): sum(Q_n o L_lv
-L_lv^T) on the unit route, the norms of A_n^{-1} L_lv's columns otherwise.
+rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W of b =
+A_n^{-1} r for the real load differences r = L_lv s_lv - L_ref s_ref on R, W
+the trapezoid weights, and solve on R alone: left of R, b = g^- b[lo], g^-
+from one solve of the load-free exterior block (likewise g^+), so each
+exterior adds rank-1 terms.  The h study solves the unit loads of R, B =
+A_n^{-1} E_R (``_unit_gram``), for ||b||^2_W = r^T Q_n r, Q_n = Re(B^H W B),
+and its exact mean: level noise is the L2 projection of the reference path,
+so the cross-covariance of level and reference loads is the level
+covariance C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's
+segment values), and E[err_lv] = sum_n sum(Q_n o (C_ref,n - C_lv,n)).  The
+total study also needs Z^H W b: ``_mode_norms`` contracts Q_n and Z^H W B
+with r past UNIT_BASIS_COLUMNS columns of r per node of R (a measured
+crossover) and solves r itself below it.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -55,13 +53,14 @@ two terms.  The L study takes b = u, all five terms straight from u and Z,
 in the modes the source loads (the others add exact zeros).  The total study
 takes b = u_lv - u_ref in every mode, ||b||^2_W and Z^H W b from
 ``_mode_norms`` and u_lv[ends] = u[ends] + Y_R^T f for level noise f, Y =
-A_dtn^{-T} E.  Both build their layers, source and abscissae in
-``_layer_set``: one config per layer length, which carries x^{+-}, L and
-omega, one ``PmlProfile`` for every layer and the gaps of every mode.
+A_dtn^{-T} E from Z by a diagonal similarity (``_end_rows``, no solve).
+Both build their layers, source and abscissae in ``_layer_set``: one config
+per layer length, which carries x^{+-}, L and omega, one ``PmlProfile`` for
+every layer and the gaps of every mode.
 
 The noise studies map their per-mode work over a thread pool
-(``_map_threads``): the loads, the DtN solves, ``_mode_norms`` and, in the
-total study, u[ends] and Z^H W Z.  Its zgtsv solves release the GIL
+(``_map_threads``): the loads, every per-mode solve and, in the total study,
+u[ends] and Z^H W Z.  Its zgtsv solves release the GIL
 (``solver._solve_tridiag``), so the modes run in parallel; the 2x2 layer
 update, many small numpy calls that would only take turns at the GIL, runs
 after the pool, once over all modes.  Every study is a pure function of
@@ -121,8 +120,8 @@ EQUIV_ORDER_THRESHOLD = 1.9
 # layer studies accept (it costs up to that factor of eps in accuracy);
 # past it the reduced operator is numerically singular.
 UPDATE_COND_LIMIT = 1e8
-# ``_mode_norms`` takes the unit route past this many load columns per node
-# of R and the direct route up to it.  Timed per mode, both routes solving on
+# The total study's ``_mode_norms`` takes the unit route past this many load
+# columns per node of R, else the direct route.  Timed per mode, both solving on
 # R, they tie at about 2.5 columns per node at |R| = 81 and 2.75 to 3 at 321.
 UNIT_BASIS_COLUMNS = 2.75
 
@@ -222,10 +221,11 @@ class _NoiseStudy:
     axial segment values of every mode and seed at level lv, shape (n_modes,
     n_samples, n1), so that a block of seeds is one contiguous run per mode
     and ``seg[lv][n]`` is mode n's contiguous (seed, segment) block;
-    ``maps[lv]`` (CSR) maps its transpose to hat loads on the loaded nodes
-    R = lo..hi (never empty), and ``var[j, n]`` = sum_j2
-    T[n, j2]^2 / |K| is the variance of mode n's segment values at level j of
-    ``used + [ref_level]`` (T the transverse cell integrals, |K| the cell area).
+    ``maps[lv]`` (CSR, keys in the order ``used + [ref_level]``) maps its
+    transpose to hat loads on the loaded nodes R = lo..hi (never empty), and
+    ``var[j, n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's segment
+    values at level j of that order (T the transverse cell integrals, |K| the
+    cell area).
     """
 
     mesh: NoiseMesh
@@ -241,16 +241,13 @@ class _NoiseStudy:
     hi: int
     maps: dict
 
-    def differences(self, n: int, tail=np.zeros((1, 0))):
+    def differences(self, n: int):
         """Mode n's loads F = L_lv s_lv on R of the used levels, side by side (|R|, n_used
-        * n_samples), and r = F - L_ref s_ref of every (level, seed) column, then tail's."""
+        * n_samples), and r = F - L_ref s_ref of every (level, seed) column."""
         f_ref = self.maps[self.ref_level] @ self.seg[self.ref_level][n].T
         f = np.hstack([self.maps[lv] @ self.seg[lv][n].T for lv in self.used])  # frees each
-        r = np.empty((len(f), f.shape[1] + tail.shape[1]))
-        by_level = (len(f), len(self.used), self.n_samples)  # of r's first columns, a view
-        np.subtract(f.reshape(by_level), f_ref[:, None], out=r[:, : f.shape[1]].reshape(by_level))
-        r[:, f.shape[1] :] = tail
-        return f, r
+        by_level = (len(f), len(self.used), self.n_samples)
+        return f, np.subtract(f.reshape(by_level), f_ref[:, None]).reshape(f.shape)
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
@@ -294,6 +291,8 @@ def _noise_study(
     grid = omega_b_grid(cfg, delta)
     if n_modes is None:
         n_modes = default_n_modes(cfg)
+    elif n_modes < 1:
+        raise ConfigError(f"{stage}: n_modes must be >= 1, got {n_modes}")
     ref_level = total_levels - 1
     levels = used + [ref_level]
     trans = {}
@@ -450,6 +449,14 @@ def _range_terms(n: int, matrix, lo: int, hi: int, w, rhs, z, stage: str):
     return b, zwb, exteriors
 
 
+def _end_rows(sub, sup, z):
+    """Y^T, the end rows of A^{-1} (Y = A^{-T} E), from Z = A^{-1} E, E = [e_0, e_N], for A =
+    (sub, ., sup) tridiagonal with no zero in sub: A^T = D A D^{-1}, d_0 = 1, d_{i+1} = d_i
+    sup_i / sub_i, so Y = D Z / d[ends].  DtN bands: sub = conj(sup), |d_i| = 1, D = I at M = 0."""
+    d = np.cumprod(np.r_[1.0, sup / sub])
+    return (d[:, None] * z / d[[0, -1]]).T
+
+
 def _unit_gram(n: int, matrix, lo: int, hi: int, w, z, stage: str):
     """Q = Re(B^H W B) and Z^H W B of mode n's B = A^{-1} E_R, E_R the unit loads of lo..hi."""
     b, zb, exteriors = _range_terms(n, matrix, lo, hi, w, np.eye(hi - lo + 1), z, stage)
@@ -501,41 +508,29 @@ def run_h_study(
     profile argument is accepted for interface symmetry; the study solves
     with the exact nonreflecting closure.
 
-    Every (level, seed) error is ||A_n^{-1} r||^2_W of the load difference r
-    = L_lv s_lv - L_ref s_ref on the nodes R under the forcing rectangle,
-    summed over modes.  ``extra["exact_mean"]`` holds the mean-square error of
-    each level without sampling, sum_n tr(Q_n (C_ref,n - C_lv,n)) with
-    C_lv,n = var_lv,n L_lv L_lv^T on R.  ``_mode_norms``' route for r and the
-    segment columns of L_lv side by side is taken: at the pinned scale (600 +
-    184 columns on 81 nodes) the unit route, whose Q_n gives r^T Q_n r and the
-    traces sum(Q_n o L_lv L_lv^T); else the segment columns are solved with r.
+    Every (level, seed) error is ||A_n^{-1} r||^2_W = r^T Q_n r of the load
+    difference r = L_lv s_lv - L_ref s_ref on the nodes R under the forcing
+    rectangle, summed over modes, with Q_n = Re(B^H W B) of mode n's unit-load
+    solves B (``_unit_gram``).  ``extra["exact_mean"]`` holds the mean-square
+    error of each level without sampling, sum_n tr(Q_n (C_ref,n - C_lv,n))
+    with C_lv,n = var_lv,n L_lv L_lv^T on R, its traces sum(Q_n o L_lv L_lv^T).
     """
     del profile
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "h study"
     )
-    levels = st.used + [st.ref_level]
-    lmap = np.hstack([st.maps[lv].toarray() for lv in levels])  # every L_lv on R
-    starts = np.cumsum([0] + [st.maps[lv].shape[1] for lv in levels])
-    h_cols = len(st.used) * n_samples
     w = _trapezoid_weights(st.grid)
     no_ends = np.zeros((w.size, 0))  # the h study needs no Z^H W b
     bands = mode_matrix(np.arange(st.n_modes), cfg, st.grid, DTN)
-    unit = h_cols + lmap.shape[1] > UNIT_BASIS_COLUMNS * len(lmap)  # the route of [r | lmap]
-    llt = unit and np.stack([(m @ m.T).toarray().ravel() for m in map(st.maps.get, levels)])
+    # L_lv L_lv^T of every level in maps' order, flat: tr(Q_n L_lv L_lv^T) = sum(Q_n o L_lv L_lv^T)
+    llt = np.stack([(m @ m.T).toarray().ravel() for m in st.maps.values()])
 
     def mode_terms(n: int):
-        matrix = tuple(b[n] for b in bands)
-        if unit:  # tr(Q_n L_lv L_lv^T) = sum(Q_n o L_lv L_lv^T)
-            q, _ = _unit_gram(n, matrix, st.lo, st.hi, w, no_ends, "h study")
-            _, r = st.differences(n)
-            quad, traces = np.sum(r * (q @ r), axis=0), llt @ q.ravel()
-        else:  # the traces are the norms of L_lv's columns, solved with the differences
-            _, r = st.differences(n, lmap)
-            quad, _ = _mode_norms(n, matrix, st.lo, st.hi, w, r, no_ends, "h study")
-            quad, traces = quad[:h_cols], np.add.reduceat(quad[h_cols:], starts[:-1])
+        q, _ = _unit_gram(n, tuple(b[n] for b in bands), st.lo, st.hi, w, no_ends, "h study")
+        _, r = st.differences(n)
+        traces = llt @ q.ravel()
         exact = st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
-        return quad.reshape(-1, n_samples).T, exact  # (n_samples, n_used)
+        return np.sum(r * (q @ r), axis=0).reshape(-1, n_samples).T, exact  # (n_samples, n_used)
 
     per_mode = _map_threads(mode_terms, range(st.n_modes), threads)
     # (n_samples, n_used) and (n_used,), each summed over the modes
@@ -745,9 +740,9 @@ def run_total_error_study(
     Each entry sums, over modes, the three Gram terms of ``_layer_coefficients``
     (see the module docstring) for b = u_lv - u_ref = A_dtn^{-1} r, with the
     real level differences r = L_lv s_lv - L_ref s_ref on the loaded nodes R,
-    and u_lv[ends] = u[ends] + Y_R^T L_lv s_lv, Y = A_dtn^{-T} E.  Its
-    ``_mode_norms`` call takes the direct route at the pinned scale (150
-    columns on 321 nodes) and the unit route at 1000 samples (3000 columns).
+    and u_lv[ends] = u[ends] + Y_R^T L_lv s_lv, Y = A_dtn^{-T} E from Z
+    (``_end_rows``).  ``_mode_norms`` takes the direct route at the pinned
+    scale (150 columns on 321 nodes), the unit route at 1000 samples (3000).
     """
     st = _noise_study(
         cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "total study"
@@ -755,18 +750,15 @@ def run_total_error_study(
     lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
                      "total study")
     w = _trapezoid_weights(st.grid)
-    ends = np.zeros((st.grid.n_nodes, 2))  # E = [e_0, e_N]
-    ends[0, 0] = ends[-1, 1] = 1.0
     bands = mode_matrix(np.arange(st.n_modes), cfg, st.grid, DTN)
 
     def mode_terms(n: int):
         f_lv, r = st.differences(n)
-        sub, diag, sup = matrix = tuple(b[n] for b in bands)
+        sub, _, sup = matrix = tuple(b[n] for b in bands)
         u, z = _dtn_responses(n, matrix, lay.det[n], "total study")
-        y = _solve_tridiag(sup, diag, sub, ends, where=f"total study, mode n={n}")  # A^{-T} E
         b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, w, r, z, "total study")
-        y_r = y[st.lo : st.hi + 1].T  # u_lv[ends] = u[ends] + Y_R^T f, by parts: f is not cast
-        u_ends = u[[0, -1], None] + (y_r.real @ f_lv + 1j * (y_r.imag @ f_lv))
+        y_r = _end_rows(sub, sup, z)[:, st.lo : st.hi + 1]  # u_lv[ends] = u[ends] + Y_R^T f
+        u_ends = u[[0, -1], None] + (y_r.real @ f_lv + 1j * (y_r.imag @ f_lv))  # f not cast
         return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (w[:, None] * z)
 
     terms = _map_threads(mode_terms, range(st.n_modes), threads)

@@ -86,11 +86,18 @@ class Grid1D:
         return np.linspace(self.x_start, self.x_end, self.n_nodes)
 
 
+def _interior_cells(cfg: DuctConfig, delta: Optional[float]) -> int:
+    """Cells (at least 8) of the computational interval at the spacing closest to delta
+    (None: the default); a delta neither None nor finite and > 0 is a ConfigError."""
+    if delta is not None and not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigError(f"grid spacing delta must be finite and > 0, got {delta}")
+    return max(8, round((cfg.x_plus - cfg.x_minus) / (delta or default_delta(cfg))))
+
+
 def omega_b_grid(cfg: DuctConfig, delta: Optional[float] = None) -> Grid1D:
     """Grid over the computational interval with spacing as close to delta
     (None: the default spacing) as possible."""
-    n = max(8, round((cfg.x_plus - cfg.x_minus) / (default_delta(cfg) if delta is None else delta)))
-    return Grid1D(cfg.x_minus, cfg.x_plus, n)
+    return Grid1D(cfg.x_minus, cfg.x_plus, _interior_cells(cfg, delta))
 
 
 def omega_full_grid(cfg: DuctConfig, delta: Optional[float] = None) -> Grid1D:
@@ -104,7 +111,7 @@ def omega_full_grid(cfg: DuctConfig, delta: Optional[float] = None) -> Grid1D:
     of cells.
     """
     span = cfg.x_plus - cfg.x_minus
-    n_b = max(8, round(span / (default_delta(cfg) if delta is None else delta)))
+    n_b = _interior_cells(cfg, delta)
     for n in range(n_b, 2 * n_b + 1 if delta is None else n_b + 1):
         d_actual = span / n
         n_lay = round(cfg.L / d_actual)

@@ -11,6 +11,7 @@ from ductpml.duct import cutoff_numbers, default_n_modes
 from ductpml.errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
     _dtn_responses,
+    _end_rows,
     _layer_coefficients,
     _layer_gaps,
     _mode_norms,
@@ -375,6 +376,15 @@ class TestTotalStudy:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             run_total_error_study(make_cfg(L=2.0), [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, rect=rect)
 
+    def test_four_solves_per_mode_on_the_direct_route(self, monkeypatch):
+        # 4 samples: 12 difference columns on 81 nodes of R, the direct route; per mode the
+        # DtN solve of [det | e_0 | e_N] and the range solve with its two exterior blocks,
+        # and no transposed solve (Y comes from Z)
+        solves = count_solves(monkeypatch)
+        run_total_error_study(make_cfg(L=2.0), [1 / 8, 1 / 16, 1 / 32], [1.0, 2.0], 5.0, 4, 0,
+                              n_modes=5)
+        assert len(solves) == 4 * 5
+
     def test_large_l_column_reproduces_h_rates(self):
         cfg = make_cfg(L=4.0)
         h_levels = [1 / 4, 1 / 8, 1 / 16]
@@ -437,6 +447,28 @@ def test_empty_input_is_config_error_naming_it(run, message):
     # equivalence check) to pass with no data
     with pytest.raises(ConfigError, match=rf"^{message} is empty$"):
         run(make_cfg(L=2.0))
+
+
+@pytest.mark.parametrize("n_modes", [0, -1])
+@pytest.mark.parametrize(
+    "run, stage",
+    [
+        (lambda cfg, n: run_h_study(cfg, None, [1 / 4, 1 / 8], 4, 0, n_modes=n), "h study"),
+        (lambda cfg, n: run_total_error_study(cfg, [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, n_modes=n),
+         "total study"),
+    ],
+    ids=["h", "total"],
+)
+def test_mode_count_below_one_is_config_error_naming_the_stage(run, stage, n_modes):
+    # it used to escape as numpy's ValueError from a reshape or an empty array
+    with pytest.raises(ConfigError, match=rf"^{stage}: n_modes must be >= 1, got {n_modes}$"):
+        run(make_cfg(L=2.0), n_modes)
+
+
+def test_bad_grid_spacing_is_config_error():
+    # the study passes delta to omega_b_grid, which used to build 8 cells for it
+    with pytest.raises(ConfigError, match=r"^grid spacing delta must be finite and > 0, got -0.1$"):
+        run_L_study(make_cfg(L=2.0), [0.5, 1.0, 1.5], 5.0, delta=-0.1)
 
 
 class TestBatchedNoiseSolves:
@@ -669,6 +701,25 @@ class TestDtnResponses:
             assert np.max(np.abs(u - inverse @ det)) <= tol * np.max(np.abs(inverse) @ np.abs(det))
 
 
+class TestEndRows:
+    """Y^T, the end rows of A^{-1} taken from Z, against the closed-form inverse."""
+
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_matches_the_closed_form_inverse(self, M, k):
+        # sub = conj(sup) bit for bit keeps every |d_i| = 1; Z solved in float64 is within
+        # 8 eps cond max|Z| of the exact columns, and Y = D Z / d[ends] of the exact rows
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        for n in range(0, default_n_modes(cfg), 3):
+            sub, diag, sup = matrix = mode_matrix(n, cfg, grid, DTN)
+            assert np.array_equal(sub, sup.conj())
+            _, z = _dtn_responses(n, matrix, np.zeros(grid.n_nodes), "test")
+            y_t = _end_rows(sub, sup, z)
+            exact = dtn_inverse(*matrix)[[0, -1]]
+            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+            assert np.max(np.abs(y_t - exact)) <= tol * np.max(np.abs(y_t))
+
+
 class TestRangeSolve:
     """The per-mode norm kernel and its range solve against full DtN solves."""
 
@@ -764,7 +815,7 @@ class TestRangeSolve:
 
 
 class TestUnitGram:
-    """The unit route's Q and Z^H W B, solved on R alone, against the closed-form inverse."""
+    """Both routes of the norm kernel, solved on R alone, against the closed-form inverse."""
 
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
     @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
@@ -785,6 +836,31 @@ class TestUnitGram:
             tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid) * np.max(np.abs(b))
             exact_q = (b.conj().T @ (w[:, None] * b)).real
             assert np.max(np.abs(q - exact_q)) <= 2 * tol * np.max(w @ np.abs(b))
+            exact_zwb = z.conj().T @ (w[:, None] * b)
+            assert np.max(np.abs(zwb - exact_zwb)) <= tol * np.max(w @ np.abs(z))
+
+    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_direct_route_matches_the_closed_form_inverse(self, M, k, shape, monkeypatch):
+        # _mode_norms solving r itself: b = A^{-1} r solved in float64 is within tol = 8 eps
+        # cond max(|B| |r|) of B r (B R's exact columns), so ||b||^2_W is within 2 tol
+        # max_j ||b_j||_{W,1} and Z^H W b within tol max ||z||_{W,1}
+        monkeypatch.setattr(harness, "UNIT_BASIS_COLUMNS", math.inf)
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        last = grid.n_nodes - 1
+        lo, hi = TestRangeSolve.node_range(shape, last)
+        w = _trapezoid_weights(grid)
+        r = np.random.default_rng(29).standard_normal((hi - lo + 1, 3))
+        for n in range(0, default_n_modes(cfg), 3):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
+            z, b = inverse[:, [0, -1]], inverse[:, 1:-1] @ r
+            b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, "test")
+            tol = (8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+                   * np.max(np.abs(inverse[:, 1:-1]) @ np.abs(r)))
+            exact_norm2 = w @ (b.real ** 2 + b.imag ** 2)
+            assert np.max(np.abs(b_norm2 - exact_norm2)) <= 2 * tol * np.max(w @ np.abs(b))
             exact_zwb = z.conj().T @ (w[:, None] * b)
             assert np.max(np.abs(zwb - exact_zwb)) <= tol * np.max(w @ np.abs(z))
 

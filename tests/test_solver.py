@@ -118,6 +118,13 @@ class TestGrid:
         cfg = make_cfg()
         assert default_delta(cfg) == pytest.approx(min(1 / 80, 1 / 64))
 
+    @pytest.mark.parametrize("delta", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("builder", [omega_b_grid, omega_full_grid])
+    def test_bad_spacing_is_config_error(self, builder, delta):
+        # -0.1 and inf used to build 8 cells, 0 to raise ZeroDivisionError, nan numpy's ValueError
+        with pytest.raises(ConfigError, match=r"^grid spacing delta must be finite and > 0"):
+            builder(make_cfg(), delta)
+
     def test_full_grid_alignment_required(self):
         cfg = DuctConfig(d=1.0, M=0.0, k=5.0, x_minus=-1.0, x_plus=1.0, L=0.957)
         with pytest.raises(ConfigError):
