@@ -62,17 +62,18 @@ class DuctConfig:
     def __post_init__(self):
         if not 0.0 <= self.M < 1.0:
             raise ConfigError(f"Mach number must satisfy 0 <= M < 1, got M={self.M}")
-        if self.d <= 0.0:
-            raise ConfigError(f"duct height must be positive, got d={self.d}")
-        if self.L <= 0.0:
-            raise ConfigError(f"layer length must be positive, got L={self.L}")
-        if not self.x_minus < self.x_plus:
+        # every check is written so that NaN fails it
+        if not 0.0 < self.d < math.inf:
+            raise ConfigError(f"duct height must be positive and finite, got d={self.d}")
+        if not 0.0 < self.L < math.inf:
+            raise ConfigError(f"layer length must be positive and finite, got L={self.L}")
+        if not -math.inf < self.x_minus < self.x_plus < math.inf:
             raise ConfigError(
-                f"domain endpoints must satisfy x_minus < x_plus, "
+                f"domain endpoints must be finite with x_minus < x_plus, "
                 f"got ({self.x_minus}, {self.x_plus})"
             )
-        if self.c0 <= 0.0:
-            raise ConfigError(f"sound speed must be positive, got c0={self.c0}")
+        if not 0.0 < self.c0 < math.inf:
+            raise ConfigError(f"sound speed must be positive and finite, got c0={self.c0}")
         k, omega = self.k, self.omega
         if k == 0.0 and omega == 0.0:
             raise ConfigError("one of k or omega must be given (nonzero)")
@@ -80,12 +81,12 @@ class DuctConfig:
             k = omega / self.c0
         elif omega == 0.0:
             omega = k * self.c0
-        elif abs(k - omega / self.c0) > 1e-12 * abs(k):
+        elif not abs(k - omega / self.c0) <= 1e-12 * abs(k):
             raise ConfigError(
                 f"inconsistent frequency data: k={k} but omega/c0={omega / self.c0}"
             )
-        if k <= 0.0:
-            raise ConfigError(f"wavenumber must be positive, got k={k}")
+        if not (0.0 < k < math.inf and omega < math.inf):
+            raise ConfigError(f"wavenumber must be positive and finite, got k={k}, omega={omega}")
         object.__setattr__(self, "k", float(k))
         object.__setattr__(self, "omega", float(omega))
         self._check_cutoff_resonance()

@@ -16,10 +16,12 @@ Four error mechanisms are measured at desk scale:
 
 Every study builds its per-mode operators in one ``solver.mode_matrix`` call
 and solves them by LAPACK's zgtsv (``solver._solve_tridiag``).  The two
-noise-driven studies (h and total) share one set-up, ``_noise_study``: level
-validation, noise mesh, grid, mode count, load maps, and every seed's noise
-projected onto all modes at every level, sampled in blocks of seeds by one
-``noise.BlockSampler`` with one product per level and block.
+noise-driven studies (h and total) share one set-up, ``_noise_study``, that
+draws nothing: level validation, noise mesh, grid, mode count, load maps,
+scaled transverse projections and variances, trapezoid weights and every
+mode's DtN bands.  Each study then draws its seeds by ``_NoiseStudy.segments``:
+every seed's noise projected onto all modes at every level, sampled in blocks
+of seeds by one ``noise.BlockSampler`` with one product per level and block.
 
 Every (level, seed) load lives on the grid nodes under the forcing
 rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W of b =
@@ -45,15 +47,16 @@ solution u, with Z = A_dtn^{-1} E and c_L = (I + D_L Z[ends])^{-1} D_L
 u[ends]; a numerically singular I + D_L Z[ends] (so is A_L) raises
 DomainError naming the lowest such mode, its side(s), its first such L and
 the stage.  Per mode, ``_dtn_responses`` solves A_dtn once for [det | e_0 |
-e_N], giving u and Z.  The Gram form ||b - Z c_L||^2_W = ||b||^2_W - 2
-Re(c_L^H Z^H W b) + c_L^H (Z^H W Z) c_L takes ||b||^2_W, Z^H W b, u[ends],
-Z[ends] and Z^H W Z of each mode; ``_layer_coefficients`` then runs once
-over the modes, one layer length at a time, for the guard, c_L and the other
-two terms.  The L study takes b = u, all five terms straight from u and Z,
-in the modes the source loads (the others add exact zeros).  The total study
-takes b = u_lv - u_ref in every mode, ||b||^2_W and Z^H W b from
-``_mode_norms`` and u_lv[ends] = u[ends] + Y_R^T f for level noise f, Y =
-A_dtn^{-T} E from Z by a diagonal similarity (``_end_rows``, no solve).
+e_N], giving u and Z (u = 0 and no det column where det is zero).  The Gram
+form ||b - Z c_L||^2_W = ||b||^2_W - 2 Re(c_L^H Z^H W b) + c_L^H (Z^H W Z)
+c_L takes ||b||^2_W, Z^H W b, u[ends], Z[ends] and Z^H W Z of each mode;
+``_layer_coefficients`` then runs once over the modes, one layer length at a
+time, for the guard, c_L and the other two terms.  The L study takes b = u,
+all five terms straight from u and Z, in the modes the source loads (the
+others add exact zeros).  The total study takes b = u_lv - u_ref in every
+mode, ||b||^2_W and Z^H W b from ``_mode_norms`` and u_lv[ends] = u[ends] +
+Y_R^T f for level noise f, Y = A_dtn^{-T} E from Z by a diagonal similarity
+(``_end_rows``, no solve).
 Both build their layers, source and abscissae in ``_layer_set``: one config
 per layer length, which carries x^{+-}, L and omega, one ``PmlProfile`` for
 every layer and the gaps of every mode.
@@ -214,65 +217,77 @@ def _fit_usable(x, values, std_errors, usable, transform: str):
 
 @dataclass
 class _NoiseStudy:
-    """Mesh, grid, levels and per-seed segment loads of one noise-driven study.
+    """Mesh, grid, levels, maps and mode bands of one noise-driven study; it draws nothing.
 
-    ``used`` are the mesh levels of the requested diameters (coarsest
-    first) and ``ref_level`` is the reference level; ``seg[lv]`` holds the
-    axial segment values of every mode and seed at level lv, shape (n_modes,
-    n_samples, n1), so that a block of seeds is one contiguous run per mode
-    and ``seg[lv][n]`` is mode n's contiguous (seed, segment) block;
-    ``maps[lv]`` (CSR, keys in the order ``used + [ref_level]``) maps its
-    transpose to hat loads on the loaded nodes R = lo..hi (never empty), and
-    ``var[j, n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's segment
-    values at level j of that order (T the transverse cell integrals, |K| the
-    cell area).
+    ``used`` are the mesh levels of the requested diameters (coarsest first) and
+    ``ref_level`` the reference level.  Keyed in the order ``used + [ref_level]``,
+    ``maps[lv]`` (CSR) maps level lv's axial segment values to hat loads on the loaded
+    nodes R = lo..hi (never empty) and ``trans[lv]`` = T / sqrt|K| projects its cell
+    noise onto the modes (T the transverse cell integrals, |K| the cell area);
+    ``var[j, n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's segment values
+    at level j of that order.  ``w`` are the trapezoid weights, ``bands`` the DtN bands.
     """
 
     mesh: NoiseMesh
     grid: Grid1D
     n_modes: int
-    n_samples: int
     rel: list
     used: list
     ref_level: int
-    seg: dict
     var: np.ndarray
     lo: int
     hi: int
     maps: dict
+    trans: dict
+    w: np.ndarray
+    bands: tuple
 
-    def differences(self, n: int):
-        """Mode n's loads F = L_lv s_lv on R of the used levels, side by side (|R|, n_used
-        * n_samples), and r = F - L_ref s_ref of every (level, seed) column."""
-        f_ref = self.maps[self.ref_level] @ self.seg[self.ref_level][n].T
-        f = np.hstack([self.maps[lv] @ self.seg[lv][n].T for lv in self.used])  # frees each
-        by_level = (len(f), len(self.used), self.n_samples)
+    def segments(self, n_samples: int, base_seed: int) -> dict:
+        """seg[lv] (n_modes, n_samples, n1): level lv's segment values of every mode and of
+        seeds base_seed .. base_seed + n_samples - 1, drawn in blocks by one ``BlockSampler``;
+        seg[lv][n] is mode n's contiguous (seed, segment) block.  Under 2 seeds: ConfigError."""
+        if n_samples < 2:
+            raise ConfigError("noise studies need n_samples >= 2")
+        seg = {lv: np.empty((self.n_modes, n_samples, m.shape[1])) for lv, m in self.maps.items()}
+        step = min(block_size(self.mesh), n_samples)
+        sampler = BlockSampler(self.mesh, list(seg), step)
+        for s0 in range(0, n_samples, step):
+            seeds = range(base_seed + s0, base_seed + min(s0 + step, n_samples))
+            for lv, xi in zip(seg, sampler.draw(seeds)):
+                # one product per level and block, written as one (seed, segment) run per mode
+                np.matmul(self.trans[lv].T, xi.reshape(-1, xi.shape[2]).T,
+                          out=seg[lv][:, s0 : s0 + len(seeds)].reshape(self.n_modes, -1))
+        return seg
+
+    def differences(self, seg, n: int):
+        """Mode n's loads F = L_lv s_lv on R of the used levels of seg, side by side (|R|,
+        n_used * n_samples), and r = F - L_ref s_ref of every (level, seed) column."""
+        f_ref = self.maps[self.ref_level] @ seg[self.ref_level][n].T
+        f = np.hstack([self.maps[lv] @ seg[lv][n].T for lv in self.used])  # frees each
+        by_level = (len(f), len(self.used), f_ref.shape[1])
         return f, np.subtract(f.reshape(by_level), f_ref[:, None]).reshape(f.shape)
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
         diameters of the used levels."""
         diam = np.array([self.mesh.cell_diameter(lv) for lv in self.used])
-        return err2.mean(axis=0), err2.std(axis=0, ddof=1) / math.sqrt(self.n_samples), diam
+        return err2.mean(axis=0), err2.std(axis=0, ddof=1) / math.sqrt(len(err2)), diam
 
 
-def _noise_study(
-    cfg: DuctConfig, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, stage
-) -> _NoiseStudy:
-    """Validate the levels and build everything that does not depend on the mode.
+def _noise_study(cfg: DuctConfig, h_levels, rect, delta, n_modes, ref_refine,
+                 stage) -> _NoiseStudy:
+    """Validate the levels and build everything that does not depend on the seeds.
 
     ``h_levels`` are cell diameters relative to the forcing-rectangle
-    diagonal; they must be distinct, dyadically nested, with a coarsest of
-    1/integer; ``ref_refine`` >= 1 puts the reference level that many dyadic
-    steps below the finest of them.
+    diagonal; they must be finite, distinct, dyadically nested, with a
+    coarsest of 1/integer; ``ref_refine`` >= 1 puts the reference level that
+    many dyadic steps below the finest of them.  Nothing is drawn.
     """
-    if n_samples < 2:
-        raise ConfigError("noise studies need n_samples >= 2")
     if ref_refine < 1:
         raise ConfigError(f"ref_refine must be >= 1, got {ref_refine}")
     rel = sorted(float(h) for h in _nonempty(h_levels, "h_levels", stage))
-    if rel[0] <= 0.0:
-        raise ConfigError("relative diameters must be positive")
+    if not all(0.0 < r < math.inf for r in rel):
+        raise ConfigError(f"relative diameters must be positive and finite, got {h_levels}")
     base = round(1.0 / rel[-1])
     if abs(base * rel[-1] - 1.0) > 1e-9:
         raise ConfigError("coarsest relative diameter must be 1/integer")
@@ -294,29 +309,19 @@ def _noise_study(
     elif n_modes < 1:
         raise ConfigError(f"{stage}: n_modes must be >= 1, got {n_modes}")
     ref_level = total_levels - 1
-    levels = used + [ref_level]
-    trans = {}
-    maps = {}
-    for lv in levels:
+    trans, maps, var = {}, {}, []
+    for lv in used + [ref_level]:
         x1_edges, x2_edges = mesh.edges(lv)
-        trans[lv] = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
+        t = transverse_cell_integrals(x2_edges, n_modes, cfg.d).T
+        var.append(np.sum(t ** 2, axis=0) / mesh.cell_area(lv))
+        trans[lv] = t * (1.0 / math.sqrt(mesh.cell_area(lv)))  # xi / sqrt|K|: the cell's noise
         maps[lv] = piecewise_load_matrix(grid, x1_edges)
-    var = np.array([np.sum(t ** 2, axis=0) / mesh.cell_area(lv) for lv, t in trans.items()])
     rows = np.flatnonzero(np.any([m.any(axis=1) for m in maps.values()], axis=0))
     lo, hi = int(rows[0]), int(rows[-1])
     maps = {lv: csr_array(m[lo : hi + 1]) for lv, m in maps.items()}
-    seg = {lv: np.empty((n_modes, n_samples, maps[lv].shape[1])) for lv in levels}
-    for lv, t in trans.items():
-        t *= 1.0 / math.sqrt(mesh.cell_area(lv))  # xi / sqrt|K| is the cell's noise value
-    step = min(block_size(mesh), n_samples)
-    sampler = BlockSampler(mesh, levels, step)
-    for s0 in range(0, n_samples, step):
-        seeds = range(base_seed + s0, base_seed + min(s0 + step, n_samples))
-        for lv, xi in zip(levels, sampler.draw(seeds)):
-            # one product per level and block, written as one (seed, segment) run per mode
-            np.matmul(trans[lv].T, xi.reshape(-1, xi.shape[2]).T,
-                      out=seg[lv][:, s0 : s0 + len(seeds)].reshape(n_modes, -1))
-    return _NoiseStudy(mesh, grid, n_modes, n_samples, rel, used, ref_level, seg, var, lo, hi, maps)
+    return _NoiseStudy(mesh, grid, n_modes, rel, used, ref_level, np.array(var), lo, hi, maps,
+                       trans, _trapezoid_weights(grid),
+                       mode_matrix(np.arange(n_modes), cfg, grid, DTN))
 
 
 def _nonempty(values, name: str, stage: str) -> list:
@@ -405,11 +410,15 @@ def _layer_coefficients(cfgs, gaps, modes, terms, stage: str):
 
 def _dtn_responses(n: int, matrix, det, stage: str):
     """One solve of mode n's DtN matrix A, A [u | Z] = [det | e_0 | e_N]: the
-    deterministic solution u and the end responses Z = A^{-1} E, E = [e_0, e_N]."""
-    rhs = np.zeros((det.size, 3), dtype=complex)
-    rhs[:, 0], rhs[0, 1], rhs[-1, 2] = det, 1.0, 1.0
+    deterministic solution u and the end responses Z = A^{-1} E, E = [e_0, e_N].
+    A mode that det leaves unloaded solves [e_0 | e_N] alone and has u = 0."""
+    loaded = bool(det.any())
+    rhs = np.zeros((det.size, 2 + loaded), dtype=complex)
+    rhs[0, -2] = rhs[-1, -1] = 1.0
+    if loaded:
+        rhs[:, 0] = det
     x = _solve_tridiag(*matrix, rhs, where=f"{stage}, mode n={n}")
-    return x[:, 0], x[:, 1:]
+    return (x[:, 0] if loaded else np.zeros(det.size, dtype=complex)), x[:, -2:]
 
 
 def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
@@ -516,18 +525,16 @@ def run_h_study(
     with C_lv,n = var_lv,n L_lv L_lv^T on R, its traces sum(Q_n o L_lv L_lv^T).
     """
     del profile
-    st = _noise_study(
-        cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "h study"
-    )
-    w = _trapezoid_weights(st.grid)
-    no_ends = np.zeros((w.size, 0))  # the h study needs no Z^H W b
-    bands = mode_matrix(np.arange(st.n_modes), cfg, st.grid, DTN)
+    st = _noise_study(cfg, h_levels, rect, delta, n_modes, ref_refine, "h study")
+    seg = st.segments(n_samples, base_seed)
+    no_ends = np.zeros((st.grid.n_nodes, 0))  # the h study needs no Z^H W b
     # L_lv L_lv^T of every level in maps' order, flat: tr(Q_n L_lv L_lv^T) = sum(Q_n o L_lv L_lv^T)
     llt = np.stack([(m @ m.T).toarray().ravel() for m in st.maps.values()])
 
     def mode_terms(n: int):
-        q, _ = _unit_gram(n, tuple(b[n] for b in bands), st.lo, st.hi, w, no_ends, "h study")
-        _, r = st.differences(n)
+        q, _ = _unit_gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w, no_ends,
+                          "h study")
+        _, r = st.differences(seg, n)
         traces = llt @ q.ravel()
         exact = st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
         return np.sum(r * (q @ r), axis=0).reshape(-1, n_samples).T, exact  # (n_samples, n_used)
@@ -744,22 +751,19 @@ def run_total_error_study(
     (``_end_rows``).  ``_mode_norms`` takes the direct route at the pinned
     scale (150 columns on 321 nodes), the unit route at 1000 samples (3000).
     """
-    st = _noise_study(
-        cfg, h_levels, n_samples, base_seed, rect, delta, n_modes, ref_refine, "total study"
-    )
+    st = _noise_study(cfg, h_levels, rect, delta, n_modes, ref_refine, "total study")
     lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
                      "total study")
-    w = _trapezoid_weights(st.grid)
-    bands = mode_matrix(np.arange(st.n_modes), cfg, st.grid, DTN)
+    seg = st.segments(n_samples, base_seed)
 
     def mode_terms(n: int):
-        f_lv, r = st.differences(n)
-        sub, _, sup = matrix = tuple(b[n] for b in bands)
+        f_lv, r = st.differences(seg, n)
+        sub, _, sup = matrix = tuple(b[n] for b in st.bands)
         u, z = _dtn_responses(n, matrix, lay.det[n], "total study")
-        b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, w, r, z, "total study")
+        b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, st.w, r, z, "total study")
         y_r = _end_rows(sub, sup, z)[:, st.lo : st.hi + 1]  # u_lv[ends] = u[ends] + Y_R^T f
         u_ends = u[[0, -1], None] + (y_r.real @ f_lv + 1j * (y_r.imag @ f_lv))  # f not cast
-        return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (w[:, None] * z)
+        return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (st.w[:, None] * z)
 
     terms = _map_threads(mode_terms, range(st.n_modes), threads)
     b_norm2 = np.stack([t[0] for t in terms])

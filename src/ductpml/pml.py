@@ -54,8 +54,9 @@ class PmlProfile:
     def __post_init__(self):
         if self.sigma_minus is None:
             object.__setattr__(self, "sigma_minus", self.sigma_plus)
-        if self.sigma_plus < 0.0 or self.sigma_minus < 0.0:
-            raise ConfigError("quadratic strengths must be >= 0")
+        if not (0.0 <= self.sigma_plus < math.inf and 0.0 <= self.sigma_minus < math.inf):
+            raise ConfigError("quadratic strengths must be finite and >= 0, got "
+                              f"sigma_plus={self.sigma_plus}, sigma_minus={self.sigma_minus}")
 
 
 def _check_side(side: str):

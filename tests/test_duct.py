@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ductpml import (
@@ -44,6 +44,20 @@ class TestConfig:
     def test_domain_ordering(self):
         with pytest.raises(ConfigError):
             DuctConfig(d=1.0, M=0.0, k=1.0, x_minus=1.0, x_plus=-1.0, L=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["d", "M", "x_minus", "x_plus", "L", "k", "omega", "c0"])
+    def test_non_finite_field_is_config_error(self, field, value):
+        # NaN passed the <= checks (d, L, c0, and omega next to a finite k), and a
+        # non-finite d or k escaped as ValueError or OverflowError from int()
+        kw = dict(d=1.0, M=0.3, k=5.0, x_minus=-1.0, x_plus=1.0, L=1.0)
+        with pytest.raises(ConfigError):
+            DuctConfig(**{**kw, field: value})
+
+    def test_omega_that_overflows_is_config_error(self):
+        # finite k and c0 whose product omega = k c0 is inf
+        with pytest.raises(ConfigError, match="^wavenumber must be positive and finite"):
+            DuctConfig(d=1.0, M=0.3, k=1e300, c0=1e10, x_minus=-1.0, x_plus=1.0, L=1.0)
 
     def test_cutoff_resonance_rejected(self):
         # k = sqrt(1-M^2) * 2*pi/d exactly resonates mode n=2
@@ -228,6 +242,8 @@ class TestResidual:
         d=st.floats(0.3, 3.0),
         n=st.integers(0, 40),
     )
+    @example(M=0.9, k=30.0, d=3.0, n=40)  # the far corner: fastest flow, most modes
+    @example(M=0.0, k=0.5, d=0.3, n=0)  # the near corner: no flow, the plane wave
     def test_residual_property(self, M, k, d, n):
         try:
             cfg = DuctConfig(d=d, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=1.0)

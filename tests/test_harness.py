@@ -15,6 +15,7 @@ from ductpml.harness import (
     _layer_coefficients,
     _layer_gaps,
     _mode_norms,
+    _noise_study,
     _range_solve,
     _trapezoid_weights,
     _unit_gram,
@@ -65,11 +66,16 @@ OFF_GRID_RECTS = pytest.mark.parametrize(
 
 
 def count_solves(monkeypatch):
-    """A list that grows by one at every ``_solve_tridiag`` call of the harness."""
+    """A list that grows by one entry at every ``_solve_tridiag`` call of the harness:
+    the call's number of right-hand-side columns."""
     solves = []
     tridiag = harness._solve_tridiag
-    monkeypatch.setattr(harness, "_solve_tridiag",
-                        lambda *args, **kw: solves.append(1) or tridiag(*args, **kw))
+
+    def counted(sub, diag, sup, rhs, **kw):
+        solves.append(np.shape(rhs)[1] if np.ndim(rhs) == 2 else 1)
+        return tridiag(sub, diag, sup, rhs, **kw)
+
+    monkeypatch.setattr(harness, "_solve_tridiag", counted)
     return solves
 
 
@@ -384,6 +390,10 @@ class TestTotalStudy:
         run_total_error_study(make_cfg(L=2.0), [1 / 8, 1 / 16, 1 / 32], [1.0, 2.0], 5.0, 4, 0,
                               n_modes=5)
         assert len(solves) == 4 * 5
+        # the default source loads mode N0 + 1 = 2 alone: its DtN solve takes
+        # [det | e_0 | e_N], the other four [e_0 | e_N] (the det column only where it
+        # loads); each range solve takes the 12 difference columns, each exterior block one
+        assert sum(solves) == 3 + 4 * 2 + 5 * (12 + 2)
 
     def test_large_l_column_reproduces_h_rates(self):
         cfg = make_cfg(L=4.0)
@@ -469,6 +479,50 @@ def test_bad_grid_spacing_is_config_error():
     # the study passes delta to omega_b_grid, which used to build 8 cells for it
     with pytest.raises(ConfigError, match=r"^grid spacing delta must be finite and > 0, got -0.1$"):
         run_L_study(make_cfg(L=2.0), [0.5, 1.0, 1.5], 5.0, delta=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "run",
+    [lambda cfg, levels: run_h_study(cfg, None, levels, 4, 0),
+     lambda cfg, levels: run_total_error_study(cfg, levels, [1.0], 5.0, 4, 0)],
+    ids=["h", "total"],
+)
+def test_non_finite_level_is_config_error(run, value):
+    # NaN and inf used to escape as ValueError or OverflowError from int()
+    with pytest.raises(ConfigError, match="^relative diameters must be positive and finite"):
+        run(make_cfg(L=2.0), [1 / 4, value, 1 / 8])
+
+
+class TestNoiseSetUp:
+    """``_noise_study`` draws nothing; ``_NoiseStudy.segments`` draws the seeds."""
+
+    def set_up(self):
+        return _noise_study(make_cfg(L=2.0), [1 / 4, 1 / 8], None, None, 6, 2, "test")
+
+    def test_set_up_draws_nothing(self, monkeypatch):
+        made, draws = [], []
+        philox, draw = np.random.Philox, noise.BlockSampler.draw
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **kw: made.append(1) or philox(*a, **kw))
+        monkeypatch.setattr(noise.BlockSampler, "draw",
+                            lambda *a, **kw: draws.append(1) or draw(*a, **kw))
+        st = self.set_up()
+        assert made == [] and draws == []
+        assert not hasattr(st, "seg") and not hasattr(st, "n_samples")
+        st.segments(4, 0)  # the counters do count
+        assert made == [1] and draws
+
+    def test_segments_repeat_bytes(self):
+        st = self.set_up()
+        a, b = st.segments(5, 17), st.segments(5, 17)
+        assert list(a) == list(b) == st.used + [st.ref_level]
+        assert all(a[lv].shape == (6, 5, st.maps[lv].shape[1]) for lv in a)
+        assert all(a[lv].tobytes() == b[lv].tobytes() for lv in a)
+
+    def test_one_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^noise studies need n_samples >= 2$"):
+            self.set_up().segments(1, 0)
 
 
 class TestBatchedNoiseSolves:
@@ -699,6 +753,18 @@ class TestDtnResponses:
             tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
             assert np.max(np.abs(z - inverse[:, [0, -1]])) <= tol * np.max(np.abs(z))
             assert np.max(np.abs(u - inverse @ det)) <= tol * np.max(np.abs(inverse) @ np.abs(det))
+
+    def test_unloaded_mode_solves_the_end_responses_alone(self, monkeypatch):
+        # a zero det: u = 0 without a third column, Z the same bits as with a load
+        cfg = make_cfg(L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        matrix = mode_matrix(3, cfg, grid, DTN)
+        _, z_loaded = _dtn_responses(3, matrix, np.ones(grid.n_nodes, dtype=complex), "test")
+        solves = count_solves(monkeypatch)
+        u, z = _dtn_responses(3, matrix, np.zeros(grid.n_nodes, dtype=complex), "test")
+        assert solves == [2]
+        assert u.tobytes() == np.zeros(grid.n_nodes, dtype=complex).tobytes()
+        assert z.tobytes() == z_loaded.tobytes()
 
 
 class TestEndRows:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ductpml import DuctConfig
@@ -89,6 +89,8 @@ class TestAlpha:
 
     @settings(max_examples=40, deadline=None)
     @given(s=st.floats(0.0, 50.0), omega=st.floats(0.1, 40.0))
+    @example(s=0.0, omega=1.0)  # at the interface sigma = 0, so alpha is exactly 1
+    @example(s=50.0, omega=0.1)  # sigma = 500 omega: the strongest absorption drawn
     def test_modulus_and_signs(self, s, omega):
         cfg = make_cfg()
         p = PmlProfile(1.0)
@@ -409,6 +411,13 @@ class TestProfileValidation:
     def test_negative_strength_rejected(self, cfg):
         with pytest.raises(ConfigError):
             PmlProfile(sigma_plus=-1.0, sigma_minus=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["sigma_plus", "sigma_minus"])
+    def test_non_finite_strength_is_config_error(self, field, value):
+        # NaN and inf used to pass, and run_L_study then failed in LAPACK's SVD
+        with pytest.raises(ConfigError, match="^quadratic strengths must be finite and >= 0"):
+            PmlProfile(**{"sigma_plus": 5.0, "sigma_minus": 5.0, field: value})
 
     def test_sigma_minus_defaults_to_sigma_plus(self):
         assert PmlProfile(5.0).sigma_minus == 5.0

@@ -153,6 +153,17 @@ class TestGrid:
             omega_full_grid(cfg)
 
 
+class Drawn:
+    """A stand-in for ``st.data()`` in an ``@example``, which Hypothesis cannot fill:
+    ``draw`` returns the given value whatever the strategy."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 class TestLoads:
     def test_piecewise_matrix_total_mass(self):
         grid = Grid1D(-1.0, 1.0, 64)
@@ -173,6 +184,12 @@ class TestLoads:
         n_cells=st.integers(8, 1280),
         data=st.data(),
     )
+    # on [-1, 1] with 16 cells: breaks on nodes (both ends among them), a repeated break
+    # (an empty segment), and breaks wholly left or right of the grid (no load at all)
+    @example(x_start=-1.0, length=2.0, n_cells=16, data=Drawn([-1.0, -0.5, 0.25, 1.0]))
+    @example(x_start=-1.0, length=2.0, n_cells=16, data=Drawn([-0.3, 0.1, 0.1, 0.6]))
+    @example(x_start=-1.0, length=2.0, n_cells=16, data=Drawn([-3.0, -2.0, -1.25]))
+    @example(x_start=-1.0, length=2.0, n_cells=16, data=Drawn([1.5, 3.0]))
     def test_matches_the_double_loop(self, x_start, length, n_cells, data):
         grid = Grid1D(x_start, x_start + length, n_cells)
         nodes = grid.nodes()
