@@ -92,9 +92,14 @@ class DuctConfig:
         self._check_cutoff_resonance()
 
     def _check_cutoff_resonance(self):
+        # |k - sqrt(1-M^2) n pi/d| <= TOL_CUTOFF k is |x - n| <= TOL_CUTOFF x, x = k d /
+        # (pi sqrt(1-M^2)); if any n is that close, the one nearest x is: check the two next to x
         root = math.sqrt(1.0 - self.M * self.M)
-        n_hi = int(self.k * self.d / (math.pi * root)) + 2
-        for n in range(1, n_hi + 1):
+        x = self.k * self.d / (math.pi * root)
+        if not x < math.inf:
+            raise ConfigError(f"k={self.k} and d={self.d} overflow the cutoff index "
+                              "k d/(pi sqrt(1-M^2))")
+        for n in range(max(1, math.floor(x)), math.floor(x) + 2):
             if abs(self.k - root * n * math.pi / self.d) <= TOL_CUTOFF * self.k:
                 raise ConfigError(
                     f"k={self.k} is within {TOL_CUTOFF:g}*k of the cutoff resonance "

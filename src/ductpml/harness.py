@@ -34,9 +34,10 @@ and its exact mean: level noise is the L2 projection of the reference path,
 so the cross-covariance of level and reference loads is the level
 covariance C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's
 segment values), and E[err_lv] = sum_n sum(Q_n o (C_ref,n - C_lv,n)).  The
-total study also needs Z^H W b: ``_mode_norms`` contracts Q_n and Z^H W B
-with r past UNIT_BASIS_COLUMNS columns of r per node of R (a measured
-crossover) and solves r itself below it.
+total study solves every level's loads in one range solve per mode
+(``_level_terms``), by segment (L_lv) where a level has fewer segments than
+seeds, else by seed (L_lv s_lv), and forms b = A_n^{-1} f_lv - A_n^{-1} f_ref
+before any norm.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -54,9 +55,8 @@ c_L takes ||b||^2_W, Z^H W b, u[ends], Z[ends] and Z^H W Z of each mode;
 time, for the guard, c_L and the other two terms.  The L study takes b = u,
 all five terms straight from u and Z, in the modes the source loads (the
 others add exact zeros).  The total study takes b = u_lv - u_ref in every
-mode, ||b||^2_W and Z^H W b from ``_mode_norms`` and u_lv[ends] = u[ends] +
-Y_R^T f for level noise f, Y = A_dtn^{-T} E from Z by a diagonal similarity
-(``_end_rows``, no solve).
+mode, ||b||^2_W, Z^H W b and u_lv[ends] = u[ends] + (A_dtn^{-1} f)[ends] for
+level noise f, all from ``_level_terms`` (no second solve).
 Both build their layers, source and abscissae in ``_layer_set``: one config
 per layer length, which carries x^{+-}, L and omega, one ``PmlProfile`` for
 every layer and the gaps of every mode.
@@ -123,10 +123,6 @@ EQUIV_ORDER_THRESHOLD = 1.9
 # layer studies accept (it costs up to that factor of eps in accuracy);
 # past it the reduced operator is numerically singular.
 UPDATE_COND_LIMIT = 1e8
-# The total study's ``_mode_norms`` takes the unit route past this many load
-# columns per node of R, else the direct route.  Timed per mode, both solving on
-# R, they tie at about 2.5 columns per node at |R| = 81 and 2.75 to 3 at 321.
-UNIT_BASIS_COLUMNS = 2.75
 
 
 @dataclass
@@ -260,12 +256,12 @@ class _NoiseStudy:
         return seg
 
     def differences(self, seg, n: int):
-        """Mode n's loads F = L_lv s_lv on R of the used levels of seg, side by side (|R|,
-        n_used * n_samples), and r = F - L_ref s_ref of every (level, seed) column."""
+        """Mode n's load differences r = L_lv s_lv - L_ref s_ref on R of the used levels of
+        seg, one column per (level, seed): (|R|, n_used * n_samples)."""
         f_ref = self.maps[self.ref_level] @ seg[self.ref_level][n].T
         f = np.hstack([self.maps[lv] @ seg[lv][n].T for lv in self.used])  # frees each
         by_level = (len(f), len(self.used), f_ref.shape[1])
-        return f, np.subtract(f.reshape(by_level), f_ref[:, None]).reshape(f.shape)
+        return np.subtract(f.reshape(by_level), f_ref[:, None]).reshape(f.shape)
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
@@ -447,46 +443,49 @@ def _range_solve(n: int, matrix, lo: int, hi: int, rhs, stage: str):
     return _solve_tridiag(sub[lo:hi], d_r, sup[lo:hi], rhs, where=where), g_lo, g_hi
 
 
-def _range_terms(n: int, matrix, lo: int, hi: int, w, rhs, z, stage: str):
-    """b = A^{-1} rhs of mode n on lo..hi, Z^H W b and each exterior's (||g||^2_W, b_edge)."""
-    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, rhs, stage)
-    wz = (w[:, None] * z).conj()
-    zwb, exteriors = wz[lo : hi + 1].T @ b, []
-    for g, ext, edge in ((g_lo, slice(0, lo), b[0]), (g_hi, slice(hi + 1, None), b[-1])):
-        exteriors.append((w[ext] @ (g.real ** 2 + g.imag ** 2), edge))
-        zwb += np.outer(wz[ext].T @ g, edge)
-    return b, zwb, exteriors
+def _exteriors(lo: int, hi: int, w, g_lo, g_hi):
+    """(nodes, gain, ||g||^2_W, edge) of each side of lo..hi, left (edge 0) then right (-1)."""
+    return [(ext, g, w[ext] @ (g.real ** 2 + g.imag ** 2), edge)
+            for ext, g, edge in ((slice(0, lo), g_lo, 0), (slice(hi + 1, None), g_hi, -1))]
 
 
-def _end_rows(sub, sup, z):
-    """Y^T, the end rows of A^{-1} (Y = A^{-T} E), from Z = A^{-1} E, E = [e_0, e_N], for A =
-    (sub, ., sup) tridiagonal with no zero in sub: A^T = D A D^{-1}, d_0 = 1, d_{i+1} = d_i
-    sup_i / sub_i, so Y = D Z / d[ends].  DtN bands: sub = conj(sup), |d_i| = 1, D = I at M = 0."""
-    d = np.cumprod(np.r_[1.0, sup / sub])
-    return (d[:, None] * z / d[[0, -1]]).T
-
-
-def _unit_gram(n: int, matrix, lo: int, hi: int, w, z, stage: str):
-    """Q = Re(B^H W B) and Z^H W B of mode n's B = A^{-1} E_R, E_R the unit loads of lo..hi."""
-    b, zb, exteriors = _range_terms(n, matrix, lo, hi, w, np.eye(hi - lo + 1), z, stage)
+def _unit_gram(n: int, matrix, lo: int, hi: int, w, stage: str):
+    """Q = Re(B^H W B) of mode n's B = A^{-1} E_R, E_R the unit loads of lo..hi."""
+    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, np.eye(hi - lo + 1), stage)
     g = np.vstack([np.sqrt(w[lo : hi + 1])[:, None] * b]
-                  + [math.sqrt(c) * edge[None] for c, edge in exteriors])
+                  + [math.sqrt(c) * b[e][None] for *_, c, e in _exteriors(lo, hi, w, g_lo, g_hi)])
     g = np.vstack([g.real, g.imag])
-    return g.T @ g, zb
+    return g.T @ g
 
 
-def _mode_norms(n: int, matrix, lo: int, hi: int, w, r, z, stage: str):
-    """||b||^2_W and Z^H W b of each column of b = A^{-1} r, mode n, W = diag(w), for real
-    loads r on lo..hi (zero elsewhere): past UNIT_BASIS_COLUMNS columns per node from
-    ``_unit_gram``, ||b||^2_W = r^T Q r, else from r solved, plus ||g||^2_W |b_edge|^2."""
-    if r.shape[1] > UNIT_BASIS_COLUMNS * len(r):
-        q, zb = _unit_gram(n, matrix, lo, hi, w, z, stage)
-        return np.sum(r * (q @ r), axis=0), zb.real @ r + 1j * (zb.imag @ r)  # r not cast
-    b, zwb, exteriors = _range_terms(n, matrix, lo, hi, w, r, z, stage)
-    b_norm2 = w[lo : hi + 1] @ (b.real ** 2 + b.imag ** 2)
-    for c, edge in exteriors:
-        b_norm2 += c * (edge.real ** 2 + edge.imag ** 2)
-    return b_norm2, zwb
+def _level_terms(n: int, matrix, lo: int, hi: int, w, z, levels, stage: str):
+    """||b||^2_W, Z^H W b and (A^{-1} f)[ends] of mode n's b = A^{-1} (f - f_ref), W = diag(w),
+    for the real loads f on lo..hi of each level, f_ref the first's, per (level, seed).
+
+    A level is (L, s), solved by segment (L its map on lo..hi, s (seeds, segments) its
+    segment values, f = L s^T), or (f, None), solved by seed: one ``_range_solve`` of all
+    their columns gives A^{-1} f = x s^T or x, and b is formed one level at a time.  Each
+    exterior adds ||g||^2_W and Z^H W g to its edge's weights, and (A^{-1} f)[0] = g_lo[0]
+    (A^{-1} f)[lo] (likewise at N; 1 without an exterior).
+    """
+    x, g_lo, g_hi = _range_solve(n, matrix, lo, hi, np.hstack([m for m, _ in levels]), stage)
+    wz = (w[:, None] * z).conj()
+    w_r, wz_r = w[lo : hi + 1].copy(), wz[lo : hi + 1].copy()
+    for ext, g, c, edge in _exteriors(lo, hi, w, g_lo, g_hi):
+        w_r[edge] += c
+        wz_r[edge] += wz[ext].T @ g
+    gains = np.array([g_lo[0] if g_lo.size else 1.0, g_hi[-1] if g_hi.size else 1.0])
+    w2 = np.repeat(w_r, 2)
+    # x.T is C-contiguous, (re, im) interleaved: a level's x s^T is one real product
+    starts = np.cumsum([m.shape[1] for m, _ in levels])[:-1]
+    solved = (cols if s is None else (s @ cols.view(float)).view(complex)  # (seeds, |R|)
+              for cols, (_, s) in zip(np.split(x.T, starts), levels))
+    a_ref, terms = next(solved), []
+    for a in solved:
+        b = a - a_ref
+        bf = b.view(float)
+        terms.append(((bf * bf) @ w2, (b @ wz_r).T, gains[:, None] * a[:, [0, -1]].T))
+    return [np.concatenate(t, axis=-1) for t in zip(*terms)]
 
 
 def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
@@ -527,14 +526,12 @@ def run_h_study(
     del profile
     st = _noise_study(cfg, h_levels, rect, delta, n_modes, ref_refine, "h study")
     seg = st.segments(n_samples, base_seed)
-    no_ends = np.zeros((st.grid.n_nodes, 0))  # the h study needs no Z^H W b
     # L_lv L_lv^T of every level in maps' order, flat: tr(Q_n L_lv L_lv^T) = sum(Q_n o L_lv L_lv^T)
     llt = np.stack([(m @ m.T).toarray().ravel() for m in st.maps.values()])
 
     def mode_terms(n: int):
-        q, _ = _unit_gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w, no_ends,
-                          "h study")
-        _, r = st.differences(seg, n)
+        q = _unit_gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w, "h study")
+        r = st.differences(seg, n)
         traces = llt @ q.ravel()
         exact = st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
         return np.sum(r * (q @ r), axis=0).reshape(-1, n_samples).T, exact  # (n_samples, n_used)
@@ -745,25 +742,27 @@ def run_total_error_study(
     to ``sigma_plus``.
 
     Each entry sums, over modes, the three Gram terms of ``_layer_coefficients``
-    (see the module docstring) for b = u_lv - u_ref = A_dtn^{-1} r, with the
-    real level differences r = L_lv s_lv - L_ref s_ref on the loaded nodes R,
-    and u_lv[ends] = u[ends] + Y_R^T L_lv s_lv, Y = A_dtn^{-T} E from Z
-    (``_end_rows``).  ``_mode_norms`` takes the direct route at the pinned
-    scale (150 columns on 321 nodes), the unit route at 1000 samples (3000).
+    (see the module docstring) for b = u_lv - u_ref = A_dtn^{-1} (f_lv - f_ref),
+    with the real level loads f_lv = L_lv s_lv on the loaded nodes R, and
+    u_lv[ends] = u[ends] + (A_dtn^{-1} f_lv)[ends], from one range solve per mode
+    (``_level_terms``): at the pinned scale (50 samples) the levels of 8, 16 and
+    32 segments by segment, the reference of 128 by seed, 106 columns on 321 nodes.
     """
     st = _noise_study(cfg, h_levels, rect, delta, n_modes, ref_refine, "total study")
     lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
                      "total study")
     seg = st.segments(n_samples, base_seed)
 
+    # L_lv on R of the levels solved by segment (fewer segments than seeds), built once
+    dense = {lv: m.toarray() for lv, m in st.maps.items() if m.shape[1] < n_samples}
+
     def mode_terms(n: int):
-        f_lv, r = st.differences(seg, n)
-        sub, _, sup = matrix = tuple(b[n] for b in st.bands)
+        matrix = tuple(b[n] for b in st.bands)
         u, z = _dtn_responses(n, matrix, lay.det[n], "total study")
-        b_norm2, zwb = _mode_norms(n, matrix, st.lo, st.hi, st.w, r, z, "total study")
-        y_r = _end_rows(sub, sup, z)[:, st.lo : st.hi + 1]  # u_lv[ends] = u[ends] + Y_R^T f
-        u_ends = u[[0, -1], None] + (y_r.real @ f_lv + 1j * (y_r.imag @ f_lv))  # f not cast
-        return b_norm2, zwb, u_ends, z[[0, -1]], z.conj().T @ (st.w[:, None] * z)
+        levels = [(dense[lv], seg[lv][n]) if lv in dense else (st.maps[lv] @ seg[lv][n].T, None)
+                  for lv in [st.ref_level] + st.used]
+        b_norm2, zwb, ends = _level_terms(n, matrix, st.lo, st.hi, st.w, z, levels, "total study")
+        return b_norm2, zwb, u[[0, -1], None] + ends, z[[0, -1]], z.conj().T @ (st.w[:, None] * z)
 
     terms = _map_threads(mode_terms, range(st.n_modes), threads)
     b_norm2 = np.stack([t[0] for t in terms])

@@ -444,6 +444,13 @@ class TestDispatch:
         p.write_text("[duct]\nd = 1\nM = 2\nk = 5\n")
         assert dispatch(["modes", "--config", str(p)]) == EXIT_CONFIG
 
+    def test_overflowing_cutoff_index_is_config_error(self, tmp_path, capsys):
+        # finite d and k whose product overflows the cutoff-resonance check
+        p = tmp_path / "huge.cfg"
+        p.write_text(MINIMAL.replace("d = 1\n", "d = 1e200\n").replace("k = 5\n", "k = 1e200\n"))
+        assert dispatch(["modes", "--config", str(p)]) == EXIT_CONFIG
+        assert "overflow the cutoff index" in capsys.readouterr().err
+
     def test_degenerate_layer_is_numerical_error(self, tmp_path):
         # zero absorption with a phase-resonant layer length makes the
         # finite-layer Robin coefficients degenerate at mode 0

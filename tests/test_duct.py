@@ -68,6 +68,25 @@ class TestConfig:
         # slightly off resonance is fine
         make_cfg(M=M, k=k_res * (1 + 1e-4))
 
+    def test_resonance_at_a_high_cutoff_index_names_it(self):
+        # exactly on the n = 10^6 resonance; only the indices next to k d / (pi sqrt(1-M^2))
+        # are checked
+        k_res = math.sqrt(1 - 0.3 ** 2) * 10 ** 6 * math.pi
+        with pytest.raises(ConfigError, match=r"cutoff resonance .* at n=1000000; "):
+            make_cfg(M=0.3, k=k_res)
+
+    def test_large_wavenumber_constructs(self):
+        # k = 1e12 halfway between the resonances n = 10^7 and 10^7 + 1, each 0.5 / 1e7
+        # relative away (the guard is 1e-8); a loop over every index would take over a second
+        root = math.sqrt(1 - 0.6 ** 2)
+        cfg = make_cfg(d=math.pi * root * (1e7 + 0.5) / 1e12, M=0.6, k=1e12)
+        assert cfg.k == 1e12
+
+    def test_overflowing_cutoff_index_is_config_error(self):
+        # k d overflows: a ConfigError, not OverflowError
+        with pytest.raises(ConfigError, match=r"^k=1e\+200 and d=1e\+200 overflow the cutoff index"):
+            make_cfg(d=1e200, k=1e200)
+
 
 class TestModeShape:
     def test_mode0_constant(self):

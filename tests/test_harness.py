@@ -11,10 +11,9 @@ from ductpml.duct import cutoff_numbers, default_n_modes
 from ductpml.errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
 from ductpml.harness import (
     _dtn_responses,
-    _end_rows,
     _layer_coefficients,
     _layer_gaps,
-    _mode_norms,
+    _level_terms,
     _noise_study,
     _range_solve,
     _trapezoid_weights,
@@ -383,17 +382,18 @@ class TestTotalStudy:
             run_total_error_study(make_cfg(L=2.0), [1 / 4, 1 / 8], [1.0], 5.0, 4, 0, rect=rect)
 
     def test_four_solves_per_mode_on_the_direct_route(self, monkeypatch):
-        # 4 samples: 12 difference columns on 81 nodes of R, the direct route; per mode the
-        # DtN solve of [det | e_0 | e_N] and the range solve with its two exterior blocks,
-        # and no transposed solve (Y comes from Z)
+        # 4 samples: every level (8, 16, 32 and 128 segments) is solved by seed, its loads
+        # directly; per mode the DtN solve of [det | e_0 | e_N] and one range solve of
+        # every level's loads with its two exterior blocks, and no transposed solve
         solves = count_solves(monkeypatch)
         run_total_error_study(make_cfg(L=2.0), [1 / 8, 1 / 16, 1 / 32], [1.0, 2.0], 5.0, 4, 0,
                               n_modes=5)
         assert len(solves) == 4 * 5
         # the default source loads mode N0 + 1 = 2 alone: its DtN solve takes
         # [det | e_0 | e_N], the other four [e_0 | e_N] (the det column only where it
-        # loads); each range solve takes the 12 difference columns, each exterior block one
-        assert sum(solves) == 3 + 4 * 2 + 5 * (12 + 2)
+        # loads); each range solve takes 4 load columns of each of the 4 levels, each
+        # exterior block one
+        assert sum(solves) == 3 + 4 * 2 + 5 * (16 + 2)
 
     def test_large_l_column_reproduces_h_rates(self):
         cfg = make_cfg(L=4.0)
@@ -639,20 +639,20 @@ class TestBatchedNoiseSolves:
         assert run(1).extra["exact_mean"].tobytes() == run(2).extra["exact_mean"].tobytes()
 
     def test_total_study_matches_per_level_solves(self, monkeypatch):
-        # the default rectangle (16 load columns on 81 nodes) takes the norm
-        # kernel's direct route; one grid cell (16 columns on 2 nodes) its unit
-        # route; both solve on the range, the unit route its identity loads
+        # 8 samples: the reference (32 segments) and level 1 (8) are solved by seed and
+        # level 0 (4) by segment, on the default rectangle (81 nodes of R) and on one grid
+        # cell (2 nodes)
         cfg = make_cfg(L=2.0)
         l_values = [0.5, 2.0]
         source = default_l_study_source(cfg)
         grid = omega_b_grid(cfg, default_delta(cfg))
-        unit_loads = []  # per range solve: is its right-hand side the identity?
-        monkeypatch.setattr(harness, "_range_solve", lambda *args: unit_loads.append(
-            np.array_equal(args[4], np.eye(len(args[4])))) or _range_solve(*args))
-        for rect, direct in ((None, True), ((0.3025, 0.31, 0.2, 0.6), False)):
+        by_segment = []  # per call of the level kernel: is each level solved by segment?
+        monkeypatch.setattr(harness, "_level_terms", lambda *args: by_segment.append(
+            tuple(s is not None for _, s in args[6])) or _level_terms(*args))
+        for rect, nodes in ((None, 81), ((0.3025, 0.31, 0.2, 0.6), 2)):
             loads = self.per_level_loads(cfg, grid, rect)
             loaded = np.flatnonzero(np.any(loads[3][0] != 0.0, axis=1))
-            assert loaded.size == (81 if direct else 2)
+            assert loaded.size == nodes
             err2 = np.zeros((self.N_SAMPLES, 2, len(l_values)))
             det_rows = modal_loads(source, cfg, grid, self.N_MODES)
             for n in range(self.N_MODES):
@@ -665,7 +665,7 @@ class TestBatchedNoiseSolves:
                         sol = _solve_tridiag(*matrix, loads[lv][n] + det)
                         diff2 = np.abs(sol - ref) ** 2
                         err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
-            unit_loads.clear()
+            by_segment.clear()
             self.assert_study_matches(
                 lambda threads: run_total_error_study(
                     cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED, rect=rect,
@@ -673,7 +673,7 @@ class TestBatchedNoiseSolves:
                 ),
                 err2,
             )
-            assert unit_loads and set(unit_loads) == {not direct}
+            assert by_segment == [(False, True, False)] * (2 * self.N_MODES)
 
     def test_total_study_asymmetric_sigma_matches_per_level_solves(self):
         # sigma_minus != sigma_plus: the '-' layer must carry its own strength
@@ -768,22 +768,33 @@ class TestDtnResponses:
 
 
 class TestEndRows:
-    """Y^T, the end rows of A^{-1} taken from Z, against the closed-form inverse."""
+    """The level kernel's end values (A^{-1} f)[ends], taken from its exterior gains, against
+    the end rows of the closed-form inverse."""
 
     @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
     def test_matches_the_closed_form_inverse(self, M, k):
-        # sub = conj(sup) bit for bit keeps every |d_i| = 1; Z solved in float64 is within
-        # 8 eps cond max|Z| of the exact columns, and Y = D Z / d[ends] of the exact rows
+        # every R shape, so both gains and a gain of 1 (lo = 0, hi = N); one level by
+        # segment, one by seed.  a = A^{-1} f solved in float64 is within tol = 8 eps cond
+        # max(|B| |L| |s|^T) of B f (B R's exact columns), and the rows 0 and N of B f
+        # are the ends
         cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         grid = omega_b_grid(cfg, default_delta(cfg))
-        for n in range(0, default_n_modes(cfg), 3):
-            sub, diag, sup = matrix = mode_matrix(n, cfg, grid, DTN)
-            assert np.array_equal(sub, sup.conj())
-            _, z = _dtn_responses(n, matrix, np.zeros(grid.n_nodes), "test")
-            y_t = _end_rows(sub, sup, z)
-            exact = dtn_inverse(*matrix)[[0, -1]]
-            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
-            assert np.max(np.abs(y_t - exact)) <= tol * np.max(np.abs(y_t))
+        last = grid.n_nodes - 1
+        w = _trapezoid_weights(grid)
+        for shape in ("interior", "left-end", "right-end", "whole"):
+            lo, hi = TestRangeSolve.node_range(shape, last)
+            maps, segs, levels = level_loads(hi - lo + 1, (False, True, False), 31)
+            for n in range(0, default_n_modes(cfg), 3):
+                matrix = mode_matrix(n, cfg, grid, DTN)
+                inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
+                z, inverse = inverse[:, [0, -1]], inverse[:, 1:-1]
+                *_, ends = _level_terms(n, matrix, lo, hi, w, z, levels, "test")
+                tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+                for j, (m, s) in enumerate(zip(maps[1:], segs[1:])):
+                    exact = inverse[[0, -1]] @ (m @ s.T)
+                    bound = tol * np.max(np.abs(inverse) @ (np.abs(m) @ np.abs(s).T))
+                    got = ends[:, j * len(s) : (j + 1) * len(s)]
+                    assert np.max(np.abs(got - exact)) <= bound
 
 
 class TestRangeSolve:
@@ -813,12 +824,11 @@ class TestRangeSolve:
 
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end", "whole"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_full_dtn_solve(self, case, shape, monkeypatch):
+    def test_matches_full_dtn_solve(self, case, shape):
         # the reference is the full DtN solve refined in extended precision;
         # both it and any float64 solve are within eps * cond of the exact
         # solution, so the bound is 1e-12 unless the mode is that ill-conditioned
-        # (only mode 2 near its cutoff, cond about 4e6); each route of
-        # _mode_norms is forced through UNIT_BASIS_COLUMNS (3 columns)
+        # (only mode 2 near its cutoff, cond about 4e6)
         M, k = self.CASES[case]
         cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         grid = omega_b_grid(cfg, default_delta(cfg))
@@ -832,6 +842,11 @@ class TestRangeSolve:
         det = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
         ends = np.zeros((grid.n_nodes, 2))
         ends[0, 0] = ends[-1, 1] = 1.0
+        # one level by segment, f = L s^T, and the reference by seed, f_ref = f - r
+        m, s = rng.standard_normal((hi - lo + 1, 2)), rng.standard_normal((3, 2))
+        f_lv = np.zeros((grid.n_nodes, 3))
+        f_lv[lo : hi + 1] = m @ s.T
+        levels = [(f_lv[lo : hi + 1] - r, None), (m, s)]
         for n in range(default_n_modes(cfg)):
             matrix = mode_matrix(n, cfg, grid, DTN)
             tol = max(1e-12, np.finfo(float).eps * condition_estimate(n, cfg, grid))
@@ -846,16 +861,11 @@ class TestRangeSolve:
             u, z = _dtn_responses(n, matrix, det, "test")
             self.assert_close(z, z_full, tol)
             self.assert_close(u, u_full, tol)
-            routes = []
-            for columns in (0, math.inf):  # the unit route, then the direct route
-                monkeypatch.setattr(harness, "UNIT_BASIS_COLUMNS", columns)
-                b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, "test")
-                self.assert_close(b_norm2, w @ np.abs(b_full) ** 2, tol)
-                self.assert_close(zwb, z_full.conj().T @ (w[:, None] * b_full), tol)
-                routes.append((b_norm2, zwb))
-            (unit_norm2, unit_zwb), (direct_norm2, direct_zwb) = routes
-            self.assert_close(unit_norm2, direct_norm2, tol)
-            self.assert_close(unit_zwb, direct_zwb, tol)
+            # the level kernel on r = f - f_ref, f solved by segment and f_ref by seed
+            b_norm2, zwb, f_ends = _level_terms(n, matrix, lo, hi, w, z, levels, "test")
+            self.assert_close(b_norm2, w @ np.abs(b_full) ** 2, tol)
+            self.assert_close(zwb, z_full.conj().T @ (w[:, None] * b_full), tol)
+            self.assert_close(f_ends, refined_solve(matrix, matrix, f_lv)[[0, -1]], tol)
 
     @pytest.mark.parametrize("side", ["-", "+"])
     def test_singular_exterior_block_names_mode_side_and_stage(self, side):
@@ -881,14 +891,15 @@ class TestRangeSolve:
 
 
 class TestUnitGram:
-    """Both routes of the norm kernel, solved on R alone, against the closed-form inverse."""
+    """The h study's Gram kernel and the total study's level kernel, both solved on R alone,
+    against the closed-form inverse."""
 
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
     @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
     def test_matches_the_closed_form_inverse(self, M, k, shape):
         # B = A^{-1} E_R is R's columns of the exact inverse; each entry of B solved in
         # float64 is within tol = 8 eps cond max|B| of them, so Q = Re(B^H W B) is
-        # within 2 tol max_j ||b_j||_{W,1} and Z^H W B (Z exact) within tol max ||z||_{W,1}
+        # within 2 tol max_j ||b_j||_{W,1}
         cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         grid = omega_b_grid(cfg, default_delta(cfg))
         last = grid.n_nodes - 1
@@ -896,39 +907,65 @@ class TestUnitGram:
         w = _trapezoid_weights(grid)
         for n in range(0, default_n_modes(cfg), 3):
             matrix = mode_matrix(n, cfg, grid, DTN)
-            inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
-            z, b = inverse[:, [0, -1]], inverse[:, 1:-1]
-            q, zwb = _unit_gram(n, matrix, lo, hi, w, z, "test")
+            b = dtn_inverse(*matrix, cols=np.r_[lo : hi + 1])
+            q = _unit_gram(n, matrix, lo, hi, w, "test")
             tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid) * np.max(np.abs(b))
             exact_q = (b.conj().T @ (w[:, None] * b)).real
             assert np.max(np.abs(q - exact_q)) <= 2 * tol * np.max(w @ np.abs(b))
+
+    @staticmethod
+    def assert_level_terms(M, k, shape, by_segment):
+        # b = B (f - f_ref), B R's exact columns; each A^{-1} f solved in float64 is within
+        # 8 eps cond max(|B| |L| |s|^T) of B f, so b is within tol, that bound of a level's
+        # loads plus the reference's: ||b||^2_W within 2 tol max_j ||b_j||_{W,1} and Z^H W b
+        # (Z exact) within tol max ||z||_{W,1}
+        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        last = grid.n_nodes - 1
+        lo, hi = TestRangeSolve.node_range(shape, last)
+        w = _trapezoid_weights(grid)
+        maps, segs, levels = level_loads(hi - lo + 1, by_segment, 29)
+        f = [m @ s.T for m, s in zip(maps, segs)]
+        r = np.hstack([f_lv - f[0] for f_lv in f[1:]])
+        abs_f = [np.abs(m) @ np.abs(s).T for m, s in zip(maps, segs)]
+        abs_r = np.hstack([a + abs_f[0] for a in abs_f[1:]])
+        for n in range(0, default_n_modes(cfg), 3):
+            matrix = mode_matrix(n, cfg, grid, DTN)
+            inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
+            z, b = inverse[:, [0, -1]], inverse[:, 1:-1] @ r
+            b_norm2, zwb, _ = _level_terms(n, matrix, lo, hi, w, z, levels, "test")
+            tol = (8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+                   * np.max(np.abs(inverse[:, 1:-1]) @ abs_r))
+            exact_norm2 = w @ (b.real ** 2 + b.imag ** 2)
+            assert np.max(np.abs(b_norm2 - exact_norm2)) <= 2 * tol * np.max(w @ np.abs(b))
             exact_zwb = z.conj().T @ (w[:, None] * b)
             assert np.max(np.abs(zwb - exact_zwb)) <= tol * np.max(w @ np.abs(z))
 
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
     @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
-    def test_direct_route_matches_the_closed_form_inverse(self, M, k, shape, monkeypatch):
-        # _mode_norms solving r itself: b = A^{-1} r solved in float64 is within tol = 8 eps
-        # cond max(|B| |r|) of B r (B R's exact columns), so ||b||^2_W is within 2 tol
-        # max_j ||b_j||_{W,1} and Z^H W b within tol max ||z||_{W,1}
-        monkeypatch.setattr(harness, "UNIT_BASIS_COLUMNS", math.inf)
-        cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
-        grid = omega_b_grid(cfg, default_delta(cfg))
-        last = grid.n_nodes - 1
-        lo, hi = TestRangeSolve.node_range(shape, last)
-        w = _trapezoid_weights(grid)
-        r = np.random.default_rng(29).standard_normal((hi - lo + 1, 3))
-        for n in range(0, default_n_modes(cfg), 3):
-            matrix = mode_matrix(n, cfg, grid, DTN)
-            inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
-            z, b = inverse[:, [0, -1]], inverse[:, 1:-1] @ r
-            b_norm2, zwb = _mode_norms(n, matrix, lo, hi, w, r, z, "test")
-            tol = (8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
-                   * np.max(np.abs(inverse[:, 1:-1]) @ np.abs(r)))
-            exact_norm2 = w @ (b.real ** 2 + b.imag ** 2)
-            assert np.max(np.abs(b_norm2 - exact_norm2)) <= 2 * tol * np.max(w @ np.abs(b))
-            exact_zwb = z.conj().T @ (w[:, None] * b)
-            assert np.max(np.abs(zwb - exact_zwb)) <= tol * np.max(w @ np.abs(z))
+    def test_direct_route_matches_the_closed_form_inverse(self, M, k, shape):
+        # every level solved by seed: the level kernel solves the loads themselves
+        self.assert_level_terms(M, k, shape, (False, False, False))
+
+    @pytest.mark.parametrize("by_segment", [(True, True, True), (True, False, True),
+                                            (False, True, True)],
+                             ids=["all-segments", "mixed", "reference-by-seed"])
+    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end", "whole"])
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_segment_route_matches_the_closed_form_inverse(self, M, k, shape, by_segment):
+        self.assert_level_terms(M, k, shape, by_segment)
+
+
+def level_loads(rows: int, by_segment, seed: int, seeds: int = 4):
+    """Random levels for ``_level_terms`` on ``rows`` nodes, the first the reference: maps
+    L (rows, segments) of 6, 2 and 3 segments, segment values s (seeds, segments), and
+    each level (L, s) where ``by_segment``, else its loads (L s^T, None)."""
+    rng = np.random.default_rng(seed)
+    maps = [rng.standard_normal((rows, c)) for c in (6, 2, 3)]
+    segs = [rng.standard_normal((seeds, c)) for c in (6, 2, 3)]
+    levels = [(m, s) if by_seg else (m @ s.T, None)
+              for m, s, by_seg in zip(maps, segs, by_segment)]
+    return maps, segs, levels
 
 
 def refined_solve(exact, matrix, rhs):
