@@ -7,8 +7,13 @@ default (a function of the parsed config where it depends on other
 values), and ``RunConfig.get`` returns the configured value or else that
 default.  Numbers must be finite and enumerated keys one of their
 ``_CHOICES`` at parse time; the physical invariants are re-validated while
-building the typed objects.  Numeric CSV output uses scientific notation
-with 17 significant digits so downstream analysis is bit-faithful.
+building the typed objects.  A float in CSV output is the text of '%.16e'
+(17 significant digits, so downstream analysis is bit-faithful), built
+column-wise in numpy: its digits are rint(q) for q = |x| 10^(16 - E) formed
+in long double.  q is off the exact value by less than 0.011, which cannot
+change the rounding unless q lies within 1/64 of a half-integer; those
+values, non-finite ones, and every float on a host whose long double has no
+64-bit significand are formatted by % itself.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O
 error.
@@ -17,6 +22,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -259,7 +265,8 @@ def _check_least(raw: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK_ROWS = 8192
+_CHUNK_ROWS = 4096
+_DROP_BYTES = 1 << 17  # a chunk's NULs are dropped this many bytes at a time
 
 
 def _format_code(x) -> str:
@@ -275,22 +282,135 @@ def _fmt(x) -> str:
     return _format_code(x) % x
 
 
+# q = |x| 10^(16 - E) is formed in long double; it is off the exact value by
+# less than _TIE_BAND only with a 64-bit significand (x87 extended), so
+# elsewhere every float takes %
+_EXTENDED = np.finfo(np.longdouble).nmant >= 63
+_TIE_BAND = 1 / 64  # half-width of the band around q = k + 1/2 that takes %
+_POW10_LO = -310  # the power of ten of the first entry of _float_tables()[0]
+# A chunk of rows is a matrix of little-endian 8-byte words.  Each column is a
+# run of words holding its text, then its separator, then NUL padding; the
+# NULs are dropped on write (text holds none).
+_FLOAT_WORDS = 4  # up to 24 bytes of text, then the separator
+
+
+@functools.cache
+def _float_tables():
+    """The tables of _put_floats, built on its first call (a run that writes
+    no float never builds them): 10^n for n = _POW10_LO..344 in long double,
+    each correctly rounded (strtold); quad[i], the 4 ASCII digits of
+    i = 0000..9999 in a word's low bytes; exponent[i], 'e', a NUL for the
+    exponent's sign, then i in 2 or 3 digits."""
+    pow10 = np.char.mod("1e%d", np.arange(_POW10_LO, 345)).astype(np.longdouble)
+    quad = np.arange(100, dtype=np.uint64)
+    quad = quad // 10 + 48 | (quad % 10 + 48) << 8  # 2 digits
+    quad = (quad[:, None] | quad << 16).ravel()
+    exponent = 101 | np.concatenate([quad[:100] & 0xFFFF0000, (quad[100:1000] & 0xFFFFFF00) << 8])
+    return pow10, quad, exponent
+
+
+def _put_floats(dst, x, sep: int) -> None:
+    """Write '%.16e' % v of each float64 v of x (at most 24 bytes) into dst,
+    a (rows, _FLOAT_WORDS) word matrix, and the separator byte sep after it.
+
+    E = floor(log10|v|) (moved by one where q falls outside [1e16, 1e17)) and
+    q = |v| 10^(16 - E) in long double.  The table entry and the product are
+    each rounded once, so q is off the exact value by at most 1e17 2^-63 <
+    0.011 < _TIE_BAND; so wherever q is more than _TIE_BAND from a
+    half-integer, rint(q) is the correctly rounded 17-digit significand that %
+    prints.  Non-finite values and the tie band go through %."""
+    fallback = np.ones(len(x), dtype=bool)
+    if _EXTENDED:
+        pow10, quad, exponent = _float_tables()
+        ax = np.abs(x)
+        fin = np.isfinite(ax)
+        ax[~fin] = 0.0
+        nz = ax > 0.0
+        e = np.floor(np.log10(np.where(nz, ax, 1.0))).astype(np.int64)
+        q = pow10[16 - _POW10_LO - e]
+        q *= ax
+        off = nz & ((q < 1e16) | (q >= 1e17))
+        if off.any():
+            e[off] += np.where(q[off] < 1e16, -1, 1)
+            q[off] = pow10[16 - _POW10_LO - e[off]] * ax[off]
+        d = np.rint(q)
+        q -= d
+        fallback = ~fin | (np.abs(q, out=q) > 0.5 - _TIE_BAND)
+        del q
+        d = d.astype(np.uint64)
+        carry = d == 10**17
+        d[carry] = 10**16
+        e[carry] += 1
+        # sign, first digit, '.' and digits 1-5; digits 6-13; digits 14-16,
+        # 'e', its sign and 2 or 3 digits
+        lead, d = np.divmod(d, np.uint64(10**16))
+        head, d = np.divmod(d, np.uint64(10**11))
+        head, fifth = np.divmod(head, np.uint64(10))
+        five = quad[head] | fifth + 48 << 32
+        dst[:, 0] = np.signbit(x) * np.uint64(45) | lead + 48 << 8 | 46 << 16 | five << 24
+        mid, tail = np.divmod(d, np.uint64(1000))
+        dst[:, 1] = quad[mid // 10000] | quad[mid % 10000] << 32
+        exp = exponent[np.abs(e)] | np.where(e < 0, 0x2D00, 0x2B00).astype(np.uint64)
+        dst[:, 2] = quad[tail] >> 8 | exp << 24
+    dst[:, 3] = sep
+    rows = np.flatnonzero(fallback)
+    if rows.size:
+        # one % for all of them; no '%.16e' text has a space to stand for NUL
+        text = ("%-24.16e" * rows.size % tuple(x[rows].tolist())).encode().replace(b" ", b"\0")
+        dst.view(np.uint8)[rows, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+
+
+def _text_bytes(c, code):
+    """The '%d' or '%s' text of a chunk of a column, one NUL-padded uint8 row
+    per value."""
+    if code == "%s":
+        text = np.char.encode(np.asarray(c, dtype=str), "utf-8")
+        return text.view(np.uint8).reshape(len(text), text.itemsize)
+    a = np.asarray(c)
+    mag = np.abs(a).astype(np.uint64)  # the int64 minimum wraps to its magnitude 2^63
+    n = len(str(int(mag.max())))
+    out = np.zeros((len(a), n + 1), dtype=np.uint8)
+    out[:, 0] = (a < 0) * np.uint8(45)  # '-'
+    rest = mag
+    for j in range(n, 0, -1):
+        rest, digit = np.divmod(rest, np.uint64(10))
+        out[:, j] = digit + 48
+    for j in range(1, n):  # leading zeros
+        out[mag < 10 ** (n - j), j] = 0
+    return out
+
+
 def _write_csv(path: Path, header, columns):
     """Write equal-length columns (arrays or sequences) under one header; each
-    column's format code comes from its first element, and each chunk of
-    _CHUNK_ROWS rows is one %, so the transient text stays bounded."""
+    column's format code comes from its first element.  Each chunk of
+    _CHUNK_ROWS rows is one NUL-padded word matrix, so the transient text
+    stays bounded."""
     columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
-    n_rows, width = len(columns[0]), len(columns)
-    line = ",".join(_format_code(c[0]) for c in columns) + "\n" if n_rows else ""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError(f"columns of lengths {[len(c) for c in columns]} differ")
+    codes = [_format_code(c[0]) for c in columns] if n_rows else []
+    seps = [44] * (len(columns) - 1) + [10]  # ',' and '\n'
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for lo in range(0, n_rows, _CHUNK_ROWS):
             chunk = [c[lo : lo + _CHUNK_ROWS] for c in columns]
-            size = len(chunk[0])
-            flat = [None] * (size * width)  # a column of another length fails to fill it
-            for j, c in enumerate(chunk):
-                flat[j::width] = c.tolist() if isinstance(c, np.ndarray) else c
-            fh.write(line * size % tuple(flat))
+            text = [None if f == "%.16e" else _text_bytes(c, f) for c, f in zip(chunk, codes)]
+            words = [_FLOAT_WORDS if t is None else t.shape[1] // 8 + 1 for t in text]
+            buf = np.zeros((len(chunk[0]), sum(words)), dtype="<u8")
+            raw = buf.view(np.uint8)
+            o = 0
+            for c, t, k, sep in zip(chunk, text, words, seps):
+                if t is None:
+                    _put_floats(buf[:, o : o + k], np.asarray(c, dtype=np.float64), sep)
+                else:
+                    raw[:, 8 * o : 8 * o + t.shape[1]] = t
+                    raw[:, 8 * o + t.shape[1]] = sep
+                o += k
+            raw = raw.ravel()
+            for b in range(0, raw.size, _DROP_BYTES):
+                part = raw[b : b + _DROP_BYTES]
+                fh.write(part[part != 0])
 
 
 def _write_summary(path: Path, entries: dict):
@@ -408,18 +528,13 @@ def _cmd_solve(rc: RunConfig, out: Path, args) -> int:
     x2s = np.linspace(0.0, cfg.d, rc.get("grid", "n_x2"))
     x1, x2 = (a.ravel() for a in np.meshgrid(x1s, x2s, indexing="ij"))
     p = assemble_field(sol, np.column_stack((x1, x2)), cfg)
-    x1_text, x2_text = [_fmt(x) for x in x1s], [_fmt(x) for x in x2s]  # each value formatted once
-    _write_csv(
-        out / "field.csv",
-        ["x1", "x2", "re_p", "im_p"],
-        [[t for t in x1_text for _ in x2s], x2_text * len(x1s), p.real, p.imag],
-    )
+    _write_csv(out / "field.csv", ["x1", "x2", "re_p", "im_p"], [x1, x2, p.real, p.imag])
     _write_csv(
         out / "modal.csv",
         ["n", "x1", "re_pn", "im_pn"],
         [
             np.repeat(np.arange(sol.n_modes), len(nodes)),
-            [_fmt(x) for x in nodes] * sol.n_modes,  # each node formatted once for all modes
+            np.tile(nodes, sol.n_modes),
             sol.values.real.ravel(),
             sol.values.imag.ravel(),
         ],

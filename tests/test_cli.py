@@ -2,12 +2,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ductpml
+from ductpml import cli
 from ductpml.cli import (
     _CHUNK_ROWS,
     _SCHEMA,
@@ -426,6 +429,124 @@ class TestWriteCsv:
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             _write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+def _assert_float_text(tmp_path, x):
+    """The writer's text of each value of x is '%.16e' % v, and it raises no
+    warning (a cast or log10 warning would fail a benchmark op)."""
+    path = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _write_csv(path, ["x"], [x])
+    got = path.read_text().splitlines()[1:]
+    want = ["%.16e" % v for v in (x.tolist() if isinstance(x, np.ndarray) else x)]
+    assert len(got) == len(want)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, f"{len(bad)} of {len(want)} differ, e.g. {bad[:3]}"
+
+
+def _bits(rng, lo, hi, n):
+    """n doubles with random bit patterns in [lo, hi), either sign."""
+    u = rng.integers(lo, hi, n, dtype=np.uint64) | rng.integers(0, 2, n, dtype=np.uint64) << 63
+    return u.view(np.float64)
+
+
+class TestFloatText:
+    """The numpy float text equals '%.16e' byte for byte, the tie band and
+    the non-finite values included."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_bit_patterns(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        # every exponent, with inf and nan; then subnormals alone
+        x = np.concatenate([_bits(rng, 0, 2**63, 200_000), _bits(rng, 1, 2**52, 20_000)])
+        _assert_float_text(tmp_path, x)
+
+    def test_near_ties(self, tmp_path):
+        # the doubles nearest (q + 1/2 +- 2^-j) 10^(e - 16), and doubles
+        # that are exact ties: m 2^-k whose m 5^k has 18 digits, its last 5
+        rng = np.random.default_rng(7)
+        near = []
+        for q, e in zip(rng.integers(10**16, 10**17, 400), rng.integers(-300, 300, 400)):
+            for j in range(1, 60, 3):
+                for s in (1, -1):
+                    tie = Fraction(2 * int(q) + 1, 2) + Fraction(s, 2**j)
+                    near.append(float(tie * Fraction(10) ** int(e - 16)))
+        ties = []
+        for k in range(1, 80):
+            lo, hi = -(-(10**17) // 5**k), min(10**18 // 5**k, 2**53)
+            ties += [(m | 1) / 2**k for m in range(lo, hi, max(1, (hi - lo) // 40)) if m | 1 < hi]
+        assert len(ties) > 900
+        assert all(("%.17e" % t)[18:20] == "5e" for t in ties)
+        x = np.array(near + ties)
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+        _assert_float_text(tmp_path, np.concatenate([x, -x]))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        p = np.array([float(f"1e{e}") for e in range(-323, 309)])
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        _assert_float_text(tmp_path, np.concatenate([x, -x]))
+
+    def test_exponent_digit_boundaries(self, tmp_path):
+        p = np.array([1e-100, 1e-99, 1e99, 1e100, 9.999999999999999e99, 9.999999999999999e-100])
+        x = np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+        _assert_float_text(tmp_path, np.concatenate([x, -x]))
+        assert {len(("%.16e" % v).split("e")[1]) for v in x} == {3, 4}  # 2 and 3 digits
+
+    def test_exponent_carry(self, tmp_path):
+        # doubles just below 10^k whose 17 digits round up to 1.000...e+k
+        carry = []
+        for k in range(-307, 309):
+            for v in (float(f"1e{k}"), float(np.nextafter(float(f"1e{k}"), 0))):
+                below = Fraction(v) < Fraction(10) ** k
+                if below and ("%.16e" % v).startswith("1.0000000000000000e"):
+                    carry.append(v)
+        assert len(carry) >= 10
+        _assert_float_text(tmp_path, np.array(carry + [-v for v in carry]))
+
+    def test_long_double_column(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        x = x.astype(np.longdouble)
+        x[::7] /= 3  # not a double: % and the writer both round it to one
+        _assert_float_text(tmp_path, x)
+
+    def test_without_extended_precision(self, tmp_path, monkeypatch):
+        # a host without a 64-bit long double significand formats every float with %
+        monkeypatch.setattr(cli, "_EXTENDED", False)
+        rng = np.random.default_rng(4)
+        _assert_float_text(tmp_path, np.concatenate([_bits(rng, 0, 2**63, 20_000), SPECIAL_FLOATS]))
+
+
+TINY = MINIMAL + (
+    "[source]\ntype = mode_box+noise\nnoise_levels = 2\n[grid]\nn_modes = 6\nn_x2 = 9\n"
+    "[run]\nsamples = 4\nh_levels = 0.25,0.125\nl_values = 1,2\n"
+    "equiv_deltas = 0.03125,0.015625,0.0078125\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["modes"], ["greens"], ["noise"], ["pml"], ["solve"]]
+    + [["study", kind] for kind in ("h", "L", "total", "equiv")],
+    ids=lambda c: " ".join(c),
+)
+def test_every_subcommand_writes_the_row_writers_bytes(tmp_path, monkeypatch, command):
+    # each output file is the same bytes as with the row-at-a-time writer
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY)
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert dispatch(command + ["--config", str(cfg), "--out", str(new)]) == EXIT_OK
+    monkeypatch.setattr(
+        cli, "_write_csv", lambda path, header, columns: _old_write_csv(path, header, zip(*columns))
+    )
+    assert dispatch(command + ["--config", str(cfg), "--out", str(old)]) == EXIT_OK
+    names = sorted(p.name for p in new.iterdir())
+    assert names == sorted(p.name for p in old.iterdir()) and any(n.endswith(".csv") for n in names)
+    for name in names:
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+    if command == ["greens"]:  # the source sits on a grid point: a NaN row
+        assert (new / "greens.csv").read_text().count(",nan,nan,singular\n") == 1
 
 
 class TestDispatch:
