@@ -21,23 +21,31 @@ draws nothing: level validation, noise mesh, grid, mode count, load maps,
 scaled transverse projections and variances, trapezoid weights and every
 mode's DtN bands.  Each study then draws its seeds by ``_NoiseStudy.segments``:
 every seed's noise projected onto all modes at every level, sampled in blocks
-of seeds by one ``noise.BlockSampler`` with one product per level and block.
+of seeds by one ``noise.BlockSampler`` with one product per level and block,
+and handed over in chunks of whole blocks whose buffers the next chunk reuses.
+The h study reduces each chunk as it comes; the total study takes every seed
+in one chunk.
 
 Every (level, seed) load lives on the grid nodes under the forcing
 rectangle, R = lo..hi.  Per mode, both noise studies need ||b||^2_W of b =
 A_n^{-1} r for the real load differences r = L_lv s_lv - L_ref s_ref on R, W
 the trapezoid weights, and solve on R alone: left of R, b = g^- b[lo], g^-
 from one solve of the load-free exterior block (likewise g^+), so each
-exterior adds rank-1 terms.  The h study solves the unit loads of R, B =
-A_n^{-1} E_R (``_unit_gram``), for ||b||^2_W = r^T Q_n r, Q_n = Re(B^H W B),
-and its exact mean: level noise is the L2 projection of the reference path,
-so the cross-covariance of level and reference loads is the level
-covariance C_lv,n = var_lv,n L_lv L_lv^T (var_lv,n the variance of mode n's
-segment values), and E[err_lv] = sum_n sum(Q_n o (C_ref,n - C_lv,n)).  The
-total study solves every level's loads in one range solve per mode
-(``_level_terms``), by segment (L_lv) where a level has fewer segments than
-seeds, else by seed (L_lv s_lv), and forms b = A_n^{-1} f_lv - A_n^{-1} f_ref
-before any norm.
+exterior adds rank-1 terms.  The h study solves one basis X of loads on R,
+S = A_n^{-1} X (``_gram``), for ||b||^2_W = x^T G_n x, G_n = Re(S^H W S), r =
+X x (``_h_basis``).  The levels are nested, so L_lv = L_ref E_lv, E_lv
+repeating each level segment over its reference children: where the
+reference level has fewer segments than R has nodes, X = L_ref and x = E_lv
+s_lv - s_ref, else X = I_R and x = r.  x is formed before any product with
+G_n, and only G_n and the errors outlive a chunk.  Its exact mean comes from
+the same G_n: level noise is the L2 projection of the reference path, so the
+cross-covariance of level and reference coordinates is the level covariance
+C_lv,n = var_lv,n P_lv P_lv^T (var_lv,n the variance of mode n's segment
+values, P_lv = E_lv or L_lv, P_ref = I or L_ref), and E[err_lv] = sum_n
+sum(G_n o (C_ref,n - C_lv,n)).  The total study solves every level's loads in
+one range solve per mode (``_level_terms``), by segment (L_lv) where a level
+has fewer segments than seeds, else by seed (L_lv s_lv), and forms b =
+A_n^{-1} f_lv - A_n^{-1} f_ref before any norm.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -62,8 +70,9 @@ per layer length, which carries x^{+-}, L and omega, one ``PmlProfile`` for
 every layer and the gaps of every mode.
 
 The noise studies map their per-mode work over a thread pool
-(``_map_threads``): the loads, every per-mode solve and, in the total study,
-u[ends] and Z^H W Z.  Its zgtsv solves release the GIL
+(``_map_threads``): every per-mode solve and, in the h study, each chunk's
+errors, in the total study the loads, u[ends] and Z^H W Z.  Its zgtsv solves
+and BLAS products release the GIL
 (``solver._solve_tridiag``), so the modes run in parallel; the 2x2 layer
 update, many small numpy calls that would only take turns at the GIL, runs
 after the pool, once over all modes.  Every study is a pure function of
@@ -80,6 +89,7 @@ import math
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -238,30 +248,31 @@ class _NoiseStudy:
     w: np.ndarray
     bands: tuple
 
-    def segments(self, n_samples: int, base_seed: int) -> dict:
-        """seg[lv] (n_modes, n_samples, n1): level lv's segment values of every mode and of
-        seeds base_seed .. base_seed + n_samples - 1, drawn in blocks by one ``BlockSampler``;
-        seg[lv][n] is mode n's contiguous (seed, segment) block.  Under 2 seeds: ConfigError."""
+    def segments(self, n_samples: int, base_seed: int, chunk: int):
+        """Chunks (s0, seg) of seeds base_seed + s0 .., each seg[lv] (n_modes, seeds, n1) level
+        lv's segment values of every mode, seg[lv][n] mode n's contiguous (seed, segment)
+        block.  A chunk is ``chunk`` seeds rounded up to whole blocks of one ``BlockSampler``
+        (the last one shorter), drawn into buffers that the next chunk overwrites; a chunk
+        of n_samples holds every seed.  Under 2 seeds: ConfigError, before any draw."""
         if n_samples < 2:
             raise ConfigError("noise studies need n_samples >= 2")
-        seg = {lv: np.empty((self.n_modes, n_samples, m.shape[1])) for lv, m in self.maps.items()}
         step = min(block_size(self.mesh), n_samples)
+        chunk = min(-(-chunk // step) * step, n_samples)
+        seg = {lv: np.empty((self.n_modes, chunk, m.shape[1])) for lv, m in self.maps.items()}
         sampler = BlockSampler(self.mesh, list(seg), step)
-        for s0 in range(0, n_samples, step):
-            seeds = range(base_seed + s0, base_seed + min(s0 + step, n_samples))
-            for lv, xi in zip(seg, sampler.draw(seeds)):
-                # one product per level and block, written as one (seed, segment) run per mode
-                np.matmul(self.trans[lv].T, xi.reshape(-1, xi.shape[2]).T,
-                          out=seg[lv][:, s0 : s0 + len(seeds)].reshape(self.n_modes, -1))
-        return seg
 
-    def differences(self, seg, n: int):
-        """Mode n's load differences r = L_lv s_lv - L_ref s_ref on R of the used levels of
-        seg, one column per (level, seed): (|R|, n_used * n_samples)."""
-        f_ref = self.maps[self.ref_level] @ seg[self.ref_level][n].T
-        f = np.hstack([self.maps[lv] @ seg[lv][n].T for lv in self.used])  # frees each
-        by_level = (len(f), len(self.used), f_ref.shape[1])
-        return np.subtract(f.reshape(by_level), f_ref[:, None]).reshape(f.shape)
+        def chunks():
+            for c0 in range(0, n_samples, chunk):
+                size = min(chunk, n_samples - c0)
+                for s0 in range(0, size, step):
+                    seeds = range(base_seed + c0 + s0, base_seed + c0 + min(s0 + step, size))
+                    for lv, xi in zip(seg, sampler.draw(seeds)):
+                        # one product per level and block, one (seed, segment) run per mode
+                        np.matmul(self.trans[lv].T, xi.reshape(-1, xi.shape[2]).T,
+                                  out=seg[lv][:, s0 : s0 + len(seeds)].reshape(self.n_modes, -1))
+                yield c0, {lv: v[:, :size] for lv, v in seg.items()}
+
+        return chunks()
 
     def moments(self, err2):
         """Mean and standard error over the seeds (axis 0) of err2, and the cell
@@ -449,9 +460,9 @@ def _exteriors(lo: int, hi: int, w, g_lo, g_hi):
             for ext, g, edge in ((slice(0, lo), g_lo, 0), (slice(hi + 1, None), g_hi, -1))]
 
 
-def _unit_gram(n: int, matrix, lo: int, hi: int, w, stage: str):
-    """Q = Re(B^H W B) of mode n's B = A^{-1} E_R, E_R the unit loads of lo..hi."""
-    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, np.eye(hi - lo + 1), stage)
+def _gram(n: int, matrix, lo: int, hi: int, w, x, stage: str):
+    """G = Re(S^H W S) of mode n's S = A^{-1} X for real loads X on lo..hi (columns)."""
+    b, g_lo, g_hi = _range_solve(n, matrix, lo, hi, x, stage)
     g = np.vstack([np.sqrt(w[lo : hi + 1])[:, None] * b]
                   + [math.sqrt(c) * b[e][None] for *_, c, e in _exteriors(lo, hi, w, g_lo, g_hi)])
     g = np.vstack([g.real, g.imag])
@@ -494,6 +505,30 @@ def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
     return w
 
 
+# Segment values, in bytes, of every mode and level that one chunk of the h study's
+# seeds holds: the seeds per chunk trade Python overhead per chunk for memory.
+CHUNK_BYTES = 2 * 1024 * 1024
+
+
+def _h_basis(st: _NoiseStudy, reference: Optional[bool] = None):
+    """The h study's basis X, real loads on R, and coordinate maps: pt[lv] (n1_lv, m)
+    with L_lv = X pt[lv]^T, so r = L_lv s_lv - L_ref s_ref = X x for x = pt[lv]^T s_lv -
+    pt[ref]^T s_ref; pt[ref] is None for the identity.
+
+    The reference basis (the default where n1_ref < |R|) is X = L_ref with pt[lv] =
+    E_lv^T, E_lv repeating each level segment over its reference children (the levels
+    are nested), so x = E_lv s_lv - s_ref.  The unit basis is X = I_R with pt[lv] = L_lv^T.
+    """
+    dense = {lv: m.toarray() for lv, m in st.maps.items()}
+    n_ref = dense[st.ref_level].shape[1]
+    if reference is None:
+        reference = n_ref < st.hi - st.lo + 1
+    if not reference:
+        return np.eye(st.hi - st.lo + 1), {lv: np.ascontiguousarray(m.T) for lv, m in dense.items()}
+    pt = {lv: np.repeat(np.eye(m.shape[1]), n_ref // m.shape[1], axis=1) for lv, m in dense.items()}
+    return dense[st.ref_level], {**pt, st.ref_level: None}
+
+
 def run_h_study(
     cfg: DuctConfig,
     profile: Optional[PmlProfile],
@@ -516,29 +551,49 @@ def run_h_study(
     profile argument is accepted for interface symmetry; the study solves
     with the exact nonreflecting closure.
 
-    Every (level, seed) error is ||A_n^{-1} r||^2_W = r^T Q_n r of the load
-    difference r = L_lv s_lv - L_ref s_ref on the nodes R under the forcing
-    rectangle, summed over modes, with Q_n = Re(B^H W B) of mode n's unit-load
-    solves B (``_unit_gram``).  ``extra["exact_mean"]`` holds the mean-square
-    error of each level without sampling, sum_n tr(Q_n (C_ref,n - C_lv,n))
-    with C_lv,n = var_lv,n L_lv L_lv^T on R, its traces sum(Q_n o L_lv L_lv^T).
+    Every (level, seed) error is ||A_n^{-1} r||^2_W = x^T G_n x of the load
+    difference r = L_lv s_lv - L_ref s_ref = X x on the nodes R under the forcing
+    rectangle, summed over modes, with G_n = Re(S^H W S) of mode n's solves S =
+    A_n^{-1} X (``_gram``) in the basis X of ``_h_basis``: L_ref where the reference
+    level has fewer segments than R has nodes, else the unit loads of R.  x is
+    formed before any product with G_n.  The seeds are drawn and reduced one chunk
+    (CHUNK_BYTES of segment values) at a time; only G_n and the errors outlive a
+    chunk.  ``extra["exact_mean"]`` holds the mean-square error of each level without
+    sampling, sum_n (var_ref,n tr(P_ref^T G_n P_ref) - var_lv,n tr(P_lv^T G_n P_lv)),
+    P = pt^T (L on the unit basis; E_lv and the identity on the reference basis).
     """
     del profile
     st = _noise_study(cfg, h_levels, rect, delta, n_modes, ref_refine, "h study")
-    seg = st.segments(n_samples, base_seed)
-    # L_lv L_lv^T of every level in maps' order, flat: tr(Q_n L_lv L_lv^T) = sum(Q_n o L_lv L_lv^T)
-    llt = np.stack([(m @ m.T).toarray().ravel() for m in st.maps.values()])
+    per_seed = 8 * st.n_modes * sum(m.shape[1] for m in st.maps.values())
+    chunks = st.segments(n_samples, base_seed, max(1, CHUNK_BYTES // per_seed))
+    basis, pt = _h_basis(st)
+    m = basis.shape[1]
+    # P P^T of every level in maps' order, flat: tr(P^T G P) = sum(G o P P^T)
+    ppt = np.stack([(np.eye(m) if p is None else p.T @ p).ravel() for p in pt.values()])
 
-    def mode_terms(n: int):
-        q = _unit_gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w, "h study")
-        r = st.differences(seg, n)
-        traces = llt @ q.ravel()
-        exact = st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
-        return np.sum(r * (q @ r), axis=0).reshape(-1, n_samples).T, exact  # (n_samples, n_used)
+    def mode_gram(n: int):
+        g = _gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w, basis, "h study")
+        traces = ppt @ g.ravel()
+        return g, st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
 
-    per_mode = _map_threads(mode_terms, range(st.n_modes), threads)
-    # (n_samples, n_used) and (n_used,), each summed over the modes
-    err2, exact_mean = (np.sum(np.stack(terms), axis=0) for terms in zip(*per_mode))
+    grams, exact = zip(*_map_threads(mode_gram, range(st.n_modes), threads))
+    exact_mean = np.sum(np.stack(exact), axis=0)  # (n_used,), summed over the modes
+
+    def chunk_terms(seg, n: int):
+        """Mode n's errors (seeds, n_used) of the chunk seg."""
+        s_ref = seg[st.ref_level][n]
+        x = np.empty((len(st.used), len(s_ref), m))
+        for j, lv in enumerate(st.used):
+            np.matmul(seg[lv][n], pt[lv], out=x[j])
+        x -= s_ref if pt[st.ref_level] is None else s_ref @ pt[st.ref_level]
+        xg = x @ grams[n]
+        xg *= x
+        return xg.sum(axis=2).T
+
+    err2 = np.empty((n_samples, len(st.used)))
+    for s0, seg in chunks:
+        terms = _map_threads(partial(chunk_terms, seg), range(st.n_modes), threads)
+        np.sum(np.stack(terms), axis=0, out=err2[s0 : s0 + len(terms[0])])  # over the modes
     mean, stderr, diam = st.moments(err2)
     excluded = mean < 3.0 * stderr  # indistinguishable from the MC noise floor
     slope, slope_se = _fit_usable(diam, mean, stderr, ~excluded, "loglog")
@@ -751,7 +806,7 @@ def run_total_error_study(
     st = _noise_study(cfg, h_levels, rect, delta, n_modes, ref_refine, "total study")
     lay = _layer_set(cfg, st.grid, st.n_modes, l_values, sigma_plus, sigma_minus, source,
                      "total study")
-    seg = st.segments(n_samples, base_seed)
+    [(_, seg)] = st.segments(n_samples, base_seed, n_samples)  # one chunk: every seed
 
     # L_lv on R of the levels solved by segment (fewer segments than seeds), built once
     dense = {lv: m.toarray() for lv, m in st.maps.items() if m.shape[1] < n_samples}

@@ -13,12 +13,13 @@ cell come from an independent Philox stream keyed by (seed, coarse cell
 index), laid out in Morton (bit-interleaved) order.  The result depends
 only on (seed, mesh) - never on evaluation order or thread count.
 A ``BlockSampler`` owns one re-keyed bit generator and the arrays of one
-block of seeds, and draws block after block into them.  Morton order only
-decodes the stream: each block is put in row-major order once, at the
-finest level, and coarsened in row-major order by the sum that ``coarsen``
-uses.  A Monte Carlo study builds one sampler of ``block_size`` seeds
-(BLOCK_BYTES of finest-level draws) and draws all its seeds through it;
-``sample`` is the one-seed, finest-level block of a sampler of its own.
+block of seeds, and draws block after block into them.  It coarsens in the
+stream's Morton order, where the 4 children of a cell are contiguous, by the
+sum that ``coarsen`` forms in row-major order, and puts only the requested
+levels in row-major order.  A Monte Carlo study builds one sampler of
+``block_size`` seeds (BLOCK_BYTES of finest-level draws) and draws all its
+seeds through it; ``sample`` is the one-seed, finest-level block of a
+sampler of its own.
 
 The deterministic modal sources live here too.  A realization reaches the
 mode problems through ``noise_modal_matrix`` (its segment values for every
@@ -180,6 +181,18 @@ def _coarsen_rows(xi, out=None):
     return total
 
 
+def _coarsen_morton(xi, out):
+    """``_coarsen_rows`` in Morton order: the parents, in ``out``, of the Morton-ordered
+    values xi (..., cells), whose every 4 contiguous values are one parent's children
+    c00, c01, c10, c11 (code 2 i + j); the same sum, bit for bit."""
+    c = xi.reshape(xi.shape[:-1] + (-1, 4))
+    total = np.add(c[..., 0], c[..., 2], out=out)
+    total += c[..., 1]
+    total += c[..., 3]
+    total *= 0.5
+    return total
+
+
 class BlockSampler:
     """Draws blocks of up to ``size`` seeds at the given mesh levels into buffers
     it owns: one re-keyed Philox stream, every block array and its row views, made once.
@@ -193,9 +206,10 @@ class BlockSampler:
     Coarse cell t = a1 * m2 + a2 draws its subtree from a Philox stream keyed
     (seed mod 2^64, t).  The one bit generator is re-keyed by assigning the
     state of a fresh generator (counter 0, empty buffer) with that key, which
-    is bit-identical to constructing a new one.  The Morton-ordered draws are
-    put in row-major order once, at the finest level, and coarsened from there
-    (``coarsen``'s sum) down to the coarsest level asked for.
+    is bit-identical to constructing a new one.  The draws stay in Morton order
+    and are coarsened there (``_coarsen_morton``, ``coarsen``'s sum) down to the
+    coarsest level asked for; each level asked for is then put in row-major
+    order by one ``take``.
     """
 
     def __init__(self, mesh: NoiseMesh, levels, size: int):
@@ -213,10 +227,12 @@ class BlockSampler:
         self._fresh = fresh
         self._draws = np.empty((size, m1 * m2 << (2 * bits)))  # Morton order
         self._subtrees = [list(rows) for rows in self._draws.reshape(size, m1 * m2, -1)]  # views
-        self._order = _morton_order(bits, m1, m2)
-        # row-major values per level, finest to the coarsest asked for
-        self._rows = {lv: np.empty((size,) + mesh.shape(lv))
-                      for lv in range(bits, min(self.levels) - 1, -1)}
+        # Morton-ordered values per level, finest (the draws) to the coarsest asked for
+        self._morton = {lv: np.empty((size, m1 * m2 << (2 * lv))) if lv < bits else self._draws
+                        for lv in range(bits, min(self.levels) - 1, -1)}
+        # each level asked for: the Morton position of every row-major cell, its rows
+        self._order = {lv: _morton_order(lv, m1, m2) for lv in self.levels}
+        self._rows = {lv: np.empty((size,) + mesh.shape(lv)) for lv in self.levels}
 
     def draw(self, seeds) -> list:
         """xi of each of the (at most ``size``) seeds at every level; see the class."""
@@ -230,12 +246,14 @@ class BlockSampler:
                 key[1] = t
                 bitgen.state = fresh
                 fill(out=row)
-        fine, *coarse = self._rows.values()
+        fine, *coarse = self._morton.values()
         xi = fine[:n]
-        # every index valid: "clip" spares take a buffer
-        np.take(self._draws[:n], self._order, axis=1, out=xi.reshape(n, -1), mode="clip")
-        for rows in coarse:
-            xi = _coarsen_rows(xi, out=rows[:n])
+        for values in coarse:
+            xi = _coarsen_morton(xi, out=values[:n])
+        for lv, rows in self._rows.items():
+            # every index valid: "clip" spares take a buffer
+            np.take(self._morton[lv][:n], self._order[lv], axis=1,
+                    out=rows[:n].reshape(n, -1), mode="clip")
         return [self._rows[lv][:n] for lv in self.levels]
 
 

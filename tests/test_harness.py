@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from ductpml.harness import (
     _noise_study,
     _range_solve,
     _trapezoid_weights,
-    _unit_gram,
+    _gram,
     default_forcing_rect,
     default_l_study_source,
     fit_rate,
@@ -510,19 +511,150 @@ class TestNoiseSetUp:
         st = self.set_up()
         assert made == [] and draws == []
         assert not hasattr(st, "seg") and not hasattr(st, "n_samples")
-        st.segments(4, 0)  # the counters do count
+        list(st.segments(4, 0, 4))  # the counters do count
         assert made == [1] and draws
 
     def test_segments_repeat_bytes(self):
         st = self.set_up()
-        a, b = st.segments(5, 17), st.segments(5, 17)
-        assert list(a) == list(b) == st.used + [st.ref_level]
+        [(s0, a)], [(_, b)] = st.segments(5, 17, 5), st.segments(5, 17, 5)
+        assert s0 == 0 and list(a) == list(b) == st.used + [st.ref_level]
         assert all(a[lv].shape == (6, 5, st.maps[lv].shape[1]) for lv in a)
         assert all(a[lv].tobytes() == b[lv].tobytes() for lv in a)
 
+    def test_chunks_are_whole_blocks_of_the_same_values(self, monkeypatch):
+        # blocks of 3 seeds (32 x 32 finest cells): chunks of 4 seeds round up to 2
+        # blocks, so 14 seeds are chunks of 6, 6 and 2, each the bytes of one chunk of 14
+        monkeypatch.setattr(noise, "BLOCK_BYTES", 3 * 8 * 32 * 32)
+        st = self.set_up()
+        [(_, every)] = st.segments(14, 17, 14)
+        got = [(s0, {lv: v.copy() for lv, v in seg.items()}) for s0, seg in st.segments(14, 17, 4)]
+        assert [(s0, seg[st.ref_level].shape[1]) for s0, seg in got] == [(0, 6), (6, 6), (12, 2)]
+        for s0, seg in got:
+            assert all(v.tobytes() == every[lv][:, s0 : s0 + v.shape[1]].tobytes()
+                       for lv, v in seg.items())
+
     def test_one_seed_is_config_error(self):
         with pytest.raises(ConfigError, match=r"^noise studies need n_samples >= 2$"):
-            self.set_up().segments(1, 0)
+            self.set_up().segments(1, 0, 1)  # on the call, before any draw
+
+
+def unstreamed_h_study(cfg, h_levels, n_samples, base_seed, rect=None, n_modes=None):
+    """The h study with every seed drawn at once on the unit basis of R, as before it was
+    streamed: r = L_lv s_lv - L_ref s_ref from the CSR maps, errors r^T Q_n r and
+    traces sum(Q_n o L_lv L_lv^T), Q_n = ``_gram`` of I_R.  Returns (mean, stderr, exact)."""
+    st = _noise_study(cfg, h_levels, rect, None, n_modes, 2, "test")
+    [(_, seg)] = st.segments(n_samples, base_seed, n_samples)
+    llt = np.stack([(m @ m.T).toarray().ravel() for m in st.maps.values()])
+    err2, exact = 0.0, 0.0
+    for n in range(st.n_modes):
+        q = _gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w,
+                  np.eye(st.hi - st.lo + 1), "test")
+        f_ref = st.maps[st.ref_level] @ seg[st.ref_level][n].T
+        r = np.stack([st.maps[lv] @ seg[lv][n].T - f_ref for lv in st.used])  # (lv, R, seed)
+        err2 = err2 + np.einsum("lis,lis->sl", r, q @ r)
+        traces = llt @ q.ravel()
+        exact = exact + st.var[-1, n] * traces[-1] - st.var[:-1, n] * traces[:-1]
+    mean, stderr, _ = st.moments(err2)
+    return mean, stderr, exact
+
+
+class TestStreamedHStudy:
+    """The h study reduced one chunk of seeds at a time, on either basis, against the
+    unstreamed unit-basis study."""
+
+    MC_H = DuctConfig(d=1.0, M=0.3, k=5.0, x_minus=-1.0, x_plus=1.0, L=2.0)
+    K20 = DuctConfig(d=1.0, M=0.6, k=20.0, x_minus=-1.0, x_plus=1.0, L=1.0)
+    M09 = DuctConfig(d=1.0, M=0.9, k=5.0, x_minus=-1.0, x_plus=1.0, L=2.0)
+    LEVELS = [1 / 8, 1 / 16, 1 / 32]
+
+    @pytest.fixture(autouse=True)
+    def recorded(self, monkeypatch):
+        """``self.chunks`` records the seeds of every chunk the studies reduce and
+        ``self.bases`` the size m of every basis they take."""
+        self.chunks, self.bases = [], []
+        segments, h_basis = harness._NoiseStudy.segments, harness._h_basis
+
+        def chunks(st, *args):
+            for s0, seg in segments(st, *args):
+                self.chunks.append(seg[st.ref_level].shape[1])
+                yield s0, seg
+
+        def basis(st, *args):
+            x, pt = h_basis(st, *args)
+            self.bases.append(x.shape[1])
+            return x, pt
+
+        monkeypatch.setattr(harness._NoiseStudy, "segments", chunks)
+        monkeypatch.setattr(harness, "_h_basis", basis)
+
+    @staticmethod
+    def chunk_bytes(cfg, seeds: int) -> int:
+        """CHUNK_BYTES for chunks of ``seeds`` seeds at cfg's default mode count and LEVELS."""
+        return seeds * 8 * default_n_modes(cfg) * (8 + 16 + 32 + 128)
+
+    def assert_matches_unstreamed(self, cfg, n_samples, seed):
+        """run_h_study at 1 and 2 threads, then ``unstreamed_h_study`` (one chunk)."""
+        run = [run_h_study(cfg, None, self.LEVELS, n_samples, seed, threads=t) for t in (1, 2)]
+        mean, stderr, exact = unstreamed_h_study(cfg, self.LEVELS, n_samples, seed)
+        np.testing.assert_allclose(run[0].error_mean, mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(run[0].error_stderr, stderr, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(run[0].extra["exact_mean"], exact, rtol=1e-13, atol=0)
+        for name in ("error_mean", "error_stderr", "excluded"):
+            assert getattr(run[0], name).tobytes() == getattr(run[1], name).tobytes()
+        assert run[0].extra["exact_mean"].tobytes() == run[1].extra["exact_mean"].tobytes()
+        assert run[0].fitted_rate == run[1].fitted_rate
+
+    def test_mc_h_config_in_chunks(self):
+        # 200 seeds, the default chunk of 48 (2 MiB over 31 modes and 184 segments, whole
+        # blocks of 4): 4 full chunks and a short one, on the unit basis (|R| = 81 < 128)
+        self.assert_matches_unstreamed(self.MC_H, 200, 1000)
+        assert self.chunks == [48, 48, 48, 48, 8] * 2 + [200] and self.bases == [81] * 2
+
+    @pytest.mark.parametrize("n_samples, chunks", [(8, [8]), (12, [12]), (30, [12, 12, 6])],
+                             ids=["below-one-chunk", "one-chunk", "ragged"])
+    def test_chunk_boundaries(self, n_samples, chunks, monkeypatch):
+        # chunks of 12 seeds, 3 blocks of 4: the last one of 30 seeds is 1.5 blocks
+        monkeypatch.setattr(harness, "CHUNK_BYTES", self.chunk_bytes(self.MC_H, 12))
+        self.assert_matches_unstreamed(self.MC_H, n_samples, 77)
+        assert self.chunks == chunks * 2 + [n_samples]  # the unstreamed study: one chunk
+
+    @pytest.mark.parametrize("cfg, basis", [(K20, 128), (M09, 81)], ids=["k20", "M0.9-k5"])
+    def test_other_flows(self, cfg, basis, monkeypatch):
+        # k = 20: |R| = 321 nodes, so the reference basis of 128 segments
+        monkeypatch.setattr(harness, "CHUNK_BYTES", self.chunk_bytes(cfg, 8))
+        self.assert_matches_unstreamed(cfg, 20, 5)
+        assert self.chunks == [8, 8, 4] * 2 + [20] and self.bases == [basis] * 2
+
+    @pytest.mark.parametrize("cfg, default", [(MC_H, 81), (K20, 128)], ids=["mc_h", "k20"])
+    def test_both_bases_agree(self, cfg, default, monkeypatch):
+        results = {}
+        h_basis = harness._h_basis
+        for reference in (False, True):
+            monkeypatch.setattr(harness, "_h_basis", lambda st: h_basis(st, reference))
+            results[reference] = run_h_study(cfg, None, self.LEVELS, 24, 3)
+        assert sorted(self.bases) == sorted([default, 128 if default != 128 else 321])
+        unit, ref = results[False], results[True]
+        np.testing.assert_allclose(ref.error_mean, unit.error_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ref.error_stderr, unit.error_stderr, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ref.extra["exact_mean"], unit.extra["exact_mean"],
+                                   rtol=1e-12, atol=0)
+
+    def test_memory_does_not_grow_with_the_seeds(self, monkeypatch):
+        # blocks of 4 seeds and chunks of 8 at 40 and at 400 seeds: the peak may grow
+        # by err2 (seeds, levels) and the few copies of it that the moments take, not
+        # by the segment values of every seed (6 modes x 44 segments, 2,112 bytes a seed)
+        monkeypatch.setattr(noise, "BLOCK_BYTES", 4 * 8 * 32 * 32)
+        monkeypatch.setattr(harness, "CHUNK_BYTES", 8 * 8 * 6 * 44)
+        run_h_study(make_cfg(L=2.0), None, [1 / 4, 1 / 8], 40, 9, n_modes=6)  # warm-up
+        peaks = []
+        for n_samples in (40, 400):
+            tracemalloc.start()
+            run_h_study(make_cfg(L=2.0), None, [1 / 4, 1 / 8], n_samples, 9, n_modes=6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        err2_growth = (400 - 40) * 2 * 8
+        assert peaks[1] - peaks[0] <= 4 * err2_growth, peaks
+        assert self.chunks == [8] * 5 * 2 + [8] * 50
 
 
 class TestBatchedNoiseSolves:
@@ -894,24 +1026,38 @@ class TestUnitGram:
     """The h study's Gram kernel and the total study's level kernel, both solved on R alone,
     against the closed-form inverse."""
 
-    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
-    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
-    def test_matches_the_closed_form_inverse(self, M, k, shape):
-        # B = A^{-1} E_R is R's columns of the exact inverse; each entry of B solved in
-        # float64 is within tol = 8 eps cond max|B| of them, so Q = Re(B^H W B) is
-        # within 2 tol max_j ||b_j||_{W,1}
+    @staticmethod
+    def assert_gram(M, k, shape, loads):
+        # S = A^{-1} X = B X for the real loads X = loads(|R|), B R's columns of the exact
+        # inverse: each entry of S solved in float64 is within tol = 8 eps cond max(|B| |X|),
+        # so G = Re(S^H W S) is within 2 tol max_j ||s_j||_{W,1}
         cfg = DuctConfig(d=1.0, M=M, k=k, x_minus=-1.0, x_plus=1.0, L=2.0)
         grid = omega_b_grid(cfg, default_delta(cfg))
         last = grid.n_nodes - 1
         lo, hi = TestRangeSolve.node_range(shape, last)
         w = _trapezoid_weights(grid)
+        x = loads(hi - lo + 1)
         for n in range(0, default_n_modes(cfg), 3):
             matrix = mode_matrix(n, cfg, grid, DTN)
             b = dtn_inverse(*matrix, cols=np.r_[lo : hi + 1])
-            q = _unit_gram(n, matrix, lo, hi, w, "test")
-            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid) * np.max(np.abs(b))
-            exact_q = (b.conj().T @ (w[:, None] * b)).real
-            assert np.max(np.abs(q - exact_q)) <= 2 * tol * np.max(w @ np.abs(b))
+            s = b @ x
+            g = _gram(n, matrix, lo, hi, w, x, "test")
+            tol = (8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
+                   * np.max(np.abs(b) @ np.abs(x)))
+            exact_g = (s.conj().T @ (w[:, None] * s)).real
+            assert np.max(np.abs(g - exact_g)) <= 2 * tol * np.max(w @ np.abs(s))
+
+    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_matches_the_closed_form_inverse(self, M, k, shape):
+        # the unit basis, X = I_R: S is R's columns of the inverse
+        self.assert_gram(M, k, shape, np.eye)
+
+    @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end", "whole"])
+    @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
+    def test_load_basis_matches_the_closed_form_inverse(self, M, k, shape):
+        # nonnegative loads, as the reference basis X = L_ref has
+        self.assert_gram(M, k, shape, lambda rows: np.random.default_rng(31).random((rows, 9)))
 
     @staticmethod
     def assert_level_terms(M, k, shape, by_segment):
