@@ -2,18 +2,19 @@
 
 Configuration is a strict sectioned key=value text file (sections [duct],
 [pml], [source], [grid], [run]); unknown sections or keys are rejected
-with the offending line number.  ``_SCHEMA`` gives each key's type and
-default (a function of the parsed config where it depends on other
-values), and ``RunConfig.get`` returns the configured value or else that
-default.  Numbers must be finite and enumerated keys one of their
-``_CHOICES`` at parse time; the physical invariants are re-validated while
-building the typed objects.  A float in CSV output is the text of '%.16e'
-(17 significant digits, so downstream analysis is bit-faithful), built
-column-wise in numpy: its digits are rint(q) for q = |x| 10^(16 - E) formed
-in long double.  q is off the exact value by less than 0.011, which cannot
-change the rounding unless q lies within 1/64 of a half-integer; those
-values, non-finite ones, and every float on a host whose long double has no
-64-bit significand are formatted by % itself.
+with the offending line number.  ``_SCHEMA`` gives each key's type (an
+enumerated key's choices), default (a function of the parsed config where it
+depends on other values) and bound, and ``RunConfig.get`` returns the
+configured value or else that default.  ``_check`` applies a key's entry to
+the file's values at parse time and to the flags that override them; the
+physical invariants are re-validated while building the typed objects.  A
+float in CSV output is the text of '%.16e' (17 significant digits, so
+downstream analysis is bit-faithful), built column-wise in numpy: its digits
+are rint(q) for q = |x| 10^(16 - E) formed in long double.  q is off the
+exact value by less than 0.011, which cannot change the rounding unless q
+lies within 1/64 of a half-integer; those values, non-finite ones, and every
+float on a host whose long double has no 64-bit significand are formatted by
+% itself.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O
 error.
@@ -31,12 +32,15 @@ from typing import Optional
 
 import numpy as np
 
-from .duct import DuctConfig, cutoff_numbers, default_n_modes, dispersion_table
+from .duct import DuctConfig, default_n_modes, dispersion_table
 from .errors import ConfigError, DuctpmlError
 from .greens import GreensEvalParams, greens_kummer
 from .harness import (
+    DEFAULT_EQUIV_DELTAS,
+    DEFAULT_REF_REFINE,
     check_forcing_rect,
     default_forcing_rect,
+    default_l_study_source,
     run_equivalence_check,
     run_h_study,
     run_L_study,
@@ -68,70 +72,58 @@ def _finest_h(rc):
     return math.hypot(x1_hi - x1_lo, x2_hi - x2_lo) / 32.0
 
 
-# section -> key -> (type, default); a callable default is evaluated on the
-# parsed RunConfig, and None marks a key with no default
+# section -> key -> (type, default, bound).  An enumerated key's type is the tuple of
+# its choices.  A callable default is evaluated on the parsed RunConfig, and None
+# marks a key with no default.  Every number must be finite; the bound _POSITIVE asks
+# each entry to be positive too, and an integer n asks for at least n.
+_POSITIVE = "positive"
 _SCHEMA = {
     "duct": {
-        "d": (float, None),
-        "M": (float, None),
-        "k": (float, 0.0),
-        "omega": (float, 0.0),
-        "c0": (float, 1.0),
-        "x_minus": (float, -1.0),
-        "x_plus": (float, 1.0),
+        "d": (float, None, None),
+        "M": (float, None, None),
+        "k": (float, 0.0, None),
+        "omega": (float, 0.0, None),
+        "c0": (float, 1.0, None),
+        "x_minus": (float, -1.0, None),
+        "x_plus": (float, 1.0, None),
     },
     "pml": {
-        "L": (float, 2.0),
-        "sigma_plus": (float, 5.0),
-        "sigma_minus": (float, lambda rc: rc.profile.sigma_minus),  # PmlProfile's default
-        "shape": (str, "quadratic"),
+        "L": (float, 2.0, None),
+        "sigma_plus": (float, 5.0, None),
+        "sigma_minus": (float, lambda rc: rc.profile.sigma_minus, None),  # PmlProfile's default
+        "shape": (("quadratic",), "quadratic", None),
     },
     "source": {
-        "type": (str, "mode_box"),
-        "mode": (int, lambda rc: cutoff_numbers(rc.duct)[1] + 1),
-        "amplitude": (float, 1.0),
-        "x_lo": (float, lambda rc: rc.get("source", "rect_x1_lo")),
-        "x_hi": (float, lambda rc: rc.get("source", "rect_x1_hi")),
-        "y1": (float, _mid("rect_x1_lo", "rect_x1_hi")),
-        "y2": (float, _mid("rect_x2_lo", "rect_x2_hi")),
-        "rect_x1_lo": (float, _rect(0)),
-        "rect_x1_hi": (float, _rect(1)),
-        "rect_x2_lo": (float, _rect(2)),
-        "rect_x2_hi": (float, _rect(3)),
-        "finest_h": (float, _finest_h),
-        "noise_levels": (int, 3),
+        "type": (("mode_box", "noise", "mode_box+noise", "none"), "mode_box", None),
+        "mode": (int, lambda rc: default_l_study_source(rc.duct).mode, 0),
+        "amplitude": (float, 1.0, None),
+        "x_lo": (float, lambda rc: rc.get("source", "rect_x1_lo"), None),
+        "x_hi": (float, lambda rc: rc.get("source", "rect_x1_hi"), None),
+        "y1": (float, _mid("rect_x1_lo", "rect_x1_hi"), None),
+        "y2": (float, _mid("rect_x2_lo", "rect_x2_hi"), None),
+        "rect_x1_lo": (float, _rect(0), None),
+        "rect_x1_hi": (float, _rect(1), None),
+        "rect_x2_lo": (float, _rect(2), None),
+        "rect_x2_hi": (float, _rect(3), None),
+        "finest_h": (float, _finest_h, _POSITIVE),
+        "noise_levels": (int, 3, _POSITIVE),
     },
     "grid": {
-        "delta": (float, lambda rc: default_delta(rc.duct)),
-        "n_modes": (int, lambda rc: default_n_modes(rc.duct)),
-        "n_x2": (int, 33),
-        "formulation": (str, "pml_reduced"),
+        "delta": (float, lambda rc: default_delta(rc.duct), _POSITIVE),
+        "n_modes": (int, lambda rc: default_n_modes(rc.duct), _POSITIVE),
+        "n_x2": (int, 33, _POSITIVE),
+        "formulation": (("dtn", "pml_full", "pml_reduced"), "pml_reduced", None),
     },
     "run": {
-        "base_seed": (int, 0),
-        "samples": (int, 100),
-        "threads": (int, 0),
-        "h_levels": ("float_list", (1 / 8, 1 / 16, 1 / 32)),
-        "l_values": ("float_list", (0.5, 1.0, 1.5, 2.0)),
-        "equiv_deltas": ("float_list", (1 / 128, 1 / 256, 1 / 512)),
-        "ref_refine": (int, 2),
+        "base_seed": (int, 0, None),
+        "samples": (int, 100, None),
+        "threads": (int, 0, 0),
+        "h_levels": ("float_list", (1 / 8, 1 / 16, 1 / 32), _POSITIVE),
+        "l_values": ("float_list", (0.5, 1.0, 1.5, 2.0), _POSITIVE),
+        "equiv_deltas": ("float_list", DEFAULT_EQUIV_DELTAS, _POSITIVE),
+        "ref_refine": (int, DEFAULT_REF_REFINE, 1),
     },
 }
-# the values an enumerated key admits
-_CHOICES = {
-    ("source", "type"): ("mode_box", "noise", "mode_box+noise", "none"),
-    ("grid", "formulation"): ("dtn", "pml_full", "pml_reduced"),
-    ("pml", "shape"): ("quadratic",),
-}
-# keys that must be positive, each entry of a list (integers: at least 1);
-# every number must be finite
-_POSITIVE_KEYS = {
-    "grid": ("n_modes", "n_x2", "delta"),
-    "source": ("finest_h", "noise_levels"),
-    "run": ("h_levels", "l_values", "equiv_deltas"),
-}
-# integer keys with a lower bound other than 1
-_LEAST = {("run", "ref_refine"): 1, ("source", "mode"): 0, ("run", "threads"): 0}
 
 
 @dataclass
@@ -232,19 +224,9 @@ def _build_run_config(raw: dict) -> RunConfig:
             raise ConfigError(f"[duct] section must set {required!r}")
     if "k" not in duct_raw and "omega" not in duct_raw:
         raise ConfigError("[duct] must set k or omega")
-    for section, values in raw.items():  # every string is an enumerated key
+    for section, values in raw.items():
         for key, val in values.items():
-            if isinstance(val, str):
-                choices = _CHOICES[section, key]
-                if val not in choices:
-                    raise ConfigError(f"[{section}] {key} {val!r} is not one of {choices}")
-                continue
-            positive = key in _POSITIVE_KEYS.get(section, ())
-            lo = 0.0 if positive else -math.inf  # NaN fails both comparisons
-            if not all(lo < v < math.inf for v in (val if isinstance(val, list) else [val])):
-                must = "positive and finite" if positive else "finite"
-                raise ConfigError(f"[{section}] {key} must be {must}, got {val!r}")
-    _check_least(raw)
+            _check(section, key, val)
     rc = RunConfig(raw=raw)
     rc.duct = DuctConfig(**{k: rc.get("duct", k) for k in _SCHEMA["duct"]}, L=rc.get("pml", "L"))
     rc.profile = PmlProfile(rc.get("pml", "sigma_plus"), raw.get("pml", {}).get("sigma_minus"))
@@ -252,12 +234,19 @@ def _build_run_config(raw: dict) -> RunConfig:
     return rc
 
 
-def _check_least(raw: dict) -> None:
-    """ConfigError for the first key of _LEAST set below its bound."""
-    for (section, key), least in _LEAST.items():
-        val = raw.get(section, {}).get(key)
-        if val is not None and val < least:
-            raise ConfigError(f"[{section}] {key} must be >= {least}, got {val}")
+def _check(section: str, key: str, val) -> None:
+    """ConfigError unless [section] key admits val: one of its choices, or finite
+    numbers within its _SCHEMA bound."""
+    kind, _, bound = _SCHEMA[section][key]
+    lo = 0.0 if bound == _POSITIVE else -math.inf  # NaN fails both comparisons
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ConfigError(f"[{section}] {key} {val!r} is not one of {kind}")
+    elif not all(lo < v < math.inf for v in (val if isinstance(val, list) else [val])):
+        must = "positive and finite" if bound == _POSITIVE else "finite"
+        raise ConfigError(f"[{section}] {key} must be {must}, got {val!r}")
+    elif isinstance(bound, int) and val < bound:
+        raise ConfigError(f"[{section}] {key} must be >= {bound}, got {val}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +667,10 @@ def dispatch(argv) -> int:
 
 def _apply_overrides(rc: RunConfig, args) -> None:
     flags = {"base_seed": args.seed, "samples": args.samples, "threads": args.threads}
-    rc.raw.setdefault("run", {}).update((k, v) for k, v in flags.items() if v is not None)
-    _check_least(rc.raw)
+    for key, val in flags.items():
+        if val is not None:
+            _check("run", key, val)
+            rc.raw.setdefault("run", {})[key] = val
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ Four error mechanisms are measured at desk scale:
 Every study builds its per-mode operators in one ``solver.mode_matrix`` call
 and solves them by LAPACK's zgtsv (``solver._solve_tridiag``).  The two
 noise-driven studies (h and total) share one set-up, ``_noise_study``, that
-draws nothing: level validation, noise mesh, grid, mode count, load maps,
+draws nothing: level validation, noise mesh, grid, mode count, dense load maps,
 scaled transverse projections and variances, trapezoid weights and every
 mode's DtN bands.  Each study then draws its seeds by ``_NoiseStudy.segments``:
 every seed's noise projected onto all modes at every level, sampled in blocks
@@ -43,9 +43,9 @@ cross-covariance of level and reference coordinates is the level covariance
 C_lv,n = var_lv,n P_lv P_lv^T (var_lv,n the variance of mode n's segment
 values, P_lv = E_lv or L_lv, P_ref = I or L_ref), and E[err_lv] = sum_n
 sum(G_n o (C_ref,n - C_lv,n)).  The total study solves every level's loads in
-one range solve per mode (``_level_terms``), by segment (L_lv) where a level
-has fewer segments than seeds, else by seed (L_lv s_lv), and forms b =
-A_n^{-1} f_lv - A_n^{-1} f_ref before any norm.
+one range solve per mode (``_level_terms``), which takes each level by segment
+(L_lv) where it has fewer segments than seeds, else by seed (L_lv s_lv), and
+forms b = A_n^{-1} f_lv - A_n^{-1} f_ref before any norm.
 
 The layer studies (L and total) solve only the DtN operator.  The
 modified layer needs no interface condition, so the reduced operator of
@@ -93,7 +93,6 @@ from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .duct import DuctConfig, cutoff_numbers, default_n_modes
 from .errors import ConfigError, DomainError, GridMismatchError, InsufficientDataError
@@ -133,6 +132,10 @@ EQUIV_ORDER_THRESHOLD = 1.9
 # layer studies accept (it costs up to that factor of eps in accuracy);
 # past it the reduced operator is numerically singular.
 UPDATE_COND_LIMIT = 1e8
+# The noise studies' reference level lies this many dyadic steps below the finest
+# requested one, and the equivalence check's spacings are these.
+DEFAULT_REF_REFINE = 2
+DEFAULT_EQUIV_DELTAS = (1 / 128, 1 / 256, 1 / 512)
 
 
 @dataclass
@@ -227,7 +230,7 @@ class _NoiseStudy:
 
     ``used`` are the mesh levels of the requested diameters (coarsest first) and
     ``ref_level`` the reference level.  Keyed in the order ``used + [ref_level]``,
-    ``maps[lv]`` (CSR) maps level lv's axial segment values to hat loads on the loaded
+    ``maps[lv]`` (dense) maps level lv's axial segment values to hat loads on the loaded
     nodes R = lo..hi (never empty) and ``trans[lv]`` = T / sqrt|K| projects its cell
     noise onto the modes (T the transverse cell integrals, |K| the cell area);
     ``var[j, n]`` = sum_j2 T[n, j2]^2 / |K| is the variance of mode n's segment values
@@ -325,7 +328,7 @@ def _noise_study(cfg: DuctConfig, h_levels, rect, delta, n_modes, ref_refine,
         maps[lv] = piecewise_load_matrix(grid, x1_edges)
     rows = np.flatnonzero(np.any([m.any(axis=1) for m in maps.values()], axis=0))
     lo, hi = int(rows[0]), int(rows[-1])
-    maps = {lv: csr_array(m[lo : hi + 1]) for lv, m in maps.items()}
+    maps = {lv: m[lo : hi + 1] for lv, m in maps.items()}
     return _NoiseStudy(mesh, grid, n_modes, rel, used, ref_level, np.array(var), lo, hi, maps,
                        trans, _trapezoid_weights(grid),
                        mode_matrix(np.arange(n_modes), cfg, grid, DTN))
@@ -473,12 +476,14 @@ def _level_terms(n: int, matrix, lo: int, hi: int, w, z, levels, stage: str):
     """||b||^2_W, Z^H W b and (A^{-1} f)[ends] of mode n's b = A^{-1} (f - f_ref), W = diag(w),
     for the real loads f on lo..hi of each level, f_ref the first's, per (level, seed).
 
-    A level is (L, s), solved by segment (L its map on lo..hi, s (seeds, segments) its
-    segment values, f = L s^T), or (f, None), solved by seed: one ``_range_solve`` of all
-    their columns gives A^{-1} f = x s^T or x, and b is formed one level at a time.  Each
-    exterior adds ||g||^2_W and Z^H W g to its edge's weights, and (A^{-1} f)[0] = g_lo[0]
-    (A^{-1} f)[lo] (likewise at N; 1 without an exterior).
+    A level is (L, s), L its map on lo..hi and s (seeds, segments) its segment values, f =
+    L s^T.  One ``_range_solve`` takes each level by segment (the columns of L) where L has
+    fewer columns than s has seeds, else by seed (those of f), so A^{-1} f = x s^T or x,
+    and b is formed one level at a time.  Each exterior adds ||g||^2_W and Z^H W g to its
+    edge's weights, and (A^{-1} f)[0] = g_lo[0] (A^{-1} f)[lo] (likewise at N; 1 without
+    an exterior).
     """
+    levels = [(m, s) if m.shape[1] < len(s) else (m @ s.T, None) for m, s in levels]
     x, g_lo, g_hi = _range_solve(n, matrix, lo, hi, np.hstack([m for m, _ in levels]), stage)
     wz = (w[:, None] * z).conj()
     w_r, wz_r = w[lo : hi + 1].copy(), wz[lo : hi + 1].copy()
@@ -519,14 +524,14 @@ def _h_basis(st: _NoiseStudy, reference: Optional[bool] = None):
     E_lv^T, E_lv repeating each level segment over its reference children (the levels
     are nested), so x = E_lv s_lv - s_ref.  The unit basis is X = I_R with pt[lv] = L_lv^T.
     """
-    dense = {lv: m.toarray() for lv, m in st.maps.items()}
-    n_ref = dense[st.ref_level].shape[1]
+    maps = st.maps
+    n_ref = maps[st.ref_level].shape[1]
     if reference is None:
         reference = n_ref < st.hi - st.lo + 1
     if not reference:
-        return np.eye(st.hi - st.lo + 1), {lv: np.ascontiguousarray(m.T) for lv, m in dense.items()}
-    pt = {lv: np.repeat(np.eye(m.shape[1]), n_ref // m.shape[1], axis=1) for lv, m in dense.items()}
-    return dense[st.ref_level], {**pt, st.ref_level: None}
+        return np.eye(st.hi - st.lo + 1), {lv: np.ascontiguousarray(m.T) for lv, m in maps.items()}
+    pt = {lv: np.repeat(np.eye(m.shape[1]), n_ref // m.shape[1], axis=1) for lv, m in maps.items()}
+    return maps[st.ref_level], {**pt, st.ref_level: None}
 
 
 def run_h_study(
@@ -538,7 +543,7 @@ def run_h_study(
     rect=None,
     delta: Optional[float] = None,
     n_modes: Optional[int] = None,
-    ref_refine: int = 2,
+    ref_refine: int = DEFAULT_REF_REFINE,
     threads: int = 0,
 ) -> StudyResult:
     """Noise-refinement study: mean-square solution distance per mesh level.
@@ -692,7 +697,7 @@ def run_L_study(
     # summed over the loaded modes in mode order; with none, every error is 0
     layers = terms and _layer_coefficients(lay.cfgs, lay.gaps[loaded], loaded, terms, "L study")
     errors = np.sqrt([sum(q[:, 0]) for *_, q in layers] or np.zeros(len(lay.cfgs)))
-    bound_flags = [dtn_gap_bound(cutoff_numbers(c)[1] + 1, "+", lay.profile, c).applicable
+    bound_flags = [dtn_gap_bound(default_l_study_source(c).mode, "+", lay.profile, c).applicable
                    for c in lay.cfgs]
     excluded = errors < 1e-12 * max(dtn_norm, 1e-300)  # the roundoff floor
     usable = ~excluded
@@ -724,7 +729,7 @@ def run_equivalence_check(
     cfg: DuctConfig,
     profile: PmlProfile,
     source=None,
-    deltas: Sequence[float] = (1 / 128, 1 / 256, 1 / 512),
+    deltas: Sequence[float] = DEFAULT_EQUIV_DELTAS,
     n_modes: Optional[int] = None,
 ) -> StudyResult:
     """Full-layer versus reduced solves on the computational interval.
@@ -783,7 +788,7 @@ def run_total_error_study(
     rect=None,
     delta: Optional[float] = None,
     n_modes: Optional[int] = None,
-    ref_refine: int = 2,
+    ref_refine: int = DEFAULT_REF_REFINE,
     threads: int = 0,
     sigma_minus: Optional[float] = None,
 ) -> TotalErrorResult:
@@ -808,14 +813,10 @@ def run_total_error_study(
                      "total study")
     [(_, seg)] = st.segments(n_samples, base_seed, n_samples)  # one chunk: every seed
 
-    # L_lv on R of the levels solved by segment (fewer segments than seeds), built once
-    dense = {lv: m.toarray() for lv, m in st.maps.items() if m.shape[1] < n_samples}
-
     def mode_terms(n: int):
         matrix = tuple(b[n] for b in st.bands)
         u, z = _dtn_responses(n, matrix, lay.det[n], "total study")
-        levels = [(dense[lv], seg[lv][n]) if lv in dense else (st.maps[lv] @ seg[lv][n].T, None)
-                  for lv in [st.ref_level] + st.used]
+        levels = [(st.maps[lv], seg[lv][n]) for lv in [st.ref_level] + st.used]
         b_norm2, zwb, ends = _level_terms(n, matrix, st.lo, st.hi, st.w, z, levels, "total study")
         return b_norm2, zwb, u[[0, -1], None] + ends, z[[0, -1]], z.conj().T @ (st.w[:, None] * z)
 

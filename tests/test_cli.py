@@ -66,9 +66,12 @@ class TestParseConfig:
         assert rc.get("grid", "n_modes") == 31  # N0 + 30
         # every key resolves to a value of its declared type
         for section, keys in _SCHEMA.items():
-            for key, (kind, _) in keys.items():
+            for key, (kind, _, _) in keys.items():
                 val = rc.get(section, key)
-                assert isinstance(val, tuple if kind == "float_list" else kind), (section, key)
+                if isinstance(kind, tuple):  # enumerated: one of its choices
+                    assert val in kind, (section, key)
+                else:
+                    assert isinstance(val, tuple if kind == "float_list" else kind), (section, key)
         assert rc.get("grid", "n_x2") == 33
         assert rc.get("grid", "formulation") == "pml_reduced"
         assert rc.get("run", "ref_refine") == 2
@@ -195,6 +198,78 @@ class TestSizeKeys:
         assert len(field) == 1 + 33  # 33 nodes at x2 = 0
         assert all(r.split(",")[1] == _fmt(0.0) for r in field[1:])
         assert len((out / "modal.csv").read_text().splitlines()) == 1 + 33
+
+
+# Every key with a bound or choices, stated apart from _SCHEMA: its first refused value
+# (config text), the rest of the message that names it, and its least admitted values
+# (every choice of an enumerated key)
+POS = "must be positive and finite, got"
+BOUNDS = {
+    ("pml", "shape"): ("linear", "'linear' is not one of ('quadratic',)", ["quadratic"]),
+    ("source", "type"): (
+        "modebox",
+        "'modebox' is not one of ('mode_box', 'noise', 'mode_box+noise', 'none')",
+        ["mode_box", "noise", "mode_box+noise", "none"],
+    ),
+    ("source", "mode"): ("-1", "must be >= 0, got -1", ["0"]),
+    ("source", "finest_h"): ("0", f"{POS} 0.0", ["5e-324"]),
+    ("source", "noise_levels"): ("0", f"{POS} 0", ["1"]),
+    ("grid", "delta"): ("0", f"{POS} 0.0", ["5e-324"]),
+    ("grid", "n_modes"): ("0", f"{POS} 0", ["1"]),
+    ("grid", "n_x2"): ("0", f"{POS} 0", ["1"]),
+    ("grid", "formulation"): (
+        "fem", "'fem' is not one of ('dtn', 'pml_full', 'pml_reduced')",
+        ["dtn", "pml_full", "pml_reduced"],
+    ),
+    ("run", "threads"): ("-1", "must be >= 0, got -1", ["0"]),
+    ("run", "h_levels"): ("0.5,0", f"{POS} [0.5, 0.0]", ["5e-324"]),
+    ("run", "l_values"): ("0.5,0", f"{POS} [0.5, 0.0]", ["5e-324"]),
+    ("run", "equiv_deltas"): ("0.5,0", f"{POS} [0.5, 0.0]", ["5e-324"]),
+    ("run", "ref_refine"): ("0", "must be >= 1, got 0", ["1"]),
+}
+# the [run] keys that a flag overrides
+FLAGS = {"base_seed": "--seed", "samples": "--samples", "threads": "--threads"}
+
+
+class TestSchemaBounds:
+    """Each bound of ``BOUNDS`` holds at its edge, in the file and through a flag."""
+
+    def test_every_bounded_key_is_listed(self):
+        bounded = {(section, key) for section, keys in _SCHEMA.items()
+                   for key, (kind, _, bound) in keys.items()
+                   if bound is not None or isinstance(kind, tuple)}
+        assert bounded == set(BOUNDS)
+
+    @pytest.mark.parametrize("section, key", sorted(BOUNDS))
+    def test_first_refused_value_is_config_error(self, tmp_path, capsys, section, key):
+        refused, message, _ = BOUNDS[section, key]
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL + f"[{section}]\n{key} = {refused}\n")
+        out = tmp_path / "out"
+        assert dispatch(["modes", "--config", str(p), "--out", str(out)]) == EXIT_CONFIG
+        assert f"ductpml: config error: [{section}] {key} {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", sorted(BOUNDS))
+    def test_least_admitted_value_parses(self, section, key):
+        for admitted in BOUNDS[section, key][2]:
+            rc = parse_config(MINIMAL + f"[{section}]\n{key} = {admitted}\n")
+            val = rc.get(section, key)
+            assert (",".join(map(str, val)) if isinstance(val, list) else str(val)) == admitted
+
+    @pytest.mark.parametrize("key", sorted(k for s, k in BOUNDS if s == "run" and k in FLAGS))
+    def test_flag_is_checked_like_the_file(self, tmp_path, capsys, key):
+        refused, message, admitted = BOUNDS["run", key]
+        p = tmp_path / "run.cfg"
+        p.write_text(MINIMAL)
+        argv = ["modes", "--config", str(p), "--out", str(tmp_path / "refused"), FLAGS[key]]
+        assert dispatch(argv + [refused]) == EXIT_CONFIG
+        assert f"ductpml: config error: [run] {key} {message}\n" == capsys.readouterr().err
+        assert not (tmp_path / "refused").exists()
+        for value in admitted:
+            out = tmp_path / f"admitted{value}"
+            assert dispatch(argv[:4] + [str(out), FLAGS[key], value]) == EXIT_OK
+            assert (out / "modes.csv").exists()
 
 
 class TestDependentKeys:

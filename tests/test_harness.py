@@ -540,11 +540,11 @@ class TestNoiseSetUp:
 
 def unstreamed_h_study(cfg, h_levels, n_samples, base_seed, rect=None, n_modes=None):
     """The h study with every seed drawn at once on the unit basis of R, as before it was
-    streamed: r = L_lv s_lv - L_ref s_ref from the CSR maps, errors r^T Q_n r and
-    traces sum(Q_n o L_lv L_lv^T), Q_n = ``_gram`` of I_R.  Returns (mean, stderr, exact)."""
+    streamed: r = L_lv s_lv - L_ref s_ref from the maps, errors r^T Q_n r and traces
+    sum(Q_n o L_lv L_lv^T), Q_n = ``_gram`` of I_R.  Returns (mean, stderr, exact)."""
     st = _noise_study(cfg, h_levels, rect, None, n_modes, 2, "test")
     [(_, seg)] = st.segments(n_samples, base_seed, n_samples)
-    llt = np.stack([(m @ m.T).toarray().ravel() for m in st.maps.values()])
+    llt = np.stack([(m @ m.T).ravel() for m in st.maps.values()])
     err2, exact = 0.0, 0.0
     for n in range(st.n_modes):
         q = _gram(n, tuple(b[n] for b in st.bands), st.lo, st.hi, st.w,
@@ -778,9 +778,7 @@ class TestBatchedNoiseSolves:
         l_values = [0.5, 2.0]
         source = default_l_study_source(cfg)
         grid = omega_b_grid(cfg, default_delta(cfg))
-        by_segment = []  # per call of the level kernel: is each level solved by segment?
-        monkeypatch.setattr(harness, "_level_terms", lambda *args: by_segment.append(
-            tuple(s is not None for _, s in args[6])) or _level_terms(*args))
+        solved = range_solve_loads(monkeypatch)
         for rect, nodes in ((None, 81), ((0.3025, 0.31, 0.2, 0.6), 2)):
             loads = self.per_level_loads(cfg, grid, rect)
             loaded = np.flatnonzero(np.any(loads[3][0] != 0.0, axis=1))
@@ -797,7 +795,7 @@ class TestBatchedNoiseSolves:
                         sol = _solve_tridiag(*matrix, loads[lv][n] + det)
                         diff2 = np.abs(sol - ref) ** 2
                         err2[:, j_h, j_l] += np.trapezoid(diff2, dx=grid.delta, axis=0)
-            by_segment.clear()
+            solved.clear()
             self.assert_study_matches(
                 lambda threads: run_total_error_study(
                     cfg, self.H_LEVELS, l_values, 5.0, self.N_SAMPLES, self.SEED, rect=rect,
@@ -805,7 +803,8 @@ class TestBatchedNoiseSolves:
                 ),
                 err2,
             )
-            assert by_segment == [(False, True, False)] * (2 * self.N_MODES)
+            # one range solve per mode
+            assert [f.shape[1] for f in solved] == [8 + 4 + 8] * (2 * self.N_MODES)
 
     def test_total_study_asymmetric_sigma_matches_per_level_solves(self):
         # sigma_minus != sigma_plus: the '-' layer must carry its own strength
@@ -974,11 +973,12 @@ class TestRangeSolve:
         det = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
         ends = np.zeros((grid.n_nodes, 2))
         ends[0, 0] = ends[-1, 1] = 1.0
-        # one level by segment, f = L s^T, and the reference by seed, f_ref = f - r
+        # one level by segment, f = L s^T (2 segments, 3 seeds), and the reference by seed,
+        # f_ref = f - r = [L | r] [s | -I]^T (5 columns)
         m, s = rng.standard_normal((hi - lo + 1, 2)), rng.standard_normal((3, 2))
         f_lv = np.zeros((grid.n_nodes, 3))
         f_lv[lo : hi + 1] = m @ s.T
-        levels = [(f_lv[lo : hi + 1] - r, None), (m, s)]
+        levels = [(np.hstack([m, r]), np.hstack([s, -np.eye(3)])), (m, s)]
         for n in range(default_n_modes(cfg)):
             matrix = mode_matrix(n, cfg, grid, DTN)
             tol = max(1e-12, np.finfo(float).eps * condition_estimate(n, cfg, grid))
@@ -1060,7 +1060,7 @@ class TestUnitGram:
         self.assert_gram(M, k, shape, lambda rows: np.random.default_rng(31).random((rows, 9)))
 
     @staticmethod
-    def assert_level_terms(M, k, shape, by_segment):
+    def assert_level_terms(M, k, shape, by_segment, monkeypatch):
         # b = B (f - f_ref), B R's exact columns; each A^{-1} f solved in float64 is within
         # 8 eps cond max(|B| |L| |s|^T) of B f, so b is within tol, that bound of a level's
         # loads plus the reference's: ||b||^2_W within 2 tol max_j ||b_j||_{W,1} and Z^H W b
@@ -1071,6 +1071,10 @@ class TestUnitGram:
         lo, hi = TestRangeSolve.node_range(shape, last)
         w = _trapezoid_weights(grid)
         maps, segs, levels = level_loads(hi - lo + 1, by_segment, 29)
+        # the kernel's one range solve takes a level's map or its loads
+        route = np.hstack([m if by_seg else m @ s.T
+                           for m, s, by_seg in zip(maps, segs, by_segment)])
+        loads = range_solve_loads(monkeypatch)
         f = [m @ s.T for m, s in zip(maps, segs)]
         r = np.hstack([f_lv - f[0] for f_lv in f[1:]])
         abs_f = [np.abs(m) @ np.abs(s).T for m, s in zip(maps, segs)]
@@ -1080,6 +1084,7 @@ class TestUnitGram:
             inverse = dtn_inverse(*matrix, cols=np.r_[0, lo : hi + 1, last])
             z, b = inverse[:, [0, -1]], inverse[:, 1:-1] @ r
             b_norm2, zwb, _ = _level_terms(n, matrix, lo, hi, w, z, levels, "test")
+            assert loads.pop().tobytes() == route.tobytes()
             tol = (8 * np.finfo(float).eps * condition_estimate(n, cfg, grid)
                    * np.max(np.abs(inverse[:, 1:-1]) @ abs_r))
             exact_norm2 = w @ (b.real ** 2 + b.imag ** 2)
@@ -1089,29 +1094,44 @@ class TestUnitGram:
 
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end"])
     @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
-    def test_direct_route_matches_the_closed_form_inverse(self, M, k, shape):
+    def test_direct_route_matches_the_closed_form_inverse(self, M, k, shape, monkeypatch):
         # every level solved by seed: the level kernel solves the loads themselves
-        self.assert_level_terms(M, k, shape, (False, False, False))
+        self.assert_level_terms(M, k, shape, (False, False, False), monkeypatch)
 
     @pytest.mark.parametrize("by_segment", [(True, True, True), (True, False, True),
                                             (False, True, True)],
                              ids=["all-segments", "mixed", "reference-by-seed"])
     @pytest.mark.parametrize("shape", ["interior", "left-end", "right-end", "whole"])
     @pytest.mark.parametrize("M, k", [(0.3, 5.0), (0.6, 20.0), (0.0, 5.0), (0.9, 5.0)])
-    def test_segment_route_matches_the_closed_form_inverse(self, M, k, shape, by_segment):
-        self.assert_level_terms(M, k, shape, by_segment)
+    def test_segment_route_matches_the_closed_form_inverse(self, M, k, shape, by_segment,
+                                                          monkeypatch):
+        self.assert_level_terms(M, k, shape, by_segment, monkeypatch)
 
 
 def level_loads(rows: int, by_segment, seed: int, seeds: int = 4):
-    """Random levels for ``_level_terms`` on ``rows`` nodes, the first the reference: maps
-    L (rows, segments) of 6, 2 and 3 segments, segment values s (seeds, segments), and
-    each level (L, s) where ``by_segment``, else its loads (L s^T, None)."""
+    """Random levels (L, s) for ``_level_terms`` on ``rows`` nodes, the first the reference:
+    maps L (rows, segments) and segment values s (seeds, segments).  Where ``by_segment``
+    a level has fewer segments than the 4 seeds (3, 2 and 1), so the kernel solves it by
+    segment, else at least as many (6, 4 and 5), so it solves it by seed."""
     rng = np.random.default_rng(seed)
-    maps = [rng.standard_normal((rows, c)) for c in (6, 2, 3)]
-    segs = [rng.standard_normal((seeds, c)) for c in (6, 2, 3)]
-    levels = [(m, s) if by_seg else (m @ s.T, None)
-              for m, s, by_seg in zip(maps, segs, by_segment)]
-    return maps, segs, levels
+    counts = [(3, 2, 1)[i] if by_seg else (6, 4, 5)[i] for i, by_seg in enumerate(by_segment)]
+    maps = [rng.standard_normal((rows, c)) for c in counts]
+    segs = [rng.standard_normal((seeds, c)) for c in counts]
+    return maps, segs, list(zip(maps, segs))
+
+
+def range_solve_loads(monkeypatch):
+    """A list that grows by one entry at every ``_range_solve`` call of the harness: the
+    call's right-hand sides."""
+    loads = []
+    range_solve = harness._range_solve
+
+    def recorded(n, matrix, lo, hi, rhs, stage):
+        loads.append(rhs)
+        return range_solve(n, matrix, lo, hi, rhs, stage)
+
+    monkeypatch.setattr(harness, "_range_solve", recorded)
+    return loads
 
 
 def refined_solve(exact, matrix, rhs):

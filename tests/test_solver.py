@@ -756,6 +756,53 @@ class TestClosedFormInverse:
             dtn_inverse(sub, diag, sup)
 
 
+class TestMirrorReciprocity:
+    """Flow reversal: on x_minus = -x_plus with sigma- = sigma+, mirroring the duct
+    reverses the flow, so every closure's inverse satisfies (A^{-1})^T = P A^{-1} P, P
+    reversing the nodes (the weak form's stiffness and mass are symmetric, its convection
+    antisymmetric, and the mirror swaps the two ends)."""
+
+    FLOWS = pytest.mark.parametrize("M, k", [(0.0, 3.0), (0.3, 5.0), (0.6, 20.0), (0.9, 5.3)])
+
+    @staticmethod
+    def defect(bands):
+        """max |(A^{-1})^T - P A^{-1} P| relative to max |A^{-1}|."""
+        inverse = _solve_tridiag(*bands, np.eye(bands[1].size, dtype=complex))
+        return np.max(np.abs(inverse.T - inverse[::-1, ::-1])) / np.max(np.abs(inverse))
+
+    @FLOWS
+    @pytest.mark.parametrize("formulation", ["dtn", "pml_reduced"])
+    def test_robin_closures_within_eps_cond(self, M, k, formulation):
+        # every mode: the float64 inverse is within eps * cond of the exact one
+        cfg = make_cfg(M=M, k=k)
+        profile = PmlProfile(5.0)
+        grid = omega_b_grid(cfg, default_delta(cfg))
+        for n in range(default_n_modes(cfg)):
+            tol = 8 * np.finfo(float).eps * condition_estimate(n, cfg, grid, formulation, profile)
+            assert self.defect(mode_matrix(n, cfg, grid, formulation, profile)) <= tol
+
+    @FLOWS
+    def test_full_layer_by_its_quadrature_order(self, M, k):
+        # the stretched weak form by 2-point Gauss per element: exact without flow, so
+        # within eps * cond; with flow the convection's alpha and the mass's alpha' are
+        # integrated inexactly, a defect of order delta^4 that falls about 16x per halving
+        # (13.5x from delta = 1/32 at M = 0.9)
+        cfg = make_cfg(M=M, k=k)
+        profile = PmlProfile(5.0)
+        for n in (0, 3):
+            defects, tols = [], []
+            for delta in (1 / 32, 1 / 64, 1 / 128, 1 / 256):
+                grid = omega_full_grid(cfg, delta)
+                defects.append(self.defect(mode_matrix(n, cfg, grid, "pml_full", profile)))
+                tols.append(8 * np.finfo(float).eps
+                            * condition_estimate(n, cfg, grid, "pml_full", profile))
+            if M == 0.0:
+                assert all(d <= tol for d, tol in zip(defects, tols)), (n, defects)
+            else:
+                ratios = np.array(defects[:-1]) / defects[1:]
+                assert np.all(ratios >= 12.0), (n, defects)
+
+
 class TestTridiagonalSolves:
     """The zgtsv solve against scipy's ``solve_banded`` and against scipy's own zgtsv
     wrapper (a test-only reference), bit for bit."""
