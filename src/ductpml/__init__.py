@@ -36,7 +36,6 @@ from .noise import (
     NoiseMesh,
     NoiseRealization,
     build_mesh,
-    coarsen,
     sample,
 )
 from .pml import PmlProfile

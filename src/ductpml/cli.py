@@ -75,7 +75,8 @@ def _finest_h(rc):
 # section -> key -> (type, default, bound).  An enumerated key's type is the tuple of
 # its choices.  A callable default is evaluated on the parsed RunConfig, and None
 # marks a key with no default.  Every number must be finite; the bound _POSITIVE asks
-# each entry to be positive too, and an integer n asks for at least n.
+# each entry to be positive too, an integer n asks for at least n, and a pair (lo, hi)
+# for lo..hi.
 _POSITIVE = "positive"
 _SCHEMA = {
     "duct": {
@@ -91,7 +92,6 @@ _SCHEMA = {
         "L": (float, 2.0, None),
         "sigma_plus": (float, 5.0, None),
         "sigma_minus": (float, lambda rc: rc.profile.sigma_minus, None),  # PmlProfile's default
-        "shape": (("quadratic",), "quadratic", None),
     },
     "source": {
         "type": (("mode_box", "noise", "mode_box+noise", "none"), "mode_box", None),
@@ -115,7 +115,7 @@ _SCHEMA = {
         "formulation": (("dtn", "pml_full", "pml_reduced"), "pml_reduced", None),
     },
     "run": {
-        "base_seed": (int, 0, None),
+        "base_seed": (int, 0, (0, 2**64 - 1)),  # the streams are keyed by the seed mod 2^64
         "samples": (int, 100, None),
         "threads": (int, 0, 0),
         "h_levels": ("float_list", (1 / 8, 1 / 16, 1 / 32), _POSITIVE),
@@ -247,6 +247,8 @@ def _check(section: str, key: str, val) -> None:
         raise ConfigError(f"[{section}] {key} must be {must}, got {val!r}")
     elif isinstance(bound, int) and val < bound:
         raise ConfigError(f"[{section}] {key} must be >= {bound}, got {val}")
+    elif isinstance(bound, tuple) and not bound[0] <= val <= bound[1]:
+        raise ConfigError(f"[{section}] {key} must be in {bound[0]}..{bound[1]}, got {val}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ index), laid out in Morton (bit-interleaved) order.  The result depends
 only on (seed, mesh) - never on evaluation order or thread count.
 A ``BlockSampler`` owns one re-keyed bit generator and the arrays of one
 block of seeds, and draws block after block into them.  It coarsens in the
-stream's Morton order, where the 4 children of a cell are contiguous, by the
-sum that ``coarsen`` forms in row-major order, and puts only the requested
+stream's Morton order, where the 4 children of a cell are contiguous
+(``_coarsen_morton``, the one coarsening sum), and puts only the requested
 levels in row-major order.  A Monte Carlo study builds one sampler of
 ``block_size`` seeds (BLOCK_BYTES of finest-level draws) and draws all its
 seeds through it; ``sample`` is the one-seed, finest-level block of a
-sampler of its own.
+sampler of its own, and ``realization_levels`` runs a given path through
+the coarsening stage of one.
 
 The deterministic modal sources live here too.  A realization reaches the
 mode problems through ``noise_modal_matrix`` (its segment values for every
@@ -29,7 +30,7 @@ mode at once); ``solver.modal_loads`` turns any source into hat loads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -164,27 +165,13 @@ def _morton_order(bits: int, m1: int, m2: int) -> np.ndarray:
     return order
 
 
-def _coarsen_rows(xi, out=None):
-    """Parent xi of every 2 x 2 block of children in the last two axes of xi
-    (..., n1, n2): their sum, in one fixed order, times the weight
-    sqrt(|child| / |parent|) = 1/2.
-
-    The weight makes the coarse xi the exact cell integrals of the same
-    white-noise path, unit variance preserved.  With c_ij the child at row
-    offset i and column offset j, the sum is 0.5 * (((c00 + c10) + c01) + c11),
-    formed in place, in ``out`` when given.
-    """
-    total = np.add(xi[..., 0::2, 0::2], xi[..., 1::2, 0::2], out=out)
-    total += xi[..., 0::2, 1::2]
-    total += xi[..., 1::2, 1::2]
-    total *= 0.5
-    return total
-
-
 def _coarsen_morton(xi, out):
-    """``_coarsen_rows`` in Morton order: the parents, in ``out``, of the Morton-ordered
-    values xi (..., cells), whose every 4 contiguous values are one parent's children
-    c00, c01, c10, c11 (code 2 i + j); the same sum, bit for bit."""
+    """Parents, in ``out``, of the Morton-ordered values xi (..., cells), whose every 4
+    contiguous values are one parent's children c_ij (code 2 i + j, i the row offset):
+    0.5 * (((c00 + c10) + c01) + c11), formed in place.
+
+    The weight 1/2 = sqrt(|child| / |parent|) makes the parents the exact cell
+    integrals of the same white-noise path, unit variance preserved."""
     c = xi.reshape(xi.shape[:-1] + (-1, 4))
     total = np.add(c[..., 0], c[..., 2], out=out)
     total += c[..., 1]
@@ -207,9 +194,9 @@ class BlockSampler:
     (seed mod 2^64, t).  The one bit generator is re-keyed by assigning the
     state of a fresh generator (counter 0, empty buffer) with that key, which
     is bit-identical to constructing a new one.  The draws stay in Morton order
-    and are coarsened there (``_coarsen_morton``, ``coarsen``'s sum) down to the
-    coarsest level asked for; each level asked for is then put in row-major
-    order by one ``take``.
+    and are coarsened there (``_coarsen_morton``) down to the coarsest level
+    asked for; each level asked for is then put in row-major order by one
+    ``take`` (``_levels``, the stage after the draw loop).
     """
 
     def __init__(self, mesh: NoiseMesh, levels, size: int):
@@ -246,6 +233,11 @@ class BlockSampler:
                 key[1] = t
                 bitgen.state = fresh
                 fill(out=row)
+        return self._levels(n)
+
+    def _levels(self, n: int) -> list:
+        """The first n seeds' Morton-ordered draws coarsened to every level asked
+        for, each returned in row-major order; see the class."""
         fine, *coarse = self._morton.values()
         xi = fine[:n]
         for values in coarse:
@@ -263,19 +255,15 @@ def sample(mesh: NoiseMesh, seed: int) -> NoiseRealization:
     return NoiseRealization(mesh=mesh, level=mesh.finest_level, xi=xi[0], seed=int(seed))
 
 
-def coarsen(r: NoiseRealization) -> NoiseRealization:
-    """Aggregate one level up: parent xi = (sum of 4 children) / 2 (``_coarsen_rows``)."""
-    if r.level == 0:
-        raise DomainError("already at the coarsest level")
-    return NoiseRealization(mesh=r.mesh, level=r.level - 1, xi=_coarsen_rows(r.xi), seed=r.seed)
-
-
 def realization_levels(r: NoiseRealization):
-    """All levels of one path, coarsest first (repeated coarsening of r)."""
-    out = [r]
-    while out[-1].level > 0:
-        out.append(coarsen(out[-1]))
-    return list(reversed(out))
+    """All levels of r's path, coarsest first, r itself the finest: r.xi put in the
+    Morton-ordered draws of a one-seed ``BlockSampler`` and coarsened by its stage."""
+    every = range(r.level + 1)
+    sampler = BlockSampler(replace(r.mesh, levels=r.level + 1), every, 1)
+    sampler._draws[0, sampler._order[r.level]] = r.xi.ravel()
+    coarse = sampler._levels(1)[:-1]
+    return [NoiseRealization(mesh=r.mesh, level=lv, xi=xi[0], seed=r.seed)
+            for lv, xi in zip(every, coarse)] + [r]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ so it cross-checks them; a centered finite-difference residual of the
 operator applied to it checks the kernel's normalization.
 
 Noise field: the piecewise-constant white-noise field of a realization at
-given points.
+given points, and every coarser level of a realization by the 2 x 2 sums of
+its row-major cells (``ductpml.noise`` sums the same children in the Morton
+order of its streams).
 
 Solution quadratures: the 1D outgoing mode kernel in complex exponentials,
 its adaptive-quadrature convolution with a deterministic modal source, and
@@ -386,6 +388,18 @@ def evaluate_wh(r: NoiseRealization, x):
     amp = 1.0 / math.sqrt(r.mesh.cell_area(r.level))
     out[inside] = r.xi[i1[inside], i2[inside]] * amp
     return float(out[0]) if scalar else out
+
+
+def row_major_levels(r: NoiseRealization) -> list:
+    """Every level of r's path, coarsest first, r the finest: each parent xi is
+    0.5 * (((c00 + c10) + c01) + c11), c_ij its child at row offset i and column
+    offset j, the weight sqrt(|child| / |parent|) = 1/2."""
+    out = [r]
+    while out[-1].level > 0:
+        xi = out[-1].xi
+        parent = 0.5 * (xi[0::2, 0::2] + xi[1::2, 0::2] + xi[0::2, 1::2] + xi[1::2, 1::2])
+        out.append(NoiseRealization(mesh=r.mesh, level=out[-1].level - 1, xi=parent, seed=r.seed))
+    return out[::-1]
 
 
 def modal_amplitudes(n: int, side: str, profile: PmlProfile, cfg: DuctConfig):

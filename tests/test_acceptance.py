@@ -20,9 +20,9 @@ from ductpml.harness import (
     run_L_study,
 )
 from ductpml.noise import (
+    BlockSampler,
     NoiseMesh,
     build_mesh,
-    coarsen,
     sample,
 )
 from ductpml.pml import (
@@ -118,16 +118,16 @@ def test_criterion_03_noise_statistics():
         and abs(diff.mean()) < 3.0 * se_diff
     )
     # coarsening preserves unit variance to machine precision: the exact
-    # aggregation weight is sqrt(|child|/|parent|) = 1/2
+    # aggregation weight is sqrt(|child|/|parent|) = 1/2.  Both levels come
+    # from one draw of the sampler that the studies draw through
     mesh2 = build_mesh((0.0, 1.0, 0.0, 1.0), 0.2, levels=2)
+    coarse, fine = BlockSampler(mesh2, [0, 1], 64).draw(range(64))
     agg_ok = True
     for s in range(64):
-        r = sample(mesh2, s)
-        c = coarsen(r)
-        manual = 0.5 * (
-            r.xi[0::2, 0::2] + r.xi[1::2, 0::2] + r.xi[0::2, 1::2] + r.xi[1::2, 1::2]
-        )
-        agg_ok &= bool(np.array_equal(c.xi, manual))
+        xi = fine[s]
+        manual = 0.5 * (xi[0::2, 0::2] + xi[1::2, 0::2] + xi[0::2, 1::2] + xi[1::2, 1::2])
+        agg_ok &= bool(np.array_equal(xi, sample(mesh2, s).xi))
+        agg_ok &= bool(np.array_equal(coarse[s], manual))
     w2 = 4.0 * (mesh2.cell_area(1) / mesh2.cell_area(0))
     agg_ok &= abs(w2 - 1.0) < 1e-15
     passed = cov_ok and agg_ok

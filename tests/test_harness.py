@@ -32,7 +32,6 @@ from ductpml.noise import (
     ModeBoxSource,
     NoiseMesh,
     NoiseRealization,
-    realization_levels,
     sample,
 )
 from ductpml.pml import PmlProfile, nu_gap, theoretical_decay_constant
@@ -46,7 +45,7 @@ from ductpml.solver import (
     omega_b_grid,
     solve_full,
 )
-from oracles import condition_estimate, dtn_inverse, l2_error
+from oracles import condition_estimate, dtn_inverse, l2_error, row_major_levels
 
 
 def make_cfg(L=1.0):
@@ -320,7 +319,7 @@ class TestHStudyExactMean:
             xi = np.zeros(n_cells)
             xi[c] = 1.0
             draw = NoiseRealization(mesh=mesh, level=2, xi=xi.reshape(8, 8), seed=0)
-            for lv, r in enumerate(realization_levels(draw)):
+            for lv, r in enumerate(row_major_levels(draw)):
                 loads[lv, :, :, c] = modal_loads(r, cfg, grid, n_modes)
         total = np.zeros(2)
         for n in range(n_modes):
@@ -688,7 +687,7 @@ class TestBatchedNoiseSolves:
         mesh = NoiseMesh(rect=rect, levels=4, base_shape=(4, 4))
         loads = {lv: [[] for _ in range(self.N_MODES)] for lv in (0, 1, 3)}
         for i in range(self.N_SAMPLES):
-            levels = realization_levels(sample(mesh, self.SEED + i))
+            levels = row_major_levels(sample(mesh, self.SEED + i))
             for lv in loads:
                 rows = modal_loads(levels[lv], cfg, grid, self.N_MODES)
                 for n in range(self.N_MODES):

@@ -12,14 +12,13 @@ from ductpml.noise import (
     NoiseRealization,
     block_size,
     build_mesh,
-    coarsen,
     noise_modal_matrix,
     realization_levels,
     sample,
     transverse_cell_integrals,
 )
 from ductpml.solver import Grid1D, modal_loads
-from oracles import evaluate_wh
+from oracles import evaluate_wh, row_major_levels
 
 RECT = (-0.5, 0.5, 0.25, 0.75)
 
@@ -127,7 +126,7 @@ class TestStreamContract:
     )
     def test_blocks_match_coarsened_samples(self, base_shape, levels, seeds, monkeypatch):
         # blocks of two seeds, the last one partial: every level of every seed
-        # is bit for bit the repeated coarsening of its own sample
+        # is bit for bit the repeated row-major coarsening of its own sample
         mesh = NoiseMesh(rect=RECT, levels=levels, base_shape=base_shape)
         n1, n2 = mesh.shape(mesh.finest_level)
         monkeypatch.setattr(noise, "BLOCK_BYTES", 2 * 8 * n1 * n2 + 8)
@@ -141,7 +140,7 @@ class TestStreamContract:
             xi = np.concatenate([block[lv] for block in blocks])
             assert xi.shape == (len(seeds),) + mesh.shape(lv)
             for s, seed in enumerate(seeds):
-                assert np.array_equal(xi[s], realization_levels(sample(mesh, seed))[lv].xi)
+                assert np.array_equal(xi[s], row_major_levels(sample(mesh, seed))[lv].xi)
         if base_shape == (11, 6):  # 2^64 + 5 is seed 5 and -1 is 2^64 - 1
             finest = np.concatenate([block[-1] for block in blocks])
             assert np.array_equal(finest[0], finest[1])
@@ -160,7 +159,7 @@ class TestStreamContract:
             for lv, xi in zip(every, got):
                 assert xi.shape == (len(block),) + mesh.shape(lv)
                 for s, seed in enumerate(block):
-                    assert np.array_equal(xi[s], realization_levels(sample(mesh, seed))[lv].xi)
+                    assert np.array_equal(xi[s], row_major_levels(sample(mesh, seed))[lv].xi)
 
     def test_more_seeds_than_the_buffers_hold_raise_before_drawing(self):
         mesh = NoiseMesh(rect=RECT, levels=3, base_shape=(3, 2))
@@ -178,7 +177,7 @@ class TestStreamContract:
 
     def test_only_the_requested_levels_in_their_order(self):
         mesh = NoiseMesh(rect=RECT, levels=4, base_shape=(2, 3))
-        levels = realization_levels(sample(mesh, 11))
+        levels = row_major_levels(sample(mesh, 11))
         got = noise.BlockSampler(mesh, [3, 0, 1], 1).draw([11])
         assert len(got) == 3
         for xi, lv in zip(got, [3, 0, 1]):
@@ -195,7 +194,7 @@ class TestStreamContract:
             got = sampler.draw(block)
             assert [xi.shape for xi in got] == [(len(block),) + mesh.shape(lv) for lv in (1, 0)]
             for s, seed in enumerate(block):
-                levels = realization_levels(sample(mesh, seed))
+                levels = row_major_levels(sample(mesh, seed))
                 for xi, lv in zip(got, (1, 0)):
                     assert np.array_equal(xi[s], levels[lv].xi)
 
@@ -228,11 +227,13 @@ class TestStreamContract:
 
 
 class TestCoarsen:
+    """``realization_levels``: a given path through the sampler's coarsening stage."""
+
     def test_constant_children_aggregate(self):
         mesh = unit_square_mesh(levels=2)
         xi = np.full(mesh.shape(1), 3.0)
         r = NoiseRealization(mesh=mesh, level=1, xi=xi, seed=0)
-        c = coarsen(r)
+        c = realization_levels(r)[0]
         assert np.allclose(c.xi, 6.0)  # 4 children * 3.0 * weight 1/2
 
     def test_weights_square_to_one(self):
@@ -243,10 +244,8 @@ class TestCoarsen:
 
     def test_variance_preserved_in_distribution(self):
         mesh = build_mesh((0.0, 1.0, 0.0, 1.0), 0.05, levels=3)
-        vals = []
-        for s in range(300):
-            vals.append(coarsen(sample(mesh, s)).xi.ravel())
-        v = np.concatenate(vals)
+        (xi,) = noise.BlockSampler(mesh, [1], 300).draw(range(300))
+        v = xi.ravel()
         assert abs(v.var() - 1.0) < 4.0 * math.sqrt(2.0 / v.size)
 
     def test_double_coarsen_weights(self):
@@ -254,18 +253,36 @@ class TestCoarsen:
         xi = np.zeros(mesh.shape(2))
         xi[0, 0] = 1.0
         r = NoiseRealization(mesh=mesh, level=2, xi=xi, seed=0)
-        cc = coarsen(coarsen(r))
+        cc = realization_levels(r)[0]
         assert cc.xi[0, 0] == pytest.approx(0.25)  # grandchild weight 1/4
 
-    def test_coarsest_level_refuses(self):
-        mesh = unit_square_mesh(levels=1)
-        with pytest.raises(DomainError):
-            coarsen(sample(mesh, 0))
+    def test_coarsest_level_returns_itself(self):
+        r = sample(unit_square_mesh(levels=1), 0)
+        assert realization_levels(r) == [r]
 
     def test_levels_helper(self):
         mesh = unit_square_mesh(levels=3)
         levels = realization_levels(sample(mesh, 5))
         assert [r.level for r in levels] == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "base_shape, levels, level",
+        [((11, 6), 4, 2), ((1, 1), 4, 3), ((3, 5), 1, 0), ((2, 3), 3, 1)],
+        ids=["non-finest", "one-coarse-cell", "one-level", "base-2x3"],
+    )
+    def test_matches_the_row_major_sum(self, base_shape, levels, level):
+        # hand-built xi at any level of any mesh: every coarser level is bit for
+        # bit the oracle's row-major sum, r itself the finest entry, every xi read-only
+        mesh = NoiseMesh(rect=RECT, levels=levels, base_shape=base_shape)
+        xi = np.random.default_rng(level).normal(size=mesh.shape(level)) * 1e3
+        r = NoiseRealization(mesh=mesh, level=level, xi=xi, seed=9)
+        got = realization_levels(r)
+        expected = row_major_levels(r)
+        assert got[-1] is r and len(got) == len(expected) == level + 1
+        for lv, (a, b) in enumerate(zip(got, expected)):
+            assert (a.mesh, a.level, a.seed) == (mesh, lv, 9)
+            assert np.array_equal(a.xi, b.xi)
+            assert not a.xi.flags.writeable
 
 
 class TestEvaluateWh:
@@ -320,10 +337,13 @@ class TestEvaluateWh:
         area_c = mesh.cell_area(0)
         x = (0.11, 0.31)
         n_seeds = 10_000
+        # both levels as the studies draw them: one sampler, coarsened in its stage
+        coarse, fine = noise.BlockSampler(mesh, [0, 1], n_seeds).draw(range(n_seeds))
         prods = np.empty(n_seeds)
         for s in range(n_seeds):
-            fine = sample(mesh, s)
-            prods[s] = evaluate_wh(coarsen(fine), x) * evaluate_wh(fine, x)
+            pair = [NoiseRealization(mesh=mesh, level=lv, xi=xi[s], seed=s)
+                    for lv, xi in enumerate((coarse, fine))]
+            prods[s] = evaluate_wh(pair[0], x) * evaluate_wh(pair[1], x)
         se = prods.std(ddof=1) / math.sqrt(n_seeds)
         assert abs(prods.mean() - 1.0 / area_c) < 3.0 * se
 
