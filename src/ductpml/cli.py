@@ -14,7 +14,9 @@ are rint(q) for q = |x| 10^(16 - E) formed in long double.  q is off the
 exact value by less than 0.011, which cannot change the rounding unless q
 lies within 1/64 of a half-integer; those values, non-finite ones, and every
 float on a host whose long double has no 64-bit significand are formatted by
-% itself.
+% itself.  A column that repeats a few distinct values (a grid coordinate, a
+mode index) is passed as a _Distinct(values, rows): the text of each distinct
+value is formed once and gathered per row.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O
 error.
@@ -371,34 +373,71 @@ def _text_bytes(c, code):
     return out
 
 
+@dataclass(frozen=True)
+class _Distinct:
+    """The column values[rows], given by its distinct values and a row index:
+    _write_csv forms the text of each value once and gathers it per row."""
+
+    values: object  # an array or sequence
+    rows: np.ndarray  # integer index into values, one entry per row
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def _words(c, code: str, sep: int):
+    """The text of each value of c (code '%.16e', '%d' or '%s') and the
+    separator byte sep after it, one NUL-padded row of words per value."""
+    if code == "%.16e":
+        out = np.zeros((len(c), _FLOAT_WORDS), dtype="<u8")
+        _put_floats(out, np.asarray(c, dtype=np.float64), sep)
+        return out
+    t = _text_bytes(c, code)
+    out = np.zeros((len(t), t.shape[1] // 8 + 1), dtype="<u8")
+    raw = out.view(np.uint8)
+    raw[:, : t.shape[1]] = t
+    raw[:, t.shape[1]] = sep
+    return out
+
+
 def _write_csv(path: Path, header, columns):
-    """Write equal-length columns (arrays or sequences) under one header; each
-    column's format code comes from its first element.  Each chunk of
-    _CHUNK_ROWS rows is one NUL-padded word matrix, so the transient text
-    stays bounded."""
-    columns = [c if isinstance(c, np.ndarray) else list(c) for c in columns]
+    """Write equal-length columns under one header.  A column is an array, a
+    sequence, or a _Distinct(values, rows), which stands for values[rows]: the
+    text of each of its values is formed once, and each row gathers its
+    words.  Each column's format code comes from its first row's value.  Each
+    chunk of _CHUNK_ROWS rows is one NUL-padded word matrix, so the transient
+    text stays bounded."""
+    columns = [c if isinstance(c, (np.ndarray, _Distinct)) else list(c) for c in columns]
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError(f"columns of lengths {[len(c) for c in columns]} differ")
-    codes = [_format_code(c[0]) for c in columns] if n_rows else []
     seps = [44] * (len(columns) - 1) + [10]  # ',' and '\n'
+    codes, distinct = [], []  # each column's format code, and a _Distinct's words
+    if n_rows:
+        for c, sep in zip(columns, seps):
+            pair = isinstance(c, _Distinct)
+            codes.append(_format_code(c.values[c.rows[0]] if pair else c[0]))
+            distinct.append(_words(c.values, codes[-1], sep) if pair else None)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for lo in range(0, n_rows, _CHUNK_ROWS):
-            chunk = [c[lo : lo + _CHUNK_ROWS] for c in columns]
-            text = [None if f == "%.16e" else _text_bytes(c, f) for c, f in zip(chunk, codes)]
-            words = [_FLOAT_WORDS if t is None else t.shape[1] // 8 + 1 for t in text]
-            buf = np.zeros((len(chunk[0]), sum(words)), dtype="<u8")
-            raw = buf.view(np.uint8)
+            hi = min(lo + _CHUNK_ROWS, n_rows)
+            # a plain float column's text is put straight into buf
+            words = [
+                w[c.rows[lo:hi]] if w is not None
+                else None if f == "%.16e" else _words(c[lo:hi], f, sep)
+                for c, f, w, sep in zip(columns, codes, distinct, seps)
+            ]
+            widths = [_FLOAT_WORDS if w is None else w.shape[1] for w in words]
+            buf = np.zeros((hi - lo, sum(widths)), dtype="<u8")
             o = 0
-            for c, t, k, sep in zip(chunk, text, words, seps):
-                if t is None:
-                    _put_floats(buf[:, o : o + k], np.asarray(c, dtype=np.float64), sep)
+            for c, w, k, sep in zip(columns, words, widths, seps):
+                if w is None:
+                    _put_floats(buf[:, o : o + k], np.asarray(c[lo:hi], dtype=np.float64), sep)
                 else:
-                    raw[:, 8 * o : 8 * o + t.shape[1]] = t
-                    raw[:, 8 * o + t.shape[1]] = sep
+                    buf[:, o : o + k] = w
                 o += k
-            raw = raw.ravel()
+            raw = buf.view(np.uint8).ravel()
             for b in range(0, raw.size, _DROP_BYTES):
                 part = raw[b : b + _DROP_BYTES]
                 fh.write(part[part != 0])
@@ -445,16 +484,22 @@ def _cmd_greens(rc: RunConfig, out: Path, args) -> int:
     n1 = min(int(round((cfg.x_plus - cfg.x_minus) / rc.get("grid", "delta"))) + 1, 65)
     x1s = np.linspace(cfg.x_minus, cfg.x_plus, n1)
     x2s = np.linspace(0.0, cfg.d, rc.get("grid", "n_x2"))
-    rows = []
-    for x1 in x1s:
-        for x2 in x2s:
-            if math.hypot(x1 - y[0], x2 - y[1]) < 1e-9:
-                rows.append((x1, x2, float("nan"), float("nan"), "singular"))
-                continue
-            val = greens_kummer((x1, x2), y, params, cfg)
-            rows.append((x1, x2, val.real, val.imag, "kummer"))
+    i1, i2 = np.divmod(np.arange(x1s.size * x2s.size), x2s.size)  # x1 major
+    singular = np.zeros(i1.size, dtype=np.intp)  # 1 at the source point itself
+    g = np.empty(i1.size, dtype=complex)
+    for j, x in enumerate(zip(x1s[i1], x2s[i2])):
+        singular[j] = math.hypot(x[0] - y[0], x[1] - y[1]) < 1e-9
+        g[j] = complex(math.nan, math.nan) if singular[j] else greens_kummer(x, y, params, cfg)
     _write_csv(
-        out / "greens.csv", ["x1", "x2", "re_g", "im_g", "representation_used"], zip(*rows)
+        out / "greens.csv",
+        ["x1", "x2", "re_g", "im_g", "representation_used"],
+        [
+            _Distinct(x1s, i1),
+            _Distinct(x2s, i2),
+            g.real,
+            g.imag,
+            _Distinct(["kummer", "singular"], singular),
+        ],
     )
     return EXIT_OK
 
@@ -464,15 +509,17 @@ def _cmd_noise(rc: RunConfig, out: Path, args) -> int:
     r = sample(mesh, rc.get("run", "base_seed"))
     x1e, x2e = mesh.edges(r.level)
     n1, n2 = mesh.shape(r.level)
+    cells = np.arange(n1 * n2)
+    i1, i2 = np.divmod(cells, n2)
     _write_csv(
         out / "noise.csv",
         ["cell_index", "x1_lo", "x1_hi", "x2_lo", "x2_hi", "xi"],
         [
-            np.arange(n1 * n2),
-            np.repeat(x1e[:-1], n2),
-            np.repeat(x1e[1:], n2),
-            np.tile(x2e[:-1], n1),
-            np.tile(x2e[1:], n1),
+            cells,
+            _Distinct(x1e, i1),
+            _Distinct(x1e, i1 + 1),
+            _Distinct(x2e, i2),
+            _Distinct(x2e, i2 + 1),
             r.xi.ravel(),
         ],
     )
@@ -517,15 +564,20 @@ def _cmd_solve(rc: RunConfig, out: Path, args) -> int:
     nodes = sol.grid.nodes()
     x1s = nodes[:: max(1, (len(nodes) - 1) // 128)]
     x2s = np.linspace(0.0, cfg.d, rc.get("grid", "n_x2"))
-    x1, x2 = (a.ravel() for a in np.meshgrid(x1s, x2s, indexing="ij"))
-    p = assemble_field(sol, np.column_stack((x1, x2)), cfg)
-    _write_csv(out / "field.csv", ["x1", "x2", "re_p", "im_p"], [x1, x2, p.real, p.imag])
+    i1, i2 = np.divmod(np.arange(x1s.size * x2s.size), x2s.size)  # x1 major
+    p = assemble_field(sol, np.column_stack((x1s[i1], x2s[i2])), cfg)
+    _write_csv(
+        out / "field.csv",
+        ["x1", "x2", "re_p", "im_p"],
+        [_Distinct(x1s, i1), _Distinct(x2s, i2), p.real, p.imag],
+    )
+    n, i = np.divmod(np.arange(sol.values.size), len(nodes))  # mode major
     _write_csv(
         out / "modal.csv",
         ["n", "x1", "re_pn", "im_pn"],
         [
-            np.repeat(np.arange(sol.n_modes), len(nodes)),
-            np.tile(nodes, sol.n_modes),
+            _Distinct(np.arange(sol.n_modes), n),
+            _Distinct(nodes, i),
             sol.values.real.ravel(),
             sol.values.imag.ravel(),
         ],
@@ -579,14 +631,14 @@ def _cmd_study(rc: RunConfig, out: Path, args) -> int:
             cfg, run["h_levels"], run["l_values"], profile.sigma_plus, run["samples"],
             run["base_seed"], sigma_minus=profile.sigma_minus, **noise
         )
-        n_h, n_l = len(res.h_values), len(res.l_values)
+        i_h, i_l = np.divmod(np.arange(res.error_mean.size), len(res.l_values))  # h major
         _write_csv(
             out / "study_total.csv",
             ["h", "L", "sigma_tilde_integral", "error_mean", "error_stderr"],
             [
-                np.repeat(res.h_values, n_l),
-                np.tile(res.l_values, n_h),
-                np.tile(res.abscissae_l, n_h),
+                _Distinct(res.h_values, i_h),
+                _Distinct(res.l_values, i_l),
+                _Distinct(res.abscissae_l, i_l),
                 res.error_mean.ravel(),
                 res.error_stderr.ravel(),
             ],

@@ -395,7 +395,11 @@ def solve_full(
 
 
 def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:
-    """Evaluate sum_n p_n(x1) phi_n(x2) with linear interpolation in x1."""
+    """Evaluate sum_n p_n(x1) phi_n(x2) with linear interpolation in x1.
+
+    Each p_n is interpolated at the distinct x1 of the points and each phi_n
+    taken at their distinct x2, then gathered per point; every point's terms
+    and their sum over modes are those of evaluating it alone."""
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -407,8 +411,10 @@ def assemble_field(sol: ModalSolution, points, cfg: DuctConfig) -> np.ndarray:
     if np.any(x2 < 0.0) or np.any(x2 > cfg.d):
         raise DomainError("transverse coordinate outside the duct")
     rows = np.flatnonzero(sol.values.any(axis=1))  # a zero row adds nothing
+    x1, i1 = np.unique(x1, return_inverse=True)
+    x2, i2 = np.unique(x2, return_inverse=True)
     phis = mode_shape(rows[:, None], x2, cfg.d)
     out = np.zeros(pts.shape[0], dtype=complex)
     for row, phi in zip(sol.values[rows], phis):
-        out += (np.interp(x1, nodes, row.real) + 1j * np.interp(x1, nodes, row.imag)) * phi
+        out += (np.interp(x1, nodes, row.real) + 1j * np.interp(x1, nodes, row.imag))[i1] * phi[i2]
     return out[0] if single else out

@@ -18,6 +18,7 @@ from ductpml.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _Distinct,
     _fmt,
     _write_csv,
     dispatch,
@@ -439,6 +440,11 @@ def _old_write_csv(path, header, rows):
             fh.write(",".join(_old_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
 
 
+def _expanded(columns):
+    # each _Distinct(values, rows) column as the column values[rows] it stands for
+    return [[c.values[i] for i in c.rows] if isinstance(c, _Distinct) else c for c in columns]
+
+
 SPECIAL_FLOATS = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
     -1e308, 0.1, -1.0 / 3.0, 1.0, 123456789.0,
@@ -453,7 +459,7 @@ class TestWriteCsv:
         header = [f"c{j}" for j in range(len(columns))]
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         _write_csv(new, header, columns)
-        _old_write_csv(old, header, zip(*columns))
+        _old_write_csv(old, header, zip(*_expanded(columns)))
         assert new.read_bytes() == old.read_bytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -508,6 +514,72 @@ class TestWriteCsv:
     def test_columns_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             _write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+        with pytest.raises(ValueError):  # a pair's length is that of its row index
+            pair = _Distinct(np.zeros(3), np.arange(2))
+            _write_csv(tmp_path / "bad.csv", ["a", "b"], [np.zeros(3), pair])
+
+
+class TestDistinctColumns:
+    """A _Distinct(values, rows) column writes the bytes of the row writer on
+    values[rows]."""
+
+    @staticmethod
+    def _rows(rng, n_values, n):
+        # shuffled and repeated, with every value used where n allows
+        rows = np.concatenate([rng.permutation(n_values), rng.integers(0, n_values, n)])[:n]
+        return rng.permutation(rows)
+
+    def test_special_and_near_tie_floats(self, tmp_path):
+        rng = np.random.default_rng(11)
+        # the doubles nearest q + 1/2 + 2^-j and q + 1/2 - 2^-j in units of the 17th digit
+        near = [
+            float((Fraction(2 * int(q) + 1, 2) + Fraction(s, 2**j)) * Fraction(10) ** int(e - 16))
+            for q, e in zip(rng.integers(10**16, 10**17, 30), rng.integers(-300, 300, 30))
+            for j in (4, 6, 9, 20, 40)
+            for s in (1, -1)
+        ]
+        values = np.array(SPECIAL_FLOATS + near)
+        rows = self._rows(rng, values.size, 3 * values.size)
+        TestWriteCsv._assert_same_bytes(
+            tmp_path, [_Distinct(values, rows), _Distinct(list(values), rows[::-1].copy())]
+        )
+
+    def test_ints_bools_and_strings(self, tmp_path):
+        rng = np.random.default_rng(12)
+        ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 7, 10**15])
+        rows = self._rows(rng, ints.size, 50)
+        columns = [
+            _Distinct(ints, rows),
+            _Distinct([3, -12, 0, 5, 99, 100], rows),
+            _Distinct(np.array([True, False]), rows % 2),
+            _Distinct([False, True], rows % 2),
+            _Distinct(["kummer", "singular", "é"], rows % 3),
+        ]
+        TestWriteCsv._assert_same_bytes(tmp_path, columns)
+
+    @pytest.mark.parametrize(
+        "n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
+    )
+    def test_chunk_edges_mixed_with_plain_columns(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(97) * 10.0 ** rng.integers(-300, 300, 97)
+        rows = self._rows(rng, x.size, n)
+        columns = [
+            np.arange(n),
+            _Distinct(x, rows),
+            rng.standard_normal(n),
+            _Distinct(np.arange(-40, 57), rows),
+            ["s"] * n,
+            _Distinct(x, rng.integers(0, x.size, n)),
+        ]
+        TestWriteCsv._assert_same_bytes(tmp_path, columns)
+
+    def test_zero_rows(self, tmp_path):
+        columns = [_Distinct(np.array([1.5, 2.5]), np.zeros(0, dtype=int)), np.zeros(0)]
+        TestWriteCsv._assert_same_bytes(tmp_path, columns)
+        assert (tmp_path / "new.csv").read_text() == "c0,c1\n"
+        empty = [_Distinct(np.zeros(0), np.zeros(0, dtype=int))]
+        TestWriteCsv._assert_same_bytes(tmp_path, empty)
 
 
 def _assert_float_text(tmp_path, x):
@@ -617,7 +689,9 @@ def test_every_subcommand_writes_the_row_writers_bytes(tmp_path, monkeypatch, co
     new, old = tmp_path / "new", tmp_path / "old"
     assert dispatch(command + ["--config", str(cfg), "--out", str(new)]) == EXIT_OK
     monkeypatch.setattr(
-        cli, "_write_csv", lambda path, header, columns: _old_write_csv(path, header, zip(*columns))
+        cli,
+        "_write_csv",
+        lambda path, header, columns: _old_write_csv(path, header, zip(*_expanded(columns))),
     )
     assert dispatch(command + ["--config", str(cfg), "--out", str(old)]) == EXIT_OK
     names = sorted(p.name for p in new.iterdir())

@@ -518,6 +518,33 @@ class TestSolveFullAndFields:
         rows = [assemble_field(sol, [(x1, x2) for x2 in x2s], cfg) for x1 in x1s]
         assert np.array_equal(assemble_field(sol, pts, cfg), np.concatenate(rows))
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_field_assembly_equals_one_point_at_a_time(self, seed):
+        # points whose x1 and x2 repeat or not, off nodes, at both end nodes and at
+        # x2 = 0 and d: each is interpolated and shaped per distinct coordinate
+        cfg = make_cfg()
+        grid = omega_full_grid(cfg, 1 / 32)
+        src = [ModeBoxSource(mode=m, x_lo=0.1 * m - 0.3, x_hi=0.4, amplitude=m + 1) for m in range(5)]
+        sol = solve_full(cfg, src, "pml_full", grid, 6, PmlProfile(5.0))
+        rng = np.random.default_rng(seed)
+        nodes = grid.nodes()
+        x1_pool = np.concatenate([nodes[[0, -1, 7]], rng.uniform(grid.x_start, grid.x_end, 5)])
+        x2_pool = np.concatenate([[0.0, cfg.d], rng.uniform(0.0, cfg.d, 4)])
+        n = 300
+        x1 = rng.uniform(grid.x_start, grid.x_end, n)
+        x2 = rng.uniform(0.0, cfg.d, n)
+        pooled = rng.random((2, n)) < 0.5  # these points take a pool value, so repeat
+        x1[pooled[0]] = rng.choice(x1_pool, pooled[0].sum())
+        x2[pooled[1]] = rng.choice(x2_pool, pooled[1].sum())
+        pts = np.column_stack((x1, x2))
+        one_at_a_time = [assemble_field(sol, p, cfg) for p in pts]
+        assert all(isinstance(v, complex) for v in one_at_a_time)
+        assert np.array_equal(assemble_field(sol, pts, cfg), np.array(one_at_a_time))
+        with pytest.raises(DomainError, match="^axial coordinate outside the solution grid$"):
+            assemble_field(sol, np.vstack([pts, (grid.x_end + 0.1, 0.5)]), cfg)
+        with pytest.raises(DomainError, match="^transverse coordinate outside the duct$"):
+            assemble_field(sol, np.vstack([pts, (0.0, cfg.d + 1e-9)]), cfg)
+
     def test_field_assembly_sums_only_nonzero_rows(self, monkeypatch):
         # modes 1 and 4 loaded of 7: only their shapes are evaluated, and the field is
         # the sum over every row, zero rows included
